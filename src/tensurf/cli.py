@@ -39,8 +39,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tensurf", description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; evaluation fan-outs are vectorized")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: _Parser) -> None:

@@ -142,17 +142,6 @@ class DetCertificate:
     f_transformed: Optional[XPoly]
 
 
-def _pow_mod_array(vals: NDArray[np.int64], e: int, p: int) -> NDArray[np.int64]:
-    out = np.ones_like(vals)
-    base = vals % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
 def verify_implicitization(strand: Strand, oracle: OracleResult,
                            point_transform: NDArray[np.int64],
                            field: FieldConfig, n_points: int = 40,
@@ -181,7 +170,8 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
     rng = field.rng(rng_purpose)
 
     def f_value(point: NDArray[np.int64]) -> int:
-        return oracle.f.eval(linalg.mat_vec_mod(transform, point, p))
+        return oracle.f.eval(
+            linalg.matmul_mod(transform, point[:, None], p)[:, 0])
 
     c = None
     for _ in range(200):
@@ -202,7 +192,7 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
     pts = np.array([[rng.randrange(p) for _ in range(4)]
                     for _ in range(n_points)], dtype=np.int64)
     lhs = strand.det_at_many(pts)
-    rhs = c * _pow_mod_array(
+    rhs = c * linalg.pow_mod_array(
         oracle.f.eval_many(linalg.matmul_mod(pts, transform.T, p)), d, p) % p
     bad = int(np.count_nonzero(lhs != rhs))
     if bad:

@@ -5,15 +5,21 @@ import random
 import numpy as np
 import pytest
 
+import gauss_ref
 from tensurf import linalg
 from tensurf.bipoly import DEFAULT_PRIME
 
 P = DEFAULT_PRIME
+PRIMES = [DEFAULT_PRIME, 65521, 3]
 
 
 def random_matrix(rng, rows, cols, p=P):
     return np.array([[rng.randrange(p) for _ in range(cols)]
                      for _ in range(rows)], dtype=np.int64)
+
+
+def mat_vec(M, v, p=P):
+    return linalg.matmul_mod(M, np.reshape(v, (-1, 1)), p)[:, 0]
 
 
 def test_rref_frozen():
@@ -50,7 +56,7 @@ def test_kernel_vectors_annihilate_random():
         kern = linalg.kernel_basis(M, P)
         assert len(kern) == M.shape[1] - linalg.rank(M, P)
         for v in kern:
-            assert not np.any(linalg.mat_vec_mod(M, v, P))
+            assert not np.any(mat_vec(M, v))
 
 
 def test_solve_particular_random_and_inconsistent():
@@ -58,16 +64,17 @@ def test_solve_particular_random_and_inconsistent():
     for _ in range(15):
         M = random_matrix(rng, 5, 4)
         x = np.array([rng.randrange(P) for _ in range(4)], dtype=np.int64)
-        b = linalg.mat_vec_mod(M, x, P)
+        b = mat_vec(M, x)
         sol = linalg.solve_particular(M, b, P)
         assert sol is not None
-        assert np.array_equal(linalg.mat_vec_mod(M, sol, P), b)
+        assert np.array_equal(mat_vec(M, sol), b)
     assert linalg.solve_particular([[1, 0], [1, 0]], [1, 2], P) is None
 
 
 def test_det_field_frozen_and_multiplicative():
     assert linalg.det_field([[1, 2], [3, 4]], P) == P - 2
     assert linalg.det_field([[1, 2], [2, 4]], P) == 0
+    assert linalg.det_field([[0, 1], [1, 0]], P) == P - 1
     rng = random.Random(29)
     for _ in range(10):
         A = random_matrix(rng, 4, 4)
@@ -110,3 +117,132 @@ def test_matmul_mod_matches_python_ints():
         for j in range(2):
             want = sum(int(A[i, k]) * int(B[k, j]) for k in range(4)) % P
             assert int(C[i, j]) == want
+
+
+def test_pow_mod_array_matches_python_pow():
+    rng = random.Random(57)
+    for p in PRIMES:
+        x = np.array([rng.randrange(p) for _ in range(20)], dtype=np.int64)
+        for e in (0, 1, 2, 7, p - 2):
+            got = linalg.pow_mod_array(x, e, p)
+            assert got.tolist() == [pow(int(v), e, p) for v in x]
+
+
+# Blocked paths.  The matrices are wider than one elimination panel, so the
+# recursive halving, the triangular solves and the Schur updates all run;
+# the row chunk is shrunk so that every product spans several chunks.
+
+
+def _blocked_cases(p, seed):
+    """Rectangular and square matrices over F_p exercising the blocked paths.
+
+    Planted rank deficiency (a product through a thin middle), zero columns,
+    and zero leading rows that force row swaps for the early pivots.
+    """
+    rng = np.random.default_rng(seed)
+
+    def rand(m, n):
+        return rng.integers(0, p, size=(m, n), dtype=np.int64)
+
+    deficient = linalg.matmul_mod(rand(90, 48), rand(48, 75), p)
+    deficient[:, [3, 40, 41]] = 0
+    deficient[:7, :50] = 0
+    wide = rand(70, 110)
+    wide[:, [0, 33, 34, 35, 90]] = 0
+    wide[:4] = 0
+    square = rand(72, 72)
+    square[:5, :40] = 0
+    singular = square.copy()
+    singular[:, 60] = (2 * singular[:, 10] + singular[:, 50]) % p
+    odd_swaps = square[[5] + list(range(5)) + list(range(6, 72))]
+    return [deficient, wide, square, singular, odd_swaps]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(linalg, "_CHUNK", 300)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_blocked_elimination_matches_reference(p, small_chunks):
+    for k, M in enumerate(_blocked_cases(p, seed=p % 1000)):
+        rows = M.tolist()
+        ref_R, ref_piv = gauss_ref.rref(rows, p)
+        res = linalg.rref(M, p)
+        assert res.pivots == tuple(ref_piv)
+        assert res.rank == len(ref_piv) == linalg.rank(M, p)
+        assert res.matrix.tolist() == ref_R
+        kern = linalg.kernel_basis(M, p)
+        assert [v.tolist() for v in kern] == gauss_ref.kernel(rows, p)
+        for v in kern:
+            assert not np.any(mat_vec(M, v, p))
+        if M.shape[0] == M.shape[1]:
+            assert linalg.det_field(M, p) == gauss_ref.det(rows, p)
+            ref_inv = gauss_ref.inverse(rows, p)
+            if ref_inv is None:
+                with pytest.raises(ValueError):
+                    linalg.matrix_inverse(M, p)
+            else:
+                assert linalg.matrix_inverse(M, p).tolist() == ref_inv
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_blocked_solve_matches_reference(p, small_chunks):
+    rng = np.random.default_rng(p % 997)
+    inconsistent = 0
+    for M in _blocked_cases(p, seed=p % 1000):
+        rows = M.tolist()
+        x = rng.integers(0, p, size=M.shape[1], dtype=np.int64)
+        b = mat_vec(M, x, p)
+        sol = linalg.solve_particular(M, b, p)
+        assert sol.tolist() == gauss_ref.solve(rows, b.tolist(), p)
+        assert np.array_equal(mat_vec(M, sol, p), b)
+        b = b.copy()
+        b[0] = (b[0] + 1) % p  # row 0 of `wide` is zero: inconsistent
+        ref = gauss_ref.solve(rows, b.tolist(), p)
+        got = linalg.solve_particular(M, b, p)
+        if ref is None:
+            inconsistent += 1
+            assert got is None
+        else:
+            assert got.tolist() == ref
+    assert inconsistent
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_matmul_mod_worst_case_entries(p):
+    # Entries p - 1, and (for large p) the largest entry whose low 16-bit
+    # limb is all ones, which maximizes every limb product.
+    values = [p - 1]
+    if p - 1 >= 0xFFFF:
+        values.append(p - 1 - (p - 1 - 0xFFFF) % 0x10000)
+    inner = 5000
+    for v in values:
+        A = np.full((30, inner), v, dtype=np.int64)
+        B = np.full((inner, 3), v, dtype=np.int64)
+        B[0, 1] = 0
+        C = linalg.matmul_mod(A, B, p)
+        want = inner * v * v % p
+        assert C[:, 0].tolist() == [want] * 30
+        assert C[:, 1].tolist() == [(inner - 1) * v * v % p] * 30
+    # High limbs all ones over a long inner dimension: without the reduction
+    # before the 2**16 scaling, the int64 accumulator would overflow.
+    v = p - 1
+    long_inner = 1 << 18
+    C = linalg.matmul_mod(np.full((1, long_inner), v, dtype=np.int64),
+                          np.full((long_inner, 1), v, dtype=np.int64), p)
+    assert int(C[0, 0]) == long_inner * v * v % p
+    rng = np.random.default_rng(5)
+    A = rng.integers(0, p, size=(6, inner), dtype=np.int64)
+    B = rng.integers(0, p, size=(inner, 4), dtype=np.int64)
+    assert linalg.matmul_mod(A, B, p).tolist() == gauss_ref.matmul(
+        A.tolist(), B.tolist(), p)
+
+
+def test_matmul_mod_rejects_inexact_inner_dimension():
+    k = linalg.MAX_INNER
+    assert linalg.matmul_mod(np.zeros((0, k), dtype=np.int64),
+                             np.zeros((k, 0), dtype=np.int64), P).shape == (0, 0)
+    with pytest.raises(ValueError):
+        linalg.matmul_mod(np.zeros((0, k + 1), dtype=np.int64),
+                          np.zeros((k + 1, 0), dtype=np.int64), P)
