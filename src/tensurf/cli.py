@@ -69,9 +69,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--oracle-scan", choices=["full", "divisors"],
                        default=None,
                        help="degree scan strategy (default full)")
-        p.add_argument("--interpolation-cap", type=int, default=None,
-                       help="largest strand size reconstructed as a "
-                            "polynomial (default 24)")
 
     p_im = sub.add_parser("implicitize", help="full pipeline with report")
     add_common(p_im)
@@ -140,7 +137,6 @@ def _merge_options(args, options: dict) -> dict:
         "side": options.get("side", "uv"),
         "n_points": int(options.get("n_points", 40)),
         "scan": options.get("scan", "full"),
-        "interpolation_cap": int(options.get("interpolation_cap", 24)),
     }
     if args.det_mode is not None:
         merged["det_mode"] = args.det_mode
@@ -150,8 +146,6 @@ def _merge_options(args, options: dict) -> dict:
         merged["n_points"] = args.points
     if args.oracle_scan is not None:
         merged["scan"] = args.oracle_scan
-    if args.interpolation_cap is not None:
-        merged["interpolation_cap"] = args.interpolation_cap
     if merged["side"] not in ("uv", "st"):
         raise ValueError(f"unknown side {merged['side']!r}")
     if merged["det_mode"] not in ("eval", "interpolate"):
@@ -240,7 +234,7 @@ def _run_pipeline(args) -> tuple:
     result = implicitize(
         inp, check_level="full", scan=merged["scan"],
         det_mode=merged["det_mode"], n_points=merged["n_points"],
-        interpolation_cap=merged["interpolation_cap"], basepoints="skip")
+        basepoints="skip")
     for name, secs in sorted(result.timings.items()):
         print(f"[time] {name}: {secs:.3f}s", file=sys.stderr)
     if args.oracle:

@@ -189,8 +189,9 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
     """Homogeneous resultant in (u, v) with fixed formal bidegrees.
 
     The result is a binary form in (s, t) of degree cf*dg + cg*df, computed
-    by specialize-and-interpolate; t is set to 1 at cf*dg + cg*df + 1 sample
-    values of s, which stays below p for every supported size.
+    by specialize-and-interpolate: t is set to 1 at cf*dg + cg*df + 1 sample
+    values of s (fewer than p for every supported size), and their Sylvester
+    determinants are taken in one batch.
     """
     (cf, df), (cg, dg) = deg_f, deg_g
     D = cf * dg + cg * df
@@ -202,11 +203,10 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
         return UniHomPoly(p, 0, (val,))
     if D + 1 > p:
         raise ValueError("prime too small for resultant interpolation")
-    samples = []
-    for s0 in range(D + 1):
-        fc = f.substitute_st(s0, 1, df).coeffs
-        gc = g.substitute_st(s0, 1, dg).coeffs
-        samples.append(linalg.det_field(sylvester_from_coeffs(fc, gc, p), p))
+    samples = linalg.batch_det(np.stack([
+        sylvester_from_coeffs(f.substitute_st(s0, 1, df).coeffs,
+                              g.substitute_st(s0, 1, dg).coeffs, p)
+        for s0 in range(D + 1)]), p)
     # R(s, 1) = sum r_k s^(D-k): Vandermonde solve for r
     V = np.zeros((D + 1, D + 1), dtype=np.int64)
     for row, s0 in enumerate(range(D + 1)):
@@ -214,7 +214,7 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
         for k in range(D, -1, -1):
             V[row, k] = acc
             acc = acc * s0 % p
-    sol = linalg.solve_particular(V, np.array(samples, dtype=np.int64), p)
+    sol = linalg.solve_particular(V, samples, p)
     if sol is None:
         raise CertificateError("resultant interpolation failed")
     return UniHomPoly(p, D, tuple(int(t) for t in sol))

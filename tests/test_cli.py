@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, reports, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from tensurf.bipoly import DEFAULT_PRIME, parse_poly, poly_to_str
 from tensurf.cli import main
 
 P = DEFAULT_PRIME
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -141,6 +143,30 @@ def test_verify_interpolate_mode(example_job, capsys):
                  "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"]["mode"] == "interpolate"
+
+
+def test_implicitize_interpolate_text_is_golden(example_job, capsys):
+    assert main(["implicitize", example_job, "--det-mode",
+                 "interpolate"]) == 0
+    want = (GOLDEN / "implicitize_worked_interpolate.txt").read_text()
+    assert capsys.readouterr().out == want
+
+
+def test_interpolate_certifies_strands_of_any_size(tmp_path, capsys):
+    # strand size 28
+    path = tmp_path / "a2b7.json"
+    assert main(["generate", "--a", "2", "--b", "7", "--n", "4",
+                 "--dimv", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--det-mode", "interpolate"]) == 0
+    out = capsys.readouterr().out
+    assert "deg F = 14, deg phi = 2" in out
+    assert "PASS det = c * F^2 at 40 random points (mode interpolate)" in out
+
+
+def test_interpolation_cap_flag_is_gone(example_job, capsys):
+    assert main(["verify", example_job, "--interpolation-cap", "30"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_job_options_supply_defaults(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tensurf import membership
+from tensurf import linalg, membership
 from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, HypothesisError,
                             UniHomPoly, parse_poly, uni_gcd)
 
@@ -118,6 +118,26 @@ def test_resultant_uv_frozen_and_multiplicative_scaling():
         rc = membership.resultant_uv(f.scale(c), g, (1, 1), (1, 1), P)
         # scaling f by c scales the resultant by c^(deg_uv g)
         assert rc.coeffs == tuple(x * c % P for x in r.coeffs)
+
+
+def test_resultant_uv_matches_sylvester_determinants_of_specializations():
+    # the batched samples must interpolate the same form as one det_field
+    # per specialization, checked off the sample nodes 0..D
+    rng = random.Random(117)
+
+    def random_bipoly(c, d):
+        return BiPoly(P, {(c - i, i, d - k, k): rng.randrange(P)
+                          for i in range(c + 1) for k in range(d + 1)})
+
+    f, g = random_bipoly(2, 3), random_bipoly(3, 4)
+    r = membership.resultant_uv(f, g, (2, 3), (3, 4), P)
+    assert r.degree == 2 * 4 + 3 * 3
+    for _ in range(5):
+        s0 = rng.randrange(r.degree + 1, P)
+        want = linalg.det_field(membership.sylvester_from_coeffs(
+            f.substitute_st(s0, 1, 3).coeffs,
+            g.substitute_st(s0, 1, 4).coeffs, P), P)
+        assert r.eval(s0, 1) == want
 
 
 def test_resultant_uv_detects_shared_uv_factor():

@@ -1,18 +1,21 @@
 """Point-elimination oracle, determinant certificate, basepoint screen."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from helpers import mutate_case
+from tensurf import linalg
 from tensurf.bipoly import (CertificateError, DEFAULT_PRIME, FieldConfig,
                             HypothesisError, parse_poly, poly_to_str)
-from tensurf.oracle import (BasepointReport, basepoint_check,
+from tensurf.oracle import (BasepointReport, DetCertificate, basepoint_check,
                             implicit_by_elimination, implicitize,
-                            verify_implicitization, _form_roots, _poly_roots)
+                            verify_implicitization, _form_roots, _poly_roots,
+                            _principal_lattice)
 from tensurf.bipoly import UniHomPoly
-from tensurf.strand import build_strand
+from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput
 from tensurf.xpoly import linear_substitute, parse_xpoly, vanishes_on_map
 
@@ -81,11 +84,8 @@ def test_certificate_eval_mode_frozen(example_analysis, example_strand,
                                       example_oracle, field):
     cert = verify_implicitization(example_strand, example_oracle,
                                   example_analysis.point_transform, field)
-    assert cert.exponent == 2
-    assert cert.c == P - 1
-    assert cert.mode == "eval"
-    assert cert.n_points == 40
-    assert cert.det_poly is None
+    assert cert == DetCertificate(c=P - 1, exponent=2, n_points=40,
+                                  mode="eval")
 
 
 def test_certificate_interpolate_mode(example_analysis, example_strand,
@@ -95,12 +95,76 @@ def test_certificate_interpolate_mode(example_analysis, example_strand,
                                   mode="interpolate")
     assert cert.exponent == 2
     assert cert.c == P - 1
-    det_poly = cert.det_poly
-    f_t = cert.f_transformed
-    assert det_poly is not None and f_t is not None
+    assert cert.mode == "interpolate"
     # det = c * F^2 as polynomials (transition is the identity here)
+    f_t = linear_substitute(example_oracle.f,
+                            example_analysis.point_transform)
     assert f_t == example_oracle.f
-    assert det_poly == (f_t * f_t).scale(cert.c)
+    assert reconstruct_det(example_strand) == (f_t * f_t).scale(cert.c)
+
+
+@pytest.mark.parametrize("degree", [2, 4, 12])
+def test_principal_lattice_is_unisolvent(degree):
+    pts = _principal_lattice(degree)
+    n = math.comb(degree + 3, 3)
+    assert pts.shape == (n, 4)
+    assert (pts[:, 0] == 1).all() and (pts[:, 1:].sum(axis=1) <= degree).all()
+    exps = [(i, j, k) for i in range(degree + 1)
+            for j in range(degree + 1 - i) for k in range(degree + 1 - i - j)]
+    vander = np.array([[pow(int(y1), i, P) * pow(int(y2), j, P)
+                        * pow(int(y3), k, P) % P for i, j, k in exps]
+                       for _, y1, y2, y3 in pts], dtype=np.int64)
+    assert linalg.rank(vander, P) == n
+
+
+def _newton(node: tuple[int, int, int], degree: int, y) -> int:
+    """y0^(D-i-j-k) prod_{m<i}(y1 - m y0) prod_{m<j}(y2 - m y0) ... mod P.
+
+    On the principal lattice it is nonzero exactly at the points (1, i', j',
+    k') with i' >= i, j' >= j and k' >= k.
+    """
+    y0 = int(y[0])
+    acc = pow(y0, degree - sum(node), P)
+    for e, yk in zip(node, y[1:]):
+        for m in range(e):
+            acc = acc * (int(yk) - m * y0) % P
+    return acc
+
+
+@pytest.mark.parametrize("node", [(20, 0, 0), (0, 0, 20), (7, 6, 7),
+                                  (2, 3, 4)])
+def test_interpolate_catches_a_perturbation_at_lattice_points(
+        node, example_analysis, example_strand, example_oracle, field,
+        monkeypatch):
+    degree = example_strand.size
+    original = Strand.det_at_many
+
+    def perturbed(self, points):
+        out = original(self, points)
+        pts = np.asarray(points, dtype=np.int64) % P
+        for r, y in enumerate(pts):
+            if y[0] == 1 and (y <= degree).all():
+                out[r] = (out[r] + _newton(node, degree, y)) % P
+        return out
+
+    monkeypatch.setattr(Strand, "det_at_many", perturbed)
+    args = (example_strand, example_oracle, example_analysis.point_transform,
+            field)
+    assert verify_implicitization(*args, mode="eval").c == P - 1
+    n_bad = math.comb(degree - sum(node) + 3, 3)
+    n_all = math.comb(degree + 3, 3)
+    with pytest.raises(CertificateError,
+                       match=f"fails at {n_bad} of {n_all} principal lattice"):
+        verify_implicitization(*args, mode="interpolate")
+
+
+@pytest.mark.parametrize("p", [3, 19])
+def test_interpolate_refuses_primes_not_above_the_strand_size(
+        p, example_analysis, example_strand, example_oracle):
+    with pytest.raises(ValueError, match="needs p > 20"):
+        verify_implicitization(example_strand, example_oracle,
+                               example_analysis.point_transform,
+                               FieldConfig(p), mode="interpolate")
 
 
 def test_certificate_rejects_corrupted_syzygies(example_case,
