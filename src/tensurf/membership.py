@@ -30,6 +30,7 @@ from .bipoly import (
     uni_gcd,
 )
 from .hburch import HBResolution
+from .xpoly import grid_from_bipoly
 
 
 def sylvester_from_coeffs(fc: Sequence[int], gc: Sequence[int], p: int
@@ -190,7 +191,8 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
 
     The result is a binary form in (s, t) of degree cf*dg + cg*df, computed
     by specialize-and-interpolate: t is set to 1 at cf*dg + cg*df + 1 sample
-    values of s (fewer than p for every supported size), and their Sylvester
+    values of s (fewer than p for every supported size).  The specialized
+    (u, v)-forms are one Vandermonde product per input, and their Sylvester
     determinants are taken in one batch.
     """
     (cf, df), (cg, dg) = deg_f, deg_g
@@ -203,18 +205,23 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
         return UniHomPoly(p, 0, (val,))
     if D + 1 > p:
         raise ValueError("prime too small for resultant interpolation")
-    samples = linalg.batch_det(np.stack([
-        sylvester_from_coeffs(f.substitute_st(s0, 1, df).coeffs,
-                              g.substitute_st(s0, 1, dg).coeffs, p)
-        for s0 in range(D + 1)]), p)
+    # powers[r, k] = r^k mod p at the sample nodes s = 0..D
+    nodes = np.arange(D + 1, dtype=np.int64)
+    powers = np.ones((D + 1, max(D, cf, cg) + 1), dtype=np.int64)
+    for k in range(1, powers.shape[1]):
+        powers[:, k] = powers[:, k - 1] * nodes % p
+    # grid row j holds the coefficients of s^(c-j) t^j
+    fs = linalg.matmul_mod(powers[:, cf::-1], grid_from_bipoly(f, cf, df), p)
+    gs = linalg.matmul_mod(powers[:, cg::-1], grid_from_bipoly(g, cg, dg), p)
+    size = df + dg
+    syl = np.zeros((D + 1, size, size), dtype=np.int64)
+    for r in range(dg):
+        syl[:, r, r:r + df + 1] = fs
+    for r in range(df):
+        syl[:, dg + r, r:r + dg + 1] = gs
+    samples = linalg.batch_det(syl, p)
     # R(s, 1) = sum r_k s^(D-k): Vandermonde solve for r
-    V = np.zeros((D + 1, D + 1), dtype=np.int64)
-    for row, s0 in enumerate(range(D + 1)):
-        acc = 1
-        for k in range(D, -1, -1):
-            V[row, k] = acc
-            acc = acc * s0 % p
-    sol = linalg.solve_particular(V, samples, p)
+    sol = linalg.solve_particular(powers[:, D::-1], samples, p)
     if sol is None:
         raise CertificateError("resultant interpolation failed")
     return UniHomPoly(p, D, tuple(int(t) for t in sol))

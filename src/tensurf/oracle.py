@@ -1,17 +1,30 @@
 """Independent implicitization by exact point elimination.
 
-The implicit equation of the image surface is recovered from the generators
-alone, without the syzygy pipeline: degree-e forms vanishing on the image
-are exactly the kernel of evaluation at image points taken over a product
-grid of parameter values.  A composed form f(g0..g3) is bihomogeneous of
-bidegree (e*a, e*b), so vanishing on an (e*a + 1) x (e*b + 1) grid of
-distinct affine nodes forces it to vanish identically; no probabilistic
-stabilization is needed.  The module also certifies that the strand-matrix
-determinant is a scalar multiple of a power of the recovered equation, and
-screens the input for basepoints via pairwise resultants.  The exact
-certificate uses the same kind of argument: a form of degree D vanishing on
-the principal lattice {(1, i, j, k) : i + j + k <= D}, nodes 0..D distinct
-mod p, is zero (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).
+The implicit equation F of the image surface is recovered from the
+generators alone, without the syzygy pipeline.  Degree-e forms vanishing on
+the image are exactly the kernel of evaluation at the image of an
+(e*a + 1) x (e*b + 1) product grid of parameter values: a composed form
+f(g0..g3) is bihomogeneous of bidegree (e*a, e*b), so vanishing on that grid
+of distinct affine nodes forces it to vanish identically.
+
+The degree of F is e = 2ab / d, where d is the degree of the map onto its
+image.  The oracle first reads d off one generic fiber (two resultants of
+pulled-back planes through a random image point share exactly its d
+preimages), then solves one near-square system at degree e on C(e+3, 3) + 8
+random image points.  A one-dimensional kernel there is proved exact by
+evaluating its vector on the product grid.  The sampled kernel contains the
+true one, so the true kernel at degree e is then that line; and since a
+nonzero form f of degree k < e vanishing on the image would give the
+C(e-k+3, 3) >= 4 independent multiples f * x^m at degree e, every lower
+degree has a zero kernel.  Any other outcome runs the degree scan, which
+computes every kernel on its grid.  The result is the same either way.
+
+The module also certifies that the strand-matrix determinant is a scalar
+multiple of a power of the recovered equation, and screens the input for
+basepoints via pairwise resultants.  The exact certificate uses the same
+kind of argument: a form of degree D vanishing on the principal lattice
+{(1, i, j, k) : i + j + k <= D}, nodes 0..D distinct mod p, is zero (Chung &
+Yao, SIAM J. Numer. Anal. 14, 1977).
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import linalg
-from .bipoly import (CertificateError, FieldConfig, HypothesisError,
+from .bipoly import (BiPoly, CertificateError, FieldConfig, HypothesisError,
                      UniHomPoly, _upoly_gcd, _upoly_mod, uni_gcd)
 from .cases import CaseResult, run_case
 from .membership import resultant_uv
@@ -33,7 +46,7 @@ from .membership import resultant_uv
 from .strand import Strand, build_strand, reconstruct_det  # noqa: F401
 from .syzygy import SurfaceInput, VAnalysis, analyze
 from .xpoly import (XPoly, divide_with_remainder, eval_matrix,  # noqa: F401
-                    grid_from_bipoly, linear_substitute)
+                    grid_from_bipoly, linear_substitute, num_monomials)
 
 __all__ = [
     "OracleResult", "implicit_by_elimination",
@@ -56,7 +69,8 @@ class OracleResult:
     of one identifies the unique minimal equation; a larger value signals
     that the image is not a hypersurface of that degree (the first canonical
     kernel vector is still returned, and downstream certification will
-    reject it).
+    reject it).  When the equation was found at the hinted degree, the
+    zero dimensions below it are proved rather than computed.
     """
 
     f: XPoly
@@ -68,6 +82,13 @@ class OracleResult:
     @property
     def kernel_dim(self) -> int:
         return self.kernel_dims[-1][1]
+
+
+# Elements of one evaluation block in the exact grid check; bounds its
+# memory (the (3, 5) grid alone is 13741 points x 5456 monomials).
+_CHECK_CHUNK = 1 << 20
+# Random image points beyond the number of unknowns in the hinted solve.
+_SAMPLE_MARGIN = 8
 
 
 def _divisors(n: int) -> list[int]:
@@ -84,13 +105,78 @@ def _vandermonde(nodes: Sequence[int], width: int, p: int) -> NDArray[np.int64]:
     return out
 
 
+def _fiber_degree(inp: SurfaceInput) -> Optional[int]:
+    """Degree d of the map onto its image, read off one random fiber.
+
+    With y0 the image of a random parameter point and l1, l2, l3 random
+    linear forms vanishing at y0, h_i = l_i(g0..g3) has bidegree (a, b).
+    Res_uv(h1, h2) vanishes at the (s : t) coordinates of the 2ab preimages
+    of the line {l1 = l2 = 0}, and Res_uv(h1, h3) at those of another line
+    through y0; for a generic choice the two share only the d preimages of
+    y0.  Returns d when it divides 2ab, else None (also when p <= 2ab or a
+    resultant vanishes).  The result only chooses which degree to try
+    first, so a wrong value costs time, never correctness.
+    """
+    p, a, b = inp.field.p, inp.a, inp.b
+    size = 2 * a * b
+    if p <= size:
+        return None
+    rng = inp.field.rng("oracle-hint")
+    t0, v0 = rng.randrange(p), rng.randrange(p)
+    y0 = [g.eval(1, t0, 1, v0) for g in inp.gens]
+    pivot = next((k for k, y in enumerate(y0) if y), None)
+    if pivot is None:
+        return None
+    inv = pow(y0[pivot], -1, p)
+    hs = []
+    for _ in range(3):
+        ell = [rng.randrange(p) for _ in range(4)]
+        ell[pivot] = 0
+        ell[pivot] = -sum(c * y for c, y in zip(ell, y0)) * inv % p
+        h = BiPoly.zero(p)
+        for c, g in zip(ell, inp.gens):
+            h = h + g.scale(c)
+        hs.append(h)
+    r12 = resultant_uv(hs[0], hs[1], (a, b), (a, b), p)
+    r13 = resultant_uv(hs[0], hs[2], (a, b), (a, b), p)
+    if r12.is_zero or r13.is_zero:
+        return None
+    d = uni_gcd(r12, r13).degree
+    return d if d and size % d == 0 else None
+
+
+def _normalized(vec: NDArray[np.int64], p: int) -> NDArray[np.int64]:
+    """The multiple of a nonzero vector whose first nonzero entry is 1."""
+    vec = vec % p
+    return vec * pow(int(vec[np.flatnonzero(vec)[0]]), -1, p) % p
+
+
+def _vanishes_at(degree: int, points: NDArray[np.int64], vec: NDArray[np.int64],
+                 p: int) -> bool:
+    """Exact test that the form with coefficients ``vec`` is zero at every
+    point, evaluated in row blocks of about ``_CHECK_CHUNK`` elements."""
+    step = max(1, _CHECK_CHUNK // len(vec))
+    return not any(
+        linalg.matmul_mod(eval_matrix(degree, points[lo:lo + step], p),
+                          vec[:, None], p).any()
+        for lo in range(0, len(points), step))
+
+
 def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
                             rng_purpose: str = "oracle") -> OracleResult:
-    """Scan degrees for the minimal implicit equation of the image.
+    """The minimal implicit equation of the image, normalized to a leading 1.
 
-    ``scan="full"`` tries every degree 1..2ab in order; ``scan="divisors"``
-    tries only divisors of 2ab (cheaper, and still exact: a kernel of
-    dimension one at degree e proves e is the true minimal degree).
+    First, at the hinted degree e = 2ab / d (d from :func:`_fiber_degree`),
+    one kernel is solved on C(e+3, 3) + 8 random image points.  If it is a
+    line, its vector is checked exactly on the image of the
+    (e*a + 1) x (e*b + 1) product grid; passing proves that the image has a
+    unique equation of degree e and none of lower degree (see the module
+    docstring), so the degrees below e are reported with kernel dimension
+    0 without being computed.  Otherwise the degrees are scanned in order on
+    product grids: ``scan="full"`` tries every degree 1..2ab;
+    ``scan="divisors"`` tries only divisors of 2ab (cheaper, and still
+    exact: a kernel of dimension one at degree e proves e is the true
+    minimal degree).  Both paths return the same result.
     """
     if scan not in ("full", "divisors"):
         raise ValueError(f"unknown scan mode {scan!r}")
@@ -101,31 +187,55 @@ def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
     t_nodes = rng.sample(range(p), size * a + 1)
     v_nodes = rng.sample(range(p), size * b + 1)
     gen_grids = [grid_from_bipoly(g, a, b) for g in inp.gens]
-    dims: list[tuple[int, int]] = []
-    for e in degrees:
-        nt, nv = e * a + 1, e * b + 1
-        tv = _vandermonde(t_nodes[:nt], a + 1, p)
-        vv = _vandermonde(v_nodes[:nv], b + 1, p)
-        points = np.stack(
+
+    def grid_points(e: int) -> NDArray[np.int64]:
+        tv = _vandermonde(t_nodes[:e * a + 1], a + 1, p)
+        vv = _vandermonde(v_nodes[:e * b + 1], b + 1, p)
+        return np.stack(
             [linalg.matmul_mod(linalg.matmul_mod(tv, g, p), vv.T, p).reshape(-1)
              for g in gen_grids], axis=1)
+
+    def result(e: int, vec: NDArray[np.int64],
+               dims: list[tuple[int, int]]) -> OracleResult:
+        return OracleResult(
+            f=XPoly.from_coeff_vector(p, e, vec), degree=e,
+            kernel_dims=tuple(dims), scan=scan,
+            grid_shape=(e * a + 1, e * b + 1))
+
+    d = _fiber_degree(inp)
+    if d is not None:
+        e = size // d
+        srng = inp.field.rng(f"{rng_purpose}-sample")
+        n = num_monomials(e) + _SAMPLE_MARGIN
+        tv = _vandermonde([srng.randrange(p) for _ in range(n)], a + 1, p)
+        vv = _vandermonde([srng.randrange(p) for _ in range(n)], b + 1, p)
+        sample = np.stack(
+            [(linalg.matmul_mod(tv, g, p) * vv % p).sum(axis=1) % p
+             for g in gen_grids], axis=1)
+        kern = linalg.kernel_basis(eval_matrix(e, sample, p), p)
+        if len(kern) == 1:
+            vec = _normalized(kern[0], p)
+            points = grid_points(e)
+            # A dead grid point is left to the scan, which reports it.
+            if points.any(axis=1).all() and _vanishes_at(e, points, vec, p):
+                return result(e, vec, [(k, 0) for k in degrees if k < e]
+                              + [(e, 1)])
+
+    dims: list[tuple[int, int]] = []
+    for e in degrees:
+        points = grid_points(e)
         dead = np.flatnonzero(~points.any(axis=1))
         if dead.size:
             r = int(dead[0])
+            nv = e * b + 1
             raise HypothesisError(
                 "all four generators vanish at parameter point "
                 f"(1, {t_nodes[r // nv]}, 1, {v_nodes[r % nv]}); "
                 "the input has a basepoint")
         kern = linalg.kernel_basis(eval_matrix(e, points, p), p)
         dims.append((e, len(kern)))
-        if not kern:
-            continue
-        vec = kern[0] % p
-        lead = int(vec[np.flatnonzero(vec)[0]])
-        vec = vec * pow(lead, -1, p) % p
-        return OracleResult(
-            f=XPoly.from_coeff_vector(p, e, vec), degree=e,
-            kernel_dims=tuple(dims), scan=scan, grid_shape=(nt, nv))
+        if kern:
+            return result(e, _normalized(kern[0], p), dims)
     raise HypothesisError(
         f"no implicit equation of degree <= {size} vanishes on the image; "
         "the input is degenerate")

@@ -49,14 +49,24 @@ class Strand:
         return linalg.det_field(self.eval_matrix_at(point), self.p)
 
     def det_at_many(self, points: np.ndarray) -> np.ndarray:
-        """Determinants at each row of an (N, 4) point array, chunked."""
-        pts = np.asarray(points, dtype=np.int64) % self.p
+        """Determinants at each row of an (N, 4) point array, chunked.
+
+        The scalar matrices are accumulated one coordinate at a time and
+        reduced after each added term: two products of residues sum to at
+        most 2 (p - 1)^2 < 2^63, and only (chunk, size, size) arrays are
+        held.
+        """
+        p = self.p
+        pts = np.asarray(points, dtype=np.int64) % p
+        coords = np.moveaxis(self.tensor, 2, 0)
         out = np.empty(pts.shape[0], dtype=np.int64)
         for lo in range(0, pts.shape[0], _EVAL_CHUNK):
-            chunk = pts[lo:lo + _EVAL_CHUNK]
-            mats = (self.tensor[None, :, :, :] * chunk[:, None, None, :]
-                    % self.p).sum(axis=3) % self.p
-            out[lo:lo + _EVAL_CHUNK] = linalg.batch_det(mats, self.p)
+            chunk = pts[lo:lo + _EVAL_CHUNK, :, None, None]
+            mats = coords[0] * chunk[:, 0]
+            for k in range(1, 4):
+                mats += coords[k] * chunk[:, k]
+                mats %= p
+            out[lo:lo + _EVAL_CHUNK] = linalg.batch_det(mats, p)
         return out
 
 

@@ -45,27 +45,23 @@ def eval_matrix(degree: int, points: np.ndarray, p: int) -> np.ndarray:
 
     ``points`` is an (N, 4) int64 array of coordinates reduced mod p.  The
     result has shape (N, num_monomials(degree)) with columns ordered as in
-    :func:`monomials_of_degree`.  Built degree by degree: each monomial is a
-    parent monomial of one degree lower times a single variable.
+    :func:`monomials_of_degree`.  Each column is one product of a value
+    x0^e0 * x1^e1 and a value x2^e2 * x3^e3, both taken from tables of all
+    (degree + 1)^2 exponent pairs.
     """
     pts = np.asarray(points, dtype=np.int64) % p
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError("points must have shape (N, 4)")
-    n = pts.shape[0]
-    vals = np.ones((n, 1), dtype=np.int64)
-    index = {(0, 0, 0, 0): 0}
-    for d in range(1, degree + 1):
-        mons = monomials_of_degree(d)
-        parent = np.empty(len(mons), dtype=np.int64)
-        var = np.empty(len(mons), dtype=np.int64)
-        for col, exp in enumerate(mons):
-            k = next(i for i in range(4) if exp[i] > 0)
-            pexp = list(exp)
-            pexp[k] -= 1
-            parent[col] = index[tuple(pexp)]
-            var[col] = k
-        vals = vals[:, parent] * pts[:, var] % p
-        index = {exp: col for col, exp in enumerate(mons)}
+    n, width = pts.shape[0], degree + 1
+    powers = np.ones((4, n, width), dtype=np.int64)
+    for e in range(1, width):
+        powers[:, :, e] = powers[:, :, e - 1] * pts.T % p
+    low = (powers[0, :, :, None] * powers[1, :, None, :] % p).reshape(n, -1)
+    high = (powers[2, :, :, None] * powers[3, :, None, :] % p).reshape(n, -1)
+    mons = np.array(monomials_of_degree(degree), dtype=np.int64)
+    vals = low[:, mons[:, 0] * width + mons[:, 1]]
+    vals *= high[:, mons[:, 2] * width + mons[:, 3]]
+    vals %= p
     return vals
 
 

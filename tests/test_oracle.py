@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import mutate_case
-from tensurf import linalg
+from tensurf import linalg, oracle
 from tensurf.bipoly import (CertificateError, DEFAULT_PRIME, FieldConfig,
                             HypothesisError, parse_poly, poly_to_str)
 from tensurf.oracle import (BasepointReport, DetCertificate, basepoint_check,
@@ -15,6 +15,7 @@ from tensurf.oracle import (BasepointReport, DetCertificate, basepoint_check,
                             verify_implicitization, _form_roots, _poly_roots,
                             _principal_lattice)
 from tensurf.bipoly import UniHomPoly
+from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput
 from tensurf.xpoly import linear_substitute, parse_xpoly, vanishes_on_map
@@ -74,6 +75,145 @@ def test_oracle_detects_dead_grid_point(field):
     inp = SurfaceInput.from_strings(a, b, gens, field)
     with pytest.raises(HypothesisError, match="basepoint"):
         implicit_by_elimination(inp)
+
+
+# ---------------------------------------------------------------------------
+# the degree hint and the exact check at the hinted degree
+
+
+def _unhinted(monkeypatch, inp, **kwargs):
+    """The oracle with the degree hint switched off: the plain scan."""
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_fiber_degree", lambda inp: None)
+        return implicit_by_elimination(inp, **kwargs)
+
+
+def _count_kernels(monkeypatch) -> list:
+    calls = []
+    original = linalg.kernel_basis
+
+    def counting(mat, p):
+        calls.append(np.shape(mat))
+        return original(mat, p)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counting)
+    return calls
+
+
+def test_fiber_degree_of_known_surfaces(example_input, segre_input):
+    assert oracle._fiber_degree(example_input) == 2
+    assert oracle._fiber_degree(segre_input) == 1
+    inst = generate(GenSpec("dim2", 3, 2, 1), index=0, seed=0)
+    assert oracle._fiber_degree(inst.input) == 1
+
+
+@pytest.mark.parametrize("scan", ["full", "divisors"])
+def test_hinted_oracle_matches_the_scan_on_the_worked_surface(
+        scan, example_input, monkeypatch):
+    want = _unhinted(monkeypatch, example_input, scan=scan)
+    calls = _count_kernels(monkeypatch)
+    got = implicit_by_elimination(example_input, scan=scan)
+    assert got == want
+    assert got.grid_shape == (21, 51)
+    # one near-square solve at degree 10 instead of one kernel per degree
+    assert calls == [(math.comb(13, 3) + 8, math.comb(13, 3))]
+
+
+def test_hinted_oracle_matches_the_scan_on_segre(segre_input, monkeypatch):
+    want = _unhinted(monkeypatch, segre_input)
+    assert implicit_by_elimination(segre_input) == want
+    assert want.kernel_dims == ((1, 0), (2, 1))
+
+
+def _fallback_input(name, example_input, segre_input):
+    if name == "worked":
+        return example_input
+    if name == "segre":
+        return segre_input
+    return generate(GenSpec("dim2", 2, 3, 2), index=0, seed=0).input
+
+
+@pytest.mark.parametrize("name, forced_d", [
+    ("segre", 2),     # hint e - 1 = 1: nothing vanishes there
+    ("gen23", 4),     # hint e / 2 = 3
+    ("gen23", 1),     # hint 2e = 12: the sample kernel is not a line
+    ("worked", 3),    # a fiber degree that does not divide 2ab
+])
+def test_wrong_hints_fall_back_to_the_scan(name, forced_d, example_input,
+                                           segre_input, monkeypatch):
+    inp = _fallback_input(name, example_input, segre_input)
+    want = _unhinted(monkeypatch, inp)
+    monkeypatch.setattr(oracle, "_fiber_degree", lambda inp: forced_d)
+    calls = _count_kernels(monkeypatch)
+    assert implicit_by_elimination(inp) == want
+    # the hinted solve, then one kernel per scanned degree
+    assert len(calls) == 1 + len(want.kernel_dims)
+
+
+def test_failed_grid_check_falls_back_to_the_scan(example_input,
+                                                  monkeypatch):
+    want = _unhinted(monkeypatch, example_input)
+    original = oracle._vanishes_at
+    seen = []
+
+    def perturbed(degree, points, vec, p):
+        bumped = vec.copy()
+        bumped[-1] = (bumped[-1] + 1) % p
+        seen.append(degree)
+        return original(degree, points, bumped, p)
+
+    monkeypatch.setattr(oracle, "_vanishes_at", perturbed)
+    calls = _count_kernels(monkeypatch)
+    assert implicit_by_elimination(example_input) == want
+    assert seen == [10]
+    assert len(calls) == 1 + 10
+
+
+def test_hint_leaves_a_dead_grid_point_to_the_scan(field, monkeypatch):
+    # Segre times a (0, 1) factor vanishing on the first v node: the image
+    # is still the quadric, so the forced hint e = 2 finds its line of
+    # equations on random points, sees the dead grid row, and leaves it to
+    # the scan, which raises with its own message
+    a, b = 1, 2
+    rng = field.rng("oracle")
+    rng.sample(range(P), 2 * a * b * a + 1)
+    v0 = rng.sample(range(P), 2 * a * b * b + 1)[0]
+    factor = parse_poly(f"v - {v0}*u", P)
+    gens = [poly_to_str(parse_poly(cof, P) * factor)
+            for cof in ["s*u", "s*v", "t*u", "t*v"]]
+    inp = SurfaceInput.from_strings(a, b, gens, field)
+    with pytest.raises(HypothesisError, match="basepoint") as want:
+        _unhinted(monkeypatch, inp)
+    monkeypatch.setattr(oracle, "_fiber_degree", lambda inp: 2)
+    calls = _count_kernels(monkeypatch)
+    with pytest.raises(HypothesisError) as got:
+        implicit_by_elimination(inp)
+    assert str(got.value) == str(want.value)
+    assert calls == [(math.comb(5, 3) + 8, math.comb(5, 3))]
+
+
+def test_no_hint_for_primes_not_above_2ab():
+    # the resultants need 2ab + 1 distinct sample nodes
+    gens = ["s^2*u^3", "s*t*u^2*v", "t^2*u*v^2", "s^2*v^3 + t^2*u^3"]
+    inp = SurfaceInput.from_strings(2, 3, gens, FieldConfig(11))
+    assert oracle._fiber_degree(inp) is None
+
+
+ODD_A_SPECS = [GenSpec("dim2", 3, 2, 1), GenSpec("dim3", 1, 5, 3, (1,))]
+
+
+@pytest.mark.parametrize("spec", ODD_A_SPECS, ids=str)
+def test_generic_odd_a_instances(spec, monkeypatch):
+    # odd a: generic surfaces with d = 1, which the corpus does not cover
+    for index in range(5):
+        inst = generate(spec, index=index, seed=0)
+        got = implicit_by_elimination(inst.input)
+        assert got == _unhinted(monkeypatch, inst.input)
+        assert got.degree == 2 * spec.a * spec.b
+        cert = verify_implicitization(
+            build_strand(inst.case), got, inst.analysis.point_transform,
+            inst.input.field)
+        assert cert.exponent == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import random
 
 import numpy as np
 
+from tensurf import strand as strand_mod
 from tensurf.bipoly import DEFAULT_PRIME
 from tensurf.cases import run_case
-from tensurf.strand import (build_d1_strand, build_strand, eval_det,
+from tensurf.strand import (Strand, build_d1_strand, build_strand, eval_det,
                             reconstruct_det)
 from tensurf.syzygy import analyze
 from tensurf.xpoly import parse_xpoly
@@ -68,6 +69,26 @@ def test_det_at_many_matches_single_eval(example_strand):
     batch = example_strand.det_at_many(pts)
     for k in range(12):
         assert int(batch[k]) == example_strand.det_at(pts[k])
+
+
+def test_det_at_many_across_chunk_boundaries(monkeypatch):
+    # 11 points in chunks of 4 (the last one partial); random entries and
+    # coordinates near p make every product of residues close to p^2, so a
+    # sum of two unreduced products would overflow int64
+    monkeypatch.setattr(strand_mod, "_EVAL_CHUNK", 4)
+    rng = random.Random(29)
+    size = 6
+    tensor = np.array([[[P - 1 - rng.randrange(1000) for _ in range(4)]
+                        for _ in range(size)] for _ in range(size)],
+                      dtype=np.int64)
+    strand = Strand(p=P, a=1, b=3, size=size, tensor=tensor,
+                    column_labels=())
+    pts = np.array([[P - 1 - rng.randrange(3) for _ in range(4)]
+                    for _ in range(5)]
+                   + [random_point(rng) for _ in range(6)], dtype=np.int64)
+    batch = strand.det_at_many(pts)
+    assert batch.shape == (11,)
+    assert [int(x) for x in batch] == [strand.det_at(y) for y in pts]
 
 
 def test_reconstruct_det_agrees_with_eval(example_strand):

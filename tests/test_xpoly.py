@@ -51,17 +51,21 @@ def test_degree_and_homogeneity():
 
 def test_eval_matrix_matches_pointwise_eval():
     rng = random.Random(13)
-    f = random_xpoly(rng, 3)
-    pts = np.array([[rng.randrange(P) for _ in range(4)] for _ in range(8)],
-                   dtype=np.int64)
-    M = eval_matrix(3, pts, P)
-    vec = f.coeff_vector(3)
-    vals = np.zeros(8, dtype=np.int64)
-    for k in range(M.shape[1]):
-        vals = (vals + M[:, k] * int(vec[k])) % P
-    for i in range(8):
-        assert int(vals[i]) == f.eval(pts[i])
-    assert np.array_equal(f.eval_many(pts) % P, vals)
+    for degree in (3, 0, 9):
+        f = random_xpoly(rng, degree, n_terms=40)
+        # zero coordinates exercise the 0^0 = 1 entries
+        pts = np.array([[rng.randrange(P) for _ in range(4)]
+                        for _ in range(6)]
+                       + [[0, 0, 0, 0], [0, 5, 0, P - 1]], dtype=np.int64)
+        M = eval_matrix(degree, pts, P)
+        assert M.shape == (8, num_monomials(degree))
+        vec = f.coeff_vector(degree)
+        vals = np.zeros(8, dtype=np.int64)
+        for k in range(M.shape[1]):
+            vals = (vals + M[:, k] * int(vec[k])) % P
+        for i in range(8):
+            assert int(vals[i]) == f.eval(pts[i])
+        assert np.array_equal(f.eval_many(pts) % P, vals)
 
 
 def test_arithmetic_and_powers():
