@@ -1,17 +1,25 @@
-"""Exact arithmetic for bihomogeneous polynomials over a prime field.
+"""Sparse polynomials in four variables and binary forms over a prime field.
 
-The ambient ring is R = K[s, t, u, v] with K = F_p, bigraded by
-deg(s) = deg(t) = (1, 0) and deg(u) = deg(v) = (0, 1).  Two containers:
+The package works in two polynomial rings over K = F_p, both with four
+variables and 4-tuple exponent keys: K[s, t, u, v], bigraded by
+deg(s) = deg(t) = (1, 0) and deg(u) = deg(v) = (0, 1), and K[x0..x3] of
+the image (see :mod:`tensurf.xpoly`).  Containers:
 
-* :class:`BiPoly` — sparse polynomial in all four variables, keyed by
-  exponent tuples ``(i, j, k, l)`` for ``s^i t^j u^k v^l``.
+* :class:`SparsePoly` — the one sparse dict-of-exponents arithmetic,
+  expression parser and printer, driven by a subclass's variable names
+  and print order.
+* :class:`BiPoly` — the subclass for K[s, t, u, v], keyed by
+  ``(i, j, k, l)`` for ``s^i t^j u^k v^l``, with its bigraded helpers.
 * :class:`UniHomPoly` — dense binary form in one variable pair, with an
   explicit graded degree so the zero form of each degree is representable.
   ``coeffs[k]`` is the coefficient of ``x^(d-k) y^k`` for the pair (x, y);
-  the pair is (u, v) everywhere except where noted.
+  the pair is (u, v) everywhere except where noted.  Its arithmetic runs
+  on the dense univariate ``_upoly_*`` helpers, which the basepoint screen
+  uses too.
 
-Global monomial order (used for printing, coefficient vectors and equation
-rows): s-exponent descending, then u-exponent descending.
+Global monomial order of K[s, t, u, v] (used for printing, coefficient
+vectors and equation rows): s-exponent descending, then u-exponent
+descending.
 """
 
 from __future__ import annotations
@@ -63,9 +71,6 @@ class FieldConfig:
             raise ValueError(f"prime must lie in (2, 2^31), got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-
-    def inv(self, x: int) -> int:
-        return pow(int(x) % self.p, -1, self.p)
 
     def rng(self, purpose: str) -> random.Random:
         """Deterministic per-purpose random stream derived from the seed."""
@@ -124,19 +129,8 @@ class UniHomPoly:
         return UniHomPoly(self.p, self.degree, tuple(a * c % self.p for a in self.coeffs))
 
     def __mul__(self, other: "UniHomPoly") -> "UniHomPoly":
-        d = self.degree + other.degree
-        out = [0] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = (out[i + j] + a * b) % self.p
-        return UniHomPoly(self.p, d, tuple(out))
-
-    def times_xy(self, i: int, j: int) -> "UniHomPoly":
-        """Multiply by x^i y^j (pure degree shift)."""
-        return UniHomPoly(self.p, self.degree + i + j,
-                          (0,) * j + self.coeffs + (0,) * i)
+        return UniHomPoly(self.p, self.degree + other.degree,
+                          tuple(_upoly_mul(self.coeffs, other.coeffs, self.p)))
 
     def eval(self, x0: int, y0: int) -> int:
         d = self.degree
@@ -169,23 +163,55 @@ def _strip(coeffs: Sequence[int]) -> tuple[int, int, list[int]]:
     return lo, hi, list(coeffs[lo:hi + 1])
 
 
+def _upoly_strip(a: list[int]) -> list[int]:
+    """Drop the zero high coefficients of a dense univariate, in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _upoly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Product of dense univariates (ascending coefficients)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _upoly_divide(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Exact quotient of dense univariates; raises ValueError otherwise."""
+    rem = list(a)
+    deg_q = len(a) - len(b)
+    if deg_q < 0:
+        raise ValueError("not divisible (degree)")
+    inv = pow(b[-1], -1, p)
+    q = [0] * (deg_q + 1)
+    for i in range(deg_q, -1, -1):
+        c = rem[i + len(b) - 1] * inv % p
+        q[i] = c
+        if c:
+            for j, y in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * y) % p
+    if any(rem):
+        raise ValueError("not divisible (nonzero remainder)")
+    return q
+
+
 def _upoly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """Remainder of dense univariate a by b (ascending coefficients)."""
-    a = a[:]
-    db, lead = len(b) - 1, b[-1]
-    inv = pow(lead, -1, p)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
+    a = _upoly_strip(a[:])
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    while len(a) - 1 >= db:
         q = a[-1] * inv % p
         off = len(a) - 1 - db
         for i, c in enumerate(b):
             a[off + i] = (a[off + i] - q * c) % p
         a.pop()
-    while a and a[-1] == 0:
-        a.pop()
+        _upoly_strip(a)
     return a
 
 
@@ -242,20 +268,7 @@ def uni_divide_exact(f: UniHomPoly, g: UniHomPoly) -> UniHomPoly:
     if f_lo < g_lo or (f.degree - f_hi) < (g.degree - g_hi):
         raise ValueError("not divisible (valuation)")
     # divide cores as univariates in z = y/x, ascending coefficients
-    rem = f_core[:]
-    dq = len(f_core) - len(g_core)
-    if dq < 0:
-        raise ValueError("not divisible (degree)")
-    q = [0] * (dq + 1)
-    inv = pow(g_core[-1], -1, p)
-    for i in range(dq, -1, -1):
-        c = rem[i + len(g_core) - 1] * inv % p
-        q[i] = c
-        if c:
-            for j, b in enumerate(g_core):
-                rem[i + j] = (rem[i + j] - c * b) % p
-    if any(rem):
-        raise ValueError("not divisible (nonzero remainder)")
+    q = _upoly_divide(f_core, g_core, p)
     d = f.degree - g.degree
     coeffs = [0] * (d + 1)
     off = f_lo - g_lo
@@ -265,38 +278,135 @@ def uni_divide_exact(f: UniHomPoly, g: UniHomPoly) -> UniHomPoly:
 
 
 # ---------------------------------------------------------------------------
-# sparse bigraded polynomials
+# sparse polynomials in four variables
+
+Exponent = tuple[int, int, int, int]
 
 
-class BiPoly:
-    """Sparse element of K[s,t,u,v], keyed by (i, j, k, l) exponent tuples."""
+class SparsePoly:
+    """Sparse polynomial in four variables over F_p, keyed by exponent tuples.
+
+    A subclass names its ring: ``VARS`` are the variable names, in exponent
+    position order, and ``ORDER`` lists exponent positions whose exponents
+    sort the printed terms descending.  Parser and printer read both.
+    Polynomials of different subclasses never compare equal.
+    """
 
     __slots__ = ("p", "terms")
+    VARS: tuple[str, ...]
+    ORDER: tuple[int, ...]
 
     def __init__(self, p: int, terms: Optional[dict] = None):
         self.p = p
-        self.terms: dict[tuple[int, int, int, int], int] = {}
+        self.terms: dict[Exponent, int] = {}
         if terms:
             for exp, c in terms.items():
                 c %= p
                 if c:
                     self.terms[exp] = c
 
-    @staticmethod
-    def zero(p: int) -> "BiPoly":
-        return BiPoly(p)
+    @classmethod
+    def zero(cls, p: int):
+        return cls(p)
 
-    @staticmethod
-    def monomial(p: int, exp: tuple[int, int, int, int], c: int = 1) -> "BiPoly":
-        return BiPoly(p, {exp: c})
+    @classmethod
+    def monomial(cls, p: int, exp: Exponent, c: int = 1):
+        return cls(p, {exp: c})
 
-    @staticmethod
-    def const(p: int, c: int) -> "BiPoly":
-        return BiPoly(p, {(0, 0, 0, 0): c})
+    @classmethod
+    def const(cls, p: int, c: int):
+        return cls(p, {(0, 0, 0, 0): c})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self) and self.p == other.p
+                and self.terms == other.terms)
+
+    def __hash__(self):  # pragma: no cover
+        return hash((self.p, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            out[exp] = (out.get(exp, 0) + c) % self.p
+        return type(self)(self.p, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.p, {e: -c % self.p for e, c in self.terms.items()})
+
+    def scale(self, c: int):
+        c %= self.p
+        return type(self)(self.p, {e: a * c % self.p
+                                   for e, a in self.terms.items()})
+
+    def __mul__(self, other):
+        p = self.p
+        out: dict[Exponent, int] = {}
+        a_items = self.terms.items()
+        for (i2, j2, k2, l2), c2 in other.terms.items():
+            for (i1, j1, k1, l1), c1 in a_items:
+                exp = (i1 + i2, j1 + j2, k1 + k2, l1 + l2)
+                out[exp] = (out.get(exp, 0) + c1 * c2) % p
+        return type(self)(p, out)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        result = self.const(self.p, 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def eval(self, point: Sequence[int]) -> int:
+        """Value at one point, given as four coordinates."""
+        p = self.p
+        x = [int(v) % p for v in point]
+        acc = 0
+        for exp, c in self.terms.items():
+            for xk, e in zip(x, exp):
+                if e:
+                    c = c * pow(xk, e, p) % p
+            acc = (acc + c) % p
+        return acc
+
+    def eval_many(self, points) -> NDArray[np.int64]:
+        """Evaluate at each row of an (N, 4) array, vectorized per term."""
+        pts = np.asarray(points, dtype=np.int64) % self.p
+        acc = np.zeros(pts.shape[0], dtype=np.int64)
+        for exp, c in self.terms.items():
+            term = np.full(pts.shape[0], c, dtype=np.int64)
+            for k in range(4):
+                e = exp[k]
+                col = pts[:, k]
+                while e:
+                    if e & 1:
+                        term = term * col % self.p
+                    col = col * col % self.p
+                    e >>= 1
+            acc = (acc + term) % self.p
+        return acc
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"{type(self).__name__}({_format_poly(self)})"
+
+
+class BiPoly(SparsePoly):
+    """Sparse element of K[s,t,u,v], keyed by (i, j, k, l) exponent tuples."""
+
+    __slots__ = ()
+    VARS = ("s", "t", "u", "v")
+    ORDER = (0, 2, 1, 3)
 
     def bidegree(self) -> Optional[tuple[int, int]]:
         """The common (st, uv) degree, or None for zero / inhomogeneous."""
@@ -308,53 +418,9 @@ class BiPoly:
     def is_bihomogeneous(self, c: int, d: int) -> bool:
         return self.is_zero or self.bidegree() == (c, d)
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, BiPoly) and self.p == other.p
-                and self.terms == other.terms)
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.p, frozenset(self.terms.items())))
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = (out.get(exp, 0) + c) % self.p
-        return BiPoly(self.p, out)
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly(self.p, {e: -c % self.p for e, c in self.terms.items()})
-
-    def scale(self, c: int) -> "BiPoly":
-        c %= self.p
-        return BiPoly(self.p, {e: a * c % self.p for e, a in self.terms.items()})
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        p = self.p
-        out: dict[tuple[int, int, int, int], int] = {}
-        a_items = self.terms.items()
-        for (i2, j2, k2, l2), c2 in other.terms.items():
-            for (i1, j1, k1, l1), c1 in a_items:
-                exp = (i1 + i2, j1 + j2, k1 + k2, l1 + l2)
-                out[exp] = (out.get(exp, 0) + c1 * c2) % p
-        return BiPoly(p, out)
-
     def times_monomial(self, i: int, j: int, k: int, l: int) -> "BiPoly":
         return BiPoly(self.p, {(a + i, b + j, c + k, d + l): v
                                for (a, b, c, d), v in self.terms.items()})
-
-    def coeff(self, exp: tuple[int, int, int, int]) -> int:
-        return self.terms.get(exp, 0)
-
-    def eval(self, s0: int, t0: int, u0: int, v0: int) -> int:
-        p = self.p
-        acc = 0
-        for (i, j, k, l), c in self.terms.items():
-            acc = (acc + c * pow(s0, i, p) * pow(t0, j, p)
-                   * pow(u0, k, p) * pow(v0, l, p)) % p
-        return acc
 
     def substitute_st(self, s0: int, t0: int, uv_degree: Optional[int] = None
                       ) -> UniHomPoly:
@@ -369,20 +435,6 @@ class BiPoly:
         for (i, j, k, l), c in self.terms.items():
             out[l] = (out[l] + c * pow(s0, i, p) * pow(t0, j, p)) % p
         return UniHomPoly(p, uv_degree, tuple(out))
-
-    def substitute_uv(self, u0: int, v0: int, st_degree: Optional[int] = None
-                      ) -> UniHomPoly:
-        """Specialize (u, v) at scalars; the result is an (s, t)-form."""
-        if st_degree is None:
-            bd = self.bidegree()
-            if bd is None:
-                raise ValueError("need explicit st_degree for this input")
-            st_degree = bd[0]
-        p = self.p
-        out = [0] * (st_degree + 1)
-        for (i, j, k, l), c in self.terms.items():
-            out[j] = (out[j] + c * pow(u0, k, p) * pow(v0, l, p)) % p
-        return UniHomPoly(p, st_degree, tuple(out))
 
     def st_slices(self, c: int, d: int) -> list[UniHomPoly]:
         """Split a (c, d)-form into (u,v)-forms, one per s^i t^(c-i), i descending."""
@@ -402,9 +454,6 @@ class BiPoly:
                 if coeff:
                     out[(i, c - i, d - k, k)] = coeff
         return BiPoly(p, out)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"BiPoly({poly_to_str(self)})"
 
 
 def mirror_poly(f: BiPoly) -> BiPoly:
@@ -453,11 +502,6 @@ def coeff_vector(f: BiPoly, c: int, d: int) -> NDArray[np.int64]:
     return vec
 
 
-def bipoly_from_vector(vec: Sequence[int], c: int, d: int, p: int) -> BiPoly:
-    basis = monomial_basis(c, d)
-    return BiPoly(p, {exp: int(a) for exp, a in zip(basis, vec)})
-
-
 # ---------------------------------------------------------------------------
 # parsing and printing
 
@@ -468,13 +512,18 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_VARS = {"s": (1, 0, 0, 0), "t": (0, 1, 0, 0), "u": (0, 0, 1, 0), "v": (0, 0, 0, 1)}
+_UNIT_EXPONENTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 class _Parser:
-    """Recursive-descent parser for +, -, *, ^ and parentheses."""
+    """Recursive-descent parser for +, -, *, ^ (alias **) and parentheses.
 
-    def __init__(self, text: str, p: int):
+    Variables are the names in ``cls.VARS``; a power binds to the atom
+    before it, so ``2*s^3`` and ``2*s**3`` are the same polynomial.
+    """
+
+    def __init__(self, cls: type, text: str, p: int):
+        self.cls = cls
         self.text = text
         self.p = p
         self.pos = 0
@@ -487,14 +536,14 @@ class _Parser:
         self._skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def parse(self) -> BiPoly:
+    def parse(self):
         out = self._expr()
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
         return out
 
-    def _expr(self) -> BiPoly:
+    def _expr(self):
         ch = self._peek()
         if ch == "+":
             self.pos += 1
@@ -510,36 +559,26 @@ class _Parser:
             else:
                 return acc
 
-    def _term(self) -> BiPoly:
+    def _term(self):
         acc = self._factor()
         while self._peek() == "*":
             self.pos += 1
-            if self._peek() == "*":  # tolerate ** as exponentiation
-                self.pos += 1
-                acc = self._apply_power(acc)
-            else:
-                acc = acc * self._factor()
+            acc = acc * self._factor()
         return acc
 
-    def _apply_power(self, base: BiPoly) -> BiPoly:
-        n = self._integer()
-        out = BiPoly.const(self.p, 1)
-        for _ in range(n):
-            out = out * base
-        return out
-
-    def _factor(self) -> BiPoly:
+    def _factor(self):
         ch = self._peek()
         if ch == "-":
             self.pos += 1
             return -self._factor()
         base = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            return self._apply_power(base)
+        ch = self._peek()
+        if ch == "^" or self.text.startswith("**", self.pos):
+            self.pos += 1 if ch == "^" else 2
+            return base ** self._integer()
         return base
 
-    def _atom(self) -> BiPoly:
+    def _atom(self):
         ch = self._peek()
         if ch == "(":
             self.pos += 1
@@ -549,12 +588,16 @@ class _Parser:
             self.pos += 1
             return inner
         if ch.isdigit():
-            return BiPoly.const(self.p, self._integer())
+            return self.cls.const(self.p, self._integer())
         if ch.isalpha():
-            if ch not in _VARS:
-                raise ParseError(f"unknown variable {ch!r}", self.pos)
-            self.pos += 1
-            return BiPoly.monomial(self.p, _VARS[ch])
+            names = self.cls.VARS
+            for name, exp in zip(names, _UNIT_EXPONENTS):
+                if self.text.startswith(name, self.pos):
+                    self.pos += len(name)
+                    return self.cls.monomial(self.p, exp)
+            if any(name[0] == ch for name in names):
+                raise ParseError(f"expected one of {', '.join(names)}", self.pos)
+            raise ParseError(f"unknown variable {ch!r}", self.pos)
         raise ParseError("expected a term", self.pos)
 
     def _integer(self) -> int:
@@ -569,34 +612,22 @@ class _Parser:
 
 def parse_poly(text: str, p: int = DEFAULT_PRIME) -> BiPoly:
     """Parse an expression in s, t, u, v with integer coefficients."""
-    return _Parser(text, p).parse()
+    return _Parser(BiPoly, text, p).parse()
 
 
-def _balanced(c: int, p: int) -> int:
-    return c if c <= p // 2 else c - p
-
-
-def _fmt_monomial(exp: tuple[int, int, int, int]) -> str:
-    parts = []
-    for name, e in zip("stuv", exp):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
-
-
-def poly_to_str(f: BiPoly) -> str:
-    """Render in the global monomial order with balanced coefficient lifts."""
+def _format_poly(f: SparsePoly) -> str:
+    """Render in the class's print order with balanced coefficient lifts."""
     if f.is_zero:
         return "0"
+    order = f.ORDER
     items = sorted(f.terms.items(),
-                   key=lambda kv: (-kv[0][0], -kv[0][2], -kv[0][1], -kv[0][3]))
+                   key=lambda kv: tuple(-kv[0][k] for k in order))
     out = []
     for idx, (exp, c) in enumerate(items):
-        cb = _balanced(c, f.p)
+        cb = c if c <= f.p // 2 else c - f.p
         mag, neg = abs(cb), cb < 0
-        mono = _fmt_monomial(exp)
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(f.VARS, exp) if e)
         if mono and mag == 1:
             body = mono
         elif mono:
@@ -608,6 +639,11 @@ def poly_to_str(f: BiPoly) -> str:
         else:
             out.append(f"- {body}" if neg else f"+ {body}")
     return " ".join(out)
+
+
+def poly_to_str(f: BiPoly) -> str:
+    """Render in the global monomial order with balanced coefficient lifts."""
+    return _format_poly(f)
 
 
 def uni_to_str(f: UniHomPoly, pair: str = "uv") -> str:

@@ -397,27 +397,3 @@ def gamma_matrices(psi: HBResolution, phis: Sequence[HBResolution]
         out[(i, j)] = normalized_resolution(h, psi.matrix.p)
     return out
 
-
-def degree_strand_matrix(mat: GradedSyzMatrix, delta: int) -> NDArray[np.int64]:
-    """Evaluation of the graded map in the single degree delta (over F_p).
-
-    Rows: target coordinates, blocks of size delta - row_degrees[i] + 1;
-    columns: source coordinates, blocks of size delta - col_degrees[j] + 1.
-    """
-    row_sizes = _block_sizes(delta, mat.row_degrees)
-    col_sizes = _block_sizes(delta, mat.col_degrees)
-    M = np.zeros((sum(row_sizes), sum(col_sizes)), dtype=np.int64)
-    row_offsets = np.concatenate([[0], np.cumsum(row_sizes)])
-    c_off = 0
-    for j, csize in enumerate(col_sizes):
-        for w in range(csize):
-            for i in range(len(mat.row_degrees)):
-                e = mat.entries[i][j]
-                if e.is_zero or row_sizes[i] == 0:
-                    continue
-                # u^(cs-1-w) v^w * entry lands in target block i
-                for kk, c in enumerate(e.coeffs):
-                    if c:
-                        M[row_offsets[i] + w + kk, c_off + w] = c
-        c_off += csize
-    return M

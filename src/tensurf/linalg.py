@@ -72,6 +72,15 @@ def pow_mod_array(x: Vector, e: int, p: int) -> Vector:
     return result
 
 
+def vandermonde(nodes, width: int, p: int) -> Matrix:
+    """Matrix of nodes[i]**j mod p for j < width, built column by column."""
+    x = np.asarray(nodes, dtype=np.int64) % p
+    out = np.ones((x.shape[0], width), dtype=np.int64)
+    for j in range(1, width):
+        out[:, j] = out[:, j - 1] * x % p
+    return out
+
+
 def _limbs(X: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return ((X & _LIMB_MASK).astype(np.float64),
             (X >> _LIMB_BITS).astype(np.float64))

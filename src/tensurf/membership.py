@@ -53,16 +53,6 @@ def sylvester_from_coeffs(fc: Sequence[int], gc: Sequence[int], p: int
     return M
 
 
-def sylvester(f: UniHomPoly, g: UniHomPoly) -> NDArray[np.int64]:
-    if f.is_zero or g.is_zero:
-        raise ValueError("Sylvester matrix needs nonzero forms")
-    return sylvester_from_coeffs(f.coeffs, g.coeffs, f.p)
-
-
-def resultant(f: UniHomPoly, g: UniHomPoly) -> int:
-    return linalg.det_field(sylvester(f, g), f.p)
-
-
 def pair_system(h0: UniHomPoly, h1: UniHomPoly, d: int, p: int
                 ) -> NDArray[np.int64]:
     """Columns u^(e0-w) v^w h0 then u^(e1-w) v^w h1 against degree-d rows."""
@@ -206,10 +196,7 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
     if D + 1 > p:
         raise ValueError("prime too small for resultant interpolation")
     # powers[r, k] = r^k mod p at the sample nodes s = 0..D
-    nodes = np.arange(D + 1, dtype=np.int64)
-    powers = np.ones((D + 1, max(D, cf, cg) + 1), dtype=np.int64)
-    for k in range(1, powers.shape[1]):
-        powers[:, k] = powers[:, k - 1] * nodes % p
+    powers = linalg.vandermonde(np.arange(D + 1), max(D, cf, cg) + 1, p)
     # grid row j holds the coefficients of s^(c-j) t^j
     fs = linalg.matmul_mod(powers[:, cf::-1], grid_from_bipoly(f, cf, df), p)
     gs = linalg.matmul_mod(powers[:, cg::-1], grid_from_bipoly(g, cg, dg), p)

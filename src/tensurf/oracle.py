@@ -38,7 +38,8 @@ from numpy.typing import NDArray
 
 from . import linalg
 from .bipoly import (BiPoly, CertificateError, FieldConfig, HypothesisError,
-                     UniHomPoly, _upoly_gcd, _upoly_mod, uni_gcd)
+                     UniHomPoly, _upoly_divide, _upoly_gcd, _upoly_mod,
+                     _upoly_mul, _upoly_strip, uni_gcd)
 from .cases import CaseResult, run_case
 from .membership import resultant_uv
 # reconstruct_det, divide_with_remainder and linear_substitute are unused
@@ -95,16 +96,6 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _vandermonde(nodes: Sequence[int], width: int, p: int) -> NDArray[np.int64]:
-    out = np.zeros((len(nodes), width), dtype=np.int64)
-    for i, x in enumerate(nodes):
-        acc = 1
-        for j in range(width):
-            out[i, j] = acc
-            acc = acc * x % p
-    return out
-
-
 def _fiber_degree(inp: SurfaceInput) -> Optional[int]:
     """Degree d of the map onto its image, read off one random fiber.
 
@@ -123,7 +114,7 @@ def _fiber_degree(inp: SurfaceInput) -> Optional[int]:
         return None
     rng = inp.field.rng("oracle-hint")
     t0, v0 = rng.randrange(p), rng.randrange(p)
-    y0 = [g.eval(1, t0, 1, v0) for g in inp.gens]
+    y0 = [g.eval((1, t0, 1, v0)) for g in inp.gens]
     pivot = next((k for k, y in enumerate(y0) if y), None)
     if pivot is None:
         return None
@@ -189,8 +180,8 @@ def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
     gen_grids = [grid_from_bipoly(g, a, b) for g in inp.gens]
 
     def grid_points(e: int) -> NDArray[np.int64]:
-        tv = _vandermonde(t_nodes[:e * a + 1], a + 1, p)
-        vv = _vandermonde(v_nodes[:e * b + 1], b + 1, p)
+        tv = linalg.vandermonde(t_nodes[:e * a + 1], a + 1, p)
+        vv = linalg.vandermonde(v_nodes[:e * b + 1], b + 1, p)
         return np.stack(
             [linalg.matmul_mod(linalg.matmul_mod(tv, g, p), vv.T, p).reshape(-1)
              for g in gen_grids], axis=1)
@@ -207,8 +198,8 @@ def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
         e = size // d
         srng = inp.field.rng(f"{rng_purpose}-sample")
         n = num_monomials(e) + _SAMPLE_MARGIN
-        tv = _vandermonde([srng.randrange(p) for _ in range(n)], a + 1, p)
-        vv = _vandermonde([srng.randrange(p) for _ in range(n)], b + 1, p)
+        tv = linalg.vandermonde([srng.randrange(p) for _ in range(n)], a + 1, p)
+        vv = linalg.vandermonde([srng.randrange(p) for _ in range(n)], b + 1, p)
         sample = np.stack(
             [(linalg.matmul_mod(tv, g, p) * vv % p).sum(axis=1) % p
              for g in gen_grids], axis=1)
@@ -366,43 +357,27 @@ class BasepointReport:
     detail: str
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
 def _pow_poly_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
     acc = _upoly_mod(base[:], mod, p)
     while e:
         if e & 1:
-            result = _upoly_mod(_pmul(result, acc, p), mod, p)
-        acc = _upoly_mod(_pmul(acc, acc, p), mod, p)
+            result = _upoly_mod(_upoly_mul(result, acc, p), mod, p)
+        acc = _upoly_mod(_upoly_mul(acc, acc, p), mod, p)
         e >>= 1
     return result
 
 
-def _strip_high(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def _poly_roots(coeffs: Sequence[int], p: int, rng) -> list[int]:
     """All roots in F_p of a univariate polynomial, ascending coefficients."""
-    f = _strip_high([c % p for c in coeffs])
+    f = _upoly_strip([c % p for c in coeffs])
     if len(f) <= 1:
         return []
     # x^p - x mod f isolates the product of distinct linear factors
     h = _pow_poly_mod([0, 1], p, f, p)
     h = h + [0] * (2 - len(h))
     h[1] = (h[1] - 1) % p
-    h = _strip_high(h)
+    h = _upoly_strip(h)
     g = _upoly_gcd(f, h, p) if h else [c * pow(f[-1], -1, p) % p for c in f]
 
     def split(g: list[int]) -> list[int]:
@@ -415,7 +390,7 @@ def _poly_roots(coeffs: Sequence[int], p: int, rng) -> list[int]:
             h = _pow_poly_mod([r, 1], (p - 1) // 2, g, p)
             h = h + [0] * (1 - len(h))
             h[0] = (h[0] - 1) % p
-            h = _strip_high(h)
+            h = _upoly_strip(h)
             if not h:
                 continue
             w = _upoly_gcd(g, h, p)
@@ -424,23 +399,6 @@ def _poly_roots(coeffs: Sequence[int], p: int, rng) -> list[int]:
                 return split(w) + split(rest)
 
     return sorted(split(g))
-
-
-def _upoly_divide(a: list[int], b: list[int], p: int) -> list[int]:
-    """Exact quotient of dense univariates, ascending coefficients."""
-    a = a[:]
-    deg_q = len(a) - len(b)
-    inv = pow(b[-1], -1, p)
-    q = [0] * (deg_q + 1)
-    for i in range(deg_q, -1, -1):
-        c = a[i + len(b) - 1] * inv % p
-        q[i] = c
-        if c:
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    if any(a):
-        raise ValueError("inexact univariate division")
-    return q
 
 
 def _form_roots(form: UniHomPoly, rng) -> list[tuple[int, int]]:
@@ -483,7 +441,7 @@ def _probe_root(inp: SurfaceInput, s0: int, t0: int, rng
         return None
     witness = None
     for u0, v0 in _form_roots(acc, rng):
-        if all(g.eval(s0, t0, u0, v0) == 0 for g in inp.gens):
+        if all(g.eval((s0, t0, u0, v0)) == 0 for g in inp.gens):
             witness = (s0, t0, u0, v0)
             break
     detail = ("verified common zero of all four generators" if witness

@@ -100,17 +100,6 @@ def build_strand(case: CaseResult) -> Strand:
                   column_labels=tuple(labels))
 
 
-def build_d1_strand(case: CaseResult) -> Strand:
-    """Alias for :func:`build_strand`; the matrix is the first differential
-    of the graded strand in working bidegree (2a-1, b-1)."""
-    return build_strand(case)
-
-
-def eval_det(strand: Strand, point) -> int:
-    """Determinant of the strand specialized at one point."""
-    return strand.det_at(point)
-
-
 def _affine_grid(n_nodes: int) -> np.ndarray:
     """All points (1, y1, y2, y3) with each y ranging over 0..n_nodes-1."""
     nodes = np.arange(n_nodes, dtype=np.int64)
@@ -118,14 +107,6 @@ def _affine_grid(n_nodes: int) -> np.ndarray:
     pts = np.stack([np.ones(y1.size, dtype=np.int64),
                     y1.ravel(), y2.ravel(), y3.ravel()], axis=1)
     return pts
-
-
-def _vandermonde_inverse(n_nodes: int, p: int) -> np.ndarray:
-    nodes = np.arange(n_nodes, dtype=np.int64)
-    V = np.ones((n_nodes, n_nodes), dtype=np.int64)
-    for e in range(1, n_nodes):
-        V[:, e] = V[:, e - 1] * nodes % p
-    return linalg.matrix_inverse(V, p)
 
 
 def reconstruct_det(strand: Strand,
@@ -144,7 +125,8 @@ def reconstruct_det(strand: Strand,
     n_nodes = deg + 1
     values = strand.det_at_many(_affine_grid(n_nodes))
     tensor = values.reshape(n_nodes, n_nodes, n_nodes)
-    vinv = _vandermonde_inverse(n_nodes, p)
+    vinv = linalg.matrix_inverse(
+        linalg.vandermonde(np.arange(n_nodes), n_nodes, p), p)
     for _ in range(3):
         flat = tensor.reshape(n_nodes, -1)
         tensor = linalg.matmul_mod(vinv, flat, p).reshape(

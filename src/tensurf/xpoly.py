@@ -1,9 +1,12 @@
 """Polynomials in the four homogeneous image coordinates x0..x3 over F_p.
 
-Provides sparse arithmetic, degree-graded monomial enumeration with
+:class:`XPoly` is the K[x0..x3] subclass of the sparse core
+:class:`tensurf.bipoly.SparsePoly`, which supplies its arithmetic, parser
+and printer; it adds the total-degree grading and coefficient vectors.
+The module also provides degree-graded monomial enumeration with
 vectorized point evaluation, and exact composition with a bihomogeneous
-parameterization via dense coefficient grids.  Used by the determinant
-certificate and by the independent elimination cross-check.
+parameterization via dense coefficient grids.  Used by the elimination
+oracle, the determinant certificate and the reference checks.
 """
 
 from __future__ import annotations
@@ -14,11 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bipoly import BiPoly, ParseError
-
-Exponent = tuple[int, int, int, int]
-
-VAR_NAMES = ("x0", "x1", "x2", "x3")
+from . import linalg
+from .bipoly import BiPoly, Exponent, SparsePoly, _format_poly, _Parser
 
 
 def num_monomials(degree: int) -> int:
@@ -53,11 +53,9 @@ def eval_matrix(degree: int, points: np.ndarray, p: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ValueError("points must have shape (N, 4)")
     n, width = pts.shape[0], degree + 1
-    powers = np.ones((4, n, width), dtype=np.int64)
-    for e in range(1, width):
-        powers[:, :, e] = powers[:, :, e - 1] * pts.T % p
-    low = (powers[0, :, :, None] * powers[1, :, None, :] % p).reshape(n, -1)
-    high = (powers[2, :, :, None] * powers[3, :, None, :] % p).reshape(n, -1)
+    powers = [linalg.vandermonde(pts[:, k], width, p) for k in range(4)]
+    low = (powers[0][:, :, None] * powers[1][:, None, :] % p).reshape(n, -1)
+    high = (powers[2][:, :, None] * powers[3][:, None, :] % p).reshape(n, -1)
     mons = np.array(monomials_of_degree(degree), dtype=np.int64)
     vals = low[:, mons[:, 0] * width + mons[:, 1]]
     vals *= high[:, mons[:, 2] * width + mons[:, 3]]
@@ -65,37 +63,12 @@ def eval_matrix(degree: int, points: np.ndarray, p: int) -> np.ndarray:
     return vals
 
 
-class XPoly:
+class XPoly(SparsePoly):
     """Sparse polynomial in x0..x3, keyed by exponent tuples."""
 
-    __slots__ = ("p", "terms")
-
-    def __init__(self, p: int, terms: Optional[dict] = None):
-        self.p = p
-        self.terms: dict[Exponent, int] = {}
-        if terms:
-            for exp, c in terms.items():
-                c %= p
-                if c:
-                    self.terms[exp] = c
-
-    @staticmethod
-    def zero(p: int) -> "XPoly":
-        return XPoly(p)
-
-    @staticmethod
-    def monomial(p: int, exp: Exponent, c: int = 1) -> "XPoly":
-        return XPoly(p, {exp: c})
-
-    @staticmethod
-    def const(p: int, c: int) -> "XPoly":
-        return XPoly(p, {(0, 0, 0, 0): c})
-
-    @staticmethod
-    def variable(p: int, k: int) -> "XPoly":
-        exp = [0, 0, 0, 0]
-        exp[k] = 1
-        return XPoly(p, {tuple(exp): 1})
+    __slots__ = ()
+    VARS = ("x0", "x1", "x2", "x3")
+    ORDER = (0, 1, 2, 3)
 
     @staticmethod
     def from_coeff_vector(p: int, degree: int, vec: Sequence[int]) -> "XPoly":
@@ -114,10 +87,6 @@ class XPoly:
             out[pos[exp]] = c
         return out
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> Optional[int]:
         """Common total degree, or None for zero / inhomogeneous input."""
         degs = {sum(exp) for exp in self.terms}
@@ -127,80 +96,6 @@ class XPoly:
 
     def is_homogeneous(self, degree: int) -> bool:
         return self.is_zero or self.degree() == degree
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, XPoly) and self.p == other.p
-                and self.terms == other.terms)
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.p, frozenset(self.terms.items())))
-
-    def __add__(self, other: "XPoly") -> "XPoly":
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = (out.get(exp, 0) + c) % self.p
-        return XPoly(self.p, out)
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "XPoly":
-        return XPoly(self.p, {e: -c % self.p for e, c in self.terms.items()})
-
-    def scale(self, c: int) -> "XPoly":
-        c %= self.p
-        return XPoly(self.p, {e: a * c % self.p for e, a in self.terms.items()})
-
-    def __mul__(self, other: "XPoly") -> "XPoly":
-        p = self.p
-        out: dict[Exponent, int] = {}
-        a_items = self.terms.items()
-        for e2, c2 in other.terms.items():
-            for e1, c1 in a_items:
-                exp = (e1[0] + e2[0], e1[1] + e2[1],
-                       e1[2] + e2[2], e1[3] + e2[3])
-                out[exp] = (out.get(exp, 0) + c1 * c2) % p
-        return XPoly(p, out)
-
-    def __pow__(self, n: int) -> "XPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = XPoly.const(self.p, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def eval(self, point: Sequence[int]) -> int:
-        p = self.p
-        acc = 0
-        for exp, c in self.terms.items():
-            term = c
-            for k in range(4):
-                if exp[k]:
-                    term = term * pow(int(point[k]) % p, exp[k], p) % p
-            acc = (acc + term) % p
-        return acc
-
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at each row of an (N, 4) array, vectorized per term."""
-        pts = np.asarray(points, dtype=np.int64) % self.p
-        acc = np.zeros(pts.shape[0], dtype=np.int64)
-        for exp, c in self.terms.items():
-            term = np.full(pts.shape[0], c, dtype=np.int64)
-            for k in range(4):
-                e = exp[k]
-                col = pts[:, k]
-                while e:
-                    if e & 1:
-                        term = term * col % self.p
-                    col = col * col % self.p
-                    e >>= 1
-            acc = (acc + term) % self.p
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -367,128 +262,11 @@ def linear_substitute(f: XPoly, mat: np.ndarray) -> XPoly:
 # ---------------------------------------------------------------------------
 # parsing and printing
 
-class _XParser:
-    """Recursive-descent parser for +, -, *, ^ and ** over x0..x3."""
-
-    def __init__(self, text: str, p: int):
-        self.text = text
-        self.p = p
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> XPoly:
-        out = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(
-                f"unexpected character {self.text[self.pos]!r}", self.pos)
-        return out
-
-    def _expr(self) -> XPoly:
-        ch = self._peek()
-        if ch == "+":
-            self.pos += 1
-        acc = self._term()
-        while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                acc = acc + self._term()
-            elif ch == "-":
-                self.pos += 1
-                acc = acc - self._term()
-            else:
-                return acc
-
-    def _term(self) -> XPoly:
-        acc = self._factor()
-        while self._peek() == "*":
-            self.pos += 1
-            if self._peek() == "*":  # tolerate ** as exponentiation
-                self.pos += 1
-                acc = acc ** self._integer()
-            else:
-                acc = acc * self._factor()
-        return acc
-
-    def _factor(self) -> XPoly:
-        ch = self._peek()
-        if ch == "-":
-            self.pos += 1
-            return -self._factor()
-        base = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            return base ** self._integer()
-        return base
-
-    def _integer(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", self.pos)
-        return int(self.text[start:self.pos])
-
-    def _atom(self) -> XPoly:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self._expr()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return inner
-        if ch.isdigit():
-            return XPoly.const(self.p, self._integer())
-        if ch == "x":
-            nxt = self.text[self.pos + 1] if self.pos + 1 < len(self.text) else ""
-            if nxt in "0123":
-                self.pos += 2
-                return XPoly.variable(self.p, int(nxt))
-            raise ParseError("expected one of x0, x1, x2, x3", self.pos)
-        if ch.isalpha():
-            raise ParseError(f"unknown variable {ch!r}", self.pos)
-        raise ParseError("expected a term", self.pos)
-
-
 def parse_xpoly(text: str, p: int) -> XPoly:
     """Parse a polynomial in x0..x3 with integer coefficients mod p."""
-    return _XParser(text, p).parse()
-
-
-def _lift(c: int, p: int) -> int:
-    return c - p if c > p // 2 else c
+    return _Parser(XPoly, text, p).parse()
 
 
 def xpoly_to_str(f: XPoly) -> str:
     """Render with balanced coefficient lifts, highest x0-power first."""
-    if f.is_zero:
-        return "0"
-    items = sorted(f.terms.items(),
-                   key=lambda kv: (-kv[0][0], -kv[0][1], -kv[0][2]))
-    parts: list[str] = []
-    for exp, c in items:
-        lifted = _lift(c, f.p)
-        mono = "*".join(f"{VAR_NAMES[k]}^{e}" if e > 1 else VAR_NAMES[k]
-                        for k, e in enumerate(exp) if e)
-        mag = abs(lifted)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not parts:
-            parts.append(body if lifted > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if lifted > 0 else f"- {body}")
-    return " ".join(parts)
+    return _format_poly(f)

@@ -111,34 +111,3 @@ def test_compose_matches_manual_product():
         want = (left.entries[i][0] * right.entries[0][0]
                 + left.entries[i][1] * right.entries[1][0])
         assert (prod.entries[i][0] - want).is_zero
-
-
-def test_degree_strand_matrix_evaluates_the_map():
-    rng = random.Random(83)
-    g = [random_form(rng, 2) for _ in range(3)]
-    from tensurf.bipoly import uni_gcd
-    common = g[0]
-    for gk in g[1:]:
-        common = uni_gcd(common, gk)
-    if common.degree > 0:
-        g[2] = form(2, (1, 0, 1))
-    mat = hburch.min_graded_syzygies(g, P)
-    delta = max(mat.col_degrees)
-    M = hburch.degree_strand_matrix(mat, delta)
-    # block-structured multiplication agrees with polynomial products
-    col_sizes = [delta - cd + 1 for cd in mat.col_degrees]
-    off = 0
-    for j, size in enumerate(col_sizes):
-        for w in range(size):
-            target = []
-            for i in range(3):
-                e = mat.entries[i][j]
-                prod = e.times_xy(size - 1 - w, w) if not e.is_zero else None
-                row_size = delta - mat.row_degrees[i] + 1
-                coeffs = [0] * row_size
-                if prod is not None and size:
-                    for kk, c in enumerate(prod.coeffs):
-                        coeffs[kk] = c
-                target.extend(coeffs)
-            assert M[:, off].tolist() == target
-            off += 1

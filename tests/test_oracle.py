@@ -378,7 +378,7 @@ def test_basepoints_found_with_rational_witness(field):
     assert rep.status == "basepoint"
     assert rep.witness is not None
     s0, t0, u0, v0 = rep.witness
-    assert all(g.eval(s0, t0, u0, v0) == 0 for g in inp.gens)
+    assert all(g.eval((s0, t0, u0, v0)) == 0 for g in inp.gens)
 
 
 def test_basepoints_found_in_extension_field(field):

@@ -7,8 +7,7 @@ import numpy as np
 from tensurf import strand as strand_mod
 from tensurf.bipoly import DEFAULT_PRIME
 from tensurf.cases import run_case
-from tensurf.strand import (Strand, build_d1_strand, build_strand, eval_det,
-                            reconstruct_det)
+from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import analyze
 from tensurf.xpoly import parse_xpoly
 
@@ -29,13 +28,6 @@ def test_example_strand_shape_and_labels(example_strand):
     assert counts == {"S": 8, "S1": 4, "S2": 4, "S3": 4}
 
 
-def test_build_d1_strand_is_build_strand(example_case):
-    a = build_strand(example_case)
-    b = build_d1_strand(example_case)
-    assert np.array_equal(a.tensor, b.tensor)
-    assert a.column_labels == b.column_labels
-
-
 def test_matrix_entries_are_linear_in_the_point(example_strand):
     rng = random.Random(3)
     y = np.array(random_point(rng), dtype=np.int64)
@@ -53,13 +45,13 @@ def test_det_is_homogeneous_of_degree_2ab(example_strand):
         y = random_point(rng)
         lam = rng.randrange(1, P)
         scaled = [c * lam % P for c in y]
-        assert eval_det(example_strand, scaled) == \
-            eval_det(example_strand, y) * pow(lam, d, P) % P
+        assert example_strand.det_at(scaled) == \
+            example_strand.det_at(y) * pow(lam, d, P) % P
 
 
 def test_det_not_identically_zero(example_strand):
     rng = random.Random(17)
-    assert any(eval_det(example_strand, random_point(rng)) != 0
+    assert any(example_strand.det_at(random_point(rng)) != 0
                for _ in range(10))
 
 
@@ -98,7 +90,7 @@ def test_reconstruct_det_agrees_with_eval(example_strand):
     rng = random.Random(29)
     for _ in range(10):
         y = random_point(rng)
-        assert det_poly.eval(y) == eval_det(example_strand, y)
+        assert det_poly.eval(y) == example_strand.det_at(y)
 
 
 def test_segre_strand_det_is_the_transformed_quadric(segre_input):

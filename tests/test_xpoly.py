@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from tensurf.bipoly import DEFAULT_PRIME, parse_poly
+from tensurf.bipoly import DEFAULT_PRIME, BiPoly
 from tensurf.xpoly import (XPoly, compose_with_map, divide_with_remainder,
                            eval_matrix, grid_from_bipoly, linear_substitute,
                            monomials_of_degree, num_monomials, parse_xpoly,
@@ -34,6 +34,19 @@ def test_parse_and_print_round_trip():
     f = parse_xpoly("x0*x3 - x1*x2", P)
     assert f.terms == {(1, 0, 0, 1): 1, (0, 1, 1, 0): P - 1}
     assert xpoly_to_str(f) == "x0*x3 - x1*x2"
+    # inhomogeneous and mixed-sign inputs; expected strings as printed by
+    # the two-parser implementation this one replaced
+    for text, want in [
+            ("7 - 2*x0^2 + 5*x1*x2*x3 + x2^3 - x0*x1 + x1",
+             "-2*x0^2 - x0*x1 + 5*x1*x2*x3 + x1 + x2^3 + 7"),
+            ("-(x0 - 3*x3)^3 + x1^2*x2",
+             "-x0^3 + 9*x0^2*x3 - 27*x0*x3^2 + x1^2*x2 + 27*x3^3"),
+            ("x3 - x2 + x1 - x0", "-x0 + x1 - x2 + x3")]:
+        g = parse_xpoly(text, P)
+        assert xpoly_to_str(g) == want
+        assert parse_xpoly(want, P) == g
+    # ** is ^ and binds to the atom before it
+    assert xpoly_to_str(parse_xpoly("3*x0**2", P)) == "3*x0^2"
     rng = random.Random(7)
     for _ in range(15):
         g = random_xpoly(rng, rng.randrange(1, 5))
@@ -76,6 +89,8 @@ def test_arithmetic_and_powers():
     assert (f * g).eval(pt) == f.eval(pt) * g.eval(pt) % P
     assert (f ** 3).eval(pt) == pow(f.eval(pt), 3, P)
     assert (f - f).is_zero
+    # the two rings share keys but not equality
+    assert BiPoly(P, {(1, 0, 0, 0): 1}) != XPoly(P, {(1, 0, 0, 0): 1})
 
 
 def test_grid_and_composition(example_input, example_oracle):
@@ -97,7 +112,7 @@ def test_compose_with_map_agrees_with_pointwise(segre_input):
     comp = compose_with_map(f, segre_input.gens, 1, 1)
     for _ in range(10):
         s0, t0, u0, v0 = (rng.randrange(P) for _ in range(4))
-        img = [g.eval(s0, t0, u0, v0) for g in segre_input.gens]
+        img = [g.eval((s0, t0, u0, v0)) for g in segre_input.gens]
         want = f.eval(img)
         got = 0
         for (i, j) in np.ndindex(comp.shape):
