@@ -14,11 +14,11 @@ two-generator solves).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import hburch, membership
 from .bipoly import BiPoly, CertificateError, HypothesisError, UniHomPoly, divide_by_uni
-from .hburch import GradedSyzMatrix, HBResolution
+from .hburch import GradedSyzMatrix
 from .syzygy import VAnalysis
 
 

@@ -22,7 +22,7 @@ from .bipoly import (DEFAULT_PRIME, CertificateError, FieldConfig,
                      HypothesisError, ParseError, poly_to_str, uni_to_str)
 from .cases import run_case
 from .gen import GenSpec, generate
-from .oracle import basepoint_check, implicitize
+from .oracle import basepoint_check, check_prime_floor, implicitize
 from .syzygy import SurfaceInput, analyze
 from .xpoly import XPoly, parse_xpoly, xpoly_to_str
 
@@ -230,6 +230,7 @@ def _run_pipeline(args) -> tuple:
     merged = _merge_options(args, options)
     if merged["side"] == "st":
         inp = inp.mirror()
+    check_prime_floor(inp)
     bp = _screen_basepoints(inp, args.force)
     result = implicitize(
         inp, check_level="full", scan=merged["scan"],

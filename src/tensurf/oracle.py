@@ -50,7 +50,7 @@ from .xpoly import (XPoly, divide_with_remainder, eval_matrix,  # noqa: F401
                     grid_from_bipoly, linear_substitute, num_monomials)
 
 __all__ = [
-    "OracleResult", "implicit_by_elimination",
+    "check_prime_floor", "OracleResult", "implicit_by_elimination",
     "DetCertificate", "verify_implicitization",
     "BasepointReport", "basepoint_check",
     "ImplicitizationResult", "implicitize",
@@ -153,6 +153,21 @@ def _vanishes_at(degree: int, points: NDArray[np.int64], vec: NDArray[np.int64],
         for lo in range(0, len(points), step))
 
 
+def check_prime_floor(inp: SurfaceInput) -> None:
+    """Raise ValueError when p is below the pipeline's floor 2ab*max(a, b) + 1.
+
+    The oracle draws 2ab*a + 1 and 2ab*b + 1 distinct product-grid nodes
+    from F_p.  The floor also covers the 2ab + 1 lattice nodes of the exact
+    certificate and the 2ab + 1 resultant samples of the basepoint screen.
+    """
+    a, b, p = inp.a, inp.b, inp.field.p
+    floor = 2 * a * b * max(a, b) + 1
+    if p < floor:
+        raise ValueError(
+            f"prime {p} is below the floor {floor} = 2ab*max(a, b) + 1 "
+            f"for bidegree ({a}, {b})")
+
+
 def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
                             rng_purpose: str = "oracle") -> OracleResult:
     """The minimal implicit equation of the image, normalized to a leading 1.
@@ -171,6 +186,7 @@ def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
     """
     if scan not in ("full", "divisors"):
         raise ValueError(f"unknown scan mode {scan!r}")
+    check_prime_floor(inp)
     p, a, b = inp.field.p, inp.a, inp.b
     size = 2 * a * b
     degrees = list(range(1, size + 1)) if scan == "full" else _divisors(size)

@@ -21,8 +21,6 @@ from .xpoly import XPoly
 
 DEFAULT_INTERPOLATION_CAP = 24
 
-_EVAL_CHUNK = 2048
-
 
 @dataclass(frozen=True)
 class Strand:
@@ -51,22 +49,24 @@ class Strand:
     def det_at_many(self, points: np.ndarray) -> np.ndarray:
         """Determinants at each row of an (N, 4) point array, chunked.
 
-        The scalar matrices are accumulated one coordinate at a time and
-        reduced after each added term: two products of residues sum to at
-        most 2 (p - 1)^2 < 2^63, and only (chunk, size, size) arrays are
-        held.
+        Each chunk of points is built as one (size, size, m) array, batch
+        axis last, the layout ``linalg.batch_det`` eliminates in, and holds
+        at most ``linalg.DET_BLOCK`` elements.  The scalar matrices are
+        accumulated one coordinate at a time and reduced after each added
+        term: two products of residues sum to at most 2 (p - 1)^2 < 2^63.
         """
-        p = self.p
-        pts = np.asarray(points, dtype=np.int64) % p
-        coords = np.moveaxis(self.tensor, 2, 0)
-        out = np.empty(pts.shape[0], dtype=np.int64)
-        for lo in range(0, pts.shape[0], _EVAL_CHUNK):
-            chunk = pts[lo:lo + _EVAL_CHUNK, :, None, None]
-            mats = coords[0] * chunk[:, 0]
+        p, n = self.p, self.size
+        xs = np.ascontiguousarray((np.asarray(points, dtype=np.int64) % p).T)
+        coords = np.ascontiguousarray(np.moveaxis(self.tensor, 2, 0))[..., None]
+        step = max(1, linalg.DET_BLOCK // (n * n))
+        out = np.empty(xs.shape[1], dtype=np.int64)
+        for lo in range(0, xs.shape[1], step):
+            x = xs[:, lo:lo + step]
+            mats = coords[0] * x[0]
             for k in range(1, 4):
-                mats += coords[k] * chunk[:, k]
+                mats += coords[k] * x[k]
                 mats %= p
-            out[lo:lo + _EVAL_CHUNK] = linalg.batch_det(mats, p)
+            out[lo:lo + step] = linalg.batch_det(np.moveaxis(mats, 2, 0), p)
         return out
 
 

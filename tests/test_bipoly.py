@@ -1,6 +1,7 @@
 """Bigraded polynomial arithmetic, parsing, and binary-form helpers."""
 
 import random
+from itertools import takewhile
 
 import pytest
 
@@ -20,6 +21,7 @@ from tensurf.bipoly import (
     uni_divide_exact,
     uni_gcd,
     uni_to_str,
+    _is_prime,
 )
 
 P = DEFAULT_PRIME
@@ -47,6 +49,25 @@ def test_field_config_validates_prime():
         FieldConfig(10)
     f = FieldConfig(101, seed=3)
     assert (f.p, f.seed) == (101, 3)
+
+
+def test_is_prime_matches_trial_division():
+    small = [q for q in range(2, 317) if all(q % r for r in range(2, q))]
+
+    def by_trial_division(n):
+        return n >= 2 and all(
+            n % q for q in takewhile(lambda q: q * q <= n, small) if q != n)
+
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if by_trial_division(n)]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # strong pseudoprimes to bases 2; 2, 3; and 2, 3, 5; Carmichael numbers
+    for n in (2047, 1373653, 25326001, 561, 41041):
+        assert not _is_prime(n), n
+    assert _is_prime(2 ** 31 - 1)
+    assert not _is_prime(2 ** 31 - 3)   # 5 * 429496729
 
 
 def test_field_config_rng_streams_are_purpose_keyed():

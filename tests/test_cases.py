@@ -3,8 +3,7 @@
 import pytest
 
 from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, FieldConfig,
-                            HypothesisError, parse_poly, poly_to_str,
-                            uni_to_str)
+                            HypothesisError, poly_to_str, uni_to_str)
 from tensurf.cases import expected_column_counts, run_case
 from tensurf.syzygy import SurfaceInput, analyze
 

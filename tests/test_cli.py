@@ -242,6 +242,21 @@ def test_malformed_job_returns_1(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
 
 
+def test_prime_below_floor_exits_1(tmp_path, capsys):
+    # (2, 3) needs p >= 2ab*max(a, b) + 1 = 37: the oracle draws that many
+    # distinct grid nodes from F_p
+    path = tmp_path / "small.json"
+    assert main(["generate", "--a", "2", "--b", "3", "--n", "2",
+                 "--dimv", "2", "--prime", "31", "--out", str(path)]) == 0
+    capsys.readouterr()
+    for command in (["implicitize"], ["verify", "--det-mode", "interpolate"]):
+        assert main(command + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: prime 31 is below the floor 37 = "
+                                "2ab*max(a, b) + 1 for bidegree (2, 3)\n")
+
+
 def test_basepoint_job_exits_2(basepoint_job, capsys):
     assert main(["implicitize", basepoint_job]) == 2
     err = capsys.readouterr().err

@@ -108,6 +108,113 @@ def test_batch_det_agrees_with_scalar_det():
     assert batch[7] == 0
 
 
+# Batched determinants.  Each stack mixes the cases the elimination treats
+# separately: pivots that need row swaps, singular matrices that drop out,
+# structurally sparse matrices whose all-zero rows and columns are skipped,
+# and entries at the top of the residue range.
+
+
+def _det_stack(p, n, seed):
+    """Matrices of size n over F_p, one of each kind."""
+    rng = np.random.default_rng(seed)
+
+    def rand():
+        return rng.integers(0, p, size=(n, n), dtype=np.int64)
+
+    mats = [rand(), np.full((n, n), p - 1, dtype=np.int64),
+            np.full((n, n), p - 1, dtype=np.int64) + np.eye(n, dtype=np.int64)]
+    swaps = rand()
+    swaps[:n // 2, :n // 2] = 0   # zero leading columns down to row n/2
+    mats.append(swaps)
+    sparse = rand() * (rng.random((n, n)) < 0.2)
+    mats.append(sparse + np.diag(rng.integers(1, p, n))[rng.permutation(n)])
+    if n > 1:
+        dup = rand()
+        dup[n - 1] = dup[0]
+        mats.append(dup)
+        late = rand()
+        late[:, n - 1] = late[:, n - 2]
+        mats.append(late)
+    return np.stack(mats) % p
+
+
+def _lu_stack(p, n, skip_rows):
+    """L @ U with every rank-one term of the elimination equal to h**2.
+
+    L is unit lower triangular with multipliers h = (p - 1) // 2 (zero in
+    the rows of ``skip_rows``), U upper triangular with entries h above a
+    diagonal 1..n, so the determinant is n! and entry (i, j) takes up to
+    min(i, j) updates of the same sign: more than K without a reduction
+    would overflow int64.
+    """
+    h = (p - 1) // 2
+    L = np.eye(n, dtype=np.int64) + np.tril(np.full((n, n), h), -1)
+    L[skip_rows, :] = np.eye(n, dtype=np.int64)[skip_rows]
+    U = np.triu(np.full((n, n), h), 1) + np.diag(np.arange(1, n + 1))
+    return linalg.matmul_mod(L, U, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 20, 33])
+def test_batch_det_matches_references(p, n):
+    mats = _det_stack(p, n, seed=n + p % 1000)
+    batch = linalg.batch_det(mats, p)
+    assert batch.shape == (len(mats),)
+    for k, M in enumerate(mats):
+        assert int(batch[k]) == linalg.det_field(M, p), k
+        if n <= 20:
+            assert int(batch[k]) == gauss_ref.det(M.tolist(), p), k
+    if n > 1:
+        assert batch[1] == 0 and batch[-2] == 0 and batch[-1] == 0
+    assert int(batch[2]) == (1 - n) % p   # (p - 1) * ones + identity
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_batch_det_equal_signed_updates_stay_exact(p):
+    n = 20
+    factorial = 1
+    for k in range(2, n + 1):
+        factorial = factorial * k % p
+    mats = np.stack([_lu_stack(p, n, []), _lu_stack(p, n, [3, 7, 8, 15])])
+    assert linalg.batch_det(mats, p).tolist() == [factorial, factorial]
+
+
+def test_batch_det_all_matrices_die_early():
+    rng = random.Random(61)
+    mats = np.stack([random_matrix(rng, 6, 6) for _ in range(9)])
+    mats[:, :, 1] = (3 * mats[:, :, 0]) % P
+    assert linalg.batch_det(mats, P).tolist() == [0] * 9
+    mats[:, :, 0] = 0
+    assert linalg.batch_det(mats, P).tolist() == [0] * 9
+
+
+def test_batch_det_across_block_boundaries(monkeypatch):
+    # 11 matrices of size 5 in blocks of 3: the last block is partial
+    monkeypatch.setattr(linalg, "DET_BLOCK", 3 * 25)
+    mats = np.concatenate([_det_stack(P, 5, seed=71), _det_stack(P, 5, seed=72)])
+    assert len(mats) % 3 != 0
+    batch = linalg.batch_det(mats, P)
+    assert batch.tolist() == [linalg.det_field(M, P) for M in mats]
+    assert batch.tolist() == [gauss_ref.det(M.tolist(), P) for M in mats]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reduction_period_is_the_largest_safe_one(p):
+    K = linalg._reduction_period(p)
+    h = (p - 1) // 2
+    assert K * h * h + p < 2 ** 63 <= (K + 1) * h * h + p
+    if p == P:
+        assert K == 8
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 100])
+def test_inverse_many_matches_python_pow(size):
+    rng = random.Random(size)
+    x = np.array([rng.randrange(1, P) for _ in range(size)], dtype=np.int64)
+    inv = linalg._inverse_many(x, P)
+    assert inv.tolist() == [pow(int(v), -1, P) for v in x]
+
+
 def test_matmul_mod_matches_python_ints():
     rng = random.Random(51)
     A = random_matrix(rng, 3, 4)

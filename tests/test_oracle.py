@@ -10,7 +10,7 @@ from helpers import mutate_case
 from tensurf import linalg, oracle
 from tensurf.bipoly import (CertificateError, DEFAULT_PRIME, FieldConfig,
                             HypothesisError, parse_poly, poly_to_str)
-from tensurf.oracle import (BasepointReport, DetCertificate, basepoint_check,
+from tensurf.oracle import (DetCertificate, basepoint_check,
                             implicit_by_elimination, implicitize,
                             verify_implicitization, _form_roots, _poly_roots,
                             _principal_lattice)

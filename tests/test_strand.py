@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from tensurf import strand as strand_mod
+from tensurf import linalg
 from tensurf.bipoly import DEFAULT_PRIME
 from tensurf.cases import run_case
 from tensurf.strand import Strand, build_strand, reconstruct_det
@@ -67,9 +67,9 @@ def test_det_at_many_across_chunk_boundaries(monkeypatch):
     # 11 points in chunks of 4 (the last one partial); random entries and
     # coordinates near p make every product of residues close to p^2, so a
     # sum of two unreduced products would overflow int64
-    monkeypatch.setattr(strand_mod, "_EVAL_CHUNK", 4)
     rng = random.Random(29)
     size = 6
+    monkeypatch.setattr(linalg, "DET_BLOCK", 4 * size * size)
     tensor = np.array([[[P - 1 - rng.randrange(1000) for _ in range(4)]
                         for _ in range(size)] for _ in range(size)],
                       dtype=np.int64)
