@@ -42,7 +42,7 @@ def main() -> None:
 
     cert = verify_implicitization(strand, oracle, va.point_transform, field)
     print(f"certificate: det(strand) = c * F^{cert.exponent} with "
-          f"c = {cert.c}, checked at {cert.n_points} random points")
+          f"c = {cert.c}, proved on the principal lattice")
 
     # the strand acts on a changed generator basis, so its determinant is
     # F composed with the basis change -- reconstruct it and show both

@@ -6,8 +6,9 @@ case (dim V = 4): a Hilbert-Burch matrix for the uv-form vector g, three
 membership certificates, and a syzygy family S, S1, S2, S3 whose spread
 over monomial multipliers fills a 20 x 20 strand matrix.  Its
 determinant equals c * F^2 for the implicit equation F found
-independently by the elimination oracle -- verified here both at random
-points and as an exact polynomial identity.
+independently by the elimination oracle -- proved by the certificate on
+a unisolvent lattice, and shown again here as an exact polynomial
+division.
 
 Run:  python3 demos/02_worked_surface.py
 """
@@ -36,7 +37,7 @@ def main() -> None:
         print("   ", g)
 
     start = time.perf_counter()
-    result = implicitize(inp, det_mode="eval")
+    result = implicitize(inp)
     elapsed = time.perf_counter() - start
 
     va, case = result.analysis, result.case
@@ -61,9 +62,9 @@ def main() -> None:
           f"{[e for e, _ in oracle.kernel_dims]}")
     cert = result.certificate
     print(f"certificate: det = c * F^{cert.exponent}, c = {cert.c}, "
-          f"{cert.n_points} random points, {elapsed:.2f}s total")
+          f"proved on the principal lattice, {elapsed:.2f}s total")
 
-    # upgrade the point certificate to an exact polynomial identity
+    # the same identity, by dividing the interpolated determinant by F
     print("\ninterpolating det(strand) as a degree-20 polynomial ...")
     det_poly = reconstruct_det(result.strand)
     f_t = linear_substitute(oracle.f, va.point_transform)

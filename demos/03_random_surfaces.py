@@ -40,7 +40,7 @@ def main() -> None:
             size = 2 * spec.a * spec.b
             verdict = "ok" if report.ok else "FAIL"
             # d * deg F = 2ab, so the implicit degree determines the cover
-            oracle = implicit_by_elimination(inst.input, scan="divisors")
+            oracle = implicit_by_elimination(inst.input)
             d = size // oracle.degree
             print(f"{spec.kind:6} ({spec.a},{spec.b})  {inst.analysis.n:>2} "
                   f"{mus_str:9} {oracle.degree:>5} {d:>2} {verdict:8} "

@@ -1,10 +1,12 @@
 """Command-line front end: jobs in, reports out.
 
 Job files are JSON objects with keys ``a``, ``b``, optional ``prime``,
-``generators`` (four expression strings) and optional ``options``
-(defaults for the flags of ``implicitize``/``verify``).  Results go to
-standard output, all diagnostics and timings to standard error; identical
-invocations with identical seeds produce byte-identical standard output.
+``generators`` (four expression strings) and optional ``options`` (key
+``side``, the default of ``--side``; other keys are ignored).  Every
+``implicitize`` and ``verify`` run proves det(strand) = c * F^d exactly on
+the principal lattice.  Results go to standard output, all diagnostics and
+timings to standard error; identical invocations with identical seeds
+produce byte-identical standard output.
 
 Exit codes: 0 success, 2 hypothesis violation (basepoints, no singly
 graded syzygy, b < 2n - 1, degenerate input), 3 certificate failure,
@@ -53,9 +55,9 @@ def _build_parser() -> _Parser:
     p_an.set_defaults(func=_cmd_analyze)
 
     def add_pipeline_flags(p: _Parser) -> None:
-        p.add_argument("--det-mode", choices=["eval", "interpolate"],
-                       default=None,
-                       help="certificate mode (default eval)")
+        p.add_argument("--det-mode", choices=["interpolate"], default=None,
+                       help="certificate mode; interpolate, the exact "
+                            "lattice proof, is the only one")
         p.add_argument("--side", choices=["uv", "st"], default=None,
                        help="strand side; st mirrors the input first")
         p.add_argument("--oracle", action="store_true",
@@ -63,12 +65,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--force", action="store_true",
                        help="proceed when the basepoint screen is "
                             "undetermined")
-        p.add_argument("--points", type=int, default=None,
-                       help="number of certificate sample points "
-                            "(default 40)")
-        p.add_argument("--oracle-scan", choices=["full", "divisors"],
-                       default=None,
-                       help="degree scan strategy (default full)")
 
     p_im = sub.add_parser("implicitize", help="full pipeline with report")
     add_common(p_im)
@@ -131,26 +127,12 @@ def _load_job(args) -> tuple[SurfaceInput, dict]:
     return inp, options
 
 
-def _merge_options(args, options: dict) -> dict:
-    merged = {
-        "det_mode": options.get("det_mode", "eval"),
-        "side": options.get("side", "uv"),
-        "n_points": int(options.get("n_points", 40)),
-        "scan": options.get("scan", "full"),
-    }
-    if args.det_mode is not None:
-        merged["det_mode"] = args.det_mode
-    if args.side is not None:
-        merged["side"] = args.side
-    if args.points is not None:
-        merged["n_points"] = args.points
-    if args.oracle_scan is not None:
-        merged["scan"] = args.oracle_scan
-    if merged["side"] not in ("uv", "st"):
-        raise ValueError(f"unknown side {merged['side']!r}")
-    if merged["det_mode"] not in ("eval", "interpolate"):
-        raise ValueError(f"unknown det_mode {merged['det_mode']!r}")
-    return merged
+def _side(args, options: dict) -> str:
+    """The strand side: the flag, else the job option, else uv."""
+    side = args.side or options.get("side", "uv")
+    if side not in ("uv", "st"):
+        raise ValueError(f"unknown side {side!r}")
+    return side
 
 
 def _print_json(payload) -> None:
@@ -227,30 +209,27 @@ def _screen_basepoints(inp: SurfaceInput, force: bool) -> dict:
 
 def _run_pipeline(args) -> tuple:
     inp, options = _load_job(args)
-    merged = _merge_options(args, options)
-    if merged["side"] == "st":
+    side = _side(args, options)
+    if side == "st":
         inp = inp.mirror()
-    check_prime_floor(inp)
+    check_prime_floor(inp.a, inp.b, inp.field.p)
     bp = _screen_basepoints(inp, args.force)
-    result = implicitize(
-        inp, check_level="full", scan=merged["scan"],
-        det_mode=merged["det_mode"], n_points=merged["n_points"],
-        basepoints="skip")
+    result = implicitize(inp, check_level="full", basepoints="skip")
     for name, secs in sorted(result.timings.items()):
         print(f"[time] {name}: {secs:.3f}s", file=sys.stderr)
     if args.oracle:
         for degree, dim in result.oracle.kernel_dims:
             print(f"[oracle] degree {degree}: kernel dimension {dim}",
                   file=sys.stderr)
-    return inp, merged, bp, result
+    return inp, side, bp, result
 
 
-def _result_payload(inp, merged, bp, result) -> dict:
+def _result_payload(inp, side, bp, result) -> dict:
     case = result.case
     counts = case.aux["column_counts"]
     return {
         "a": inp.a, "b": inp.b, "prime": inp.field.p,
-        "side": merged["side"],
+        "side": side,
         "n": result.analysis.n, "dim_v": result.analysis.dim_v,
         "case": case.case_tag,
         "mus": list(case.aux["mus"]) if "mus" in case.aux else [],
@@ -262,7 +241,7 @@ def _result_payload(inp, merged, bp, result) -> dict:
         "c": result.certificate.c,
         "f": xpoly_to_str(result.oracle.f),
         "f_coefficients": _coefficient_table(result.oracle.f),
-        "oracle": {"scan": result.oracle.scan,
+        "oracle": {"scan": "full",
                    "kernel_dims": [list(kd)
                                    for kd in result.oracle.kernel_dims]},
         "certificate": {"mode": result.certificate.mode,
@@ -273,8 +252,8 @@ def _result_payload(inp, merged, bp, result) -> dict:
 
 
 def _cmd_implicitize(args) -> int:
-    inp, merged, bp, result = _run_pipeline(args)
-    payload = _result_payload(inp, merged, bp, result)
+    inp, side, bp, result = _run_pipeline(args)
+    payload = _result_payload(inp, side, bp, result)
     if args.json:
         _print_json(payload)
         return 0
@@ -302,9 +281,9 @@ def _cmd_implicitize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inp, merged, bp, result = _run_pipeline(args)
+    inp, side, bp, result = _run_pipeline(args)
     if args.json:
-        payload = _result_payload(inp, merged, bp, result)
+        payload = _result_payload(inp, side, bp, result)
         del payload["f_coefficients"]
         _print_json(payload)
         return 0
@@ -318,6 +297,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    check_prime_floor(args.a, args.b, args.prime)
     kind = {2: "dim2", 3: "dim3", 4: "dim4"}[args.dimv]
     mus = tuple(args.mu) if args.mu else None
     spec = GenSpec(kind, args.a, args.b, args.n, mus)
@@ -378,8 +358,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     checks.append(("implicit degree 10, unique up to scalar",
                    orc.degree == 10 and orc.kernel_dim == 1))
     try:
-        cert = verify_implicitization(strand, orc, va.point_transform, field,
-                                      mode="interpolate")
+        cert = verify_implicitization(strand, orc, va.point_transform, field)
         checks.append(("det = c * F^2 exactly", cert.exponent == 2))
     except CertificateError:
         checks.append(("det = c * F^2 exactly", False))
@@ -395,8 +374,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
     checks.append(("Segre equation x0*x3 - x1*x2", sorc.f == want))
     scase = run_case(sva, check_level="full")
     scert = verify_implicitization(build_strand(scase), sorc,
-                                   sva.point_transform, field,
-                                   mode="interpolate")
+                                   sva.point_transform, field)
     checks.append(("Segre certificate d = 1", scert.exponent == 1))
     return checks
 

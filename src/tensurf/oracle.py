@@ -17,12 +17,13 @@ true one, so the true kernel at degree e is then that line; and since a
 nonzero form f of degree k < e vanishing on the image would give the
 C(e-k+3, 3) >= 4 independent multiples f * x^m at degree e, every lower
 degree has a zero kernel.  Any other outcome runs the degree scan, which
-computes every kernel on its grid.  The result is the same either way.
+computes the kernel of every degree 1, 2, ... on its grid up to the first
+nonzero one.  The result is the same either way.
 
-The module also certifies that the strand-matrix determinant is a scalar
+The module also proves that the strand-matrix determinant is a scalar
 multiple of a power of the recovered equation, and screens the input for
-basepoints via pairwise resultants.  The exact certificate uses the same
-kind of argument: a form of degree D vanishing on the principal lattice
+basepoints via pairwise resultants.  The proof uses the same kind of
+argument: a form of degree D vanishing on the principal lattice
 {(1, i, j, k) : i + j + k <= D}, nodes 0..D distinct mod p, is zero (Chung &
 Yao, SIAM J. Numer. Anal. 14, 1977).
 """
@@ -77,7 +78,6 @@ class OracleResult:
     f: XPoly
     degree: int
     kernel_dims: tuple[tuple[int, int], ...]
-    scan: str
     grid_shape: tuple[int, int]
 
     @property
@@ -92,10 +92,6 @@ _CHECK_CHUNK = 1 << 20
 _SAMPLE_MARGIN = 8
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def _fiber_degree(inp: SurfaceInput) -> Optional[int]:
     """Degree d of the map onto its image, read off one random fiber.
 
@@ -104,14 +100,13 @@ def _fiber_degree(inp: SurfaceInput) -> Optional[int]:
     Res_uv(h1, h2) vanishes at the (s : t) coordinates of the 2ab preimages
     of the line {l1 = l2 = 0}, and Res_uv(h1, h3) at those of another line
     through y0; for a generic choice the two share only the d preimages of
-    y0.  Returns d when it divides 2ab, else None (also when p <= 2ab or a
-    resultant vanishes).  The result only chooses which degree to try
-    first, so a wrong value costs time, never correctness.
+    y0.  Returns d when it divides 2ab, else None (also when a resultant
+    vanishes).  The result only chooses which degree to try first, so a
+    wrong value costs time, never correctness.  The caller has checked the
+    prime floor, so the resultants' 2ab + 1 sample nodes are distinct.
     """
     p, a, b = inp.field.p, inp.a, inp.b
     size = 2 * a * b
-    if p <= size:
-        return None
     rng = inp.field.rng("oracle-hint")
     t0, v0 = rng.randrange(p), rng.randrange(p)
     y0 = [g.eval((1, t0, 1, v0)) for g in inp.gens]
@@ -153,14 +148,13 @@ def _vanishes_at(degree: int, points: NDArray[np.int64], vec: NDArray[np.int64],
         for lo in range(0, len(points), step))
 
 
-def check_prime_floor(inp: SurfaceInput) -> None:
+def check_prime_floor(a: int, b: int, p: int) -> None:
     """Raise ValueError when p is below the pipeline's floor 2ab*max(a, b) + 1.
 
     The oracle draws 2ab*a + 1 and 2ab*b + 1 distinct product-grid nodes
     from F_p.  The floor also covers the 2ab + 1 lattice nodes of the exact
     certificate and the 2ab + 1 resultant samples of the basepoint screen.
     """
-    a, b, p = inp.a, inp.b, inp.field.p
     floor = 2 * a * b * max(a, b) + 1
     if p < floor:
         raise ValueError(
@@ -168,8 +162,7 @@ def check_prime_floor(inp: SurfaceInput) -> None:
             f"for bidegree ({a}, {b})")
 
 
-def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
-                            rng_purpose: str = "oracle") -> OracleResult:
+def implicit_by_elimination(inp: SurfaceInput) -> OracleResult:
     """The minimal implicit equation of the image, normalized to a leading 1.
 
     First, at the hinted degree e = 2ab / d (d from :func:`_fiber_degree`),
@@ -178,19 +171,14 @@ def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
     (e*a + 1) x (e*b + 1) product grid; passing proves that the image has a
     unique equation of degree e and none of lower degree (see the module
     docstring), so the degrees below e are reported with kernel dimension
-    0 without being computed.  Otherwise the degrees are scanned in order on
-    product grids: ``scan="full"`` tries every degree 1..2ab;
-    ``scan="divisors"`` tries only divisors of 2ab (cheaper, and still
-    exact: a kernel of dimension one at degree e proves e is the true
-    minimal degree).  Both paths return the same result.
+    0 without being computed.  Otherwise the degrees 1..2ab are scanned in
+    order on product grids up to the first nonzero kernel.  Both paths
+    return the same result.
     """
-    if scan not in ("full", "divisors"):
-        raise ValueError(f"unknown scan mode {scan!r}")
-    check_prime_floor(inp)
     p, a, b = inp.field.p, inp.a, inp.b
+    check_prime_floor(a, b, p)
     size = 2 * a * b
-    degrees = list(range(1, size + 1)) if scan == "full" else _divisors(size)
-    rng = inp.field.rng(rng_purpose)
+    rng = inp.field.rng("oracle")
     t_nodes = rng.sample(range(p), size * a + 1)
     v_nodes = rng.sample(range(p), size * b + 1)
     gen_grids = [grid_from_bipoly(g, a, b) for g in inp.gens]
@@ -206,13 +194,12 @@ def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
                dims: list[tuple[int, int]]) -> OracleResult:
         return OracleResult(
             f=XPoly.from_coeff_vector(p, e, vec), degree=e,
-            kernel_dims=tuple(dims), scan=scan,
-            grid_shape=(e * a + 1, e * b + 1))
+            kernel_dims=tuple(dims), grid_shape=(e * a + 1, e * b + 1))
 
     d = _fiber_degree(inp)
     if d is not None:
         e = size // d
-        srng = inp.field.rng(f"{rng_purpose}-sample")
+        srng = inp.field.rng("oracle-sample")
         n = num_monomials(e) + _SAMPLE_MARGIN
         tv = linalg.vandermonde([srng.randrange(p) for _ in range(n)], a + 1, p)
         vv = linalg.vandermonde([srng.randrange(p) for _ in range(n)], b + 1, p)
@@ -225,11 +212,11 @@ def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
             points = grid_points(e)
             # A dead grid point is left to the scan, which reports it.
             if points.any(axis=1).all() and _vanishes_at(e, points, vec, p):
-                return result(e, vec, [(k, 0) for k in degrees if k < e]
+                return result(e, vec, [(k, 0) for k in range(1, e)]
                               + [(e, 1)])
 
     dims: list[tuple[int, int]] = []
-    for e in degrees:
+    for e in range(1, size + 1):
         points = grid_points(e)
         dead = np.flatnonzero(~points.any(axis=1))
         if dead.size:
@@ -252,14 +239,22 @@ def implicit_by_elimination(inp: SurfaceInput, scan: str = "full",
 # determinant certificate
 
 
+# Random points of the pre-check that runs before the lattice proof.
+PRECHECK_POINTS = 40
+
+
 @dataclass(frozen=True)
 class DetCertificate:
-    """Verified relation det(strand) = c * F^exponent."""
+    """Proved relation det(strand) = c * F^exponent.
+
+    ``n_points`` and ``mode`` name the random pre-check and the exact
+    lattice proof that every certificate passes.
+    """
 
     c: int
     exponent: int
-    n_points: int
-    mode: str
+    n_points: int = PRECHECK_POINTS
+    mode: str = "interpolate"
 
 
 def _principal_lattice(degree: int) -> NDArray[np.int64]:
@@ -272,35 +267,31 @@ def _principal_lattice(degree: int) -> NDArray[np.int64]:
 
 def verify_implicitization(strand: Strand, oracle: OracleResult,
                            point_transform: NDArray[np.int64],
-                           field: FieldConfig, n_points: int = 40,
-                           mode: str = "eval",
-                           rng_purpose: str = "certificate") -> DetCertificate:
-    """Certify det(strand) = c * F^d with d = size / deg F.
+                           field: FieldConfig) -> DetCertificate:
+    """Prove det(strand) = c * F^d with d = size / deg F.
 
     The strand acts on the changed generator basis while the oracle equation
     F refers to the original one, so F is composed with ``point_transform``
-    before comparison.  c is fitted at a random point, then
-    ``mode="eval"`` checks the relation at ``n_points`` random points.
-    ``mode="interpolate"`` additionally checks it on the principal lattice
-    {(1, i, j, k) : i + j + k <= size}.  Both sides are forms of degree
-    size and that lattice is unisolvent for that degree, so agreement there
-    proves the identity exactly; it needs p > size and raises ValueError
+    before comparison.  c is fitted at a random point, and a pre-check at
+    ``PRECHECK_POINTS`` random points rejects most wrong inputs cheaply.
+    The proof is the check on the principal lattice
+    {(1, i, j, k) : i + j + k <= size}: both sides are forms of degree size
+    and that lattice is unisolvent for that degree, so agreement there
+    proves the identity exactly.  It needs p > size and raises ValueError
     otherwise.
     """
-    if mode not in ("eval", "interpolate"):
-        raise ValueError(f"unknown certificate mode {mode!r}")
     p = field.p
     if strand.size % oracle.degree:
         raise CertificateError(
             f"implicit degree {oracle.degree} does not divide the strand "
             f"size {strand.size}")
-    if mode == "interpolate" and p <= strand.size:
+    if p <= strand.size:
         raise ValueError(
             f"the exact certificate needs p > {strand.size} so that the "
             f"lattice nodes 0..{strand.size} are distinct mod p")
     d = strand.size // oracle.degree
     transform = np.asarray(point_transform, dtype=np.int64) % p
-    rng = field.rng(rng_purpose)
+    rng = field.rng("certificate")
 
     def f_value(point: NDArray[np.int64]) -> int:
         return oracle.f.eval(
@@ -330,19 +321,19 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
         return int(np.count_nonzero(lhs != rhs))
 
     pts = np.array([[rng.randrange(p) for _ in range(4)]
-                    for _ in range(n_points)], dtype=np.int64)
+                    for _ in range(PRECHECK_POINTS)], dtype=np.int64)
     bad = mismatches(pts)
     if bad:
         raise CertificateError(
-            f"det = c * F^{d} fails at {bad} of {n_points} sample points")
-    if mode == "interpolate":
-        lattice = _principal_lattice(strand.size)
-        bad = mismatches(lattice)
-        if bad:
-            raise CertificateError(
-                f"det = c * F^{d} fails at {bad} of {len(lattice)} principal "
-                "lattice points")
-    return DetCertificate(c=int(c), exponent=d, n_points=n_points, mode=mode)
+            f"det = c * F^{d} fails at {bad} of {PRECHECK_POINTS} sample "
+            "points")
+    lattice = _principal_lattice(strand.size)
+    bad = mismatches(lattice)
+    if bad:
+        raise CertificateError(
+            f"det = c * F^{d} fails at {bad} of {len(lattice)} principal "
+            "lattice points")
+    return DetCertificate(c=int(c), exponent=d)
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +459,13 @@ def _probe_root(inp: SurfaceInput, s0: int, t0: int, rng
                            UniHomPoly.zero(inp.field.p, 0), (), detail)
 
 
-def basepoint_check(inp: SurfaceInput,
-                    rng_purpose: str = "basepoints") -> BasepointReport:
+def basepoint_check(inp: SurfaceInput) -> BasepointReport:
     """Screen the generators for common zeros on P^1 x P^1.
 
     Constant resultant gcds on both charts prove there is none; otherwise
     base-field roots of the gcds are probed for a confirmed common zero.
     """
-    rng = inp.field.rng(rng_purpose)
+    rng = inp.field.rng("basepoints")
     g_uv = _resultant_gcd(inp)
     mirror = inp.mirror()
     g_st = _resultant_gcd(mirror)
@@ -542,10 +532,11 @@ class ImplicitizationResult:
 
 
 def implicitize(inp: SurfaceInput, check_level: str = "full",
-                scan: str = "full", det_mode: str = "eval",
-                n_points: int = 40,
                 basepoints: str = "check") -> ImplicitizationResult:
     """Run analysis, case construction, strand, oracle and certificate.
+
+    The certificate proves det(strand) = c * F^d exactly (see
+    :func:`verify_implicitization`).
 
     ``basepoints="check"`` refuses inputs with a verified basepoint and
     proceeds (recording the report) when the screen is inconclusive;
@@ -574,13 +565,12 @@ def implicitize(inp: SurfaceInput, check_level: str = "full",
     timings["strand"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    oracle = implicit_by_elimination(inp, scan=scan)
+    oracle = implicit_by_elimination(inp)
     timings["oracle"] = time.perf_counter() - start
 
     start = time.perf_counter()
     certificate = verify_implicitization(
-        strand, oracle, va.point_transform, inp.field,
-        n_points=n_points, mode=det_mode)
+        strand, oracle, va.point_transform, inp.field)
     timings["certificate"] = time.perf_counter() - start
     return ImplicitizationResult(
         basepoints=report, analysis=va, case=case, strand=strand,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EXAMPLE_GENERATORS
+from conftest import EXAMPLE_GENERATORS, SEGRE_GENERATORS
 from tensurf.bipoly import DEFAULT_PRIME, parse_poly, poly_to_str
 from tensurf.cli import main
 
@@ -102,7 +102,8 @@ def test_implicitize_text(example_job, capsys):
     out = capsys.readouterr().out
     assert "deg F = 10, deg phi = 2, c = 2147483646" in out
     assert "strand: 20 x 20 (columns: S=8, S1=4, S2=4, S3=4)" in out
-    assert "certificate: det = c * F^2 verified at 40 random points" in out
+    assert ("certificate: det = c * F^2 verified at 40 random points "
+            "(mode interpolate)") in out
     assert "basepoints: free" in out
 
 
@@ -128,7 +129,7 @@ def test_verify_text(example_job, capsys):
     assert main(["verify", example_job]) == 0
     out = capsys.readouterr().out
     assert "deg F = 10, deg phi = 2, c = 2147483646" in out
-    assert "PASS det = c * F^2 at 40 random points" in out
+    assert "PASS det = c * F^2 at 40 random points (mode interpolate)" in out
 
 
 def test_verify_json_omits_coefficients(example_job, capsys):
@@ -152,6 +153,13 @@ def test_implicitize_interpolate_text_is_golden(example_job, capsys):
     assert capsys.readouterr().out == want
 
 
+def test_implicitize_default_text_is_golden(example_job, capsys):
+    # the exact certificate is the default, so --det-mode changes nothing
+    assert main(["implicitize", example_job]) == 0
+    want = (GOLDEN / "implicitize_worked_interpolate.txt").read_text()
+    assert capsys.readouterr().out == want
+
+
 def test_interpolate_certifies_strands_of_any_size(tmp_path, capsys):
     # strand size 28
     path = tmp_path / "a2b7.json"
@@ -169,19 +177,44 @@ def test_interpolation_cap_flag_is_gone(example_job, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--points", "12"],
+                                   ["--oracle-scan", "divisors"],
+                                   ["--det-mode", "eval"]], ids=" ".join)
+def test_retired_flags_are_usage_errors(flags, example_job, capsys):
+    for command in ("implicitize", "verify"):
+        assert main([command, example_job, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
 def test_job_options_supply_defaults(tmp_path, capsys):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(
-        {"a": 2, "b": 5, "generators": EXAMPLE_GENERATORS,
-         "options": {"det_mode": "interpolate", "n_points": 12}}))
+        {"a": 1, "b": 1, "generators": SEGRE_GENERATORS,
+         "options": {"side": "st"}}))
     assert main(["verify", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["certificate"]["mode"] == "interpolate"
-    assert payload["certificate"]["n_points"] == 12
+    assert payload["side"] == "st"
     # command-line flags override file options
-    assert main(["verify", str(path), "--det-mode", "eval", "--json"]) == 0
+    assert main(["verify", str(path), "--side", "uv", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["certificate"]["mode"] == "eval"
+    assert payload["side"] == "uv"
+
+
+def test_retired_option_keys_are_ignored(tmp_path, capsys):
+    outputs = []
+    for options in ({}, {"det_mode": "eval", "n_points": 12,
+                         "scan": "divisors"}):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(
+            {"a": 2, "b": 5, "generators": EXAMPLE_GENERATORS,
+             "options": options}))
+        for extra in ([], ["--json"]):
+            assert main(["implicitize", str(path), *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    assert json.loads(outputs[1])["oracle"]["scan"] == "full"
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +275,36 @@ def test_malformed_job_returns_1(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
 
 
+_FLOOR_37 = ("error: prime {p} is below the floor 37 = 2ab*max(a, b) + 1 "
+             "for bidegree (2, 3)\n")
+
+
 def test_prime_below_floor_exits_1(tmp_path, capsys):
     # (2, 3) needs p >= 2ab*max(a, b) + 1 = 37: the oracle draws that many
     # distinct grid nodes from F_p
     path = tmp_path / "small.json"
-    assert main(["generate", "--a", "2", "--b", "3", "--n", "2",
-                 "--dimv", "2", "--prime", "31", "--out", str(path)]) == 0
-    capsys.readouterr()
+    path.write_text(json.dumps(
+        {"a": 2, "b": 3, "prime": 31,
+         "generators": ["s^2*u^3", "s*t*u^2*v", "t^2*u*v^2",
+                        "s^2*v^3 + t^2*u^3"]}))
     for command in (["implicitize"], ["verify", "--det-mode", "interpolate"]):
         assert main(command + [str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: prime 31 is below the floor 37 = "
-                                "2ab*max(a, b) + 1 for bidegree (2, 3)\n")
+        assert captured.err == _FLOOR_37.format(p=31)
+
+
+@pytest.mark.parametrize("prime", [11, 31])
+def test_generate_refuses_primes_below_the_floor(prime, tmp_path, capsys):
+    argv = ["generate", "--a", "2", "--b", "3", "--n", "2", "--dimv", "2",
+            "--prime", str(prime)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _FLOOR_37.format(p=prime)
+    path = tmp_path / "job.json"
+    assert main(argv + ["--out", str(path)]) == 1
+    assert not path.exists()
 
 
 def test_basepoint_job_exits_2(basepoint_job, capsys):

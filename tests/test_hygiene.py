@@ -1,11 +1,18 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used, and
+the documented flags of ``implicitize``/``verify`` are the parser's."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tensurf"
+from tensurf.cli import _build_parser
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tensurf"
+FLAGS_HEADING = "### Flags of `implicitize` and `verify`"
 
 
 def _imported(tree, lines):
@@ -63,3 +70,23 @@ def test_no_unused_imports(path):
               for name, line in _imported(tree, text.splitlines())
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _documented_flags() -> set[str]:
+    """Flags in the first column of the flag table in docs/formats.md."""
+    text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    section = text.split(FLAGS_HEADING, 1)[1].split("\n#", 1)[0]
+    return {flag for line in section.splitlines() if line.startswith("|")
+            for flag in re.findall(r"`(--[a-z][a-z-]*)", line.split("|")[1])}
+
+
+@pytest.mark.parametrize("command", ["implicitize", "verify"])
+def test_documented_flags_match_the_parser(command):
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    parser_flags = {flag for action in sub.choices[command]._actions
+                    for flag in action.option_strings
+                    if flag.startswith("--") and flag != "--help"}
+    documented = _documented_flags()
+    assert parser_flags - documented == set(), "flags missing from the docs"
+    assert documented - parser_flags == set(), "documented flags not parsed"

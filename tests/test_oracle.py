@@ -49,13 +49,6 @@ def test_oracle_equation_vanishes_on_the_surface(example_input,
                            example_input.a, example_input.b)
 
 
-def test_oracle_divisor_scan_matches_full(example_input, example_oracle):
-    orc = implicit_by_elimination(example_input, scan="divisors")
-    assert orc.degree == example_oracle.degree
-    assert orc.f == example_oracle.f
-    assert orc.scan == "divisors"
-
-
 def test_segre_oracle_frozen(segre_input):
     orc = implicit_by_elimination(segre_input)
     assert orc.degree == 2
@@ -81,11 +74,11 @@ def test_oracle_detects_dead_grid_point(field):
 # the degree hint and the exact check at the hinted degree
 
 
-def _unhinted(monkeypatch, inp, **kwargs):
+def _unhinted(monkeypatch, inp):
     """The oracle with the degree hint switched off: the plain scan."""
     with monkeypatch.context() as m:
         m.setattr(oracle, "_fiber_degree", lambda inp: None)
-        return implicit_by_elimination(inp, **kwargs)
+        return implicit_by_elimination(inp)
 
 
 def _count_kernels(monkeypatch) -> list:
@@ -107,12 +100,11 @@ def test_fiber_degree_of_known_surfaces(example_input, segre_input):
     assert oracle._fiber_degree(inst.input) == 1
 
 
-@pytest.mark.parametrize("scan", ["full", "divisors"])
 def test_hinted_oracle_matches_the_scan_on_the_worked_surface(
-        scan, example_input, monkeypatch):
-    want = _unhinted(monkeypatch, example_input, scan=scan)
+        example_input, monkeypatch):
+    want = _unhinted(monkeypatch, example_input)
     calls = _count_kernels(monkeypatch)
-    got = implicit_by_elimination(example_input, scan=scan)
+    got = implicit_by_elimination(example_input)
     assert got == want
     assert got.grid_shape == (21, 51)
     # one near-square solve at degree 10 instead of one kernel per degree
@@ -192,11 +184,13 @@ def test_hint_leaves_a_dead_grid_point_to_the_scan(field, monkeypatch):
     assert calls == [(math.comb(5, 3) + 8, math.comb(5, 3))]
 
 
-def test_no_hint_for_primes_not_above_2ab():
-    # the resultants need 2ab + 1 distinct sample nodes
+def test_oracle_refuses_primes_below_the_floor():
+    # the floor 2ab*max(a, b) + 1 = 37 also gives the hint's resultants
+    # their 2ab + 1 distinct sample nodes
     gens = ["s^2*u^3", "s*t*u^2*v", "t^2*u*v^2", "s^2*v^3 + t^2*u^3"]
     inp = SurfaceInput.from_strings(2, 3, gens, FieldConfig(11))
-    assert oracle._fiber_degree(inp) is None
+    with pytest.raises(ValueError, match="prime 11 is below the floor 37"):
+        implicit_by_elimination(inp)
 
 
 ODD_A_SPECS = [GenSpec("dim2", 3, 2, 1), GenSpec("dim3", 1, 5, 3, (1,))]
@@ -220,19 +214,18 @@ def test_generic_odd_a_instances(spec, monkeypatch):
 # the determinant certificate
 
 
-def test_certificate_eval_mode_frozen(example_analysis, example_strand,
-                                      example_oracle, field):
+def test_certificate_frozen(example_analysis, example_strand,
+                            example_oracle, field):
     cert = verify_implicitization(example_strand, example_oracle,
                                   example_analysis.point_transform, field)
     assert cert == DetCertificate(c=P - 1, exponent=2, n_points=40,
-                                  mode="eval")
+                                  mode="interpolate")
 
 
 def test_certificate_interpolate_mode(example_analysis, example_strand,
                                       example_oracle, field):
     cert = verify_implicitization(example_strand, example_oracle,
-                                  example_analysis.point_transform, field,
-                                  mode="interpolate")
+                                  example_analysis.point_transform, field)
     assert cert.exponent == 2
     assert cert.c == P - 1
     assert cert.mode == "interpolate"
@@ -288,14 +281,14 @@ def test_interpolate_catches_a_perturbation_at_lattice_points(
         return out
 
     monkeypatch.setattr(Strand, "det_at_many", perturbed)
-    args = (example_strand, example_oracle, example_analysis.point_transform,
-            field)
-    assert verify_implicitization(*args, mode="eval").c == P - 1
     n_bad = math.comb(degree - sum(node) + 3, 3)
     n_all = math.comb(degree + 3, 3)
+    # the random pre-check passes (it would report "of 40 sample points");
+    # only the lattice sees the perturbation
     with pytest.raises(CertificateError,
                        match=f"fails at {n_bad} of {n_all} principal lattice"):
-        verify_implicitization(*args, mode="interpolate")
+        verify_implicitization(example_strand, example_oracle,
+                               example_analysis.point_transform, field)
 
 
 @pytest.mark.parametrize("p", [3, 19])
@@ -304,7 +297,7 @@ def test_interpolate_refuses_primes_not_above_the_strand_size(
     with pytest.raises(ValueError, match="needs p > 20"):
         verify_implicitization(example_strand, example_oracle,
                                example_analysis.point_transform,
-                               FieldConfig(p), mode="interpolate")
+                               FieldConfig(p))
 
 
 def test_certificate_rejects_corrupted_syzygies(example_case,

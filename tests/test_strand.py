@@ -104,7 +104,7 @@ def test_segre_strand_det_is_the_transformed_quadric(segre_input):
     orc = implicit_by_elimination(segre_input)
     assert orc.f == parse_xpoly("x0*x3 - x1*x2", P)
     cert = verify_implicitization(strand, orc, va.point_transform,
-                                  segre_input.field, mode="interpolate")
+                                  segre_input.field)
     assert cert.exponent == 1
     # the determinant is the quadric written in the working coordinates
     want = linear_substitute(orc.f, va.point_transform).scale(cert.c)

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from tensurf import bipoly
 from tensurf.bipoly import DEFAULT_PRIME, BiPoly
 from tensurf.xpoly import (XPoly, compose_with_map, divide_with_remainder,
                            eval_matrix, grid_from_bipoly, linear_substitute,
@@ -79,6 +80,26 @@ def test_eval_matrix_matches_pointwise_eval():
         for i in range(8):
             assert int(vals[i]) == f.eval(pts[i])
         assert np.array_equal(f.eval_many(pts) % P, vals)
+
+
+@pytest.mark.parametrize("chunk", [bipoly.EVAL_CHUNK, 100])
+def test_eval_many_matches_pointwise_eval(chunk, monkeypatch):
+    # a chunk of 100 elements splits the points into many row chunks
+    monkeypatch.setattr(bipoly, "EVAL_CHUNK", chunk)
+    rng = random.Random(17)
+    pts = np.array([[rng.randrange(P) for _ in range(4)] for _ in range(50)]
+                   + [[0, 0, 0, 0], [0, 3, 0, 0], [-1, 2, -3, P + 4]],
+                   dtype=np.int64)
+    polys = [XPoly.zero(P), XPoly.const(P, 7),
+             random_xpoly(rng, 9, n_terms=40),
+             parse_xpoly("x0^7 + 3*x1*x3 - x2^2 + 5", P),
+             BiPoly(P, {(2, 0, 5, 0): 3, (0, 2, 0, 5): P - 1,
+                        (1, 1, 3, 2): 5, (0, 0, 0, 0): 2})]
+    for f in polys:
+        got = f.eval_many(pts)
+        assert got.dtype == np.int64
+        assert [int(x) for x in got] == [f.eval(pt) for pt in pts]
+        assert f.eval_many(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
 
 
 def test_arithmetic_and_powers():
