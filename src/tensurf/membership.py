@@ -10,11 +10,14 @@ d >= m + n - 1 is surjective.  `two_gen_solve` solves
 
 slice by slice over the s,t-monomials of the target, with free variables set
 to zero, so the answer is canonical.  `psi_solve` plays the same game against
-a graded syzygy matrix with a unique solution.
+a graded syzygy matrix with a unique solution.  `resultant_uv` samples the
+(u, v)-resultant of two bigraded forms at s = 0..D and recovers it by Newton
+interpolation on those consecutive nodes, in O(D^2) operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -179,11 +182,12 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
                  deg_g: tuple[int, int], p: int) -> UniHomPoly:
     """Homogeneous resultant in (u, v) with fixed formal bidegrees.
 
-    The result is a binary form in (s, t) of degree cf*dg + cg*df, computed
-    by specialize-and-interpolate: t is set to 1 at cf*dg + cg*df + 1 sample
-    values of s (fewer than p for every supported size).  The specialized
-    (u, v)-forms are one Vandermonde product per input, and their Sylvester
-    determinants are taken in one batch.
+    The result is a binary form in (s, t) of degree D = cf*dg + cg*df,
+    computed by specialize-and-interpolate: t is set to 1 at the D + 1
+    sample values s = 0..D (distinct since p > D), the Sylvester
+    determinants of the specialized (u, v)-forms are taken in one batch,
+    and R(s, 1) is recovered in O(D^2) by Newton interpolation from the
+    forward differences of the samples.
     """
     (cf, df), (cg, dg) = deg_f, deg_g
     D = cf * dg + cg * df
@@ -196,7 +200,7 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
     if D + 1 > p:
         raise ValueError("prime too small for resultant interpolation")
     # powers[r, k] = r^k mod p at the sample nodes s = 0..D
-    powers = linalg.vandermonde(np.arange(D + 1), max(D, cf, cg) + 1, p)
+    powers = linalg.vandermonde(np.arange(D + 1), max(cf, cg) + 1, p)
     # grid row j holds the coefficients of s^(c-j) t^j
     fs = linalg.matmul_mod(powers[:, cf::-1], grid_from_bipoly(f, cf, df), p)
     gs = linalg.matmul_mod(powers[:, cg::-1], grid_from_bipoly(g, cg, dg), p)
@@ -206,12 +210,25 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
         syl[:, r, r:r + df + 1] = fs
     for r in range(df):
         syl[:, dg + r, r:r + dg + 1] = gs
-    samples = linalg.batch_det(syl, p)
-    # R(s, 1) = sum r_k s^(D-k): Vandermonde solve for r
-    sol = linalg.solve_particular(powers[:, D::-1], samples, p)
-    if sol is None:
-        raise CertificateError("resultant interpolation failed")
-    return UniHomPoly(p, D, tuple(int(t) for t in sol))
+    diff = linalg.batch_det(syl, p)
+    # after step k, diff[k] is the k-th forward difference at s = 0
+    for k in range(1, D + 1):
+        diff[k:] = (diff[k:] - diff[k - 1:-1]) % p
+    # R(s, 1) = sum_k diff[k] / k! * s (s - 1) ... (s - k + 1)
+    inv_fact = [1] * (D + 1)
+    inv_fact[D] = pow(math.factorial(D) % p, -1, p)
+    for k in range(D, 1, -1):
+        inv_fact[k - 1] = inv_fact[k] * k % p
+    newton = diff * np.array(inv_fact, dtype=np.int64) % p
+    # nested multiplication by (s - k); coefficients ascending in s
+    acc = newton[D:]
+    for k in range(D - 1, -1, -1):
+        nxt = np.zeros(len(acc) + 1, dtype=np.int64)
+        nxt[1:] = acc
+        nxt[:-1] = (nxt[:-1] - k * acc) % p
+        nxt[0] = (nxt[0] + newton[k]) % p
+        acc = nxt
+    return UniHomPoly(p, D, tuple(int(t) for t in acc[::-1]))
 
 
 def st_content(f: BiPoly, c: int, d: int) -> UniHomPoly:

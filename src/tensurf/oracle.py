@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -345,7 +346,8 @@ class BasepointReport:
     """Outcome of the resultant-based basepoint screen.
 
     ``free`` certifies there is no common zero even over the algebraic
-    closure: the six pairwise resultants have constant gcd on both charts.
+    closure: on each chart a prefix of the six pairwise resultants has
+    constant gcd.
     ``basepoint`` means some specialization at a base-field root of a gcd
     left the four generators with a nonconstant common factor, which has a
     common zero over the closure; ``witness`` carries a verified base-field
@@ -418,14 +420,20 @@ def _form_roots(form: UniHomPoly, rng) -> list[tuple[int, int]]:
 
 
 def _resultant_gcd(inp: SurfaceInput) -> UniHomPoly:
-    """gcd in (s, t) of the six pairwise uv-resultants of the generators."""
+    """gcd in (s, t) of the pairwise uv-resultants of the generators.
+
+    A common zero makes every pairwise resultant vanish at its (s : t), so
+    once the gcd of a prefix of the six is the constant 1 the input is free
+    on this chart and the gcd of all six, which divides it, is 1 as well;
+    the loop stops there.
+    """
     deg = (inp.a, inp.b)
-    acc: Optional[UniHomPoly] = None
-    for i in range(4):
-        for j in range(i + 1, 4):
-            r = resultant_uv(inp.gens[i], inp.gens[j], deg, deg, inp.field.p)
-            acc = r if acc is None else uni_gcd(acc, r)
-    assert acc is not None
+    acc = UniHomPoly.zero(inp.field.p, 0)
+    for i, j in combinations(range(4), 2):
+        acc = uni_gcd(acc, resultant_uv(inp.gens[i], inp.gens[j], deg, deg,
+                                        inp.field.p))
+        if acc.degree == 0 and not acc.is_zero:
+            break
     return acc
 
 
@@ -462,8 +470,10 @@ def _probe_root(inp: SurfaceInput, s0: int, t0: int, rng
 def basepoint_check(inp: SurfaceInput) -> BasepointReport:
     """Screen the generators for common zeros on P^1 x P^1.
 
-    Constant resultant gcds on both charts prove there is none; otherwise
-    base-field roots of the gcds are probed for a confirmed common zero.
+    On each chart the pairwise resultants are taken only until a prefix of
+    them has constant gcd; constant gcds on both charts prove there is
+    none.  Otherwise base-field roots of the gcds, each over all six
+    resultants of its chart, are probed for a confirmed common zero.
     """
     rng = inp.field.rng("basepoints")
     g_uv = _resultant_gcd(inp)

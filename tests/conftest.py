@@ -24,6 +24,8 @@ CORPUS_SPECS = [
     GenSpec("dim2", 2, 5, 3, None),
     GenSpec("dim3", 2, 5, 3, (1,)),
     GenSpec("dim4", 2, 5, 3, (1, 1)),
+    GenSpec("dim2", 3, 2, 1, None),
+    GenSpec("dim3", 1, 5, 3, (1,)),
 ]
 
 CORPUS_SIZE_PER_SPEC = 20
@@ -66,7 +68,7 @@ def segre_input(field):
 
 @pytest.fixture(scope="session")
 def corpus():
-    """100 generated instances: 20 per configuration, all fully checked."""
+    """140 generated instances: 20 per configuration, all fully checked."""
     out = []
     for spec in CORPUS_SPECS:
         for index in range(CORPUS_SIZE_PER_SPEC):

@@ -1,8 +1,10 @@
-"""Source hygiene: every name a module of the package imports is used, and
-the documented flags of ``implicitize``/``verify`` are the parser's."""
+"""Source hygiene: every name a module of the package imports is used, the
+documented flags of ``implicitize``/``verify`` are the parser's, and every
+function the benchmark's tracer wraps still exists."""
 
 import argparse
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -90,3 +92,24 @@ def test_documented_flags_match_the_parser(command):
     documented = _documented_flags()
     assert parser_flags - documented == set(), "flags missing from the docs"
     assert documented - parser_flags == set(), "documented flags not parsed"
+
+
+def _perfbench_targets():
+    """``TARGETS`` of perfbench/spans.py, loaded without importing the
+    perfbench package."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+@pytest.mark.parametrize("target", _perfbench_targets(),
+                         ids=lambda t: f"{t[0]}.{t[1]}")
+def test_perfbench_span_targets_resolve(target):
+    module, attr = target[:2]
+    owner = importlib.import_module(module)
+    *path, leaf = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert leaf in owner.__dict__, f"{module}.{attr} is gone"

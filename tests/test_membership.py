@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import gauss_ref
 from tensurf import linalg, membership
 from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, HypothesisError,
                             UniHomPoly, parse_poly, uni_gcd)
@@ -151,6 +152,81 @@ def test_resultant_uv_detects_shared_uv_factor():
     g = parse_poly("t*u - s*v") * common
     r = membership.resultant_uv(f, g, (1, 2), (1, 2), P)
     assert r.is_zero
+
+
+def vandermonde_resultant(f, g, deg_f, deg_g, p):
+    """R(s, 1) from one Sylvester determinant per node s = 0..D and a
+    Gauss-Jordan solve of the Vandermonde system on those nodes."""
+    (cf, df), (cg, dg) = deg_f, deg_g
+    D = cf * dg + cg * df
+    rows = []
+    for s0 in range(D + 1):
+        sample = linalg.det_field(membership.sylvester_from_coeffs(
+            f.substitute_st(s0, 1, df).coeffs,
+            g.substitute_st(s0, 1, dg).coeffs, p), p)
+        rows.append([pow(s0, D - k, p) for k in range(D + 1)] + [sample])
+    reduced, pivots = gauss_ref.rref(rows, p)
+    assert pivots == list(range(D + 1))
+    return tuple(row[-1] for row in reduced)
+
+
+def random_bipoly_mod(rng, p, c, d):
+    while True:
+        f = BiPoly(p, {(c - j, j, d - l, l): rng.randrange(p)
+                       for j in range(c + 1) for l in range(d + 1)})
+        if not f.is_zero:
+            return f
+
+
+@pytest.mark.parametrize("p", [P, 65521])
+def test_resultant_uv_matches_a_vandermonde_solve(p):
+    rng = random.Random(p)
+    checked = 0
+    while checked < 12:
+        cf, df, cg, dg = (rng.randrange(4) for _ in range(4))
+        if cf * dg + cg * df == 0:
+            continue
+        f = random_bipoly_mod(rng, p, cf, df)
+        g = random_bipoly_mod(rng, p, cg, dg)
+        r = membership.resultant_uv(f, g, (cf, df), (cg, dg), p)
+        assert r.degree == cf * dg + cg * df
+        assert r.coeffs == vandermonde_resultant(f, g, (cf, df), (cg, dg), p)
+        checked += 1
+
+
+def test_resultant_uv_at_a_prime_just_above_the_degree():
+    # D = 2*3 + 2*3 = 12 and p = 13: the nodes 0..12 fill F_13 and 12! is -1
+    p = 13
+    rng = random.Random(13)
+    for _ in range(10):
+        f = random_bipoly_mod(rng, p, 2, 3)
+        g = random_bipoly_mod(rng, p, 2, 3)
+        r = membership.resultant_uv(f, g, (2, 3), (2, 3), p)
+        assert r.coeffs == vandermonde_resultant(f, g, (2, 3), (2, 3), p)
+    with pytest.raises(ValueError, match="prime too small"):
+        membership.resultant_uv(f, g, (2, 3), (2, 4), p)
+
+
+def test_resultant_uv_of_a_shared_uv_factor_is_zero():
+    rng = random.Random(151)
+    common = random_bipoly(rng, 1, 1)
+    f = random_bipoly(rng, 2, 2) * common
+    g = random_bipoly(rng, 1, 3) * common
+    want = vandermonde_resultant(f, g, (3, 3), (2, 4), P)
+    assert not any(want)
+    r = membership.resultant_uv(f, g, (3, 3), (2, 4), P)
+    assert r.degree == 3 * 4 + 2 * 3 and r.is_zero
+
+
+def test_resultant_uv_with_samples_vanishing_at_some_nodes():
+    # f vanishes identically at s = 0, 2 and 5 (t = 1)
+    rng = random.Random(157)
+    roots = parse_poly("s*(s - 2*t)*(s - 5*t)")
+    f = roots * random_bipoly(rng, 1, 3)
+    g = random_bipoly(rng, 3, 2)
+    r = membership.resultant_uv(f, g, (4, 3), (3, 2), P)
+    assert [k for k in range(r.degree + 1) if r.eval(k, 1) == 0] == [0, 2, 5]
+    assert r.coeffs == vandermonde_resultant(f, g, (4, 3), (3, 2), P)
 
 
 def test_content_and_coprimality():

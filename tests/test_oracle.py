@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from tensurf.oracle import (DetCertificate, basepoint_check,
                             implicit_by_elimination, implicitize,
                             verify_implicitization, _form_roots, _poly_roots,
                             _principal_lattice)
-from tensurf.bipoly import UniHomPoly
+from tensurf.bipoly import UniHomPoly, uni_gcd
 from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput
@@ -357,6 +358,29 @@ def test_form_roots_include_infinity():
 # ---------------------------------------------------------------------------
 # basepoint screen
 
+RATIONAL_BASEPOINT_GENERATORS = ["s^2*u^2", "s*t*u^2", "t^2*u^2",
+                                 "s^2*u*v + t^2*u*v"]
+
+
+def extension_field_generators():
+    """Bidegree (2, 3): a common irreducible quadratic factor u^2 - 3 v^2
+    (3 is a non-residue)."""
+    return [poly_to_str(parse_poly(cof, P) * parse_poly("u^2 - 3*v^2", P))
+            for cof in ["s^2*u", "s^2*v", "s*t*u", "t^2*v"]]
+
+
+def undetermined_generators():
+    """Bidegree (2, 2): common zeros exist only at ((w : 1), (w' : 1)) with
+    w^2 = 3, so the chart gcds are powers of irreducible quadratics with no
+    F_p roots."""
+    gens = []
+    for B, C in zip(["u^2", "u*v", "v^2", "u^2 + u*v"],
+                    ["s^2", "s*t", "t^2", "t^2 + s*t"]):
+        f = (parse_poly(B, P) * parse_poly("s^2 - 3*t^2", P)
+             + parse_poly(C, P) * parse_poly("u^2 - 3*v^2", P))
+        gens.append(poly_to_str(f))
+    return gens
+
 
 def test_basepoints_free_on_example(example_input):
     rep = basepoint_check(example_input)
@@ -365,8 +389,8 @@ def test_basepoints_free_on_example(example_input):
 
 
 def test_basepoints_found_with_rational_witness(field):
-    gens = ["s^2*u^2", "s*t*u^2", "t^2*u^2", "s^2*u*v + t^2*u*v"]
-    inp = SurfaceInput.from_strings(2, 2, gens, field)
+    inp = SurfaceInput.from_strings(2, 2, RATIONAL_BASEPOINT_GENERATORS,
+                                    field)
     rep = basepoint_check(inp)
     assert rep.status == "basepoint"
     assert rep.witness is not None
@@ -375,13 +399,8 @@ def test_basepoints_found_with_rational_witness(field):
 
 
 def test_basepoints_found_in_extension_field(field):
-    # common irreducible quadratic factor u^2 - 3 v^2 (3 is a non-residue)
     assert pow(3, (P - 1) // 2, P) == P - 1
-    gens = []
-    for cof in ["s^2*u", "s^2*v", "s*t*u", "t^2*v"]:
-        f = parse_poly(cof, P) * parse_poly("u^2 - 3*v^2", P)
-        gens.append(poly_to_str(f))
-    inp = SurfaceInput.from_strings(2, 3, gens, field)
+    inp = SurfaceInput.from_strings(2, 3, extension_field_generators(), field)
     rep = basepoint_check(inp)
     assert rep.status == "basepoint"
     assert rep.witness is None
@@ -389,20 +408,74 @@ def test_basepoints_found_in_extension_field(field):
 
 
 def test_basepoints_undetermined(field):
-    # common zeros exist only at ((w : 1), (w' : 1)) with w^2 = 3, so the
-    # chart gcds are powers of irreducible quadratics with no F_p roots
-    gens = []
-    for B, C in zip(["u^2", "u*v", "v^2", "u^2 + u*v"],
-                    ["s^2", "s*t", "t^2", "t^2 + s*t"]):
-        f = (parse_poly(B, P) * parse_poly("s^2 - 3*t^2", P)
-             + parse_poly(C, P) * parse_poly("u^2 - 3*v^2", P))
-        gens.append(poly_to_str(f))
-    inp = SurfaceInput.from_strings(2, 2, gens, field)
+    inp = SurfaceInput.from_strings(2, 2, undetermined_generators(), field)
     rep = basepoint_check(inp)
     assert rep.status == "undetermined"
     assert rep.candidates == ()
     assert rep.g_uv.degree == 4
     assert rep.g_st.degree == 4
+
+
+def gcd_of_all_six_resultants(inp):
+    acc = UniHomPoly.zero(P, 0)
+    for i, j in combinations(range(4), 2):
+        acc = uni_gcd(acc, oracle.resultant_uv(
+            inp.gens[i], inp.gens[j], (inp.a, inp.b), (inp.a, inp.b), P))
+    return acc
+
+
+@pytest.fixture(scope="module")
+def screen_inputs(field, example_input, segre_input):
+    planted = generate(GenSpec("dim2", 2, 3, 2, None), index=0, seed=0).input
+    return {
+        "worked": example_input,
+        "segre": segre_input,
+        "rational-basepoint": SurfaceInput.from_strings(
+            2, 2, RATIONAL_BASEPOINT_GENERATORS, field),
+        "extension-field": SurfaceInput.from_strings(
+            2, 3, extension_field_generators(), field),
+        "undetermined": SurfaceInput.from_strings(
+            2, 2, undetermined_generators(), field),
+        # the dim2 plant draws g0 = h1 * w and g1 = -h0 * w for one w of
+        # bidegree (a, b - n), so Res(g0, g1) vanishes on both charts
+        "planted-dim2": planted,
+    }
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["uv", "st"])
+def test_resultant_gcd_stops_at_the_gcd_of_all_six(screen_inputs, mirror):
+    for name, inp in screen_inputs.items():
+        if mirror:
+            inp = inp.mirror()
+        assert oracle._resultant_gcd(inp) == gcd_of_all_six_resultants(inp), \
+            name
+
+
+def test_planted_dim2_pair_has_a_zero_resultant(screen_inputs):
+    inp = screen_inputs["planted-dim2"]
+    for chart in (inp, inp.mirror()):
+        deg = (chart.a, chart.b)
+        assert oracle.resultant_uv(chart.gens[0], chart.gens[1], deg, deg,
+                                   P).is_zero
+    assert basepoint_check(inp).status == "free"
+
+
+def test_screen_takes_a_prefix_of_the_resultants_on_the_worked_surface(
+        example_input, monkeypatch):
+    calls = []
+    resultant_uv = oracle.resultant_uv
+
+    def counted(*args):
+        calls.append(args)
+        return resultant_uv(*args)
+
+    monkeypatch.setattr(oracle, "resultant_uv", counted)
+    assert oracle._resultant_gcd(example_input).coeffs == (1,)
+    assert len(calls) == 3
+    assert oracle._resultant_gcd(example_input.mirror()).coeffs == (1,)
+    assert len(calls) == 3 + 5
+    assert basepoint_check(example_input).status == "free"
+    assert len(calls) == 2 * (3 + 5)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +493,8 @@ def test_implicitize_full_pipeline(example_input):
 
 
 def test_implicitize_rejects_basepoints(field):
-    gens = ["s^2*u^2", "s*t*u^2", "t^2*u^2", "s^2*u*v + t^2*u*v"]
-    inp = SurfaceInput.from_strings(2, 2, gens, field)
+    inp = SurfaceInput.from_strings(2, 2, RATIONAL_BASEPOINT_GENERATORS,
+                                    field)
     with pytest.raises(HypothesisError):
         implicitize(inp)
     # skipping the screen defers detection to the certificate, which sees
