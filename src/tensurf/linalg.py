@@ -25,13 +25,17 @@ on two primitives:
   ``matrix_inverse`` all start from it and back-substitute, by blocks,
   through the same triangular solve.
 
-``batch_det`` takes a stack of small determinants at once (lattice
-certificates, resultant samples).  It works on blocks laid out (n, n, m),
-batch axis last, so that every update streams along contiguous memory, and
-it reduces mod p lazily: pivot rows and multipliers are lifted to balanced
-residues in [-h, h], h = (p - 1) // 2, so each rank-one term is at most
-h**2 in magnitude, and an entry takes up to K updates between reductions,
-where K * h**2 + p < 2**63 <= (K + 1) * h**2 + p (K = 8 at p = 2**31 - 1).
+``det_block`` takes many small determinants at once.  It eliminates, in
+place, a block of m matrices laid out (n, n, m), batch axis last, so that
+every update streams along contiguous memory, and it reduces mod p lazily:
+pivot rows and multipliers are lifted to balanced residues in [-h, h],
+h = (p - 1) // 2, so each rank-one term is at most h**2 in magnitude, and
+an entry takes up to K updates between reductions, where
+K * h**2 + p < 2**63 <= (K + 1) * h**2 + p (K = 8 at p = 2**31 - 1).
+``Strand.det_at_many`` (the lattice certificate) builds its blocks in that
+layout and hands them over directly; ``batch_det`` copies an (N, n, n)
+stack into blocks for every other caller (the Sylvester matrices of
+``membership.resultant_uv``).
 
 Conventions fixed here and relied on throughout:
 
@@ -324,17 +328,20 @@ def _inverse_many(x: Vector, p: int) -> Vector:
     return inv[:x.size]
 
 
-def _det_block(M: NDArray[np.int64], p: int, period: int) -> Vector:
+def det_block(M: NDArray[np.int64], p: int) -> Vector:
     """Determinants of the m matrices of an (n, n, m) block, in place.
 
-    Entries start in [0, p).  ``pending[i, j]`` counts the unreduced
-    updates entry (i, j) has taken; the whole block shares it, because rows
-    and columns are chosen for the block, not per matrix.  A matrix with no
-    pivot in a column has determinant 0; its elimination goes on with pivot
-    1 and its result is ignored.
+    Entries start in [0, p); the block is overwritten.  ``pending[i, j]``
+    counts the unreduced updates entry (i, j) has taken; the whole block
+    shares it, because rows and columns are chosen for the block, not per
+    matrix.  An entry is reduced before its (K + 1)-th unreduced update, K
+    from ``_reduction_period``.  A matrix with no pivot in a column has
+    determinant 0; its elimination goes on with pivot 1 and its result is
+    ignored.  The elimination steps are listed under ``batch_det``.
     """
     n, m = M.shape[0], M.shape[2]
     h = (p - 1) // 2
+    period = _reduction_period(p)
     det = np.ones(m, dtype=np.int64)
     pending = np.zeros((n, n), dtype=np.int64)
     for c in range(n):
@@ -397,9 +404,9 @@ def batch_det(mats, p: int) -> Vector:
     ``mats`` has shape (N, n, n); the result has shape (N,); p is an odd
     prime below 2**31.  The stack is copied, reduced, into blocks of at
     most ``DET_BLOCK`` elements laid out (n, n, m), batch axis last, and
-    each block runs one elimination with per-matrix pivot choice (first
-    nonzero entry at or below the diagonal), swap signs and singular
-    drop-out.  Per column:
+    ``det_block`` eliminates each block in place with per-matrix pivot
+    choice (first nonzero entry at or below the diagonal), swap signs and
+    singular drop-out.  Per column:
 
     * the pivot column is reduced exactly before the pivot search, and the
       pivot row before it is used;
@@ -422,11 +429,10 @@ def batch_det(mats, p: int) -> Vector:
     n_mats, n = A.shape[0], A.shape[1]
     stack = np.moveaxis(A, 0, -1)
     step = max(1, DET_BLOCK // max(1, n * n))
-    period = _reduction_period(p)
     block = np.empty((n, n, min(step, n_mats)), dtype=np.int64)
     out = np.empty(n_mats, dtype=np.int64)
     for lo in range(0, n_mats, step):
         M = block[:, :, :min(step, n_mats - lo)]
         np.remainder(stack[:, :, lo:lo + step], p, out=M)
-        out[lo:lo + step] = _det_block(M, p, period)
+        out[lo:lo + step] = det_block(M, p)
     return out

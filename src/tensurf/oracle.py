@@ -12,13 +12,14 @@ image.  The oracle first reads d off one generic fiber (two resultants of
 pulled-back planes through a random image point share exactly its d
 preimages), then solves one near-square system at degree e on C(e+3, 3) + 8
 random image points.  A one-dimensional kernel there is proved exact by
-evaluating its vector on the product grid.  The sampled kernel contains the
-true one, so the true kernel at degree e is then that line; and since a
-nonzero form f of degree k < e vanishing on the image would give the
-C(e-k+3, 3) >= 4 independent multiples f * x^m at degree e, every lower
-degree has a zero kernel.  Any other outcome runs the degree scan, which
-computes the kernel of every degree 1, 2, ... on its grid up to the first
-nonzero one.  The result is the same either way.
+evaluating its form, term by term on its nonzero coefficients, at the image
+of the product grid.  The sampled kernel contains the true one, so the true
+kernel at degree e is then that line; and since a nonzero form f of degree
+k < e vanishing on the image would give the C(e-k+3, 3) >= 4 independent
+multiples f * x^m at degree e, every lower degree has a zero kernel.  Any
+other outcome runs the degree scan, which computes the kernel of every
+degree 1, 2, ... on its grid up to the first nonzero one.  The result is
+the same either way.
 
 The module also proves that the strand-matrix determinant is a scalar
 multiple of a power of the recovered equation, and screens the input for
@@ -86,9 +87,6 @@ class OracleResult:
         return self.kernel_dims[-1][1]
 
 
-# Elements of one evaluation block in the exact grid check; bounds its
-# memory (the (3, 5) grid alone is 13741 points x 5456 monomials).
-_CHECK_CHUNK = 1 << 20
 # Random image points beyond the number of unknowns in the hinted solve.
 _SAMPLE_MARGIN = 8
 
@@ -141,12 +139,9 @@ def _normalized(vec: NDArray[np.int64], p: int) -> NDArray[np.int64]:
 def _vanishes_at(degree: int, points: NDArray[np.int64], vec: NDArray[np.int64],
                  p: int) -> bool:
     """Exact test that the form with coefficients ``vec`` is zero at every
-    point, evaluated in row blocks of about ``_CHECK_CHUNK`` elements."""
-    step = max(1, _CHECK_CHUNK // len(vec))
-    return not any(
-        linalg.matmul_mod(eval_matrix(degree, points[lo:lo + step], p),
-                          vec[:, None], p).any()
-        for lo in range(0, len(points), step))
+    point.  The form is evaluated term by term on its nonzero coefficients
+    only (``XPoly.eval_many``, which chunks the points)."""
+    return not XPoly.from_coeff_vector(p, degree, vec).eval_many(points).any()
 
 
 def check_prime_floor(a: int, b: int, p: int) -> None:
@@ -259,11 +254,12 @@ class DetCertificate:
 
 
 def _principal_lattice(degree: int) -> NDArray[np.int64]:
-    """The C(degree + 3, 3) points (1, i, j, k) with i + j + k <= degree."""
-    return np.array([(1, i, j, k)
-                     for i in range(degree + 1)
-                     for j in range(degree + 1 - i)
-                     for k in range(degree + 1 - i - j)], dtype=np.int64)
+    """The C(degree + 3, 3) points (1, i, j, k) with i + j + k <= degree,
+    in lexicographic order of (i, j, k)."""
+    i, j, k = np.indices((degree + 1,) * 3, dtype=np.int64).reshape(3, -1)
+    keep = i + j + k <= degree
+    i, j, k = i[keep], j[keep], k[keep]
+    return np.stack([np.ones_like(i), i, j, k], axis=1)
 
 
 def verify_implicitization(strand: Strand, oracle: OracleResult,

@@ -49,24 +49,30 @@ class Strand:
     def det_at_many(self, points: np.ndarray) -> np.ndarray:
         """Determinants at each row of an (N, 4) point array, chunked.
 
-        Each chunk of points is built as one (size, size, m) array, batch
-        axis last, the layout ``linalg.batch_det`` eliminates in, and holds
-        at most ``linalg.DET_BLOCK`` elements.  The scalar matrices are
-        accumulated one coordinate at a time and reduced after each added
-        term: two products of residues sum to at most 2 (p - 1)^2 < 2^63.
+        Only the nonzero rows of the (size**2, 4) coefficient table are
+        evaluated.  Coefficients and coordinates are lifted once to
+        balanced residues in [-h, h], h = (p - 1) // 2, so an entry's value
+        sum_k coef_k * x_k is at most 4 * h**2 < 2**62 in magnitude and
+        takes a single reduction.  Each chunk of points scatters its values
+        into a zeroed (size, size, m) block, batch axis last, of at most
+        ``linalg.DET_BLOCK`` elements, and ``linalg.det_block`` eliminates
+        that block in place.
         """
         p, n = self.p, self.size
-        xs = np.ascontiguousarray((np.asarray(points, dtype=np.int64) % p).T)
-        coords = np.ascontiguousarray(np.moveaxis(self.tensor, 2, 0))[..., None]
+        h = (p - 1) // 2
+        table = self.tensor.reshape(n * n, 4) % p
+        rows = np.flatnonzero(table.any(axis=1))
+        coef = table[rows]
+        coef -= p * (coef > h)
+        xs = np.asarray(points, dtype=np.int64) % p
+        xs -= p * (xs > h)
         step = max(1, linalg.DET_BLOCK // (n * n))
-        out = np.empty(xs.shape[1], dtype=np.int64)
-        for lo in range(0, xs.shape[1], step):
-            x = xs[:, lo:lo + step]
-            mats = coords[0] * x[0]
-            for k in range(1, 4):
-                mats += coords[k] * x[k]
-                mats %= p
-            out[lo:lo + step] = linalg.batch_det(np.moveaxis(mats, 2, 0), p)
+        out = np.empty(len(xs), dtype=np.int64)
+        for lo in range(0, len(xs), step):
+            vals = coef @ xs[lo:lo + step].T
+            block = np.zeros((n * n, vals.shape[1]), dtype=np.int64)
+            block[rows] = vals % p
+            out[lo:lo + step] = linalg.det_block(block.reshape(n, n, -1), p)
         return out
 
 

@@ -199,6 +199,24 @@ def test_batch_det_across_block_boundaries(monkeypatch):
 
 
 @pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("n", [1, 2, 20, 33])
+def test_det_block_matches_batch_det_and_det_field(p, n):
+    # the reference families, plus two stacks whose equal-signed updates
+    # force reductions; the block is split across two in-place calls
+    mats = _det_stack(p, n, seed=n + p % 1000)
+    if n > 2:
+        mats = np.concatenate([mats, np.stack(
+            [_lu_stack(p, n, []), _lu_stack(p, n, [1, n // 2])])])
+    want = [linalg.det_field(M, p) for M in mats]
+    assert linalg.batch_det(mats, p).tolist() == want
+    block = np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+    cut = len(mats) // 2
+    got = np.concatenate([linalg.det_block(block[:, :, :cut], p),
+                          linalg.det_block(block[:, :, cut:], p)])
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_reduction_period_is_the_largest_safe_one(p):
     K = linalg._reduction_period(p)
     h = (p - 1) // 2

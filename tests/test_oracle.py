@@ -19,7 +19,8 @@ from tensurf.bipoly import UniHomPoly, uni_gcd
 from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput
-from tensurf.xpoly import linear_substitute, parse_xpoly, vanishes_on_map
+from tensurf.xpoly import (XPoly, eval_matrix, linear_substitute,
+                           parse_xpoly, vanishes_on_map)
 
 P = DEFAULT_PRIME
 
@@ -160,6 +161,73 @@ def test_failed_grid_check_falls_back_to_the_scan(example_input,
     assert implicit_by_elimination(example_input) == want
     assert seen == [10]
     assert len(calls) == 1 + 10
+
+
+# The exact grid check evaluates the candidate's nonzero terms with
+# XPoly.eval_many; the reference multiplies the dense monomial evaluation
+# matrix by the coefficient vector.
+
+
+def _grid_reference(degree, points, vec, p):
+    return linalg.matmul_mod(eval_matrix(degree, points, p), vec[:, None],
+                             p)[:, 0]
+
+
+def _oracle_grid(inp, e):
+    """The image of the oracle's (e*a + 1) x (e*b + 1) product grid."""
+    a, b = inp.a, inp.b
+    rng = inp.field.rng("oracle")
+    t_nodes = rng.sample(range(P), 2 * a * b * a + 1)[:e * a + 1]
+    v_nodes = rng.sample(range(P), 2 * a * b * b + 1)[:e * b + 1]
+    params = np.array([(1, t, 1, v) for t in t_nodes for v in v_nodes],
+                      dtype=np.int64)
+    return np.stack([g.eval_many(params) for g in inp.gens], axis=1)
+
+
+@pytest.mark.parametrize("p", [P, 65521])
+def test_vanishes_at_agrees_with_the_evaluation_matrix(p):
+    # quartics through the points with x1 = 0 or x2 = x3 (one sparse, one
+    # dense) and a random dense quartic, at points with zero coordinates
+    rng = np.random.default_rng(p % 1000)
+    pts = rng.integers(0, p, size=(40, 4), dtype=np.int64)
+    pts[rng.random(pts.shape) < 0.3] = 0
+    pts[::5, 3] = pts[::5, 2]
+    through = parse_xpoly("x1*x2 - x1*x3", p)
+    quadric = XPoly.from_coeff_vector(p, 2, rng.integers(0, p, 10))
+    forms = [through * parse_xpoly("x0^2 + 3*x3^2", p), through * quadric,
+             XPoly.from_coeff_vector(p, 4, rng.integers(0, p, 35))]
+    zeros = []
+    for f in forms:
+        vec = f.coeff_vector(4)
+        want = _grid_reference(4, pts, vec, p) == 0
+        got = [oracle._vanishes_at(4, pts[i:i + 1], vec, p)
+               for i in range(len(pts))]
+        assert got == want.tolist()
+        assert oracle._vanishes_at(4, pts[want], vec, p)
+        assert not oracle._vanishes_at(4, pts, vec, p)
+        zeros.append(int(want.sum()))
+    assert zeros[0] >= 8 and zeros[1] >= 8
+
+
+@pytest.mark.parametrize("name", ["worked", "segre"])
+def test_grid_check_accepts_the_equation_and_rejects_a_change(
+        name, example_input, example_oracle, segre_input):
+    # worked: F of degree 10; Segre: the sparse quadric x0*x3 - x1*x2
+    if name == "worked":
+        inp, orc = example_input, example_oracle
+    else:
+        inp, orc = segre_input, implicit_by_elimination(segre_input)
+    e = orc.degree
+    pts = _oracle_grid(inp, e)
+    vec = orc.f.coeff_vector(e)
+    assert oracle._vanishes_at(e, pts, vec, P)
+    assert not _grid_reference(e, pts, vec, P).any()
+    # change a nonzero coefficient, then add a term
+    for pos in (int(np.flatnonzero(vec)[-1]), int(np.flatnonzero(vec == 0)[0])):
+        bumped = vec.copy()
+        bumped[pos] = (bumped[pos] + 1) % P
+        assert not oracle._vanishes_at(e, pts, bumped, P)
+        assert _grid_reference(e, pts, bumped, P).any()
 
 
 def test_hint_leaves_a_dead_grid_point_to_the_scan(field, monkeypatch):

@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from tensurf import linalg
 from tensurf.bipoly import DEFAULT_PRIME
@@ -63,6 +64,65 @@ def test_det_at_many_matches_single_eval(example_strand):
         assert int(batch[k]) == example_strand.det_at(pts[k])
 
 
+# det_at_many evaluates only the nonzero rows of the coefficient table, on
+# balanced residues, with one reduction per entry; det_at builds each matrix
+# entry by entry.  Coefficients and coordinates sit at h, h + 1 (which lifts
+# to -h) and p - 1, where an unreduced or overflowing sum would show.
+
+
+def _edge_strand(p, size, seed):
+    """Sparse random strand, half of its nonzero coefficients at the edges."""
+    rng = np.random.default_rng(seed)
+    h = (p - 1) // 2
+    tensor = rng.integers(0, p, size=(size, size, 4), dtype=np.int64)
+    at_edge = rng.random(tensor.shape) < 0.5
+    tensor[at_edge] = rng.choice([h, h + 1, p - 1], int(at_edge.sum()))
+    tensor[rng.random(tensor.shape) < 0.4] = 0
+    return Strand(p=p, a=1, b=size // 2, size=size, tensor=tensor,
+                  column_labels=())
+
+
+def _edge_points(p, count, seed):
+    """Points with every coordinate at 0, 1, h, h + 1 or p - 1, plus random
+    ones; the constant points (h, h, h, h) etc. come first."""
+    rng = np.random.default_rng(seed)
+    h = (p - 1) // 2
+    edges = np.array([0, 1, h, h + 1, p - 1], dtype=np.int64)
+    const = np.repeat(edges[2:, None], 4, axis=1)
+    mixed = rng.choice(edges, size=(count, 4))
+    plain = rng.integers(0, p, size=(count, 4), dtype=np.int64)
+    return np.concatenate([const, mixed, plain])
+
+
+def _assert_det_at_many_exact(strand, pts):
+    batch = strand.det_at_many(pts)
+    assert batch.shape == (len(pts),)
+    assert [int(x) for x in batch] == [strand.det_at(y) for y in pts]
+
+
+# P, a 16-bit prime, and 23, the first prime above the strand size 20
+@pytest.mark.parametrize("p, size", [(P, 12), (65521, 12), (23, 20)])
+def test_det_at_many_exact_at_residue_edges(p, size):
+    strand = _edge_strand(p, size, seed=size + p % 1000)
+    _assert_det_at_many_exact(strand, _edge_points(p, 12, seed=p % 97))
+
+
+@pytest.mark.parametrize("p", [P, 65521])
+def test_det_at_many_on_a_zero_row_and_a_zero_coordinate(p):
+    pts = _edge_points(p, 8, seed=5)
+    strand = _edge_strand(p, 10, seed=7)
+    zero_row = strand.tensor.copy()
+    zero_row[4] = 0
+    singular = Strand(p=p, a=1, b=5, size=10, tensor=zero_row,
+                      column_labels=())
+    assert not singular.det_at_many(pts).any()
+    _assert_det_at_many_exact(singular, pts)
+    no_x2 = strand.tensor.copy()
+    no_x2[:, :, 2] = 0
+    _assert_det_at_many_exact(
+        Strand(p=p, a=1, b=5, size=10, tensor=no_x2, column_labels=()), pts)
+
+
 def test_det_at_many_across_chunk_boundaries(monkeypatch):
     # 11 points in chunks of 4 (the last one partial); random entries and
     # coordinates near p make every product of residues close to p^2, so a
@@ -78,9 +138,10 @@ def test_det_at_many_across_chunk_boundaries(monkeypatch):
     pts = np.array([[P - 1 - rng.randrange(3) for _ in range(4)]
                     for _ in range(5)]
                    + [random_point(rng) for _ in range(6)], dtype=np.int64)
-    batch = strand.det_at_many(pts)
-    assert batch.shape == (11,)
-    assert [int(x) for x in batch] == [strand.det_at(y) for y in pts]
+    _assert_det_at_many_exact(strand, pts)
+    # 3 + 2 * 7 = 17 edge points in chunks of 2 on a size-8 edge strand
+    _assert_det_at_many_exact(_edge_strand(P, 8, seed=41),
+                              _edge_points(P, 7, seed=43))
 
 
 def test_reconstruct_det_agrees_with_eval(example_strand):
