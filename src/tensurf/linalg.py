@@ -185,18 +185,20 @@ def _eliminate(M: Matrix, c0: int, c1: int, pivots: list[int], p: int) -> int:
     for c in range(c0, c1):
         if r == n_rows:
             break
-        nz = np.flatnonzero(M[r:, c])
-        if not nz.size:
-            continue
-        if nz[0]:
-            pr = r + int(nz[0])
+        piv = int(M[r, c])
+        if not piv:
+            nz = M[r + 1:, c].nonzero()[0]
+            if not nz.size:
+                continue
+            pr = r + 1 + int(nz[0])
             M[[r, pr]] = M[[pr, r]]
             swaps += 1
-        if nz.size > 1:
-            lower = M[r + 1:, c] * pow(int(M[r, c]), -1, p) % p
-            M[r + 1:, c] = lower
-            M[r + 1:, c + 1:c1] = (M[r + 1:, c + 1:c1]
-                                   - lower[:, None] * M[r, c + 1:c1]) % p
+            piv = int(M[r, c])
+        # with no nonzero entry below the pivot this is a no-op
+        lower = M[r + 1:, c] * pow(piv, -1, p) % p
+        M[r + 1:, c] = lower
+        M[r + 1:, c + 1:c1] = (M[r + 1:, c + 1:c1]
+                               - lower[:, None] * M[r, c + 1:c1]) % p
         pivots.append(c)
         r += 1
     return swaps
@@ -255,21 +257,23 @@ def kernel_basis(mat, p: int) -> list[Vector]:
     return out
 
 
-def solve_particular(mat, rhs, p: int) -> Vector | None:
+def solve_particular(mat, rhs, p: int) -> Matrix | None:
     """One solution of mat @ x = rhs with all free variables set to 0.
 
-    Returns None when the system is inconsistent.
+    ``rhs`` is a vector, or an (n, k) matrix whose k columns are solved in
+    one elimination; x then has k columns, each the solution of its own.
+    Returns None when any column is inconsistent.
     """
     A = as_matrix(mat, p)
-    b = as_matrix(rhs, p).reshape(-1, 1)
-    M = np.hstack([A, b])
+    b = as_matrix(rhs, p)
+    M = np.hstack([A, b.reshape(A.shape[0], -1)])
     n_cols = A.shape[1]
     pivots, _ = _ple(M, p)
-    if pivots and pivots[-1] == n_cols:
+    if pivots and pivots[-1] >= n_cols:
         return None
-    x = np.zeros(n_cols, dtype=np.int64)
-    x[pivots] = _back_substitute(M, pivots, [n_cols], p)[:, 0]
-    return x
+    x = np.zeros((n_cols, M.shape[1] - n_cols), dtype=np.int64)
+    x[pivots] = _back_substitute(M, pivots, slice(n_cols, None), p)
+    return x.reshape((n_cols,) + b.shape[1:])
 
 
 def det_field(mat, p: int) -> int:
@@ -309,7 +313,7 @@ def _reduction_period(p: int) -> int:
     return (2 ** 63 - 1 - p) // (h * h)
 
 
-def _inverse_many(x: Vector, p: int) -> Vector:
+def inverse_many(x: Vector, p: int) -> Vector:
     """Inverses mod p of nonzero residues from one modular inverse.
 
     Montgomery's trick on a product tree: pairwise products up to the root,
@@ -381,7 +385,7 @@ def det_block(M: NDArray[np.int64], p: int) -> Vector:
         cols = c + 1 + np.flatnonzero(M[c, c + 1:].any(axis=1))
         if not cols.size:
             continue
-        mult = M[rows, c] * _inverse_many(piv, p) % p
+        mult = M[rows, c] * inverse_many(piv, p) % p
         mult -= p * (mult > h)
         row = M[c, cols]
         row -= p * (row > h)

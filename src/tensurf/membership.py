@@ -8,9 +8,10 @@ d >= m + n - 1 is surjective.  `two_gen_solve` solves
 
     target = x0 * h0 + x1 * h1
 
-slice by slice over the s,t-monomials of the target, with free variables set
-to zero, so the answer is canonical.  `psi_solve` plays the same game against
-a graded syzygy matrix with a unique solution.  `resultant_uv` samples the
+slice by slice over the s,t-monomials of the target, all slices as the
+columns of one right-hand side of a single elimination, with free variables
+set to zero, so the answer is canonical.  `psi_solve` plays the same game
+against a graded syzygy matrix with a unique solution.  `resultant_uv` samples the
 (u, v)-resultant of two bigraded forms at s = 0..D and recovers it by Newton
 interpolation on those consecutive nodes, in O(D^2) operations.
 """
@@ -84,8 +85,9 @@ def two_gen_solve(target: BiPoly, h0: UniHomPoly, h1: UniHomPoly,
     """Canonical membership certificate of target in (h0, h1).
 
     Requires unit gcd and target uv-degree >= deg h0 + deg h1 - 1.  Solved
-    slice by slice over s^i t^(c-i) with free variables zero; the result is
-    verified exactly before returning.
+    slice by slice over s^i t^(c-i), every slice a column of one
+    right-hand side, with free variables zero; the result is verified
+    exactly before returning.
     """
     p = h0.p
     common = uni_gcd(h0, h1)
@@ -103,14 +105,14 @@ def two_gen_solve(target: BiPoly, h0: UniHomPoly, h1: UniHomPoly,
             f"{h0.degree + h1.degree - 1}")
     M = pair_system(h0, h1, d, p)
     e0 = d - h0.degree
-    slices0, slices1 = [], []
-    for sl in target.st_slices(c, d):
-        x = linalg.solve_particular(M, np.array(sl.coeffs, dtype=np.int64), p)
-        if x is None:
-            raise CertificateError("membership system unexpectedly inconsistent")
-        slices0.append(UniHomPoly(p, e0, tuple(int(t) for t in x[:e0 + 1])))
-        slices1.append(UniHomPoly(p, d - h1.degree,
-                                  tuple(int(t) for t in x[e0 + 1:])))
+    rhs = np.array([sl.coeffs for sl in target.st_slices(c, d)],
+                   dtype=np.int64).T
+    x = linalg.solve_particular(M, rhs, p)
+    if x is None:
+        raise CertificateError("membership system unexpectedly inconsistent")
+    slices0 = [UniHomPoly(p, e0, tuple(col[:e0 + 1])) for col in x.T.tolist()]
+    slices1 = [UniHomPoly(p, d - h1.degree, tuple(col[e0 + 1:]))
+               for col in x.T.tolist()]
     x0 = BiPoly.from_st_slices(slices0, c, p)
     x1 = BiPoly.from_st_slices(slices1, c, p)
     resid = target - x0 * h0.to_bipoly() - x1 * h1.to_bipoly()
@@ -148,19 +150,19 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
     M = np.stack(cols, axis=1)
     if linalg.kernel_basis(M, p):
         raise CertificateError("psi is not injective in the solve degree")
-    slices: list[list[UniHomPoly]] = [[] for _ in mus]
-    for pos in range(a + 1):
-        rhs = np.concatenate([
-            np.array(f.st_slices(a, b)[pos].coeffs, dtype=np.int64)
-            for f in f_prime])
-        x = linalg.solve_particular(M, rhs, p)
-        if x is None:
-            raise CertificateError("f_prime is not in the image of psi")
-        off = 0
-        for j, size in enumerate(blocks):
-            slices[j].append(UniHomPoly(p, b - mus[j],
-                                        tuple(int(t) for t in x[off:off + size])))
-            off += size
+    # column pos stacks the pos-th (s, t)-slice of every f_prime entry
+    rhs = np.concatenate([
+        np.array([sl.coeffs for sl in f.st_slices(a, b)], dtype=np.int64).T
+        for f in f_prime])
+    x = linalg.solve_particular(M, rhs, p)
+    if x is None:
+        raise CertificateError("f_prime is not in the image of psi")
+    slices: list[list[UniHomPoly]] = []
+    off = 0
+    for j, size in enumerate(blocks):
+        slices.append([UniHomPoly(p, b - mus[j], tuple(col))
+                       for col in x[off:off + size].T.tolist()])
+        off += size
     alphas = [BiPoly.from_st_slices(sl, a, p) for sl in slices]
     # exact verification
     for i in range(k):

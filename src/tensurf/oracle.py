@@ -10,16 +10,27 @@ of distinct affine nodes forces it to vanish identically.
 The degree of F is e = 2ab / d, where d is the degree of the map onto its
 image.  The oracle first reads d off one generic fiber (two resultants of
 pulled-back planes through a random image point share exactly its d
-preimages), then solves one near-square system at degree e on C(e+3, 3) + 8
-random image points.  A one-dimensional kernel there is proved exact by
-evaluating its form, term by term on its nonzero coefficients, at the image
-of the product grid.  The sampled kernel contains the true one, so the true
-kernel at degree e is then that line; and since a nonzero form f of degree
-k < e vanishing on the image would give the C(e-k+3, 3) >= 4 independent
-multiples f * x^m at degree e, every lower degree has a zero kernel.  Any
-other outcome runs the degree scan, which computes the kernel of every
-degree 1, 2, ... on its grid up to the first nonzero one.  The result is
-the same either way.
+preimages), then peels a candidate off e + 1 random planes H_k = {m_k = 0}:
+F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)), each G_k a form of degree
+e - k in x1, x2, x3 found by a small exact solve on F_p-points of the image
+X on H_k (see :mod:`tensurf.planes`).  Two facts prove the candidate:
+
+(a) it vanishes, term by term on its nonzero coefficients, at the image of
+    the product grid, so F(g0..g3) = 0;
+(b') the degree-e forms in x1, x2, x3 vanishing at the level-0 samples,
+    points of X checked exactly to lie on H_0, are the line of G_0.  So no
+    nonzero form q of degree e - 1 vanishes there: x1 q, x2 q and x3 q
+    would be three such forms.
+
+Let G be the minimal equation of X.  By (a), G divides F.  F is G_0 on H_0,
+and G_0 is not zero, so m_0 does not divide F, G is not m_0, and G on H_0
+is a nonzero form of degree deg G vanishing at the samples; by (b'),
+deg G >= e.  So F = c G: the kernel at degree e is a line and every lower
+degree has a zero kernel.  Any other outcome (too few points, a level-0
+kernel that is not a line, an inconsistent level solve, a failed or dead
+grid) runs the degree scan, which computes the kernel of every degree 1,
+2, ... on its grid up to the first nonzero one.  The result is the same
+either way.
 
 The module also proves that the strand-matrix determinant is a scalar
 multiple of a power of the recovered equation, and screens the input for
@@ -45,12 +56,13 @@ from .bipoly import (BiPoly, CertificateError, FieldConfig, HypothesisError,
                      _upoly_mul, _upoly_strip, uni_gcd)
 from .cases import CaseResult, run_case
 from .membership import resultant_uv
+from .planes import peel
 # reconstruct_det, divide_with_remainder and linear_substitute are unused
 # here; perfbench/spans.py wraps them in this module's namespace.
 from .strand import Strand, build_strand, reconstruct_det  # noqa: F401
 from .syzygy import SurfaceInput, VAnalysis, analyze
 from .xpoly import (XPoly, divide_with_remainder, eval_matrix,  # noqa: F401
-                    grid_from_bipoly, linear_substitute, num_monomials)
+                    grid_from_bipoly, linear_substitute)
 
 __all__ = [
     "check_prime_floor", "OracleResult", "implicit_by_elimination",
@@ -73,8 +85,10 @@ class OracleResult:
     of one identifies the unique minimal equation; a larger value signals
     that the image is not a hypersurface of that degree (the first canonical
     kernel vector is still returned, and downstream certification will
-    reject it).  When the equation was found at the hinted degree, the
-    zero dimensions below it are proved rather than computed.
+    reject it).  When the equation was peeled off plane sections at the
+    hinted degree e, the dimension 1 at e and the zero dimensions below it
+    are proved (facts (a) and (b') of the module docstring) rather than
+    computed.
     """
 
     f: XPoly
@@ -85,10 +99,6 @@ class OracleResult:
     @property
     def kernel_dim(self) -> int:
         return self.kernel_dims[-1][1]
-
-
-# Random image points beyond the number of unknowns in the hinted solve.
-_SAMPLE_MARGIN = 8
 
 
 def _fiber_degree(inp: SurfaceInput) -> Optional[int]:
@@ -161,15 +171,15 @@ def check_prime_floor(a: int, b: int, p: int) -> None:
 def implicit_by_elimination(inp: SurfaceInput) -> OracleResult:
     """The minimal implicit equation of the image, normalized to a leading 1.
 
-    First, at the hinted degree e = 2ab / d (d from :func:`_fiber_degree`),
-    one kernel is solved on C(e+3, 3) + 8 random image points.  If it is a
-    line, its vector is checked exactly on the image of the
-    (e*a + 1) x (e*b + 1) product grid; passing proves that the image has a
-    unique equation of degree e and none of lower degree (see the module
-    docstring), so the degrees below e are reported with kernel dimension
-    0 without being computed.  Otherwise the degrees 1..2ab are scanned in
-    order on product grids up to the first nonzero kernel.  Both paths
-    return the same result.
+    At the degree e = 2ab / d (d from :func:`_fiber_degree`), a candidate is
+    peeled off e + 1 random plane sections (:func:`tensurf.planes.peel`)
+    and checked exactly on the image of the (e*a + 1) x (e*b + 1) product
+    grid.  With the level-0 kernel of the peel a line, passing proves it is
+    the equation and that no lower degree has one (b' in the module
+    docstring), so those degrees are reported with kernel dimension 0
+    without being computed.  Any failure scans the degrees 1..2ab in order
+    on product grids up to the first nonzero kernel.  Both paths return the
+    same result.
     """
     p, a, b = inp.field.p, inp.a, inp.b
     check_prime_floor(a, b, p)
@@ -193,23 +203,14 @@ def implicit_by_elimination(inp: SurfaceInput) -> OracleResult:
             kernel_dims=tuple(dims), grid_shape=(e * a + 1, e * b + 1))
 
     d = _fiber_degree(inp)
-    if d is not None:
+    vec = None if d is None else peel(inp, size // d, gen_grids)
+    if vec is not None:
         e = size // d
-        srng = inp.field.rng("oracle-sample")
-        n = num_monomials(e) + _SAMPLE_MARGIN
-        tv = linalg.vandermonde([srng.randrange(p) for _ in range(n)], a + 1, p)
-        vv = linalg.vandermonde([srng.randrange(p) for _ in range(n)], b + 1, p)
-        sample = np.stack(
-            [(linalg.matmul_mod(tv, g, p) * vv % p).sum(axis=1) % p
-             for g in gen_grids], axis=1)
-        kern = linalg.kernel_basis(eval_matrix(e, sample, p), p)
-        if len(kern) == 1:
-            vec = _normalized(kern[0], p)
-            points = grid_points(e)
-            # A dead grid point is left to the scan, which reports it.
-            if points.any(axis=1).all() and _vanishes_at(e, points, vec, p):
-                return result(e, vec, [(k, 0) for k in range(1, e)]
-                              + [(e, 1)])
+        vec = _normalized(vec, p)
+        points = grid_points(e)
+        # A dead grid point is left to the scan, which reports it.
+        if points.any(axis=1).all() and _vanishes_at(e, points, vec, p):
+            return result(e, vec, [(k, 0) for k in range(1, e)] + [(e, 1)])
 
     dims: list[tuple[int, int]] = []
     for e in range(1, size + 1):

@@ -1,0 +1,287 @@
+"""The implicit equation peeled off random plane sections of the image.
+
+For random linear forms m_0..m_e with m_k[0] != 0, a form F of degree e
+in x0..x3 is G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)), each G_k a form of
+degree e - k in x1, x2, x3: the chart of the plane H_k = {m_k = 0}.  The
+image X meets H_k in a plane curve, whose F_p-points come from one batched
+Cantor-Zassenhaus split per random draw (:func:`_split_roots`).  On those
+points one kernel (level 0) and e small solves (levels 1..e) give the G_k,
+and Horner's rule on dense coefficient vectors assembles F.  The oracle
+(:mod:`tensurf.oracle`) proves the candidate.  Its proof takes one fact
+from here, which :func:`peel` enforces: the level-0 kernel, on points
+checked exactly to lie on X and on H_0, is the line of G_0.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+from numpy.typing import NDArray
+
+from . import linalg
+from .syzygy import SurfaceInput
+
+# Random image points beyond the unknowns of each plane solve.
+_SAMPLE_MARGIN = 8
+# Draw rounds before the plane sections give up and leave F to the scan.
+_ROUNDS = 4
+
+
+def _balanced(x: NDArray[np.int64], p: int) -> NDArray[np.int64]:
+    """Residues in [0, p) lifted to [-h, h], h = (p - 1) // 2, in place."""
+    x -= p * (x > (p - 1) // 2)
+    return x
+
+
+def _split_roots(f: NDArray[np.int64], delta: NDArray[np.int64], p: int
+                 ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """Roots in F_p of many polynomials, one Cantor-Zassenhaus split each.
+
+    Column j of the (K + 1, m) array ``f`` holds the ascending coefficients
+    of a polynomial f_j of degree K <= 8; a column whose leading coefficient
+    is zero gives nothing.  With w = (x + delta_j)^((p - 1) / 2) mod f_j,
+    the factor x - r of f_j divides w - 1 when r + delta_j is a nonzero
+    square and w + 1 when it is a non-square (Cantor & Zassenhaus, Math.
+    Comp. 36, 1981), so wherever gcd(f_j, w -+ 1) is linear its zero is a
+    root.  Residues are kept balanced, so a coefficient of w^2 sums at most
+    K <= 8 products of size h^2 < 2^60 before one reduction.  Returns the
+    columns and the roots, each root checked.
+    """
+    K = f.shape[0] - 1
+    cols = np.flatnonzero(f[K])
+    if not cols.size:
+        return cols, cols
+    monic = f[:, cols] * linalg.inverse_many(f[K, cols], p) % p
+    # red[j] = x^(K + j) mod f_j, balanced
+    red = [_balanced(-monic[:K] % p, p)]
+    for _ in range(K - 2):
+        prev = red[-1]
+        red.append(_balanced((np.vstack([np.zeros_like(prev[:1]), prev[:-1]])
+                              + prev[-1] * red[0]) % p, p))
+    red = np.array(red)
+    delta = _balanced(delta[cols] % p, p)
+    w = np.zeros((K, cols.size), dtype=np.int64)
+    w[0] = 1
+    for bit in bin((p - 1) // 2)[2:]:
+        sq = np.zeros((2 * K - 1, cols.size), dtype=np.int64)
+        for i in range(K):
+            sq[i:i + K] += w[i] * w
+        sq = _balanced(sq % p, p)
+        w = _balanced((sq[:K] + (sq[K:, None] * red).sum(axis=0)) % p, p)
+        if bit == "1":   # w (x + delta): a shift and one scaled add
+            w = _balanced((np.vstack([np.zeros_like(w[:1]), w[:-1]])
+                           + delta * w + w[-1] * red[0]) % p, p)
+    w %= p
+    g = np.vstack([np.hstack([w, w]), np.zeros((1, 2 * cols.size), np.int64)])
+    g[0] = (g[0] - np.repeat([1, p - 1], cols.size)) % p
+    sel, roots = _linear_gcd_roots(np.hstack([monic, monic]), g, p)
+    sel %= cols.size
+    value = np.zeros_like(roots)
+    for k in range(K, -1, -1):
+        value = (value * roots + monic[k, sel]) % p
+    return cols[sel[value == 0]], roots[value == 0]
+
+
+def _degrees(X: NDArray[np.int64]) -> NDArray[np.int64]:
+    """Degree of each column of ascending coefficients; -1 for zero."""
+    nz = X != 0
+    return np.where(nz.any(axis=0), X.shape[0] - 1 - nz[::-1].argmax(axis=0),
+                    -1)
+
+
+def _linear_gcd_roots(A: NDArray[np.int64], B: NDArray[np.int64], p: int
+                      ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """The columns j where gcd(A_j, B_j) is linear, and its zero.
+
+    Batched fraction-free Euclid: each step swaps the columns where B has
+    the higher degree, then, on the columns whose B is still nonzero,
+    cancels the lead of A against B x^(deg A - deg B):
+    A <- lc(B) A - lc(A) x^s B.  A ends as a multiple of the gcd.
+    """
+    dA, dB = _degrees(A), _degrees(B)
+    rows = np.arange(A.shape[0])[:, None]
+    at = np.arange(A.shape[1])
+    while True:
+        swap = dB > dA
+        A, B = np.where(swap, B, A), np.where(swap, A, B)
+        dA, dB = np.where(swap, dB, dA), np.where(swap, dA, dB)
+        live = dB >= 0
+        if not live.any():
+            break
+        src = rows - np.where(live, dA - dB, 0)
+        shifted = np.take_along_axis(B, np.maximum(src, 0), axis=0) * (src >= 0)
+        lead_a = np.where(live, A[np.maximum(dA, 0), at], 0)
+        lead_b = np.where(live, B[np.maximum(dB, 0), at], 1)
+        A = (lead_b * A % p - lead_a * shifted % p) % p
+        dA = _degrees(A)
+    sel = np.flatnonzero(dA == 1)
+    return sel, -A[0, sel] * linalg.inverse_many(A[1, sel], p) % p
+
+
+def _section_points(grids: list[NDArray[np.int64]], planes: NDArray[np.int64],
+                    need: NDArray[np.int64], per_point: float, rng, p: int
+                    ) -> list[NDArray[np.int64]]:
+    """Distinct points of X on each plane H_k = {planes[k] . y = 0}.
+
+    ``grids`` are the generators' coefficient grids, rows indexed by the
+    variable fixed at random and columns by the one solved for (degree K).
+    A draw for level k fixes that coordinate and takes the roots of the
+    degree-K form planes[k] . phi (``_split_roots``).  Image points are
+    scaled to a leading 1, checked exactly to lie on H_k, and dropped when
+    they repeat or lie on an earlier plane H_j, j < k.  Each round draws
+    for the levels still short of ``need``, sized by the yield seen so far
+    (``per_point`` draws per point before any, at most four times that
+    after); after ``_ROUNDS`` rounds the levels are returned as far as
+    they got, each at most ``need[k]``.
+    """
+    levels = np.arange(len(need))
+    K = grids[0].shape[1] - 1
+    found: list[dict] = [{} for _ in need]   # insertion-ordered sets
+    drawn = fresh = 0
+    cap = 4 * per_point
+    for _ in range(_ROUNDS):
+        short = np.maximum(need - [len(f) for f in found], 0)
+        if not short.any():
+            break
+        if drawn:
+            per_point = min(drawn / max(fresh, 1), cap)
+        size = np.ceil((short + 3 * np.sqrt(short) + 2) * per_point)
+        lev = np.repeat(levels, np.where(short > 0, size, 0).astype(np.int64))
+        drawn += lev.size
+        zpow = linalg.vandermonde(rng.integers(0, p, lev.size),
+                                  grids[0].shape[0], p)
+        coef = np.stack([linalg.matmul_mod(zpow, g, p) for g in grids])
+        form = (planes[lev].T[:, :, None] * coef % p).sum(axis=0) % p
+        idx, roots = _split_roots(form.T, rng.integers(0, p, lev.size), p)
+        y = coef[:, idx, K]
+        for j in range(K - 1, -1, -1):
+            y = (y * roots + coef[:, idx, j]) % p
+        y, lev = y.T, lev[idx]
+        nz = y != 0
+        live = nz.any(axis=1)
+        y, lev = y[live], lev[live]
+        lead = y[np.arange(len(y)), nz[live].argmax(axis=1)]
+        y = y * linalg.inverse_many(lead, p)[:, None] % p
+        mv = linalg.matmul_mod(y, planes.T, p)
+        ok = ((mv != 0) | (levels >= lev[:, None])).all(axis=1) & (
+            mv[np.arange(len(y)), lev] == 0)
+        for row, k in zip(map(tuple, y[ok].tolist()), lev[ok].tolist()):
+            if row not in found[k]:
+                found[k][row] = None
+                fresh += 1
+    return [np.array(list(f)[:n], dtype=np.int64).reshape(-1, 4)
+            for f, n in zip(found, need.tolist())]
+
+
+def _plane_exponents(D: int) -> tuple[NDArray[np.int64], ...]:
+    """(e1, e2, e3) of the degree-D forms in x1, x2, x3, in the order of the
+    x0-free tail of ``monomials_of_degree``."""
+    r1, e3 = np.tril_indices(D + 1)
+    return D - r1, r1 - e3, e3
+
+
+def _plane_matrix(pw: list[NDArray[np.int64]], D: int, p: int
+                  ) -> NDArray[np.int64]:
+    """The degree-D plane monomials at points with power tables ``pw`` of
+    x1, x2, x3."""
+    e1, e2, e3 = _plane_exponents(D)
+    return pw[0][:, e1] * pw[1][:, e2] % p * pw[2][:, e3] % p
+
+
+def _assemble(gs: list[NDArray[np.int64]], planes: NDArray[np.int64],
+              p: int) -> NDArray[np.int64]:
+    """Coefficients of G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)).
+
+    G_k (length C(e-k+2, 2)) is a form in x1, x2, x3 and m_k = planes[k].
+    In ``monomials_of_degree`` order, (e0, e1, e2, e3) sits at C(r0+2, 3) +
+    C(r1+1, 2) + e3 with r0 = e1 + e2 + e3 and r1 = e2 + e3, whatever the
+    degree: so a form of degree D - 1 is a prefix of the degree-D vector,
+    multiplying by x0 keeps positions and the new x0-free terms fill the
+    tail.  Horner's rule then runs on dense vectors.
+    """
+    e = len(gs) - 1
+    ex = np.concatenate([np.stack(_plane_exponents(D)) for D in range(e)],
+                        axis=1) if e else np.zeros((3, 0), dtype=np.int64)
+
+    def position(e1, e2, e3):
+        r0, r1 = e1 + e2 + e3, e2 + e3
+        return r0 * (r0 + 1) * (r0 + 2) // 6 + r1 * (r1 + 1) // 2 + e3
+
+    shifted = [position(*(ex + np.eye(3, dtype=np.int64)[:, [i]]))
+               for i in range(3)]
+    vec = gs[e] % p
+    for k in range(e - 1, -1, -1):
+        n_old = len(vec)
+        out = np.zeros(n_old + len(gs[k]), dtype=np.int64)
+        out[:n_old] = vec * planes[k, 0] % p
+        for i in range(3):
+            out[shifted[i][:n_old]] += vec * planes[k, i + 1] % p
+        out[n_old:] += gs[k]
+        vec = out % p
+    return vec
+
+
+def peel(inp: SurfaceInput, e: int, gen_grids: list[NDArray[np.int64]]
+         ) -> Optional[NDArray[np.int64]]:
+    """Candidate coefficient vector of an equation of degree e, or None.
+
+    F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)) for random linear forms
+    m_k with m_k[0] != 0, each G_k a form of degree e - k in x1, x2, x3 (the
+    chart of H_k = {m_k = 0}).  At a point y of X on H_k and off the earlier
+    planes, G_k(y) = F_k(y), where F_0 = F = 0 on X and F_(j+1) = (F_j -
+    G_j) / m_j.  G_0 spans the kernel of the sampled level-0 matrix, which
+    must be a line; each later G_k is the solution of its sampled system.
+    None when points run short, the kernel is not a line or a system is
+    inconsistent.
+    """
+    p, a, b = inp.field.p, inp.a, inp.b
+    rng = np.random.default_rng(inp.field.rng("oracle-sample").getrandbits(64))
+    planes = rng.integers(0, p, (e + 1, 4))
+    planes[:, 0] = rng.integers(1, p, e + 1)
+    need = np.array([math.comb(e - k + 2, 2) + _SAMPLE_MARGIN
+                     for k in range(e + 1)])
+    grids = gen_grids if a > b else [g.T for g in gen_grids]
+    # when phi only has powers of x^step in the solved variable x, solve for
+    # x^step: every root in F_p still gives an F_p-point of X
+    step = math.gcd(*np.flatnonzero(np.any(grids, axis=(0, 1))).tolist()) or 1
+    grids = [g[:, ::step] for g in grids]
+    K = grids[0].shape[1] - 1
+    if K > 8:   # beyond _split_roots's lazy reduction
+        return None
+    pts = _section_points(grids, planes, need, 1 if K == 1 else 2, rng, p)
+    if any(len(y) < n for y, n in zip(pts, need.tolist())):
+        return None
+    start = np.cumsum([0] + need.tolist())
+    Y = np.concatenate(pts)
+    mv = linalg.matmul_mod(Y, planes.T, p)
+    # prod[:, k] = m_0(y) ... m_(k-1)(y), nonzero up to each point's level
+    prod = np.ones((len(Y), e + 1), dtype=np.int64)
+    for k in range(e):
+        prod[:, k + 1] = prod[:, k] * mv[:, k] % p
+    level = np.repeat(np.arange(e + 1), need)
+    scale = linalg.inverse_many(prod[np.arange(len(Y)), level], p)
+    pw = [linalg.vandermonde(Y[:, i], e + 1, p) for i in (1, 2, 3)]
+    num = np.zeros(len(Y), dtype=np.int64)   # sum_(j<k) G_j(y) prod[y, j]
+    gs = []
+    for k in range(e + 1):
+        lo, hi = start[k], start[k + 1]
+        V = _plane_matrix([t[lo:hi] for t in pw], e - k, p)
+        if k == 0:
+            kern = linalg.kernel_basis(V, p)
+            if len(kern) != 1:
+                return None
+            g = kern[0]
+        else:   # G_k(y) = F_k(y) = -num(y) / prod[y, k]
+            g = linalg.solve_particular(V, -num[lo:hi] * scale[lo:hi] % p, p)
+            if g is None:
+                return None
+        gs.append(g)
+        chunk = max(1, (1 << 16) // len(g))
+        for r in range(hi, len(Y), chunk):
+            t = slice(r, min(r + chunk, len(Y)))
+            val = (_plane_matrix([w[t] for w in pw], e - k, p) * g % p
+                   ).sum(axis=1) % p
+            num[t] = (num[t] + val * prod[t, k]) % p
+    return _assemble(gs, planes, p)

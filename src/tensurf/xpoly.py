@@ -4,26 +4,20 @@
 :class:`tensurf.bipoly.SparsePoly`, which supplies its arithmetic, parser
 and printer; it adds the total-degree grading and coefficient vectors.
 The module also provides degree-graded monomial enumeration with
-vectorized point evaluation, and exact composition with a bihomogeneous
-parameterization via dense coefficient grids.  Used by the elimination
-oracle, the determinant certificate and the reference checks.
+vectorized point evaluation and the dense coefficient grid of a
+bihomogeneous generator.  Used by the elimination oracle, the determinant
+certificate and the reference checks.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
 from .bipoly import BiPoly, Exponent, SparsePoly, _format_poly, _Parser
-
-
-def num_monomials(degree: int) -> int:
-    """Dimension of the space of degree-``degree`` forms in four variables."""
-    return math.comb(degree + 3, 3)
 
 
 def monomials_of_degree(degree: int) -> list[Exponent]:
@@ -99,7 +93,7 @@ class XPoly(SparsePoly):
 
 
 # ---------------------------------------------------------------------------
-# dense coefficient grids and exact composition
+# dense coefficient grids
 
 def grid_from_bipoly(f: BiPoly, a: int, b: int) -> np.ndarray:
     """Dehomogenize an (a, b)-form at s = u = 1 onto a dense (t, v) grid.
@@ -113,74 +107,6 @@ def grid_from_bipoly(f: BiPoly, a: int, b: int) -> np.ndarray:
     for (i, j, k, l), c in f.terms.items():
         out[j, l] = c
     return out
-
-
-def grid_mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Multiply two dense coefficient grids mod p."""
-    out = np.zeros((x.shape[0] + y.shape[0] - 1,
-                    x.shape[1] + y.shape[1] - 1), dtype=np.int64)
-    xr, xc = x.shape
-    for (j, l), c in np.ndenumerate(y):
-        if c:
-            out[j:j + xr, l:l + xc] = (out[j:j + xr, l:l + xc] + c * x) % p
-    return out
-
-
-def grid_add(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    rows = max(x.shape[0], y.shape[0])
-    cols = max(x.shape[1], y.shape[1])
-    out = np.zeros((rows, cols), dtype=np.int64)
-    out[:x.shape[0], :x.shape[1]] = x
-    out[:y.shape[0], :y.shape[1]] = (out[:y.shape[0], :y.shape[1]] + y) % p
-    return out
-
-
-def compose_with_map(f: XPoly, gens: Sequence[BiPoly], a: int, b: int
-                     ) -> np.ndarray:
-    """Exact dense grid of f(g0, g1, g2, g3) dehomogenized at s = u = 1.
-
-    Horner evaluation variable by variable; the result is the zero grid
-    exactly when f vanishes identically on the image of the map.
-    """
-    p = f.p
-    grids = [grid_from_bipoly(g, a, b) for g in gens]
-
-    def rec(terms: dict, k: int) -> np.ndarray:
-        if not terms:
-            return np.zeros((1, 1), dtype=np.int64)
-        if k == 3:
-            top = max(e[3] for e in terms)
-            acc = np.zeros((1, 1), dtype=np.int64)
-            for e3 in range(top, 0, -1):
-                c = terms.get((0, 0, 0, e3), 0)
-                acc = grid_add(acc, np.array([[c]], dtype=np.int64), p)
-                acc = grid_mul(acc, grids[3], p)
-            tail = np.array([[terms.get((0, 0, 0, 0), 0)]], dtype=np.int64)
-            return grid_add(acc, tail, p)
-        top = max(e[k] for e in terms)
-        acc: Optional[np.ndarray] = None
-        for ek in range(top, -1, -1):
-            sub = {}
-            for e, c in terms.items():
-                if e[k] == ek:
-                    reduced = list(e)
-                    reduced[k] = 0
-                    sub[tuple(reduced)] = c
-            part = rec(sub, k + 1)
-            if acc is None:
-                acc = part
-            else:
-                acc = grid_mul(acc, grids[k], p)
-                acc = grid_add(acc, part, p)
-        assert acc is not None
-        return acc
-
-    return rec(dict(f.terms), 0)
-
-
-def vanishes_on_map(f: XPoly, gens: Sequence[BiPoly], a: int, b: int) -> bool:
-    """Exact test that f(g0, .., g3) is identically zero."""
-    return not compose_with_map(f, gens, a, b).any()
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,25 @@ def test_solve_particular_random_and_inconsistent():
     assert linalg.solve_particular([[1, 0], [1, 0]], [1, 2], P) is None
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_solve_particular_solves_every_column_at_once(p):
+    # a rank-deficient system (free variables set to 0) with six
+    # right-hand sides: each column is the solution of its own solve; one
+    # inconsistent column makes the whole solve None
+    rng = np.random.default_rng(p % 991)
+    A = rng.integers(0, p, size=(9, 5), dtype=np.int64)
+    M = np.hstack([A, A[:, :2] * 3 % p])
+    B = np.stack([mat_vec(M, rng.integers(0, p, size=7, dtype=np.int64), p)
+                  for _ in range(6)], axis=1)
+    X = linalg.solve_particular(M, B, p)
+    assert X.shape == (7, 6)
+    for k in range(6):
+        assert X[:, k].tolist() == linalg.solve_particular(M, B[:, k], p).tolist()
+    B[4, 2] = (B[4, 2] + 1) % p
+    assert linalg.solve_particular(M, B[:, 2], p) is None
+    assert linalg.solve_particular(M, B, p) is None
+
+
 def test_det_field_frozen_and_multiplicative():
     assert linalg.det_field([[1, 2], [3, 4]], P) == P - 2
     assert linalg.det_field([[1, 2], [2, 4]], P) == 0
@@ -229,7 +248,7 @@ def test_reduction_period_is_the_largest_safe_one(p):
 def test_inverse_many_matches_python_pow(size):
     rng = random.Random(size)
     x = np.array([rng.randrange(1, P) for _ in range(size)], dtype=np.int64)
-    inv = linalg._inverse_many(x, P)
+    inv = linalg.inverse_many(x, P)
     assert inv.tolist() == [pow(int(v), -1, P) for v in x]
 
 

@@ -1,5 +1,6 @@
 """Point-elimination oracle, determinant certificate, basepoint screen."""
 
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -7,8 +8,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import EXAMPLE_GENERATORS
 from helpers import mutate_case
-from tensurf import linalg, oracle
+from tensurf import linalg, oracle, planes
 from tensurf.bipoly import (CertificateError, DEFAULT_PRIME, FieldConfig,
                             HypothesisError, parse_poly, poly_to_str)
 from tensurf.oracle import (DetCertificate, basepoint_check,
@@ -20,7 +22,8 @@ from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput
 from tensurf.xpoly import (XPoly, eval_matrix, linear_substitute,
-                           parse_xpoly, vanishes_on_map)
+                           monomials_of_degree, parse_xpoly, xpoly_to_str)
+from xpoly_ref import vanishes_on_map
 
 P = DEFAULT_PRIME
 
@@ -73,7 +76,7 @@ def test_oracle_detects_dead_grid_point(field):
 
 
 # ---------------------------------------------------------------------------
-# the degree hint and the exact check at the hinted degree
+# the degree hint, the plane sections and the exact check at the hinted degree
 
 
 def _unhinted(monkeypatch, inp):
@@ -109,8 +112,9 @@ def test_hinted_oracle_matches_the_scan_on_the_worked_surface(
     got = implicit_by_elimination(example_input)
     assert got == want
     assert got.grid_shape == (21, 51)
-    # one near-square solve at degree 10 instead of one kernel per degree
-    assert calls == [(math.comb(13, 3) + 8, math.comb(13, 3))]
+    # one kernel, on the C(12, 2) plane monomials of degree 10 at level 0,
+    # instead of one kernel per degree; the other levels are solves
+    assert calls == [(math.comb(12, 2) + 8, math.comb(12, 2))]
 
 
 def test_hinted_oracle_matches_the_scan_on_segre(segre_input, monkeypatch):
@@ -232,9 +236,9 @@ def test_grid_check_accepts_the_equation_and_rejects_a_change(
 
 def test_hint_leaves_a_dead_grid_point_to_the_scan(field, monkeypatch):
     # Segre times a (0, 1) factor vanishing on the first v node: the image
-    # is still the quadric, so the forced hint e = 2 finds its line of
-    # equations on random points, sees the dead grid row, and leaves it to
-    # the scan, which raises with its own message
+    # is still the quadric, so the forced hint e = 2 peels its equation off
+    # plane sections, sees the dead grid row, and leaves it to the scan,
+    # which raises with its own message
     a, b = 1, 2
     rng = field.rng("oracle")
     rng.sample(range(P), 2 * a * b * a + 1)
@@ -250,7 +254,7 @@ def test_hint_leaves_a_dead_grid_point_to_the_scan(field, monkeypatch):
     with pytest.raises(HypothesisError) as got:
         implicit_by_elimination(inp)
     assert str(got.value) == str(want.value)
-    assert calls == [(math.comb(5, 3) + 8, math.comb(5, 3))]
+    assert calls == [(math.comb(4, 2) + 8, math.comb(4, 2))]
 
 
 def test_oracle_refuses_primes_below_the_floor():
@@ -262,21 +266,159 @@ def test_oracle_refuses_primes_below_the_floor():
         implicit_by_elimination(inp)
 
 
-ODD_A_SPECS = [GenSpec("dim2", 3, 2, 1), GenSpec("dim3", 1, 5, 3, (1,))]
+ODD_A_SPECS = [GenSpec("dim2", 3, 2, 1), GenSpec("dim3", 1, 5, 3, (1,)),
+               GenSpec("dim2", 3, 3, 2)]
 
 
 @pytest.mark.parametrize("spec", ODD_A_SPECS, ids=str)
 def test_generic_odd_a_instances(spec, monkeypatch):
-    # odd a: generic surfaces with d = 1, which the corpus does not cover
+    # odd a: generic surfaces with d = 1, which the corpus does not cover.
+    # The scan takes seconds at (3, 3) (degree 18), so there the certificate
+    # alone checks the equation
     for index in range(5):
         inst = generate(spec, index=index, seed=0)
         got = implicit_by_elimination(inst.input)
-        assert got == _unhinted(monkeypatch, inst.input)
+        if spec.a * spec.b < 9:
+            assert got == _unhinted(monkeypatch, inst.input)
         assert got.degree == 2 * spec.a * spec.b
+        assert got.kernel_dims[-1] == (got.degree, 1)
         cert = verify_implicitization(
             build_strand(inst.case), got, inst.analysis.point_transform,
             inst.input.field)
         assert cert.exponent == 1
+
+
+def _swap_symmetric_input(field):
+    """Bidegree (2, 2) generators in s^2 + t^2 and s*t only: phi(s, t) =
+    phi(t, s), so d = 2, and the roots t and 1/t of one draw map to one
+    image point."""
+    rng = random.Random(11)
+
+    def form():
+        return " + ".join(f"{rng.randrange(1, 100)}*{m}"
+                          for m in ("u^2", "u*v", "v^2"))
+
+    gens = [poly_to_str(parse_poly(f"({form()})*(s^2 + t^2)", P)
+                        + parse_poly(f"({form()})*s*t", P))
+            for _ in range(4)]
+    return SurfaceInput.from_strings(2, 2, gens, field)
+
+
+def test_peel_drops_repeated_points_on_a_swap_symmetric_surface(
+        field, monkeypatch):
+    inp = _swap_symmetric_input(field)
+    assert oracle._fiber_degree(inp) == 2
+    want = _unhinted(monkeypatch, inp)
+    assert want.degree == 4
+    draws = []
+    split_roots = planes._split_roots
+
+    def spy(f, delta, p):
+        cols, roots = split_roots(f, delta, p)
+        draws.append(cols)
+        return cols, roots
+
+    monkeypatch.setattr(planes, "_split_roots", spy)
+    calls = _count_kernels(monkeypatch)
+    assert implicit_by_elimination(inp) == want
+    # draws gave two roots, t and 1/t, to be kept as one point
+    cols = np.concatenate(draws)
+    assert len(set(cols.tolist())) < len(cols)
+    assert calls == [(math.comb(6, 2) + 8, math.comb(6, 2))]
+
+
+def test_points_off_their_plane_are_dropped(example_input, example_oracle,
+                                            monkeypatch):
+    # a root finder that returns a wrong root first for every draw: its
+    # image points miss the draw's plane, the exact check drops them, and
+    # the level-0 kernel is still a line
+    split_roots = planes._split_roots
+
+    def with_wrong_roots(f, delta, p):
+        cols, roots = split_roots(f, delta, p)
+        return (np.concatenate([cols, cols]),
+                np.concatenate([(roots + 1) % p, roots]))
+
+    monkeypatch.setattr(planes, "_split_roots", with_wrong_roots)
+    calls = _count_kernels(monkeypatch)
+    assert implicit_by_elimination(example_input) == example_oracle
+    assert calls == [(74, 66)]
+
+
+def test_peel_drops_a_level_on_an_earlier_plane_to_the_scan(
+        example_input, monkeypatch):
+    # H_2 = H_0: every level-2 point lies on an earlier plane, so the peel
+    # gives up and the scan answers
+    want = _unhinted(monkeypatch, example_input)
+    section_points = planes._section_points
+
+    def same_plane(grids, planes, *args):
+        planes[2] = planes[0] * 3 % P
+        return section_points(grids, planes, *args)
+
+    monkeypatch.setattr(planes, "_section_points", same_plane)
+    calls = _count_kernels(monkeypatch)
+    assert implicit_by_elimination(example_input) == want
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("level", [3, 10])
+def test_a_wrong_level_solve_leaves_the_result_to_the_scan(
+        level, example_input, monkeypatch):
+    # a wrong G_3 makes the level-4 system inconsistent; a wrong G_10, the
+    # last level, builds a candidate that the grid proof rejects
+    want = _unhinted(monkeypatch, example_input)
+    solve_particular = linalg.solve_particular
+    solves = []
+
+    def wrong_g(mat, rhs, p):
+        x = solve_particular(mat, rhs, p)
+        solves.append(None if x is None else len(x))
+        if len(solves) == level:
+            x[0] = (x[0] + 1) % p
+        return x
+
+    vanishes_at = oracle._vanishes_at
+    proofs = []
+
+    def proof(*args):
+        proofs.append(vanishes_at(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(linalg, "solve_particular", wrong_g)
+    monkeypatch.setattr(oracle, "_vanishes_at", proof)
+    calls = _count_kernels(monkeypatch)
+    assert implicit_by_elimination(example_input) == want
+    unknowns = [math.comb(12 - k, 2) for k in range(1, 11)]
+    if level == 3:
+        assert solves == unknowns[:3] + [None] and proofs == []
+    else:
+        assert solves == unknowns and proofs == [False]
+    assert len(calls) == 1 + 10
+
+
+# The worked surface over small primes, from the floor 2ab*max(a, b) + 1 =
+# 101 up, against the sha256 prefix of the printed F that the dense hinted
+# solve gave before the plane sections replaced it.  The plane sections
+# solve for t^2 (the generators have even t-exponents), so even at 101 a
+# plane section has the 74 level-0 points: every prime here peels, 101 to
+# 107 in two draw rounds.
+@pytest.mark.parametrize("p, digest", [
+    (101, "a7695b243556"), (103, "a78c73072180"), (107, "068ffc06fc5c"),
+    (211, "2d15df539c4b"), (1009, "6f703eeb04fd"), (65521, "6f703eeb04fd")])
+def test_worked_surface_over_small_primes(p, digest, example_oracle,
+                                          monkeypatch):
+    inp = SurfaceInput.from_strings(2, 5, EXAMPLE_GENERATORS, FieldConfig(p))
+    calls = _count_kernels(monkeypatch)
+    got = implicit_by_elimination(inp)
+    assert hashlib.sha256(xpoly_to_str(got.f).encode()).hexdigest()[:12] == \
+        digest
+    assert got.kernel_dims == example_oracle.kernel_dims
+    assert calls == [(74, 66)]
+    if p > 401:
+        # the integer equation, reduced: coefficients lifted from (-P/2, P/2)
+        assert got.f == XPoly(p, {m: c - P if c > P // 2 else c
+                                  for m, c in example_oracle.f.terms.items()})
 
 
 # ---------------------------------------------------------------------------
