@@ -31,11 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from . import linalg
-
 DEFAULT_PRIME = 2147483647  # largest signed-32-bit prime
-# Elements per row chunk of ``SparsePoly.eval_many`` (512 KB of int64).
-EVAL_CHUNK = 1 << 16
 
 
 class HypothesisError(Exception):
@@ -397,34 +393,6 @@ class SparsePoly:
                     c = c * pow(xk, e, p) % p
             acc = (acc + c) % p
         return acc
-
-    def eval_many(self, points) -> NDArray[np.int64]:
-        """Evaluate at each row of an (N, 4) array.
-
-        Each row chunk gets one power table per coordinate, up to that
-        variable's largest exponent, and every term is one product of
-        columns gathered from the tables.  Chunks hold about ``EVAL_CHUNK``
-        elements of the widest array, the tables or the (rows, terms)
-        products.
-        """
-        p = self.p
-        pts = np.asarray(points, dtype=np.int64) % p
-        out = np.zeros(pts.shape[0], dtype=np.int64)
-        if not self.terms:
-            return out
-        exps = np.array(list(self.terms), dtype=np.int64)
-        coeffs = np.array(list(self.terms.values()), dtype=np.int64)
-        width = exps.max(axis=0) + 1
-        step = max(1, EVAL_CHUNK // max(len(coeffs), int(width.sum())))
-        for lo in range(0, pts.shape[0], step):
-            block = pts[lo:lo + step]
-            prod = coeffs
-            for k in range(4):
-                table = linalg.vandermonde(block[:, k], int(width[k]), p)
-                prod = prod * table[:, exps[:, k]] % p
-            # at most len(terms) residues below 2**31 per row: no overflow
-            out[lo:lo + step] = prod.sum(axis=1) % p
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({_format_poly(self)})"

@@ -15,8 +15,7 @@ F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)), each G_k a form of degree
 e - k in x1, x2, x3 found by a small exact solve on F_p-points of the image
 X on H_k (see :mod:`tensurf.planes`).  Two facts prove the candidate:
 
-(a) it vanishes, term by term on its nonzero coefficients, at the image of
-    the product grid, so F(g0..g3) = 0;
+(a) it vanishes at the image of the product grid, so F(g0..g3) = 0;
 (b') the degree-e forms in x1, x2, x3 vanishing at the level-0 samples,
     points of X checked exactly to lie on H_0, are the line of G_0.  So no
     nonzero form q of degree e - 1 vanishes there: x1 q, x2 q and x3 q
@@ -34,16 +33,16 @@ either way.
 
 The module also proves that the strand-matrix determinant is a scalar
 multiple of a power of the recovered equation, and screens the input for
-basepoints via pairwise resultants.  The proof uses the same kind of
-argument: a form of degree D vanishing on the principal lattice
-{(1, i, j, k) : i + j + k <= D}, nodes 0..D distinct mod p, is zero (Chung &
-Yao, SIAM J. Numer. Anal. 14, 1977).
+basepoints via pairwise resultants.  That proof, in F's own coordinates,
+uses the same kind of argument: a form of degree D vanishing on the
+principal lattice {(1, i, j, k) : i + j + k <= D}, nodes 0..D distinct mod
+p, is zero (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -61,8 +60,8 @@ from .planes import peel
 # here; perfbench/spans.py wraps them in this module's namespace.
 from .strand import Strand, build_strand, reconstruct_det  # noqa: F401
 from .syzygy import SurfaceInput, VAnalysis, analyze
-from .xpoly import (XPoly, divide_with_remainder, eval_matrix,  # noqa: F401
-                    grid_from_bipoly, linear_substitute)
+from .xpoly import (XPoly, divide_with_remainder, eval_form,  # noqa: F401
+                    eval_matrix, grid_from_bipoly, linear_substitute)
 
 __all__ = [
     "check_prime_floor", "OracleResult", "implicit_by_elimination",
@@ -148,10 +147,9 @@ def _normalized(vec: NDArray[np.int64], p: int) -> NDArray[np.int64]:
 
 def _vanishes_at(degree: int, points: NDArray[np.int64], vec: NDArray[np.int64],
                  p: int) -> bool:
-    """Exact test that the form with coefficients ``vec`` is zero at every
-    point.  The form is evaluated term by term on its nonzero coefficients
-    only (``XPoly.eval_many``, which chunks the points)."""
-    return not XPoly.from_coeff_vector(p, degree, vec).eval_many(points).any()
+    """Whether the form with coefficients ``vec`` is zero at every point."""
+    f = XPoly.from_coeff_vector(p, degree, vec)
+    return not eval_form(f.coeff_cube(degree), degree, points, p).any()
 
 
 def check_prime_floor(a: int, b: int, p: int) -> None:
@@ -254,6 +252,20 @@ class DetCertificate:
     mode: str = "interpolate"
 
 
+def _lattice_values(cube: NDArray[np.int64], size: int, p: int
+                    ) -> NDArray[np.int64]:
+    """The form with coefficients ``cube`` at x0 = 1 on the points of
+    ``_principal_lattice(size)``: on {0..size}^3, ``cube`` contracted on each
+    axis with the Vandermonde matrix of the nodes (three ``matmul_mod``
+    products), then masked to i + j + k <= size."""
+    nodes = np.arange(size + 1)
+    vander = linalg.vandermonde(nodes, len(cube), p)
+    for _ in range(3):   # contract the first axis; the new one goes last
+        cube = np.moveaxis(linalg.matmul_mod(vander, cube.reshape(
+            len(cube), -1), p).reshape(-1, *cube.shape[1:]), 0, -1)
+    return cube[nodes[:, None, None] + nodes[:, None] + nodes <= size]
+
+
 def _principal_lattice(degree: int) -> NDArray[np.int64]:
     """The C(degree + 3, 3) points (1, i, j, k) with i + j + k <= degree,
     in lexicographic order of (i, j, k)."""
@@ -268,15 +280,15 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
                            field: FieldConfig) -> DetCertificate:
     """Prove det(strand) = c * F^d with d = size / deg F.
 
-    The strand acts on the changed generator basis while the oracle equation
-    F refers to the original one, so F is composed with ``point_transform``
-    before comparison.  c is fitted at a random point, and a pre-check at
-    ``PRECHECK_POINTS`` random points rejects most wrong inputs cheaply.
-    The proof is the check on the principal lattice
-    {(1, i, j, k) : i + j + k <= size}: both sides are forms of degree size
-    and that lattice is unisolvent for that degree, so agreement there
-    proves the identity exactly.  It needs p > size and raises ValueError
-    otherwise.
+    M acts on the changed generator basis and F on the original one:
+    det M(y) = c F(T y)^d, T = ``point_transform``.  For invertible T (else
+    CertificateError) that is det M(T^-1 z) = c F(z)^d, checked in F's
+    coordinates on M's linear forms moved once by T^-1.  c is fitted at the
+    first of ``PRECHECK_POINTS`` random points where both sides are
+    nonzero; checking them all rejects most wrong inputs cheaply.  The
+    proof is the check on the principal lattice {(1, i, j, k) : i + j + k
+    <= size}, unisolvent for forms of degree size when p > size (else
+    ValueError): both sides are such forms, so agreement proves the identity.
     """
     p = field.p
     if strand.size % oracle.degree:
@@ -287,51 +299,35 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
         raise ValueError(
             f"the exact certificate needs p > {strand.size} so that the "
             f"lattice nodes 0..{strand.size} are distinct mod p")
-    d = strand.size // oracle.degree
-    transform = np.asarray(point_transform, dtype=np.int64) % p
+    d, e = strand.size // oracle.degree, oracle.degree
+    if linalg.rank(point_transform, p) < 4:
+        raise CertificateError("the point transform is singular mod p")
+    moved = replace(strand, tensor=linalg.matmul_mod(
+        strand.tensor.reshape(-1, 4), linalg.matrix_inverse(
+            point_transform, p), p).reshape(strand.tensor.shape))
+    cube = oracle.f.coeff_cube(e)
     rng = field.rng("certificate")
-
-    def f_value(point: NDArray[np.int64]) -> int:
-        return oracle.f.eval(
-            linalg.matmul_mod(transform, point[:, None], p)[:, 0])
-
-    c = None
-    for _ in range(200):
-        y = np.array([rng.randrange(p) for _ in range(4)], dtype=np.int64)
-        dv = strand.det_at(y)
-        fv = f_value(y)
-        if (dv == 0) != (fv == 0):
-            raise CertificateError(
-                "determinant and implicit equation have different zero sets "
-                f"at sample point {tuple(int(x) for x in y)}")
-        if dv:
-            c = dv * pow(pow(fv, d, p), -1, p) % p
-            break
-    if c is None:
-        raise CertificateError(
-            "could not find a sample point with nonzero determinant")
-
-    def mismatches(pts: NDArray[np.int64]) -> int:
-        lhs = strand.det_at_many(pts)
-        rhs = c * linalg.pow_mod_array(
-            oracle.f.eval_many(linalg.matmul_mod(pts, transform.T, p)),
-            d, p) % p
-        return int(np.count_nonzero(lhs != rhs))
-
     pts = np.array([[rng.randrange(p) for _ in range(4)]
                     for _ in range(PRECHECK_POINTS)], dtype=np.int64)
-    bad = mismatches(pts)
+    lhs = moved.det_at_many(pts)
+    rhs = linalg.pow_mod_array(eval_form(cube, e, pts, p), d, p)
+    fit = np.flatnonzero(lhs * rhs % p)
+    if not fit.size:
+        raise CertificateError("no sample point has det and F both nonzero")
+    c = int(lhs[fit[0]]) * pow(int(rhs[fit[0]]), -1, p) % p
+    bad = np.count_nonzero(lhs != c * rhs % p)
     if bad:
         raise CertificateError(
             f"det = c * F^{d} fails at {bad} of {PRECHECK_POINTS} sample "
             "points")
     lattice = _principal_lattice(strand.size)
-    bad = mismatches(lattice)
+    rhs = linalg.pow_mod_array(_lattice_values(cube, strand.size, p), d, p)
+    bad = np.count_nonzero(moved.det_at_many(lattice) != c * rhs % p)
     if bad:
         raise CertificateError(
             f"det = c * F^{d} fails at {bad} of {len(lattice)} principal "
             "lattice points")
-    return DetCertificate(c=int(c), exponent=d)
+    return DetCertificate(c=c, exponent=d)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from numpy.typing import NDArray
 
 from . import linalg
 from .syzygy import SurfaceInput
+from .xpoly import eval_form
 
 # Random image points beyond the unknowns of each plane solve.
 _SAMPLE_MARGIN = 8
@@ -182,14 +183,6 @@ def _plane_exponents(D: int) -> tuple[NDArray[np.int64], ...]:
     return D - r1, r1 - e3, e3
 
 
-def _plane_matrix(pw: list[NDArray[np.int64]], D: int, p: int
-                  ) -> NDArray[np.int64]:
-    """The degree-D plane monomials at points with power tables ``pw`` of
-    x1, x2, x3."""
-    e1, e2, e3 = _plane_exponents(D)
-    return pw[0][:, e1] * pw[1][:, e2] % p * pw[2][:, e3] % p
-
-
 def _assemble(gs: list[NDArray[np.int64]], planes: NDArray[np.int64],
               p: int) -> NDArray[np.int64]:
     """Coefficients of G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)).
@@ -234,7 +227,7 @@ def peel(inp: SurfaceInput, e: int, gen_grids: list[NDArray[np.int64]]
     G_j) / m_j.  G_0 spans the kernel of the sampled level-0 matrix, which
     must be a line; each later G_k is the solution of its sampled system.
     None when points run short, the kernel is not a line or a system is
-    inconsistent.
+    inconsistent.  ``eval_form`` gives G_k at the later levels' points.
     """
     p, a, b = inp.field.p, inp.a, inp.b
     rng = np.random.default_rng(inp.field.rng("oracle-sample").getrandbits(64))
@@ -262,12 +255,13 @@ def peel(inp: SurfaceInput, e: int, gen_grids: list[NDArray[np.int64]]
         prod[:, k + 1] = prod[:, k] * mv[:, k] % p
     level = np.repeat(np.arange(e + 1), need)
     scale = linalg.inverse_many(prod[np.arange(len(Y)), level], p)
-    pw = [linalg.vandermonde(Y[:, i], e + 1, p) for i in (1, 2, 3)]
     num = np.zeros(len(Y), dtype=np.int64)   # sum_(j<k) G_j(y) prod[y, j]
     gs = []
     for k in range(e + 1):
-        lo, hi = start[k], start[k + 1]
-        V = _plane_matrix([t[lo:hi] for t in pw], e - k, p)
+        lo, hi, D = start[k], start[k + 1], e - k
+        e1, e2, e3 = _plane_exponents(D)
+        pw = [linalg.vandermonde(Y[lo:hi, i], D + 1, p) for i in (1, 2, 3)]
+        V = pw[0][:, e1] * pw[1][:, e2] % p * pw[2][:, e3] % p
         if k == 0:
             kern = linalg.kernel_basis(V, p)
             if len(kern) != 1:
@@ -278,10 +272,8 @@ def peel(inp: SurfaceInput, e: int, gen_grids: list[NDArray[np.int64]]
             if g is None:
                 return None
         gs.append(g)
-        chunk = max(1, (1 << 16) // len(g))
-        for r in range(hi, len(Y), chunk):
-            t = slice(r, min(r + chunk, len(Y)))
-            val = (_plane_matrix([w[t] for w in pw], e - k, p) * g % p
-                   ).sum(axis=1) % p
-            num[t] = (num[t] + val * prod[t, k]) % p
+        square = np.zeros((D + 1, D + 1), dtype=np.int64)
+        square[e2, e3] = g
+        num[hi:] = (num[hi:] + eval_form(square, D, Y[hi:, 1:], p)
+                    * prod[hi:, k]) % p
     return _assemble(gs, planes, p)

@@ -2,9 +2,9 @@
 
 :class:`XPoly` is the K[x0..x3] subclass of the sparse core
 :class:`tensurf.bipoly.SparsePoly`, which supplies its arithmetic, parser
-and printer; it adds the total-degree grading and coefficient vectors.
-The module also provides degree-graded monomial enumeration with
-vectorized point evaluation and the dense coefficient grid of a
+and printer; it adds the total-degree grading and dense coefficients.
+The module also provides degree-graded monomial enumeration, the one
+vectorized evaluator of dense forms and the dense coefficient grid of a
 bihomogeneous generator.  Used by the elimination oracle, the determinant
 certificate and the reference checks.
 """
@@ -57,6 +57,51 @@ def eval_matrix(degree: int, points: np.ndarray, p: int) -> np.ndarray:
     return vals
 
 
+# Elements of ``eval_form``'s monomial table per row chunk (256 KB of int64).
+FORM_CHUNK = 1 << 15
+
+
+def eval_form(cube: np.ndarray, degree: int, points: np.ndarray, p: int
+              ) -> np.ndarray:
+    """Values of a form of degree ``degree`` at (N, n + 1) points x0..xn.
+
+    ``cube`` (n axes of size degree + 1) holds its coefficients at x0 = 1:
+    entry [e1, .., en] belongs to x0^(degree - e1 - .. - en) x1^e1 .. xn^en.
+    Rows with x0 != 0 are scaled to x0 = 1 by one ``inverse_many``; one
+    ``matmul_mod`` of ``cube`` by the monomials of degree <= ``degree`` in
+    z1..z(n-1) gives the coefficients in zn, which a power table of zn
+    sums, times x0^degree.  Rows with x0 = 0 take the terms free of x0, an
+    array with one axis fewer, the same way.  Monomial tables hold about
+    ``FORM_CHUNK`` elements."""
+    pts = np.asarray(points, dtype=np.int64) % p
+    n, lead, width = cube.ndim, pts[:, 0], degree + 1
+    if not n:
+        return int(cube) * linalg.pow_mod_array(lead, degree, p) % p
+    out = np.zeros(len(pts), dtype=np.int64)
+    off = np.flatnonzero(lead == 0)
+    if off.size:   # the terms free of x0: exponents summing to the degree
+        top = np.where(np.indices(cube.shape).sum(axis=0) == degree, cube, 0)
+        out[off] = eval_form(top.sum(axis=0), degree, pts[off, 1:], p)
+    on = np.flatnonzero(lead)
+    z = pts[on, 1:] * linalg.inverse_many(lead[on], p)[:, None] % p
+    scale = linalg.pow_mod_array(lead[on], degree, p)
+    exps = np.indices(cube.shape[:-1]).reshape(n - 1, cube.size // width)
+    keep = exps.sum(axis=0) <= degree
+    exps, table = exps[:, keep], cube.reshape(-1, width)[keep].T
+    step = max(1, FORM_CHUNK // table.shape[1])
+    for lo in range(0, len(on), step):
+        zc = z[lo:lo + step]   # power tables pw[power, variable, row]
+        pw = linalg.vandermonde(zc.T.reshape(-1), width, p).T.reshape(
+            width, n, -1)
+        mons = np.ones((1, len(zc)), dtype=np.int64)
+        for k, ex in enumerate(exps):
+            mons = mons * pw[ex, k] % p
+        coef = linalg.matmul_mod(table, mons, p)   # rows ascending in zn
+        out[on[lo:lo + step]] = ((coef * pw[:, -1] % p).sum(axis=0) % p
+                                 * scale[lo:lo + step] % p)
+    return out
+
+
 class XPoly(SparsePoly):
     """Sparse polynomial in x0..x3, keyed by exponent tuples."""
 
@@ -71,14 +116,13 @@ class XPoly(SparsePoly):
             raise ValueError("coefficient vector has wrong length")
         return XPoly(p, {exp: int(c) for exp, c in zip(mons, vec)})
 
-    def coeff_vector(self, degree: int) -> np.ndarray:
+    def coeff_cube(self, degree: int) -> np.ndarray:
+        """Coefficients at x0 = 1, the cube ``eval_form`` takes."""
         if not self.is_homogeneous(degree):
             raise ValueError("not homogeneous of the requested degree")
-        mons = monomials_of_degree(degree)
-        pos = {exp: i for i, exp in enumerate(mons)}
-        out = np.zeros(len(mons), dtype=np.int64)
+        out = np.zeros((degree + 1,) * 3, dtype=np.int64)
         for exp, c in self.terms.items():
-            out[pos[exp]] = c
+            out[exp[1:]] = c
         return out
 
     def degree(self) -> Optional[int]:

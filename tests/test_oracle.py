@@ -1,5 +1,6 @@
 """Point-elimination oracle, determinant certificate, basepoint screen."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -16,14 +17,14 @@ from tensurf.bipoly import (CertificateError, DEFAULT_PRIME, FieldConfig,
 from tensurf.oracle import (DetCertificate, basepoint_check,
                             implicit_by_elimination, implicitize,
                             verify_implicitization, _form_roots, _poly_roots,
-                            _principal_lattice)
+                            _lattice_values, _principal_lattice)
 from tensurf.bipoly import UniHomPoly, uni_gcd
 from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput
 from tensurf.xpoly import (XPoly, eval_matrix, linear_substitute,
                            monomials_of_degree, parse_xpoly, xpoly_to_str)
-from xpoly_ref import vanishes_on_map
+from xpoly_ref import coeff_vector, eval_rows, vanishes_on_map
 
 P = DEFAULT_PRIME
 
@@ -167,8 +168,8 @@ def test_failed_grid_check_falls_back_to_the_scan(example_input,
     assert len(calls) == 1 + 10
 
 
-# The exact grid check evaluates the candidate's nonzero terms with
-# XPoly.eval_many; the reference multiplies the dense monomial evaluation
+# The exact grid check evaluates the candidate with xpoly.eval_form on its
+# coefficient cube; the reference multiplies the dense monomial evaluation
 # matrix by the coefficient vector.
 
 
@@ -185,7 +186,7 @@ def _oracle_grid(inp, e):
     v_nodes = rng.sample(range(P), 2 * a * b * b + 1)[:e * b + 1]
     params = np.array([(1, t, 1, v) for t in t_nodes for v in v_nodes],
                       dtype=np.int64)
-    return np.stack([g.eval_many(params) for g in inp.gens], axis=1)
+    return np.stack([eval_rows(g, params) for g in inp.gens], axis=1)
 
 
 @pytest.mark.parametrize("p", [P, 65521])
@@ -202,7 +203,7 @@ def test_vanishes_at_agrees_with_the_evaluation_matrix(p):
              XPoly.from_coeff_vector(p, 4, rng.integers(0, p, 35))]
     zeros = []
     for f in forms:
-        vec = f.coeff_vector(4)
+        vec = coeff_vector(f, 4)
         want = _grid_reference(4, pts, vec, p) == 0
         got = [oracle._vanishes_at(4, pts[i:i + 1], vec, p)
                for i in range(len(pts))]
@@ -223,7 +224,7 @@ def test_grid_check_accepts_the_equation_and_rejects_a_change(
         inp, orc = segre_input, implicit_by_elimination(segre_input)
     e = orc.degree
     pts = _oracle_grid(inp, e)
-    vec = orc.f.coeff_vector(e)
+    vec = coeff_vector(orc.f, e)
     assert oracle._vanishes_at(e, pts, vec, P)
     assert not _grid_reference(e, pts, vec, P).any()
     # change a nonzero coefficient, then add a term
@@ -459,6 +460,74 @@ def test_principal_lattice_is_unisolvent(degree):
                         * pow(int(y3), k, P) % P for i, j, k in exps]
                        for _, y1, y2, y3 in pts], dtype=np.int64)
     assert linalg.rank(vander, P) == n
+
+
+@pytest.mark.parametrize("p", [P, 65521])
+@pytest.mark.parametrize("degree, size", [(0, 3), (1, 4), (6, 6), (5, 12)])
+def test_lattice_values_are_the_form_at_the_lattice_points(degree, size, p):
+    rng = random.Random(degree * 100 + size)
+    mons = monomials_of_degree(degree)
+    for n_terms in sorted({1, len(mons) // 3 + 1, len(mons)}):
+        f = XPoly(p, {m: rng.randrange(1, p)
+                      for m in rng.sample(mons, n_terms)})
+        lattice = _principal_lattice(size)
+        got = _lattice_values(f.coeff_cube(degree), size, p)
+        assert got.tolist() == eval_rows(f, lattice).tolist()
+
+
+@pytest.fixture(scope="module")
+def moved_instance():
+    """A generated (2,3) surface whose point transform is not the identity,
+    with its strand and oracle equation."""
+    inst = generate(GenSpec("dim3", 2, 3, 2, (1,)), index=0, seed=0)
+    transform = inst.analysis.point_transform
+    assert (transform % P != np.eye(4, dtype=np.int64)).sum() > 4
+    return (build_strand(inst.case), implicit_by_elimination(inst.input),
+            transform, inst.input.field)
+
+
+def test_certificate_in_moved_coordinates_is_the_original_identity(
+        moved_instance):
+    strand, orc, transform, field = moved_instance
+    cert = verify_implicitization(strand, orc, transform, field)
+    assert cert.exponent * orc.degree == strand.size
+    # det M(y) = c F(T y)^d at random points y of the original coordinates
+    rng = random.Random(8)
+    for _ in range(5):
+        y = np.array([rng.randrange(P) for _ in range(4)], dtype=np.int64)
+        f_ty = orc.f.eval(linalg.matmul_mod(transform, y[:, None], P)[:, 0])
+        assert strand.det_at(y) == cert.c * pow(f_ty, cert.exponent, P) % P
+
+
+def test_certificate_in_moved_coordinates_rejects_a_changed_strand(
+        moved_instance):
+    strand, orc, transform, field = moved_instance
+    # one nonzero coefficient of one entry changed
+    tensor = strand.tensor.copy()
+    r, c, k = np.argwhere(tensor % P)[len(np.argwhere(tensor % P)) // 2]
+    tensor[r, c, k] = (tensor[r, c, k] + 1) % P
+    with pytest.raises(CertificateError):
+        verify_implicitization(dataclasses.replace(strand, tensor=tensor),
+                               orc, transform, field)
+    # two equal columns: the determinant is identically zero
+    tensor = strand.tensor.copy()
+    tensor[:, 1] = tensor[:, 0]
+    with pytest.raises(CertificateError):
+        verify_implicitization(dataclasses.replace(strand, tensor=tensor),
+                               orc, transform, field)
+
+
+def test_certificate_rejects_a_singular_transform(moved_instance):
+    strand, orc, transform, field = moved_instance
+    singular = transform.copy()
+    singular[3] = (singular[1] + 5 * singular[2]) % P
+    with pytest.raises(CertificateError, match="singular"):
+        verify_implicitization(strand, orc, singular, field)
+    # singular mod p only: the rows are independent over the integers
+    singular = np.eye(4, dtype=np.int64)
+    singular[3, 3] = P
+    with pytest.raises(CertificateError, match="singular"):
+        verify_implicitization(strand, orc, singular, field)
 
 
 def _newton(node: tuple[int, int, int], degree: int, y) -> int:

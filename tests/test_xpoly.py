@@ -6,13 +6,14 @@ import random
 import numpy as np
 import pytest
 
-from tensurf import bipoly
+from tensurf import xpoly
 from tensurf.bipoly import DEFAULT_PRIME, BiPoly
-from tensurf.xpoly import (XPoly, divide_with_remainder, eval_matrix,
-                           grid_from_bipoly, linear_substitute,
+from tensurf.xpoly import (XPoly, divide_with_remainder, eval_form,
+                           eval_matrix, grid_from_bipoly, linear_substitute,
                            monomials_of_degree, parse_xpoly,
                            xpoly_to_str)
-from xpoly_ref import compose_with_map, vanishes_on_map
+from xpoly_ref import (coeff_vector, compose_with_map, eval_rows,
+                       vanishes_on_map)
 
 P = DEFAULT_PRIME
 
@@ -74,33 +75,47 @@ def test_eval_matrix_matches_pointwise_eval():
                        + [[0, 0, 0, 0], [0, 5, 0, P - 1]], dtype=np.int64)
         M = eval_matrix(degree, pts, P)
         assert M.shape == (8, math.comb(degree + 3, 3))
-        vec = f.coeff_vector(degree)
+        vec = coeff_vector(f, degree)
         vals = np.zeros(8, dtype=np.int64)
         for k in range(M.shape[1]):
             vals = (vals + M[:, k] * int(vec[k])) % P
         for i in range(8):
             assert int(vals[i]) == f.eval(pts[i])
-        assert np.array_equal(f.eval_many(pts) % P, vals)
+        assert np.array_equal(
+            eval_form(f.coeff_cube(degree), degree, pts, P), vals)
 
 
-@pytest.mark.parametrize("chunk", [bipoly.EVAL_CHUNK, 100])
-def test_eval_many_matches_pointwise_eval(chunk, monkeypatch):
+@pytest.mark.parametrize("chunk", [xpoly.FORM_CHUNK, 100])
+def test_eval_form_matches_pointwise_eval(chunk, monkeypatch):
     # a chunk of 100 elements splits the points into many row chunks
-    monkeypatch.setattr(bipoly, "EVAL_CHUNK", chunk)
-    rng = random.Random(17)
-    pts = np.array([[rng.randrange(P) for _ in range(4)] for _ in range(50)]
-                   + [[0, 0, 0, 0], [0, 3, 0, 0], [-1, 2, -3, P + 4]],
-                   dtype=np.int64)
-    polys = [XPoly.zero(P), XPoly.const(P, 7),
-             random_xpoly(rng, 9, n_terms=40),
-             parse_xpoly("x0^7 + 3*x1*x3 - x2^2 + 5", P),
-             BiPoly(P, {(2, 0, 5, 0): 3, (0, 2, 0, 5): P - 1,
-                        (1, 1, 3, 2): 5, (0, 0, 0, 0): 2})]
-    for f in polys:
-        got = f.eval_many(pts)
-        assert got.dtype == np.int64
-        assert [int(x) for x in got] == [f.eval(pt) for pt in pts]
-        assert f.eval_many(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
+    monkeypatch.setattr(xpoly, "FORM_CHUNK", chunk)
+    for p in (P, 65521):
+        rng = random.Random(17)
+        pts = np.array([[rng.randrange(p) for _ in range(4)]
+                        for _ in range(40)], dtype=np.int64)
+        pts[rng.sample(range(40), 12), 0] = 0
+        pts[:8:2, 1] = 0
+        pts = np.vstack([pts, [[0, 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 5],
+                               [-1, 2, -3, p + 4]]])
+        for degree in (0, 1, 6, 12):
+            mons = monomials_of_degree(degree)
+            for n_terms in sorted({1, min(4, len(mons)), len(mons)}):
+                f = XPoly(p, {m: rng.randrange(1, p)
+                              for m in rng.sample(mons, n_terms)})
+                got = eval_form(f.coeff_cube(degree), degree, pts, p)
+                assert got.dtype == np.int64
+                assert got.tolist() == eval_rows(f, pts).tolist()
+                assert eval_form(f.coeff_cube(degree), degree, pts[:0],
+                                 p).shape == (0,)
+                # its x0-free part, a ternary form: one axis fewer
+                g = XPoly(p, {m: c for m, c in f.terms.items() if not m[0]})
+                square = np.zeros((degree + 1,) * 2, dtype=np.int64)
+                for m, c in g.terms.items():
+                    square[m[2], m[3]] = c
+                got = eval_form(square, degree, pts[:, 1:], p)
+                assert got.tolist() == eval_rows(g, pts).tolist()
+        zero = XPoly.zero(p).coeff_cube(3)
+        assert not eval_form(zero, 3, pts, p).any()
 
 
 def test_arithmetic_and_powers():

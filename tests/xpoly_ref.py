@@ -1,15 +1,34 @@
-"""Reference composition of a form in x0..x3 with the surface map.
+"""Reference composition of a form in x0..x3 with the surface map, and
+pointwise evaluation.
 
 Dense coefficient grids, multiplied by plain loops: the tests check the
 oracle's equation against it as an exact identity f(g0, .., g3) = 0.
+``eval_rows`` evaluates a sparse polynomial one point at a time, and
+``coeff_vector`` lists a form's coefficients in ``monomials_of_degree``
+order.
 """
 
 from typing import Optional, Sequence
 
 import numpy as np
 
-from tensurf.bipoly import BiPoly
-from tensurf.xpoly import XPoly, grid_from_bipoly
+from tensurf.bipoly import BiPoly, SparsePoly
+from tensurf.xpoly import XPoly, grid_from_bipoly, monomials_of_degree
+
+
+def eval_rows(f: SparsePoly, points) -> np.ndarray:
+    """f at each row of an (N, 4) array, by ``SparsePoly.eval`` per point."""
+    return np.array([f.eval(pt) for pt in np.asarray(points).tolist()],
+                    dtype=np.int64)
+
+
+def coeff_vector(f: XPoly, degree: int) -> np.ndarray:
+    """Coefficients of a form of degree ``degree``, the inverse of
+    ``XPoly.from_coeff_vector``."""
+    if not f.is_homogeneous(degree):
+        raise ValueError("not homogeneous of the requested degree")
+    return np.array([f.terms.get(m, 0) for m in monomials_of_degree(degree)],
+                    dtype=np.int64)
 
 
 def grid_mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
