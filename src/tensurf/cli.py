@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -217,6 +218,10 @@ def _run_pipeline(args) -> tuple:
     result = implicitize(inp, check_level="full", basepoints="skip")
     for name, secs in sorted(result.timings.items()):
         print(f"[time] {name}: {secs:.3f}s", file=sys.stderr)
+    blocks = result.certificate.blocks
+    print(f"[certificate] blocks {'+'.join(map(str, blocks))}, "
+          f"{sum(math.comb(n + 3, 3) for n in blocks)} lattice points",
+          file=sys.stderr)
     if args.oracle:
         for degree, dim in result.oracle.kernel_dims:
             print(f"[oracle] degree {degree}: kernel dimension {dim}",

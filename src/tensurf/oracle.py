@@ -34,13 +34,16 @@ either way.
 The module also proves that the strand-matrix determinant is a scalar
 multiple of a power of the recovered equation, and screens the input for
 basepoints via pairwise resultants.  That proof, in F's own coordinates,
-uses the same kind of argument: a form of degree D vanishing on the
-principal lattice {(1, i, j, k) : i + j + k <= D}, nodes 0..D distinct mod
-p, is zero (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).
+goes block by block: the strand's zero pattern permutes it into diagonal
+blocks B_i of sizes n_i, and each det B_i = c_i F^(n_i / deg F) is proved
+by the same kind of argument: a form of degree n_i vanishing on the
+principal lattice {(1, i, j, k) : i + j + k <= n_i}, nodes 0..n_i distinct
+mod p, is zero (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -234,7 +237,7 @@ def implicit_by_elimination(inp: SurfaceInput) -> OracleResult:
 # determinant certificate
 
 
-# Random points of the pre-check that runs before the lattice proof.
+# Random points of the pre-check that runs before each block's lattice proof.
 PRECHECK_POINTS = 40
 
 
@@ -242,12 +245,14 @@ PRECHECK_POINTS = 40
 class DetCertificate:
     """Proved relation det(strand) = c * F^exponent.
 
-    ``n_points`` and ``mode`` name the random pre-check and the exact
-    lattice proof that every certificate passes.
+    ``blocks`` lists the sizes of the strand's diagonal blocks, each proved
+    on its own lattice; ``n_points`` and ``mode`` name the random pre-check
+    and the exact lattice proof that every certificate passes.
     """
 
     c: int
     exponent: int
+    blocks: tuple[int, ...]
     n_points: int = PRECHECK_POINTS
     mode: str = "interpolate"
 
@@ -275,59 +280,104 @@ def _principal_lattice(degree: int) -> NDArray[np.int64]:
     return np.stack([np.ones_like(i), i, j, k], axis=1)
 
 
+def _blocks(tensor: NDArray[np.int64]
+            ) -> list[tuple[NDArray[np.int64], NDArray[np.int64]]]:
+    """Rows and columns of each connected component of the nonzero pattern
+    of a (size, size, 4) tensor, rows and columns taken as the two sides of
+    a bipartite graph (union-find).  Components come in order of their
+    first row; one without rows (a zero column) comes last."""
+    n = len(tensor)
+    root = list(range(2 * n))   # rows 0..n-1, columns n..2n-1
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for r, c in np.argwhere(tensor.any(axis=2)).tolist():
+        root[find(r)] = find(n + c)
+    label = np.array([find(x) for x in range(2 * n)])
+    return [(np.flatnonzero(label[:n] == g), np.flatnonzero(label[n:] == g))
+            for g in dict.fromkeys(label.tolist())]
+
+
+def _sign(perm: NDArray[np.int64]) -> int:
+    """The sign of a permutation, from the parity of its inversions."""
+    return -1 if np.triu(perm[:, None] > perm).sum() % 2 else 1
+
+
 def verify_implicitization(strand: Strand, oracle: OracleResult,
                            point_transform: NDArray[np.int64],
                            field: FieldConfig) -> DetCertificate:
-    """Prove det(strand) = c * F^d with d = size / deg F.
+    """Prove det(strand) = c * F^d with d = size / deg F, block by block.
 
     M acts on the changed generator basis and F on the original one:
     det M(y) = c F(T y)^d, T = ``point_transform``.  For invertible T (else
     CertificateError) that is det M(T^-1 z) = c F(z)^d, checked in F's
-    coordinates on M's linear forms moved once by T^-1.  c is fitted at the
-    first of ``PRECHECK_POINTS`` random points where both sides are
-    nonzero; checking them all rejects most wrong inputs cheaply.  The
-    proof is the check on the principal lattice {(1, i, j, k) : i + j + k
-    <= size}, unisolvent for forms of degree size when p > size (else
-    ValueError): both sides are such forms, so agreement proves the identity.
+    coordinates on M's linear forms moved once by T^-1, which keeps M's
+    zero pattern.  Its connected components (``_blocks``) permute M into
+    diagonal blocks B_i, so det M = sigma prod det B_i, sigma the sign of
+    the two permutations.  A block of size n_i is proved on its own:
+    det B_i = c_i F^(n_i / e), e = deg F, with c_i fitted at the first of
+    ``PRECHECK_POINTS`` random points where both sides are nonzero
+    (checking them all rejects most wrong inputs cheaply), then on the
+    principal lattice {(1, i, j, k) : i + j + k <= n_i}, unisolvent for
+    forms of degree n_i when p > n_i (p > size, else ValueError): both
+    sides are such forms, so agreement proves it.  So det M = c F^d with
+    c = sigma prod c_i.  A component that is not square (det M = 0) or
+    whose size e does not divide fails.
     """
-    p = field.p
-    if strand.size % oracle.degree:
-        raise CertificateError(
-            f"implicit degree {oracle.degree} does not divide the strand "
-            f"size {strand.size}")
+    p, e = field.p, oracle.degree
     if p <= strand.size:
         raise ValueError(
             f"the exact certificate needs p > {strand.size} so that the "
             f"lattice nodes 0..{strand.size} are distinct mod p")
-    d, e = strand.size // oracle.degree, oracle.degree
     if linalg.rank(point_transform, p) < 4:
         raise CertificateError("the point transform is singular mod p")
-    moved = replace(strand, tensor=linalg.matmul_mod(
-        strand.tensor.reshape(-1, 4), linalg.matrix_inverse(
-            point_transform, p), p).reshape(strand.tensor.shape))
+    moved = linalg.matmul_mod(strand.tensor.reshape(-1, 4),
+                              linalg.matrix_inverse(point_transform, p),
+                              p).reshape(strand.tensor.shape)
+    blocks = _blocks(moved)
+    for rows, cols in blocks:
+        if len(rows) != len(cols):
+            raise CertificateError(
+                f"the strand has a {len(rows)} x {len(cols)} component of "
+                "nonzero entries, so its determinant is zero")
+        if len(rows) % e:
+            raise CertificateError(
+                f"implicit degree {e} does not divide the block size "
+                f"{len(rows)}")
+    c = math.prod(_sign(np.concatenate(side)) for side in zip(*blocks)) % p
     cube = oracle.f.coeff_cube(e)
     rng = field.rng("certificate")
     pts = np.array([[rng.randrange(p) for _ in range(4)]
                     for _ in range(PRECHECK_POINTS)], dtype=np.int64)
-    lhs = moved.det_at_many(pts)
-    rhs = linalg.pow_mod_array(eval_form(cube, e, pts, p), d, p)
-    fit = np.flatnonzero(lhs * rhs % p)
-    if not fit.size:
-        raise CertificateError("no sample point has det and F both nonzero")
-    c = int(lhs[fit[0]]) * pow(int(rhs[fit[0]]), -1, p) % p
-    bad = np.count_nonzero(lhs != c * rhs % p)
-    if bad:
-        raise CertificateError(
-            f"det = c * F^{d} fails at {bad} of {PRECHECK_POINTS} sample "
-            "points")
-    lattice = _principal_lattice(strand.size)
-    rhs = linalg.pow_mod_array(_lattice_values(cube, strand.size, p), d, p)
-    bad = np.count_nonzero(moved.det_at_many(lattice) != c * rhs % p)
-    if bad:
-        raise CertificateError(
-            f"det = c * F^{d} fails at {bad} of {len(lattice)} principal "
-            "lattice points")
-    return DetCertificate(c=c, exponent=d)
+    f_pts = eval_form(cube, e, pts, p)
+    for index, (rows, cols) in enumerate(blocks):
+        n, k = len(rows), len(rows) // e
+        lattice = _principal_lattice(n)
+        dets = replace(strand, size=n, tensor=moved[np.ix_(
+            rows, cols)]).det_at_many(np.vstack([pts, lattice]))
+        lhs, rhs = dets[:PRECHECK_POINTS], linalg.pow_mod_array(f_pts, k, p)
+        fit = np.flatnonzero(lhs * rhs % p)
+        if not fit.size:
+            raise CertificateError(
+                f"block {index}: no sample point has det and F both nonzero")
+        c_i = int(lhs[fit[0]]) * pow(int(rhs[fit[0]]), -1, p) % p
+        bad = np.count_nonzero(lhs != c_i * rhs % p)
+        if bad:
+            raise CertificateError(
+                f"block {index}: det = c * F^{k} fails at {bad} of "
+                f"{PRECHECK_POINTS} sample points")
+        rhs = linalg.pow_mod_array(_lattice_values(cube, n, p), k, p)
+        bad = np.count_nonzero(dets[PRECHECK_POINTS:] != c_i * rhs % p)
+        if bad:
+            raise CertificateError(
+                f"block {index}: det = c * F^{k} fails at {bad} of "
+                f"{len(lattice)} principal lattice points")
+        c = c * c_i % p
+    return DetCertificate(c=c, exponent=strand.size // e,
+                          blocks=tuple(len(r) for r, _ in blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,15 @@ def _split_roots(f: NDArray[np.int64], delta: NDArray[np.int64], p: int
     Comp. 36, 1981), so wherever gcd(f_j, w -+ 1) is linear its zero is a
     root.  Residues are kept balanced, so a coefficient of w^2 sums at most
     K <= 8 products of size h^2 < 2^60 before one reduction.  Returns the
-    columns and the roots, each root checked.
+    columns and the roots, each root checked.  For K = 1 the root -f0 / f1
+    is returned directly, so every root is found.
     """
     K = f.shape[0] - 1
     cols = np.flatnonzero(f[K])
     if not cols.size:
         return cols, cols
+    if K == 1:
+        return cols, -f[0, cols] * linalg.inverse_many(f[1, cols], p) % p
     monic = f[:, cols] * linalg.inverse_many(f[K, cols], p) % p
     # red[j] = x^(K + j) mod f_j, balanced
     red = [_balanced(-monic[:K] % p, p)]

@@ -88,7 +88,7 @@ def eval_form(cube: np.ndarray, degree: int, points: np.ndarray, p: int
     exps = np.indices(cube.shape[:-1]).reshape(n - 1, cube.size // width)
     keep = exps.sum(axis=0) <= degree
     exps, table = exps[:, keep], cube.reshape(-1, width)[keep].T
-    step = max(1, FORM_CHUNK // table.shape[1])
+    step = max(width, FORM_CHUNK // table.shape[1])
     for lo in range(0, len(on), step):
         zc = z[lo:lo + step]   # power tables pw[power, variable, row]
         pw = linalg.vandermonde(zc.T.reshape(-1), width, p).T.reshape(

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, reports, exit codes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import EXAMPLE_GENERATORS, SEGRE_GENERATORS
+from tensurf import oracle
 from tensurf.bipoly import DEFAULT_PRIME, parse_poly, poly_to_str
 from tensurf.cli import main
 
@@ -113,6 +116,37 @@ def test_implicitize_timings_go_to_stderr(example_job, capsys):
     assert "[time]" not in captured.out
     assert "[time] oracle:" in captured.err
     assert "[oracle] degree 10: kernel dimension 1" in captured.err
+    assert "[certificate] blocks 10+10, 572 lattice points" in captured.err
+    assert "[certificate]" not in captured.out
+
+
+@pytest.mark.parametrize("fault", ["zero row", "changed entry",
+                                   "wrong transform"])
+def test_implicitize_exits_3_when_the_certificate_fails(
+        fault, example_job, capsys, monkeypatch):
+    build, verify = oracle.build_strand, oracle.verify_implicitization
+
+    def broken_strand(case):
+        strand = build(case)
+        tensor = strand.tensor % P
+        if fault == "zero row":        # det = 0
+            tensor[3] = 0
+        elif fault == "changed entry":  # one block no longer c_i F
+            r, c, k = np.argwhere((tensor != 0) & (tensor != P - 1))[-1]
+            tensor[r, c, k] += 1
+        return dataclasses.replace(strand, tensor=tensor)
+
+    def wrong_transform(strand, orc, transform, field):
+        if fault == "wrong transform":
+            transform = np.triu(np.arange(1, 17).reshape(4, 4))
+        return verify(strand, orc, transform, field)
+
+    monkeypatch.setattr(oracle, "build_strand", broken_strand)
+    monkeypatch.setattr(oracle, "verify_implicitization", wrong_transform)
+    assert main(["implicitize", example_job]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "certificate failure" in captured.err
 
 
 def test_implicitize_side_st_rejected_for_asymmetric_input(example_job,

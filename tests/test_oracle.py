@@ -431,7 +431,63 @@ def test_certificate_frozen(example_analysis, example_strand,
     cert = verify_implicitization(example_strand, example_oracle,
                                   example_analysis.point_transform, field)
     assert cert == DetCertificate(c=P - 1, exponent=2, n_points=40,
-                                  mode="interpolate")
+                                  mode="interpolate", blocks=(10, 10))
+
+
+def test_a_generic_d1_strand_is_one_block():
+    inst = generate(GenSpec("dim2", 3, 2, 1), index=0, seed=0)
+    cert = verify_implicitization(
+        build_strand(inst.case), implicit_by_elimination(inst.input),
+        inst.analysis.point_transform, inst.input.field)
+    assert cert.exponent == 1 and cert.blocks == (12,)
+
+
+def test_swapping_rows_of_two_blocks_negates_c(example_analysis,
+                                               example_strand,
+                                               example_oracle, field):
+    (rows0, _), (rows1, _) = oracle._blocks(example_strand.tensor % P)
+    tensor = example_strand.tensor.copy()
+    tensor[[rows0[0], rows1[0]]] = tensor[[rows1[0], rows0[0]]]
+    cert = verify_implicitization(
+        dataclasses.replace(example_strand, tensor=tensor), example_oracle,
+        example_analysis.point_transform, field)
+    assert cert.blocks == (10, 10)
+    assert cert.c == P - (P - 1)
+
+
+def test_certificate_rejects_a_zero_row(example_analysis, example_strand,
+                                        example_oracle, field):
+    tensor = example_strand.tensor.copy()
+    tensor[3] = 0
+    with pytest.raises(CertificateError,
+                       match="component .* determinant is zero"):
+        verify_implicitization(
+            dataclasses.replace(example_strand, tensor=tensor),
+            example_oracle, example_analysis.point_transform, field)
+
+
+def test_certificate_rejects_a_block_the_degree_does_not_divide(
+        example_analysis, example_strand, example_oracle, field):
+    # 4 divides the strand size 20 but not the block size 10
+    quartic = dataclasses.replace(
+        example_oracle, degree=4, f=XPoly(P, {(4, 0, 0, 0): 1}))
+    with pytest.raises(CertificateError,
+                       match="does not divide the block size 10"):
+        verify_implicitization(example_strand, quartic,
+                               example_analysis.point_transform, field)
+
+
+def test_certificate_rejects_a_changed_coefficient_in_the_second_block(
+        example_analysis, example_strand, example_oracle, field):
+    _, (rows, cols) = oracle._blocks(example_strand.tensor % P)
+    tensor = example_strand.tensor % P
+    block = tensor[np.ix_(rows, cols)]
+    r, c, k = np.argwhere((block != 0) & (block != P - 1))[0]
+    tensor[rows[r], cols[c], k] += 1
+    with pytest.raises(CertificateError, match="block 1"):
+        verify_implicitization(
+            dataclasses.replace(example_strand, tensor=tensor),
+            example_oracle, example_analysis.point_transform, field)
 
 
 def test_certificate_interpolate_mode(example_analysis, example_strand,
@@ -544,31 +600,37 @@ def _newton(node: tuple[int, int, int], degree: int, y) -> int:
     return acc
 
 
-@pytest.mark.parametrize("node", [(20, 0, 0), (0, 0, 20), (7, 6, 7),
+@pytest.mark.parametrize("node", [(10, 0, 0), (0, 0, 10), (3, 4, 3),
                                   (2, 3, 4)])
 def test_interpolate_catches_a_perturbation_at_lattice_points(
         node, example_analysis, example_strand, example_oracle, field,
         monkeypatch):
-    degree = example_strand.size
+    # the worked strand is two blocks of size 10; only the first block's
+    # determinant is perturbed, on its own degree-10 lattice
     original = Strand.det_at_many
+    sizes = []
 
     def perturbed(self, points):
         out = original(self, points)
+        sizes.append(self.size)
+        if len(sizes) > 1:
+            return out
         pts = np.asarray(points, dtype=np.int64) % P
         for r, y in enumerate(pts):
-            if y[0] == 1 and (y <= degree).all():
-                out[r] = (out[r] + _newton(node, degree, y)) % P
+            if y[0] == 1 and (y <= self.size).all():
+                out[r] = (out[r] + _newton(node, self.size, y)) % P
         return out
 
     monkeypatch.setattr(Strand, "det_at_many", perturbed)
-    n_bad = math.comb(degree - sum(node) + 3, 3)
-    n_all = math.comb(degree + 3, 3)
+    n_bad = math.comb(10 - sum(node) + 3, 3)
     # the random pre-check passes (it would report "of 40 sample points");
     # only the lattice sees the perturbation
     with pytest.raises(CertificateError,
-                       match=f"fails at {n_bad} of {n_all} principal lattice"):
+                       match=f"block 0: .* fails at {n_bad} of 286 principal "
+                             "lattice"):
         verify_implicitization(example_strand, example_oracle,
                                example_analysis.point_transform, field)
+    assert sizes == [10]
 
 
 @pytest.mark.parametrize("p", [3, 19])

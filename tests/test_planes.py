@@ -43,7 +43,8 @@ def test_split_roots_finds_every_isolated_root(K, p):
     # f = c (x - r_1) ... (x - r_K), distinct roots: gcd(f, w - 1) is the
     # product over the r with r + delta a nonzero square and gcd(f, w + 1)
     # over those with a non-square, so a root is found exactly when it is
-    # alone in its class
+    # alone in its class.  A linear f is solved directly, so its root is
+    # found even when r + delta = 0
     rng = random.Random(K)
     f = np.zeros((K + 1, 60), dtype=np.int64)
     delta = [rng.randrange(p) for _ in range(60)]
@@ -58,6 +59,8 @@ def test_split_roots_finds_every_isolated_root(K, p):
             alone = [z for z in roots if _chi(z + delta[j], p) == sign]
             if len(alone) == 1:
                 want.add((j, alone[0]))
+        if K == 1:
+            want.add((j, roots[0]))
     cols, roots = planes._split_roots(f, np.array(delta), p)
     assert set(zip(cols.tolist(), roots.tolist())) == want
     assert len(cols) == len(want)
