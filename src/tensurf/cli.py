@@ -115,6 +115,10 @@ def _load_job(args) -> tuple[SurfaceInput, dict]:
     for key in ("a", "b", "generators"):
         if key not in data:
             raise ValueError(f"job file is missing the key {key!r}")
+    data.setdefault("prime", DEFAULT_PRIME)
+    for key in ("a", "b", "prime"):
+        if type(data[key]) is not int:
+            raise ValueError(f"{key!r} must be an integer, not {data[key]!r}")
     gens = data["generators"]
     if not (isinstance(gens, list) and len(gens) == 4
             and all(isinstance(g, str) for g in gens)):
@@ -122,9 +126,8 @@ def _load_job(args) -> tuple[SurfaceInput, dict]:
     options = data.get("options") or {}
     if not isinstance(options, dict):
         raise ValueError("'options' must be an object")
-    field = FieldConfig(int(data.get("prime", DEFAULT_PRIME)), seed=args.seed)
-    inp = SurfaceInput.from_strings(int(data["a"]), int(data["b"]),
-                                    gens, field)
+    field = FieldConfig(data["prime"], seed=args.seed)
+    inp = SurfaceInput.from_strings(data["a"], data["b"], gens, field)
     return inp, options
 
 
@@ -215,7 +218,7 @@ def _run_pipeline(args) -> tuple:
         inp = inp.mirror()
     check_prime_floor(inp.a, inp.b, inp.field.p)
     bp = _screen_basepoints(inp, args.force)
-    result = implicitize(inp, check_level="full", basepoints="skip")
+    result = implicitize(inp, basepoints="skip")
     for name, secs in sorted(result.timings.items()):
         print(f"[time] {name}: {secs:.3f}s", file=sys.stderr)
     blocks = result.certificate.blocks

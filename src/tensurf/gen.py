@@ -206,7 +206,7 @@ def validate_instance(inp: SurfaceInput, spec: GenSpec) -> ValidationReport:
     """
     reasons: list[str] = []
     try:
-        result = implicitize(inp, check_level="full")
+        result = implicitize(inp)
     except (HypothesisError, CertificateError) as exc:
         return ValidationReport(False, (f"pipeline failed: {exc}",))
     va = result.analysis

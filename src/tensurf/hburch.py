@@ -90,33 +90,6 @@ class GradedSyzMatrix:
         return True
 
 
-class _Span:
-    """Incremental echelon span with exact membership reduction."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: list[tuple[int, NDArray[np.int64]]] = []  # (pivot, row)
-
-    def reduce(self, v: NDArray[np.int64]) -> NDArray[np.int64]:
-        v = v.copy() % self.p
-        for piv, row in self.rows:
-            if v[piv]:
-                v = (v - int(v[piv]) * row) % self.p
-        return v
-
-    def add(self, v: NDArray[np.int64]) -> bool:
-        """Add v to the span; True when it enlarged the span."""
-        r = self.reduce(v)
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        r = r * pow(int(r[piv]), -1, self.p) % self.p
-        self.rows.append((piv, r))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-
 def _block_sizes(delta: int, row_degrees: Sequence[int]) -> list[int]:
     return [delta - rd + 1 if delta >= rd else 0 for rd in row_degrees]
 
@@ -182,23 +155,18 @@ def min_graded_syzygies(gens: Sequence[UniHomPoly], p: int) -> GradedSyzMatrix:
     cap = sum(row_degrees) + 1
     cols: list[tuple[int, NDArray[np.int64]]] = []
     prev_kernel: list[NDArray[np.int64]] = []
-    done = False
     for delta in range(min(row_degrees), cap + 1):
         kernel = _kernel_at_degree(gens, delta, p)
-        if kernel and not done:
-            span = _Span(p)
-            for w in prev_kernel:
-                for lifted in _lift(w, delta, row_degrees, p):
-                    span.add(lifted)
-            for vec in kernel:
-                if span.add(vec):
-                    cols.append((delta, vec))
-                    if len(cols) == k - 1:
-                        done = True
-                        break
+        if kernel:
+            # the leftmost pivots of [lifts | kernel] are the greedy choice
+            lifts = [v for w in prev_kernel
+                     for v in _lift(w, delta, row_degrees, p)]
+            pivots = linalg.rref(np.column_stack(lifts + kernel), p).pivots
+            cols += [(delta, kernel[j - len(lifts)]) for j in pivots
+                     if j >= len(lifts)][:k - 1 - len(cols)]
+            if len(cols) == k - 1:
+                break
         prev_kernel = kernel
-        if done:
-            break
     if len(cols) != k - 1:
         raise CertificateError(
             "syzygy module resolution did not close at the expected rank")

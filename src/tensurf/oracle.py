@@ -8,12 +8,13 @@ f(g0..g3) is bihomogeneous of bidegree (e*a, e*b), so vanishing on that grid
 of distinct affine nodes forces it to vanish identically.
 
 The degree of F is e = 2ab / d, where d is the degree of the map onto its
-image.  The oracle first reads d off one generic fiber (two resultants of
-pulled-back planes through a random image point share exactly its d
-preimages), then peels a candidate off e + 1 random planes H_k = {m_k = 0}:
-F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)), each G_k a form of degree
-e - k in x1, x2, x3 found by a small exact solve on F_p-points of the image
-X on H_k (see :mod:`tensurf.planes`).  Two facts prove the candidate:
+image.  The oracle peels a candidate off e + 1 random planes H_k =
+{m_k = 0}: F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)), each G_k a form
+of degree e - k in x1, x2, x3 found by a small exact solve on F_p-points
+of the image X on H_k (see :mod:`tensurf.planes`).  The peel reads e off
+the first plane section: e divides a known e_max, and G_0 spans the
+level-0 kernel at e_max or, when that kernel is not a line, at the least
+divisor of e_max with a nonzero one.  Two facts prove the candidate:
 
 (a) it vanishes at the image of the product grid, so F(g0..g3) = 0;
 (b') the degree-e forms in x1, x2, x3 vanishing at the level-0 samples,
@@ -53,7 +54,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import linalg
-from .bipoly import (BiPoly, CertificateError, FieldConfig, HypothesisError,
+from .bipoly import (CertificateError, FieldConfig, HypothesisError,
                      UniHomPoly, _upoly_divide, _upoly_gcd, _upoly_mod,
                      _upoly_mul, _upoly_strip, uni_gcd)
 from .cases import CaseResult, run_case
@@ -87,10 +88,10 @@ class OracleResult:
     of one identifies the unique minimal equation; a larger value signals
     that the image is not a hypersurface of that degree (the first canonical
     kernel vector is still returned, and downstream certification will
-    reject it).  When the equation was peeled off plane sections at the
-    hinted degree e, the dimension 1 at e and the zero dimensions below it
-    are proved (facts (a) and (b') of the module docstring) rather than
-    computed.
+    reject it).  When the equation was peeled off plane sections, at the
+    degree e the peel read off them, the dimension 1 at e and the zero
+    dimensions below it are proved (facts (a) and (b') of the module
+    docstring) rather than computed.
     """
 
     f: XPoly
@@ -101,45 +102,6 @@ class OracleResult:
     @property
     def kernel_dim(self) -> int:
         return self.kernel_dims[-1][1]
-
-
-def _fiber_degree(inp: SurfaceInput) -> Optional[int]:
-    """Degree d of the map onto its image, read off one random fiber.
-
-    With y0 the image of a random parameter point and l1, l2, l3 random
-    linear forms vanishing at y0, h_i = l_i(g0..g3) has bidegree (a, b).
-    Res_uv(h1, h2) vanishes at the (s : t) coordinates of the 2ab preimages
-    of the line {l1 = l2 = 0}, and Res_uv(h1, h3) at those of another line
-    through y0; for a generic choice the two share only the d preimages of
-    y0.  Returns d when it divides 2ab, else None (also when a resultant
-    vanishes).  The result only chooses which degree to try first, so a
-    wrong value costs time, never correctness.  The caller has checked the
-    prime floor, so the resultants' 2ab + 1 sample nodes are distinct.
-    """
-    p, a, b = inp.field.p, inp.a, inp.b
-    size = 2 * a * b
-    rng = inp.field.rng("oracle-hint")
-    t0, v0 = rng.randrange(p), rng.randrange(p)
-    y0 = [g.eval((1, t0, 1, v0)) for g in inp.gens]
-    pivot = next((k for k, y in enumerate(y0) if y), None)
-    if pivot is None:
-        return None
-    inv = pow(y0[pivot], -1, p)
-    hs = []
-    for _ in range(3):
-        ell = [rng.randrange(p) for _ in range(4)]
-        ell[pivot] = 0
-        ell[pivot] = -sum(c * y for c, y in zip(ell, y0)) * inv % p
-        h = BiPoly.zero(p)
-        for c, g in zip(ell, inp.gens):
-            h = h + g.scale(c)
-        hs.append(h)
-    r12 = resultant_uv(hs[0], hs[1], (a, b), (a, b), p)
-    r13 = resultant_uv(hs[0], hs[2], (a, b), (a, b), p)
-    if r12.is_zero or r13.is_zero:
-        return None
-    d = uni_gcd(r12, r13).degree
-    return d if d and size % d == 0 else None
 
 
 def _normalized(vec: NDArray[np.int64], p: int) -> NDArray[np.int64]:
@@ -172,11 +134,11 @@ def check_prime_floor(a: int, b: int, p: int) -> None:
 def implicit_by_elimination(inp: SurfaceInput) -> OracleResult:
     """The minimal implicit equation of the image, normalized to a leading 1.
 
-    At the degree e = 2ab / d (d from :func:`_fiber_degree`), a candidate is
-    peeled off e + 1 random plane sections (:func:`tensurf.planes.peel`)
-    and checked exactly on the image of the (e*a + 1) x (e*b + 1) product
-    grid.  With the level-0 kernel of the peel a line, passing proves it is
-    the equation and that no lower degree has one (b' in the module
+    :func:`tensurf.planes.peel` reads the degree e = 2ab / d off its first
+    plane section and peels a candidate off e + 1 of them; it is checked
+    exactly on the image of the (e*a + 1) x (e*b + 1) product grid.  With
+    the level-0 kernel of the peel a line, passing proves it is the
+    equation and that no lower degree has one (b' in the module
     docstring), so those degrees are reported with kernel dimension 0
     without being computed.  Any failure scans the degrees 1..2ab in order
     on product grids up to the first nonzero kernel.  Both paths return the
@@ -203,10 +165,9 @@ def implicit_by_elimination(inp: SurfaceInput) -> OracleResult:
             f=XPoly.from_coeff_vector(p, e, vec), degree=e,
             kernel_dims=tuple(dims), grid_shape=(e * a + 1, e * b + 1))
 
-    d = _fiber_degree(inp)
-    vec = None if d is None else peel(inp, size // d, gen_grids)
-    if vec is not None:
-        e = size // d
+    peeled = peel(inp, gen_grids)
+    if peeled is not None:
+        e, vec = peeled
         vec = _normalized(vec, p)
         points = grid_points(e)
         # A dead grid point is left to the scan, which reports it.
@@ -490,10 +451,10 @@ def _specialized_gcd(inp: SurfaceInput, s0: int, t0: int) -> UniHomPoly:
 
 
 def _probe_root(inp: SurfaceInput, s0: int, t0: int, rng
-                ) -> Optional[BasepointReport]:
-    """Report a basepoint if the generators specialized at (s0 : t0) share
-    a nonconstant factor; fields g_uv/g_st/candidates are filled by the
-    caller."""
+                ) -> Optional[tuple[Optional[tuple[int, int, int, int]], str]]:
+    """(witness, detail) of a basepoint if the generators specialized at
+    (s0 : t0) share a nonconstant factor, else None; the witness is a
+    verified common zero over F_p, or None."""
     acc = _specialized_gcd(inp, s0, t0)
     if acc.is_zero or acc.degree == 0:
         return None
@@ -506,8 +467,7 @@ def _probe_root(inp: SurfaceInput, s0: int, t0: int, rng
               else f"generators specialized at ({s0} : {t0}) share a factor "
                    f"of degree {acc.degree}; its zeros lie in an extension "
                    "field")
-    return BasepointReport("basepoint", witness, UniHomPoly.zero(inp.field.p, 0),
-                           UniHomPoly.zero(inp.field.p, 0), (), detail)
+    return witness, detail
 
 
 def basepoint_check(inp: SurfaceInput) -> BasepointReport:
@@ -540,18 +500,18 @@ def basepoint_check(inp: SurfaceInput) -> BasepointReport:
     for s0, t0 in uv_candidates:
         hit = _probe_root(inp, s0, t0, rng)
         if hit is not None:
-            return BasepointReport(hit.status, hit.witness, g_uv, g_st,
-                                   tuple(uv_candidates), hit.detail)
+            return BasepointReport("basepoint", hit[0], g_uv, g_st,
+                                   tuple(uv_candidates), hit[1])
     st_candidates = chart_candidates(g_st)
     for u0, v0 in st_candidates:
         hit = _probe_root(mirror, u0, v0, rng)
         if hit is not None:
-            witness = hit.witness
+            witness, detail = hit
             if witness is not None:
                 # mirror coordinates come back as (u, v, s, t)
                 witness = (witness[2], witness[3], witness[0], witness[1])
-            return BasepointReport(hit.status, witness, g_uv, g_st,
-                                   tuple(st_candidates), hit.detail)
+            return BasepointReport("basepoint", witness, g_uv, g_st,
+                                   tuple(st_candidates), detail)
     parts = []
     if not uv_const:
         parts.append("uv-resultant gcd "
@@ -584,8 +544,8 @@ class ImplicitizationResult:
     timings: dict
 
 
-def implicitize(inp: SurfaceInput, check_level: str = "full",
-                basepoints: str = "check") -> ImplicitizationResult:
+def implicitize(inp: SurfaceInput, basepoints: str = "check"
+                ) -> ImplicitizationResult:
     """Run analysis, case construction, strand, oracle and certificate.
 
     The certificate proves det(strand) = c * F^d exactly (see
@@ -610,7 +570,7 @@ def implicitize(inp: SurfaceInput, check_level: str = "full",
 
     start = time.perf_counter()
     va = analyze(inp)
-    case = run_case(va, check_level=check_level)
+    case = run_case(va, check_level="full")
     timings["analysis"] = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -6,10 +6,12 @@ degree e - k in x1, x2, x3: the chart of the plane H_k = {m_k = 0}.  The
 image X meets H_k in a plane curve, whose F_p-points come from one batched
 Cantor-Zassenhaus split per random draw (:func:`_split_roots`).  On those
 points one kernel (level 0) and e small solves (levels 1..e) give the G_k,
-and Horner's rule on dense coefficient vectors assembles F.  The oracle
-(:mod:`tensurf.oracle`) proves the candidate.  Its proof takes one fact
-from here, which :func:`peel` enforces: the level-0 kernel, on points
-checked exactly to lie on X and on H_0, is the line of G_0.
+and Horner's rule on dense coefficient vectors assembles F.  Points are
+drawn for the largest degree e_max the map allows, and level 0 reads off
+e (see :func:`peel`); the other levels use prefixes of their points.  The
+oracle (:mod:`tensurf.oracle`) proves the candidate.  Its proof takes one
+fact from here, which :func:`peel` enforces: the level-0 kernel at e, on
+points checked exactly to lie on X and on H_0, is the line of G_0.
 """
 
 from __future__ import annotations
@@ -219,25 +221,38 @@ def _assemble(gs: list[NDArray[np.int64]], planes: NDArray[np.int64],
     return vec
 
 
-def peel(inp: SurfaceInput, e: int, gen_grids: list[NDArray[np.int64]]
-         ) -> Optional[NDArray[np.int64]]:
-    """Candidate coefficient vector of an equation of degree e, or None.
+def _need(e: int) -> NDArray[np.int64]:
+    """Points per level of a degree-e peel: the unknowns of G_k + margin."""
+    return np.array([math.comb(e - k + 2, 2) + _SAMPLE_MARGIN
+                     for k in range(e + 1)])
+
+
+def _plane_monomials(Y: NDArray[np.int64], D: int, p: int
+                     ) -> NDArray[np.int64]:
+    """The degree-D monomials in x1, x2, x3 at the rows of Y."""
+    e1, e2, e3 = _plane_exponents(D)
+    pw = [linalg.vandermonde(Y[:, i], D + 1, p) for i in (1, 2, 3)]
+    return pw[0][:, e1] * pw[1][:, e2] % p * pw[2][:, e3] % p
+
+
+def peel(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
+         ) -> Optional[tuple[int, NDArray[np.int64]]]:
+    """The degree e of the image's equation and a candidate coefficient
+    vector, or None.
 
     F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)) for random linear forms
     m_k with m_k[0] != 0, each G_k a form of degree e - k in x1, x2, x3 (the
     chart of H_k = {m_k = 0}).  At a point y of X on H_k and off the earlier
     planes, G_k(y) = F_k(y), where F_0 = F = 0 on X and F_(j+1) = (F_j -
-    G_j) / m_j.  G_0 spans the kernel of the sampled level-0 matrix, which
-    must be a line; each later G_k is the solution of its sampled system.
-    None when points run short, the kernel is not a line or a system is
+    G_j) / m_j.  e = 2ab / d divides e_max = 2ab / step, as phi factors
+    through x -> x^step (below), so step divides d.  G_0 spans the sampled
+    level-0 kernel at e, which must be a line: at e_max if that one is a
+    line, else at the least divisor of e_max with a nonzero kernel on a
+    prefix of the points.  Each later G_k solves its sampled system.  None
+    when points run short, the kernel is not a line or a system is
     inconsistent.  ``eval_form`` gives G_k at the later levels' points.
     """
     p, a, b = inp.field.p, inp.a, inp.b
-    rng = np.random.default_rng(inp.field.rng("oracle-sample").getrandbits(64))
-    planes = rng.integers(0, p, (e + 1, 4))
-    planes[:, 0] = rng.integers(1, p, e + 1)
-    need = np.array([math.comb(e - k + 2, 2) + _SAMPLE_MARGIN
-                     for k in range(e + 1)])
     grids = gen_grids if a > b else [g.T for g in gen_grids]
     # when phi only has powers of x^step in the solved variable x, solve for
     # x^step: every root in F_p still gives an F_p-point of X
@@ -246,11 +261,31 @@ def peel(inp: SurfaceInput, e: int, gen_grids: list[NDArray[np.int64]]
     K = grids[0].shape[1] - 1
     if K > 8:   # beyond _split_roots's lazy reduction
         return None
+    e_max = 2 * a * b // step
+    rng = np.random.default_rng(inp.field.rng("oracle-sample").getrandbits(64))
+    planes = rng.integers(0, p, (e_max + 1, 4))
+    planes[:, 0] = rng.integers(1, p, e_max + 1)
+    need = _need(e_max)
     pts = _section_points(grids, planes, need, 1 if K == 1 else 2, rng, p)
     if any(len(y) < n for y, n in zip(pts, need.tolist())):
         return None
+
+    def level0_kernel(D: int) -> list[NDArray[np.int64]]:
+        return linalg.kernel_basis(
+            _plane_monomials(pts[0][:_need(D)[0]], D, p), p)
+
+    e, kern = e_max, level0_kernel(e_max)
+    if len(kern) > 1:   # d > step: G_0 times every form of degree e_max - e
+        for e in [k for k in range(1, e_max) if e_max % k == 0]:
+            kern = level0_kernel(e)
+            if kern:
+                break
+    if len(kern) != 1:
+        return None
+    need = _need(e)
+    Y = np.concatenate([y[:n] for y, n in zip(pts, need.tolist())])
     start = np.cumsum([0] + need.tolist())
-    Y = np.concatenate(pts)
+    planes = planes[:e + 1]
     mv = linalg.matmul_mod(Y, planes.T, p)
     # prod[:, k] = m_0(y) ... m_(k-1)(y), nonzero up to each point's level
     prod = np.ones((len(Y), e + 1), dtype=np.int64)
@@ -262,21 +297,17 @@ def peel(inp: SurfaceInput, e: int, gen_grids: list[NDArray[np.int64]]
     gs = []
     for k in range(e + 1):
         lo, hi, D = start[k], start[k + 1], e - k
-        e1, e2, e3 = _plane_exponents(D)
-        pw = [linalg.vandermonde(Y[lo:hi, i], D + 1, p) for i in (1, 2, 3)]
-        V = pw[0][:, e1] * pw[1][:, e2] % p * pw[2][:, e3] % p
         if k == 0:
-            kern = linalg.kernel_basis(V, p)
-            if len(kern) != 1:
-                return None
             g = kern[0]
         else:   # G_k(y) = F_k(y) = -num(y) / prod[y, k]
-            g = linalg.solve_particular(V, -num[lo:hi] * scale[lo:hi] % p, p)
+            g = linalg.solve_particular(_plane_monomials(Y[lo:hi], D, p),
+                                        -num[lo:hi] * scale[lo:hi] % p, p)
             if g is None:
                 return None
         gs.append(g)
+        _, e2, e3 = _plane_exponents(D)
         square = np.zeros((D + 1, D + 1), dtype=np.int64)
         square[e2, e3] = g
         num[hi:] = (num[hi:] + eval_form(square, D, Y[hi:, 1:], p)
                     * prod[hi:, k]) % p
-    return _assemble(gs, planes, p)
+    return e, _assemble(gs, planes, p)

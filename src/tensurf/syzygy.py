@@ -170,20 +170,13 @@ def analyze(inp: SurfaceInput, cap: Optional[int] = None) -> VAnalysis:
         raise CertificateError(
             "entries of g share a common factor; the syzygy was not minimal")
 
-    # Complete f_prime to four generators, greedily keeping original ones.
-    cols = [A[:, j].copy() for j in basis_idx]
-    new_gens = list(f_prime)
-    for i in range(4):
-        cand = np.zeros(4, dtype=np.int64)
-        cand[i] = 1
-        if linalg.rank(np.stack(cols + [cand]), p) > len(cols):
-            cols.append(cand)
-            new_gens.append(inp.gens[i])
-        if len(cols) == 4:
-            break
-    transition = np.stack(cols, axis=1)
-    if linalg.rank(transition, p) != 4:
-        raise CertificateError("generator completion failed to reach rank 4")
+    # Complete f_prime to four generators, greedily keeping original ones:
+    # the leftmost pivots of [A's basis columns | identity], which has rank 4.
+    cand = np.column_stack([A[:, j] for j in basis_idx]
+                           + [np.eye(4, dtype=np.int64)])
+    pivots = linalg.rref(cand, p).pivots
+    transition = cand[:, pivots]
+    new_gens = list(f_prime) + [inp.gens[j - dim_v] for j in pivots[dim_v:]]
     point_transform = linalg.matrix_inverse(transition.T % p, p)
 
     zero = BiPoly.zero(p)

@@ -309,6 +309,22 @@ def test_malformed_job_returns_1(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("a", 1.9), ("b", True), ("prime", 65521.7), ("prime", "65521"),
+    ("a", 2.0), ("prime", None)])
+def test_non_integer_job_parameters_exit_1(key, value, tmp_path, capsys):
+    job = {"a": 1, "b": 1, "prime": 65521,
+           "generators": ["s*u", "s*v", "t*u", "t*v"], key: value}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    for command in ("analyze", "implicitize", "verify"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {key!r} must be an integer, "
+                                f"not {value!r}\n")
+
+
 _FLOOR_37 = ("error: prime {p} is below the floor 37 = 2ab*max(a, b) + 1 "
              "for bidegree (2, 3)\n")
 

@@ -22,8 +22,9 @@ from tensurf.bipoly import UniHomPoly, uni_gcd
 from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput
-from tensurf.xpoly import (XPoly, eval_matrix, linear_substitute,
-                           monomials_of_degree, parse_xpoly, xpoly_to_str)
+from tensurf.xpoly import (XPoly, eval_matrix, grid_from_bipoly,
+                           linear_substitute, monomials_of_degree,
+                           parse_xpoly, xpoly_to_str)
 from xpoly_ref import coeff_vector, eval_rows, vanishes_on_map
 
 P = DEFAULT_PRIME
@@ -77,13 +78,13 @@ def test_oracle_detects_dead_grid_point(field):
 
 
 # ---------------------------------------------------------------------------
-# the degree hint, the plane sections and the exact check at the hinted degree
+# the plane sections, the degree they read off and the exact check there
 
 
 def _unhinted(monkeypatch, inp):
-    """The oracle with the degree hint switched off: the plain scan."""
+    """The oracle with the plane sections switched off: the plain scan."""
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_fiber_degree", lambda inp: None)
+        m.setattr(oracle, "peel", lambda inp, gen_grids: None)
         return implicit_by_elimination(inp)
 
 
@@ -99,11 +100,17 @@ def _count_kernels(monkeypatch) -> list:
     return calls
 
 
+def _peeled_degree(inp):
+    grids = [grid_from_bipoly(g, inp.a, inp.b) for g in inp.gens]
+    return planes.peel(inp, grids)[0]
+
+
 def test_fiber_degree_of_known_surfaces(example_input, segre_input):
-    assert oracle._fiber_degree(example_input) == 2
-    assert oracle._fiber_degree(segre_input) == 1
+    # the peel reads e = 2ab / d off its first plane section: d = 2, 1, 1
+    assert _peeled_degree(example_input) == 10
+    assert _peeled_degree(segre_input) == 2
     inst = generate(GenSpec("dim2", 3, 2, 1), index=0, seed=0)
-    assert oracle._fiber_degree(inst.input) == 1
+    assert _peeled_degree(inst.input) == 12
 
 
 def test_hinted_oracle_matches_the_scan_on_the_worked_surface(
@@ -122,31 +129,6 @@ def test_hinted_oracle_matches_the_scan_on_segre(segre_input, monkeypatch):
     want = _unhinted(monkeypatch, segre_input)
     assert implicit_by_elimination(segre_input) == want
     assert want.kernel_dims == ((1, 0), (2, 1))
-
-
-def _fallback_input(name, example_input, segre_input):
-    if name == "worked":
-        return example_input
-    if name == "segre":
-        return segre_input
-    return generate(GenSpec("dim2", 2, 3, 2), index=0, seed=0).input
-
-
-@pytest.mark.parametrize("name, forced_d", [
-    ("segre", 2),     # hint e - 1 = 1: nothing vanishes there
-    ("gen23", 4),     # hint e / 2 = 3
-    ("gen23", 1),     # hint 2e = 12: the sample kernel is not a line
-    ("worked", 3),    # a fiber degree that does not divide 2ab
-])
-def test_wrong_hints_fall_back_to_the_scan(name, forced_d, example_input,
-                                           segre_input, monkeypatch):
-    inp = _fallback_input(name, example_input, segre_input)
-    want = _unhinted(monkeypatch, inp)
-    monkeypatch.setattr(oracle, "_fiber_degree", lambda inp: forced_d)
-    calls = _count_kernels(monkeypatch)
-    assert implicit_by_elimination(inp) == want
-    # the hinted solve, then one kernel per scanned degree
-    assert len(calls) == 1 + len(want.kernel_dims)
 
 
 def test_failed_grid_check_falls_back_to_the_scan(example_input,
@@ -237,9 +219,11 @@ def test_grid_check_accepts_the_equation_and_rejects_a_change(
 
 def test_hint_leaves_a_dead_grid_point_to_the_scan(field, monkeypatch):
     # Segre times a (0, 1) factor vanishing on the first v node: the image
-    # is still the quadric, so the forced hint e = 2 peels its equation off
-    # plane sections, sees the dead grid row, and leaves it to the scan,
-    # which raises with its own message
+    # is still the quadric, but the map now has degree d = 2 onto it.  The
+    # peel draws for e_max = 2ab = 4, finds a kernel of dimension
+    # C(4, 2) = 6 there, none at degree 1 and the line of the quadric at 2;
+    # it sees the dead grid row and leaves it to the scan, which raises
+    # with its own message
     a, b = 1, 2
     rng = field.rng("oracle")
     rng.sample(range(P), 2 * a * b * a + 1)
@@ -250,17 +234,18 @@ def test_hint_leaves_a_dead_grid_point_to_the_scan(field, monkeypatch):
     inp = SurfaceInput.from_strings(a, b, gens, field)
     with pytest.raises(HypothesisError, match="basepoint") as want:
         _unhinted(monkeypatch, inp)
-    monkeypatch.setattr(oracle, "_fiber_degree", lambda inp: 2)
     calls = _count_kernels(monkeypatch)
     with pytest.raises(HypothesisError) as got:
         implicit_by_elimination(inp)
     assert str(got.value) == str(want.value)
-    assert calls == [(math.comb(4, 2) + 8, math.comb(4, 2))]
+    assert calls == [(math.comb(6, 2) + 8, math.comb(6, 2)),
+                     (math.comb(3, 2) + 8, math.comb(3, 2)),
+                     (math.comb(4, 2) + 8, math.comb(4, 2))]
 
 
 def test_oracle_refuses_primes_below_the_floor():
-    # the floor 2ab*max(a, b) + 1 = 37 also gives the hint's resultants
-    # their 2ab + 1 distinct sample nodes
+    # the floor 2ab*max(a, b) + 1 = 37 is what the oracle's product grid
+    # needs: 2ab*a + 1 and 2ab*b + 1 distinct nodes in F_p
     gens = ["s^2*u^3", "s*t*u^2*v", "t^2*u*v^2", "s^2*v^3 + t^2*u^3"]
     inp = SurfaceInput.from_strings(2, 3, gens, FieldConfig(11))
     with pytest.raises(ValueError, match="prime 11 is below the floor 37"):
@@ -308,7 +293,6 @@ def _swap_symmetric_input(field):
 def test_peel_drops_repeated_points_on_a_swap_symmetric_surface(
         field, monkeypatch):
     inp = _swap_symmetric_input(field)
-    assert oracle._fiber_degree(inp) == 2
     want = _unhinted(monkeypatch, inp)
     assert want.degree == 4
     draws = []
@@ -325,7 +309,12 @@ def test_peel_drops_repeated_points_on_a_swap_symmetric_surface(
     # draws gave two roots, t and 1/t, to be kept as one point
     cols = np.concatenate(draws)
     assert len(set(cols.tolist())) < len(cols)
-    assert calls == [(math.comb(6, 2) + 8, math.comb(6, 2))]
+    # d = 2: the level-0 kernel at e_max = 2ab = 8 is G_0 times the C(6, 2)
+    # quartics; degrees 1 and 2 have none, and at e = 4 it is a line
+    assert calls == [(math.comb(10, 2) + 8, math.comb(10, 2)),
+                     (math.comb(3, 2) + 8, math.comb(3, 2)),
+                     (math.comb(4, 2) + 8, math.comb(4, 2)),
+                     (math.comb(6, 2) + 8, math.comb(6, 2))]
 
 
 def test_points_off_their_plane_are_dropped(example_input, example_oracle,
@@ -399,14 +388,16 @@ def test_a_wrong_level_solve_leaves_the_result_to_the_scan(
 
 
 # The worked surface over small primes, from the floor 2ab*max(a, b) + 1 =
-# 101 up, against the sha256 prefix of the printed F that the dense hinted
-# solve gave before the plane sections replaced it.  The plane sections
-# solve for t^2 (the generators have even t-exponents), so even at 101 a
-# plane section has the 74 level-0 points: every prime here peels, 101 to
-# 107 in two draw rounds.
+# 101 up, against the sha256 prefix of the printed F that the dense solve
+# (113 and 127: the degree scan) gave before the plane sections replaced
+# it.  The plane sections solve for t^2 (the generators have even
+# t-exponents), so e_max = 2ab / 2 = 10 and even at 101 a plane section has
+# the 74 level-0 points: every prime here peels, 101 to 107 in two draw
+# rounds.
 @pytest.mark.parametrize("p, digest", [
     (101, "a7695b243556"), (103, "a78c73072180"), (107, "068ffc06fc5c"),
-    (211, "2d15df539c4b"), (1009, "6f703eeb04fd"), (65521, "6f703eeb04fd")])
+    (113, "bc15c257b239"), (127, "e732e3190ace"), (211, "2d15df539c4b"),
+    (1009, "6f703eeb04fd"), (65521, "6f703eeb04fd")])
 def test_worked_surface_over_small_primes(p, digest, example_oracle,
                                           monkeypatch):
     inp = SurfaceInput.from_strings(2, 5, EXAMPLE_GENERATORS, FieldConfig(p))
