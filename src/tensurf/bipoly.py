@@ -14,8 +14,7 @@ the image (see :mod:`tensurf.xpoly`).  Containers:
   explicit graded degree so the zero form of each degree is representable.
   ``coeffs[k]`` is the coefficient of ``x^(d-k) y^k`` for the pair (x, y);
   the pair is (u, v) everywhere except where noted.  Its arithmetic runs
-  on the dense univariate ``_upoly_*`` helpers, which the basepoint screen
-  uses too.
+  on the dense univariate ``_upoly_*`` helpers.
 
 Global monomial order of K[s, t, u, v] (used for printing, coefficient
 vectors and equation rows): s-exponent descending, then u-exponent
@@ -113,13 +112,6 @@ class UniHomPoly:
     @staticmethod
     def zero(p: int, degree: int) -> "UniHomPoly":
         return UniHomPoly(p, degree, (0,) * (degree + 1))
-
-    @staticmethod
-    def monomial(p: int, degree: int, k: int, c: int = 1) -> "UniHomPoly":
-        """c * x^(degree-k) y^k."""
-        coeffs = [0] * (degree + 1)
-        coeffs[k] = c
-        return UniHomPoly(p, degree, tuple(coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -418,20 +410,6 @@ class BiPoly(SparsePoly):
     def times_monomial(self, i: int, j: int, k: int, l: int) -> "BiPoly":
         return BiPoly(self.p, {(a + i, b + j, c + k, d + l): v
                                for (a, b, c, d), v in self.terms.items()})
-
-    def substitute_st(self, s0: int, t0: int, uv_degree: Optional[int] = None
-                      ) -> UniHomPoly:
-        """Specialize (s, t) at scalars; the result is a (u, v)-form."""
-        if uv_degree is None:
-            bd = self.bidegree()
-            if bd is None:
-                raise ValueError("need explicit uv_degree for this input")
-            uv_degree = bd[1]
-        p = self.p
-        out = [0] * (uv_degree + 1)
-        for (i, j, k, l), c in self.terms.items():
-            out[l] = (out[l] + c * pow(s0, i, p) * pow(t0, j, p)) % p
-        return UniHomPoly(p, uv_degree, tuple(out))
 
     def st_slices(self, c: int, d: int) -> list[UniHomPoly]:
         """Split a (c, d)-form into (u,v)-forms, one per s^i t^(c-i), i descending."""

@@ -63,9 +63,6 @@ def _build_parser() -> _Parser:
                        help="strand side; st mirrors the input first")
         p.add_argument("--oracle", action="store_true",
                        help="print oracle scan diagnostics to stderr")
-        p.add_argument("--force", action="store_true",
-                       help="proceed when the basepoint screen is "
-                            "undetermined")
 
     p_im = sub.add_parser("implicitize", help="full pipeline with report")
     add_common(p_im)
@@ -196,16 +193,10 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _screen_basepoints(inp: SurfaceInput, force: bool) -> dict:
+def _screen_basepoints(inp: SurfaceInput) -> dict:
     report = basepoint_check(inp)
     if report.status == "basepoint":
-        where = (f" at {report.witness}" if report.witness is not None
-                 else "")
-        raise HypothesisError(f"basepoint{where}: {report.detail}")
-    if report.status == "undetermined" and not force:
-        raise HypothesisError(
-            f"basepoint screen undetermined ({report.detail}); "
-            "rerun with --force to proceed anyway")
+        raise HypothesisError(f"basepoint: {report.detail}")
     return {"status": report.status, "detail": report.detail,
             "g_uv": uni_to_str(report.g_uv, pair="st"),
             "g_st": uni_to_str(report.g_st, pair="uv")}
@@ -217,7 +208,7 @@ def _run_pipeline(args) -> tuple:
     if side == "st":
         inp = inp.mirror()
     check_prime_floor(inp.a, inp.b, inp.field.p)
-    bp = _screen_basepoints(inp, args.force)
+    bp = _screen_basepoints(inp)
     result = implicitize(inp, basepoints="skip")
     for name, secs in sorted(result.timings.items()):
         print(f"[time] {name}: {secs:.3f}s", file=sys.stderr)
@@ -416,8 +407,7 @@ def main(argv: Optional[list] = None) -> int:
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ParseError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

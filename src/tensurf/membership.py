@@ -37,26 +37,6 @@ from .hburch import HBResolution
 from .xpoly import grid_from_bipoly
 
 
-def sylvester_from_coeffs(fc: Sequence[int], gc: Sequence[int], p: int
-                          ) -> NDArray[np.int64]:
-    """Sylvester band matrix for formal degrees m = len(fc)-1, n = len(gc)-1.
-
-    Row r < n carries fc shifted by r; row n + r (r < m) carries gc shifted
-    by r.  Columns correspond to the degree-(m+n-1) monomials x^(m+n-1-c) y^c,
-    c ascending.
-    """
-    m, n = len(fc) - 1, len(gc) - 1
-    size = m + n
-    M = np.zeros((size, size), dtype=np.int64)
-    for r in range(n):
-        for k, c in enumerate(fc):
-            M[r, r + k] = c % p
-    for r in range(m):
-        for k, c in enumerate(gc):
-            M[n + r, r + k] = c % p
-    return M
-
-
 def pair_system(h0: UniHomPoly, h1: UniHomPoly, d: int, p: int
                 ) -> NDArray[np.int64]:
     """Columns u^(e0-w) v^w h0 then u^(e1-w) v^w h1 against degree-d rows."""
@@ -193,12 +173,6 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
     """
     (cf, df), (cg, dg) = deg_f, deg_g
     D = cf * dg + cg * df
-    if D == 0:
-        val = linalg.det_field(
-            sylvester_from_coeffs(
-                f.substitute_st(1, 1, df).coeffs,
-                g.substitute_st(1, 1, dg).coeffs, p), p)
-        return UniHomPoly(p, 0, (val,))
     if D + 1 > p:
         raise ValueError("prime too small for resultant interpolation")
     # powers[r, k] = r^k mod p at the sample nodes s = 0..D

@@ -33,13 +33,16 @@ grid) runs the degree scan, which computes the kernel of every degree 1,
 either way.
 
 The module also proves that the strand-matrix determinant is a scalar
-multiple of a power of the recovered equation, and screens the input for
-basepoints via pairwise resultants.  That proof, in F's own coordinates,
-goes block by block: the strand's zero pattern permutes it into diagonal
-blocks B_i of sizes n_i, and each det B_i = c_i F^(n_i / deg F) is proved
-by the same kind of argument: a form of degree n_i vanishing on the
-principal lattice {(1, i, j, k) : i + j + k <= n_i}, nodes 0..n_i distinct
-mod p, is zero (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).
+multiple of a power of the recovered equation.  That proof, in F's own
+coordinates, goes block by block: the strand's zero pattern permutes it
+into diagonal blocks B_i of sizes n_i, and each det B_i = c_i F^(n_i / deg F)
+is proved by the same kind of argument: a form of degree n_i vanishing on
+the principal lattice {(1, i, j, k) : i + j + k <= n_i}, nodes 0..n_i
+distinct mod p, is zero (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).
+
+Last, it screens the input for basepoints exactly: pairwise resultants
+with constant gcd prove the usual input free, and a rank test in bidegree
+(3a - 1, 2b - 1) settles every other one.
 """
 
 from __future__ import annotations
@@ -48,15 +51,14 @@ import math
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import linalg
 from .bipoly import (CertificateError, FieldConfig, HypothesisError,
-                     UniHomPoly, _upoly_divide, _upoly_gcd, _upoly_mod,
-                     _upoly_mul, _upoly_strip, uni_gcd)
+                     UniHomPoly, coeff_vector, monomial_basis, uni_gcd)
 from .cases import CaseResult, run_case
 from .membership import resultant_uv
 from .planes import peel
@@ -347,80 +349,18 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
 
 @dataclass(frozen=True)
 class BasepointReport:
-    """Outcome of the resultant-based basepoint screen.
+    """Exact outcome of the basepoint screen.
 
-    ``free`` certifies there is no common zero even over the algebraic
-    closure: on each chart a prefix of the six pairwise resultants has
-    constant gcd.
-    ``basepoint`` means some specialization at a base-field root of a gcd
-    left the four generators with a nonconstant common factor, which has a
-    common zero over the closure; ``witness`` carries a verified base-field
-    zero when one exists.  ``undetermined`` means a gcd is nonconstant but
-    no base-field root confirmed a common zero; zeros may live in an
-    extension field.  ``g_uv`` and ``g_st`` are the resultant gcds of the
-    two charts (in (s, t) and (u, v) respectively); ``candidates`` lists
-    the base-field roots that were examined.
+    ``free`` proves there is no common zero on P^1 x P^1 even over the
+    algebraic closure, and ``basepoint`` proves there is one; ``detail``
+    names the test that settled it.  ``g_uv`` and ``g_st`` are the
+    resultant gcds of the two charts (in (s, t) and (u, v) respectively).
     """
 
     status: str
-    witness: Optional[tuple[int, int, int, int]]
     g_uv: UniHomPoly
     g_st: UniHomPoly
-    candidates: tuple[tuple[int, int], ...]
     detail: str
-
-
-def _pow_poly_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = _upoly_mod(base[:], mod, p)
-    while e:
-        if e & 1:
-            result = _upoly_mod(_upoly_mul(result, acc, p), mod, p)
-        acc = _upoly_mod(_upoly_mul(acc, acc, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_roots(coeffs: Sequence[int], p: int, rng) -> list[int]:
-    """All roots in F_p of a univariate polynomial, ascending coefficients."""
-    f = _upoly_strip([c % p for c in coeffs])
-    if len(f) <= 1:
-        return []
-    # x^p - x mod f isolates the product of distinct linear factors
-    h = _pow_poly_mod([0, 1], p, f, p)
-    h = h + [0] * (2 - len(h))
-    h[1] = (h[1] - 1) % p
-    h = _upoly_strip(h)
-    g = _upoly_gcd(f, h, p) if h else [c * pow(f[-1], -1, p) % p for c in f]
-
-    def split(g: list[int]) -> list[int]:
-        if len(g) <= 1:
-            return []
-        if len(g) == 2:
-            return [-g[0] * pow(g[1], -1, p) % p]
-        while True:
-            r = rng.randrange(p)
-            h = _pow_poly_mod([r, 1], (p - 1) // 2, g, p)
-            h = h + [0] * (1 - len(h))
-            h[0] = (h[0] - 1) % p
-            h = _upoly_strip(h)
-            if not h:
-                continue
-            w = _upoly_gcd(g, h, p)
-            if 0 < len(w) - 1 < len(g) - 1:
-                rest = _upoly_divide(g, w, p)
-                return split(w) + split(rest)
-
-    return sorted(split(g))
-
-
-def _form_roots(form: UniHomPoly, rng) -> list[tuple[int, int]]:
-    """Projective roots of a nonzero binary form that lie over F_p."""
-    p = form.p
-    roots = [(1, z) for z in _poly_roots(list(form.coeffs), p, rng)]
-    if form.coeffs[form.degree] == 0:
-        roots.append((0, 1))
-    return roots
 
 
 def _resultant_gcd(inp: SurfaceInput) -> UniHomPoly:
@@ -441,90 +381,58 @@ def _resultant_gcd(inp: SurfaceInput) -> UniHomPoly:
     return acc
 
 
-def _specialized_gcd(inp: SurfaceInput, s0: int, t0: int) -> UniHomPoly:
-    acc: Optional[UniHomPoly] = None
-    for g in inp.gens:
-        h = g.substitute_st(s0, t0, inp.b)
-        acc = h if acc is None else uni_gcd(acc, h)
-    assert acc is not None
-    return acc
+def _spans_bidegree(inp: SurfaceInput) -> bool:
+    """Whether the generators times the forms of bidegree (2a - 1, b - 1)
+    span every form of bidegree (3a - 1, 2b - 1): rank 6ab for the
+    6ab x 8ab matrix of their coefficient vectors.
 
+    That holds exactly when the generators have no common zero on
+    P^1 x P^1 over the algebraic closure.  Let I be the ideal they generate.
 
-def _probe_root(inp: SurfaceInput, s0: int, t0: int, rng
-                ) -> Optional[tuple[Optional[tuple[int, int, int, int]], str]]:
-    """(witness, detail) of a basepoint if the generators specialized at
-    (s0 : t0) share a nonconstant factor, else None; the witness is a
-    verified common zero over F_p, or None."""
-    acc = _specialized_gcd(inp, s0, t0)
-    if acc.is_zero or acc.degree == 0:
-        return None
-    witness = None
-    for u0, v0 in _form_roots(acc, rng):
-        if all(g.eval((s0, t0, u0, v0)) == 0 for g in inp.gens):
-            witness = (s0, t0, u0, v0)
-            break
-    detail = ("verified common zero of all four generators" if witness
-              else f"generators specialized at ({s0} : {t0}) share a factor "
-                   f"of degree {acc.degree}; its zeros lie in an extension "
-                   "field")
-    return witness, detail
+    * Rank 6ab puts every monomial of bidegree (3a - 1, 2b - 1) in I, and
+      at any point one of s^(3a-1) u^(2b-1), s^(3a-1) v^(2b-1),
+      t^(3a-1) u^(2b-1) or t^(3a-1) v^(2b-1) is nonzero.
+    * With no common zero, three general combinations q1, q2, q3 of the
+      generators have none either: their common zeros form the fibre of
+      the map over a general point of P^3, which lies off the image.  So
+      their Koszul complex of sheaves is exact, and twisted by
+      O(3a - 1, 2b - 1) it reads 0 -> O(-1, -b - 1) -> O(a - 1, -1)^3 ->
+      O(2a - 1, b - 1)^3 -> O(3a - 1, 2b - 1) -> 0.  On P^1 x P^1,
+      H^1(O(a - 1, -1)) = 0 and H^2(O(-1, -b - 1)) = 0 (Kunneth), so the
+      kernel of the last map has no H^1 and the q_i times forms of
+      bidegree (2a - 1, b - 1) already span bidegree (3a - 1, 2b - 1).
+
+    The matrix has entries in F_p, so its rank over F_p is its rank over
+    the closure: the test is exact at every prime.
+    """
+    a, b, p = inp.a, inp.b, inp.field.p
+    cols = [coeff_vector(g.times_monomial(*m), 3 * a - 1, 2 * b - 1)
+            for g in inp.gens for m in monomial_basis(2 * a - 1, b - 1)]
+    return linalg.rank(np.stack(cols, axis=1), p) == 6 * a * b
 
 
 def basepoint_check(inp: SurfaceInput) -> BasepointReport:
-    """Screen the generators for common zeros on P^1 x P^1.
+    """Screen the generators for common zeros on P^1 x P^1, exactly.
 
     On each chart the pairwise resultants are taken only until a prefix of
     them has constant gcd; constant gcds on both charts prove there is
-    none.  Otherwise base-field roots of the gcds, each over all six
-    resultants of its chart, are probed for a confirmed common zero.
+    none.  Otherwise the rank test of :func:`_spans_bidegree` decides.
     """
-    rng = inp.field.rng("basepoints")
     g_uv = _resultant_gcd(inp)
-    mirror = inp.mirror()
-    g_st = _resultant_gcd(mirror)
-    uv_const = not g_uv.is_zero and g_uv.degree == 0
-    st_const = not g_st.is_zero and g_st.degree == 0
-    if uv_const and st_const:
+    g_st = _resultant_gcd(inp.mirror())
+    if all(not g.is_zero and g.degree == 0 for g in (g_uv, g_st)):
         return BasepointReport(
-            "free", None, g_uv, g_st, (),
+            "free", g_uv, g_st,
             "pairwise resultants have constant gcd on both charts")
-
-    def chart_candidates(g: UniHomPoly) -> list[tuple[int, int]]:
-        if g.is_zero:
-            return [(1, rng.randrange(inp.field.p)) for _ in range(5)]
-        if g.degree == 0:
-            return []
-        return _form_roots(g, rng)
-
-    uv_candidates = chart_candidates(g_uv)
-    for s0, t0 in uv_candidates:
-        hit = _probe_root(inp, s0, t0, rng)
-        if hit is not None:
-            return BasepointReport("basepoint", hit[0], g_uv, g_st,
-                                   tuple(uv_candidates), hit[1])
-    st_candidates = chart_candidates(g_st)
-    for u0, v0 in st_candidates:
-        hit = _probe_root(mirror, u0, v0, rng)
-        if hit is not None:
-            witness, detail = hit
-            if witness is not None:
-                # mirror coordinates come back as (u, v, s, t)
-                witness = (witness[2], witness[3], witness[0], witness[1])
-            return BasepointReport("basepoint", witness, g_uv, g_st,
-                                   tuple(st_candidates), detail)
-    parts = []
-    if not uv_const:
-        parts.append("uv-resultant gcd "
-                     + ("vanishes identically" if g_uv.is_zero
-                        else f"has degree {g_uv.degree}"))
-    if not st_const:
-        parts.append("st-resultant gcd "
-                     + ("vanishes identically" if g_st.is_zero
-                        else f"has degree {g_st.degree}"))
+    target = f"bidegree ({3 * inp.a - 1}, {2 * inp.b - 1})"
+    if _spans_bidegree(inp):
+        return BasepointReport(
+            "free", g_uv, g_st,
+            f"the generators' multiples span {target}")
     return BasepointReport(
-        "undetermined", None, g_uv, g_st,
-        tuple(uv_candidates) + tuple(st_candidates),
-        "; ".join(parts) + "; no base-field root confirmed a common zero")
+        "basepoint", g_uv, g_st,
+        f"the generators' multiples do not span {target}, so they have a "
+        "common zero")
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +459,8 @@ def implicitize(inp: SurfaceInput, basepoints: str = "check"
     The certificate proves det(strand) = c * F^d exactly (see
     :func:`verify_implicitization`).
 
-    ``basepoints="check"`` refuses inputs with a verified basepoint and
-    proceeds (recording the report) when the screen is inconclusive;
-    ``"skip"`` bypasses the screen entirely.
+    ``basepoints="check"`` runs the exact screen of :func:`basepoint_check`
+    first and refuses an input with a basepoint; ``"skip"`` bypasses it.
     """
     if basepoints not in ("check", "skip"):
         raise ValueError(f"unknown basepoint mode {basepoints!r}")
@@ -563,9 +470,7 @@ def implicitize(inp: SurfaceInput, basepoints: str = "check"
     if basepoints == "check":
         report = basepoint_check(inp)
         if report.status == "basepoint":
-            raise HypothesisError(
-                f"basepoint at {report.witness}; the construction requires "
-                "a basepoint-free input")
+            raise HypothesisError(f"basepoint: {report.detail}")
         timings["basepoints"] = time.perf_counter() - start
 
     start = time.perf_counter()

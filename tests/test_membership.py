@@ -5,6 +5,7 @@ import random
 import pytest
 
 import gauss_ref
+from resultant_ref import substitute_st, sylvester_from_coeffs
 from tensurf import linalg, membership
 from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, HypothesisError,
                             UniHomPoly, parse_poly, uni_gcd)
@@ -41,13 +42,13 @@ def random_bipoly(rng, c, d):
 
 
 def resultant(f, g):
-    M = membership.sylvester_from_coeffs(f.coeffs, g.coeffs, P)
+    M = sylvester_from_coeffs(f.coeffs, g.coeffs, P)
     return linalg.det_field(M, P)
 
 
 def test_sylvester_frozen():
     # f = u + 2v (m=1), g = 3u + 4v (n=1)
-    M = membership.sylvester_from_coeffs((1, 2), (3, 4), P)
+    M = sylvester_from_coeffs((1, 2), (3, 4), P)
     assert M.tolist() == [[1, 2], [3, 4]]
     assert resultant(form(1, (1, 2)), form(1, (3, 4))) == P - 2
 
@@ -140,9 +141,9 @@ def test_resultant_uv_matches_sylvester_determinants_of_specializations():
     assert r.degree == 2 * 4 + 3 * 3
     for _ in range(5):
         s0 = rng.randrange(r.degree + 1, P)
-        want = linalg.det_field(membership.sylvester_from_coeffs(
-            f.substitute_st(s0, 1, 3).coeffs,
-            g.substitute_st(s0, 1, 4).coeffs, P), P)
+        want = linalg.det_field(sylvester_from_coeffs(
+            substitute_st(f, s0, 1, 3).coeffs,
+            substitute_st(g, s0, 1, 4).coeffs, P), P)
         assert r.eval(s0, 1) == want
 
 
@@ -161,9 +162,9 @@ def vandermonde_resultant(f, g, deg_f, deg_g, p):
     D = cf * dg + cg * df
     rows = []
     for s0 in range(D + 1):
-        sample = linalg.det_field(membership.sylvester_from_coeffs(
-            f.substitute_st(s0, 1, df).coeffs,
-            g.substitute_st(s0, 1, dg).coeffs, p), p)
+        sample = linalg.det_field(sylvester_from_coeffs(
+            substitute_st(f, s0, 1, df).coeffs,
+            substitute_st(g, s0, 1, dg).coeffs, p), p)
         rows.append([pow(s0, D - k, p) for k in range(D + 1)] + [sample])
     reduced, pivots = gauss_ref.rref(rows, p)
     assert pivots == list(range(D + 1))
@@ -180,18 +181,27 @@ def random_bipoly_mod(rng, p, c, d):
 
 @pytest.mark.parametrize("p", [P, 65521])
 def test_resultant_uv_matches_a_vandermonde_solve(p):
+    # D = 0 degrees take the same Newton path from the one node s = 0; the
+    # resultant is then constant, so it is one Sylvester determinant at any
+    # specialization, here (s : t) = (1 : 1)
     rng = random.Random(p)
-    checked = 0
-    while checked < 12:
+    checked = constant = 0
+    while checked < 12 or constant < 4:
         cf, df, cg, dg = (rng.randrange(4) for _ in range(4))
-        if cf * dg + cg * df == 0:
-            continue
+        D = cf * dg + cg * df
         f = random_bipoly_mod(rng, p, cf, df)
         g = random_bipoly_mod(rng, p, cg, dg)
         r = membership.resultant_uv(f, g, (cf, df), (cg, dg), p)
-        assert r.degree == cf * dg + cg * df
-        assert r.coeffs == vandermonde_resultant(f, g, (cf, df), (cg, dg), p)
+        assert r.degree == D
+        if D:
+            want = vandermonde_resultant(f, g, (cf, df), (cg, dg), p)
+        else:
+            want = (linalg.det_field(sylvester_from_coeffs(
+                substitute_st(f, 1, 1, df).coeffs,
+                substitute_st(g, 1, 1, dg).coeffs, p), p),)
+        assert r.coeffs == want, (cf, df, cg, dg)
         checked += 1
+        constant += D == 0
 
 
 def test_resultant_uv_at_a_prime_just_above_the_degree():

@@ -8,16 +8,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EXAMPLE_GENERATORS
 from helpers import mutate_case
 from tensurf import linalg, oracle, planes
-from tensurf.bipoly import (CertificateError, DEFAULT_PRIME, FieldConfig,
-                            HypothesisError, parse_poly, poly_to_str)
+from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
+                            FieldConfig, HypothesisError, parse_poly,
+                            poly_to_str)
 from tensurf.oracle import (DetCertificate, basepoint_check,
                             implicit_by_elimination, implicitize,
-                            verify_implicitization, _form_roots, _poly_roots,
-                            _lattice_values, _principal_lattice)
+                            verify_implicitization, _lattice_values,
+                            _principal_lattice)
 from tensurf.bipoly import UniHomPoly, uni_gcd
 from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
@@ -654,40 +656,6 @@ def test_certificate_rejects_wrong_transform(example_strand, example_oracle,
 
 
 # ---------------------------------------------------------------------------
-# root finding over F_p
-
-
-def test_poly_roots_frozen():
-    rng = random.Random(5)
-    # (x - 2)(x - 5)(x - 7) expanded, ascending coefficients
-    f = [-70 % P, 59, P - 14, 1]
-    assert _poly_roots(f, P, rng) == [2, 5, 7]
-    assert _poly_roots([1, 0, 1], P, rng) == []       # x^2 + 1, p = 3 mod 4
-    assert _poly_roots([5], P, rng) == []
-
-
-def test_poly_roots_random_products():
-    rng = random.Random(6)
-    for _ in range(10):
-        roots = sorted(rng.sample(range(P), rng.randrange(1, 5)))
-        f = [1]  # product of (x - z), ascending coefficients
-        for z in roots:
-            f = [(lo - z * hi) % P
-                 for lo, hi in zip([0] + f, f + [0])]
-        assert _poly_roots(f, P, rng) == roots
-
-
-def test_form_roots_include_infinity():
-    rng = random.Random(8)
-    # u * v * (3u - v): roots (1, 0), (1, 3) and (0, 1)
-    form = UniHomPoly(P, 3, (0, 3, P - 1, 0))
-    roots = _form_roots(form, rng)
-    assert (0, 1) in roots
-    assert (1, 0) in roots
-    assert (1, 3) in roots
-
-
-# ---------------------------------------------------------------------------
 # basepoint screen
 
 RATIONAL_BASEPOINT_GENERATORS = ["s^2*u^2", "s*t*u^2", "t^2*u^2",
@@ -703,8 +671,8 @@ def extension_field_generators():
 
 def undetermined_generators():
     """Bidegree (2, 2): common zeros exist only at ((w : 1), (w' : 1)) with
-    w^2 = 3, so the chart gcds are powers of irreducible quadratics with no
-    F_p roots."""
+    w^2 = w'^2 = 3, so the chart gcds are powers of irreducible quadratics
+    with no F_p roots, and the basepoints lie over F_p(sqrt 3)."""
     gens = []
     for B, C in zip(["u^2", "u*v", "v^2", "u^2 + u*v"],
                     ["s^2", "s*t", "t^2", "t^2 + s*t"]):
@@ -721,13 +689,13 @@ def test_basepoints_free_on_example(example_input):
 
 
 def test_basepoints_found_with_rational_witness(field):
+    # all four generators vanish at (s, t, u, v) = (1, 0, 0, 1)
     inp = SurfaceInput.from_strings(2, 2, RATIONAL_BASEPOINT_GENERATORS,
                                     field)
+    assert all(g.eval((1, 0, 0, 1)) == 0 for g in inp.gens)
     rep = basepoint_check(inp)
     assert rep.status == "basepoint"
-    assert rep.witness is not None
-    s0, t0, u0, v0 = rep.witness
-    assert all(g.eval((s0, t0, u0, v0)) == 0 for g in inp.gens)
+    assert "do not span bidegree (5, 3)" in rep.detail
 
 
 def test_basepoints_found_in_extension_field(field):
@@ -735,17 +703,36 @@ def test_basepoints_found_in_extension_field(field):
     inp = SurfaceInput.from_strings(2, 3, extension_field_generators(), field)
     rep = basepoint_check(inp)
     assert rep.status == "basepoint"
-    assert rep.witness is None
-    assert "extension field" in rep.detail
+    assert "do not span bidegree (5, 5)" in rep.detail
 
 
 def test_basepoints_undetermined(field):
+    # its common zeros lie over F_p(sqrt 3) and not over F_p
     inp = SurfaceInput.from_strings(2, 2, undetermined_generators(), field)
     rep = basepoint_check(inp)
-    assert rep.status == "undetermined"
-    assert rep.candidates == ()
+    assert rep.status == "basepoint"
+    assert "do not span bidegree (5, 3)" in rep.detail
     assert rep.g_uv.degree == 4
     assert rep.g_st.degree == 4
+
+
+# Bidegree (1, 2): at (s : t) = (1 : 0) the generators are (u - v)(u - 2v),
+# (u - v)(u - 3v), (u - 2v)(u - 3v) and 0, so every pair shares a root, the
+# uv-chart gcd has degree 1, and still no root is common to all four.
+PAIRWISE_ROOT_GENERATORS = [
+    "s*u^2 - 3*s*u*v + 2*s*v^2 + 5*t*u^2 + 7*t*u*v + 11*t*v^2",
+    "s*u^2 - 4*s*u*v + 3*s*v^2 + 13*t*u^2 + 2*t*u*v + 3*t*v^2",
+    "s*u^2 - 5*s*u*v + 6*s*v^2 + 17*t*u^2 + 19*t*u*v + 23*t*v^2",
+    "29*t*u^2 + 31*t*u*v + 37*t*v^2",
+]
+
+
+def test_pairwise_shared_roots_without_a_common_one_are_free(field):
+    inp = SurfaceInput.from_strings(1, 2, PAIRWISE_ROOT_GENERATORS, field)
+    rep = basepoint_check(inp)
+    assert rep.g_uv.degree == 1
+    assert rep.status == "free"
+    assert rep.detail == "the generators' multiples span bidegree (2, 3)"
 
 
 def gcd_of_all_six_resultants(inp):
@@ -768,6 +755,8 @@ def screen_inputs(field, example_input, segre_input):
             2, 3, extension_field_generators(), field),
         "undetermined": SurfaceInput.from_strings(
             2, 2, undetermined_generators(), field),
+        "pairwise-roots": SurfaceInput.from_strings(
+            1, 2, PAIRWISE_ROOT_GENERATORS, field),
         # the dim2 plant draws g0 = h1 * w and g1 = -h0 * w for one w of
         # bidegree (a, b - n), so Res(g0, g1) vanishes on both charts
         "planted-dim2": planted,
@@ -781,6 +770,56 @@ def test_resultant_gcd_stops_at_the_gcd_of_all_six(screen_inputs, mirror):
             inp = inp.mirror()
         assert oracle._resultant_gcd(inp) == gcd_of_all_six_resultants(inp), \
             name
+
+
+def _random_form(rng, p, c, d):
+    return BiPoly(p, {(c - i, i, d - k, k): rng.randrange(p)
+                      for i in range(c + 1) for k in range(d + 1)})
+
+
+@st.composite
+def screen_cases(draw):
+    """(input, status): a planted rational basepoint, a planted basepoint
+    over F_p(sqrt 3), or random generators whose resultant gcds prove them
+    free.  Linearly dependent draws are skipped."""
+    kind = draw(st.sampled_from(["rational", "extension", "random"]))
+    a = draw(st.integers(1, 3))
+    b = draw(st.integers(2 if kind == "extension" else 1, 3))
+    # 3 is a non-residue mod 101 and mod 2^31 - 1, a residue mod 65521
+    p = draw(st.sampled_from([101, P] if kind == "extension"
+                             else [101, 65521, P]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "rational":
+        s0, t0, u0, v0 = (rng.randrange(p) for _ in range(4))
+        assume((s0, t0) != (0, 0) and (u0, v0) != (0, 0))
+        l1 = BiPoly(p, {(0, 1, 0, 0): s0, (1, 0, 0, 0): -t0})
+        l2 = BiPoly(p, {(0, 0, 0, 1): u0, (0, 0, 1, 0): -v0})
+        gens = [l1 * _random_form(rng, p, a - 1, b)
+                + l2 * _random_form(rng, p, a, b - 1) for _ in range(4)]
+    elif kind == "extension":
+        quadric = parse_poly("u^2 - 3*v^2", p)
+        gens = [_random_form(rng, p, a, b - 2) * quadric for _ in range(4)]
+    else:
+        gens = [_random_form(rng, p, a, b) for _ in range(4)]
+    try:
+        inp = SurfaceInput(a, b, tuple(gens), FieldConfig(p))
+    except HypothesisError:   # a zero generator or a linear dependence
+        assume(False)
+    if kind != "random":
+        return inp, "basepoint"
+    # constant resultant gcds on both charts prove the input free
+    assume(all(g.degree == 0 and not g.is_zero for g in
+               (oracle._resultant_gcd(inp), oracle._resultant_gcd(inp.mirror()))))
+    return inp, "free"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(screen_cases())
+def test_rank_test_agrees_with_planted_basepoints(case):
+    inp, status = case
+    for chart in (inp, inp.mirror()):
+        assert oracle._spans_bidegree(chart) == (status == "free")
+        assert basepoint_check(chart).status == status
 
 
 def test_planted_dim2_pair_has_a_zero_resultant(screen_inputs):
