@@ -18,7 +18,13 @@ the image (see :mod:`tensurf.xpoly`).  Containers:
 
 Global monomial order of K[s, t, u, v] (used for printing, coefficient
 vectors and equation rows): s-exponent descending, then u-exponent
-descending.
+descending.  So the coefficient grid of an (a, b)-form, the
+(a + 1, b + 1) array with entry [j, l] the coefficient of
+s^(a-j) t^j u^(b-l) v^l, is ``coeff_vector(f, a, b).reshape(a + 1, b + 1)``;
+a binary form in (u, v) is the one-row grid ``np.array([h.coeffs])``.
+Every linear system over forms is built from one matrix of such grids,
+:func:`multiplication_matrix`: column m holds the coefficients of f * m
+for each monomial m of a bidegree (c, d).
 """
 
 from __future__ import annotations
@@ -462,19 +468,31 @@ def monomial_basis(c: int, d: int) -> list[tuple[int, int, int, int]]:
             for i in range(c, -1, -1) for k in range(d, -1, -1)]
 
 
-def basis_position(exp: tuple[int, int, int, int], c: int, d: int) -> int:
-    i, _, k, _ = exp
-    return (c - i) * (d + 1) + (d - k)
-
-
 def coeff_vector(f: BiPoly, c: int, d: int) -> NDArray[np.int64]:
     """Coefficients of a (c, d)-form in the global monomial order."""
     if not f.is_bihomogeneous(c, d):
         raise ValueError(f"expected a form of bidegree ({c}, {d})")
     vec = np.zeros((c + 1) * (d + 1), dtype=np.int64)
-    for exp, a in f.terms.items():
-        vec[basis_position(exp, c, d)] = a
+    for (_, j, _, l), a in f.terms.items():
+        vec[j * (d + 1) + l] = a
     return vec
+
+
+def multiplication_matrix(grid: NDArray[np.int64], c: int, d: int
+                          ) -> NDArray[np.int64]:
+    """Matrix of multiplication by an (a, b)-form f, given by its
+    (a + 1, b + 1) coefficient grid, from bidegree (c, d) to (a + c, b + d).
+
+    Column m holds the coefficients of f * m, m the m-th monomial of
+    :func:`monomial_basis` (c, d), in :func:`coeff_vector` order.
+    """
+    a1, b1 = grid.shape
+    j = np.arange(c + 1)[:, None, None, None]  # the monomial t^j v^l
+    l = np.arange(d + 1)[:, None, None]
+    x, y = np.arange(a1)[:, None], np.arange(b1)  # the grid entry t^x v^y
+    out = np.zeros((a1 + c, b1 + d, c + 1, d + 1), dtype=np.int64)
+    out[j + x, l + y, j, l] = grid
+    return out.reshape((a1 + c) * (b1 + d), (c + 1) * (d + 1))
 
 
 # ---------------------------------------------------------------------------

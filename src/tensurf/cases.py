@@ -16,8 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import hburch, membership
-from .bipoly import BiPoly, CertificateError, HypothesisError, UniHomPoly, divide_by_uni
+import numpy as np
+
+from . import hburch, linalg, membership
+from .bipoly import (BiPoly, CertificateError, HypothesisError, UniHomPoly,
+                     coeff_vector, divide_by_uni, multiplication_matrix)
 from .hburch import GradedSyzMatrix
 from .syzygy import VAnalysis
 
@@ -63,27 +66,29 @@ def _mat_vec(mat: GradedSyzMatrix, coeffs: Sequence[BiPoly]) -> list[BiPoly]:
 
 
 def _check_annihilation(cols: Sequence[SyzygyColumn], gens: Sequence[BiPoly],
-                        p: int) -> bool:
+                        a: int, b: int, p: int) -> bool:
+    """Whether each column S of bidegree (c, d) annihilates the generators
+    of bidegree (a, b): [M(g0) | ... | M(g3)] vec(S) = 0, where M(g) is the
+    multiplication matrix of g by bidegree (c, d)."""
+    grids = [coeff_vector(g, a, b).reshape(a + 1, b + 1) for g in gens]
     for col in cols:
-        acc = BiPoly.zero(p)
-        for e, g in zip(col.entries, gens):
-            if not e.is_zero:
-                acc = acc + e * g
-        if not acc.is_zero:
+        c, d = col.bidegree
+        M = np.hstack([multiplication_matrix(g, c, d) for g in grids])
+        vec = np.concatenate([coeff_vector(e, c, d) for e in col.entries])
+        if linalg.matmul_mod(M, vec[:, None], p).any():
             return False
     return True
-
-
-def _check_homogeneity(cols: Sequence[SyzygyColumn]) -> bool:
-    return all(e.is_bihomogeneous(*col.bidegree)
-               for col in cols for e in col.entries)
 
 
 def _finish(va: VAnalysis, tag: str, cols: list[SyzygyColumn], aux: dict,
             checks: dict[str, bool]) -> CaseResult:
     a, b = va.input.a, va.input.b
-    checks["annihilation"] = _check_annihilation(cols, va.new_gens, va.input.field.p)
-    checks["homogeneity"] = _check_homogeneity(cols)
+    # coefficient vectors exist only for homogeneous entries
+    homogeneous = all(e.is_bihomogeneous(*col.bidegree)
+                      for col in cols for e in col.entries)
+    checks["annihilation"] = homogeneous and _check_annihilation(
+        cols, va.new_gens, a, b, va.input.field.p)
+    checks["homogeneity"] = homogeneous
     counts = expected_column_counts(cols, a, b)
     checks["column_count"] = sum(counts) == 2 * a * b
     aux = dict(aux)

@@ -23,7 +23,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import linalg
-from .bipoly import CertificateError, UniHomPoly, uni_gcd
+from .bipoly import (CertificateError, UniHomPoly, multiplication_matrix,
+                     uni_gcd)
 
 
 @dataclass(frozen=True)
@@ -90,46 +91,32 @@ class GradedSyzMatrix:
         return True
 
 
-def _block_sizes(delta: int, row_degrees: Sequence[int]) -> list[int]:
-    return [delta - rd + 1 if delta >= rd else 0 for rd in row_degrees]
-
-
 def _kernel_at_degree(gens: Sequence[UniHomPoly], delta: int, p: int
                       ) -> list[NDArray[np.int64]]:
-    """Canonical basis of degree-delta syzygies, in block coordinates."""
-    sizes = _block_sizes(delta, [g.degree for g in gens])
-    total = sum(sizes)
-    if total == 0:
-        return []
-    rows = delta + 1
-    M = np.zeros((rows, total), dtype=np.int64)
-    off = 0
-    for g, size in zip(gens, sizes):
-        for w in range(size):
-            # coefficient column of u^(e-w) v^w * g at degree delta
-            for k, c in enumerate(g.coeffs):
-                if c:
-                    M[w + k, off + w] = c
-        off += size
-    return linalg.kernel_basis(M, p)
+    """Canonical basis of degree-delta syzygies, in block coordinates: the
+    kernel of the multiplication matrices of the generators with
+    deg g <= delta, each by degree delta - deg g."""
+    blocks = [multiplication_matrix(np.array([g.coeffs]), 0, delta - g.degree)
+              for g in gens if g.degree <= delta]
+    return linalg.kernel_basis(np.hstack(blocks), p) if blocks else []
 
 
 def _lift(vec: NDArray[np.int64], delta: int, row_degrees: Sequence[int],
           p: int) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    """Multiply a degree-(delta-1) syzygy vector by u and by v."""
-    prev_sizes = _block_sizes(delta - 1, row_degrees)
-    new_sizes = _block_sizes(delta, row_degrees)
-    u_out = np.zeros(sum(new_sizes), dtype=np.int64)
-    v_out = np.zeros(sum(new_sizes), dtype=np.int64)
-    src = dst = 0
-    for ps, ns in zip(prev_sizes, new_sizes):
-        if ps:
-            block = vec[src:src + ps]
-            u_out[dst:dst + ps] = block
-            v_out[dst + ns - ps:dst + ns] = block
-        src += ps
-        dst += ns
-    return u_out % p, v_out % p
+    """Multiply a degree-(delta-1) syzygy vector by u and by v.
+
+    Each block of a generator with deg g <= delta is a form of degree
+    delta - 1 - deg g (empty when deg g = delta); the two columns of its
+    multiplication matrix by degree 1 are its u- and v-multiples.
+    """
+    lifted, src = [], 0
+    for rd in row_degrees:
+        if rd <= delta:
+            end = src + max(delta - rd, 0)
+            lifted.append(multiplication_matrix(vec[None, src:end], 0, 1))
+            src = end
+    out = np.concatenate(lifted) % p
+    return out[:, 0], out[:, 1]
 
 
 def min_graded_syzygies(gens: Sequence[UniHomPoly], p: int) -> GradedSyzMatrix:
@@ -177,15 +164,12 @@ def min_graded_syzygies(gens: Sequence[UniHomPoly], p: int) -> GradedSyzMatrix:
     col_degrees = tuple(d for d, _ in cols)
     entries: list[list[UniHomPoly]] = [[] for _ in range(k)]
     for delta, vec in cols:
-        sizes = _block_sizes(delta, row_degrees)
         off = 0
-        for i, size in enumerate(sizes):
-            e = delta - row_degrees[i]
-            if size:
-                entries[i].append(UniHomPoly(p, e, tuple(int(c) for c in
-                                                         vec[off:off + size])))
-            else:
-                entries[i].append(UniHomPoly.zero(p, 0))
+        for i, rd in enumerate(row_degrees):
+            size = max(delta - rd + 1, 0)
+            block = tuple(int(c) for c in vec[off:off + size])
+            entries[i].append(UniHomPoly(p, delta - rd, block) if size
+                              else UniHomPoly.zero(p, 0))
             off += size
     out = GradedSyzMatrix(p, tuple(row_degrees), col_degrees,
                           tuple(tuple(r) for r in entries))

@@ -31,24 +31,19 @@ from .bipoly import (
     CertificateError,
     HypothesisError,
     UniHomPoly,
+    coeff_vector,
+    multiplication_matrix,
     uni_gcd,
 )
 from .hburch import HBResolution
-from .xpoly import grid_from_bipoly
 
 
 def pair_system(h0: UniHomPoly, h1: UniHomPoly, d: int, p: int
                 ) -> NDArray[np.int64]:
-    """Columns u^(e0-w) v^w h0 then u^(e1-w) v^w h1 against degree-d rows."""
-    cols = []
-    for h in (h0, h1):
-        e = d - h.degree
-        for w in range(e + 1):
-            col = np.zeros(d + 1, dtype=np.int64)
-            for k, c in enumerate(h.coeffs):
-                col[w + k] = c
-            cols.append(col)
-    return np.stack(cols, axis=1)
+    """Multiplication matrices of h0, then h1, by degree d - deg h: columns
+    u^(e-w) v^w h against the degree-d rows."""
+    return np.hstack([multiplication_matrix(np.array([h.coeffs]), 0,
+                                            d - h.degree) for h in (h0, h1)])
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,8 @@ def two_gen_solve(target: BiPoly, h0: UniHomPoly, h1: UniHomPoly,
                   uv_degree: Optional[int] = None) -> TwoGenCertificate:
     """Canonical membership certificate of target in (h0, h1).
 
-    Requires unit gcd and target uv-degree >= deg h0 + deg h1 - 1.  Solved
+    Requires unit gcd and target uv-degree d >= deg h0 + deg h1 - 1.  The
+    system is :func:`pair_system` (h0 and h1 times degree d - deg h), solved
     slice by slice over s^i t^(c-i), every slice a column of one
     right-hand side, with free variables zero; the result is verified
     exactly before returning.
@@ -85,16 +81,13 @@ def two_gen_solve(target: BiPoly, h0: UniHomPoly, h1: UniHomPoly,
             f"{h0.degree + h1.degree - 1}")
     M = pair_system(h0, h1, d, p)
     e0 = d - h0.degree
-    rhs = np.array([sl.coeffs for sl in target.st_slices(c, d)],
-                   dtype=np.int64).T
+    rhs = coeff_vector(target, c, d).reshape(c + 1, d + 1).T
     x = linalg.solve_particular(M, rhs, p)
     if x is None:
         raise CertificateError("membership system unexpectedly inconsistent")
-    slices0 = [UniHomPoly(p, e0, tuple(col[:e0 + 1])) for col in x.T.tolist()]
-    slices1 = [UniHomPoly(p, d - h1.degree, tuple(col[e0 + 1:]))
-               for col in x.T.tolist()]
-    x0 = BiPoly.from_st_slices(slices0, c, p)
-    x1 = BiPoly.from_st_slices(slices1, c, p)
+    x0, x1 = (BiPoly.from_st_slices(
+        [UniHomPoly(p, e, tuple(col)) for col in part.T.tolist()], c, p)
+        for part, e in zip(np.split(x, [e0 + 1]), (e0, d - h1.degree)))
     resid = target - x0 * h0.to_bipoly() - x1 * h1.to_bipoly()
     if not resid.is_zero:
         raise CertificateError("membership certificate failed the exact check")
@@ -104,7 +97,8 @@ def two_gen_solve(target: BiPoly, h0: UniHomPoly, h1: UniHomPoly,
 def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
               ) -> list[BiPoly]:
     """The unique alpha with psi * alpha = f_prime, alpha_j of bidegree
-    (a, b - mu_j)."""
+    (a, b - mu_j): block (i, j) of the system is the multiplication matrix
+    of entry (i, j) of psi, of degree mu_j, by degree b - mu_j."""
     mat = psi.matrix
     p = mat.p
     k = len(mat.row_degrees)
@@ -114,36 +108,22 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
     mus = [cd - n for cd in mat.col_degrees]
     if any(b - mu < 0 for mu in mus):
         raise HypothesisError("a column degree of psi exceeds b")
-    blocks = [b - mu + 1 for mu in mus]
-    cols = []
-    for j, mu in enumerate(mus):
-        for w in range(blocks[j]):
-            col = np.zeros(k * (b + 1), dtype=np.int64)
-            for i in range(k):
-                e = mat.entries[i][j]
-                if e.is_zero:
-                    continue
-                for kk, cc in enumerate(e.coeffs):
-                    if cc:
-                        col[i * (b + 1) + w + kk] = cc
-            cols.append(col)
-    M = np.stack(cols, axis=1)
+    M = np.hstack([np.vstack([multiplication_matrix(np.array([e.coeffs]), 0,
+                                                    b - mu)
+                              for e in mat.column(j)])
+                   for j, mu in enumerate(mus)])
     if linalg.kernel_basis(M, p):
         raise CertificateError("psi is not injective in the solve degree")
     # column pos stacks the pos-th (s, t)-slice of every f_prime entry
-    rhs = np.concatenate([
-        np.array([sl.coeffs for sl in f.st_slices(a, b)], dtype=np.int64).T
-        for f in f_prime])
+    rhs = np.concatenate([coeff_vector(f, a, b).reshape(a + 1, b + 1).T
+                          for f in f_prime])
     x = linalg.solve_particular(M, rhs, p)
     if x is None:
         raise CertificateError("f_prime is not in the image of psi")
-    slices: list[list[UniHomPoly]] = []
-    off = 0
-    for j, size in enumerate(blocks):
-        slices.append([UniHomPoly(p, b - mus[j], tuple(col))
-                       for col in x[off:off + size].T.tolist()])
-        off += size
-    alphas = [BiPoly.from_st_slices(sl, a, p) for sl in slices]
+    ends = np.cumsum([b - mu + 1 for mu in mus])
+    alphas = [BiPoly.from_st_slices(
+        [UniHomPoly(p, b - mu, tuple(col)) for col in part.T.tolist()], a, p)
+        for part, mu in zip(np.split(x, ends[:-1]), mus)]
     # exact verification
     for i in range(k):
         acc = BiPoly.zero(p)
@@ -178,8 +158,10 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
     # powers[r, k] = r^k mod p at the sample nodes s = 0..D
     powers = linalg.vandermonde(np.arange(D + 1), max(cf, cg) + 1, p)
     # grid row j holds the coefficients of s^(c-j) t^j
-    fs = linalg.matmul_mod(powers[:, cf::-1], grid_from_bipoly(f, cf, df), p)
-    gs = linalg.matmul_mod(powers[:, cg::-1], grid_from_bipoly(g, cg, dg), p)
+    fs = linalg.matmul_mod(
+        powers[:, cf::-1], coeff_vector(f, cf, df).reshape(cf + 1, df + 1), p)
+    gs = linalg.matmul_mod(
+        powers[:, cg::-1], coeff_vector(g, cg, dg).reshape(cg + 1, dg + 1), p)
     size = df + dg
     syl = np.zeros((D + 1, size, size), dtype=np.int64)
     for r in range(dg):

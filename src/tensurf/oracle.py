@@ -58,7 +58,7 @@ from numpy.typing import NDArray
 
 from . import linalg
 from .bipoly import (CertificateError, FieldConfig, HypothesisError,
-                     UniHomPoly, coeff_vector, monomial_basis, uni_gcd)
+                     UniHomPoly, multiplication_matrix, uni_gcd)
 from .cases import CaseResult, run_case
 from .membership import resultant_uv
 from .planes import peel
@@ -67,7 +67,7 @@ from .planes import peel
 from .strand import Strand, build_strand, reconstruct_det  # noqa: F401
 from .syzygy import SurfaceInput, VAnalysis, analyze
 from .xpoly import (XPoly, divide_with_remainder, eval_form,  # noqa: F401
-                    eval_matrix, grid_from_bipoly, linear_substitute)
+                    eval_matrix, linear_substitute)
 
 __all__ = [
     "check_prime_floor", "OracleResult", "implicit_by_elimination",
@@ -152,7 +152,7 @@ def implicit_by_elimination(inp: SurfaceInput) -> OracleResult:
     rng = inp.field.rng("oracle")
     t_nodes = rng.sample(range(p), size * a + 1)
     v_nodes = rng.sample(range(p), size * b + 1)
-    gen_grids = [grid_from_bipoly(g, a, b) for g in inp.gens]
+    gen_grids = list(inp.grids())
 
     def grid_points(e: int) -> NDArray[np.int64]:
         tv = linalg.vandermonde(t_nodes[:e * a + 1], a + 1, p)
@@ -384,7 +384,7 @@ def _resultant_gcd(inp: SurfaceInput) -> UniHomPoly:
 def _spans_bidegree(inp: SurfaceInput) -> bool:
     """Whether the generators times the forms of bidegree (2a - 1, b - 1)
     span every form of bidegree (3a - 1, 2b - 1): rank 6ab for the
-    6ab x 8ab matrix of their coefficient vectors.
+    6ab x 8ab matrix of their four multiplication matrices by (2a - 1, b - 1).
 
     That holds exactly when the generators have no common zero on
     P^1 x P^1 over the algebraic closure.  Let I be the ideal they generate.
@@ -405,10 +405,10 @@ def _spans_bidegree(inp: SurfaceInput) -> bool:
     The matrix has entries in F_p, so its rank over F_p is its rank over
     the closure: the test is exact at every prime.
     """
-    a, b, p = inp.a, inp.b, inp.field.p
-    cols = [coeff_vector(g.times_monomial(*m), 3 * a - 1, 2 * b - 1)
-            for g in inp.gens for m in monomial_basis(2 * a - 1, b - 1)]
-    return linalg.rank(np.stack(cols, axis=1), p) == 6 * a * b
+    a, b = inp.a, inp.b
+    M = np.hstack([multiplication_matrix(g, 2 * a - 1, b - 1)
+                   for g in inp.grids()])
+    return linalg.rank(M, inp.field.p) == 6 * a * b
 
 
 def basepoint_check(inp: SurfaceInput) -> BasepointReport:

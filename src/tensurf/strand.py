@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bipoly import CertificateError, basis_position, monomial_basis
+from .bipoly import (CertificateError, coeff_vector, monomial_basis,
+                     multiplication_matrix)
 from .cases import CaseResult
 from .xpoly import XPoly
 
@@ -77,31 +78,28 @@ class Strand:
 
 
 def build_strand(case: CaseResult) -> Strand:
-    """Spread the syzygy family over monomial multipliers into a square matrix."""
+    """Spread the syzygy family over monomial multipliers into a square matrix.
+
+    A syzygy of bidegree (c, d) contributes, for each coordinate x_k, the
+    multiplication matrix of its k-th entry by bidegree
+    (2a - 1 - c, b - 1 - d): one column per multiplier monomial.
+    """
     va = case.analysis
     a, b, p = va.input.a, va.input.b, va.input.field.p
-    row_c, row_d = 2 * a - 1, b - 1
     size = 2 * a * b
-    columns: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     labels: list[tuple[str, tuple[int, int, int, int]]] = []
     for sy in case.syzygies:
         c, d = sy.bidegree
-        for mult in monomial_basis(row_c - c, row_d - d):
-            i, j, k, l = mult
-            col = np.zeros((size, 4), dtype=np.int64)
-            for x_idx, entry in enumerate(sy.entries):
-                if entry.is_zero:
-                    continue
-                for (ei, ej, ek, el), coeff in entry.terms.items():
-                    row = basis_position((ei + i, ej + j, ek + k, el + l),
-                                         row_c, row_d)
-                    col[row, x_idx] = coeff
-            columns.append(col)
-            labels.append((sy.label, mult))
-    if len(columns) != size:
+        mc, md = 2 * a - 1 - c, b - 1 - d
+        blocks.append(np.stack(
+            [multiplication_matrix(coeff_vector(e, c, d).reshape(c + 1, d + 1),
+                                   mc, md) for e in sy.entries], axis=2))
+        labels += [(sy.label, mult) for mult in monomial_basis(mc, md)]
+    if len(labels) != size:
         raise CertificateError(
-            f"strand is {size}x{len(columns)}, expected a square matrix")
-    tensor = np.stack(columns, axis=1)
+            f"strand is {size}x{len(labels)}, expected a square matrix")
+    tensor = np.concatenate(blocks, axis=1)
     return Strand(p=p, a=a, b=b, size=size, tensor=tensor,
                   column_labels=tuple(labels))
 

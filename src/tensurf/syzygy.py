@@ -28,6 +28,7 @@ from .bipoly import (
     UniHomPoly,
     coeff_vector,
     mirror_poly,
+    multiplication_matrix,
     parse_poly,
     uni_gcd,
 )
@@ -67,6 +68,10 @@ class SurfaceInput:
     def coeff_matrix(self) -> NDArray[np.int64]:
         return np.stack([coeff_vector(g, self.a, self.b) for g in self.gens])
 
+    def grids(self) -> NDArray[np.int64]:
+        """The generators' coefficient grids, shape (4, a + 1, b + 1)."""
+        return self.coeff_matrix().reshape(4, self.a + 1, self.b + 1)
+
     def mirror(self) -> "SurfaceInput":
         """Swap the roles of (s, t) and (u, v)."""
         return SurfaceInput(self.b, self.a,
@@ -76,15 +81,11 @@ class SurfaceInput:
 def syzygy_system(inp: SurfaceInput, n: int) -> NDArray[np.int64]:
     """Coefficient matrix of the uv-degree-n syzygy equations.
 
-    Unknowns are A[i, j] in generator-major order; rows are the coefficients
-    of the bidegree (a, b+n) monomials in the global order.
+    Unknowns are A[i, j] in generator-major order; the block of generator i
+    is its multiplication matrix by bidegree (0, n), whose rows are the
+    coefficients of the bidegree (a, b+n) monomials in the global order.
     """
-    cols = []
-    for i in range(4):
-        for j in range(n + 1):
-            shifted = inp.gens[i].times_monomial(0, 0, n - j, j)
-            cols.append(coeff_vector(shifted, inp.a, inp.b + n))
-    return np.stack(cols, axis=1)
+    return np.hstack([multiplication_matrix(g, 0, n) for g in inp.grids()])
 
 
 def find_minimal_syzygy(inp: SurfaceInput, cap: Optional[int] = None

@@ -3,10 +3,9 @@
 :class:`XPoly` is the K[x0..x3] subclass of the sparse core
 :class:`tensurf.bipoly.SparsePoly`, which supplies its arithmetic, parser
 and printer; it adds the total-degree grading and dense coefficients.
-The module also provides degree-graded monomial enumeration, the one
-vectorized evaluator of dense forms and the dense coefficient grid of a
-bihomogeneous generator.  Used by the elimination oracle, the determinant
-certificate and the reference checks.
+The module also provides degree-graded monomial enumeration and the one
+vectorized evaluator of dense forms.  Used by the elimination oracle, the
+determinant certificate and the reference checks.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .bipoly import BiPoly, Exponent, SparsePoly, _format_poly, _Parser
+from .bipoly import Exponent, SparsePoly, _format_poly, _Parser
 
 
 def monomials_of_degree(degree: int) -> list[Exponent]:
@@ -134,23 +133,6 @@ class XPoly(SparsePoly):
 
     def is_homogeneous(self, degree: int) -> bool:
         return self.is_zero or self.degree() == degree
-
-
-# ---------------------------------------------------------------------------
-# dense coefficient grids
-
-def grid_from_bipoly(f: BiPoly, a: int, b: int) -> np.ndarray:
-    """Dehomogenize an (a, b)-form at s = u = 1 onto a dense (t, v) grid.
-
-    Entry [j, l] is the coefficient of t^j v^l.  No information is lost:
-    a bihomogeneous form of known bidegree is determined by this grid.
-    """
-    if not f.is_bihomogeneous(a, b):
-        raise ValueError("input is not bihomogeneous of the stated bidegree")
-    out = np.zeros((a + 1, b + 1), dtype=np.int64)
-    for (i, j, k, l), c in f.terms.items():
-        out[j, l] = c
-    return out
 
 
 # ---------------------------------------------------------------------------

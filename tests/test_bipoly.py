@@ -4,19 +4,21 @@ import random
 from itertools import takewhile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resultant_ref import substitute_st
+from tensurf import linalg
 from tensurf.bipoly import (
     BiPoly,
     DEFAULT_PRIME,
     FieldConfig,
     ParseError,
     UniHomPoly,
-    basis_position,
     coeff_vector,
     divide_by_uni,
     mirror_poly,
     monomial_basis,
+    multiplication_matrix,
     parse_poly,
     poly_to_str,
     uni_divide_exact,
@@ -209,11 +211,45 @@ def test_monomial_basis_order_and_coeff_vectors():
     assert basis[0] == (1, 0, 2, 0)
     assert len(basis) == 2 * 3
     for pos, exp in enumerate(basis):
-        assert basis_position(exp, 1, 2) == pos
+        vec = coeff_vector(BiPoly.monomial(P, exp), 1, 2)
+        assert vec.tolist() == [int(k == pos) for k in range(len(basis))]
     rng = random.Random(41)
     f = random_bipoly(rng, 1, 2)
     vec = coeff_vector(f, 1, 2)
     assert BiPoly(P, {exp: int(a) for exp, a in zip(basis, vec)}) == f
+
+
+@st.composite
+def products(draw):
+    """(p, (a, b, f), (c, d, g)): forms f, g that are zero, sparse or dense."""
+    p = draw(st.sampled_from([101, P]))
+    out = [p]
+    for _ in range(2):
+        c, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        basis = monomial_basis(c, d)
+        kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+        mons = {"zero": [], "dense": basis,
+                "sparse": draw(st.lists(st.sampled_from(basis), min_size=1,
+                                        max_size=2))}[kind]
+        out.append((c, d, BiPoly(p, {m: draw(st.integers(1, p - 1))
+                                     for m in mons})))
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(products())
+def test_multiplication_matrix_multiplies(case):
+    # a = 0 is a binary form: its grid is the one row of its coefficients
+    p, (a, b, f), (c, d, g) = case
+    grid = coeff_vector(f, a, b).reshape(a + 1, b + 1)
+    if a == 0:
+        assert grid.tolist() == [list(f.st_slices(0, b)[0].coeffs)]
+    M = multiplication_matrix(grid, c, d)
+    got = linalg.matmul_mod(M, coeff_vector(g, c, d)[:, None], p)[:, 0]
+    assert got.tolist() == coeff_vector(f * g, a + c, b + d).tolist()
+    for col, m in zip(M.T, monomial_basis(c, d)):
+        product = f * BiPoly.monomial(p, m)
+        assert col.tolist() == coeff_vector(product, a + c, b + d).tolist()
 
 
 def test_uni_eval_matches_bipoly_eval():

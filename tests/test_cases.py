@@ -2,9 +2,11 @@
 
 import pytest
 
-from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, FieldConfig,
-                            HypothesisError, poly_to_str, uni_to_str)
-from tensurf.cases import expected_column_counts, run_case
+from tensurf import cases
+from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
+                            FieldConfig, HypothesisError, poly_to_str,
+                            uni_to_str)
+from tensurf.cases import SyzygyColumn, expected_column_counts, run_case
 from tensurf.syzygy import SurfaceInput, analyze
 
 P = DEFAULT_PRIME
@@ -220,3 +222,22 @@ def test_run_case_on_every_tenth_corpus_instance(corpus):
         case = gi.case
         assert all(case.checks.values())
         assert sum(case.aux["column_counts"]) == 2 * gi.input.a * gi.input.b
+
+
+@pytest.mark.parametrize("fixture", ["dim2_case", "dim3_case", "example_case"])
+@pytest.mark.parametrize("entry", range(4))
+def test_finish_catches_one_bumped_coefficient_of_s1(fixture, entry, request):
+    case = request.getfixturevalue(fixture)
+    va, cols = case.analysis, list(case.syzygies)
+    assert cases._finish(va, case.case_tag, cols, {}, {}).checks[
+        "annihilation"]
+    s1 = cols[1]
+    assert s1.label == "S1"
+    c, d = s1.bidegree
+    entries = list(s1.entries)
+    entries[entry] = entries[entry] + BiPoly.monomial(P, (c, 0, 0, d))
+    cols[1] = SyzygyColumn("S1", (c, d), tuple(entries))
+    with pytest.raises(CertificateError,
+                       match=f"^{case.case_tag} verification failed: "
+                             "annihilation$"):
+        cases._finish(va, case.case_tag, cols, {}, {})

@@ -24,9 +24,8 @@ from tensurf.bipoly import UniHomPoly, uni_gcd
 from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput
-from tensurf.xpoly import (XPoly, eval_matrix, grid_from_bipoly,
-                           linear_substitute, monomials_of_degree,
-                           parse_xpoly, xpoly_to_str)
+from tensurf.xpoly import (XPoly, eval_matrix, linear_substitute,
+                           monomials_of_degree, parse_xpoly, xpoly_to_str)
 from xpoly_ref import coeff_vector, eval_rows, vanishes_on_map
 
 P = DEFAULT_PRIME
@@ -103,8 +102,7 @@ def _count_kernels(monkeypatch) -> list:
 
 
 def _peeled_degree(inp):
-    grids = [grid_from_bipoly(g, inp.a, inp.b) for g in inp.gens]
-    return planes.peel(inp, grids)[0]
+    return planes.peel(inp, list(inp.grids()))[0]
 
 
 def test_fiber_degree_of_known_surfaces(example_input, segre_input):

@@ -1,5 +1,6 @@
 """The square degree-strand matrix and its determinant."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from tensurf import linalg
 from tensurf.bipoly import DEFAULT_PRIME
 from tensurf.cases import run_case
+from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import analyze
 from tensurf.xpoly import parse_xpoly
@@ -27,6 +29,30 @@ def test_example_strand_shape_and_labels(example_strand):
     for label, _ in s.column_labels:
         counts[label] = counts.get(label, 0) + 1
     assert counts == {"S": 8, "S1": 4, "S2": 4, "S3": 4}
+
+
+# sha256 prefixes of tensor.tobytes() + repr(column_labels): they pin the
+# strand's row order, column order and labels entry for entry
+STRAND_DIGESTS = {
+    "worked": "ff83f6dbd4be77e6",
+    "segre": "f0d3001477a89347",
+    "dim2-2x3": "f544daf0962476ba",
+    "dim3-2x5": "1a65fe5ed18c4f45",
+}
+
+
+def test_strand_digests_frozen(example_strand, segre_input):
+    strands = {
+        "worked": example_strand,
+        "segre": build_strand(run_case(analyze(segre_input))),
+        "dim2-2x3": build_strand(generate(GenSpec("dim2", 2, 3, 2)).case),
+        "dim3-2x5": build_strand(
+            generate(GenSpec("dim3", 2, 5, 3, (1,))).case),
+    }
+    got = {name: hashlib.sha256(
+        s.tensor.tobytes() + repr(s.column_labels).encode()).hexdigest()[:16]
+        for name, s in strands.items()}
+    assert got == STRAND_DIGESTS
 
 
 def test_matrix_entries_are_linear_in_the_point(example_strand):

@@ -9,7 +9,7 @@ import pytest
 from tensurf import xpoly
 from tensurf.bipoly import DEFAULT_PRIME, BiPoly
 from tensurf.xpoly import (XPoly, divide_with_remainder, eval_form,
-                           eval_matrix, grid_from_bipoly, linear_substitute,
+                           eval_matrix, linear_substitute,
                            monomials_of_degree, parse_xpoly,
                            xpoly_to_str)
 from xpoly_ref import (coeff_vector, compose_with_map, eval_rows,
@@ -132,8 +132,11 @@ def test_arithmetic_and_powers():
 
 def test_grid_and_composition(example_input, example_oracle):
     a, b = example_input.a, example_input.b
-    g0 = grid_from_bipoly(example_input.gens[0], a, b)
+    # entry [j, l] of a generator's grid is its coefficient of t^j v^l
+    g0 = example_input.grids()[0]  # -t^2*u^4*v - s^2*v^5
     assert g0.shape == (a + 1, b + 1)
+    assert {(j, l) for j, l in zip(*np.nonzero(g0))} == {(2, 1), (0, 5)}
+    assert g0[2, 1] == g0[0, 5] == P - 1
     comp = compose_with_map(example_oracle.f, example_input.gens, a, b)
     d = example_oracle.degree
     assert comp.shape == (d * a + 1, d * b + 1)

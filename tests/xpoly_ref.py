@@ -12,8 +12,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from tensurf import bipoly
 from tensurf.bipoly import BiPoly, SparsePoly
-from tensurf.xpoly import XPoly, grid_from_bipoly, monomials_of_degree
+from tensurf.xpoly import XPoly, monomials_of_degree
 
 
 def eval_rows(f: SparsePoly, points) -> np.ndarray:
@@ -59,7 +60,8 @@ def compose_with_map(f: XPoly, gens: Sequence[BiPoly], a: int, b: int
     exactly when f vanishes identically on the image of the map.
     """
     p = f.p
-    grids = [grid_from_bipoly(g, a, b) for g in gens]
+    grids = [bipoly.coeff_vector(g, a, b).reshape(a + 1, b + 1)
+             for g in gens]
 
     def rec(terms: dict, k: int) -> np.ndarray:
         if not terms:
