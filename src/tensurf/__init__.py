@@ -18,7 +18,7 @@ from .bipoly import (
     poly_to_str,
 )
 from .cases import CaseResult, run_case
-from .gen import GenSpec, GeneratedInstance, generate, validate_instance
+from .gen import GenSpec, GeneratedInstance, generate
 from .oracle import (
     BasepointReport,
     DetCertificate,
@@ -61,7 +61,6 @@ __all__ = [
     "poly_to_str",
     "reconstruct_det",
     "run_case",
-    "validate_instance",
     "verify_implicitization",
     "xpoly_to_str",
 ]

@@ -144,14 +144,6 @@ class UniHomPoly:
         return UniHomPoly(self.p, self.degree + other.degree,
                           tuple(_upoly_mul(self.coeffs, other.coeffs, self.p)))
 
-    def eval(self, x0: int, y0: int) -> int:
-        d = self.degree
-        acc = 0
-        for k, c in enumerate(self.coeffs):
-            if c:
-                acc = (acc + c * pow(x0, d - k, self.p) * pow(y0, k, self.p)) % self.p
-        return acc
-
     def to_bipoly(self) -> "BiPoly":
         """Embed into R with (x, y) read as (u, v)."""
         d = self.degree
@@ -454,6 +446,17 @@ def divide_by_uni(f: BiPoly, g: UniHomPoly) -> BiPoly:
     quot = [uni_divide_exact(sl, g) if not sl.is_zero
             else UniHomPoly.zero(f.p, d - g.degree) for sl in slices]
     return BiPoly.from_st_slices(quot, c, f.p)
+
+
+def dot(xs: Sequence, ys: Sequence, zero):
+    """Sum of x * y over the pairs whose factors are both nonzero, or
+    ``zero`` when there are none.  Works for :class:`BiPoly` and for
+    :class:`UniHomPoly`, whose ``zero`` carries the formal degree."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if not (x.is_zero or y.is_zero):
+            acc = x * y if acc is None else acc + x * y
+    return zero if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

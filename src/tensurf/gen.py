@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bipoly import (BiPoly, CertificateError, FieldConfig, HypothesisError,
-                     UniHomPoly, uni_gcd)
+                     UniHomPoly, dot, uni_gcd)
 from .cases import CaseResult, run_case
-from .oracle import basepoint_check, implicitize
+from .oracle import basepoint_check
 from .syzygy import SurfaceInput, VAnalysis, analyze
 
-__all__ = ["GenSpec", "GeneratedInstance", "generate",
-           "ValidationReport", "validate_instance"]
+__all__ = ["GenSpec", "GeneratedInstance", "generate"]
 
 
 @dataclass(frozen=True)
@@ -137,12 +136,8 @@ def _build_planted_psi(spec: GenSpec, rng: random.Random, field: FieldConfig
     psi = [[_random_uni(rng, p, mus[k]) for k in range(rows - 1)]
            for _ in range(rows)]
     ws = [_random_bipoly(rng, p, a, b - mus[k]) for k in range(rows - 1)]
-    f_prime = []
-    for i in range(rows):
-        acc = BiPoly.zero(p)
-        for k in range(rows - 1):
-            acc = acc + psi[i][k].to_bipoly() * ws[k]
-        f_prime.append(acc)
+    f_prime = [dot([e.to_bipoly() for e in row], ws, BiPoly.zero(p))
+               for row in psi]
     if rows == 3:
         gens = (*f_prime, _random_bipoly(rng, p, a, b))
     else:
@@ -172,7 +167,7 @@ def generate(spec: GenSpec, index: int = 0, seed: int = 0,
             va = analyze(inp)
             if va.n != spec.n or va.dim_v != spec.dim_v:
                 continue
-            case = run_case(va, check_level="full")
+            case = run_case(va)
         except (HypothesisError, CertificateError):
             continue
         if spec.planted_mus is not None:
@@ -184,44 +179,3 @@ def generate(spec: GenSpec, index: int = 0, seed: int = 0,
     raise CertificateError(
         f"could not generate a valid {spec.kind} instance in "
         f"{max_tries} attempts")
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Machine-readable outcome of re-checking an instance against a spec."""
-
-    ok: bool
-    reasons: tuple[str, ...]
-    n: Optional[int] = None
-    dim_v: Optional[int] = None
-    mus: Optional[tuple[int, ...]] = None
-
-
-def validate_instance(inp: SurfaceInput, spec: GenSpec) -> ValidationReport:
-    """Re-run the full pipeline and compare its profile against ``spec``.
-
-    Nothing is trusted from generation time: the analysis, case
-    construction, elimination cross-check and determinant certificate are
-    all executed afresh, and every failure is reported rather than raised.
-    """
-    reasons: list[str] = []
-    try:
-        result = implicitize(inp)
-    except (HypothesisError, CertificateError) as exc:
-        return ValidationReport(False, (f"pipeline failed: {exc}",))
-    va = result.analysis
-    if va.n != spec.n:
-        reasons.append(f"minimal n mismatch: got {va.n}, want {spec.n}")
-    if va.dim_v != spec.dim_v:
-        reasons.append(
-            f"column-space dimension mismatch: got {va.dim_v}, "
-            f"want {spec.dim_v}")
-    mus = result.case.aux.get("mus")
-    mus = tuple(mus) if mus is not None else None
-    want = spec.planted_mus
-    if want is not None and va.dim_v == spec.dim_v:
-        want = tuple(sorted(want))
-        if mus != want:
-            reasons.append(f"column degrees mismatch: got {mus}, want {want}")
-    return ValidationReport(not reasons, tuple(reasons),
-                            n=va.n, dim_v=va.dim_v, mus=mus)

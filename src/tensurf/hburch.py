@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import linalg
-from .bipoly import (CertificateError, UniHomPoly, multiplication_matrix,
+from .bipoly import (CertificateError, UniHomPoly, dot, multiplication_matrix,
                      uni_gcd)
 
 
@@ -54,9 +54,6 @@ class GradedSyzMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.row_degrees), len(self.col_degrees)
 
-    def entry(self, i: int, j: int) -> UniHomPoly:
-        return self.entries[i][j]
-
     def column(self, j: int) -> list[UniHomPoly]:
         """Column j with every entry carrying its formal degree (clamped at 0)."""
         out = []
@@ -78,17 +75,8 @@ class GradedSyzMatrix:
                                tuple(rows))
 
     def check_annihilates(self, gens: Sequence[UniHomPoly]) -> bool:
-        for j in range(len(self.col_degrees)):
-            acc: Optional[UniHomPoly] = None
-            for i, g in enumerate(gens):
-                e = self.entries[i][j]
-                if e.is_zero or g.is_zero:
-                    continue
-                term = e * g
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero:
-                return False
-        return True
+        zero = UniHomPoly.zero(self.p, 0)
+        return all(dot(col, gens, zero).is_zero for col in zip(*self.entries))
 
 
 def _kernel_at_degree(gens: Sequence[UniHomPoly], delta: int, p: int
@@ -292,52 +280,25 @@ def transpose_product(column: Sequence[UniHomPoly], mat: GradedSyzMatrix
     col_deg = {c.degree for c in column if not c.is_zero}
     if len(col_deg) > 1:
         raise ValueError("column entries must share one degree")
-    row_deg = set(mat.row_degrees)
-    if len(row_deg) != 1:
+    if len(set(mat.row_degrees)) != 1:
         raise ValueError("matrix row shifts must be uniform")
-    mu = col_deg.pop() if col_deg else None
-    out = []
-    for m in range(len(mat.col_degrees)):
-        acc: Optional[UniHomPoly] = None
-        for i, c in enumerate(column):
-            e = mat.entries[i][m]
-            if c.is_zero or e.is_zero:
-                continue
-            term = c * e
-            acc = term if acc is None else acc + term
-        if acc is None:
-            base = mu if mu is not None else 0
-            formal = base + mat.col_degrees[m] - mat.row_degrees[0]
-            acc = UniHomPoly.zero(mat.p, max(formal, 0))
-        out.append(acc)
-    return out
+    mu = col_deg.pop() if col_deg else 0
+    shift = mat.row_degrees[0]
+    return [dot(column, col, UniHomPoly.zero(mat.p, max(mu + cd - shift, 0)))
+            for col, cd in zip(zip(*mat.entries), mat.col_degrees)]
 
 
 def compose(left: GradedSyzMatrix, right: GradedSyzMatrix,
             row_degrees: Sequence[int]) -> GradedSyzMatrix:
     """Matrix product left * right as a graded matrix with given row shifts."""
-    n_rows = len(left.row_degrees)
-    n_mid = len(left.col_degrees)
-    if n_mid != len(right.row_degrees):
+    if len(left.col_degrees) != len(right.row_degrees):
         raise ValueError("inner dimensions differ")
-    entries = []
-    for i in range(n_rows):
-        row = []
-        for m in range(len(right.col_degrees)):
-            acc: Optional[UniHomPoly] = None
-            for w in range(n_mid):
-                a, b = left.entries[i][w], right.entries[w][m]
-                if a.is_zero or b.is_zero:
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            formal = right.col_degrees[m] - row_degrees[i]
-            if acc is None:
-                acc = UniHomPoly.zero(left.p, max(formal, 0))
-            row.append(acc)
-        entries.append(tuple(row))
+    entries = tuple(
+        tuple(dot(row, col, UniHomPoly.zero(left.p, max(cd - rd, 0)))
+              for col, cd in zip(zip(*right.entries), right.col_degrees))
+        for row, rd in zip(left.entries, row_degrees))
     return GradedSyzMatrix(left.p, tuple(row_degrees), right.col_degrees,
-                           tuple(entries))
+                           entries)
 
 
 def gamma_matrices(psi: HBResolution, phis: Sequence[HBResolution]

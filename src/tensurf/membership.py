@@ -32,6 +32,7 @@ from .bipoly import (
     HypothesisError,
     UniHomPoly,
     coeff_vector,
+    dot,
     multiplication_matrix,
     uni_gcd,
 )
@@ -88,8 +89,8 @@ def two_gen_solve(target: BiPoly, h0: UniHomPoly, h1: UniHomPoly,
     x0, x1 = (BiPoly.from_st_slices(
         [UniHomPoly(p, e, tuple(col)) for col in part.T.tolist()], c, p)
         for part, e in zip(np.split(x, [e0 + 1]), (e0, d - h1.degree)))
-    resid = target - x0 * h0.to_bipoly() - x1 * h1.to_bipoly()
-    if not resid.is_zero:
+    if not (target - dot([x0, x1], [h0.to_bipoly(), h1.to_bipoly()],
+                         BiPoly.zero(p))).is_zero:
         raise CertificateError("membership certificate failed the exact check")
     return TwoGenCertificate(x0, x1)
 
@@ -101,8 +102,7 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
     of entry (i, j) of psi, of degree mu_j, by degree b - mu_j."""
     mat = psi.matrix
     p = mat.p
-    k = len(mat.row_degrees)
-    if len(f_prime) != k:
+    if len(f_prime) != len(mat.row_degrees):
         raise ValueError("length of f_prime must match the rows of psi")
     n = mat.row_degrees[0]
     mus = [cd - n for cd in mat.col_degrees]
@@ -125,13 +125,9 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
         [UniHomPoly(p, b - mu, tuple(col)) for col in part.T.tolist()], a, p)
         for part, mu in zip(np.split(x, ends[:-1]), mus)]
     # exact verification
-    for i in range(k):
-        acc = BiPoly.zero(p)
-        for j in range(len(mus)):
-            e = mat.entries[i][j]
-            if not e.is_zero:
-                acc = acc + e.to_bipoly() * alphas[j]
-        if not (acc - f_prime[i]).is_zero:
+    for row, f in zip(mat.entries, f_prime):
+        if not (dot([e.to_bipoly() for e in row], alphas, BiPoly.zero(p))
+                - f).is_zero:
             raise CertificateError("psi solve failed the exact check")
     return alphas
 
@@ -194,11 +190,10 @@ def st_content(f: BiPoly, c: int, d: int) -> UniHomPoly:
     groups: dict[tuple[int, int], list[int]] = {}
     for (i, j, k, l), coeff in f.terms.items():
         groups.setdefault((k, l), [0] * (c + 1))[j] = coeff
-    acc: Optional[UniHomPoly] = None
+    acc = UniHomPoly.zero(f.p, 0)
     for coeffs in groups.values():
-        form = UniHomPoly(f.p, c, tuple(coeffs))
-        acc = form if acc is None else uni_gcd(acc, form)
-    return acc if acc is not None else UniHomPoly.zero(f.p, 0)
+        acc = uni_gcd(acc, UniHomPoly(f.p, c, tuple(coeffs)))
+    return acc
 
 
 def uv_content(f: BiPoly, c: int, d: int) -> UniHomPoly:

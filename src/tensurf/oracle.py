@@ -51,7 +51,6 @@ import math
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -443,7 +442,7 @@ def basepoint_check(inp: SurfaceInput) -> BasepointReport:
 class ImplicitizationResult:
     """Everything produced by one full implicitization run."""
 
-    basepoints: Optional[BasepointReport]
+    basepoints: BasepointReport
     analysis: VAnalysis
     case: CaseResult
     strand: Strand
@@ -452,30 +451,26 @@ class ImplicitizationResult:
     timings: dict
 
 
-def implicitize(inp: SurfaceInput, basepoints: str = "check"
-                ) -> ImplicitizationResult:
-    """Run analysis, case construction, strand, oracle and certificate.
+def implicitize(inp: SurfaceInput) -> ImplicitizationResult:
+    """Run the whole chain: prime floor, basepoint screen, analysis, case
+    construction, strand, oracle and certificate.
 
-    The certificate proves det(strand) = c * F^d exactly (see
+    A prime below :func:`check_prime_floor` raises ValueError and an input
+    with a basepoint (:func:`basepoint_check`) raises HypothesisError.  The
+    certificate proves det(strand) = c * F^d exactly (see
     :func:`verify_implicitization`).
-
-    ``basepoints="check"`` runs the exact screen of :func:`basepoint_check`
-    first and refuses an input with a basepoint; ``"skip"`` bypasses it.
     """
-    if basepoints not in ("check", "skip"):
-        raise ValueError(f"unknown basepoint mode {basepoints!r}")
+    check_prime_floor(inp.a, inp.b, inp.field.p)
     timings: dict = {}
-    report: Optional[BasepointReport] = None
     start = time.perf_counter()
-    if basepoints == "check":
-        report = basepoint_check(inp)
-        if report.status == "basepoint":
-            raise HypothesisError(f"basepoint: {report.detail}")
-        timings["basepoints"] = time.perf_counter() - start
+    report = basepoint_check(inp)
+    if report.status == "basepoint":
+        raise HypothesisError(f"basepoint: {report.detail}")
+    timings["basepoints"] = time.perf_counter() - start
 
     start = time.perf_counter()
     va = analyze(inp)
-    case = run_case(va, check_level="full")
+    case = run_case(va)
     timings["analysis"] = time.perf_counter() - start
 
     start = time.perf_counter()

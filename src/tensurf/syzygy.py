@@ -27,6 +27,7 @@ from .bipoly import (
     HypothesisError,
     UniHomPoly,
     coeff_vector,
+    dot,
     mirror_poly,
     multiplication_matrix,
     parse_poly,
@@ -180,11 +181,8 @@ def analyze(inp: SurfaceInput, cap: Optional[int] = None) -> VAnalysis:
     new_gens = list(f_prime) + [inp.gens[j - dim_v] for j in pivots[dim_v:]]
     point_transform = linalg.matrix_inverse(transition.T % p, p)
 
-    zero = BiPoly.zero(p)
-    check = zero
-    for k in range(dim_v):
-        check = check + g[k].to_bipoly() * f_prime[k]
-    if not check.is_zero:
+    if not dot([gk.to_bipoly() for gk in g], f_prime,
+               BiPoly.zero(p)).is_zero:
         raise CertificateError("g does not annihilate the reduced family")
 
     return VAnalysis(

@@ -48,7 +48,7 @@ def example_analysis(example_input):
 
 @pytest.fixture(scope="session")
 def example_case(example_analysis):
-    return run_case(example_analysis, check_level="full")
+    return run_case(example_analysis)
 
 
 @pytest.fixture(scope="session")

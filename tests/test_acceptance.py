@@ -35,7 +35,7 @@ def test_01_worked_surface_reproduced_end_to_end():
     va = analyze(inp)
     assert va.n == 3
     assert va.dim_v == 4
-    case = run_case(va, check_level="full")
+    case = run_case(va)
     assert case.aux["mus"] == (1, 1, 1)
     assert tuple(poly_to_str(x) for x in case.aux["alphas"]) == EXPECTED_ALPHAS
     cols = {c.label: tuple(poly_to_str(e) for e in c.entries)
@@ -63,7 +63,7 @@ def test_02_determinant_equals_scaled_power_exactly():
     field = FieldConfig(seed=0)
     inp = SurfaceInput.from_strings(2, 5, EXAMPLE_GENERATORS, field)
     va = analyze(inp)
-    strand = build_strand(run_case(va, check_level="final"))
+    strand = build_strand(run_case(va))
     oracle = implicit_by_elimination(inp)
     det_poly = reconstruct_det(strand)
     f_t = linear_substitute(oracle.f, va.point_transform)
@@ -235,7 +235,7 @@ def test_08_trivial_anchors(field):
     va = analyze(inp)
     assert va.n == 1
     assert tuple(uni_to_str(g) for g in va.g) == ("u", "v")
-    case = run_case(va, check_level="full")
+    case = run_case(va)
     strand = build_strand(case)
     oracle = implicit_by_elimination(inp)
     assert oracle.f == parse_xpoly("x0*x3 - x1*x2", P)

@@ -16,6 +16,7 @@ from tensurf.bipoly import (
     UniHomPoly,
     coeff_vector,
     divide_by_uni,
+    dot,
     mirror_poly,
     monomial_basis,
     multiplication_matrix,
@@ -253,9 +254,40 @@ def test_multiplication_matrix_multiplies(case):
 
 
 def test_uni_eval_matches_bipoly_eval():
+    # both embeddings of a binary form take its value sum c_k x^(d-k) y^k
     rng = random.Random(53)
     f = random_form(rng, 4)
     for _ in range(10):
         x0, y0 = rng.randrange(P), rng.randrange(P)
-        assert f.eval(x0, y0) == f.to_bipoly().eval((0, 0, x0, y0))
-        assert f.eval(x0, y0) == f.to_bipoly_st().eval((x0, y0, 0, 0))
+        want = sum(c * pow(x0, 4 - k, P) * pow(y0, k, P)
+                   for k, c in enumerate(f.coeffs)) % P
+        assert f.to_bipoly().eval((0, 0, x0, y0)) == want
+        assert f.to_bipoly_st().eval((x0, y0, 0, 0)) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([101, P]), st.booleans(), st.integers(0, 2**31),
+       st.lists(st.tuples(st.booleans(), st.booleans()), max_size=4))
+def test_dot_matches_the_naive_sum(p, uni, seed, zeros):
+    # rows of BiPoly or of UniHomPoly forms; zeros[i] marks x_i, y_i zero
+    rng = random.Random(seed)
+    (c, d), (e, f) = [(rng.randrange(3), rng.randrange(3)) for _ in range(2)]
+
+    def entry(is_zero, c, d):
+        if uni:
+            return UniHomPoly.zero(p, d) if is_zero else random_form(rng, d, p)
+        return BiPoly.zero(p) if is_zero else random_bipoly(rng, c, d, p)
+
+    xs = [entry(zx, c, d) for zx, _ in zeros]
+    ys = [entry(zy, e, f) for _, zy in zeros]
+    zero = UniHomPoly.zero(p, d + f) if uni else BiPoly.zero(p)
+    naive = zero
+    for x, y in zip(xs, ys):
+        naive = naive + x * y
+    got = dot(xs, ys, zero)
+    assert got == naive
+    if all(x.is_zero or y.is_zero for x, y in zip(xs, ys)):
+        assert got is zero
+    # an all-zero row returns the given zero, formal degree included
+    pad = UniHomPoly.zero(p, 7) if uni else BiPoly.zero(p)
+    assert dot([x.scale(0) for x in xs], ys, pad) is pad

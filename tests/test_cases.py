@@ -100,7 +100,7 @@ DIM2_GENERATORS = ["s*u*v^2 + t*v^3", "-s*u^3 - t*u^2*v", "s*u^3", "t*v^3"]
 @pytest.fixture(scope="module")
 def dim2_case():
     inp = SurfaceInput.from_strings(1, 3, DIM2_GENERATORS, FieldConfig(seed=0))
-    return run_case(analyze(inp), check_level="full")
+    return run_case(analyze(inp))
 
 
 def test_dim2_frozen(dim2_case):
@@ -132,7 +132,7 @@ DIM3_GENERATORS = [
 @pytest.fixture(scope="module")
 def dim3_case():
     inp = SurfaceInput.from_strings(2, 3, DIM3_GENERATORS, FieldConfig(seed=0))
-    return run_case(analyze(inp), check_level="full")
+    return run_case(analyze(inp))
 
 
 def test_dim3_profile_and_displays(dim3_case):
@@ -215,6 +215,17 @@ def test_run_case_rejects_low_b(field):
     assert va.n == 2
     with pytest.raises(HypothesisError):
         run_case(va)
+
+
+def test_every_construction_check_runs(dim2_case, dim3_case, example_case):
+    final = {"annihilation", "homogeneity", "column_count"}
+    assert set(dim2_case.checks) == final | {"alpha_consistent"}
+    assert set(dim3_case.checks) == final | {
+        "psi_minors", "theta_minors", "kernel_vector", "alpha_coprime"}
+    assert set(example_case.checks) == final | {
+        "psi_minors", "alpha_combination", "gamma_minors", "alpha12_coprime"}
+    with pytest.raises(ValueError, match="'full'"):
+        run_case(example_case.analysis, check_level="final")
 
 
 def test_run_case_on_every_tenth_corpus_instance(corpus):

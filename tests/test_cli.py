@@ -73,6 +73,17 @@ def test_analyze_json(example_job, capsys):
     assert [s["columns"] for s in payload["syzygies"]] == [8, 4, 4, 4]
 
 
+def test_analyze_exits_3_when_a_construction_identity_fails(
+        example_job, capsys, monkeypatch):
+    monkeypatch.setattr("tensurf.membership.bihomog_coprime",
+                        lambda f, g: False)
+    assert main(["analyze", example_job]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("certificate failure: dim4 verification failed: "
+                            "alpha12_coprime\n")
+
+
 # ---------------------------------------------------------------------------
 # implicitize
 

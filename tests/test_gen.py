@@ -1,10 +1,10 @@
-"""Random instance generator and its validation report."""
+"""Random instance generator."""
 
 import pytest
 
 from tensurf.bipoly import DEFAULT_PRIME, poly_to_str
-from tensurf.gen import GenSpec, generate, validate_instance
-from tensurf.syzygy import SurfaceInput
+from tensurf.gen import GenSpec, generate
+from tensurf.oracle import implicitize
 
 P = DEFAULT_PRIME
 
@@ -65,32 +65,12 @@ def test_generated_profiles_match_spec(corpus):
             assert g.bidegree() == (spec.a, spec.b)
 
 
-def test_validate_instance_ok(corpus):
+def test_implicitize_recovers_the_planted_profile(corpus):
+    # the full pipeline re-derives the planted profile from the generators
     inst = corpus[0]
-    report = validate_instance(inst.input, inst.spec)
-    assert report.ok
-    assert report.reasons == ()
-    assert report.n == inst.spec.n
-    assert report.dim_v == inst.spec.dim_v
-
-
-def test_validate_instance_frozen_mismatches(corpus):
-    # a dim2 (a=2, b=3, n=2) instance checked against the wrong specs
-    inst = next(i for i in corpus
-                if i.spec == GenSpec("dim2", 2, 3, 2))
-    wrong_n = validate_instance(inst.input, GenSpec("dim2", 2, 3, 1))
-    assert not wrong_n.ok
-    assert "minimal n mismatch: got 2, want 1" in wrong_n.reasons
-    wrong_dim = validate_instance(inst.input, GenSpec("dim3", 2, 3, 2, (1,)))
-    assert not wrong_dim.ok
-    assert ("column-space dimension mismatch: got 2, want 3"
-            in wrong_dim.reasons)
-
-
-def test_validate_instance_reports_pipeline_failure(field):
-    gens = ["s^2*u^2", "s*t*u^2", "t^2*u^2", "s^2*u*v + t^2*u*v"]
-    inp = SurfaceInput.from_strings(2, 2, gens, field)
-    report = validate_instance(inp, GenSpec("dim2", 2, 2, 1))
-    assert not report.ok
-    assert len(report.reasons) == 1
-    assert report.reasons[0].startswith("pipeline failed:")
+    result = implicitize(inst.input)
+    assert result.analysis.n == inst.spec.n
+    assert result.analysis.dim_v == inst.spec.dim_v
+    assert result.case.aux.get("mus") == inst.case.aux.get("mus")
+    assert result.certificate.exponent * result.oracle.degree \
+        == 2 * inst.spec.a * inst.spec.b

@@ -80,7 +80,7 @@ def test_graded_matrix_degree_bookkeeping():
                                ((form(1, (1, 0)), form(2, (0, 1, 0))),
                                 (form(0, (5,)), form(1, (1, 1)))))
     assert m.shape == (2, 2)
-    assert uni_to_str(m.entry(0, 1)) == "u*v"
+    assert uni_to_str(m.entries[0][1]) == "u*v"
     col = m.column(0)
     assert [e.degree for e in col] == [1, 0]
 

@@ -1,11 +1,13 @@
-"""Source hygiene: every name a module of the package imports is used, the
-documented flags of ``implicitize``/``verify`` are the parser's, and every
-function the benchmark's tracer wraps still exists."""
+"""Source hygiene: every name a module of the package imports is used,
+every function, class and method is referenced from the package's own code,
+the documented flags of ``implicitize``/``verify`` are the parser's, and
+every function the benchmark's tracer wraps still exists."""
 
 import argparse
 import ast
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,69 @@ def test_no_unused_imports(path):
               for name, line in _imported(tree, text.splitlines())
               if name not in used]
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+# Definitions that no code under src/ calls, each with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    "strand.reconstruct_det":
+        "perfbench/spans.py wraps it in oracle's namespace and gate 2 calls "
+        "it; it moves to a test-side reference with the benchmark change",
+    "xpoly.divide_with_remainder":
+        "perfbench/spans.py wraps it in oracle's namespace and gate 2 calls "
+        "it; it moves to a test-side reference with the benchmark change",
+    "xpoly.linear_substitute":
+        "perfbench/spans.py wraps it in oracle's namespace and gate 2 calls "
+        "it; it moves to a test-side reference with the benchmark change",
+    "cli._Parser.error": "argparse calls it on a usage error",
+}
+
+
+def _definitions(node, prefix):
+    """(qualified name, node) for every function, class and method below."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            yield name, child
+            yield from _definitions(child, name)
+        else:
+            yield from _definitions(child, prefix)
+
+
+def _references(tree) -> Counter:
+    """How often each name is read, bare, as an attribute or in a string
+    annotation."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                refs.update(n.id for n in ast.walk(expr)
+                            if isinstance(n, ast.Name))
+    return refs
+
+
+def test_every_definition_is_referenced_from_the_package():
+    # a name counts as used when code outside its own body reads it;
+    # imports and __all__ entries do not count, dunder methods are hooks
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    everywhere = sum((_references(tree) for tree in trees.values()),
+                     Counter())
+    unreferenced = [
+        name for module, tree in trees.items()
+        for name, node in _definitions(tree, module)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and everywhere[node.name] == _references(node)[node.name]]
+    assert sorted(set(unreferenced) - set(UNREFERENCED_ALLOWED)) == [], \
+        "only tests reach these"
+    assert sorted(set(UNREFERENCED_ALLOWED) - set(unreferenced)) == [], \
+        "allowlisted names that are now referenced or gone"
 
 
 def _documented_flags() -> set[str]:

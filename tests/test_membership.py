@@ -144,7 +144,7 @@ def test_resultant_uv_matches_sylvester_determinants_of_specializations():
         want = linalg.det_field(sylvester_from_coeffs(
             substitute_st(f, s0, 1, 3).coeffs,
             substitute_st(g, s0, 1, 4).coeffs, P), P)
-        assert r.eval(s0, 1) == want
+        assert r.to_bipoly_st().eval((s0, 1, 0, 0)) == want
 
 
 def test_resultant_uv_detects_shared_uv_factor():
@@ -235,7 +235,9 @@ def test_resultant_uv_with_samples_vanishing_at_some_nodes():
     f = roots * random_bipoly(rng, 1, 3)
     g = random_bipoly(rng, 3, 2)
     r = membership.resultant_uv(f, g, (4, 3), (3, 2), P)
-    assert [k for k in range(r.degree + 1) if r.eval(k, 1) == 0] == [0, 2, 5]
+    r_st = r.to_bipoly_st()
+    assert [k for k in range(r.degree + 1)
+            if r_st.eval((k, 1, 0, 0)) == 0] == [0, 2, 5]
     assert r.coeffs == vandermonde_resultant(f, g, (4, 3), (3, 2), P)
 
 

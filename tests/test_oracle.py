@@ -21,9 +21,10 @@ from tensurf.oracle import (DetCertificate, basepoint_check,
                             verify_implicitization, _lattice_values,
                             _principal_lattice)
 from tensurf.bipoly import UniHomPoly, uni_gcd
+from tensurf.cases import run_case
 from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
-from tensurf.syzygy import SurfaceInput
+from tensurf.syzygy import SurfaceInput, analyze
 from tensurf.xpoly import (XPoly, eval_matrix, linear_substitute,
                            monomials_of_degree, parse_xpoly, xpoly_to_str)
 from xpoly_ref import coeff_vector, eval_rows, vanishes_on_map
@@ -866,8 +867,30 @@ def test_implicitize_rejects_basepoints(field):
                                     field)
     with pytest.raises(HypothesisError):
         implicitize(inp)
-    # skipping the screen defers detection to the certificate, which sees
-    # that the strand determinant is not a power of the quadric the image
-    # degenerates onto
+    # past the screen, the stages defer detection to the certificate, which
+    # sees that the strand determinant is not a power of the quadric the
+    # image degenerates onto
+    va = analyze(inp)
+    strand = build_strand(run_case(va))
     with pytest.raises(CertificateError):
-        implicitize(inp, basepoints="skip")
+        verify_implicitization(strand, implicit_by_elimination(inp),
+                               va.point_transform, field)
+
+
+def test_implicitize_screens_before_analysis(field, monkeypatch):
+    def analysis_reached(*args, **kwargs):
+        raise AssertionError("analyze ran before the basepoint screen")
+
+    monkeypatch.setattr(oracle, "analyze", analysis_reached)
+    inp = SurfaceInput.from_strings(2, 2, RATIONAL_BASEPOINT_GENERATORS,
+                                    field)
+    with pytest.raises(HypothesisError, match="basepoint"):
+        implicitize(inp)
+
+
+def test_implicitize_checks_the_prime_floor_first(monkeypatch):
+    # (2, 5) needs p >= 101; the screen never runs below the floor
+    monkeypatch.setattr(oracle, "basepoint_check", None)
+    inp = SurfaceInput.from_strings(2, 5, EXAMPLE_GENERATORS, FieldConfig(97))
+    with pytest.raises(ValueError, match="below the floor 101"):
+        implicitize(inp)

@@ -185,7 +185,7 @@ def test_segre_strand_det_is_the_transformed_quadric(segre_input):
     from tensurf.xpoly import linear_substitute
 
     va = analyze(segre_input)
-    case = run_case(va, check_level="full")
+    case = run_case(va)
     strand = build_strand(case)
     assert strand.size == 2
     orc = implicit_by_elimination(segre_input)
