@@ -16,15 +16,17 @@ the image (see :mod:`tensurf.xpoly`).  Containers:
   the pair is (u, v) everywhere except where noted.  Its arithmetic runs
   on the dense univariate ``_upoly_*`` helpers.
 
-Global monomial order of K[s, t, u, v] (used for printing, coefficient
-vectors and equation rows): s-exponent descending, then u-exponent
-descending.  So the coefficient grid of an (a, b)-form, the
+Global monomial order of K[s, t, u, v] (used for printing and equation
+rows): s-exponent descending, then u-exponent descending.  The one array
+format of a form is its coefficient grid: for an (a, b)-form, the
 (a + 1, b + 1) array with entry [j, l] the coefficient of
-s^(a-j) t^j u^(b-l) v^l, is ``coeff_vector(f, a, b).reshape(a + 1, b + 1)``;
-a binary form in (u, v) is the one-row grid ``np.array([h.coeffs])``.
-Every linear system over forms is built from one matrix of such grids,
-:func:`multiplication_matrix`: column m holds the coefficients of f * m
-for each monomial m of a bidegree (c, d).
+s^(a-j) t^j u^(b-l) v^l.  :func:`coeff_grid` builds it and
+:meth:`BiPoly.from_grid` is its inverse; ``grid.ravel()`` lists the
+coefficients in the global order, and a binary form in (u, v) is the
+one-row grid ``np.array([h.coeffs])``.  Every linear system over forms is
+built from one matrix of such grids, :func:`multiplication_matrix`:
+column m holds the coefficients of f * m for each monomial m of a
+bidegree (c, d).
 """
 
 from __future__ import annotations
@@ -185,25 +187,6 @@ def _upoly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return out
 
 
-def _upoly_divide(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Exact quotient of dense univariates; raises ValueError otherwise."""
-    rem = list(a)
-    deg_q = len(a) - len(b)
-    if deg_q < 0:
-        raise ValueError("not divisible (degree)")
-    inv = pow(b[-1], -1, p)
-    q = [0] * (deg_q + 1)
-    for i in range(deg_q, -1, -1):
-        c = rem[i + len(b) - 1] * inv % p
-        q[i] = c
-        if c:
-            for j, y in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * y) % p
-    if any(rem):
-        raise ValueError("not divisible (nonzero remainder)")
-    return q
-
-
 def _upoly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     """Remainder of dense univariate a by b (ascending coefficients)."""
     a = _upoly_strip(a[:])
@@ -256,29 +239,6 @@ def uni_gcd(f: UniHomPoly, g: UniHomPoly) -> UniHomPoly:
     out = UniHomPoly(p, d, tuple(coeffs))
     lead = next(c for c in out.coeffs if c)
     return out.scale(pow(lead, -1, p))
-
-
-def uni_divide_exact(f: UniHomPoly, g: UniHomPoly) -> UniHomPoly:
-    """Exact quotient f / g of binary forms; raises ValueError otherwise."""
-    if g.is_zero:
-        raise ValueError("division by the zero form")
-    p = f.p
-    if f.is_zero:
-        if f.degree < g.degree:
-            raise ValueError("degree of quotient would be negative")
-        return UniHomPoly.zero(p, f.degree - g.degree)
-    g_lo, g_hi, g_core = _strip(g.coeffs)
-    f_lo, f_hi, f_core = _strip(f.coeffs)
-    if f_lo < g_lo or (f.degree - f_hi) < (g.degree - g_hi):
-        raise ValueError("not divisible (valuation)")
-    # divide cores as univariates in z = y/x, ascending coefficients
-    q = _upoly_divide(f_core, g_core, p)
-    d = f.degree - g.degree
-    coeffs = [0] * (d + 1)
-    off = f_lo - g_lo
-    for k, c in enumerate(q):
-        coeffs[off + k] = c
-    return UniHomPoly(p, d, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -405,47 +365,20 @@ class BiPoly(SparsePoly):
     def is_bihomogeneous(self, c: int, d: int) -> bool:
         return self.is_zero or self.bidegree() == (c, d)
 
-    def times_monomial(self, i: int, j: int, k: int, l: int) -> "BiPoly":
-        return BiPoly(self.p, {(a + i, b + j, c + k, d + l): v
-                               for (a, b, c, d), v in self.terms.items()})
-
-    def st_slices(self, c: int, d: int) -> list[UniHomPoly]:
-        """Split a (c, d)-form into (u,v)-forms, one per s^i t^(c-i), i descending."""
-        rows = [[0] * (d + 1) for _ in range(c + 1)]
-        for (i, j, k, l), a in self.terms.items():
-            rows[c - i][l] = a
-        return [UniHomPoly(self.p, d, tuple(r)) for r in rows]
-
     @staticmethod
-    def from_st_slices(slices: Sequence[UniHomPoly], c: int, p: int) -> "BiPoly":
-        """Inverse of :meth:`st_slices` (slices[0] goes with s^c)."""
-        out: dict[tuple[int, int, int, int], int] = {}
-        for pos, sl in enumerate(slices):
-            i = c - pos
-            d = sl.degree
-            for k, coeff in enumerate(sl.coeffs):
-                if coeff:
-                    out[(i, c - i, d - k, k)] = coeff
-        return BiPoly(p, out)
+    def from_grid(grid: NDArray[np.int64], p: int) -> "BiPoly":
+        """Inverse of :func:`coeff_grid`: the form of bidegree
+        (rows - 1, columns - 1) whose coefficients are the grid's."""
+        c, d = grid.shape[0] - 1, grid.shape[1] - 1
+        # tolist() gives Python ints: numpy ones would overflow in products
+        return BiPoly(p, {(c - j, j, d - l, l): x
+                          for j, row in enumerate(grid.tolist())
+                          for l, x in enumerate(row)})
 
 
 def mirror_poly(f: BiPoly) -> BiPoly:
     """Swap the roles of (s, t) and (u, v)."""
     return BiPoly(f.p, {(k, l, i, j): c for (i, j, k, l), c in f.terms.items()})
-
-
-def divide_by_uni(f: BiPoly, g: UniHomPoly) -> BiPoly:
-    """Exact quotient of a bihomogeneous f by a (u, v)-form g."""
-    bd = f.bidegree()
-    if f.is_zero:
-        return f
-    if bd is None:
-        raise ValueError("dividend is not bihomogeneous")
-    c, d = bd
-    slices = f.st_slices(c, d)
-    quot = [uni_divide_exact(sl, g) if not sl.is_zero
-            else UniHomPoly.zero(f.p, d - g.degree) for sl in slices]
-    return BiPoly.from_st_slices(quot, c, f.p)
 
 
 def dot(xs: Sequence, ys: Sequence, zero):
@@ -460,7 +393,7 @@ def dot(xs: Sequence, ys: Sequence, zero):
 
 
 # ---------------------------------------------------------------------------
-# monomial order, coefficient vectors
+# monomial order, coefficient grids
 
 
 def monomial_basis(c: int, d: int) -> list[tuple[int, int, int, int]]:
@@ -471,14 +404,15 @@ def monomial_basis(c: int, d: int) -> list[tuple[int, int, int, int]]:
             for i in range(c, -1, -1) for k in range(d, -1, -1)]
 
 
-def coeff_vector(f: BiPoly, c: int, d: int) -> NDArray[np.int64]:
-    """Coefficients of a (c, d)-form in the global monomial order."""
+def coeff_grid(f: BiPoly, c: int, d: int) -> NDArray[np.int64]:
+    """The (c + 1, d + 1) coefficient grid of a (c, d)-form: entry [j, l]
+    is the coefficient of s^(c-j) t^j u^(d-l) v^l."""
     if not f.is_bihomogeneous(c, d):
         raise ValueError(f"expected a form of bidegree ({c}, {d})")
-    vec = np.zeros((c + 1) * (d + 1), dtype=np.int64)
+    grid = np.zeros((c + 1, d + 1), dtype=np.int64)
     for (_, j, _, l), a in f.terms.items():
-        vec[j * (d + 1) + l] = a
-    return vec
+        grid[j, l] = a
+    return grid
 
 
 def multiplication_matrix(grid: NDArray[np.int64], c: int, d: int
@@ -487,7 +421,7 @@ def multiplication_matrix(grid: NDArray[np.int64], c: int, d: int
     (a + 1, b + 1) coefficient grid, from bidegree (c, d) to (a + c, b + d).
 
     Column m holds the coefficients of f * m, m the m-th monomial of
-    :func:`monomial_basis` (c, d), in :func:`coeff_vector` order.
+    :func:`monomial_basis` (c, d), in the order of a raveled grid.
     """
     a1, b1 = grid.shape
     j = np.arange(c + 1)[:, None, None, None]  # the monomial t^j v^l

@@ -8,7 +8,9 @@ construction identity exactly, then the annihilation, homogeneity and
 column counts of the four syzygies.
 
 All three pipelines require b >= 2n - 1 (membership threshold for the
-two-generator solves).
+two-generator solves).  The dim-2 quotient alpha = f'_0 / g_1 is one solve
+of the multiplication system of g_1; the coprimality of alpha_1 and alpha_2
+(dim 3 and 4) is one rank, in :func:`tensurf.membership.bihomog_coprime`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import hburch, linalg, membership
 from .bipoly import (BiPoly, CertificateError, HypothesisError, UniHomPoly,
-                     coeff_vector, divide_by_uni, dot, multiplication_matrix)
+                     coeff_grid, dot, multiplication_matrix)
 from .hburch import GradedSyzMatrix, HBResolution
 from .syzygy import VAnalysis
 
@@ -62,11 +64,11 @@ def _check_annihilation(cols: Sequence[SyzygyColumn], gens: Sequence[BiPoly],
     """Whether each column S of bidegree (c, d) annihilates the generators
     of bidegree (a, b): [M(g0) | ... | M(g3)] vec(S) = 0, where M(g) is the
     multiplication matrix of g by bidegree (c, d)."""
-    grids = [coeff_vector(g, a, b).reshape(a + 1, b + 1) for g in gens]
+    grids = [coeff_grid(g, a, b) for g in gens]
     for col in cols:
         c, d = col.bidegree
         M = np.hstack([multiplication_matrix(g, c, d) for g in grids])
-        vec = np.concatenate([coeff_vector(e, c, d) for e in col.entries])
+        vec = np.stack([coeff_grid(e, c, d) for e in col.entries]).ravel()
         if linalg.matmul_mod(M, vec[:, None], p).any():
             return False
     return True
@@ -124,10 +126,13 @@ def _run_dim2(va: VAnalysis) -> CaseResult:
     a, b, n = va.input.a, va.input.b, va.n
     g0, g1 = va.g
     f0p, f1p = va.f_prime
-    try:
-        alpha = divide_by_uni(f0p, g1)
-    except ValueError as exc:
-        raise CertificateError(f"f'_0 is not a multiple of g_1: {exc}") from exc
+    # alpha * g_1 = f'_0, one (s, t)-row of f'_0 per right-hand side column
+    x = linalg.solve_particular(
+        multiplication_matrix(np.array([g1.coeffs]), 0, b - n),
+        coeff_grid(f0p, a, b).T, p)
+    if x is None:
+        raise CertificateError("f'_0 is not a multiple of g_1")
+    alpha = BiPoly.from_grid(x.T, p)
     checks: dict[str, bool] = {}
     checks["alpha_consistent"] = (f1p + alpha * g0.to_bipoly()).is_zero
     p2, p3 = va.new_gens[2], va.new_gens[3]

@@ -26,6 +26,8 @@ from .syzygy import SurfaceInput, VAnalysis, analyze
 
 __all__ = ["GenSpec", "GeneratedInstance", "generate"]
 
+MAX_TRIES = 200  # draws per instance before generate gives up
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -146,8 +148,7 @@ def _build_planted_psi(spec: GenSpec, rng: random.Random, field: FieldConfig
 
 
 def generate(spec: GenSpec, index: int = 0, seed: int = 0,
-             p: Optional[int] = None, max_tries: int = 200
-             ) -> GeneratedInstance:
+             p: Optional[int] = None) -> GeneratedInstance:
     """Draw, validate and return one instance matching ``spec`` exactly.
 
     Deterministic in (spec, index, seed, p).  An instance is accepted only
@@ -158,7 +159,7 @@ def generate(spec: GenSpec, index: int = 0, seed: int = 0,
     field = FieldConfig(seed=seed) if p is None else FieldConfig(p, seed=seed)
     rng = field.rng(f"gen:{spec.kind}:{spec.a}:{spec.b}:{spec.n}:"
                     f"{spec.mus}:{index}")
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, MAX_TRIES + 1):
         try:
             if spec.kind == "dim2":
                 inp = _build_dim2(spec, rng, field)
@@ -178,4 +179,4 @@ def generate(spec: GenSpec, index: int = 0, seed: int = 0,
         return GeneratedInstance(spec, inp, va, case, attempt)
     raise CertificateError(
         f"could not generate a valid {spec.kind} instance in "
-        f"{max_tries} attempts")
+        f"{MAX_TRIES} attempts")

@@ -1,4 +1,4 @@
-"""Ideal membership for pairs of binary forms, and resultant utilities.
+"""Ideal membership for pairs of binary forms, coprimality, and resultants.
 
 For coprime binary forms h0, h1 of degrees m, n, every form of degree
 >= m + n - 1 lies in the ideal (h0, h1); concretely the (m+n) x (m+n)
@@ -11,9 +11,11 @@ d >= m + n - 1 is surjective.  `two_gen_solve` solves
 slice by slice over the s,t-monomials of the target, all slices as the
 columns of one right-hand side of a single elimination, with free variables
 set to zero, so the answer is canonical.  `psi_solve` plays the same game
-against a graded syzygy matrix with a unique solution.  `resultant_uv` samples the
-(u, v)-resultant of two bigraded forms at s = 0..D and recovers it by Newton
-interpolation on those consecutive nodes, in O(D^2) operations.
+against a graded syzygy matrix with a unique solution.  `bihomog_coprime`
+is one rank: two forms are coprime when their syzygies form a line.
+`resultant_uv` samples the (u, v)-resultant of two bigraded forms at
+s = 0..D and recovers it by Newton interpolation on those consecutive
+nodes, in O(D^2) operations.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .bipoly import (
     CertificateError,
     HypothesisError,
     UniHomPoly,
-    coeff_vector,
+    coeff_grid,
     dot,
     multiplication_matrix,
     uni_gcd,
@@ -82,13 +84,10 @@ def two_gen_solve(target: BiPoly, h0: UniHomPoly, h1: UniHomPoly,
             f"{h0.degree + h1.degree - 1}")
     M = pair_system(h0, h1, d, p)
     e0 = d - h0.degree
-    rhs = coeff_vector(target, c, d).reshape(c + 1, d + 1).T
-    x = linalg.solve_particular(M, rhs, p)
+    x = linalg.solve_particular(M, coeff_grid(target, c, d).T, p)
     if x is None:
         raise CertificateError("membership system unexpectedly inconsistent")
-    x0, x1 = (BiPoly.from_st_slices(
-        [UniHomPoly(p, e, tuple(col)) for col in part.T.tolist()], c, p)
-        for part, e in zip(np.split(x, [e0 + 1]), (e0, d - h1.degree)))
+    x0, x1 = (BiPoly.from_grid(part.T, p) for part in np.split(x, [e0 + 1]))
     if not (target - dot([x0, x1], [h0.to_bipoly(), h1.to_bipoly()],
                          BiPoly.zero(p))).is_zero:
         raise CertificateError("membership certificate failed the exact check")
@@ -115,15 +114,12 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
     if linalg.kernel_basis(M, p):
         raise CertificateError("psi is not injective in the solve degree")
     # column pos stacks the pos-th (s, t)-slice of every f_prime entry
-    rhs = np.concatenate([coeff_vector(f, a, b).reshape(a + 1, b + 1).T
-                          for f in f_prime])
+    rhs = np.concatenate([coeff_grid(f, a, b).T for f in f_prime])
     x = linalg.solve_particular(M, rhs, p)
     if x is None:
         raise CertificateError("f_prime is not in the image of psi")
     ends = np.cumsum([b - mu + 1 for mu in mus])
-    alphas = [BiPoly.from_st_slices(
-        [UniHomPoly(p, b - mu, tuple(col)) for col in part.T.tolist()], a, p)
-        for part, mu in zip(np.split(x, ends[:-1]), mus)]
+    alphas = [BiPoly.from_grid(part.T, p) for part in np.split(x, ends[:-1])]
     # exact verification
     for row, f in zip(mat.entries, f_prime):
         if not (dot([e.to_bipoly() for e in row], alphas, BiPoly.zero(p))
@@ -154,10 +150,8 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
     # powers[r, k] = r^k mod p at the sample nodes s = 0..D
     powers = linalg.vandermonde(np.arange(D + 1), max(cf, cg) + 1, p)
     # grid row j holds the coefficients of s^(c-j) t^j
-    fs = linalg.matmul_mod(
-        powers[:, cf::-1], coeff_vector(f, cf, df).reshape(cf + 1, df + 1), p)
-    gs = linalg.matmul_mod(
-        powers[:, cg::-1], coeff_vector(g, cg, dg).reshape(cg + 1, dg + 1), p)
+    fs = linalg.matmul_mod(powers[:, cf::-1], coeff_grid(f, cf, df), p)
+    gs = linalg.matmul_mod(powers[:, cg::-1], coeff_grid(g, cg, dg), p)
     size = df + dg
     syl = np.zeros((D + 1, size, size), dtype=np.int64)
     for r in range(dg):
@@ -185,36 +179,22 @@ def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
     return UniHomPoly(p, D, tuple(int(t) for t in acc[::-1]))
 
 
-def st_content(f: BiPoly, c: int, d: int) -> UniHomPoly:
-    """gcd of the (s, t)-coefficient forms of f, one per u^k v^l monomial."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for (i, j, k, l), coeff in f.terms.items():
-        groups.setdefault((k, l), [0] * (c + 1))[j] = coeff
-    acc = UniHomPoly.zero(f.p, 0)
-    for coeffs in groups.values():
-        acc = uni_gcd(acc, UniHomPoly(f.p, c, tuple(coeffs)))
-    return acc
-
-
-def uv_content(f: BiPoly, c: int, d: int) -> UniHomPoly:
-    from .bipoly import mirror_poly
-    return st_content(mirror_poly(f), d, c)
-
-
 def bihomog_coprime(f: BiPoly, g: BiPoly) -> bool:
-    """Exact coprimality of two nonzero bihomogeneous polynomials."""
+    """Exact coprimality of two nonzero bihomogeneous polynomials: the
+    kernel of [M(f) by bideg g | M(g) by bideg f], the pairs (x, y) with
+    x f + y g = 0, is the line through (g, -f), i.e. the rank is the column
+    count - 1, exactly when gcd(f, g) = 1.
+
+    K[s, t, u, v] is a UFD, so with gcd(f, g) = 1, x f = -y g forces g | x,
+    and x, of the bidegree of g, is lambda g.  A common factor k of bidegree
+    (k1, k2) != (0, 0), f = k f1 and g = k g1, gives the syzygies
+    (m g1, -m f1) for the (k1 + 1)(k2 + 1) >= 2 monomials m of bidegree
+    (k1, k2).  A rank over F_p is the rank over its closure, so the test is
+    exact at every prime.
+    """
     bf, bg = f.bidegree(), g.bidegree()
     if bf is None or bg is None:
         raise ValueError("inputs must be nonzero and bihomogeneous")
-    p = f.p
-    (cf, df), (cg, dg) = bf, bg
-    cont_st = uni_gcd(st_content(f, cf, df), st_content(g, cg, dg))
-    if cont_st.degree > 0:
-        return False
-    cont_uv = uni_gcd(uv_content(f, cf, df), uv_content(g, cg, dg))
-    if cont_uv.degree > 0:
-        return False
-    if df > 0 and dg > 0:
-        if resultant_uv(f, g, bf, bg, p).is_zero:
-            return False
-    return True
+    M = np.hstack([multiplication_matrix(coeff_grid(f, *bf), *bg),
+                   multiplication_matrix(coeff_grid(g, *bg), *bf)])
+    return linalg.rank(M, f.p) == M.shape[1] - 1

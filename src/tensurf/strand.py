@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .bipoly import (CertificateError, coeff_vector, monomial_basis,
+from .bipoly import (CertificateError, coeff_grid, monomial_basis,
                      multiplication_matrix)
 from .cases import CaseResult
 from .xpoly import XPoly
@@ -93,8 +93,8 @@ def build_strand(case: CaseResult) -> Strand:
         c, d = sy.bidegree
         mc, md = 2 * a - 1 - c, b - 1 - d
         blocks.append(np.stack(
-            [multiplication_matrix(coeff_vector(e, c, d).reshape(c + 1, d + 1),
-                                   mc, md) for e in sy.entries], axis=2))
+            [multiplication_matrix(coeff_grid(e, c, d), mc, md)
+             for e in sy.entries], axis=2))
         labels += [(sy.label, mult) for mult in monomial_basis(mc, md)]
     if len(labels) != size:
         raise CertificateError(

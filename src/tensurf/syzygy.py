@@ -26,7 +26,7 @@ from .bipoly import (
     FieldConfig,
     HypothesisError,
     UniHomPoly,
-    coeff_vector,
+    coeff_grid,
     dot,
     mirror_poly,
     multiplication_matrix,
@@ -56,7 +56,7 @@ class SurfaceInput:
                 raise HypothesisError(
                     f"generator {i} is not a nonzero form of bidegree "
                     f"({self.a}, {self.b})")
-        if linalg.rank(self.coeff_matrix(), self.field.p) < 4:
+        if linalg.rank(self.grids().reshape(4, -1), self.field.p) < 4:
             raise HypothesisError("generators are linearly dependent")
 
     @classmethod
@@ -66,12 +66,9 @@ class SurfaceInput:
         gens = tuple(parse_poly(e, field.p) for e in exprs)
         return cls(a, b, gens, field)
 
-    def coeff_matrix(self) -> NDArray[np.int64]:
-        return np.stack([coeff_vector(g, self.a, self.b) for g in self.gens])
-
     def grids(self) -> NDArray[np.int64]:
         """The generators' coefficient grids, shape (4, a + 1, b + 1)."""
-        return self.coeff_matrix().reshape(4, self.a + 1, self.b + 1)
+        return np.stack([coeff_grid(g, self.a, self.b) for g in self.gens])
 
     def mirror(self) -> "SurfaceInput":
         """Swap the roles of (s, t) and (u, v)."""
@@ -89,36 +86,28 @@ def syzygy_system(inp: SurfaceInput, n: int) -> NDArray[np.int64]:
     return np.hstack([multiplication_matrix(g, 0, n) for g in inp.grids()])
 
 
-def find_minimal_syzygy(inp: SurfaceInput, cap: Optional[int] = None
+def find_minimal_syzygy(inp: SurfaceInput
                         ) -> tuple[int, list[NDArray[np.int64]]]:
-    """Smallest n >= 1 admitting a singly graded syzygy, with the kernel basis."""
-    cap = cap if cap is not None else inp.b
-    for n in range(1, cap + 1):
+    """Smallest n <= b admitting a singly graded syzygy, with the kernel basis."""
+    for n in range(1, inp.b + 1):
         kern = linalg.kernel_basis(syzygy_system(inp, n), inp.field.p)
         if kern:
             return n, kern
     raise HypothesisError(
-        f"no singly graded syzygy of uv-degree <= {cap}")
+        f"no singly graded syzygy of uv-degree <= {inp.b}")
 
 
 def build_f_family(inp: SurfaceInput, vec: NDArray[np.int64], n: int
                    ) -> tuple[NDArray[np.int64], list[BiPoly]]:
-    """Split a syzygy vector into A and the family f_0..f_n."""
+    """Split a syzygy vector into A and the family f_0..f_n, by exact
+    products: int64 sums of four products of residues near 2**31 overflow."""
     p = inp.field.p
     A = np.asarray(vec, dtype=np.int64).reshape(4, n + 1) % p
-    fam = []
-    for j in range(n + 1):
-        f = BiPoly.zero(p)
-        for i in range(4):
-            if A[i, j]:
-                f = f + inp.gens[i].scale(int(A[i, j]))
-        fam.append(f)
-    total = BiPoly.zero(p)
-    for j, f in enumerate(fam):
-        total = total + f.times_monomial(0, 0, n - j, j)
-    if not total.is_zero:
+    if linalg.matmul_mod(syzygy_system(inp, n), A.reshape(-1, 1), p).any():
         raise CertificateError("syzygy vector does not annihilate the generators")
-    return A, fam
+    # row r of the grid of f_j is sum_i A[i, j] times row r of the grid of g_i
+    rows = [linalg.matmul_mod(A.T, g, p) for g in inp.grids().transpose(1, 0, 2)]
+    return A, [BiPoly.from_grid(f, p) for f in np.stack(rows, axis=1)]
 
 
 @dataclass(frozen=True)
@@ -140,10 +129,10 @@ class VAnalysis:
     point_transform: NDArray[np.int64]
 
 
-def analyze(inp: SurfaceInput, cap: Optional[int] = None) -> VAnalysis:
+def analyze(inp: SurfaceInput) -> VAnalysis:
     """Run the singly graded analysis: minimal n, f-family, V, g, new generators."""
     p = inp.field.p
-    n, kern = find_minimal_syzygy(inp, cap)
+    n, kern = find_minimal_syzygy(inp)
     A = fam = None
     for vec in kern:
         cand_A, cand_fam = build_f_family(inp, vec, n)

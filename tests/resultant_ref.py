@@ -1,16 +1,19 @@
-"""Reference resultants of binary forms: the Sylvester matrix and the
-specialization of a bigraded form at a point (s0 : t0).
+"""Reference resultants of binary forms: the Sylvester matrix, the
+specialization of a bigraded form at a point (s0 : t0), and coprimality
+decided by contents and a resultant.
 
 Plain loops over Python ints: the tests compare
 ``tensurf.membership.resultant_uv`` against one Sylvester determinant per
-specialization.
+specialization, and ``tensurf.membership.bihomog_coprime`` against
+:func:`coprime_by_resultant`.
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from tensurf.bipoly import BiPoly, UniHomPoly
+from tensurf.bipoly import BiPoly, UniHomPoly, mirror_poly, uni_gcd
+from tensurf.membership import resultant_uv
 
 
 def sylvester_from_coeffs(fc: Sequence[int], gc: Sequence[int], p: int
@@ -39,3 +42,35 @@ def substitute_st(f: BiPoly, s0: int, t0: int, uv_degree: int) -> UniHomPoly:
     for (i, j, k, l), c in f.terms.items():
         out[l] = (out[l] + c * pow(s0, i, p) * pow(t0, j, p)) % p
     return UniHomPoly(p, uv_degree, tuple(out))
+
+
+def st_content(f: BiPoly, c: int, d: int) -> UniHomPoly:
+    """gcd of the (s, t)-coefficient forms of f, one per u^k v^l monomial."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for (i, j, k, l), coeff in f.terms.items():
+        groups.setdefault((k, l), [0] * (c + 1))[j] = coeff
+    acc = UniHomPoly.zero(f.p, 0)
+    for coeffs in groups.values():
+        acc = uni_gcd(acc, UniHomPoly(f.p, c, tuple(coeffs)))
+    return acc
+
+
+def uv_content(f: BiPoly, c: int, d: int) -> UniHomPoly:
+    """gcd of the (u, v)-coefficient forms of f, one per s^i t^j monomial."""
+    return st_content(mirror_poly(f), d, c)
+
+
+def coprime_by_resultant(f: BiPoly, g: BiPoly) -> bool:
+    """Coprimality of two nonzero bihomogeneous polynomials: no common
+    (s, t)-content, no common (u, v)-content, and a nonzero (u, v)-resultant
+    when both have positive uv-degree.  By Gauss's lemma every common factor
+    is caught by one of the three.  The resultant needs D + 1 <= p for its
+    D + 1 sample nodes and raises ValueError otherwise."""
+    (cf, df), (cg, dg) = f.bidegree(), g.bidegree()
+    if uni_gcd(st_content(f, cf, df), st_content(g, cg, dg)).degree > 0:
+        return False
+    if uni_gcd(uv_content(f, cf, df), uv_content(g, cg, dg)).degree > 0:
+        return False
+    if df > 0 and dg > 0:
+        return not resultant_uv(f, g, (cf, df), (cg, dg), f.p).is_zero
+    return True

@@ -3,6 +3,7 @@
 import random
 from itertools import takewhile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,15 +15,13 @@ from tensurf.bipoly import (
     FieldConfig,
     ParseError,
     UniHomPoly,
-    coeff_vector,
-    divide_by_uni,
+    coeff_grid,
     dot,
     mirror_poly,
     monomial_basis,
     multiplication_matrix,
     parse_poly,
     poly_to_str,
-    uni_divide_exact,
     uni_gcd,
     uni_to_str,
     _is_prime,
@@ -159,10 +158,10 @@ def test_substitute_and_slices_frozen():
     at_s1_t2 = substitute_st(f, 1, 2, 2)
     assert at_s1_t2.degree == 2
     assert at_s1_t2.coeffs == (1, 6, 20)
-    slices = f.st_slices(2, 2)
-    assert [sl.coeffs for sl in slices] == [(1, 0, 0), (0, 3, 0), (0, 0, 5)]
-    back = BiPoly.from_st_slices(slices, 2, P)
-    assert back == f
+    # grid row j is the (u, v)-slice of s^(2-j) t^j
+    grid = coeff_grid(f, 2, 2)
+    assert grid.tolist() == [[1, 0, 0], [0, 3, 0], [0, 0, 5]]
+    assert BiPoly.from_grid(grid, P) == f
 
 
 def test_mirror_poly_swaps_variable_pairs():
@@ -185,56 +184,78 @@ def test_uni_gcd_frozen_and_random():
         d = uni_gcd(f1, f2)
         assert d.degree >= common.degree
         # exact divisibility of both arguments by the gcd
-        assert (uni_divide_exact(f1, d) * d - f1).is_zero
-        assert (uni_divide_exact(f2, d) * d - f2).is_zero
+        assert divide_by_form(f1.to_bipoly(), d) is not None
+        assert divide_by_form(f2.to_bipoly(), d) is not None
 
 
-def test_uni_divide_exact_rejects_non_divisors():
-    u = UniHomPoly(P, 1, (1, 0))
-    f = UniHomPoly(P, 2, (1, 0, 1))  # u^2 + v^2
-    with pytest.raises(ValueError):
-        uni_divide_exact(f, u)
+def divide_by_form(f, g):
+    """f / g for a (c, d)-form f and a (u, v)-form g by one solve of the
+    multiplication system of g, one (s, t)-row of f per right-hand side
+    column; None when g does not divide f."""
+    c, d = f.bidegree()
+    x = linalg.solve_particular(
+        multiplication_matrix(np.array([g.coeffs]), 0, d - g.degree),
+        coeff_grid(f, c, d).T, f.p)
+    return None if x is None else BiPoly.from_grid(x.T, f.p)
 
 
-def test_divide_by_uni_random():
+def test_exact_division_by_one_solve_random():
     rng = random.Random(31)
     for _ in range(15):
         g = random_form(rng, rng.randrange(1, 4))
         q = random_bipoly(rng, 2, 2)
         f = q * g.to_bipoly()
-        assert divide_by_uni(f, g) == q
-    with pytest.raises(ValueError):
-        divide_by_uni(parse_poly("u^3"), UniHomPoly(P, 1, (1, 1)))
+        assert divide_by_form(f, g) == q
+    assert divide_by_form(parse_poly("u^3"), UniHomPoly(P, 1, (1, 1))) is None
+    # u^2 + v^2 is not a multiple of u
+    assert divide_by_form(parse_poly("u^2 + v^2"), UniHomPoly(P, 1, (1, 0))) \
+        is None
 
 
 def test_monomial_basis_order_and_coeff_vectors():
+    # a raveled grid lists the coefficients in monomial_basis order
     basis = monomial_basis(1, 2)
     assert basis[0] == (1, 0, 2, 0)
     assert len(basis) == 2 * 3
     for pos, exp in enumerate(basis):
-        vec = coeff_vector(BiPoly.monomial(P, exp), 1, 2)
+        vec = coeff_grid(BiPoly.monomial(P, exp), 1, 2).ravel()
         assert vec.tolist() == [int(k == pos) for k in range(len(basis))]
     rng = random.Random(41)
     f = random_bipoly(rng, 1, 2)
-    vec = coeff_vector(f, 1, 2)
+    vec = coeff_grid(f, 1, 2).ravel()
     assert BiPoly(P, {exp: int(a) for exp, a in zip(basis, vec)}) == f
+
+
+@st.composite
+def forms(draw, p):
+    """(c, d, f): a form f of bidegree (c, d) that is zero, sparse or dense."""
+    c, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    basis = monomial_basis(c, d)
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    mons = {"zero": [], "dense": basis,
+            "sparse": draw(st.lists(st.sampled_from(basis), min_size=1,
+                                    max_size=2))}[kind]
+    return c, d, BiPoly(p, {m: draw(st.integers(1, p - 1)) for m in mons})
 
 
 @st.composite
 def products(draw):
     """(p, (a, b, f), (c, d, g)): forms f, g that are zero, sparse or dense."""
     p = draw(st.sampled_from([101, P]))
-    out = [p]
-    for _ in range(2):
-        c, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-        basis = monomial_basis(c, d)
-        kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
-        mons = {"zero": [], "dense": basis,
-                "sparse": draw(st.lists(st.sampled_from(basis), min_size=1,
-                                        max_size=2))}[kind]
-        out.append((c, d, BiPoly(p, {m: draw(st.integers(1, p - 1))
-                                     for m in mons})))
-    return tuple(out)
+    return p, draw(forms(p)), draw(forms(p))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([101, P]).flatmap(forms))
+def test_from_grid_inverts_coeff_grid(form):
+    c, d, f = form
+    grid = coeff_grid(f, c, d)
+    assert grid.shape == (c + 1, d + 1)
+    back = BiPoly.from_grid(grid, f.p)
+    assert back == f
+    assert all(type(x) is int for x in back.terms.values())
+    # and the other way round
+    assert coeff_grid(back, c, d).tolist() == grid.tolist()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -242,15 +263,16 @@ def products(draw):
 def test_multiplication_matrix_multiplies(case):
     # a = 0 is a binary form: its grid is the one row of its coefficients
     p, (a, b, f), (c, d, g) = case
-    grid = coeff_vector(f, a, b).reshape(a + 1, b + 1)
+    grid = coeff_grid(f, a, b)
     if a == 0:
-        assert grid.tolist() == [list(f.st_slices(0, b)[0].coeffs)]
+        assert grid.tolist() == [[f.terms.get((0, 0, b - l, l), 0)
+                                  for l in range(b + 1)]]
     M = multiplication_matrix(grid, c, d)
-    got = linalg.matmul_mod(M, coeff_vector(g, c, d)[:, None], p)[:, 0]
-    assert got.tolist() == coeff_vector(f * g, a + c, b + d).tolist()
+    got = linalg.matmul_mod(M, coeff_grid(g, c, d).reshape(-1, 1), p)[:, 0]
+    assert got.tolist() == coeff_grid(f * g, a + c, b + d).ravel().tolist()
     for col, m in zip(M.T, monomial_basis(c, d)):
         product = f * BiPoly.monomial(p, m)
-        assert col.tolist() == coeff_vector(product, a + c, b + d).tolist()
+        assert col.tolist() == coeff_grid(product, a + c, b + d).ravel().tolist()
 
 
 def test_uni_eval_matches_bipoly_eval():

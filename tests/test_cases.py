@@ -1,5 +1,7 @@
 """Case-by-case syzygy constructions with frozen worked instances."""
 
+from dataclasses import replace
+
 import pytest
 
 from tensurf import cases
@@ -211,10 +213,20 @@ def test_run_case_rejects_low_b(field):
     # minimal syzygy degree n = 2 but b = 2 < 2n - 1 = 3
     gens = ["s*v^2", "-s*u^2", "t*u^2", "t*v^2"]
     inp = SurfaceInput.from_strings(1, 2, gens, field)
-    va = analyze(inp, cap=4)
+    va = analyze(inp)
     assert va.n == 2
     with pytest.raises(HypothesisError):
         run_case(va)
+
+
+def test_dim2_rejects_f0_off_the_multiples_of_g1(dim2_case):
+    # g_1 = v^2 does not divide s*u^3
+    va = dim2_case.analysis
+    f0p, f1p = va.f_prime
+    bumped = replace(va, f_prime=(f0p + BiPoly.monomial(P, (1, 0, 3, 0)), f1p))
+    with pytest.raises(CertificateError,
+                       match="^f'_0 is not a multiple of g_1$"):
+        run_case(bumped)
 
 
 def test_every_construction_check_runs(dim2_case, dim3_case, example_case):

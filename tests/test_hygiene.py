@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used,
 every function, class and method is referenced from the package's own code,
-the documented flags of ``implicitize``/``verify`` are the parser's, and
-every function the benchmark's tracer wraps still exists."""
+products of int64 arrays go through the exact modular product, the
+documented flags of ``implicitize``/``verify`` are the parser's, and every
+function the benchmark's tracer wraps still exists."""
 
 import argparse
 import ast
@@ -137,6 +138,49 @@ def test_every_definition_is_referenced_from_the_package():
         "only tests reach these"
     assert sorted(set(UNREFERENCED_ALLOWED) - set(unreferenced)) == [], \
         "allowlisted names that are now referenced or gone"
+
+
+# numpy products that sum int64 terms with no reduction: a sum of four
+# products of residues near 2**31 overflows.  ``linalg.matmul_mod`` is exact.
+UNREDUCED_PRODUCTS = {"tensordot", "dot", "einsum", "matmul"}
+# the functions that may use ``@``, each with the bound that keeps it exact
+MATMUL_ALLOWED = {
+    "linalg._mul_sub": "float64 products of 16-bit limbs, exact up to "
+                       "MAX_INNER terms",
+    "strand.Strand.det_at_many": "four terms of balanced residues, each at "
+                                 "most h**2, sum below 2**62",
+}
+
+
+def _product_sites(tree, module):
+    """(site, what) for every unreduced numpy product and every ``@``; the
+    site of an ``@`` is its innermost enclosing definition."""
+    owner = {}
+    for name, node in [(module, tree), *_definitions(tree, module)]:
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.BinOp, ast.AugAssign)) \
+                    and isinstance(sub.op, ast.MatMult):
+                owner[id(sub)] = (name, "@")
+    sites = list(owner.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in UNREDUCED_PRODUCTS \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            sites.append((module, f"np.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            sites += [(module, f"np.{alias.name}") for alias in node.names
+                      if alias.name in UNREDUCED_PRODUCTS]
+    return sites
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_products_are_reduced(path):
+    sites = _product_sites(ast.parse(path.read_text(encoding="utf-8")),
+                           path.stem)
+    bad = [f"{what} in {site}" for site, what in sites
+           if not (what == "@" and site in MATMUL_ALLOWED)]
+    assert not bad, "use linalg.matmul_mod"
 
 
 def _documented_flags() -> set[str]:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import gauss_ref
+import resultant_ref
 from resultant_ref import substitute_st, sylvester_from_coeffs
 from tensurf import linalg, membership
 from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, HypothesisError,
@@ -243,8 +244,8 @@ def test_resultant_uv_with_samples_vanishing_at_some_nodes():
 
 def test_content_and_coprimality():
     f = parse_poly("s*u^2 + s*u*v")   # st-content s, uv-content u^2 + u*v
-    assert membership.st_content(f, 1, 2).degree == 1
-    assert membership.uv_content(f, 1, 2).degree == 2
+    assert resultant_ref.st_content(f, 1, 2).degree == 1
+    assert resultant_ref.uv_content(f, 1, 2).degree == 2
     g = parse_poly("t*v^2")
     assert membership.bihomog_coprime(f, g)      # u*(u+v) against v^2
     h = parse_poly("t*u^2 + t*u*v")
@@ -252,3 +253,47 @@ def test_content_and_coprimality():
     f2 = parse_poly("s*u + t*v")
     g2 = parse_poly("s*u - t*v")
     assert membership.bihomog_coprime(f2, g2)
+    # constants are units
+    assert membership.bihomog_coprime(parse_poly("3"), f)
+
+
+def random_form_mod(rng, p, c, d):
+    """A nonzero (c, d)-form with random coefficients in F_p."""
+    while True:
+        f = BiPoly(p, {(c - j, j, d - l, l): rng.randrange(p)
+                       for j in range(c + 1) for l in range(d + 1)})
+        if not f.is_zero:
+            return f
+
+
+@pytest.mark.parametrize("p", [5, 7, P])
+@pytest.mark.parametrize("common", [(0, 1), (1, 0), (1, 1), (0, 2), (2, 0)])
+def test_bihomog_coprime_sees_a_planted_common_factor(p, common):
+    rng = random.Random(f"{p}:{common}")
+    for _ in range(10):
+        k = random_form_mod(rng, p, *common)
+        f1, g1 = random_form_mod(rng, p, 1, 2), random_form_mod(rng, p, 2, 1)
+        assert not membership.bihomog_coprime(k * f1, k * g1)
+        assert not membership.bihomog_coprime(k * g1, k)
+    if p == P:
+        # random forms at a large prime are coprime
+        assert membership.bihomog_coprime(f1, g1)
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, P])
+def test_bihomog_coprime_matches_contents_and_resultant(p):
+    # random pairs with and without a planted common factor, at every
+    # bidegree pair where the reference resultant runs (D + 1 <= p)
+    rng = random.Random(p)
+    verdicts = []
+    while len(verdicts) < 60:
+        k, f1, g1 = [random_form_mod(rng, p, rng.randrange(3), rng.randrange(3))
+                     for _ in range(3)]
+        f, g = k * f1, k * g1
+        (cf, df), (cg, dg) = f.bidegree(), g.bidegree()
+        if df and dg and cf * dg + cg * df + 1 > p:
+            continue
+        want = resultant_ref.coprime_by_resultant(f, g)
+        assert membership.bihomog_coprime(f, g) == want, (f, g)
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts

@@ -1,10 +1,14 @@
 """Minimal singly graded syzygies and the derived coefficient span."""
 
+import random
+
 import numpy as np
 import pytest
 
-from tensurf.bipoly import (DEFAULT_PRIME, FieldConfig, HypothesisError,
-                            parse_poly, uni_to_str)
+from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, FieldConfig,
+                            HypothesisError, monomial_basis, parse_poly,
+                            uni_to_str)
+from tensurf.gen import GenSpec, _build_planted_psi
 from tensurf.syzygy import (SurfaceInput, analyze, build_f_family,
                             find_minimal_syzygy, syzygy_system)
 
@@ -58,8 +62,14 @@ def test_syzygy_system_shape(example_input):
 
 
 def test_find_minimal_syzygy_respects_cap(example_input):
-    with pytest.raises(HypothesisError):
-        find_minimal_syzygy(example_input, cap=2)
+    # the search stops at uv-degree b: a generic (3, 2) input has 4(n + 1)
+    # unknowns against 4(n + 3) equations in every degree n, so no syzygy
+    rng = random.Random(32)
+    gens = tuple(BiPoly(P, {m: rng.randrange(1, P) for m in monomial_basis(3, 2)})
+                 for _ in range(4))
+    generic = SurfaceInput(3, 2, gens, FieldConfig(seed=0))
+    with pytest.raises(HypothesisError, match="uv-degree <= 2$"):
+        find_minimal_syzygy(generic)
     n, kern = find_minimal_syzygy(example_input)
     assert n == 3 and len(kern) == 1
 
@@ -70,8 +80,25 @@ def test_build_f_family_annihilates(example_input):
     assert A.shape == (4, n + 1)
     total = parse_poly("0", P)
     for j, f in enumerate(fam):
-        total = total + f.times_monomial(0, 0, n - j, j)
+        total = total + f * BiPoly.monomial(P, (0, 0, n - j, j))
     assert total.is_zero
+
+
+def test_build_f_family_matches_the_naive_sum():
+    # residues near 2**31 in A and in the generators: a sum of four of their
+    # products overflows int64 unless every product is reduced; an
+    # unreduced numpy contraction gets a family wrong on some of these
+    spec = GenSpec("dim4", 2, 5, 3, (1, 1))
+    for seed in range(8):
+        inp = _build_planted_psi(spec, random.Random(seed), FieldConfig())
+        n, kern = find_minimal_syzygy(inp)
+        for vec in kern:
+            A, fam = build_f_family(inp, vec, n)
+            for j, f in enumerate(fam):
+                naive = BiPoly.zero(P)
+                for i, g in enumerate(inp.gens):
+                    naive = naive + g.scale(int(A[i, j]))
+                assert f == naive, (seed, j)
 
 
 def test_analysis_identity_on_corpus_sample(corpus):

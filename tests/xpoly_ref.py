@@ -60,8 +60,7 @@ def compose_with_map(f: XPoly, gens: Sequence[BiPoly], a: int, b: int
     exactly when f vanishes identically on the image of the map.
     """
     p = f.p
-    grids = [bipoly.coeff_vector(g, a, b).reshape(a + 1, b + 1)
-             for g in gens]
+    grids = [bipoly.coeff_grid(g, a, b) for g in gens]
 
     def rec(terms: dict, k: int) -> np.ndarray:
         if not terms:
