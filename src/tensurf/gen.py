@@ -153,8 +153,10 @@ def generate(spec: GenSpec, index: int = 0, seed: int = 0,
 
     Deterministic in (spec, index, seed, p).  An instance is accepted only
     when the analysis recovers the planted syzygy degree, column-space
-    dimension and resolution column degrees, every structural check of the
-    case construction passes, and the basepoint screen certifies freeness.
+    dimension and resolution column degrees, and the basepoint screen
+    certifies freeness; a draw that breaks a hypothesis is redrawn.  A
+    failed structural check of the case construction is a fault, not a bad
+    draw: its CertificateError propagates.
     """
     field = FieldConfig(seed=seed) if p is None else FieldConfig(p, seed=seed)
     rng = field.rng(f"gen:{spec.kind}:{spec.a}:{spec.b}:{spec.n}:"
@@ -169,7 +171,7 @@ def generate(spec: GenSpec, index: int = 0, seed: int = 0,
             if va.n != spec.n or va.dim_v != spec.dim_v:
                 continue
             case = run_case(va)
-        except (HypothesisError, CertificateError):
+        except HypothesisError:
             continue
         if spec.planted_mus is not None:
             if tuple(case.aux["mus"]) != tuple(sorted(spec.planted_mus)):

@@ -1,34 +1,43 @@
 """Independent implicitization by exact point elimination.
 
-The implicit equation F of the image surface is recovered from the
-generators alone, without the syzygy pipeline.  Degree-e forms vanishing on
-the image are exactly the kernel of evaluation at the image of an
-(e*a + 1) x (e*b + 1) product grid of parameter values: a composed form
-f(g0..g3) is bihomogeneous of bidegree (e*a, e*b), so vanishing on that grid
-of distinct affine nodes forces it to vanish identically.
+The implicit equation F of the image surface is proved from the generators
+alone, without the syzygy pipeline.  Degree-e forms vanishing on the image
+are exactly the kernel of evaluation at the image of an (e*a + 1) x
+(e*b + 1) product grid of parameter values: a composed form f(g0..g3) is
+bihomogeneous of bidegree (e*a, e*b), so vanishing on that grid of distinct
+affine nodes forces it to vanish identically.
 
 The degree of F is e = 2ab / d, where d is the degree of the map onto its
-image.  The oracle peels a candidate off e + 1 random planes H_k =
-{m_k = 0}: F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)), each G_k a form
-of degree e - k in x1, x2, x3 found by a small exact solve on F_p-points
-of the image X on H_k (see :mod:`tensurf.planes`).  The peel reads e off
-the first plane section: e divides a known e_max, and G_0 spans the
-level-0 kernel at e_max or, when that kernel is not a line, at the least
-divisor of e_max with a nonzero one.  Two facts prove the candidate:
+image.  The oracle reads e off the section of the image X by a random plane
+H_0 = {m_0 = 0} (:func:`tensurf.planes.section`): e divides a known e_max,
+and the forms of degree e in x1, x2, x3 vanishing at the section's samples,
+points of X checked exactly to lie on H_0, must be one line, that of G_0.
+A candidate of degree e then comes from the first of these that gives one:
+
+1. the strand, when the pipeline passes it in F's coordinates: its
+   determinant is c F^d, so a diagonal block B_0 of size e has
+   det B_0 = c_0 F.  Its determinants on the principal lattice (below)
+   interpolate to det B_0 exactly, and F is det B_0 / c_0, c_0 its leading
+   coefficient (:func:`_read_off`);
+2. the plane peel: F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)) on e + 1
+   planes, each G_k found by a small exact solve (:func:`tensurf.planes.peel`).
+
+Two facts prove the candidate, whichever gave it:
 
 (a) it vanishes at the image of the product grid, so F(g0..g3) = 0;
-(b') the degree-e forms in x1, x2, x3 vanishing at the level-0 samples,
-    points of X checked exactly to lie on H_0, are the line of G_0.  So no
-    nonzero form q of degree e - 1 vanishes there: x1 q, x2 q and x3 q
-    would be three such forms.
+(b') the level-0 kernel at e is a line.  So no nonzero form q of degree
+    e - 1 vanishes at the samples: x1 q, x2 q and x3 q would be three
+    forms of degree e that do.
 
-Let G be the minimal equation of X.  By (a), G divides F.  F is G_0 on H_0,
-and G_0 is not zero, so m_0 does not divide F, G is not m_0, and G on H_0
-is a nonzero form of degree deg G vanishing at the samples; by (b'),
+Let G be the minimal equation of X.  By (a), G divides F.  Each sample is a
+root of m_0 composed with the map on a line where that composition is not
+zero, so m_0 does not vanish on X and G is not m_0.  So G on H_0 is a
+nonzero form of degree deg G vanishing at the samples, and by (b')
 deg G >= e.  So F = c G: the kernel at degree e is a line and every lower
-degree has a zero kernel.  Any other outcome (too few points, a level-0
-kernel that is not a line, an inconsistent level solve, a failed or dead
-grid) runs the degree scan, which computes the kernel of every degree 1,
+degree has a zero kernel.  Any other outcome (no strand or no block of size
+e, a zero det B_0, too few points, a level-0 kernel that is not a line, an
+inconsistent level solve, a failed or dead grid) passes to the next source
+and last to the degree scan, which computes the kernel of every degree 1,
 2, ... on its grid up to the first nonzero one.  The result is the same
 either way.
 
@@ -38,7 +47,9 @@ coordinates, goes block by block: the strand's zero pattern permutes it
 into diagonal blocks B_i of sizes n_i, and each det B_i = c_i F^(n_i / deg F)
 is proved by the same kind of argument: a form of degree n_i vanishing on
 the principal lattice {(1, i, j, k) : i + j + k <= n_i}, nodes 0..n_i
-distinct mod p, is zero (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).
+distinct mod p, is zero (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).  A
+block equal to the one F was read off has its determinant interpolated
+there already, so its identity is checked on coefficients.
 
 Last, it screens the input for basepoints exactly: pairwise resultants
 with constant gcd prove the usual input free, and a rank test in bidegree
@@ -49,8 +60,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -60,13 +72,13 @@ from .bipoly import (CertificateError, FieldConfig, HypothesisError,
                      UniHomPoly, multiplication_matrix, uni_gcd)
 from .cases import CaseResult, run_case
 from .membership import resultant_uv
-from .planes import peel
+from .planes import peel, section
 # reconstruct_det, divide_with_remainder and linear_substitute are unused
 # here; perfbench/spans.py wraps them in this module's namespace.
 from .strand import Strand, build_strand, reconstruct_det  # noqa: F401
 from .syzygy import SurfaceInput, VAnalysis, analyze
 from .xpoly import (XPoly, divide_with_remainder, eval_form,  # noqa: F401
-                    eval_matrix, linear_substitute)
+                    eval_matrix, linear_substitute, monomials_of_degree)
 
 __all__ = [
     "check_prime_floor", "OracleResult", "implicit_by_elimination",
@@ -89,16 +101,22 @@ class OracleResult:
     of one identifies the unique minimal equation; a larger value signals
     that the image is not a hypersurface of that degree (the first canonical
     kernel vector is still returned, and downstream certification will
-    reject it).  When the equation was peeled off plane sections, at the
-    degree e the peel read off them, the dimension 1 at e and the zero
-    dimensions below it are proved (facts (a) and (b') of the module
-    docstring) rather than computed.
+    reject it).  When the equation was read off a strand block or peeled
+    off plane sections, at the degree e read off the level-0 section, the
+    dimension 1 at e and the zero dimensions below it are proved (facts (a)
+    and (b') of the module docstring) rather than computed.
+
+    ``block`` is the (e, e, 4) strand block F was read off and the
+    coefficient cube of its determinant, or None; it records where F came
+    from, so it takes no part in comparisons.
     """
 
     f: XPoly
     degree: int
     kernel_dims: tuple[tuple[int, int], ...]
     grid_shape: tuple[int, int]
+    block: Optional[tuple[NDArray[np.int64], NDArray[np.int64]]] = (
+        dataclass_field(default=None, compare=False, repr=False))
 
     @property
     def kernel_dim(self) -> int:
@@ -132,18 +150,16 @@ def check_prime_floor(a: int, b: int, p: int) -> None:
             f"for bidegree ({a}, {b})")
 
 
-def implicit_by_elimination(inp: SurfaceInput) -> OracleResult:
+def implicit_by_elimination(inp: SurfaceInput,
+                            strand: Optional[Strand] = None) -> OracleResult:
     """The minimal implicit equation of the image, normalized to a leading 1.
 
-    :func:`tensurf.planes.peel` reads the degree e = 2ab / d off its first
-    plane section and peels a candidate off e + 1 of them; it is checked
-    exactly on the image of the (e*a + 1) x (e*b + 1) product grid.  With
-    the level-0 kernel of the peel a line, passing proves it is the
-    equation and that no lower degree has one (b' in the module
-    docstring), so those degrees are reported with kernel dimension 0
-    without being computed.  Any failure scans the degrees 1..2ab in order
-    on product grids up to the first nonzero kernel.  Both paths return the
-    same result.
+    The candidate comes from ``strand`` (linear forms whose determinant is
+    claimed to be c F^d) when it has a block of size e, else from the plane
+    peel, and is proved as in the module docstring, so the degrees below e
+    are reported with kernel dimension 0 without being computed.  Any
+    failure scans the degrees 1..2ab in order on product grids up to the
+    first nonzero kernel.  Every path returns the same result.
     """
     p, a, b = inp.field.p, inp.a, inp.b
     check_prime_floor(a, b, p)
@@ -160,20 +176,27 @@ def implicit_by_elimination(inp: SurfaceInput) -> OracleResult:
             [linalg.matmul_mod(linalg.matmul_mod(tv, g, p), vv.T, p).reshape(-1)
              for g in gen_grids], axis=1)
 
-    def result(e: int, vec: NDArray[np.int64],
-               dims: list[tuple[int, int]]) -> OracleResult:
+    def result(e: int, vec: NDArray[np.int64], dims: list[tuple[int, int]],
+               block: Optional[tuple] = None) -> OracleResult:
         return OracleResult(
             f=XPoly.from_coeff_vector(p, e, vec), degree=e,
-            kernel_dims=tuple(dims), grid_shape=(e * a + 1, e * b + 1))
+            kernel_dims=tuple(dims), grid_shape=(e * a + 1, e * b + 1),
+            block=block)
 
-    peeled = peel(inp, gen_grids)
-    if peeled is not None:
-        e, vec = peeled
-        vec = _normalized(vec, p)
-        points = grid_points(e)
-        # A dead grid point is left to the scan, which reports it.
-        if points.any(axis=1).all() and _vanishes_at(e, points, vec, p):
-            return result(e, vec, [(k, 0) for k in range(1, e)] + [(e, 1)])
+    sec = section(inp, gen_grids)
+    points = None if sec is None else grid_points(sec.e)
+    # A dead grid point is left to the scan, which reports it.
+    if points is not None and points.any(axis=1).all():
+        e = sec.e
+        proved = [(k, 0) for k in range(1, e)] + [(e, 1)]
+        read = None if strand is None else _read_off(strand, e)
+        if read is not None and _vanishes_at(e, points, read[0], p):
+            return result(e, read[0], proved, read[1])
+        vec = peel(sec)
+        if vec is not None:
+            vec = _normalized(vec, p)
+            if _vanishes_at(e, points, vec, p):
+                return result(e, vec, proved)
 
     dims: list[tuple[int, int]] = []
     for e in range(1, size + 1):
@@ -219,18 +242,56 @@ class DetCertificate:
     mode: str = "interpolate"
 
 
+def _contract(cube: NDArray[np.int64], mat: NDArray[np.int64], p: int
+              ) -> NDArray[np.int64]:
+    """``mat`` applied along each axis of ``cube``: three ``matmul_mod``
+    products, each contracting the first axis and putting the new one
+    last."""
+    for _ in range(3):
+        cube = np.moveaxis(linalg.matmul_mod(mat, cube.reshape(
+            len(cube), -1), p).reshape(-1, *cube.shape[1:]), 0, -1)
+    return cube
+
+
+def _simplex(size: int) -> NDArray[np.bool_]:
+    """The mask i + j + k <= size on {0..size}^3."""
+    nodes = np.arange(size + 1)
+    return nodes[:, None, None] + nodes[:, None] + nodes <= size
+
+
 def _lattice_values(cube: NDArray[np.int64], size: int, p: int
                     ) -> NDArray[np.int64]:
     """The form with coefficients ``cube`` at x0 = 1 on the points of
     ``_principal_lattice(size)``: on {0..size}^3, ``cube`` contracted on each
-    axis with the Vandermonde matrix of the nodes (three ``matmul_mod``
-    products), then masked to i + j + k <= size."""
-    nodes = np.arange(size + 1)
-    vander = linalg.vandermonde(nodes, len(cube), p)
-    for _ in range(3):   # contract the first axis; the new one goes last
-        cube = np.moveaxis(linalg.matmul_mod(vander, cube.reshape(
-            len(cube), -1), p).reshape(-1, *cube.shape[1:]), 0, -1)
-    return cube[nodes[:, None, None] + nodes[:, None] + nodes <= size]
+    axis with the Vandermonde matrix of the nodes, then masked to
+    i + j + k <= size."""
+    vander = linalg.vandermonde(np.arange(size + 1), len(cube), p)
+    return _contract(cube, vander, p)[_simplex(size)]
+
+
+def _lattice_form(values: NDArray[np.int64], degree: int, p: int
+                  ) -> NDArray[np.int64]:
+    """The coefficient cube (as ``XPoly.coeff_cube``) of the form of degree
+    ``degree`` that takes ``values`` on ``_principal_lattice(degree)``;
+    needs p > degree.
+
+    At x0 = 1 the form is sum D[i, j, k] C(x1, i) C(x2, j) C(x3, k) over
+    i + j + k <= degree, D its forward differences at 0 (Gregory-Newton).
+    Along each axis, values at the nodes 0..degree are B D with B[i, k] =
+    C(i, k), so D = B^-1 values: (-1)^(i-k) C(i, k).  Each entry of D on
+    the simplex only takes values on it.  The monomial coefficients S of the
+    C(x, k) solve V S = B, V the Vandermonde matrix of the nodes, so three
+    contractions with S = V^-1 B give the cube.
+    """
+    inside = _simplex(degree)
+    cube = np.zeros(inside.shape, dtype=np.int64)
+    cube[inside] = values % p
+    k = np.arange(degree + 1)
+    binom = np.array([[math.comb(i, j) % p for j in k] for i in k])
+    diff = np.where((k[:, None] - k) % 2, p - binom, binom) % p
+    newton = linalg.matmul_mod(linalg.matrix_inverse(
+        linalg.vandermonde(k, degree + 1, p), p), binom, p)
+    return _contract(_contract(cube, diff, p) * inside, newton, p)
 
 
 def _principal_lattice(degree: int) -> NDArray[np.int64]:
@@ -268,6 +329,41 @@ def _sign(perm: NDArray[np.int64]) -> int:
     return -1 if np.triu(perm[:, None] > perm).sum() % 2 else 1
 
 
+def _in_f_coordinates(strand: Strand, point_transform: NDArray[np.int64]
+                      ) -> Optional[Strand]:
+    """The strand with its linear forms moved by T^-1, T =
+    ``point_transform``: det M(T^-1 z) = c F(z)^d when det M(y) =
+    c F(T y)^d.  Moving keeps M's zero pattern.  None when T is singular
+    mod p."""
+    p = strand.p
+    if linalg.rank(point_transform, p) < 4:
+        return None
+    return replace(strand, tensor=linalg.matmul_mod(
+        strand.tensor.reshape(-1, 4),
+        linalg.matrix_inverse(point_transform, p), p
+    ).reshape(strand.tensor.shape))
+
+
+def _read_off(strand: Strand, e: int) -> Optional[
+        tuple[NDArray[np.int64], tuple[NDArray[np.int64], NDArray[np.int64]]]]:
+    """det B for the first diagonal block B of size e of ``strand``,
+    interpolated on ``_principal_lattice(e)``: its coefficient vector
+    normalized to a leading 1, and ``OracleResult.block``.  None when no
+    block has size e or det B is zero."""
+    p = strand.p
+    for rows, cols in _blocks(strand.tensor):
+        if len(rows) == len(cols) == e:
+            block = strand.block(rows, cols)
+            cube = _lattice_form(block.det_at_many(_principal_lattice(e)),
+                                 e, p)
+            vec = cube[tuple(np.array(monomials_of_degree(e))[:, 1:].T)]
+            if not vec.any():
+                return None
+            c0 = int(vec[np.flatnonzero(vec)[0]])
+            return vec * pow(c0, -1, p) % p, (block.tensor, cube)
+    return None
+
+
 def verify_implicitization(strand: Strand, oracle: OracleResult,
                            point_transform: NDArray[np.int64],
                            field: FieldConfig) -> DetCertificate:
@@ -285,21 +381,21 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
     (checking them all rejects most wrong inputs cheaply), then on the
     principal lattice {(1, i, j, k) : i + j + k <= n_i}, unisolvent for
     forms of degree n_i when p > n_i (p > size, else ValueError): both
-    sides are such forms, so agreement proves it.  So det M = c F^d with
-    c = sigma prod c_i.  A component that is not square (det M = 0) or
-    whose size e does not divide fails.
+    sides are such forms, so agreement proves it.  A block equal, entry for
+    entry, to the block F was read off (``oracle.block``) has a known
+    determinant, which must be c_i F coefficient by coefficient.  So
+    det M = c F^d with c = sigma prod c_i.  A component that is not square
+    (det M = 0) or whose size e does not divide fails.
     """
     p, e = field.p, oracle.degree
     if p <= strand.size:
         raise ValueError(
             f"the exact certificate needs p > {strand.size} so that the "
             f"lattice nodes 0..{strand.size} are distinct mod p")
-    if linalg.rank(point_transform, p) < 4:
+    moved = _in_f_coordinates(strand, point_transform)
+    if moved is None:
         raise CertificateError("the point transform is singular mod p")
-    moved = linalg.matmul_mod(strand.tensor.reshape(-1, 4),
-                              linalg.matrix_inverse(point_transform, p),
-                              p).reshape(strand.tensor.shape)
-    blocks = _blocks(moved)
+    blocks = _blocks(moved.tensor)
     for rows, cols in blocks:
         if len(rows) != len(cols):
             raise CertificateError(
@@ -311,15 +407,29 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
                 f"{len(rows)}")
     c = math.prod(_sign(np.concatenate(side)) for side in zip(*blocks)) % p
     cube = oracle.f.coeff_cube(e)
-    rng = field.rng("certificate")
-    pts = np.array([[rng.randrange(p) for _ in range(4)]
-                    for _ in range(PRECHECK_POINTS)], dtype=np.int64)
-    f_pts = eval_form(cube, e, pts, p)
+    pts = f_pts = None   # drawn for the first block proved on its lattice
     for index, (rows, cols) in enumerate(blocks):
         n, k = len(rows), len(rows) // e
+        block = moved.block(rows, cols)
+        if (oracle.block is not None and n == e
+                and np.array_equal(block.tensor, oracle.block[0])):
+            det = oracle.block[1]
+            lead = np.flatnonzero(cube)[0]
+            c_i = int(det.flat[lead]) * pow(int(cube.flat[lead]), -1, p) % p
+            bad = np.count_nonzero(det != c_i * cube % p)
+            if bad:
+                raise CertificateError(
+                    f"block {index}: det = c * F fails at {bad} of "
+                    f"{cube.size} coefficients")
+            c = c * c_i % p
+            continue
+        if f_pts is None:
+            rng = field.rng("certificate")
+            pts = np.array([[rng.randrange(p) for _ in range(4)]
+                            for _ in range(PRECHECK_POINTS)], dtype=np.int64)
+            f_pts = eval_form(cube, e, pts, p)
         lattice = _principal_lattice(n)
-        dets = replace(strand, size=n, tensor=moved[np.ix_(
-            rows, cols)]).det_at_many(np.vstack([pts, lattice]))
+        dets = block.det_at_many(np.vstack([pts, lattice]))
         lhs, rhs = dets[:PRECHECK_POINTS], linalg.pow_mod_array(f_pts, k, p)
         fit = np.flatnonzero(lhs * rhs % p)
         if not fit.size:
@@ -453,7 +563,9 @@ class ImplicitizationResult:
 
 def implicitize(inp: SurfaceInput) -> ImplicitizationResult:
     """Run the whole chain: prime floor, basepoint screen, analysis, case
-    construction, strand, oracle and certificate.
+    construction, strand, oracle and certificate.  The oracle reads F off
+    the strand in F's coordinates when it can, and the certificate then
+    proves only the blocks other than the one F was read off.
 
     A prime below :func:`check_prime_floor` raises ValueError and an input
     with a basepoint (:func:`basepoint_check`) raises HypothesisError.  The
@@ -478,7 +590,8 @@ def implicitize(inp: SurfaceInput) -> ImplicitizationResult:
     timings["strand"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    oracle = implicit_by_elimination(inp)
+    oracle = implicit_by_elimination(
+        inp, _in_f_coordinates(strand, va.point_transform))
     timings["oracle"] = time.perf_counter() - start
 
     start = time.perf_counter()

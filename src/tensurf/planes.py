@@ -6,17 +6,22 @@ degree e - k in x1, x2, x3: the chart of the plane H_k = {m_k = 0}.  The
 image X meets H_k in a plane curve, whose F_p-points come from one batched
 Cantor-Zassenhaus split per random draw (:func:`_split_roots`).  On those
 points one kernel (level 0) and e small solves (levels 1..e) give the G_k,
-and Horner's rule on dense coefficient vectors assembles F.  Points are
-drawn for the largest degree e_max the map allows, and level 0 reads off
-e (see :func:`peel`); the other levels use prefixes of their points.  The
-oracle (:mod:`tensurf.oracle`) proves the candidate.  Its proof takes one
-fact from here, which :func:`peel` enforces: the level-0 kernel at e, on
-points checked exactly to lie on X and on H_0, is the line of G_0.
+and Horner's rule on dense coefficient vectors assembles F.
+
+Level 0 comes first (:func:`section`): its points are drawn for the
+largest degree e_max the map allows, and its kernel reads off e.  The
+oracle (:mod:`tensurf.oracle`) reads F off a strand block of size e when
+it can.  Only its fallback, :func:`peel`, draws points for levels 1..e,
+after e is known.  The oracle proves the candidate either way.  Its proof
+takes one fact from here, which :func:`section` enforces: the level-0
+kernel at e, on points checked exactly to lie on X and on H_0, is the line
+of G_0.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -235,22 +240,35 @@ def _plane_monomials(Y: NDArray[np.int64], D: int, p: int
     return pw[0][:, e1] * pw[1][:, e2] % p * pw[2][:, e3] % p
 
 
-def peel(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
-         ) -> Optional[tuple[int, NDArray[np.int64]]]:
-    """The degree e of the image's equation and a candidate coefficient
-    vector, or None.
+@dataclass(frozen=True)
+class Section:
+    """The level-0 plane section: the degree e, G_0 (the line of the level-0
+    kernel at e) and what :func:`peel` draws the other levels from.  The
+    generator grids are oriented and reduced as in :func:`section`."""
 
-    F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)) for random linear forms
-    m_k with m_k[0] != 0, each G_k a form of degree e - k in x1, x2, x3 (the
-    chart of H_k = {m_k = 0}).  At a point y of X on H_k and off the earlier
-    planes, G_k(y) = F_k(y), where F_0 = F = 0 on X and F_(j+1) = (F_j -
-    G_j) / m_j.  e = 2ab / d divides e_max = 2ab / step, as phi factors
-    through x -> x^step (below), so step divides d.  G_0 spans the sampled
-    level-0 kernel at e, which must be a line: at e_max if that one is a
-    line, else at the least divisor of e_max with a nonzero kernel on a
-    prefix of the points.  Each later G_k solves its sampled system.  None
-    when points run short, the kernel is not a line or a system is
-    inconsistent.  ``eval_form`` gives G_k at the later levels' points.
+    e: int
+    g0: NDArray[np.int64]
+    points: NDArray[np.int64]
+    grids: list[NDArray[np.int64]]
+    planes: NDArray[np.int64]
+    per_point: float
+    rng: np.random.Generator
+    p: int
+
+
+def section(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
+            ) -> Optional[Section]:
+    """The level-0 section of the image X by a random plane H_0, or None.
+
+    e = 2ab / d divides e_max = 2ab / step, as phi factors through
+    x -> x^step in the solved variable x (below), so step divides d.  On
+    C(e_max + 2, 2) + 8 points of X checked exactly to lie on H_0, the forms
+    of degree e_max in x1, x2, x3 vanishing there are G_0 times every form
+    of degree e_max - e.  So e is e_max when that kernel is a line, else the
+    least divisor of e_max with a nonzero kernel on a prefix of the points,
+    and that kernel must be a line.  None when points run short or it is
+    not.  Only the level-0 plane gets points here; the planes of levels
+    1..e are drawn with it, for :func:`peel`.
     """
     p, a, b = inp.field.p, inp.a, inp.b
     grids = gen_grids if a > b else [g.T for g in gen_grids]
@@ -265,14 +283,15 @@ def peel(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
     rng = np.random.default_rng(inp.field.rng("oracle-sample").getrandbits(64))
     planes = rng.integers(0, p, (e_max + 1, 4))
     planes[:, 0] = rng.integers(1, p, e_max + 1)
-    need = _need(e_max)
-    pts = _section_points(grids, planes, need, 1 if K == 1 else 2, rng, p)
-    if any(len(y) < n for y, n in zip(pts, need.tolist())):
+    per_point = 1 if K == 1 else 2
+    need = _need(e_max)[:1]
+    pts = _section_points(grids, planes[:1], need, per_point, rng, p)[0]
+    if len(pts) < need[0]:
         return None
 
     def level0_kernel(D: int) -> list[NDArray[np.int64]]:
         return linalg.kernel_basis(
-            _plane_monomials(pts[0][:_need(D)[0]], D, p), p)
+            _plane_monomials(pts[:_need(D)[0]], D, p), p)
 
     e, kern = e_max, level0_kernel(e_max)
     if len(kern) > 1:   # d > step: G_0 times every form of degree e_max - e
@@ -282,10 +301,31 @@ def peel(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
                 break
     if len(kern) != 1:
         return None
+    return Section(e, kern[0], pts[:_need(e)[0]], grids, planes[:e + 1],
+                   per_point, rng, p)
+
+
+def peel(sec: Section) -> Optional[NDArray[np.int64]]:
+    """A candidate coefficient vector of degree e peeled off the planes of
+    a level-0 section, or None.
+
+    F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)) for the section's planes
+    m_k, each G_k a form of degree e - k in x1, x2, x3 (the chart of H_k =
+    {m_k = 0}).  At a point y of X on H_k and off the earlier planes,
+    G_k(y) = F_k(y), where F_0 = F = 0 on X and F_(j+1) = (F_j - G_j) / m_j.
+    G_0 is the section's; points for levels 1..e are drawn now, and each
+    G_k solves its sampled system.  None when points run short or a system
+    is inconsistent.  ``eval_form`` gives G_k at the later levels' points.
+    """
+    e, p, planes = sec.e, sec.p, sec.planes
     need = _need(e)
-    Y = np.concatenate([y[:n] for y, n in zip(pts, need.tolist())])
+    pts = _section_points(sec.grids, planes, np.concatenate([[0], need[1:]]),
+                          sec.per_point, sec.rng, p)
+    pts[0] = sec.points
+    if any(len(y) < n for y, n in zip(pts, need.tolist())):
+        return None
+    Y = np.concatenate(pts)
     start = np.cumsum([0] + need.tolist())
-    planes = planes[:e + 1]
     mv = linalg.matmul_mod(Y, planes.T, p)
     # prod[:, k] = m_0(y) ... m_(k-1)(y), nonzero up to each point's level
     prod = np.ones((len(Y), e + 1), dtype=np.int64)
@@ -298,7 +338,7 @@ def peel(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
     for k in range(e + 1):
         lo, hi, D = start[k], start[k + 1], e - k
         if k == 0:
-            g = kern[0]
+            g = sec.g0
         else:   # G_k(y) = F_k(y) = -num(y) / prod[y, k]
             g = linalg.solve_particular(_plane_monomials(Y[lo:hi], D, p),
                                         -num[lo:hi] * scale[lo:hi] % p, p)
@@ -310,4 +350,4 @@ def peel(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
         square[e2, e3] = g
         num[hi:] = (num[hi:] + eval_form(square, D, Y[hi:, 1:], p)
                     * prod[hi:, k]) % p
-    return e, _assemble(gs, planes, p)
+    return _assemble(gs, planes, p)

@@ -10,7 +10,7 @@ implicit equation of the parameterized surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,13 @@ class Strand:
         """Scalar matrix obtained by evaluating every entry at one point."""
         x = np.asarray(point, dtype=np.int64) % self.p
         return (self.tensor * x[None, None, :] % self.p).sum(axis=2) % self.p
+
+    def block(self, rows, cols) -> "Strand":
+        """The square submatrix on ``rows`` and ``cols``."""
+        return replace(self, size=len(rows),
+                       tensor=self.tensor[np.ix_(rows, cols)],
+                       column_labels=tuple(self.column_labels[c]
+                                           for c in cols))
 
     def det_at(self, point) -> int:
         return linalg.det_field(self.eval_matrix_at(point), self.p)

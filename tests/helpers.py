@@ -1,5 +1,6 @@
 """Utilities shared between test modules."""
 
+from tensurf import oracle
 from tensurf.bipoly import BiPoly, DEFAULT_PRIME
 from tensurf.cases import CaseResult, SyzygyColumn
 
@@ -29,3 +30,17 @@ def mutate_case(case: CaseResult, rng) -> CaseResult:
     cols[ci] = SyzygyColumn(col.label, col.bidegree, tuple(entries))
     return CaseResult(case.analysis, case.case_tag, tuple(cols), case.aux,
                       case.checks)
+
+
+def spy_peel(monkeypatch) -> list:
+    """Record the degree e of every plane peel (levels 1..e) that the oracle
+    runs."""
+    degrees = []
+    original = oracle.peel
+
+    def spy(sec):
+        degrees.append(sec.e)
+        return original(sec)
+
+    monkeypatch.setattr(oracle, "peel", spy)
+    return degrees

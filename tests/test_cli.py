@@ -1,19 +1,25 @@
 """Command-line interface: subcommands, reports, exit codes."""
 
 import dataclasses
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import EXAMPLE_GENERATORS, SEGRE_GENERATORS
+from helpers import spy_peel
 from tensurf import oracle
 from tensurf.bipoly import DEFAULT_PRIME, parse_poly, poly_to_str
 from tensurf.cli import main
 
 P = DEFAULT_PRIME
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+# A generated odd-a (3, 2) surface: d = 1, one strand block of size 12.
+GENERIC_JOB = str(GOLDEN / "generic_3x2_job.json")
 
 
 @pytest.fixture()
@@ -160,6 +166,51 @@ def test_implicitize_exits_3_when_the_certificate_fails(
     assert "certificate failure" in captured.err
 
 
+def test_implicitize_exits_3_when_a_single_block_strand_changes(
+        capsys, monkeypatch):
+    # d = 1: F is read off the strand's one block, so a changed entry
+    # reaches the oracle.  The grid proof rejects what it reads off, the
+    # peel finds the true F and the certificate fails
+    build = oracle.build_strand
+
+    def changed_entry(case):
+        strand = build(case)
+        tensor = strand.tensor % P
+        r, c, k = np.argwhere((tensor != 0) & (tensor != P - 1))[-1]
+        tensor[r, c, k] += 1
+        return dataclasses.replace(strand, tensor=tensor)
+
+    monkeypatch.setattr(oracle, "build_strand", changed_entry)
+    peels = spy_peel(monkeypatch)
+    assert main(["implicitize", GENERIC_JOB]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "certificate failure: block 0" in captured.err
+    assert peels == [12]
+
+
+def _bench_jobs(workload: str, directory: Path) -> list:
+    """The seed-1 job files of a perfbench workload, written to
+    ``directory``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules.setdefault(spec.name, jobs)
+    spec.loader.exec_module(jobs)
+    return jobs.make_jobs(workload, 1, "full", directory)
+
+
+@pytest.mark.parametrize("workload", ["generic-d1", "exact-d2"])
+def test_bench_jobs_peel_no_level_beyond_0(workload, tmp_path, capsys,
+                                           monkeypatch):
+    peels = spy_peel(monkeypatch)
+    for job in _bench_jobs(workload, tmp_path):
+        assert main(["implicitize", str(job.path), "--json",
+                     "--seed", "1"]) == 0
+    assert peels == []
+
+
 def test_implicitize_side_st_rejected_for_asymmetric_input(example_job,
                                                            capsys):
     assert main(["implicitize", example_job, "--side", "st"]) == 2
@@ -195,6 +246,14 @@ def test_implicitize_interpolate_text_is_golden(example_job, capsys):
     assert main(["implicitize", example_job, "--det-mode",
                  "interpolate"]) == 0
     want = (GOLDEN / "implicitize_worked_interpolate.txt").read_text()
+    assert capsys.readouterr().out == want
+
+
+def test_implicitize_generic_d1_json_is_golden(capsys):
+    # F is read off the strand's one block; the golden output was made
+    # with F peeled off plane sections
+    assert main(["implicitize", GENERIC_JOB, "--json"]) == 0
+    want = (GOLDEN / "implicitize_generic_3x2.json").read_text()
     assert capsys.readouterr().out == want
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from tensurf.bipoly import DEFAULT_PRIME, poly_to_str
+from tensurf import gen
+from tensurf.bipoly import CertificateError, DEFAULT_PRIME, poly_to_str
 from tensurf.gen import GenSpec, generate
 from tensurf.oracle import implicitize
 
@@ -74,3 +75,14 @@ def test_implicitize_recovers_the_planted_profile(corpus):
     assert result.case.aux.get("mus") == inst.case.aux.get("mus")
     assert result.certificate.exponent * result.oracle.degree \
         == 2 * inst.spec.a * inst.spec.b
+
+
+def test_a_failed_construction_check_is_not_redrawn(monkeypatch):
+    # a CertificateError from the case construction is a fault, so it leaves
+    # generate instead of turning into another draw
+    def failing(va):
+        raise CertificateError("dim2 verification failed: planted")
+
+    monkeypatch.setattr(gen, "run_case", failing)
+    with pytest.raises(CertificateError, match="planted"):
+        generate(GenSpec("dim2", 2, 3, 2), index=0, seed=0)

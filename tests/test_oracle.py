@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EXAMPLE_GENERATORS
-from helpers import mutate_case
+from helpers import mutate_case, spy_peel
 from tensurf import linalg, oracle, planes
 from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
                             FieldConfig, HypothesisError, parse_poly,
@@ -86,7 +86,7 @@ def test_oracle_detects_dead_grid_point(field):
 def _unhinted(monkeypatch, inp):
     """The oracle with the plane sections switched off: the plain scan."""
     with monkeypatch.context() as m:
-        m.setattr(oracle, "peel", lambda inp, gen_grids: None)
+        m.setattr(oracle, "section", lambda inp, gen_grids: None)
         return implicit_by_elimination(inp)
 
 
@@ -103,7 +103,7 @@ def _count_kernels(monkeypatch) -> list:
 
 
 def _peeled_degree(inp):
-    return planes.peel(inp, list(inp.grids()))[0]
+    return planes.section(inp, list(inp.grids())).e
 
 
 def test_fiber_degree_of_known_surfaces(example_input, segre_input):
@@ -273,6 +273,10 @@ def test_generic_odd_a_instances(spec, monkeypatch):
             build_strand(inst.case), got, inst.analysis.point_transform,
             inst.input.field)
         assert cert.exponent == 1
+        # implicitize reads F off the strand: the same result and certificate
+        result = implicitize(inst.input)
+        assert result.oracle == got and result.oracle.block is not None
+        assert result.certificate == cert
 
 
 def _swap_symmetric_input(field):
@@ -305,6 +309,14 @@ def test_peel_drops_repeated_points_on_a_swap_symmetric_surface(
         return cols, roots
 
     monkeypatch.setattr(planes, "_split_roots", spy)
+    section_points = planes._section_points
+    levels = []
+
+    def spy_points(grids, plane_rows, need, *args):
+        levels.append((len(plane_rows), need.tolist()))
+        return section_points(grids, plane_rows, need, *args)
+
+    monkeypatch.setattr(planes, "_section_points", spy_points)
     calls = _count_kernels(monkeypatch)
     assert implicit_by_elimination(inp) == want
     # draws gave two roots, t and 1/t, to be kept as one point
@@ -316,6 +328,11 @@ def test_peel_drops_repeated_points_on_a_swap_symmetric_surface(
                      (math.comb(3, 2) + 8, math.comb(3, 2)),
                      (math.comb(4, 2) + 8, math.comb(4, 2)),
                      (math.comb(6, 2) + 8, math.comb(6, 2))]
+    # points for the level-0 plane first, for e_max; for the planes of
+    # levels 1..e only once e = 4 is known
+    assert levels == [(1, [math.comb(10, 2) + 8]),
+                      (5, [0] + [math.comb(6 - k, 2) + 8
+                                 for k in range(1, 5)])]
 
 
 def test_points_off_their_plane_are_dropped(example_input, example_oracle,
@@ -339,18 +356,19 @@ def test_points_off_their_plane_are_dropped(example_input, example_oracle,
 def test_peel_drops_a_level_on_an_earlier_plane_to_the_scan(
         example_input, monkeypatch):
     # H_2 = H_0: every level-2 point lies on an earlier plane, so the peel
-    # gives up and the scan answers
+    # gives up after the level-0 kernel and the scan answers
     want = _unhinted(monkeypatch, example_input)
     section_points = planes._section_points
 
     def same_plane(grids, planes, *args):
-        planes[2] = planes[0] * 3 % P
+        if len(planes) > 2:   # the draw for levels 1..e
+            planes[2] = planes[0] * 3 % P
         return section_points(grids, planes, *args)
 
     monkeypatch.setattr(planes, "_section_points", same_plane)
     calls = _count_kernels(monkeypatch)
     assert implicit_by_elimination(example_input) == want
-    assert len(calls) == 10
+    assert len(calls) == 1 + 10
 
 
 @pytest.mark.parametrize("level", [3, 10])
@@ -412,6 +430,129 @@ def test_worked_surface_over_small_primes(p, digest, example_oracle,
         # the integer equation, reduced: coefficients lifted from (-P/2, P/2)
         assert got.f == XPoly(p, {m: c - P if c > P // 2 else c
                                   for m, c in example_oracle.f.terms.items()})
+
+
+# ---------------------------------------------------------------------------
+# F read off the strand's own block determinant
+
+
+def _prime_above(n: int) -> int:
+    n += 1
+    while any(n % q == 0 for q in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+# The smallest prime above the floor 2ab*max(a, b) + 1 = 37 of bidegree
+# (2, 3): k! stays invertible for every k <= 20 < 41.
+@pytest.mark.parametrize("p", [P, _prime_above(37)])
+@pytest.mark.parametrize("degree", [0, 1, 2, 6, 12, 20])
+def test_lattice_form_round_trips_the_lattice_values(degree, p):
+    rng = random.Random(degree * 1000 + p % 1000)
+    mons = monomials_of_degree(degree)
+    for n_terms in sorted({1, len(mons) // 3 + 1, len(mons)}):
+        f = XPoly(p, {m: rng.randrange(1, p)
+                      for m in rng.sample(mons, n_terms)})
+        values = eval_rows(f, _principal_lattice(degree))
+        got = oracle._lattice_form(values, degree, p)
+        assert got.tolist() == f.coeff_cube(degree).tolist()
+    zeros = np.zeros(math.comb(degree + 3, 3), dtype=np.int64)
+    assert not oracle._lattice_form(zeros, degree, p).any()
+
+
+@pytest.fixture(scope="module")
+def generic_d1():
+    """A generated odd-a (3, 2) surface: d = 1, one strand block of 12."""
+    return generate(GenSpec("dim2", 3, 2, 1), index=0, seed=0)
+
+
+def test_a_zero_block_determinant_takes_the_peel(generic_d1, monkeypatch):
+    # two equal columns keep the strand one block of size e = 12 and make
+    # its determinant zero: nothing to read off, so the full peel answers
+    strand = oracle._in_f_coordinates(build_strand(generic_d1.case),
+                                      generic_d1.analysis.point_transform)
+    tensor = strand.tensor.copy()
+    tensor[:, 1] = tensor[:, 0]
+    zero = dataclasses.replace(strand, tensor=tensor)
+    assert [len(r) for r, _ in oracle._blocks(tensor)] == [12]
+    assert oracle._read_off(zero, 12) is None
+    peels = spy_peel(monkeypatch)
+    got = implicit_by_elimination(generic_d1.input, zero)
+    assert peels == [12] and got.block is None
+    assert got == implicit_by_elimination(generic_d1.input)
+
+
+def test_a_block_failing_the_grid_proof_takes_the_peel(generic_d1,
+                                                       monkeypatch):
+    # one changed entry: det B interpolates to a form that is not c F, the
+    # grid proof rejects it, the peel finds the true F and the certificate
+    # rejects the strand
+    inst = generic_d1
+    transform = inst.analysis.point_transform
+    tensor = build_strand(inst.case).tensor % P
+    r, c, k = np.argwhere(tensor)[0]
+    tensor[r, c, k] = (tensor[r, c, k] + 1) % P
+    changed = dataclasses.replace(build_strand(inst.case), tensor=tensor)
+    moved = oracle._in_f_coordinates(changed, transform)
+    assert oracle._read_off(moved, 12) is not None
+    peels = spy_peel(monkeypatch)
+    got = implicit_by_elimination(inst.input, moved)
+    assert peels == [12] and got.block is None
+    assert got == implicit_by_elimination(inst.input)
+    with pytest.raises(CertificateError, match="block 0"):
+        verify_implicitization(changed, got, transform, inst.input.field)
+
+
+def test_certificate_checks_the_read_off_block_on_coefficients(
+        generic_d1, monkeypatch):
+    # the block F was read off is not evaluated again: its interpolated
+    # determinant must be c F coefficient by coefficient
+    result = implicitize(generic_d1.input)
+    args = (generic_d1.analysis.point_transform, generic_d1.input.field)
+    original = Strand.det_at_many
+    sizes = []
+
+    def counted(self, points):
+        sizes.append(self.size)
+        return original(self, points)
+
+    monkeypatch.setattr(Strand, "det_at_many", counted)
+    assert verify_implicitization(result.strand, result.oracle,
+                                  *args) == result.certificate
+    assert sizes == []
+    bumped = dataclasses.replace(
+        result.oracle, f=result.oracle.f + XPoly(P, {(0, 0, 0, 12): 1}))
+    with pytest.raises(CertificateError,
+                       match=r"block 0: det = c \* F fails at 1 of 2197 "
+                             "coefficients"):
+        verify_implicitization(result.strand, bumped, *args)
+
+
+def test_implicitize_reads_f_off_the_strand_without_peeling(
+        generic_d1, example_input, monkeypatch):
+    # d = 1 (one block of 12), the worked surface (d = 2, blocks 10 + 10)
+    # and a d = 2 surface whose point transform is not the identity: no
+    # level beyond 0 is peeled, and the result is the one the peel gives
+    inputs = [generic_d1.input, example_input,
+              generate(GenSpec("dim3", 2, 3, 2, (1,)), index=0, seed=0).input]
+    peels = spy_peel(monkeypatch)
+    results = [implicitize(inp) for inp in inputs]
+    assert peels == []
+    assert [r.certificate.exponent for r in results] == [1, 2, 2]
+    for inp, result in zip(inputs, results):
+        assert result.oracle.block is not None
+        assert result.oracle == implicit_by_elimination(inp)
+    assert peels == [12, 10, 6]
+
+
+def test_implicitize_matches_the_oracle_on_a_corpus_sample(corpus,
+                                                           monkeypatch):
+    peels = spy_peel(monkeypatch)
+    for inst in corpus[::10]:
+        got = implicitize(inst.input)
+        assert peels == []
+        assert got.oracle == implicit_by_elimination(inst.input)
+        peels.clear()
 
 
 # ---------------------------------------------------------------------------
