@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional
 
@@ -64,8 +63,6 @@ def _build_parser() -> _Parser:
                             "lattice proof, is the only one")
         p.add_argument("--side", choices=["uv", "st"], default=None,
                        help="strand side; st mirrors the input first")
-        p.add_argument("--oracle", action="store_true",
-                       help="print oracle scan diagnostics to stderr")
 
     p_im = sub.add_parser("implicitize", help="full pipeline with report")
     add_common(p_im)
@@ -204,14 +201,8 @@ def _run_pipeline(args) -> tuple:
     result = implicitize(inp)
     for name, secs in sorted(result.timings.items()):
         print(f"[time] {name}: {secs:.3f}s", file=sys.stderr)
-    blocks = result.certificate.blocks
-    print(f"[certificate] blocks {'+'.join(map(str, blocks))}, "
-          f"{sum(math.comb(n + 3, 3) for n in blocks)} lattice points",
-          file=sys.stderr)
-    if args.oracle:
-        for degree, dim in result.oracle.kernel_dims:
-            print(f"[oracle] degree {degree}: kernel dimension {dim}",
-                  file=sys.stderr)
+    print("[certificate] blocks "
+          f"{'+'.join(map(str, result.certificate.blocks))}", file=sys.stderr)
     return inp, side, result
 
 

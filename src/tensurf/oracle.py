@@ -17,10 +17,14 @@ A candidate of degree e then comes from the first of these that gives one:
 1. the strand, when the pipeline passes it in F's coordinates: its
    determinant is c F^d, so a diagonal block B_0 of size e has
    det B_0 = c_0 F.  Its determinants on the principal lattice (below)
-   interpolate to det B_0 exactly, and F is det B_0 / c_0, c_0 its leading
-   coefficient (:func:`_read_off`);
+   interpolate to det B_0 exactly (:meth:`tensurf.strand.Strand.det_cube`,
+   :func:`_read_off`);
 2. the plane peel: F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)) on e + 1
    planes, each G_k found by a small exact solve (:func:`tensurf.planes.peel`).
+
+Each source, and the degree scan below, hands over the candidate's
+coefficient cube (``XPoly.coeff_cube``), which is normalized once, to a
+leading 1 at the first monomial of ``monomials_of_degree``.
 
 Two facts prove the candidate, whichever gave it:
 
@@ -78,7 +82,8 @@ from .planes import peel, section
 from .strand import Strand, build_strand, reconstruct_det  # noqa: F401
 from .syzygy import SurfaceInput, VAnalysis, analyze
 from .xpoly import (XPoly, divide_with_remainder, eval_form,  # noqa: F401
-                    eval_matrix, linear_substitute, monomials_of_degree)
+                    eval_matrix, lattice_values, linear_substitute,
+                    monomials_of_degree, principal_lattice)
 
 __all__ = [
     "check_prime_floor", "OracleResult", "implicit_by_elimination",
@@ -123,17 +128,11 @@ class OracleResult:
         return self.kernel_dims[-1][1]
 
 
-def _normalized(vec: NDArray[np.int64], p: int) -> NDArray[np.int64]:
-    """The multiple of a nonzero vector whose first nonzero entry is 1."""
-    vec = vec % p
-    return vec * pow(int(vec[np.flatnonzero(vec)[0]]), -1, p) % p
-
-
-def _vanishes_at(degree: int, points: NDArray[np.int64], vec: NDArray[np.int64],
-                 p: int) -> bool:
-    """Whether the form with coefficients ``vec`` is zero at every point."""
-    f = XPoly.from_coeff_vector(p, degree, vec)
-    return not eval_form(f.coeff_cube(degree), degree, points, p).any()
+def _vanishes_at(degree: int, points: NDArray[np.int64],
+                 cube: NDArray[np.int64], p: int) -> bool:
+    """Whether the form with coefficient cube ``cube`` is zero at every
+    point."""
+    return not eval_form(cube, degree, points, p).any()
 
 
 def check_prime_floor(a: int, b: int, p: int) -> None:
@@ -176,10 +175,11 @@ def implicit_by_elimination(inp: SurfaceInput,
             [linalg.matmul_mod(linalg.matmul_mod(tv, g, p), vv.T, p).reshape(-1)
              for g in gen_grids], axis=1)
 
-    def result(e: int, vec: NDArray[np.int64], dims: list[tuple[int, int]],
+    def result(e: int, cube: NDArray[np.int64], dims: list[tuple[int, int]],
                block: Optional[tuple] = None) -> OracleResult:
+        f = XPoly.from_cube(p, e, cube)
         return OracleResult(
-            f=XPoly.from_coeff_vector(p, e, vec), degree=e,
+            f=f.scale(pow(f.terms[max(f.terms)], -1, p)), degree=e,
             kernel_dims=tuple(dims), grid_shape=(e * a + 1, e * b + 1),
             block=block)
 
@@ -190,13 +190,11 @@ def implicit_by_elimination(inp: SurfaceInput,
         e = sec.e
         proved = [(k, 0) for k in range(1, e)] + [(e, 1)]
         read = None if strand is None else _read_off(strand, e)
-        if read is not None and _vanishes_at(e, points, read[0], p):
-            return result(e, read[0], proved, read[1])
-        vec = peel(sec)
-        if vec is not None:
-            vec = _normalized(vec, p)
-            if _vanishes_at(e, points, vec, p):
-                return result(e, vec, proved)
+        if read is not None and _vanishes_at(e, points, read[1], p):
+            return result(e, read[1], proved, read)
+        cube = peel(sec)
+        if cube is not None and _vanishes_at(e, points, cube, p):
+            return result(e, cube, proved)
 
     dims: list[tuple[int, int]] = []
     for e in range(1, size + 1):
@@ -212,7 +210,9 @@ def implicit_by_elimination(inp: SurfaceInput,
         kern = linalg.kernel_basis(eval_matrix(e, points, p), p)
         dims.append((e, len(kern)))
         if kern:
-            return result(e, _normalized(kern[0], p), dims)
+            cube = np.zeros((e + 1,) * 3, dtype=np.int64)
+            cube[tuple(np.array(monomials_of_degree(e))[:, 1:].T)] = kern[0]
+            return result(e, cube, dims)
     raise HypothesisError(
         f"no implicit equation of degree <= {size} vanishes on the image; "
         "the input is degenerate")
@@ -231,8 +231,9 @@ class DetCertificate:
     """Proved relation det(strand) = c * F^exponent.
 
     ``blocks`` lists the sizes of the strand's diagonal blocks, each proved
-    on its own lattice; ``n_points`` and ``mode`` name the random pre-check
-    and the exact lattice proof that every certificate passes.
+    on its own lattice, or on coefficients for the block F was read off;
+    ``n_points`` and ``mode`` name the random pre-check and the exact
+    lattice proof of the other blocks.
     """
 
     c: int
@@ -240,67 +241,6 @@ class DetCertificate:
     blocks: tuple[int, ...]
     n_points: int = PRECHECK_POINTS
     mode: str = "interpolate"
-
-
-def _contract(cube: NDArray[np.int64], mat: NDArray[np.int64], p: int
-              ) -> NDArray[np.int64]:
-    """``mat`` applied along each axis of ``cube``: three ``matmul_mod``
-    products, each contracting the first axis and putting the new one
-    last."""
-    for _ in range(3):
-        cube = np.moveaxis(linalg.matmul_mod(mat, cube.reshape(
-            len(cube), -1), p).reshape(-1, *cube.shape[1:]), 0, -1)
-    return cube
-
-
-def _simplex(size: int) -> NDArray[np.bool_]:
-    """The mask i + j + k <= size on {0..size}^3."""
-    nodes = np.arange(size + 1)
-    return nodes[:, None, None] + nodes[:, None] + nodes <= size
-
-
-def _lattice_values(cube: NDArray[np.int64], size: int, p: int
-                    ) -> NDArray[np.int64]:
-    """The form with coefficients ``cube`` at x0 = 1 on the points of
-    ``_principal_lattice(size)``: on {0..size}^3, ``cube`` contracted on each
-    axis with the Vandermonde matrix of the nodes, then masked to
-    i + j + k <= size."""
-    vander = linalg.vandermonde(np.arange(size + 1), len(cube), p)
-    return _contract(cube, vander, p)[_simplex(size)]
-
-
-def _lattice_form(values: NDArray[np.int64], degree: int, p: int
-                  ) -> NDArray[np.int64]:
-    """The coefficient cube (as ``XPoly.coeff_cube``) of the form of degree
-    ``degree`` that takes ``values`` on ``_principal_lattice(degree)``;
-    needs p > degree.
-
-    At x0 = 1 the form is sum D[i, j, k] C(x1, i) C(x2, j) C(x3, k) over
-    i + j + k <= degree, D its forward differences at 0 (Gregory-Newton).
-    Along each axis, values at the nodes 0..degree are B D with B[i, k] =
-    C(i, k), so D = B^-1 values: (-1)^(i-k) C(i, k).  Each entry of D on
-    the simplex only takes values on it.  The monomial coefficients S of the
-    C(x, k) solve V S = B, V the Vandermonde matrix of the nodes, so three
-    contractions with S = V^-1 B give the cube.
-    """
-    inside = _simplex(degree)
-    cube = np.zeros(inside.shape, dtype=np.int64)
-    cube[inside] = values % p
-    k = np.arange(degree + 1)
-    binom = np.array([[math.comb(i, j) % p for j in k] for i in k])
-    diff = np.where((k[:, None] - k) % 2, p - binom, binom) % p
-    newton = linalg.matmul_mod(linalg.matrix_inverse(
-        linalg.vandermonde(k, degree + 1, p), p), binom, p)
-    return _contract(_contract(cube, diff, p) * inside, newton, p)
-
-
-def _principal_lattice(degree: int) -> NDArray[np.int64]:
-    """The C(degree + 3, 3) points (1, i, j, k) with i + j + k <= degree,
-    in lexicographic order of (i, j, k)."""
-    i, j, k = np.indices((degree + 1,) * 3, dtype=np.int64).reshape(3, -1)
-    keep = i + j + k <= degree
-    i, j, k = i[keep], j[keep], k[keep]
-    return np.stack([np.ones_like(i), i, j, k], axis=1)
 
 
 def _blocks(tensor: NDArray[np.int64]
@@ -345,22 +285,16 @@ def _in_f_coordinates(strand: Strand, point_transform: NDArray[np.int64]
 
 
 def _read_off(strand: Strand, e: int) -> Optional[
-        tuple[NDArray[np.int64], tuple[NDArray[np.int64], NDArray[np.int64]]]]:
-    """det B for the first diagonal block B of size e of ``strand``,
-    interpolated on ``_principal_lattice(e)``: its coefficient vector
-    normalized to a leading 1, and ``OracleResult.block``.  None when no
-    block has size e or det B is zero."""
-    p = strand.p
+        tuple[NDArray[np.int64], NDArray[np.int64]]]:
+    """The first diagonal block B of size e of ``strand`` and the
+    coefficient cube of det B (``Strand.det_cube``), as
+    ``OracleResult.block``.  None when no block has size e or det B is
+    zero."""
     for rows, cols in _blocks(strand.tensor):
         if len(rows) == len(cols) == e:
             block = strand.block(rows, cols)
-            cube = _lattice_form(block.det_at_many(_principal_lattice(e)),
-                                 e, p)
-            vec = cube[tuple(np.array(monomials_of_degree(e))[:, 1:].T)]
-            if not vec.any():
-                return None
-            c0 = int(vec[np.flatnonzero(vec)[0]])
-            return vec * pow(c0, -1, p) % p, (block.tensor, cube)
+            cube = block.det_cube()
+            return (block.tensor, cube) if cube.any() else None
     return None
 
 
@@ -428,7 +362,7 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
             pts = np.array([[rng.randrange(p) for _ in range(4)]
                             for _ in range(PRECHECK_POINTS)], dtype=np.int64)
             f_pts = eval_form(cube, e, pts, p)
-        lattice = _principal_lattice(n)
+        lattice = principal_lattice(n)
         dets = block.det_at_many(np.vstack([pts, lattice]))
         lhs, rhs = dets[:PRECHECK_POINTS], linalg.pow_mod_array(f_pts, k, p)
         fit = np.flatnonzero(lhs * rhs % p)
@@ -441,7 +375,7 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
             raise CertificateError(
                 f"block {index}: det = c * F^{k} fails at {bad} of "
                 f"{PRECHECK_POINTS} sample points")
-        rhs = linalg.pow_mod_array(_lattice_values(cube, n, p), k, p)
+        rhs = linalg.pow_mod_array(lattice_values(cube, n, p), k, p)
         bad = np.count_nonzero(dets[PRECHECK_POINTS:] != c_i * rhs % p)
         if bad:
             raise CertificateError(

@@ -6,7 +6,8 @@ degree e - k in x1, x2, x3: the chart of the plane H_k = {m_k = 0}.  The
 image X meets H_k in a plane curve, whose F_p-points come from one batched
 Cantor-Zassenhaus split per random draw (:func:`_split_roots`).  On those
 points one kernel (level 0) and e small solves (levels 1..e) give the G_k,
-and Horner's rule on dense coefficient vectors assembles F.
+and Horner's rule on F's coefficient cube (``XPoly.coeff_cube``) assembles
+it.
 
 Level 0 comes first (:func:`section`): its points are drawn for the
 largest degree e_max the map allows, and its kernel reads off e.  The
@@ -195,35 +196,25 @@ def _plane_exponents(D: int) -> tuple[NDArray[np.int64], ...]:
 
 def _assemble(gs: list[NDArray[np.int64]], planes: NDArray[np.int64],
               p: int) -> NDArray[np.int64]:
-    """Coefficients of G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)).
+    """Coefficient cube (as ``XPoly.coeff_cube``) of
+    G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)).
 
-    G_k (length C(e-k+2, 2)) is a form in x1, x2, x3 and m_k = planes[k].
-    In ``monomials_of_degree`` order, (e0, e1, e2, e3) sits at C(r0+2, 3) +
-    C(r1+1, 2) + e3 with r0 = e1 + e2 + e3 and r1 = e2 + e3, whatever the
-    degree: so a form of degree D - 1 is a prefix of the degree-D vector,
-    multiplying by x0 keeps positions and the new x0-free terms fill the
-    tail.  Horner's rule then runs on dense vectors.
+    G_k is a form of degree e - k in x1, x2, x3, its coefficients in
+    ``_plane_exponents`` order, and m_k = planes[k].  Horner's rule runs on
+    the cube at x0 = 1: multiplying by m_k is m_k[0] times the cube plus
+    m_k[i] times the cube shifted one step along axis i.  ``np.roll`` wraps
+    the last slice round, but below degree e that slice is zero.
     """
     e = len(gs) - 1
-    ex = np.concatenate([np.stack(_plane_exponents(D)) for D in range(e)],
-                        axis=1) if e else np.zeros((3, 0), dtype=np.int64)
-
-    def position(e1, e2, e3):
-        r0, r1 = e1 + e2 + e3, e2 + e3
-        return r0 * (r0 + 1) * (r0 + 2) // 6 + r1 * (r1 + 1) // 2 + e3
-
-    shifted = [position(*(ex + np.eye(3, dtype=np.int64)[:, [i]]))
-               for i in range(3)]
-    vec = gs[e] % p
+    cube = np.zeros((e + 1,) * 3, dtype=np.int64)
+    cube[0, 0, 0] = gs[e][0] % p
     for k in range(e - 1, -1, -1):
-        n_old = len(vec)
-        out = np.zeros(n_old + len(gs[k]), dtype=np.int64)
-        out[:n_old] = vec * planes[k, 0] % p
-        for i in range(3):
-            out[shifted[i][:n_old]] += vec * planes[k, i + 1] % p
-        out[n_old:] += gs[k]
-        vec = out % p
-    return vec
+        m = planes[k]
+        cube = (cube * m[0] % p + sum(np.roll(cube, 1, axis=i) * m[i + 1] % p
+                                      for i in range(3))) % p
+        cube[_plane_exponents(e - k)] += gs[k]
+        cube %= p
+    return cube
 
 
 def _need(e: int) -> NDArray[np.int64]:
@@ -306,8 +297,8 @@ def section(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
 
 
 def peel(sec: Section) -> Optional[NDArray[np.int64]]:
-    """A candidate coefficient vector of degree e peeled off the planes of
-    a level-0 section, or None.
+    """A candidate coefficient cube of degree e peeled off the planes of a
+    level-0 section, or None.
 
     F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)) for the section's planes
     m_k, each G_k a form of degree e - k in x1, x2, x3 (the chart of H_k =

@@ -2,16 +2,21 @@
 
 :class:`XPoly` is the K[x0..x3] subclass of the sparse core
 :class:`tensurf.bipoly.SparsePoly`, which supplies its arithmetic, parser
-and printer; it adds the total-degree grading and dense coefficients.
-The module also provides degree-graded monomial enumeration and the one
-vectorized evaluator of dense forms.  Used by the elimination oracle, the
-determinant certificate and the reference checks.
+and printer; it adds the total-degree grading.  A dense form of degree e
+is its coefficient cube at x0 = 1 (``XPoly.coeff_cube`` and
+``XPoly.from_cube``), the one array format of forms here.  The module
+also provides degree-graded monomial enumeration, the one vectorized
+evaluator of cubes (:func:`eval_form`) and the one interpolator into a
+cube (:func:`lattice_form`, from values on the principal lattice).  Used
+by the strand, the elimination oracle, the determinant certificate and
+the reference checks.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Sequence
+import math
+from typing import Optional
 
 import numpy as np
 
@@ -101,6 +106,70 @@ def eval_form(cube: np.ndarray, degree: int, points: np.ndarray, p: int
     return out
 
 
+# ---------------------------------------------------------------------------
+# the principal lattice
+
+
+def _contract(cube: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
+    """``mat`` applied along each axis of ``cube``: three ``matmul_mod``
+    products, each contracting the first axis and putting the new one
+    last."""
+    for _ in range(3):
+        cube = np.moveaxis(linalg.matmul_mod(mat, cube.reshape(
+            len(cube), -1), p).reshape(-1, *cube.shape[1:]), 0, -1)
+    return cube
+
+
+def _simplex(size: int) -> np.ndarray:
+    """The mask i + j + k <= size on {0..size}^3."""
+    nodes = np.arange(size + 1)
+    return nodes[:, None, None] + nodes[:, None] + nodes <= size
+
+
+def principal_lattice(degree: int) -> np.ndarray:
+    """The C(degree + 3, 3) points (1, i, j, k) with i + j + k <= degree,
+    in lexicographic order of (i, j, k).  A form of degree ``degree`` that
+    vanishes there is zero when the nodes 0..degree are distinct mod p
+    (Chung & Yao, SIAM J. Numer. Anal. 14, 1977)."""
+    i, j, k = np.indices((degree + 1,) * 3, dtype=np.int64).reshape(3, -1)
+    keep = i + j + k <= degree
+    i, j, k = i[keep], j[keep], k[keep]
+    return np.stack([np.ones_like(i), i, j, k], axis=1)
+
+
+def lattice_values(cube: np.ndarray, size: int, p: int) -> np.ndarray:
+    """The form with coefficient cube ``cube`` (as ``XPoly.coeff_cube``) on
+    the points of ``principal_lattice(size)``: on {0..size}^3, ``cube``
+    contracted on each axis with the Vandermonde matrix of the nodes, then
+    masked to i + j + k <= size."""
+    vander = linalg.vandermonde(np.arange(size + 1), len(cube), p)
+    return _contract(cube, vander, p)[_simplex(size)]
+
+
+def lattice_form(values: np.ndarray, degree: int, p: int) -> np.ndarray:
+    """The coefficient cube (as ``XPoly.coeff_cube``) of the form of degree
+    ``degree`` that takes ``values`` on ``principal_lattice(degree)``;
+    needs p > degree.
+
+    At x0 = 1 the form is sum D[i, j, k] C(x1, i) C(x2, j) C(x3, k) over
+    i + j + k <= degree, D its forward differences at 0 (Gregory-Newton).
+    Along each axis, values at the nodes 0..degree are B D with B[i, k] =
+    C(i, k), so D = B^-1 values: (-1)^(i-k) C(i, k).  Each entry of D on
+    the simplex only takes values on it.  The monomial coefficients S of the
+    C(x, k) solve V S = B, V the Vandermonde matrix of the nodes, so three
+    contractions with S = V^-1 B give the cube.
+    """
+    inside = _simplex(degree)
+    cube = np.zeros(inside.shape, dtype=np.int64)
+    cube[inside] = values % p
+    k = np.arange(degree + 1)
+    binom = np.array([[math.comb(i, j) % p for j in k] for i in k])
+    diff = np.where((k[:, None] - k) % 2, p - binom, binom) % p
+    newton = linalg.matmul_mod(linalg.matrix_inverse(
+        linalg.vandermonde(k, degree + 1, p), p), binom, p)
+    return _contract(_contract(cube, diff, p) * inside, newton, p)
+
+
 class XPoly(SparsePoly):
     """Sparse polynomial in x0..x3, keyed by exponent tuples."""
 
@@ -109,11 +178,14 @@ class XPoly(SparsePoly):
     ORDER = (0, 1, 2, 3)
 
     @staticmethod
-    def from_coeff_vector(p: int, degree: int, vec: Sequence[int]) -> "XPoly":
-        mons = monomials_of_degree(degree)
-        if len(vec) != len(mons):
-            raise ValueError("coefficient vector has wrong length")
-        return XPoly(p, {exp: int(c) for exp, c in zip(mons, vec)})
+    def from_cube(p: int, degree: int, cube: np.ndarray) -> "XPoly":
+        """The form of degree ``degree`` whose ``coeff_cube`` is ``cube``."""
+        cube = np.asarray(cube) % p
+        at = np.argwhere(cube)
+        if at.size and at.sum(axis=1).max() > degree:
+            raise ValueError(f"coefficient cube exceeds degree {degree}")
+        return XPoly(p, {(degree - i - j - k, i, j, k): int(cube[i, j, k])
+                         for i, j, k in at.tolist()})
 
     def coeff_cube(self, degree: int) -> np.ndarray:
         """Coefficients at x0 = 1, the cube ``eval_form`` takes."""

@@ -80,8 +80,10 @@ def test_no_unused_imports(path):
 # Definitions that no code under src/ calls, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
     "strand.reconstruct_det":
-        "perfbench/spans.py wraps it in oracle's namespace and gate 2 calls "
-        "it; it moves to a test-side reference with the benchmark change",
+        "Strand.det_cube as an XPoly; its det_at spot check keeps "
+        "Strand.det_at and linalg.det_field in use.  perfbench/spans.py "
+        "wraps it in oracle's namespace and gate 2 calls it; it moves to a "
+        "test-side reference with the benchmark change",
     "xpoly.divide_with_remainder":
         "perfbench/spans.py wraps it in oracle's namespace and gate 2 calls "
         "it; it moves to a test-side reference with the benchmark change",

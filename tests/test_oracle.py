@@ -18,16 +18,17 @@ from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
                             poly_to_str)
 from tensurf.oracle import (DetCertificate, basepoint_check,
                             implicit_by_elimination, implicitize,
-                            verify_implicitization, _lattice_values,
-                            _principal_lattice)
+                            verify_implicitization)
 from tensurf.bipoly import UniHomPoly, uni_gcd
 from tensurf.cases import run_case
 from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput, analyze
-from tensurf.xpoly import (XPoly, eval_matrix, linear_substitute,
-                           monomials_of_degree, parse_xpoly, xpoly_to_str)
-from xpoly_ref import coeff_vector, eval_rows, vanishes_on_map
+from tensurf.xpoly import (XPoly, eval_matrix, lattice_form, lattice_values,
+                           linear_substitute, monomials_of_degree, parse_xpoly,
+                           principal_lattice, xpoly_to_str)
+from xpoly_ref import (coeff_vector, eval_rows, from_coeff_vector,
+                       vanishes_on_map)
 
 P = DEFAULT_PRIME
 
@@ -138,9 +139,9 @@ def test_failed_grid_check_falls_back_to_the_scan(example_input,
     original = oracle._vanishes_at
     seen = []
 
-    def perturbed(degree, points, vec, p):
-        bumped = vec.copy()
-        bumped[-1] = (bumped[-1] + 1) % p
+    def perturbed(degree, points, cube, p):
+        bumped = cube.copy()   # the x3^degree coefficient
+        bumped[0, 0, degree] = (bumped[0, 0, degree] + 1) % p
         seen.append(degree)
         return original(degree, points, bumped, p)
 
@@ -181,18 +182,18 @@ def test_vanishes_at_agrees_with_the_evaluation_matrix(p):
     pts[rng.random(pts.shape) < 0.3] = 0
     pts[::5, 3] = pts[::5, 2]
     through = parse_xpoly("x1*x2 - x1*x3", p)
-    quadric = XPoly.from_coeff_vector(p, 2, rng.integers(0, p, 10))
+    quadric = from_coeff_vector(p, 2, rng.integers(0, p, 10))
     forms = [through * parse_xpoly("x0^2 + 3*x3^2", p), through * quadric,
-             XPoly.from_coeff_vector(p, 4, rng.integers(0, p, 35))]
+             from_coeff_vector(p, 4, rng.integers(0, p, 35))]
     zeros = []
     for f in forms:
-        vec = coeff_vector(f, 4)
-        want = _grid_reference(4, pts, vec, p) == 0
-        got = [oracle._vanishes_at(4, pts[i:i + 1], vec, p)
+        cube = f.coeff_cube(4)
+        want = _grid_reference(4, pts, coeff_vector(f, 4), p) == 0
+        got = [oracle._vanishes_at(4, pts[i:i + 1], cube, p)
                for i in range(len(pts))]
         assert got == want.tolist()
-        assert oracle._vanishes_at(4, pts[want], vec, p)
-        assert not oracle._vanishes_at(4, pts, vec, p)
+        assert oracle._vanishes_at(4, pts[want], cube, p)
+        assert not oracle._vanishes_at(4, pts, cube, p)
         zeros.append(int(want.sum()))
     assert zeros[0] >= 8 and zeros[1] >= 8
 
@@ -208,13 +209,14 @@ def test_grid_check_accepts_the_equation_and_rejects_a_change(
     e = orc.degree
     pts = _oracle_grid(inp, e)
     vec = coeff_vector(orc.f, e)
-    assert oracle._vanishes_at(e, pts, vec, P)
+    assert oracle._vanishes_at(e, pts, orc.f.coeff_cube(e), P)
     assert not _grid_reference(e, pts, vec, P).any()
     # change a nonzero coefficient, then add a term
     for pos in (int(np.flatnonzero(vec)[-1]), int(np.flatnonzero(vec == 0)[0])):
         bumped = vec.copy()
         bumped[pos] = (bumped[pos] + 1) % P
-        assert not oracle._vanishes_at(e, pts, bumped, P)
+        cube = from_coeff_vector(P, e, bumped).coeff_cube(e)
+        assert not oracle._vanishes_at(e, pts, cube, P)
         assert _grid_reference(e, pts, bumped, P).any()
 
 
@@ -453,11 +455,11 @@ def test_lattice_form_round_trips_the_lattice_values(degree, p):
     for n_terms in sorted({1, len(mons) // 3 + 1, len(mons)}):
         f = XPoly(p, {m: rng.randrange(1, p)
                       for m in rng.sample(mons, n_terms)})
-        values = eval_rows(f, _principal_lattice(degree))
-        got = oracle._lattice_form(values, degree, p)
+        values = eval_rows(f, principal_lattice(degree))
+        got = lattice_form(values, degree, p)
         assert got.tolist() == f.coeff_cube(degree).tolist()
     zeros = np.zeros(math.comb(degree + 3, 3), dtype=np.int64)
-    assert not oracle._lattice_form(zeros, degree, p).any()
+    assert not lattice_form(zeros, degree, p).any()
 
 
 @pytest.fixture(scope="module")
@@ -639,7 +641,7 @@ def test_certificate_interpolate_mode(example_analysis, example_strand,
 
 @pytest.mark.parametrize("degree", [2, 4, 12])
 def test_principal_lattice_is_unisolvent(degree):
-    pts = _principal_lattice(degree)
+    pts = principal_lattice(degree)
     n = math.comb(degree + 3, 3)
     assert pts.shape == (n, 4)
     assert (pts[:, 0] == 1).all() and (pts[:, 1:].sum(axis=1) <= degree).all()
@@ -659,8 +661,8 @@ def test_lattice_values_are_the_form_at_the_lattice_points(degree, size, p):
     for n_terms in sorted({1, len(mons) // 3 + 1, len(mons)}):
         f = XPoly(p, {m: rng.randrange(1, p)
                       for m in rng.sample(mons, n_terms)})
-        lattice = _principal_lattice(size)
-        got = _lattice_values(f.coeff_cube(degree), size, p)
+        lattice = principal_lattice(size)
+        got = lattice_values(f.coeff_cube(degree), size, p)
         assert got.tolist() == eval_rows(f, lattice).tolist()
 
 

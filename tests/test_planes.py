@@ -140,4 +140,4 @@ def test_assemble_is_horner_over_the_planes(e):
                         for i in range(4)})
         acc = plane_form(k) + m_k * acc
     got = planes._assemble(gs, forms, p)
-    assert XPoly.from_coeff_vector(p, e, got) == acc
+    assert XPoly.from_cube(p, e, got) == acc

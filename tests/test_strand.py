@@ -180,6 +180,18 @@ def test_reconstruct_det_agrees_with_eval(example_strand):
         assert det_poly.eval(y) == example_strand.det_at(y)
 
 
+def test_reconstruct_det_has_no_size_cap():
+    # size 30, above the 24 that once capped the product-grid interpolation
+    strand = build_strand(generate(GenSpec("dim2", 3, 5, 3)).case)
+    assert strand.size == 30
+    det_poly = reconstruct_det(strand)
+    assert det_poly.is_homogeneous(30) and not det_poly.is_zero
+    rng = random.Random(31)
+    for _ in range(5):
+        y = random_point(rng)
+        assert det_poly.eval(y) == strand.det_at(y)
+
+
 def test_segre_strand_det_is_the_transformed_quadric(segre_input):
     from tensurf.oracle import implicit_by_elimination, verify_implicitization
     from tensurf.xpoly import linear_substitute

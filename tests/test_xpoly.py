@@ -118,6 +118,24 @@ def test_eval_form_matches_pointwise_eval(chunk, monkeypatch):
         assert not eval_form(zero, 3, pts, p).any()
 
 
+@pytest.mark.parametrize("p", [P, 65521])
+@pytest.mark.parametrize("degree", [0, 1, 5, 12])
+def test_from_cube_inverts_coeff_cube(degree, p):
+    rng = random.Random(degree * 100 + p % 100)
+    mons = monomials_of_degree(degree)
+    for n_terms in sorted({1, len(mons) // 3 + 1, len(mons)}):
+        f = XPoly(p, {m: rng.randrange(1, p)
+                      for m in rng.sample(mons, n_terms)})
+        assert XPoly.from_cube(p, degree, f.coeff_cube(degree)) == f
+    zero = XPoly.zero(p)
+    assert XPoly.from_cube(p, degree, zero.coeff_cube(degree)) == zero
+    # an entry beyond the degree would need a negative power of x0
+    cube = np.zeros((degree + 2,) * 3, dtype=np.int64)
+    cube[degree, 1, 0] = 1
+    with pytest.raises(ValueError, match="exceeds degree"):
+        XPoly.from_cube(p, degree, cube)
+
+
 def test_arithmetic_and_powers():
     rng = random.Random(19)
     f = random_xpoly(rng, 2)

@@ -5,7 +5,7 @@ Dense coefficient grids, multiplied by plain loops: the tests check the
 oracle's equation against it as an exact identity f(g0, .., g3) = 0.
 ``eval_rows`` evaluates a sparse polynomial one point at a time, and
 ``coeff_vector`` lists a form's coefficients in ``monomials_of_degree``
-order.
+order, which ``from_coeff_vector`` reads back.
 """
 
 from typing import Optional, Sequence
@@ -25,11 +25,20 @@ def eval_rows(f: SparsePoly, points) -> np.ndarray:
 
 def coeff_vector(f: XPoly, degree: int) -> np.ndarray:
     """Coefficients of a form of degree ``degree``, the inverse of
-    ``XPoly.from_coeff_vector``."""
+    ``from_coeff_vector``."""
     if not f.is_homogeneous(degree):
         raise ValueError("not homogeneous of the requested degree")
     return np.array([f.terms.get(m, 0) for m in monomials_of_degree(degree)],
                     dtype=np.int64)
+
+
+def from_coeff_vector(p: int, degree: int, vec: Sequence[int]) -> XPoly:
+    """The form of degree ``degree`` with coefficients ``vec`` in
+    ``monomials_of_degree`` order."""
+    mons = monomials_of_degree(degree)
+    if len(vec) != len(mons):
+        raise ValueError("coefficient vector has wrong length")
+    return XPoly(p, {exp: int(c) for exp, c in zip(mons, vec)})
 
 
 def grid_mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
