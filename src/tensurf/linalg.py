@@ -34,8 +34,8 @@ an entry takes up to K updates between reductions, where
 K * h**2 + p < 2**63 <= (K + 1) * h**2 + p (K = 8 at p = 2**31 - 1).
 ``Strand.det_at_many`` (the lattice certificate) builds its blocks in that
 layout and hands them over directly; ``batch_det`` copies an (N, n, n)
-stack into blocks for every other caller (the Sylvester matrices of
-``membership.resultant_uv``).
+stack into blocks for every other caller (``membership.resultant_uv``: the
+Bezout matrices of every pair at every sample node in one stack).
 
 Conventions fixed here and relied on throughout:
 

@@ -13,14 +13,13 @@ columns of one right-hand side of a single elimination, with free variables
 set to zero, so the answer is canonical.  `psi_solve` plays the same game
 against a graded syzygy matrix with a unique solution.  `bihomog_coprime`
 is one rank: two forms are coprime when their syzygies form a line.
-`resultant_uv` samples the (u, v)-resultant of two bigraded forms at
-s = 0..D and recovers it by Newton interpolation on those consecutive
-nodes, in O(D^2) operations.
+`resultant_uv` samples the (u, v)-resultants of pairs of forms at s = 0..D
+as d x d Bezout determinants, all in one batch, and recovers them by Newton
+interpolation on those consecutive nodes, in O(D^2) operations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -132,51 +131,52 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
 # resultants of bigraded forms and exact coprimality
 
 
-def resultant_uv(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
-                 deg_g: tuple[int, int], p: int) -> UniHomPoly:
-    """Homogeneous resultant in (u, v) with fixed formal bidegrees.
+def resultant_uv(pairs: Sequence[tuple[BiPoly, BiPoly]], c: int, d: int,
+                 p: int) -> list[UniHomPoly]:
+    """Homogeneous resultants in (u, v) of pairs of (c, d)-forms.
 
-    The result is a binary form in (s, t) of degree D = cf*dg + cg*df,
-    computed by specialize-and-interpolate: t is set to 1 at the D + 1
-    sample values s = 0..D (distinct since p > D), the Sylvester
-    determinants of the specialized (u, v)-forms are taken in one batch,
-    and R(s, 1) is recovered in O(D^2) by Newton interpolation from the
-    forward differences of the samples.
+    Each is a binary form in (s, t) of degree D = 2cd, sampled at t = 1 and
+    s = 0..D (distinct since p > D).  There the resultant of two (u, v)-forms
+    of formal degree d is (-1)^(d(d+1)/2) times the determinant of their
+    symmetric d x d Bezout matrix B (Cox, Little & O'Shea, *Using Algebraic
+    Geometry*, ch. 3): with coefficients indexed by the v-exponent,
+    B[r, q] = B[r-1, q+1] + f[q+1] g[r] - g[q+1] f[r] for q >= r.  The sign
+    makes Res(u^d, v^d) = 1, as B is -1 on its antidiagonal there.  All
+    pairs at all samples take one batch of determinants, and each R(s, 1)
+    is recovered in O(D^2) by Newton interpolation on the consecutive nodes.
     """
-    (cf, df), (cg, dg) = deg_f, deg_g
-    D = cf * dg + cg * df
+    D, n = 2 * c * d, len(pairs)
     if D + 1 > p:
         raise ValueError("prime too small for resultant interpolation")
-    # powers[r, k] = r^k mod p at the sample nodes s = 0..D
-    powers = linalg.vandermonde(np.arange(D + 1), max(cf, cg) + 1, p)
-    # grid row j holds the coefficients of s^(c-j) t^j
-    fs = linalg.matmul_mod(powers[:, cf::-1], coeff_grid(f, cf, df), p)
-    gs = linalg.matmul_mod(powers[:, cg::-1], coeff_grid(g, cg, dg), p)
-    size = df + dg
-    syl = np.zeros((D + 1, size, size), dtype=np.int64)
-    for r in range(dg):
-        syl[:, r, r:r + df + 1] = fs
-    for r in range(df):
-        syl[:, dg + r, r:r + dg + 1] = gs
-    diff = linalg.batch_det(syl, p)
-    # after step k, diff[k] is the k-th forward difference at s = 0
+    # powers[r, j] = r^(c-j) mod p weighs grid row j, that of s^(c-j) t^j
+    powers = linalg.vandermonde(np.arange(D + 1), c + 1, p)[:, ::-1]
+    grids = np.hstack([coeff_grid(h, c, d) for pair in pairs for h in pair])
+    vals = linalg.matmul_mod(powers, grids, p).reshape(D + 1, n, 2, d + 1)
+    f, g = vals[:, :, 0], vals[:, :, 1]
+    bez = np.empty((D + 1, n, d, d), dtype=np.int64)
+    for r in range(d):
+        # each product is below 2^62, so the row fits in int64 unreduced
+        row = (f[..., r + 1:] * g[..., r, None]
+               - g[..., r + 1:] * f[..., r, None])
+        if r:
+            row[..., :-1] += bez[:, :, r - 1, r + 1:]
+        bez[:, :, r, r:] = row % p
+        bez[:, :, r + 1:, r] = bez[:, :, r, r + 1:]
+    diff = linalg.batch_det(bez.reshape((D + 1) * n, d, d), p)
+    diff = diff.reshape(D + 1, n) * (-1) ** (d * (d + 1) // 2) % p
+    # after step k, diff[k] is the k-th divided difference at s = 0, so
+    # R(s, 1) = sum_k diff[k] s (s - 1) ... (s - k + 1)
     for k in range(1, D + 1):
-        diff[k:] = (diff[k:] - diff[k - 1:-1]) % p
-    # R(s, 1) = sum_k diff[k] / k! * s (s - 1) ... (s - k + 1)
-    inv_fact = [1] * (D + 1)
-    inv_fact[D] = pow(math.factorial(D) % p, -1, p)
-    for k in range(D, 1, -1):
-        inv_fact[k - 1] = inv_fact[k] * k % p
-    newton = diff * np.array(inv_fact, dtype=np.int64) % p
+        diff[k:] = (diff[k:] - diff[k - 1:-1]) % p * pow(k, -1, p) % p
     # nested multiplication by (s - k); coefficients ascending in s
-    acc = newton[D:]
+    acc = diff[D:]
     for k in range(D - 1, -1, -1):
-        nxt = np.zeros(len(acc) + 1, dtype=np.int64)
+        nxt = np.zeros((len(acc) + 1, n), dtype=np.int64)
         nxt[1:] = acc
         nxt[:-1] = (nxt[:-1] - k * acc) % p
-        nxt[0] = (nxt[0] + newton[k]) % p
+        nxt[0] = (nxt[0] + diff[k]) % p
         acc = nxt
-    return UniHomPoly(p, D, tuple(int(t) for t in acc[::-1]))
+    return [UniHomPoly(p, D, tuple(col[::-1].tolist())) for col in acc.T]
 
 
 def bihomog_coprime(f: BiPoly, g: BiPoly) -> bool:

@@ -55,9 +55,9 @@ distinct mod p, is zero (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).  A
 block equal to the one F was read off has its determinant interpolated
 there already, so its identity is checked on coefficients.
 
-Last, it screens the input for basepoints exactly: pairwise resultants
-with constant gcd prove the usual input free, and a rank test in bidegree
-(3a - 1, 2b - 1) settles every other one.
+Last, it screens the input for basepoints exactly: pairwise resultants,
+one batch per chart, with constant gcd prove the usual input free, and a
+rank test in bidegree (3a - 1, 2b - 1) settles every other one.
 """
 
 from __future__ import annotations
@@ -409,16 +409,15 @@ class BasepointReport:
 def _resultant_gcd(inp: SurfaceInput) -> UniHomPoly:
     """gcd in (s, t) of the pairwise uv-resultants of the generators.
 
-    A common zero makes every pairwise resultant vanish at its (s : t), so
-    once the gcd of a prefix of the six is the constant 1 the input is free
-    on this chart and the gcd of all six, which divides it, is 1 as well;
-    the loop stops there.
+    All six come from one :func:`resultant_uv` call.  A common zero makes
+    every pairwise resultant vanish at its (s : t), so once the gcd of a
+    prefix of the six is the constant 1 the input is free on this chart and
+    the gcd of all six, which divides it, is 1 as well; the loop stops.
     """
-    deg = (inp.a, inp.b)
-    acc = UniHomPoly.zero(inp.field.p, 0)
-    for i, j in combinations(range(4), 2):
-        acc = uni_gcd(acc, resultant_uv(inp.gens[i], inp.gens[j], deg, deg,
-                                        inp.field.p))
+    p = inp.field.p
+    acc = UniHomPoly.zero(p, 0)
+    for res in resultant_uv(list(combinations(inp.gens, 2)), inp.a, inp.b, p):
+        acc = uni_gcd(acc, res)
         if acc.degree == 0 and not acc.is_zero:
             break
     return acc
@@ -457,9 +456,10 @@ def _spans_bidegree(inp: SurfaceInput) -> bool:
 def basepoint_check(inp: SurfaceInput) -> BasepointReport:
     """Screen the generators for common zeros on P^1 x P^1, exactly.
 
-    On each chart the pairwise resultants are taken only until a prefix of
-    them has constant gcd; constant gcds on both charts prove there is
-    none.  Otherwise the rank test of :func:`_spans_bidegree` decides.
+    On each chart the gcd of the six pairwise resultants, one batch, is
+    taken only until a prefix of them has constant gcd; constant gcds on
+    both charts prove there is none.  Otherwise :func:`_spans_bidegree`
+    decides.
     """
     g_uv = _resultant_gcd(inp)
     g_st = _resultant_gcd(inp.mirror())

@@ -1,19 +1,20 @@
 """Reference resultants of binary forms: the Sylvester matrix, the
-specialization of a bigraded form at a point (s0 : t0), and coprimality
-decided by contents and a resultant.
+specialization of a bigraded form at a point (s0 : t0), the (u, v)-resultant
+of two bigraded forms from one Sylvester determinant per node and a
+Vandermonde solve, and coprimality decided by contents and a resultant.
 
-Plain loops over Python ints: the tests compare
-``tensurf.membership.resultant_uv`` against one Sylvester determinant per
-specialization, and ``tensurf.membership.bihomog_coprime`` against
-:func:`coprime_by_resultant`.
+Plain loops over Python ints, with determinants and solves from
+``gauss_ref``: the tests compare ``tensurf.membership.resultant_uv`` against
+:func:`vandermonde_resultant`, and ``tensurf.membership.bihomog_coprime``
+against :func:`coprime_by_resultant`.
 """
 
 from typing import Sequence
 
 import numpy as np
 
+import gauss_ref
 from tensurf.bipoly import BiPoly, UniHomPoly, mirror_poly, uni_gcd
-from tensurf.membership import resultant_uv
 
 
 def sylvester_from_coeffs(fc: Sequence[int], gc: Sequence[int], p: int
@@ -44,6 +45,28 @@ def substitute_st(f: BiPoly, s0: int, t0: int, uv_degree: int) -> UniHomPoly:
     return UniHomPoly(p, uv_degree, tuple(out))
 
 
+def vandermonde_resultant(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
+                          deg_g: tuple[int, int], p: int) -> tuple[int, ...]:
+    """Coefficients of the (u, v)-resultant R(s, t) of f and g, of degree
+    D = cf*dg + cg*df, s^D first: one Sylvester determinant per node
+    s = 0..D at t = 1, then a Gauss-Jordan solve of the Vandermonde system
+    on those nodes, which are distinct only when D + 1 <= p (ValueError
+    otherwise)."""
+    (cf, df), (cg, dg) = deg_f, deg_g
+    D = cf * dg + cg * df
+    if D + 1 > p:
+        raise ValueError("prime too small for the Vandermonde nodes")
+    rows = []
+    for s0 in range(D + 1):
+        sample = gauss_ref.det(sylvester_from_coeffs(
+            substitute_st(f, s0, 1, df).coeffs,
+            substitute_st(g, s0, 1, dg).coeffs, p), p)
+        rows.append([pow(s0, D - k, p) for k in range(D + 1)] + [sample])
+    reduced, pivots = gauss_ref.rref(rows, p)
+    assert pivots == list(range(D + 1))
+    return tuple(row[-1] for row in reduced)
+
+
 def st_content(f: BiPoly, c: int, d: int) -> UniHomPoly:
     """gcd of the (s, t)-coefficient forms of f, one per u^k v^l monomial."""
     groups: dict[tuple[int, int], list[int]] = {}
@@ -72,5 +95,5 @@ def coprime_by_resultant(f: BiPoly, g: BiPoly) -> bool:
     if uni_gcd(uv_content(f, cf, df), uv_content(g, cg, dg)).degree > 0:
         return False
     if df > 0 and dg > 0:
-        return not resultant_uv(f, g, (cf, df), (cg, dg), f.p).is_zero
+        return any(vandermonde_resultant(f, g, (cf, df), (cg, dg), f.p))
     return True

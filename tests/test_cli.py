@@ -12,8 +12,10 @@ import pytest
 from conftest import EXAMPLE_GENERATORS, SEGRE_GENERATORS
 from helpers import spy_peel
 from tensurf import oracle
-from tensurf.bipoly import DEFAULT_PRIME, parse_poly, poly_to_str
+from tensurf.bipoly import (DEFAULT_PRIME, FieldConfig, parse_poly,
+                            poly_to_str, uni_to_str)
 from tensurf.cli import main
+from tensurf.syzygy import SurfaceInput
 
 P = DEFAULT_PRIME
 GOLDEN = Path(__file__).parent / "golden"
@@ -211,6 +213,24 @@ def test_bench_jobs_peel_no_level_beyond_0(workload, tmp_path, capsys,
         assert main(["implicitize", str(job.path), "--json",
                      "--seed", "1"]) == 0
     assert peels == []
+
+
+def test_basepoint_screen_of_the_bench_jobs_is_golden(tmp_path):
+    # the golden file was made with one resultant call per generator pair
+    want = json.loads((GOLDEN / "screen_basepoints.json").read_text())
+    got = {}
+    for workload in ("generic-d1", "exact-d2", "screen"):
+        for job in _bench_jobs(workload, tmp_path / workload):
+            data = job.load()
+            report = oracle.basepoint_check(SurfaceInput.from_strings(
+                data["a"], data["b"], data["generators"],
+                FieldConfig(data["prime"])))
+            got[f"{workload}/{job.name}"] = {
+                "status": report.status, "detail": report.detail,
+                "g_uv": uni_to_str(report.g_uv, "st"),
+                "g_st": uni_to_str(report.g_st, "uv")}
+    assert len(got) == 16
+    assert got == want
 
 
 def test_implicitize_side_st_rejected_for_asymmetric_input(example_job,

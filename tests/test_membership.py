@@ -1,12 +1,15 @@
 """Two-generator ideal membership, resultants, and coprimality checks."""
 
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import gauss_ref
 import resultant_ref
-from resultant_ref import substitute_st, sylvester_from_coeffs
+from resultant_ref import (substitute_st, sylvester_from_coeffs,
+                           vandermonde_resultant)
 from tensurf import linalg, membership
 from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, HypothesisError,
                             UniHomPoly, parse_poly, uni_gcd)
@@ -113,19 +116,27 @@ def test_psi_solve_recovers_planted_coefficients():
     assert all((x - y).is_zero for x, y in zip(alphas, w))
 
 
+def resultants(pairs, c, d, p=P):
+    return membership.resultant_uv(pairs, c, d, p)
+
+
 def test_resultant_uv_frozen_and_multiplicative_scaling():
     f = parse_poly("s*u + t*v")
     g = parse_poly("t*u + s*v")
-    r = membership.resultant_uv(f, g, (1, 1), (1, 1), P)
+    [r] = resultants([(f, g)], 1, 1)
     # det [[s, t], [t, s]] = s^2 - t^2
     assert r.degree == 2
     assert r.coeffs == (1, 0, P - 1)
     rng = random.Random(113)
-    for _ in range(5):
-        c = rng.randrange(1, P)
-        rc = membership.resultant_uv(f.scale(c), g, (1, 1), (1, 1), P)
+    scales = [rng.randrange(1, P) for _ in range(5)]
+    for c, rc in zip(scales, resultants([(f.scale(c), g) for c in scales],
+                                        1, 1)):
         # scaling f by c scales the resultant by c^(deg_uv g)
         assert rc.coeffs == tuple(x * c % P for x in r.coeffs)
+    # the normalization Res(u^d, v^d) = 1 fixes the sign (-1)^(d(d+1)/2)
+    for d in range(7):
+        pair = (parse_poly(f"u^{d}"), parse_poly(f"v^{d}"))
+        assert resultants([pair], 0, d) == [UniHomPoly(P, 0, (1,))]
 
 
 def test_resultant_uv_matches_sylvester_determinants_of_specializations():
@@ -137,13 +148,13 @@ def test_resultant_uv_matches_sylvester_determinants_of_specializations():
         return BiPoly(P, {(c - i, i, d - k, k): rng.randrange(P)
                           for i in range(c + 1) for k in range(d + 1)})
 
-    f, g = random_bipoly(2, 3), random_bipoly(3, 4)
-    r = membership.resultant_uv(f, g, (2, 3), (3, 4), P)
-    assert r.degree == 2 * 4 + 3 * 3
+    f, g = random_bipoly(3, 4), random_bipoly(3, 4)
+    [r] = resultants([(f, g)], 3, 4)
+    assert r.degree == 3 * 4 + 3 * 4
     for _ in range(5):
         s0 = rng.randrange(r.degree + 1, P)
         want = linalg.det_field(sylvester_from_coeffs(
-            substitute_st(f, s0, 1, 3).coeffs,
+            substitute_st(f, s0, 1, 4).coeffs,
             substitute_st(g, s0, 1, 4).coeffs, P), P)
         assert r.to_bipoly_st().eval((s0, 1, 0, 0)) == want
 
@@ -152,24 +163,8 @@ def test_resultant_uv_detects_shared_uv_factor():
     common = parse_poly("u - 2*v")
     f = parse_poly("s*u + t*v") * common
     g = parse_poly("t*u - s*v") * common
-    r = membership.resultant_uv(f, g, (1, 2), (1, 2), P)
+    [r] = resultants([(f, g)], 1, 2)
     assert r.is_zero
-
-
-def vandermonde_resultant(f, g, deg_f, deg_g, p):
-    """R(s, 1) from one Sylvester determinant per node s = 0..D and a
-    Gauss-Jordan solve of the Vandermonde system on those nodes."""
-    (cf, df), (cg, dg) = deg_f, deg_g
-    D = cf * dg + cg * df
-    rows = []
-    for s0 in range(D + 1):
-        sample = linalg.det_field(sylvester_from_coeffs(
-            substitute_st(f, s0, 1, df).coeffs,
-            substitute_st(g, s0, 1, dg).coeffs, p), p)
-        rows.append([pow(s0, D - k, p) for k in range(D + 1)] + [sample])
-    reduced, pivots = gauss_ref.rref(rows, p)
-    assert pivots == list(range(D + 1))
-    return tuple(row[-1] for row in reduced)
 
 
 def random_bipoly_mod(rng, p, c, d):
@@ -188,19 +183,19 @@ def test_resultant_uv_matches_a_vandermonde_solve(p):
     rng = random.Random(p)
     checked = constant = 0
     while checked < 12 or constant < 4:
-        cf, df, cg, dg = (rng.randrange(4) for _ in range(4))
-        D = cf * dg + cg * df
-        f = random_bipoly_mod(rng, p, cf, df)
-        g = random_bipoly_mod(rng, p, cg, dg)
-        r = membership.resultant_uv(f, g, (cf, df), (cg, dg), p)
+        c, d = rng.randrange(4), rng.randrange(4)
+        D = 2 * c * d
+        f = random_bipoly_mod(rng, p, c, d)
+        g = random_bipoly_mod(rng, p, c, d)
+        [r] = resultants([(f, g)], c, d, p)
         assert r.degree == D
         if D:
-            want = vandermonde_resultant(f, g, (cf, df), (cg, dg), p)
+            want = vandermonde_resultant(f, g, (c, d), (c, d), p)
         else:
             want = (linalg.det_field(sylvester_from_coeffs(
-                substitute_st(f, 1, 1, df).coeffs,
-                substitute_st(g, 1, 1, dg).coeffs, p), p),)
-        assert r.coeffs == want, (cf, df, cg, dg)
+                substitute_st(f, 1, 1, d).coeffs,
+                substitute_st(g, 1, 1, d).coeffs, p), p),)
+        assert r.coeffs == want, (c, d)
         checked += 1
         constant += D == 0
 
@@ -209,24 +204,24 @@ def test_resultant_uv_at_a_prime_just_above_the_degree():
     # D = 2*3 + 2*3 = 12 and p = 13: the nodes 0..12 fill F_13 and 12! is -1
     p = 13
     rng = random.Random(13)
-    for _ in range(10):
-        f = random_bipoly_mod(rng, p, 2, 3)
-        g = random_bipoly_mod(rng, p, 2, 3)
-        r = membership.resultant_uv(f, g, (2, 3), (2, 3), p)
+    pairs = [(random_bipoly_mod(rng, p, 2, 3), random_bipoly_mod(rng, p, 2, 3))
+             for _ in range(10)]
+    for (f, g), r in zip(pairs, resultants(pairs, 2, 3, p)):
         assert r.coeffs == vandermonde_resultant(f, g, (2, 3), (2, 3), p)
+    f, g = random_bipoly_mod(rng, p, 2, 4), random_bipoly_mod(rng, p, 2, 4)
     with pytest.raises(ValueError, match="prime too small"):
-        membership.resultant_uv(f, g, (2, 3), (2, 4), p)
+        resultants([(f, g)], 2, 4, p)
 
 
 def test_resultant_uv_of_a_shared_uv_factor_is_zero():
     rng = random.Random(151)
     common = random_bipoly(rng, 1, 1)
     f = random_bipoly(rng, 2, 2) * common
-    g = random_bipoly(rng, 1, 3) * common
-    want = vandermonde_resultant(f, g, (3, 3), (2, 4), P)
+    g = random_bipoly(rng, 2, 2) * common
+    want = vandermonde_resultant(f, g, (3, 3), (3, 3), P)
     assert not any(want)
-    r = membership.resultant_uv(f, g, (3, 3), (2, 4), P)
-    assert r.degree == 3 * 4 + 2 * 3 and r.is_zero
+    [r] = resultants([(f, g)], 3, 3)
+    assert r.degree == 3 * 3 + 3 * 3 and r.is_zero
 
 
 def test_resultant_uv_with_samples_vanishing_at_some_nodes():
@@ -234,12 +229,76 @@ def test_resultant_uv_with_samples_vanishing_at_some_nodes():
     rng = random.Random(157)
     roots = parse_poly("s*(s - 2*t)*(s - 5*t)")
     f = roots * random_bipoly(rng, 1, 3)
-    g = random_bipoly(rng, 3, 2)
-    r = membership.resultant_uv(f, g, (4, 3), (3, 2), P)
+    g = random_bipoly(rng, 4, 3)
+    [r] = resultants([(f, g)], 4, 3)
     r_st = r.to_bipoly_st()
     assert [k for k in range(r.degree + 1)
             if r_st.eval((k, 1, 0, 0)) == 0] == [0, 2, 5]
-    assert r.coeffs == vandermonde_resultant(f, g, (4, 3), (3, 2), P)
+    assert r.coeffs == vandermonde_resultant(f, g, (4, 3), (4, 3), P)
+
+
+def _primes_around(n):
+    """(largest odd prime <= n or None, least odd prime > n)."""
+    def is_prime(m):
+        return m > 1 and all(m % q for q in range(2, math.isqrt(m) + 1))
+    below = next((m for m in range(n, 2, -1) if is_prime(m)), None)
+    return below, next(m for m in itertools.count(max(3, n + 1))
+                      if is_prime(m))
+
+
+PAIR_KINDS = ["random", "drop", "shared", "vanishing"]
+
+
+@st.composite
+def resultant_batches(draw, d):
+    """(c, p, pairs, kinds) for a batch of (c, d)-form pairs, each pair
+    drawn as one of ``PAIR_KINDS``."""
+    c = draw(st.integers(0, 4))
+    D = 2 * c * d
+    p = draw(st.sampled_from([P, 65521, _primes_around(D)[1]]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(PAIR_KINDS), min_size=1,
+                          max_size=3))
+    pairs = []
+    for kind in kinds:
+        f, g = (random_bipoly_mod(rng, p, c, d) for _ in range(2))
+        if kind == "drop" and d:
+            # zero u^d or v^d in one or both forms: a formal degree drop
+            l = rng.choice([0, d])
+            f, g = (BiPoly(p, {e: x for e, x in h.terms.items() if e[3] != l})
+                    if rng.random() < 0.7 else h for h in (f, g))
+        elif kind == "shared" and d:
+            c1, d1 = rng.randrange(c + 1), rng.randrange(1, d + 1)
+            common = random_bipoly_mod(rng, p, c1, d1)
+            f, g = (common * random_bipoly_mod(rng, p, c - c1, d - d1)
+                    for _ in range(2))
+        elif kind == "vanishing" and D:
+            # f vanishes at up to c of the nodes s = 0..D
+            nodes = rng.sample(range(D + 1), rng.randrange(1, min(c, D) + 1))
+            f = random_bipoly_mod(rng, p, c - len(nodes), d)
+            for k in nodes:
+                f = f * BiPoly(p, {(1, 0, 0, 0): 1, (0, 1, 0, 0): -k % p})
+        pairs.append((f, g))
+    return c, p, pairs, kinds
+
+
+@pytest.mark.parametrize("d", range(7))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_resultant_uv_matches_the_reference_on_random_batches(d, data):
+    # d = 1, 2, 5, 6 take the sign (-1)^(d(d+1)/2) = -1, d = 0, 3, 4 take +1
+    c, p, pairs, kinds = data.draw(resultant_batches(d))
+    got = resultants(pairs, c, d, p)
+    assert len(got) == len(pairs)
+    for (f, g), kind, r in zip(pairs, kinds, got):
+        assert r.degree == 2 * c * d
+        assert r.coeffs == vandermonde_resultant(f, g, (c, d), (c, d), p)
+        if kind == "shared" and d:
+            assert r.is_zero
+    below = _primes_around(2 * c * d)[0]
+    if below is not None:
+        with pytest.raises(ValueError, match="prime too small"):
+            resultants(pairs, c, d, below)
 
 
 def test_content_and_coprimality():

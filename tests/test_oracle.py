@@ -878,10 +878,11 @@ def test_pairwise_shared_roots_without_a_common_one_are_free(field):
 
 
 def gcd_of_all_six_resultants(inp):
+    # one pair per call, so the batch of the screen is checked as well
     acc = UniHomPoly.zero(P, 0)
-    for i, j in combinations(range(4), 2):
-        acc = uni_gcd(acc, oracle.resultant_uv(
-            inp.gens[i], inp.gens[j], (inp.a, inp.b), (inp.a, inp.b), P))
+    for pair in combinations(inp.gens, 2):
+        [res] = oracle.resultant_uv([pair], inp.a, inp.b, P)
+        acc = uni_gcd(acc, res)
     return acc
 
 
@@ -967,28 +968,35 @@ def test_rank_test_agrees_with_planted_basepoints(case):
 def test_planted_dim2_pair_has_a_zero_resultant(screen_inputs):
     inp = screen_inputs["planted-dim2"]
     for chart in (inp, inp.mirror()):
-        deg = (chart.a, chart.b)
-        assert oracle.resultant_uv(chart.gens[0], chart.gens[1], deg, deg,
-                                   P).is_zero
+        [res] = oracle.resultant_uv([chart.gens[:2]], chart.a, chart.b, P)
+        assert res.is_zero
     assert basepoint_check(inp).status == "free"
 
 
 def test_screen_takes_a_prefix_of_the_resultants_on_the_worked_surface(
         example_input, monkeypatch):
-    calls = []
-    resultant_uv = oracle.resultant_uv
+    # one batch of all six resultants per chart; the gcd loop stops after
+    # 3 of them on the uv-chart and after 5 on the st-chart
+    calls, gcds = [], []
+    resultant_uv, gcd = oracle.resultant_uv, oracle.uni_gcd
 
     def counted(*args):
         calls.append(args)
         return resultant_uv(*args)
 
+    def counted_gcd(*args):
+        gcds.append(args)
+        return gcd(*args)
+
     monkeypatch.setattr(oracle, "resultant_uv", counted)
+    monkeypatch.setattr(oracle, "uni_gcd", counted_gcd)
     assert oracle._resultant_gcd(example_input).coeffs == (1,)
-    assert len(calls) == 3
+    assert (len(calls), len(gcds)) == (1, 3)
+    assert len(calls[0][0]) == 6
     assert oracle._resultant_gcd(example_input.mirror()).coeffs == (1,)
-    assert len(calls) == 3 + 5
+    assert (len(calls), len(gcds)) == (2, 3 + 5)
     assert basepoint_check(example_input).status == "free"
-    assert len(calls) == 2 * (3 + 5)
+    assert (len(calls), len(gcds)) == (4, 2 * (3 + 5))
 
 
 # ---------------------------------------------------------------------------
