@@ -1,11 +1,7 @@
 """Independent implicitization by exact point elimination.
 
 The implicit equation F of the image surface is proved from the generators
-alone, without the syzygy pipeline.  Degree-e forms vanishing on the image
-are exactly the kernel of evaluation at the image of an (e*a + 1) x
-(e*b + 1) product grid of parameter values: a composed form f(g0..g3) is
-bihomogeneous of bidegree (e*a, e*b), so vanishing on that grid of distinct
-affine nodes forces it to vanish identically.
+alone, without the syzygy pipeline.
 
 The degree of F is e = 2ab / d, where d is the degree of the map onto its
 image.  The oracle reads e off the section of the image X by a random plane
@@ -28,7 +24,13 @@ leading 1 at the first monomial of ``monomials_of_degree``.
 
 Two facts prove the candidate, whichever gave it:
 
-(a) it vanishes at the image of the product grid, so F(g0..g3) = 0;
+(a) F(g0..g3) = 0.  The strand's rows are the monomials m of bidegree
+    (2a - 1, b - 1) and its columns syzygies of g = (g0..g3), so
+    m . M(g) = 0; the component B_0 (``_blocks``) owns its rows R, so
+    m[R] . B_0(g) = 0 with m[R] nonzero over F_p(s, t, u, v), and
+    det B_0(g) = 0 (:func:`_row_identity` checks it exactly).  The peel's
+    F vanishes at the image of an (e*a + 1) x (e*b + 1) product grid of
+    distinct affine nodes, so F(g0..g3), of bidegree (e*a, e*b), is zero;
 (b') the level-0 kernel at e is a line.  So no nonzero form q of degree
     e - 1 vanishes at the samples: x1 q, x2 q and x3 q would be three
     forms of degree e that do.
@@ -39,11 +41,11 @@ zero, so m_0 does not vanish on X and G is not m_0.  So G on H_0 is a
 nonzero form of degree deg G vanishing at the samples, and by (b')
 deg G >= e.  So F = c G: the kernel at degree e is a line and every lower
 degree has a zero kernel.  Any other outcome (no strand or no block of size
-e, a zero det B_0, too few points, a level-0 kernel that is not a line, an
-inconsistent level solve, a failed or dead grid) passes to the next source
-and last to the degree scan, which computes the kernel of every degree 1,
-2, ... on its grid up to the first nonzero one.  The result is the same
-either way.
+e, a zero det B_0, a failed identity or grid, a dead grid, too few points,
+a level-0 kernel that is not a line, an inconsistent level solve) passes to
+the next source and last to the degree scan, which computes the kernel of
+evaluation on the product grid of every degree 1, 2, ... up to the first
+nonzero one.  The result is the same either way.
 
 The module also proves that the strand-matrix determinant is a scalar
 multiple of a power of the recovered equation.  That proof, in F's own
@@ -106,10 +108,10 @@ class OracleResult:
     of one identifies the unique minimal equation; a larger value signals
     that the image is not a hypersurface of that degree (the first canonical
     kernel vector is still returned, and downstream certification will
-    reject it).  When the equation was read off a strand block or peeled
-    off plane sections, at the degree e read off the level-0 section, the
-    dimension 1 at e and the zero dimensions below it are proved (facts (a)
-    and (b') of the module docstring) rather than computed.
+    reject it).  When F was read off a strand block or peeled off plane
+    sections, at the degree e of the level-0 section, the dimension 1 at e
+    and the zero dimensions below it are proved (facts (a) and (b') of the
+    module docstring), not computed.  ``grid_shape`` is the fallbacks' grid.
 
     ``block`` is the (e, e, 4) strand block F was read off and the
     coefficient cube of its determinant, or None; it records where F came
@@ -153,12 +155,12 @@ def implicit_by_elimination(inp: SurfaceInput,
                             strand: Optional[Strand] = None) -> OracleResult:
     """The minimal implicit equation of the image, normalized to a leading 1.
 
-    The candidate comes from ``strand`` (linear forms whose determinant is
-    claimed to be c F^d) when it has a block of size e, else from the plane
-    peel, and is proved as in the module docstring, so the degrees below e
-    are reported with kernel dimension 0 without being computed.  Any
-    failure scans the degrees 1..2ab in order on product grids up to the
-    first nonzero kernel.  Every path returns the same result.
+    The candidate is det B_0 for a block B_0 of size e of ``strand``
+    (linear forms whose determinant is claimed to be c F^d) that keeps the
+    row identity, else the plane peel's, which must vanish on the product
+    grid; the degrees below e then have kernel dimension 0, not computed.
+    Any failure scans the degrees 1..2ab in order on product grids up to
+    the first nonzero kernel.  Every path returns the same result.
     """
     p, a, b = inp.field.p, inp.a, inp.b
     check_prime_floor(a, b, p)
@@ -184,15 +186,15 @@ def implicit_by_elimination(inp: SurfaceInput,
             block=block)
 
     sec = section(inp, gen_grids)
-    points = None if sec is None else grid_points(sec.e)
-    # A dead grid point is left to the scan, which reports it.
-    if points is not None and points.any(axis=1).all():
+    if sec is not None:
         e = sec.e
         proved = [(k, 0) for k in range(1, e)] + [(e, 1)]
         read = None if strand is None else _read_off(strand, e)
-        if read is not None and _vanishes_at(e, points, read[1], p):
-            return result(e, read[1], proved, read)
-        cube = peel(sec)
+        if read is not None and _row_identity(inp, strand, read[0]):
+            return result(e, read[1][1], proved, read[1])
+        points = grid_points(e)
+        # A dead grid point is left to the scan, which reports it.
+        cube = peel(sec) if points.any(axis=1).all() else None
         if cube is not None and _vanishes_at(e, points, cube, p):
             return result(e, cube, proved)
 
@@ -201,8 +203,7 @@ def implicit_by_elimination(inp: SurfaceInput,
         points = grid_points(e)
         dead = np.flatnonzero(~points.any(axis=1))
         if dead.size:
-            r = int(dead[0])
-            nv = e * b + 1
+            r, nv = int(dead[0]), e * b + 1
             raise HypothesisError(
                 "all four generators vanish at parameter point "
                 f"(1, {t_nodes[r // nv]}, 1, {v_nodes[r % nv]}); "
@@ -284,18 +285,28 @@ def _in_f_coordinates(strand: Strand, point_transform: NDArray[np.int64]
     ).reshape(strand.tensor.shape))
 
 
-def _read_off(strand: Strand, e: int) -> Optional[
-        tuple[NDArray[np.int64], NDArray[np.int64]]]:
-    """The first diagonal block B of size e of ``strand`` and the
-    coefficient cube of det B (``Strand.det_cube``), as
+def _read_off(strand: Strand, e: int) -> Optional[tuple[
+        NDArray[np.int64], tuple[NDArray[np.int64], NDArray[np.int64]]]]:
+    """The columns of the first diagonal block B of size e of ``strand``,
+    with B and the coefficient cube of det B (``Strand.det_cube``) as
     ``OracleResult.block``.  None when no block has size e or det B is
     zero."""
     for rows, cols in _blocks(strand.tensor):
         if len(rows) == len(cols) == e:
             block = strand.block(rows, cols)
             cube = block.det_cube()
-            return (block.tensor, cube) if cube.any() else None
+            return (cols, (block.tensor, cube)) if cube.any() else None
     return None
+
+
+def _row_identity(inp: SurfaceInput, strand: Strand,
+                  cols: NDArray[np.int64]) -> bool:
+    """Whether m . M(g) = 0 on the columns ``cols`` (fact (a)): column c
+    maps to sum_k g_k h_ck, h_ck the form with coefficients M[:, c, k], so
+    :func:`_generator_multiples` times the stacked columns is zero."""
+    stacked = strand.tensor[:, cols].transpose(2, 0, 1).reshape(-1, len(cols))
+    return not linalg.matmul_mod(_generator_multiples(inp), stacked,
+                                 strand.p).any()
 
 
 def verify_implicitization(strand: Strand, oracle: OracleResult,
@@ -423,10 +434,16 @@ def _resultant_gcd(inp: SurfaceInput) -> UniHomPoly:
     return acc
 
 
+def _generator_multiples(inp: SurfaceInput) -> NDArray[np.int64]:
+    """The generators' multiplication matrices by (2a - 1, b - 1), hstacked."""
+    return np.hstack([multiplication_matrix(g, 2 * inp.a - 1, inp.b - 1)
+                      for g in inp.grids()])
+
+
 def _spans_bidegree(inp: SurfaceInput) -> bool:
     """Whether the generators times the forms of bidegree (2a - 1, b - 1)
-    span every form of bidegree (3a - 1, 2b - 1): rank 6ab for the
-    6ab x 8ab matrix of their four multiplication matrices by (2a - 1, b - 1).
+    span every form of bidegree (3a - 1, 2b - 1): rank 6ab for
+    :func:`_generator_multiples`.
 
     That holds exactly when the generators have no common zero on
     P^1 x P^1 over the algebraic closure.  Let I be the ideal they generate.
@@ -447,10 +464,8 @@ def _spans_bidegree(inp: SurfaceInput) -> bool:
     The matrix has entries in F_p, so its rank over F_p is its rank over
     the closure: the test is exact at every prime.
     """
-    a, b = inp.a, inp.b
-    M = np.hstack([multiplication_matrix(g, 2 * a - 1, b - 1)
-                   for g in inp.grids()])
-    return linalg.rank(M, inp.field.p) == 6 * a * b
+    return (linalg.rank(_generator_multiples(inp), inp.field.p)
+            == 6 * inp.a * inp.b)
 
 
 def basepoint_check(inp: SurfaceInput) -> BasepointReport:

@@ -1,10 +1,15 @@
 """Utilities shared between test modules."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from tensurf import oracle
 from tensurf.bipoly import BiPoly, DEFAULT_PRIME
 from tensurf.cases import CaseResult, SyzygyColumn
 
 P = DEFAULT_PRIME
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def mutate_case(case: CaseResult, rng) -> CaseResult:
@@ -43,4 +48,30 @@ def spy_peel(monkeypatch) -> list:
         return original(sec)
 
     monkeypatch.setattr(oracle, "peel", spy)
+    return degrees
+
+
+def bench_jobs(workload: str, directory: Path) -> list:
+    """The seed-1 job files of a perfbench workload, written to
+    ``directory``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules.setdefault(spec.name, jobs)
+    spec.loader.exec_module(jobs)
+    return jobs.make_jobs(workload, 1, "full", directory)
+
+
+def spy_vanishes_at(monkeypatch) -> list:
+    """Record the degree of every product-grid proof that the oracle
+    runs."""
+    degrees = []
+    original = oracle._vanishes_at
+
+    def spy(degree, points, cube, p):
+        degrees.append(degree)
+        return original(degree, points, cube, p)
+
+    monkeypatch.setattr(oracle, "_vanishes_at", spy)
     return degrees

@@ -1,16 +1,14 @@
 """Command-line interface: subcommands, reports, exit codes."""
 
 import dataclasses
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import EXAMPLE_GENERATORS, SEGRE_GENERATORS
-from helpers import spy_peel
+from helpers import bench_jobs, spy_peel, spy_vanishes_at
 from tensurf import oracle
 from tensurf.bipoly import (DEFAULT_PRIME, FieldConfig, parse_poly,
                             poly_to_str, uni_to_str)
@@ -19,7 +17,6 @@ from tensurf.syzygy import SurfaceInput
 
 P = DEFAULT_PRIME
 GOLDEN = Path(__file__).parent / "golden"
-ROOT = Path(__file__).resolve().parent.parent
 # A generated odd-a (3, 2) surface: d = 1, one strand block of size 12.
 GENERIC_JOB = str(GOLDEN / "generic_3x2_job.json")
 
@@ -173,8 +170,8 @@ def test_implicitize_exits_3_when_the_certificate_fails(
 def test_implicitize_exits_3_when_a_single_block_strand_changes(
         capsys, monkeypatch):
     # d = 1: F is read off the strand's one block, so a changed entry
-    # reaches the oracle.  The grid proof rejects what it reads off, the
-    # peel finds the true F and the certificate fails
+    # reaches the oracle.  The row identity rejects the block, the peel
+    # finds the true F and the certificate fails
     build = oracle.build_strand
 
     def changed_entry(case):
@@ -193,26 +190,19 @@ def test_implicitize_exits_3_when_a_single_block_strand_changes(
     assert peels == [12]
 
 
-def _bench_jobs(workload: str, directory: Path) -> list:
-    """The seed-1 job files of a perfbench workload, written to
-    ``directory``."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_jobs", ROOT / "perfbench" / "jobs.py")
-    jobs = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules
-    sys.modules.setdefault(spec.name, jobs)
-    spec.loader.exec_module(jobs)
-    return jobs.make_jobs(workload, 1, "full", directory)
-
-
 @pytest.mark.parametrize("workload", ["generic-d1", "exact-d2"])
 def test_bench_jobs_peel_no_level_beyond_0(workload, tmp_path, capsys,
                                            monkeypatch):
+    # F is read off a strand block and proved by the strand's row identity:
+    # no product grid is evaluated
     peels = spy_peel(monkeypatch)
-    for job in _bench_jobs(workload, tmp_path):
+    grid_proofs = spy_vanishes_at(monkeypatch)
+    jobs = bench_jobs(workload, tmp_path)
+    for job in jobs:
         assert main(["implicitize", str(job.path), "--json",
                      "--seed", "1"]) == 0
-    assert peels == []
+    assert len(jobs) == 4
+    assert peels == [] and grid_proofs == []
 
 
 def test_basepoint_screen_of_the_bench_jobs_is_golden(tmp_path):
@@ -220,7 +210,7 @@ def test_basepoint_screen_of_the_bench_jobs_is_golden(tmp_path):
     want = json.loads((GOLDEN / "screen_basepoints.json").read_text())
     got = {}
     for workload in ("generic-d1", "exact-d2", "screen"):
-        for job in _bench_jobs(workload, tmp_path / workload):
+        for job in bench_jobs(workload, tmp_path / workload):
             data = job.load()
             report = oracle.basepoint_check(SurfaceInput.from_strings(
                 data["a"], data["b"], data["generators"],

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EXAMPLE_GENERATORS
-from helpers import mutate_case, spy_peel
+from helpers import bench_jobs, mutate_case, spy_peel, spy_vanishes_at
 from tensurf import linalg, oracle, planes
 from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
                             FieldConfig, HypothesisError, parse_poly,
@@ -484,11 +484,11 @@ def test_a_zero_block_determinant_takes_the_peel(generic_d1, monkeypatch):
     assert got == implicit_by_elimination(generic_d1.input)
 
 
-def test_a_block_failing_the_grid_proof_takes_the_peel(generic_d1,
-                                                       monkeypatch):
+def test_a_block_failing_the_row_identity_takes_the_peel(generic_d1,
+                                                         monkeypatch):
     # one changed entry: det B interpolates to a form that is not c F, the
-    # grid proof rejects it, the peel finds the true F and the certificate
-    # rejects the strand
+    # row identity rejects the block, the peel finds the true F and the
+    # certificate rejects the strand
     inst = generic_d1
     transform = inst.analysis.point_transform
     tensor = build_strand(inst.case).tensor % P
@@ -502,6 +502,108 @@ def test_a_block_failing_the_grid_proof_takes_the_peel(generic_d1,
     assert peels == [12] and got.block is None
     assert got == implicit_by_elimination(inst.input)
     with pytest.raises(CertificateError, match="block 0"):
+        verify_implicitization(changed, got, transform, inst.input.field)
+
+
+# The strand's row identity: the monomials of bidegree (2a - 1, b - 1)
+# that index the strand's rows, times the strand at the generators, are
+# zero, so its columns are syzygies of the generators.
+
+
+@pytest.fixture(scope="module")
+def moved_dim3():
+    """A generated (2, 3) dim-3 surface whose point transform is not the
+    identity (blocks 6 + 6), with its strand unmoved and moved into F's
+    coordinates."""
+    inst = generate(GenSpec("dim3", 2, 3, 2, (1,)), index=0, seed=0)
+    strand = build_strand(inst.case)
+    return (inst, strand,
+            oracle._in_f_coordinates(strand, inst.analysis.point_transform))
+
+
+def _identity_per_block(inp, case):
+    moved = oracle._in_f_coordinates(build_strand(case),
+                                     case.analysis.point_transform)
+    return [oracle._row_identity(inp, moved, cols)
+            for _, cols in oracle._blocks(moved.tensor)]
+
+
+@pytest.mark.parametrize("workload", ["generic-d1", "exact-d2"])
+def test_row_identity_holds_on_every_block_of_the_bench_jobs(workload,
+                                                             tmp_path):
+    jobs = bench_jobs(workload, tmp_path)
+    for job in jobs:
+        data = job.load()
+        inp = SurfaceInput.from_strings(data["a"], data["b"],
+                                        data["generators"],
+                                        FieldConfig(data["prime"], seed=1))
+        holds = _identity_per_block(inp, run_case(analyze(inp)))
+        assert holds and all(holds), job.name
+    assert len(jobs) == 4
+
+
+def test_row_identity_holds_on_every_block_of_a_corpus_sample(corpus):
+    for inst in corpus[::10]:
+        holds = _identity_per_block(inst.input, inst.case)
+        assert holds and all(holds)
+
+
+def test_row_identity_fails_on_every_single_entry_change(moved_dim3):
+    # any change of one coefficient inside B_0's columns, in B_0's rows or
+    # not, on a zero or a nonzero entry: the stacked product changes by a
+    # multiple of one generator times one monomial
+    inst, _, moved = moved_dim3
+    inp = inst.input
+    (rows, cols), (other_rows, _) = oracle._blocks(moved.tensor)
+    assert oracle._row_identity(inp, moved, cols)
+    block = moved.tensor[np.ix_(rows, cols)]
+    nonzero = [(rows[r], cols[c], k) for r, c, k in np.argwhere(block)[:3]]
+    zero = [(rows[r], cols[c], k) for r, c, k in np.argwhere(block == 0)[:2]]
+    changes = nonzero + zero + [(other_rows[0], cols[0], 0),
+                                (other_rows[-1], cols[-1], 3)]
+    for r, c, k in changes:
+        tensor = moved.tensor.copy()
+        tensor[r, c, k] = (tensor[r, c, k] + 1) % P
+        changed = dataclasses.replace(moved, tensor=tensor)
+        assert not oracle._row_identity(inp, changed, cols), (r, c, k)
+
+
+def test_row_identity_holds_in_f_coordinates_only(moved_dim3):
+    # det M(y) = c F(T y)^d: M's columns are syzygies of the changed
+    # generators, so only the strand moved by T^-1 keeps the identity with
+    # the original ones
+    inst, strand, moved = moved_dim3
+    transform = inst.analysis.point_transform % P
+    assert not np.array_equal(transform, np.eye(4, dtype=np.int64))
+    blocks = oracle._blocks(moved.tensor)
+    assert [len(rows) for rows, _ in blocks] == [6, 6]
+    for _, cols in blocks:
+        assert oracle._row_identity(inst.input, moved, cols)
+        assert not oracle._row_identity(inst.input, strand, cols)
+
+
+def test_a_change_outside_the_read_off_block_keeps_the_read_off(
+        moved_dim3, monkeypatch):
+    # a changed entry of block 1 leaves B_0 and its row identity as they
+    # are: F is still read off B_0, and the certificate rejects block 1
+    inst, strand, _ = moved_dim3
+    transform = inst.analysis.point_transform
+    (_, cols0), (rows1, cols1) = oracle._blocks(strand.tensor)
+    tensor = strand.tensor % P
+    block = tensor[np.ix_(rows1, cols1)]
+    r, c, k = np.argwhere(block)[0]
+    tensor[rows1[r], cols1[c], k] = (tensor[rows1[r], cols1[c], k] + 1) % P
+    changed = dataclasses.replace(strand, tensor=tensor)
+    moved = oracle._in_f_coordinates(changed, transform)
+    assert oracle._row_identity(inst.input, moved, cols0)
+    assert not oracle._row_identity(inst.input, moved, cols1)
+    peels = spy_peel(monkeypatch)
+    grid_proofs = spy_vanishes_at(monkeypatch)
+    got = implicit_by_elimination(inst.input, moved)
+    assert peels == [] and grid_proofs == []
+    assert got.block is not None
+    assert got == implicit_by_elimination(inst.input)
+    with pytest.raises(CertificateError, match="block 1"):
         verify_implicitization(changed, got, transform, inst.input.field)
 
 
