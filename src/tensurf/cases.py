@@ -94,10 +94,18 @@ def _finish(va: VAnalysis, tag: str, cols: list[SyzygyColumn], aux: dict,
 
 
 def _combination_vanishes(cols: Sequence[SyzygyColumn],
-                          coeffs: Sequence[BiPoly], p: int) -> bool:
-    """Whether sum_k coeffs[k] * cols[k] is the zero column."""
-    return all(dot([col.entries[i] for col in cols], coeffs,
-                   BiPoly.zero(p)).is_zero for i in range(4))
+                          coeffs: Sequence[BiPoly], va: VAnalysis) -> bool:
+    """Whether sum_k coeffs[k] * cols[k], of bidegree (2a, 2b - n), is 0."""
+    top = (2 * va.input.a, 2 * va.input.b - va.n)
+    try:
+        mat = np.hstack([multiplication_matrix(coeff_grid(
+            h, *np.subtract(top, s.bidegree)), *s.bidegree)
+            for h, s in zip(coeffs, cols)])
+        vecs = np.hstack([[coeff_grid(e, *s.bidegree).ravel()
+                           for e in s.entries] for s in cols]).T
+    except ValueError:   # a factor off its bidegree
+        return False
+    return not linalg.matmul_mod(mat, vecs, va.input.field.p).any()
 
 
 def run_case(va: VAnalysis, check_level: str = "full") -> CaseResult:
@@ -222,7 +230,7 @@ def _run_dim3(va: VAnalysis) -> CaseResult:
         for ((x0, y0), (x1, y1)), f in zip(
             [(theta[1], theta[2]), (theta[2], theta[0]),
              (theta[0], theta[1])], va.f_prime))
-    checks["kernel_vector"] = _combination_vanishes(cols, nvec, p)
+    checks["kernel_vector"] = _combination_vanishes(cols, nvec, va)
     checks["alpha_coprime"] = membership.bihomog_coprime(alpha1, alpha2)
     aux = {"mu": mus[0], "mus": tuple(mus), "psi": psi, "phis": phis,
            "alphas": tuple(alphas), "q": q, "r": r, "m": mm, "n_pair": nn,
@@ -231,7 +239,6 @@ def _run_dim3(va: VAnalysis) -> CaseResult:
 
 
 def _run_dim4(va: VAnalysis) -> CaseResult:
-    p = va.input.field.p
     a, b, n = va.input.a, va.input.b, va.n
     checks: dict[str, bool] = {}
     psi, mus, phis, alphas = _psi_prologue(va, checks)
@@ -282,7 +289,7 @@ def _run_dim4(va: VAnalysis) -> CaseResult:
           - (b1[0] * c1p[1] - b1[1] * c1p[0])
           - (a3[0] * b3[1] - a3[1] * b3[0]))
     nvec = (hh, alpha1, alpha2, alpha3)
-    checks["alpha_combination"] = _combination_vanishes(cols, nvec, p)
+    checks["alpha_combination"] = _combination_vanishes(cols, nvec, va)
     checks["gamma_minors"] = all(
         (x - y).is_zero for (i, j), gamma in gammas.items()
         for x, y in zip(gamma.minors, hburch.transpose_product(

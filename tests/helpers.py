@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 from tensurf import oracle
-from tensurf.bipoly import BiPoly, DEFAULT_PRIME
+from tensurf.bipoly import BiPoly, DEFAULT_PRIME, parse_poly
 from tensurf.cases import CaseResult, SyzygyColumn
+from tensurf.syzygy import SurfaceInput
 
 P = DEFAULT_PRIME
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +76,19 @@ def spy_vanishes_at(monkeypatch) -> list:
 
     monkeypatch.setattr(oracle, "_vanishes_at", spy)
     return degrees
+
+
+def compose_quadratic(inp: SurfaceInput) -> SurfaceInput:
+    """``inp`` composed with the basepoint-free map (s : t) -> (s^2 + st :
+    t^2 + 3st): bidegree (2a, b), and a strand that does not split into
+    blocks of size deg F."""
+    p = inp.field.p
+    q1, q2 = parse_poly("s^2 + s*t", p), parse_poly("t^2 + 3*s*t", p)
+    u, v = parse_poly("u", p), parse_poly("v", p)
+    gens = []
+    for g in inp.gens:
+        acc = BiPoly.zero(p)
+        for (i, j, k, l), c in g.terms.items():
+            acc = acc + (q1 ** i * q2 ** j * u ** k * v ** l).scale(c)
+        gens.append(acc)
+    return SurfaceInput(2 * inp.a, inp.b, tuple(gens), inp.field)

@@ -264,3 +264,63 @@ def test_finish_catches_one_bumped_coefficient_of_s1(fixture, entry, request):
                        match=f"^{case.case_tag} verification failed: "
                              "annihilation$"):
         cases._finish(va, case.case_tag, cols, {}, {})
+
+
+# Mutation tests of the construction checks: one coefficient of one factor
+# that a check multiplies is changed where that factor is produced, and
+# run_case must name the check.
+
+
+def _spoil(monkeypatch, target, name: str, call: int, bump) -> list:
+    """Make the ``call``-th call of ``target.name`` return ``bump`` of its
+    result; the returned list records the calls."""
+    original = getattr(target, name)
+    calls = []
+
+    def spoiled(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(name)
+        return bump(out) if len(calls) == call + 1 else out
+
+    monkeypatch.setattr(target, name, spoiled)
+    return calls
+
+
+def _bump_first(polys: list) -> list:
+    """``polys`` with one nonzero coefficient of the first nonzero one
+    changed to another nonzero value."""
+    out = list(polys)
+    i = next(i for i, f in enumerate(out) if not f.is_zero)
+    exp, c = min(out[i].terms.items())
+    out[i] = BiPoly(P, {**out[i].terms, exp: c + 1 if c + 1 < P else 1})
+    return out
+
+
+@pytest.mark.parametrize("fixture, call, check", [
+    ("dim3_case", 0, "theta_minors"),       # phi1 q, in Theta's column
+    ("dim3_case", 2, "kernel_vector"),      # phi1 m, in S2
+    ("example_case", 0, "alpha_combination"),   # comp12 b3, in S1
+])
+def test_a_changed_column_entry_fails_its_check(fixture, call, check,
+                                                request, monkeypatch):
+    case = request.getfixturevalue(fixture)
+    calls = _spoil(monkeypatch, cases, "_mat_vec", call, _bump_first)
+    with pytest.raises(CertificateError,
+                       match=rf"^{case.case_tag} verification failed: "
+                             rf"(.*, )?{check}(,|$)"):
+        run_case(case.analysis)
+    assert len(calls) > call
+
+
+def test_a_changed_alpha_fails_alpha_consistent(dim2_case, monkeypatch):
+    # alpha = f'_0 / g_1 is the dim-2 case's first solve
+    def bump(x):
+        x = x.copy()
+        x[0, 0] = (x[0, 0] + 1) % P
+        return x
+
+    calls = _spoil(monkeypatch, cases.linalg, "solve_particular", 0, bump)
+    with pytest.raises(CertificateError,
+                       match=r"^dim2 verification failed: alpha_consistent"):
+        run_case(dim2_case.analysis)
+    assert calls

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EXAMPLE_GENERATORS
-from helpers import bench_jobs, mutate_case, spy_peel, spy_vanishes_at
+from helpers import (bench_jobs, compose_quadratic, mutate_case, spy_peel,
+                     spy_vanishes_at)
 from tensurf import linalg, oracle, planes
 from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
                             FieldConfig, HypothesisError, parse_poly,
@@ -477,7 +478,7 @@ def test_a_zero_block_determinant_takes_the_peel(generic_d1, monkeypatch):
     tensor[:, 1] = tensor[:, 0]
     zero = dataclasses.replace(strand, tensor=tensor)
     assert [len(r) for r, _ in oracle._blocks(tensor)] == [12]
-    assert oracle._read_off(zero, 12) is None
+    assert oracle._read_off(generic_d1.input, zero, 12) is None
     peels = spy_peel(monkeypatch)
     got = implicit_by_elimination(generic_d1.input, zero)
     assert peels == [12] and got.block is None
@@ -486,8 +487,8 @@ def test_a_zero_block_determinant_takes_the_peel(generic_d1, monkeypatch):
 
 def test_a_block_failing_the_row_identity_takes_the_peel(generic_d1,
                                                          monkeypatch):
-    # one changed entry: det B interpolates to a form that is not c F, the
-    # row identity rejects the block, the peel finds the true F and the
+    # one changed entry: the row identity rejects the block before any of
+    # its determinants is taken, the peel finds the true F and the
     # certificate rejects the strand
     inst = generic_d1
     transform = inst.analysis.point_transform
@@ -496,10 +497,18 @@ def test_a_block_failing_the_row_identity_takes_the_peel(generic_d1,
     tensor[r, c, k] = (tensor[r, c, k] + 1) % P
     changed = dataclasses.replace(build_strand(inst.case), tensor=tensor)
     moved = oracle._in_f_coordinates(changed, transform)
-    assert oracle._read_off(moved, 12) is not None
+    assert oracle._read_off(inst.input, moved, 12) is None
     peels = spy_peel(monkeypatch)
+    original = Strand.det_at_many
+    dets = []
+
+    def counted(self, points):
+        dets.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(Strand, "det_at_many", counted)
     got = implicit_by_elimination(inst.input, moved)
-    assert peels == [12] and got.block is None
+    assert peels == [12] and got.block is None and dets == []
     assert got == implicit_by_elimination(inst.input)
     with pytest.raises(CertificateError, match="block 0"):
         verify_implicitization(changed, got, transform, inst.input.field)
@@ -667,8 +676,7 @@ def test_certificate_frozen(example_analysis, example_strand,
                             example_oracle, field):
     cert = verify_implicitization(example_strand, example_oracle,
                                   example_analysis.point_transform, field)
-    assert cert == DetCertificate(c=P - 1, exponent=2, n_points=40,
-                                  mode="interpolate", blocks=(10, 10))
+    assert cert == DetCertificate(c=P - 1, exponent=2, blocks=(10, 10))
 
 
 def test_a_generic_d1_strand_is_one_block():
@@ -727,13 +735,61 @@ def test_certificate_rejects_a_changed_coefficient_in_the_second_block(
             example_oracle, example_analysis.point_transform, field)
 
 
+def test_certificate_rejects_a_zero_determinant_outside_the_read_off_block(
+        example_input, example_analysis, example_strand, field):
+    # F is read off block 0; two equal columns inside block 1 keep the
+    # blocks 10 + 10 and make det B_1 identically zero, which no nonzero
+    # multiple of F matches on block 1's lattice
+    transform = example_analysis.point_transform
+    orc = implicit_by_elimination(
+        example_input, oracle._in_f_coordinates(example_strand, transform))
+    assert orc.block is not None
+    _, (_, cols1) = oracle._blocks(example_strand.tensor % P)
+    tensor = example_strand.tensor.copy()
+    tensor[:, cols1[1]] = tensor[:, cols1[0]]
+    assert [len(r) for r, _ in oracle._blocks(tensor % P)] == [10, 10]
+    with pytest.raises(CertificateError,
+                       match=r"^block 1: det and F\^1 are never both nonzero"):
+        verify_implicitization(
+            dataclasses.replace(example_strand, tensor=tensor), orc,
+            transform, field)
+
+
+def test_certificate_draws_no_random_point(tmp_path, monkeypatch):
+    # each block is proved on its own lattice or, the read-off block, on
+    # coefficients: the "certificate" stream is never drawn, neither on the
+    # bench jobs (every block is the read-off block) nor on a composed job
+    # (one block of size 2 deg F, proved on its lattice)
+    purposes = []
+    original = FieldConfig.rng
+
+    def spy(self, purpose):
+        purposes.append(purpose)
+        return original(self, purpose)
+
+    monkeypatch.setattr(FieldConfig, "rng", spy)
+    inputs = []
+    for workload in ("generic-d1", "exact-d2"):
+        for job in bench_jobs(workload, tmp_path / workload):
+            data = job.load()
+            inputs.append(SurfaceInput.from_strings(
+                data["a"], data["b"], data["generators"],
+                FieldConfig(data["prime"], seed=1)))
+    base = generate(GenSpec("dim2", 1, 3, 1), index=0, seed=0).input
+    inputs.append(compose_quadratic(base))
+    results = [implicitize(inp) for inp in inputs]
+    assert len(results) == 9
+    assert results[-1].certificate.blocks == (12,)
+    assert results[-1].oracle.block is None
+    assert "oracle" in purposes and "certificate" not in purposes
+
+
 def test_certificate_interpolate_mode(example_analysis, example_strand,
                                       example_oracle, field):
     cert = verify_implicitization(example_strand, example_oracle,
                                   example_analysis.point_transform, field)
     assert cert.exponent == 2
     assert cert.c == P - 1
-    assert cert.mode == "interpolate"
     # det = c * F^2 as polynomials (transition is the identity here)
     f_t = linear_substitute(example_oracle.f,
                             example_analysis.point_transform)
@@ -860,8 +916,8 @@ def test_interpolate_catches_a_perturbation_at_lattice_points(
 
     monkeypatch.setattr(Strand, "det_at_many", perturbed)
     n_bad = math.comb(10 - sum(node) + 3, 3)
-    # the random pre-check passes (it would report "of 40 sample points");
-    # only the lattice sees the perturbation
+    # c_0 is fitted at a lattice point the perturbation leaves alone, so
+    # exactly the perturbed lattice points fail
     with pytest.raises(CertificateError,
                        match=f"block 0: .* fails at {n_bad} of 286 principal "
                              "lattice"):
