@@ -424,11 +424,12 @@ def multiplication_matrix(grid: NDArray[np.int64], c: int, d: int
     :func:`monomial_basis` (c, d), in the order of a raveled grid.
     """
     a1, b1 = grid.shape
-    j = np.arange(c + 1)[:, None, None, None]  # the monomial t^j v^l
-    l = np.arange(d + 1)[:, None, None]
-    x, y = np.arange(a1)[:, None], np.arange(b1)  # the grid entry t^x v^y
     out = np.zeros((a1 + c, b1 + d, c + 1, d + 1), dtype=np.int64)
-    out[j + x, l + y, j, l] = grid
+    s0, s1, s2, s3 = out.strides
+    # entry [j, l, x, y] of the view is out[j + x, l + y, j, l]: the grid
+    # entry t^x v^y times the monomial t^j v^l, each cell once
+    np.ndarray((c + 1, d + 1, a1, b1), np.int64, out,
+               strides=(s0 + s2, s1 + s3, s0, s1))[...] = grid
     return out.reshape((a1 + c) * (b1 + d), (c + 1) * (d + 1))
 
 

@@ -36,6 +36,8 @@ K * h**2 + p < 2**63 <= (K + 1) * h**2 + p (K = 8 at p = 2**31 - 1).
 layout and hands them over directly; ``batch_det`` copies an (N, n, n)
 stack into blocks for every other caller (``membership.resultant_uv``: the
 Bezout matrices of every pair at every sample node in one stack).
+``newton_operators``, built once per (degree, p), interpolates at the nodes
+0..degree for ``xpoly.lattice_form`` and ``membership.resultant_uv``.
 
 Conventions fixed here and relied on throughout:
 
@@ -51,6 +53,8 @@ Conventions fixed here and relied on throughout:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,6 +305,25 @@ def matrix_inverse(mat, p: int) -> Matrix:
     if pivots[n - 1] != n - 1:
         raise ValueError("matrix is singular")
     return _back_substitute(aug, pivots, slice(n, None), p)
+
+
+@functools.lru_cache(maxsize=64)
+def newton_operators(degree: int, p: int) -> tuple[Matrix, Matrix]:
+    """Read-only (diff, newton) for the nodes 0..degree; needs p > degree.
+
+    Values at the nodes are B D with B[i, k] = C(i, k) and D the forward
+    differences at 0 (Gregory-Newton), so diff = B^-1: (-1)^(i-k) C(i, k).
+    Column k of newton = V^-1 B, V the nodes' Vandermonde matrix, holds the
+    coefficients of C(x, k), ascending, so newton @ diff @ values are those
+    of the polynomial of degree <= degree through the values.
+    """
+    k = np.arange(degree + 1)
+    binom = np.array([[math.comb(i, j) % p for j in k] for i in k])
+    diff = np.where((k[:, None] - k) % 2, p - binom, binom) % p
+    newton = matmul_mod(matrix_inverse(vandermonde(k, degree + 1, p), p),
+                        binom, p)
+    diff.flags.writeable = newton.flags.writeable = False
+    return diff, newton
 
 
 def _reduction_period(p: int) -> int:

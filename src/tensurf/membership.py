@@ -14,8 +14,8 @@ set to zero, so the answer is canonical.  `psi_solve` plays the same game
 against a graded syzygy matrix with a unique solution.  `bihomog_coprime`
 is one rank: two forms are coprime when their syzygies form a line.
 `resultant_uv` samples the (u, v)-resultants of pairs of forms at s = 0..D
-as d x d Bezout determinants, all in one batch, and recovers them by Newton
-interpolation on those consecutive nodes, in O(D^2) operations.
+as d x d Bezout determinants, all in one batch, and interpolates them by
+two products with the cached operators of those nodes.
 """
 
 from __future__ import annotations
@@ -142,8 +142,9 @@ def resultant_uv(pairs: Sequence[tuple[BiPoly, BiPoly]], c: int, d: int,
     Geometry*, ch. 3): with coefficients indexed by the v-exponent,
     B[r, q] = B[r-1, q+1] + f[q+1] g[r] - g[q+1] f[r] for q >= r.  The sign
     makes Res(u^d, v^d) = 1, as B is -1 on its antidiagonal there.  All
-    pairs at all samples take one batch of determinants, and each R(s, 1)
-    is recovered in O(D^2) by Newton interpolation on the consecutive nodes.
+    pairs at all samples take one batch of determinants, and every R(s, 1)
+    is recovered at once by the (D, p) pair of ``linalg.newton_operators``:
+    forward differences, then the coefficients of the binomials C(s, k).
     """
     D, n = 2 * c * d, len(pairs)
     if D + 1 > p:
@@ -162,21 +163,11 @@ def resultant_uv(pairs: Sequence[tuple[BiPoly, BiPoly]], c: int, d: int,
             row[..., :-1] += bez[:, :, r - 1, r + 1:]
         bez[:, :, r, r:] = row % p
         bez[:, :, r + 1:, r] = bez[:, :, r, r + 1:]
-    diff = linalg.batch_det(bez.reshape((D + 1) * n, d, d), p)
-    diff = diff.reshape(D + 1, n) * (-1) ** (d * (d + 1) // 2) % p
-    # after step k, diff[k] is the k-th divided difference at s = 0, so
-    # R(s, 1) = sum_k diff[k] s (s - 1) ... (s - k + 1)
-    for k in range(1, D + 1):
-        diff[k:] = (diff[k:] - diff[k - 1:-1]) % p * pow(k, -1, p) % p
-    # nested multiplication by (s - k); coefficients ascending in s
-    acc = diff[D:]
-    for k in range(D - 1, -1, -1):
-        nxt = np.zeros((len(acc) + 1, n), dtype=np.int64)
-        nxt[1:] = acc
-        nxt[:-1] = (nxt[:-1] - k * acc) % p
-        nxt[0] = (nxt[0] + diff[k]) % p
-        acc = nxt
-    return [UniHomPoly(p, D, tuple(col[::-1].tolist())) for col in acc.T]
+    dets = linalg.batch_det(bez.reshape((D + 1) * n, d, d), p)
+    dets = dets.reshape(D + 1, n) * (-1) ** (d * (d + 1) // 2) % p
+    diff, newton = linalg.newton_operators(D, p)
+    coeffs = linalg.matmul_mod(newton, linalg.matmul_mod(diff, dets, p), p)
+    return [UniHomPoly(p, D, tuple(col[::-1].tolist())) for col in coeffs.T]
 
 
 def bihomog_coprime(f: BiPoly, g: BiPoly) -> bool:

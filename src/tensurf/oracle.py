@@ -58,7 +58,7 @@ Anal. 14, 1977).  A block equal to the one F was read off has its determinant
 interpolated there already, so its identity is checked on coefficients.
 
 Last, it screens the input for basepoints exactly: pairwise resultants,
-one batch per chart, with constant gcd prove the usual input free, and a
+three pairs at a time, with constant gcd prove the usual input free, and a
 rank test in bidegree (3a - 1, 2b - 1) settles every other one.
 """
 
@@ -392,17 +392,19 @@ class BasepointReport:
 def _resultant_gcd(inp: SurfaceInput) -> UniHomPoly:
     """gcd in (s, t) of the pairwise uv-resultants of the generators.
 
-    All six come from one :func:`resultant_uv` call.  A common zero makes
-    every pairwise resultant vanish at its (s : t), so once the gcd of a
-    prefix of the six is the constant 1 the input is free on this chart and
-    the gcd of all six, which divides it, is 1 as well; the loop stops.
+    A common zero makes every pairwise resultant vanish at its (s : t), so
+    once the gcd of a prefix of the six is the constant 1 the input is free
+    on this chart and the gcd of all six, which divides it, is 1 as well.
+    So the three pairs with g0 go first, the other three only if needed.
     """
     p = inp.field.p
+    g0, *rest = inp.gens
     acc = UniHomPoly.zero(p, 0)
-    for res in resultant_uv(list(combinations(inp.gens, 2)), inp.a, inp.b, p):
-        acc = uni_gcd(acc, res)
-        if acc.degree == 0 and not acc.is_zero:
-            break
+    for pairs in ([(g0, g) for g in rest], list(combinations(rest, 2))):
+        for res in resultant_uv(pairs, inp.a, inp.b, p):
+            acc = uni_gcd(acc, res)
+            if acc.degree == 0 and not acc.is_zero:
+                return acc
     return acc
 
 
@@ -443,10 +445,10 @@ def _spans_bidegree(inp: SurfaceInput) -> bool:
 def basepoint_check(inp: SurfaceInput) -> BasepointReport:
     """Screen the generators for common zeros on P^1 x P^1, exactly.
 
-    On each chart the gcd of the six pairwise resultants, one batch, is
-    taken only until a prefix of them has constant gcd; constant gcds on
-    both charts prove there is none.  Otherwise :func:`_spans_bidegree`
-    decides.
+    On each chart the gcd of the six pairwise resultants, in batches of
+    three, is taken only until a prefix of them has constant gcd; constant
+    gcds on both charts prove there is none.  Otherwise
+    :func:`_spans_bidegree` decides.
     """
     g_uv = _resultant_gcd(inp)
     g_st = _resultant_gcd(inp.mirror())

@@ -15,7 +15,6 @@ the reference checks.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Optional
 
 import numpy as np
@@ -153,20 +152,14 @@ def lattice_form(values: np.ndarray, degree: int, p: int) -> np.ndarray:
 
     At x0 = 1 the form is sum D[i, j, k] C(x1, i) C(x2, j) C(x3, k) over
     i + j + k <= degree, D its forward differences at 0 (Gregory-Newton).
-    Along each axis, values at the nodes 0..degree are B D with B[i, k] =
-    C(i, k), so D = B^-1 values: (-1)^(i-k) C(i, k).  Each entry of D on
-    the simplex only takes values on it.  The monomial coefficients S of the
-    C(x, k) solve V S = B, V the Vandermonde matrix of the nodes, so three
-    contractions with S = V^-1 B give the cube.
+    The pair of ``linalg.newton_operators`` (degree, p), built once, gives
+    D by three contractions with diff (each entry of D on the simplex only
+    takes values on it) and then the cube by three with newton.
     """
     inside = _simplex(degree)
     cube = np.zeros(inside.shape, dtype=np.int64)
     cube[inside] = values % p
-    k = np.arange(degree + 1)
-    binom = np.array([[math.comb(i, j) % p for j in k] for i in k])
-    diff = np.where((k[:, None] - k) % 2, p - binom, binom) % p
-    newton = linalg.matmul_mod(linalg.matrix_inverse(
-        linalg.vandermonde(k, degree + 1, p), p), binom, p)
+    diff, newton = linalg.newton_operators(degree, p)
     return _contract(_contract(cube, diff, p) * inside, newton, p)
 
 

@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from tensurf import oracle
 from tensurf.bipoly import BiPoly, DEFAULT_PRIME, parse_poly
 from tensurf.cases import CaseResult, SyzygyColumn
@@ -92,3 +94,15 @@ def compose_quadratic(inp: SurfaceInput) -> SurfaceInput:
             acc = acc + (q1 ** i * q2 ** j * u ** k * v ** l).scale(c)
         gens.append(acc)
     return SurfaceInput(2 * inp.a, inp.b, tuple(gens), inp.field)
+
+
+def multiplication_matrix_ref(grid, c: int, d: int) -> np.ndarray:
+    """``bipoly.multiplication_matrix`` by fancy indexing: the grid entry
+    t^x v^y times the monomial t^j v^l lands at [j + x, l + y, j, l]."""
+    a1, b1 = grid.shape
+    j = np.arange(c + 1)[:, None, None, None]
+    l = np.arange(d + 1)[:, None, None]
+    x, y = np.arange(a1)[:, None], np.arange(b1)
+    out = np.zeros((a1 + c, b1 + d, c + 1, d + 1), dtype=np.int64)
+    out[j + x, l + y, j, l] = grid
+    return out.reshape((a1 + c) * (b1 + d), (c + 1) * (d + 1))

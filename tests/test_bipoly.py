@@ -5,8 +5,9 @@ from itertools import takewhile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import multiplication_matrix_ref
 from resultant_ref import substitute_st
 from tensurf import linalg
 from tensurf.bipoly import (
@@ -273,6 +274,33 @@ def test_multiplication_matrix_multiplies(case):
     for col, m in zip(M.T, monomial_basis(c, d)):
         product = f * BiPoly.monomial(p, m)
         assert col.tolist() == coeff_grid(product, a + c, b + d).ravel().tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5),
+       st.integers(0, 5), st.integers(0, 2**31))
+@example(1, 1, 0, 0, 1)
+@example(1, 4, 3, 0, 2)
+@example(3, 1, 0, 2, 3)
+def test_multiplication_matrix_matches_the_fancy_index_reference(
+        a1, b1, c, d, seed):
+    grid = np.random.default_rng(seed).integers(0, P, size=(a1, b1))
+    M = multiplication_matrix(grid, c, d)
+    assert M.dtype == np.int64
+    assert M.shape == ((a1 + c) * (b1 + d), (c + 1) * (d + 1))
+    assert (M == multiplication_matrix_ref(grid, c, d)).all()
+
+
+def test_multiplication_matrix_returns_a_fresh_writable_array():
+    grid = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
+    first = multiplication_matrix(grid, 2, 1)
+    second = multiplication_matrix(grid, 2, 1)
+    assert first.flags.writeable and first.flags.c_contiguous
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, grid)
+    first[...] = 7
+    assert (second == multiplication_matrix_ref(grid, 2, 1)).all()
+    assert grid.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 def test_uni_eval_matches_bipoly_eval():

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module of the package imports is used,
 every function, class and method is referenced from the package's own code,
-products of int64 arrays go through the exact modular product, the
-documented flags of ``implicitize``/``verify`` are the parser's, and every
-function the benchmark's tracer wraps still exists."""
+products of int64 arrays go through the exact modular product, every cache
+is bounded, the documented flags of ``implicitize``/``verify`` are the
+parser's, and every function the benchmark's tracer wraps still exists."""
 
 import argparse
 import ast
@@ -183,6 +183,60 @@ def test_products_are_reduced(path):
     bad = [f"{what} in {site}" for site, what in sites
            if not (what == "@" and site in MATMUL_ALLOWED)]
     assert not bad, "use linalg.matmul_mod"
+
+
+CACHES = {"lru_cache", "cache"}
+
+
+def _unbounded_caches(tree) -> list[int]:
+    """Lines of every ``functools.lru_cache``/``functools.cache`` without an
+    explicit integer ``maxsize``."""
+    names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names if alias.name in CACHES}
+    calls = {id(node.func): node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in CACHES \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "functools":
+            name = node.attr
+        elif isinstance(node, ast.Name) and node.id in names:
+            name = names[node.id]
+        else:
+            continue
+        call = calls.get(id(node))
+        sizes = [] if call is None else (
+            [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+            or call.args[:1])
+        if not (name == "lru_cache" and len(sizes) == 1
+                and isinstance(sizes[0], ast.Constant)
+                and type(sizes[0].value) is int):
+            bad.append(node.lineno)
+    return bad
+
+
+@pytest.mark.parametrize("source, bad", [
+    ("import functools\n@functools.lru_cache(maxsize=64)\ndef f(): pass", 0),
+    ("from functools import lru_cache\n@lru_cache(16)\ndef f(): pass", 0),
+    ("import functools\n@functools.lru_cache\ndef f(): pass", 1),
+    ("import functools\n@functools.lru_cache()\ndef f(): pass", 1),
+    ("import functools\n@functools.lru_cache(maxsize=None)\ndef f(): pass", 1),
+    ("import functools\n@functools.cache\ndef f(): pass", 1),
+    ("from functools import cache as c\n@c\ndef f(): pass", 1),
+    ("from functools import lru_cache\ng = lru_cache()(len)", 1),
+])
+def test_unbounded_cache_check_finds_every_form(source, bad):
+    assert len(_unbounded_caches(ast.parse(source))) == bad
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_caches_are_bounded(path):
+    # an unbounded cache grows with every distinct argument it sees
+    lines = _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"give these caches an integer maxsize: {lines}"
 
 
 def _documented_flags() -> set[str]:

@@ -4,10 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gauss_ref
 from tensurf import linalg
-from tensurf.bipoly import DEFAULT_PRIME
+from tensurf.bipoly import DEFAULT_PRIME, _is_prime
 
 P = DEFAULT_PRIME
 PRIMES = [DEFAULT_PRIME, 65521, 3]
@@ -390,3 +391,31 @@ def test_matmul_mod_rejects_inexact_inner_dimension():
     with pytest.raises(ValueError):
         linalg.matmul_mod(np.zeros((0, k + 1), dtype=np.int64),
                           np.zeros((k + 1, 0), dtype=np.int64), P)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 80), st.sampled_from(["least", 65521, P]))
+@example(0, "least")
+@example(80, "least")
+@example(80, P)
+def test_newton_operators_invert_the_vandermonde_matrix(degree, prime):
+    # newton @ diff = V^-1 for the nodes 0..degree, in exact integers
+    p = prime if prime != "least" else next(
+        q for q in range(degree + 1, 2 * degree + 3) if _is_prime(q))
+    diff, newton = linalg.newton_operators(degree, p)
+    assert diff.shape == newton.shape == (degree + 1, degree + 1)
+    vander = np.array([[pow(i, j, p) for j in range(degree + 1)]
+                       for i in range(degree + 1)], dtype=object)
+    product = newton.astype(object) @ diff.astype(object) @ vander % p
+    assert (product == np.eye(degree + 1, dtype=int)).all()
+
+
+def test_newton_operators_are_cached_and_read_only():
+    diff, newton = linalg.newton_operators(12, 65521)
+    for mat in (diff, newton):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 2
+        with pytest.raises(ValueError):
+            mat += 1
+    again = linalg.newton_operators(12, 65521)
+    assert again[0] is diff and again[1] is newton

@@ -1133,8 +1133,9 @@ def test_planted_dim2_pair_has_a_zero_resultant(screen_inputs):
 
 def test_screen_takes_a_prefix_of_the_resultants_on_the_worked_surface(
         example_input, monkeypatch):
-    # one batch of all six resultants per chart; the gcd loop stops after
-    # 3 of them on the uv-chart and after 5 on the st-chart
+    # the three pairs with g0 come first and the other three only while the
+    # gcd is not constant; the gcd loop stops after 3 resultants on the
+    # uv-chart (one batch) and after 5 on the st-chart (two batches)
     calls, gcds = [], []
     resultant_uv, gcd = oracle.resultant_uv, oracle.uni_gcd
 
@@ -1150,11 +1151,12 @@ def test_screen_takes_a_prefix_of_the_resultants_on_the_worked_surface(
     monkeypatch.setattr(oracle, "uni_gcd", counted_gcd)
     assert oracle._resultant_gcd(example_input).coeffs == (1,)
     assert (len(calls), len(gcds)) == (1, 3)
-    assert len(calls[0][0]) == 6
+    assert len(calls[0][0]) == 3
     assert oracle._resultant_gcd(example_input.mirror()).coeffs == (1,)
-    assert (len(calls), len(gcds)) == (2, 3 + 5)
+    assert (len(calls), len(gcds)) == (3, 3 + 5)
+    assert [len(call[0]) for call in calls[1:]] == [3, 3]
     assert basepoint_check(example_input).status == "free"
-    assert (len(calls), len(gcds)) == (4, 2 * (3 + 5))
+    assert (len(calls), len(gcds)) == (6, 2 * (3 + 5))
 
 
 # ---------------------------------------------------------------------------
