@@ -6,8 +6,8 @@ deg(s) = deg(t) = (1, 0) and deg(u) = deg(v) = (0, 1), and K[x0..x3] of
 the image (see :mod:`tensurf.xpoly`).  Containers:
 
 * :class:`SparsePoly` — the one sparse dict-of-exponents arithmetic,
-  expression parser and printer, driven by a subclass's variable names
-  and print order.
+  expression parser (one regex pass of tokens) and printer, driven by a
+  subclass's variable names and print order.
 * :class:`BiPoly` — the subclass for K[s, t, u, v], keyed by
   ``(i, j, k, l)`` for ``s^i t^j u^k v^l``, with its bigraded helpers.
 * :class:`UniHomPoly` — dense binary form in one variable pair, with an
@@ -32,7 +32,9 @@ bidegree (c, d).
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -274,10 +276,6 @@ class SparsePoly:
         return cls(p)
 
     @classmethod
-    def monomial(cls, p: int, exp: Exponent, c: int = 1):
-        return cls(p, {exp: c})
-
-    @classmethod
     def const(cls, p: int, c: int):
         return cls(p, {(0, 0, 0, 0): c})
 
@@ -443,102 +441,113 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_UNIT_EXPONENTS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+@lru_cache(maxsize=4)
+def _token_regex(names: tuple[str, ...]) -> re.Pattern:
+    """Groups: a variable (1) with its literal power (2), an integer in
+    decimal digits (3), an operator (4), any other character (5)."""
+    return re.compile(f"({'|'.join(map(re.escape, names))})(?:"
+                      r"\s*(?:\^|\*\*)\s*(\d+))?|(\d+)|(\*\*|[-+*^()])|(\S)")
 
 
 class _Parser:
-    """Recursive-descent parser for +, -, *, ^ (alias **) and parentheses.
-
-    Variables are the names in ``cls.VARS``; a power binds to the atom
+    """Recursive descent over one regex pass of tokens for +, -, *, ^
+    (alias **), parentheses and ``cls.VARS``; a power binds to the atom
     before it, so ``2*s^3`` and ``2*s**3`` are the same polynomial.
+
+    A token is (kind, value, position): "m"/"v" a variable with/without
+    its literal power, valued (variable index, power); "n" an integer;
+    "?" any other character; "" the end; an operator is its own kind.
+    A factor adds its variables' powers into its term's exponent list and
+    returns a residue, or a dict {exponent: residue} for a parenthesized
+    sum; a term multiplies its sums in order, then its single terms.
     """
 
     def __init__(self, cls: type, text: str, p: int):
-        self.cls = cls
-        self.text = text
-        self.p = p
-        self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.cls, self.text, self.p, self.i = cls, text, p, 0
+        index = {name: i for i, name in enumerate(cls.VARS)}
+        self.toks = toks = []
+        for m in _token_regex(cls.VARS).finditer(text):
+            name, power, number, op, other = m.groups()
+            if name:
+                value = index[name], int(power) if power else 1
+                toks.append(("m" if power else "v", value, m.start()))
+            else:
+                toks.append(("n", int(number), m.start()) if number
+                            else (op or "?", other, m.start()))
+        toks.append(("", None, len(text)))
 
     def parse(self):
-        out = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
-        return out
+        terms = self._expr()
+        kind, _, pos = self.toks[self.i]
+        if kind:
+            raise ParseError(f"unexpected character {self.text[pos]!r}", pos)
+        return self.cls(self.p, terms)
 
-    def _expr(self):
-        ch = self._peek()
-        if ch == "+":
-            self.pos += 1
-        acc = self._term()
+    def _expr(self) -> dict:
+        toks, p, acc, sign = self.toks, self.p, {}, 1
+        if toks[self.i][0] == "+":
+            self.i += 1
         while True:
-            ch = self._peek()
-            if ch == "+":
-                self.pos += 1
-                acc = acc + self._term()
-            elif ch == "-":
-                self.pos += 1
-                acc = acc - self._term()
-            else:
+            for exp, c in self._term().items():
+                acc[exp] = c = (acc.get(exp, 0) + sign * c) % p
+                if not c:  # a cancelled term leaves the sum
+                    del acc[exp]
+            kind = toks[self.i][0]
+            if kind != "+" and kind != "-":
                 return acc
+            sign = 1 if kind == "+" else -1
+            self.i += 1
 
     def _term(self):
-        acc = self._factor()
-        while self._peek() == "*":
-            self.pos += 1
-            acc = acc * self._factor()
-        return acc
+        toks, cls, p = self.toks, self.cls, self.p
+        exp, c, sums = [0, 0, 0, 0], 1, None
+        while True:
+            factor = self._factor(exp)
+            if type(factor) is dict:
+                sums = factor if sums is None else (
+                    cls(p, sums) * cls(p, factor)).terms
+            else:
+                c = c * factor % p
+            if toks[self.i][0] != "*":
+                break
+            self.i += 1
+        if toks[self.i][0] == "**":  # a '*' with no factor after it
+            raise ParseError("expected a term", toks[self.i][2] + 1)
+        mono = {tuple(exp): c}
+        return mono if sums is None else (cls(p, sums) * cls(p, mono)).terms
 
-    def _factor(self):
-        ch = self._peek()
-        if ch == "-":
-            self.pos += 1
-            return -self._factor()
-        base = self._atom()
-        ch = self._peek()
-        if ch == "^" or self.text.startswith("**", self.pos):
-            self.pos += 1 if ch == "^" else 2
-            return base ** self._integer()
-        return base
-
-    def _atom(self):
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self._expr()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return inner
-        if ch.isdigit():
-            return self.cls.const(self.p, self._integer())
-        if ch.isalpha():
-            names = self.cls.VARS
-            for name, exp in zip(names, _UNIT_EXPONENTS):
-                if self.text.startswith(name, self.pos):
-                    self.pos += len(name)
-                    return self.cls.monomial(self.p, exp)
+    def _factor(self, exp: list):
+        toks, p = self.toks, self.p
+        kind, value, pos = toks[self.i]
+        self.i += 1
+        if kind == "-":
+            value = self._factor(exp)
+            return ({e: -c % p for e, c in value.items()}
+                    if type(value) is dict else -value % p)
+        if kind == "(":
+            value = self._expr()
+            if toks[self.i][0] != ")":
+                raise ParseError("expected ')'", toks[self.i][2])
+            self.i += 1
+        elif kind not in ("m", "v", "n"):
+            ch, names = self.text[pos:pos + 1], self.cls.VARS
+            if not ch.isalpha():
+                raise ParseError("expected a term", pos)
             if any(name[0] == ch for name in names):
-                raise ParseError(f"expected one of {', '.join(names)}", self.pos)
-            raise ParseError(f"unknown variable {ch!r}", self.pos)
-        raise ParseError("expected a term", self.pos)
-
-    def _integer(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", self.pos)
-        return int(self.text[start:self.pos])
+                raise ParseError(f"expected one of {', '.join(names)}", pos)
+            raise ParseError(f"unknown variable {ch!r}", pos)
+        n = 1
+        if kind != "m" and toks[self.i][0] in ("^", "**"):
+            n_kind, n, n_pos = toks[self.i + 1]
+            if n_kind != "n":
+                raise ParseError("expected an integer", n_pos)
+            self.i += 2
+        if kind == "m" or kind == "v":
+            exp[value[0]] += value[1] * n
+            return 1
+        if kind == "n":
+            return pow(value, n, p)
+        return value if n == 1 else (self.cls(p, value) ** n).terms
 
 
 def parse_poly(text: str, p: int = DEFAULT_PRIME) -> BiPoly:

@@ -1,12 +1,14 @@
 """Bigraded polynomial arithmetic, parsing, and binary-form helpers."""
 
 import random
+import re
 from itertools import takewhile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import parse_ref
 from helpers import multiplication_matrix_ref
 from resultant_ref import substitute_st
 from tensurf import linalg
@@ -27,6 +29,7 @@ from tensurf.bipoly import (
     uni_to_str,
     _is_prime,
 )
+from tensurf.xpoly import XPoly, parse_xpoly
 
 P = DEFAULT_PRIME
 
@@ -124,6 +127,113 @@ def test_parse_supports_parentheses_powers_and_constants():
         assert str(err.value) == message
 
 
+
+def test_integers_are_decimal_digits():
+    # a digit that is not decimal, such as a superscript, is no integer
+    for text, message in [("s^²", "expected an integer at position 2"),
+                          ("²*s", "expected a term at position 0"),
+                          ("s^2²", "unexpected character '²' at position 3")]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert str(err.value) == message
+    # decimal digits of any script parse as before
+    assert parse_poly("٣*s^٣ + ١٠") == parse_poly("3*s^3 + 10")
+
+
+# -- the token pass against the reference parser of tests/parse_ref.py
+
+MALFORMED = ["s +", "st", "s^", "s**", "s^2^3", "(s+t)^", "s * * 2", "2 3",
+             "3*s^2*(u+v", "", "(", "()", "s)", "s^2**3", "s***2", "x*u",
+             "é", "s^x", "++s", "-", "(s+t)^2^2", "s^2 ** 3", "x4", "x0x1",
+             "x10", "2x0", "x", "s ^ -2"]
+
+
+def _outcome(parse, text, p):
+    """(terms in key order, None) or (None, (position, message))."""
+    try:
+        return list(parse(text, p).terms.items()), None
+    except ParseError as exc:
+        return None, (exc.pos, str(exc))
+
+
+RINGS = [(BiPoly, parse_poly), (XPoly, parse_xpoly)]
+
+
+@pytest.mark.parametrize("cls, parse", RINGS, ids=["BiPoly", "XPoly"])
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_expressions_fail_as_in_the_reference(cls, parse, text):
+    want = _outcome(lambda t, p: parse_ref.parse(cls, t, p), text, P)
+    assert _outcome(parse, text, P) == want
+
+
+@st.composite
+def expressions(draw, names):
+    """Expression strings over ``names``: whitespace, ``^`` and ``**``,
+    nested parentheses, unary minus, powers of sums, coefficients of 0
+    and above p, repeated terms that cancel, then up to two
+    single-character insertions or deletions."""
+    sums = [3]  # parenthesized sums left, so products stay small
+
+    def space():
+        return draw(st.sampled_from(["", "", " ", "  ", "\t", "\n "]))
+
+    def factor(depth):
+        kind = draw(st.integers(0, 2 if depth and sums[0] else 1))
+        if kind == 0:
+            out = str(draw(st.sampled_from([0, 1, 2, 7, 100, 101, 102,
+                                            P - 1, P, 10 ** 12])))
+        elif kind == 1:
+            out = draw(st.sampled_from(names))
+        else:
+            sums[0] -= 1
+            out = "(" + space() + expr(depth - 1) + space() + ")"
+        if draw(st.booleans()):
+            out += (space() + draw(st.sampled_from(["^", "**"])) + space()
+                    + str(draw(st.integers(0, 2 if kind == 2 else 3))))
+        return ("-" + space() if draw(st.integers(0, 4)) == 0 else "") + out
+
+    def expr(depth):
+        terms = [(space() + "*" + space()).join(
+            factor(depth) for _ in range(draw(st.integers(1, 3))))
+            for _ in range(draw(st.integers(1, 3)))]
+        terms += [draw(st.sampled_from(terms))
+                  for _ in range(draw(st.integers(0, 2)))]
+        out = draw(st.sampled_from(["", "+", "-"])) + space() + terms[0]
+        for term in terms[1:]:
+            out += space() + draw(st.sampled_from("+-")) + space() + term
+        return out
+
+    text = expr(2)
+    for _ in range(draw(st.integers(0, 2))):
+        pos = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            char = draw(st.sampled_from(" +-*^()0stuvx٣²é"))
+            text = text[:pos] + char + text[pos:]
+        else:
+            text = text[:pos] + text[pos + 1:]
+    return text
+
+
+@pytest.mark.parametrize("cls, parse", RINGS, ids=["BiPoly", "XPoly"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_parser_matches_the_reference(cls, parse, data):
+    p = data.draw(st.sampled_from([101, P]))
+    text = data.draw(expressions(cls.VARS))
+    # an edit that merges digits could raise a sum to a large power
+    assume(all(int(k) <= 3 for k in
+               re.findall(r"(?:\^|\*\*)\s*(\d+)", text)))
+    try:
+        want = _outcome(lambda t, q: parse_ref.parse(cls, t, q), text, p)
+    except ValueError:
+        # the reference reads '²' as a digit and int() rejects it
+        assert "²" in text
+        with pytest.raises(ParseError):
+            parse(text, p)
+        return
+    assert _outcome(parse, text, p) == want
+
+
 def test_print_round_trip_random():
     rng = random.Random(101)
     for _ in range(25):
@@ -219,7 +329,7 @@ def test_monomial_basis_order_and_coeff_vectors():
     assert basis[0] == (1, 0, 2, 0)
     assert len(basis) == 2 * 3
     for pos, exp in enumerate(basis):
-        vec = coeff_grid(BiPoly.monomial(P, exp), 1, 2).ravel()
+        vec = coeff_grid(BiPoly(P, {exp: 1}), 1, 2).ravel()
         assert vec.tolist() == [int(k == pos) for k in range(len(basis))]
     rng = random.Random(41)
     f = random_bipoly(rng, 1, 2)
@@ -272,7 +382,7 @@ def test_multiplication_matrix_multiplies(case):
     got = linalg.matmul_mod(M, coeff_grid(g, c, d).reshape(-1, 1), p)[:, 0]
     assert got.tolist() == coeff_grid(f * g, a + c, b + d).ravel().tolist()
     for col, m in zip(M.T, monomial_basis(c, d)):
-        product = f * BiPoly.monomial(p, m)
+        product = f * BiPoly(p, {m: 1})
         assert col.tolist() == coeff_grid(product, a + c, b + d).ravel().tolist()
 
 

@@ -223,7 +223,7 @@ def test_dim2_rejects_f0_off_the_multiples_of_g1(dim2_case):
     # g_1 = v^2 does not divide s*u^3
     va = dim2_case.analysis
     f0p, f1p = va.f_prime
-    bumped = replace(va, f_prime=(f0p + BiPoly.monomial(P, (1, 0, 3, 0)), f1p))
+    bumped = replace(va, f_prime=(f0p + BiPoly(P, {(1, 0, 3, 0): 1}), f1p))
     with pytest.raises(CertificateError,
                        match="^f'_0 is not a multiple of g_1$"):
         run_case(bumped)
@@ -258,7 +258,7 @@ def test_finish_catches_one_bumped_coefficient_of_s1(fixture, entry, request):
     assert s1.label == "S1"
     c, d = s1.bidegree
     entries = list(s1.entries)
-    entries[entry] = entries[entry] + BiPoly.monomial(P, (c, 0, 0, d))
+    entries[entry] = entries[entry] + BiPoly(P, {(c, 0, 0, d): 1})
     cols[1] = SyzygyColumn("S1", (c, d), tuple(entries))
     with pytest.raises(CertificateError,
                        match=f"^{case.case_tag} verification failed: "

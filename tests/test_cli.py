@@ -408,6 +408,19 @@ def test_non_integer_job_parameters_exit_1(key, value, tmp_path, capsys):
                                 f"not {value!r}\n")
 
 
+
+def test_malformed_expression_exits_1_with_its_position(tmp_path, capsys):
+    # '²' is a digit to str.isdigit but no decimal digit, so no integer
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(
+        {"a": 1, "b": 1, "prime": 65521,
+         "generators": ["s^²", "s*v", "t*u", "t*v"]}))
+    for command in ("analyze", "implicitize", "verify"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected an integer at position 2\n"
+
 _FLOOR_37 = ("error: prime {p} is below the floor 37 = 2ab*max(a, b) + 1 "
              "for bidegree (2, 3)\n")
 

@@ -80,7 +80,7 @@ def test_build_f_family_annihilates(example_input):
     assert A.shape == (4, n + 1)
     total = parse_poly("0", P)
     for j, f in enumerate(fam):
-        total = total + f * BiPoly.monomial(P, (0, 0, n - j, j))
+        total = total + f * BiPoly(P, {(0, 0, n - j, j): 1})
     assert total.is_zero
 
 
