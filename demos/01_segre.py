@@ -10,7 +10,7 @@ image, so det(strand) is a scalar multiple of F itself).
 Run:  python3 demos/01_segre.py
 """
 
-from tensurf.bipoly import FieldConfig, poly_to_str, uni_to_str
+from tensurf.bipoly import FieldConfig, poly_to_str
 from tensurf.cases import run_case
 from tensurf.oracle import implicit_by_elimination, verify_implicitization
 from tensurf.strand import build_strand, reconstruct_det
@@ -27,7 +27,7 @@ def main() -> None:
 
     va = analyze(inp)
     print(f"minimal syzygy degree n = {va.n}, dim V = {va.dim_v}")
-    print("uv-form pair g =", tuple(uni_to_str(g) for g in va.g))
+    print("uv-form pair g =", tuple(poly_to_str(g) for g in va.g))
 
     case = run_case(va)
     for col in case.syzygies:

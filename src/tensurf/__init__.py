@@ -13,7 +13,6 @@ from .bipoly import (
     CertificateError,
     FieldConfig,
     HypothesisError,
-    UniHomPoly,
     parse_poly,
     poly_to_str,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "OracleResult",
     "Strand",
     "SurfaceInput",
-    "UniHomPoly",
     "VAnalysis",
     "XPoly",
     "analyze",

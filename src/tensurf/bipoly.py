@@ -1,4 +1,4 @@
-"""Sparse polynomials in four variables and binary forms over a prime field.
+"""Sparse polynomials in four variables over a prime field.
 
 The package works in two polynomial rings over K = F_p, both with four
 variables and 4-tuple exponent keys: K[s, t, u, v], bigraded by
@@ -10,11 +10,11 @@ the image (see :mod:`tensurf.xpoly`).  Containers:
   subclass's variable names and print order.
 * :class:`BiPoly` — the subclass for K[s, t, u, v], keyed by
   ``(i, j, k, l)`` for ``s^i t^j u^k v^l``, with its bigraded helpers.
-* :class:`UniHomPoly` — dense binary form in one variable pair, with an
-  explicit graded degree so the zero form of each degree is representable.
-  ``coeffs[k]`` is the coefficient of ``x^(d-k) y^k`` for the pair (x, y);
-  the pair is (u, v) everywhere except where noted.  Its arithmetic runs
-  on the dense univariate ``_upoly_*`` helpers.
+
+A binary form is a :class:`BiPoly` too: a (0, d)-form in (u, v) or a
+(d, 0)-form in (s, t).  A zero form has no bidegree, so a list or matrix
+of binary forms that may hold zeros carries its degrees beside it (see
+:class:`tensurf.hburch.GradedSyzMatrix`).
 
 Global monomial order of K[s, t, u, v] (used for printing and equation
 rows): s-exponent descending, then u-exponent descending.  The one array
@@ -22,8 +22,8 @@ format of a form is its coefficient grid: for an (a, b)-form, the
 (a + 1, b + 1) array with entry [j, l] the coefficient of
 s^(a-j) t^j u^(b-l) v^l.  :func:`coeff_grid` builds it and
 :meth:`BiPoly.from_grid` is its inverse; ``grid.ravel()`` lists the
-coefficients in the global order, and a binary form in (u, v) is the
-one-row grid ``np.array([h.coeffs])``.  Every linear system over forms is
+coefficients in the global order, and a binary form's grid is one row
+(in (u, v)) or one column (in (s, t)).  Every linear system over forms is
 built from one matrix of such grids, :func:`multiplication_matrix`:
 column m holds the coefficients of f * m for each monomial m of a
 bidegree (c, d).
@@ -98,149 +98,6 @@ class FieldConfig:
     def rng(self, purpose: str) -> random.Random:
         """Deterministic per-purpose random stream derived from the seed."""
         return random.Random(f"{self.seed}:{purpose}")
-
-
-# ---------------------------------------------------------------------------
-# dense binary forms
-
-
-@dataclass(frozen=True)
-class UniHomPoly:
-    """Dense binary form of an explicit graded degree over F_p."""
-
-    p: int
-    degree: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient length does not match degree")
-        object.__setattr__(self, "coeffs", tuple(c % self.p for c in self.coeffs))
-
-    @staticmethod
-    def zero(p: int, degree: int) -> "UniHomPoly":
-        return UniHomPoly(p, degree, (0,) * (degree + 1))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "UniHomPoly") -> "UniHomPoly":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in binary-form addition")
-        return UniHomPoly(
-            self.p, self.degree,
-            tuple((a + b) % self.p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "UniHomPoly") -> "UniHomPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "UniHomPoly":
-        return UniHomPoly(self.p, self.degree, tuple(-c % self.p for c in self.coeffs))
-
-    def scale(self, c: int) -> "UniHomPoly":
-        c %= self.p
-        return UniHomPoly(self.p, self.degree, tuple(a * c % self.p for a in self.coeffs))
-
-    def __mul__(self, other: "UniHomPoly") -> "UniHomPoly":
-        return UniHomPoly(self.p, self.degree + other.degree,
-                          tuple(_upoly_mul(self.coeffs, other.coeffs, self.p)))
-
-    def to_bipoly(self) -> "BiPoly":
-        """Embed into R with (x, y) read as (u, v)."""
-        d = self.degree
-        return BiPoly(self.p, {(0, 0, d - k, k): c
-                               for k, c in enumerate(self.coeffs) if c})
-
-    def to_bipoly_st(self) -> "BiPoly":
-        """Embed into R with (x, y) read as (s, t)."""
-        d = self.degree
-        return BiPoly(self.p, {(d - k, k, 0, 0): c
-                               for k, c in enumerate(self.coeffs) if c})
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"UniHomPoly(d={self.degree}, {self.coeffs})"
-
-
-def _strip(coeffs: Sequence[int]) -> tuple[int, int, list[int]]:
-    """Return (lo, hi, core) with core = coeffs[lo:hi+1], ends nonzero."""
-    lo = next(i for i, c in enumerate(coeffs) if c)
-    hi = max(i for i, c in enumerate(coeffs) if c)
-    return lo, hi, list(coeffs[lo:hi + 1])
-
-
-def _upoly_strip(a: list[int]) -> list[int]:
-    """Drop the zero high coefficients of a dense univariate, in place."""
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _upoly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Product of dense univariates (ascending coefficients)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _upoly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of dense univariate a by b (ascending coefficients)."""
-    a = _upoly_strip(a[:])
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    while len(a) - 1 >= db:
-        q = a[-1] * inv % p
-        off = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[off + i] = (a[off + i] - q * c) % p
-        a.pop()
-        _upoly_strip(a)
-    return a
-
-
-def _upoly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _upoly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def uni_gcd(f: UniHomPoly, g: UniHomPoly) -> UniHomPoly:
-    """Greatest common divisor of two binary forms.
-
-    The result is normalized so its first nonzero coefficient is 1.  The gcd
-    of two zero forms is the zero form of degree 0 by convention.
-    """
-    if f.is_zero and g.is_zero:
-        return UniHomPoly.zero(f.p, 0)
-    if f.is_zero:
-        f, g = g, f
-    if g.is_zero:
-        lead = next(c for c in f.coeffs if c)
-        return f.scale(pow(lead, -1, f.p))
-    p = f.p
-    f_lo, f_hi, f_core = _strip(f.coeffs)
-    g_lo, g_hi, g_core = _strip(g.coeffs)
-    # x-valuation of a form is (degree - hi), y-valuation is lo.
-    y_val = min(f_lo, g_lo)
-    x_val = min(f.degree - f_hi, g.degree - g_hi)
-    core = _upoly_gcd(f_core, g_core, p)  # univariate in z = y/x
-    r = len(core) - 1
-    d = r + x_val + y_val
-    coeffs = [0] * (d + 1)
-    for k, c in enumerate(core):
-        coeffs[y_val + k] = c
-    out = UniHomPoly(p, d, tuple(coeffs))
-    lead = next(c for c in out.coeffs if c)
-    return out.scale(pow(lead, -1, p))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +238,7 @@ def mirror_poly(f: BiPoly) -> BiPoly:
 
 def dot(xs: Sequence, ys: Sequence, zero):
     """Sum of x * y over the pairs whose factors are both nonzero, or
-    ``zero`` when there are none.  Works for :class:`BiPoly` and for
-    :class:`UniHomPoly`, whose ``zero`` carries the formal degree."""
+    ``zero`` when there are none."""
     acc = None
     for x, y in zip(xs, ys):
         if not (x.is_zero or y.is_zero):
@@ -429,6 +285,67 @@ def multiplication_matrix(grid: NDArray[np.int64], c: int, d: int
     np.ndarray((c + 1, d + 1, a1, b1), np.int64, out,
                strides=(s0 + s2, s1 + s3, s0, s1))[...] = grid
     return out.reshape((a1 + c) * (b1 + d), (c + 1) * (d + 1))
+
+
+# ---------------------------------------------------------------------------
+# binary forms
+
+
+def _upoly_strip(a: list[int]) -> list[int]:
+    """Drop the zero high coefficients of a dense univariate, in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _upoly_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of dense univariate a by b (ascending coefficients)."""
+    a = _upoly_strip(a[:])
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    while len(a) - 1 >= db:
+        q = a[-1] * inv % p
+        off = len(a) - 1 - db
+        for i, c in enumerate(b):
+            a[off + i] = (a[off + i] - q * c) % p
+        a.pop()
+        _upoly_strip(a)
+    return a
+
+
+def uni_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
+    """Greatest common divisor of two binary forms in one variable pair,
+    (0, d)-forms in (u, v) or (d, 0)-forms in (s, t).
+
+    The result is a form in the operands' pair whose first nonzero
+    coefficient in :func:`coeff_grid` order is 1.  The gcd of two zero
+    forms is zero.
+    """
+    p, nonzero = f.p, [h for h in (f, g) if not h.is_zero]
+    if not nonzero:
+        return BiPoly.zero(p)
+    degrees = [h.bidegree() for h in nonzero]
+    if any(bd is None or min(bd) > 0 for bd in degrees):
+        raise ValueError("expected binary forms")
+    st = any(c for c, _ in degrees)
+    if st and any(d for _, d in degrees):
+        raise ValueError("binary forms in different variable pairs")
+    # a form of degree e with coefficients a_k of x^(e-k) y^k is
+    # x^(x-valuation) y^(y-valuation) times a univariate in z = y/x
+    cores, y_val, x_val = [], [], []
+    for h, bd in zip(nonzero, degrees):
+        coeffs = coeff_grid(h, *bd).ravel().tolist()
+        ks = [k for k, c in enumerate(coeffs) if c]
+        cores.append(coeffs[ks[0]:ks[-1] + 1])
+        y_val.append(ks[0])
+        x_val.append(len(coeffs) - 1 - ks[-1])
+    a, b = cores[0], cores[1] if len(cores) == 2 else []
+    while b:
+        a, b = b, _upoly_mod(a, b, p)
+    inv = pow(a[0], -1, p)
+    row = np.array([[0] * min(y_val) + [c * inv % p for c in a]
+                    + [0] * min(x_val)])
+    return BiPoly.from_grid(row.T if st else row, p)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +501,3 @@ def _format_poly(f: SparsePoly) -> str:
 def poly_to_str(f: BiPoly) -> str:
     """Render in the global monomial order with balanced coefficient lifts."""
     return _format_poly(f)
-
-
-def uni_to_str(f: UniHomPoly, pair: str = "uv") -> str:
-    return poly_to_str(f.to_bipoly() if pair == "uv" else f.to_bipoly_st())

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import hburch, linalg, membership
-from .bipoly import (BiPoly, CertificateError, HypothesisError, UniHomPoly,
-                     coeff_grid, dot, multiplication_matrix)
+from .bipoly import (BiPoly, CertificateError, HypothesisError, coeff_grid,
+                     dot, multiplication_matrix)
 from .hburch import GradedSyzMatrix, HBResolution
 from .syzygy import VAnalysis
 
@@ -55,8 +55,7 @@ def expected_column_counts(syzygies: Sequence[SyzygyColumn], a: int, b: int
 
 def _mat_vec(mat: GradedSyzMatrix, coeffs: Sequence[BiPoly]) -> list[BiPoly]:
     """Product of a graded matrix with a vector of bigraded polynomials."""
-    return [dot([e.to_bipoly() for e in row], coeffs, BiPoly.zero(mat.p))
-            for row in mat.entries]
+    return [dot(row, coeffs, BiPoly.zero(mat.p)) for row in mat.entries]
 
 
 def _check_annihilation(cols: Sequence[SyzygyColumn], gens: Sequence[BiPoly],
@@ -136,22 +135,19 @@ def _run_dim2(va: VAnalysis) -> CaseResult:
     f0p, f1p = va.f_prime
     # alpha * g_1 = f'_0, one (s, t)-row of f'_0 per right-hand side column
     x = linalg.solve_particular(
-        multiplication_matrix(np.array([g1.coeffs]), 0, b - n),
+        multiplication_matrix(coeff_grid(g1, 0, n), 0, b - n),
         coeff_grid(f0p, a, b).T, p)
     if x is None:
         raise CertificateError("f'_0 is not a multiple of g_1")
     alpha = BiPoly.from_grid(x.T, p)
     checks: dict[str, bool] = {}
-    checks["alpha_consistent"] = (f1p + alpha * g0.to_bipoly()).is_zero
+    checks["alpha_consistent"] = (f1p + alpha * g0).is_zero
     p2, p3 = va.new_gens[2], va.new_gens[3]
-    neg_g0 = -g0
-    cert_q = membership.two_gen_solve(p2, g1, neg_g0)
-    cert_r = membership.two_gen_solve(p3, g1, neg_g0)
-    q1, q0 = cert_q.x0, cert_q.x1
-    r1, r0 = cert_r.x0, cert_r.x1
+    q1, q0 = membership.two_gen_solve(p2, g1, -g0)
+    r1, r0 = membership.two_gen_solve(p3, g1, -g0)
     zero = BiPoly.zero(p)
     cols = [
-        SyzygyColumn("S", (0, n), (g0.to_bipoly(), g1.to_bipoly(), zero, zero)),
+        SyzygyColumn("S", (0, n), (g0, g1, zero, zero)),
         SyzygyColumn("S1", (a, b - n), (q1, q0, -alpha, zero)),
         SyzygyColumn("S2", (a, b - n), (r1, r0, zero, -alpha)),
     ]
@@ -189,32 +185,25 @@ def _run_dim3(va: VAnalysis) -> CaseResult:
     phi1, phi2 = phis
     alpha1, alpha2 = alphas
 
-    c1 = psi.matrix.column(0)
-    c2 = psi.matrix.column(1)
-    h_q = hburch.transpose_product(c2, phi1.matrix)
-    h_r = hburch.transpose_product(c1, phi2.matrix)
+    h_q, _ = hburch.transpose_product(*psi.matrix.column(1), phi1.matrix)
+    h_r, _ = hburch.transpose_product(*psi.matrix.column(0), phi2.matrix)
     p3 = va.new_gens[3]
-    cert_q = membership.two_gen_solve(alpha1, h_q[0], h_q[1],
-                                      st_degree=a, uv_degree=b - mus[0])
-    cert_r = membership.two_gen_solve(alpha2, h_r[0], h_r[1],
-                                      st_degree=a, uv_degree=b - mus[1])
-    cert_m = membership.two_gen_solve(p3, h_q[0], h_q[1])
-    cert_n = membership.two_gen_solve(p3, h_r[0], h_r[1])
-    q = (cert_q.x0, cert_q.x1)
-    r = (cert_r.x0, cert_r.x1)
-    mm = (cert_m.x0, cert_m.x1)
-    nn = (cert_n.x0, cert_n.x1)
+    q = membership.two_gen_solve(alpha1, *h_q, st_degree=a,
+                                 uv_degree=b - mus[0])
+    r = membership.two_gen_solve(alpha2, *h_r, st_degree=a,
+                                 uv_degree=b - mus[1])
+    mm = membership.two_gen_solve(p3, *h_q)
+    nn = membership.two_gen_solve(p3, *h_r)
 
-    phi1q = _mat_vec(phi1.matrix, list(q))
-    phi2r = _mat_vec(phi2.matrix, list(r))
-    phi1m = _mat_vec(phi1.matrix, list(mm))
-    phi2n = _mat_vec(phi2.matrix, list(nn))
+    phi1q = _mat_vec(phi1.matrix, q)
+    phi2r = _mat_vec(phi2.matrix, r)
+    phi1m = _mat_vec(phi1.matrix, mm)
+    phi2n = _mat_vec(phi2.matrix, nn)
     theta_col = [x - y for x, y in zip(phi1q, phi2r)]
 
     zero = BiPoly.zero(p)
     cols = [
-        SyzygyColumn("S", (0, n), (va.g[0].to_bipoly(), va.g[1].to_bipoly(),
-                                   va.g[2].to_bipoly(), zero)),
+        SyzygyColumn("S", (0, n), (*va.g, zero)),
         SyzygyColumn("S1", (a, b - n), (*theta_col, zero)),
         SyzygyColumn("S2", (a, b - mus[1]), (*phi1m, -alpha2)),
         SyzygyColumn("S3", (a, b - mus[0]), (*phi2n, -alpha1)),
@@ -224,7 +213,7 @@ def _run_dim3(va: VAnalysis) -> CaseResult:
     nvec = (n0, p3, -alpha1, alpha2)
     # signed 2x2 minors of Theta = [phi1 q - phi2 r | g] recover f': minor
     # i is the determinant of rows i + 1 and i + 2, cyclically
-    theta = [(x, gk.to_bipoly()) for x, gk in zip(theta_col, va.g)]
+    theta = list(zip(theta_col, va.g))
     checks["theta_minors"] = all(
         (x0 * y1 - y0 * x1 - f).is_zero
         for ((x0, y0), (x1, y1)), f in zip(
@@ -252,34 +241,26 @@ def _run_dim4(va: VAnalysis) -> CaseResult:
     comp23 = hburch.compose(phis[2].matrix, gammas[(1, 2)].matrix,
                             [mus[1]] * 4)
 
-    c1 = psi.matrix.column(0)
-    c2 = psi.matrix.column(1)
-    c3 = psi.matrix.column(2)
-    h_a = hburch.transpose_product(c2, comp13)  # targets alpha1, alpha3
-    h_b = hburch.transpose_product(c3, comp12)  # targets alpha1, alpha2
-    h_c = hburch.transpose_product(c1, comp23)  # targets alpha2, alpha3
+    column = psi.matrix.column
+    # h_a targets alpha1, alpha3; h_b alpha1, alpha2; h_c alpha2, alpha3
+    h_a, _ = hburch.transpose_product(*column(1), comp13)
+    h_b, _ = hburch.transpose_product(*column(2), comp12)
+    h_c, _ = hburch.transpose_product(*column(0), comp23)
+    a2, a3, b3, b1, c2p, c1p = (
+        membership.two_gen_solve(alphas[k], *h, st_degree=a,
+                                 uv_degree=b - mus[k])
+        for k, h in [(0, h_a), (0, h_b), (1, h_b), (1, h_c), (2, h_a),
+                     (2, h_c)])
 
-    def solve(target: BiPoly, h: list[UniHomPoly], d: int) -> tuple[BiPoly, BiPoly]:
-        cert = membership.two_gen_solve(target, h[0], h[1],
-                                        st_degree=a, uv_degree=d)
-        return cert.x0, cert.x1
-
-    a2 = solve(alpha1, h_a, b - mus[0])
-    a3 = solve(alpha1, h_b, b - mus[0])
-    b3 = solve(alpha2, h_b, b - mus[1])
-    b1 = solve(alpha2, h_c, b - mus[1])
-    c2p = solve(alpha3, h_a, b - mus[2])
-    c1p = solve(alpha3, h_c, b - mus[2])
-
-    s1 = [x - y for x, y in zip(_mat_vec(comp12, list(b3)),
-                                _mat_vec(comp13, list(c2p)))]
-    s2 = [x - y for x, y in zip(_mat_vec(comp23, list(c1p)),
-                                _mat_vec(comp12, list(a3)))]
-    s3 = [x - y for x, y in zip(_mat_vec(comp13, list(a2)),
-                                _mat_vec(comp23, list(b1)))]
+    s1 = [x - y for x, y in zip(_mat_vec(comp12, b3),
+                                _mat_vec(comp13, c2p))]
+    s2 = [x - y for x, y in zip(_mat_vec(comp23, c1p),
+                                _mat_vec(comp12, a3))]
+    s3 = [x - y for x, y in zip(_mat_vec(comp13, a2),
+                                _mat_vec(comp23, b1))]
 
     cols = [
-        SyzygyColumn("S", (0, n), tuple(gk.to_bipoly() for gk in va.g)),
+        SyzygyColumn("S", (0, n), va.g),
         SyzygyColumn("S1", (a, b - n + mus[0]), tuple(s1)),
         SyzygyColumn("S2", (a, b - n + mus[1]), tuple(s2)),
         SyzygyColumn("S3", (a, b - mus[0] - mus[1]), tuple(s3)),
@@ -293,7 +274,7 @@ def _run_dim4(va: VAnalysis) -> CaseResult:
     checks["gamma_minors"] = all(
         (x - y).is_zero for (i, j), gamma in gammas.items()
         for x, y in zip(gamma.minors, hburch.transpose_product(
-            psi.matrix.column(i), phis[j].matrix)))
+            *column(i), phis[j].matrix)[0]))
     checks["alpha12_coprime"] = membership.bihomog_coprime(alpha1, alpha2)
     aux = {"mus": tuple(mus), "psi": psi, "phis": phis, "gammas": gammas,
            "alphas": tuple(alphas), "a2": a2, "a3": a3, "b3": b3, "b1": b1,

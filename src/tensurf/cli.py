@@ -18,10 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .bipoly import (DEFAULT_PRIME, CertificateError, FieldConfig,
-                     HypothesisError, ParseError, poly_to_str, uni_to_str)
+                     HypothesisError, ParseError, poly_to_str)
 from .cases import run_case
 from .gen import GenSpec, generate
 from .oracle import check_prime_floor, implicitize
@@ -42,7 +43,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="tensurf", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -229,8 +232,8 @@ def _result_payload(inp, side, result) -> dict:
         "certificate": {"mode": "interpolate", "n_points": 40,
                         "passed": True},
         "basepoints": {"status": bp.status, "detail": bp.detail,
-                       "g_uv": uni_to_str(bp.g_uv, pair="st"),
-                       "g_st": uni_to_str(bp.g_st, pair="uv")},
+                       "g_uv": poly_to_str(bp.g_uv),
+                       "g_st": poly_to_str(bp.g_st)},
     }
 
 
@@ -339,7 +342,7 @@ def _selftest_checks() -> list[tuple[str, bool]]:
         ("det = c * F^2 exactly", worked.certificate.exponent == 2),
         ("Segre n=1 dimV=2", sva.n == 1 and sva.dim_v == 2),
         ("Segre g = (u, v)",
-         tuple(uni_to_str(g) for g in sva.g) == ("u", "v")),
+         tuple(poly_to_str(g) for g in sva.g) == ("u", "v")),
         ("Segre equation x0*x3 - x1*x2",
          segre.oracle.f == parse_xpoly("x0*x3 - x1*x2", field.p)),
         ("Segre certificate d = 1", segre.certificate.exponent == 1),

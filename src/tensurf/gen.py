@@ -18,8 +18,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .bipoly import (BiPoly, CertificateError, FieldConfig, HypothesisError,
-                     UniHomPoly, dot, uni_gcd)
+                     dot, uni_gcd)
 from .cases import CaseResult, run_case
 from .oracle import basepoint_check
 from .syzygy import SurfaceInput, VAnalysis, analyze
@@ -86,20 +88,20 @@ class GeneratedInstance:
     attempts: int
 
 
-def _random_uni(rng: random.Random, p: int, degree: int) -> UniHomPoly:
+def _random_uni(rng: random.Random, p: int, degree: int) -> BiPoly:
+    """A nonzero (0, degree)-form in (u, v)."""
     while True:
-        coeffs = tuple(rng.randrange(p) for _ in range(degree + 1))
+        coeffs = [rng.randrange(p) for _ in range(degree + 1)]
         if any(coeffs):
-            return UniHomPoly(p, degree, coeffs)
+            return BiPoly.from_grid(np.array([coeffs]), p)
 
 
 def _random_coprime_pair(rng: random.Random, p: int, degree: int
-                         ) -> tuple[UniHomPoly, UniHomPoly]:
+                         ) -> tuple[BiPoly, BiPoly]:
     while True:
         g0 = _random_uni(rng, p, degree)
         g1 = _random_uni(rng, p, degree)
-        gcd = uni_gcd(g0, g1)
-        if gcd.degree == 0 and not gcd.is_zero:
+        if uni_gcd(g0, g1).bidegree() == (0, 0):
             return g0, g1
 
 
@@ -122,8 +124,8 @@ def _build_dim2(spec: GenSpec, rng: random.Random, field: FieldConfig
     a, b, n, p = spec.a, spec.b, spec.n, field.p
     g0, g1 = _random_coprime_pair(rng, p, n)
     h = _random_bipoly(rng, p, a, b - n)
-    f0 = g1.to_bipoly() * h
-    f1 = -(g0.to_bipoly() * h)
+    f0 = g1 * h
+    f1 = -(g0 * h)
     r2 = _random_bipoly(rng, p, a, b)
     r3 = _random_bipoly(rng, p, a, b)
     return SurfaceInput(a, b, (f0, f1, r2, r3), field)
@@ -138,8 +140,7 @@ def _build_planted_psi(spec: GenSpec, rng: random.Random, field: FieldConfig
     psi = [[_random_uni(rng, p, mus[k]) for k in range(rows - 1)]
            for _ in range(rows)]
     ws = [_random_bipoly(rng, p, a, b - mus[k]) for k in range(rows - 1)]
-    f_prime = [dot([e.to_bipoly() for e in row], ws, BiPoly.zero(p))
-               for row in psi]
+    f_prime = [dot(row, ws, BiPoly.zero(p)) for row in psi]
     if rows == 3:
         gens = (*f_prime, _random_bipoly(rng, p, a, b))
     else:

@@ -1,12 +1,13 @@
 """Graded free resolutions of finite lists of binary forms.
 
-The syzygy module of k binary forms (not all zero, unit gcd among the nonzero
-ones) is free of rank k-1, so each list has a k x (k-1) graded syzygy matrix
-and the list is recovered, up to a unit, by the signed maximal minors
-(Hilbert-Burch).  Matrices carry shift bookkeeping: entry (i, j) of a
-:class:`GradedSyzMatrix` is homogeneous of degree col_degrees[j] -
-row_degrees[i]; when that number is negative the entry must be zero (stored
-as the degree-0 zero form).
+A binary form here is a (0, d) :class:`~tensurf.bipoly.BiPoly` in (u, v).
+The syzygy module of k binary forms (not all zero, unit gcd among the
+nonzero ones) is free of rank k-1, so each list has a k x (k-1) graded
+syzygy matrix and the list is recovered, up to a unit, by the signed maximal
+minors (Hilbert-Burch).  A zero form has no degree, so lists carry their
+degrees beside them and matrices carry shift bookkeeping: entry (i, j) of a
+:class:`GradedSyzMatrix` is a form of degree col_degrees[j] -
+row_degrees[i]; when that number is negative the entry must be zero.
 
 Minimal generators of the syzygy module are found degree by degree: at each
 total degree d, the full kernel K_d of the coefficient system is computed,
@@ -17,14 +18,14 @@ plus the already-selected generators are kept, in canonical kernel order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import linalg
-from .bipoly import (CertificateError, UniHomPoly, dot, multiplication_matrix,
-                     uni_gcd)
+from .bipoly import (BiPoly, CertificateError, coeff_grid, dot,
+                     multiplication_matrix, uni_gcd)
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class GradedSyzMatrix:
     p: int
     row_degrees: tuple[int, ...]
     col_degrees: tuple[int, ...]
-    entries: tuple[tuple[UniHomPoly, ...], ...]
+    entries: tuple[tuple[BiPoly, ...], ...]
 
     def __post_init__(self) -> None:
         for i, row in enumerate(self.entries):
@@ -42,28 +43,22 @@ class GradedSyzMatrix:
                 raise ValueError("entry row length mismatch")
             for j, e in enumerate(row):
                 d = self.col_degrees[j] - self.row_degrees[i]
-                if d < 0:
-                    if not e.is_zero:
-                        raise ValueError(
-                            f"entry ({i},{j}) must vanish (formal degree {d})")
-                elif e.degree != d and not e.is_zero:
+                if d < 0 and not e.is_zero:
                     raise ValueError(
-                        f"entry ({i},{j}) has degree {e.degree}, expected {d}")
+                        f"entry ({i},{j}) must vanish (formal degree {d})")
+                if d >= 0 and not e.is_bihomogeneous(0, d):
+                    raise ValueError(
+                        f"entry ({i},{j}) has bidegree {e.bidegree()}, "
+                        f"expected (0, {d})")
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.row_degrees), len(self.col_degrees)
 
-    def column(self, j: int) -> list[UniHomPoly]:
-        """Column j with every entry carrying its formal degree (clamped at 0)."""
-        out = []
-        for i in range(len(self.row_degrees)):
-            d = self.col_degrees[j] - self.row_degrees[i]
-            e = self.entries[i][j]
-            if d >= 0 and e.degree != d:
-                e = UniHomPoly.zero(self.p, d)
-            out.append(e)
-        return out
+    def column(self, j: int) -> tuple[list[BiPoly], list[int]]:
+        """Column j and the degree of each entry (clamped at 0)."""
+        return ([row[j] for row in self.entries],
+                [max(self.col_degrees[j] - rd, 0) for rd in self.row_degrees])
 
     def scale_column(self, j: int, c: int) -> "GradedSyzMatrix":
         rows = []
@@ -74,18 +69,18 @@ class GradedSyzMatrix:
         return GradedSyzMatrix(self.p, self.row_degrees, self.col_degrees,
                                tuple(rows))
 
-    def check_annihilates(self, gens: Sequence[UniHomPoly]) -> bool:
-        zero = UniHomPoly.zero(self.p, 0)
+    def check_annihilates(self, gens: Sequence[BiPoly]) -> bool:
+        zero = BiPoly.zero(self.p)
         return all(dot(col, gens, zero).is_zero for col in zip(*self.entries))
 
 
-def _kernel_at_degree(gens: Sequence[UniHomPoly], delta: int, p: int
-                      ) -> list[NDArray[np.int64]]:
+def _kernel_at_degree(gens: Sequence[BiPoly], degrees: Sequence[int],
+                      delta: int, p: int) -> list[NDArray[np.int64]]:
     """Canonical basis of degree-delta syzygies, in block coordinates: the
     kernel of the multiplication matrices of the generators with
     deg g <= delta, each by degree delta - deg g."""
-    blocks = [multiplication_matrix(np.array([g.coeffs]), 0, delta - g.degree)
-              for g in gens if g.degree <= delta]
+    blocks = [multiplication_matrix(coeff_grid(g, 0, d), 0, delta - d)
+              for g, d in zip(gens, degrees) if d <= delta]
     return linalg.kernel_basis(np.hstack(blocks), p) if blocks else []
 
 
@@ -107,8 +102,10 @@ def _lift(vec: NDArray[np.int64], delta: int, row_degrees: Sequence[int],
     return out[:, 0], out[:, 1]
 
 
-def min_graded_syzygies(gens: Sequence[UniHomPoly], p: int) -> GradedSyzMatrix:
-    """Minimal generators of the syzygy module of a list of binary forms.
+def min_graded_syzygies(gens: Sequence[BiPoly], degrees: Sequence[int],
+                        p: int) -> GradedSyzMatrix:
+    """Minimal generators of the syzygy module of a list of binary forms,
+    the i-th of degree ``degrees[i]``.
 
     Columns appear in order of ascending degree, ties in canonical kernel
     order.  Zero generators are allowed (their unit syzygies appear at the
@@ -117,21 +114,24 @@ def min_graded_syzygies(gens: Sequence[UniHomPoly], p: int) -> GradedSyzMatrix:
     k = len(gens)
     if k < 2:
         raise ValueError("need at least two generators")
+    if len(degrees) != k or not all(
+            g.is_bihomogeneous(0, d) for g, d in zip(gens, degrees)):
+        raise ValueError("generators do not have the given degrees")
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         raise ValueError("all generators vanish")
     common = nonzero[0]
     for g in nonzero[1:]:
         common = uni_gcd(common, g)
-    if common.degree > 0:
+    if common.bidegree() != (0, 0):
         raise ValueError("nonzero generators share a common factor")
 
-    row_degrees = [g.degree for g in gens]
+    row_degrees = list(degrees)
     cap = sum(row_degrees) + 1
     cols: list[tuple[int, NDArray[np.int64]]] = []
     prev_kernel: list[NDArray[np.int64]] = []
     for delta in range(min(row_degrees), cap + 1):
-        kernel = _kernel_at_degree(gens, delta, p)
+        kernel = _kernel_at_degree(gens, row_degrees, delta, p)
         if kernel:
             # the leftmost pivots of [lifts | kernel] are the greedy choice
             lifts = [v for w in prev_kernel
@@ -150,14 +150,13 @@ def min_graded_syzygies(gens: Sequence[UniHomPoly], p: int) -> GradedSyzMatrix:
             "degree sum of syzygy columns differs from the generator degrees")
 
     col_degrees = tuple(d for d, _ in cols)
-    entries: list[list[UniHomPoly]] = [[] for _ in range(k)]
+    entries: list[list[BiPoly]] = [[] for _ in range(k)]
     for delta, vec in cols:
         off = 0
         for i, rd in enumerate(row_degrees):
             size = max(delta - rd + 1, 0)
-            block = tuple(int(c) for c in vec[off:off + size])
-            entries[i].append(UniHomPoly(p, delta - rd, block) if size
-                              else UniHomPoly.zero(p, 0))
+            entries[i].append(BiPoly.from_grid(vec[None, off:off + size], p)
+                              if size else BiPoly.zero(p))
             off += size
     out = GradedSyzMatrix(p, tuple(row_degrees), col_degrees,
                           tuple(tuple(r) for r in entries))
@@ -166,32 +165,19 @@ def min_graded_syzygies(gens: Sequence[UniHomPoly], p: int) -> GradedSyzMatrix:
     return out
 
 
-def _poly_det(rows: list[list[UniHomPoly]]) -> Optional[UniHomPoly]:
-    """Determinant by cofactor expansion, skipping zero entries.
-
-    Returns None when every expansion term vanishes identically (the caller
-    supplies the formal degree of the zero result).
-    """
-    m = len(rows)
-    if m == 1:
-        e = rows[0][0]
-        return None if e.is_zero else e
-    acc: Optional[UniHomPoly] = None
+def _poly_det(rows: list[list[BiPoly]], p: int) -> BiPoly:
+    """Determinant by cofactor expansion, skipping zero entries."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = BiPoly.zero(p)
     for j, e in enumerate(rows[0]):
-        if e.is_zero:
-            continue
-        sub = [[r[jj] for jj in range(m) if jj != j] for r in rows[1:]]
-        inner = _poly_det(sub)
-        if inner is None:
-            continue
-        term = e * inner
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
+        if not e.is_zero:
+            term = e * _poly_det([r[:j] + r[j + 1:] for r in rows[1:]], p)
+            acc = acc - term if j % 2 else acc + term
     return acc
 
 
-def signed_minors(mat: GradedSyzMatrix) -> list[UniHomPoly]:
+def signed_minors(mat: GradedSyzMatrix) -> list[BiPoly]:
     """(-1)^i * det(mat with row i removed), for a k x (k-1) matrix."""
     k, km1 = mat.shape
     if km1 != k - 1:
@@ -199,17 +185,11 @@ def signed_minors(mat: GradedSyzMatrix) -> list[UniHomPoly]:
     expected_total = sum(mat.col_degrees) - sum(mat.row_degrees)
     out = []
     for i in range(k):
-        rows = [[mat.entries[r][j] for j in range(k - 1)]
-                for r in range(k) if r != i]
-        det = _poly_det(rows)
-        degree = expected_total + mat.row_degrees[i]
-        if det is None:
-            det = UniHomPoly.zero(mat.p, max(degree, 0))
-        elif det.degree != degree:
+        det = _poly_det([list(row) for r, row in enumerate(mat.entries)
+                         if r != i], mat.p)
+        if not det.is_bihomogeneous(0, expected_total + mat.row_degrees[i]):
             raise CertificateError("minor degree mismatch")
-        if i % 2 == 1:
-            det = -det
-        out.append(det)
+        out.append(-det if i % 2 else det)
     return out
 
 
@@ -218,27 +198,29 @@ class HBResolution:
     """A list of binary forms with its normalized graded syzygy matrix.
 
     After normalization the signed maximal minors of ``matrix`` equal the
-    generators exactly; ``lam`` is the unit the raw first column was scaled by.
+    generators exactly, whose degrees are ``matrix.row_degrees``; ``lam``
+    is the unit the raw first column was scaled by.
     """
 
-    gens: tuple[UniHomPoly, ...]
+    gens: tuple[BiPoly, ...]
     matrix: GradedSyzMatrix
     lam: int
-    minors: tuple[UniHomPoly, ...]
+    minors: tuple[BiPoly, ...]
 
 
-def normalized_resolution(gens: Sequence[UniHomPoly], p: int) -> HBResolution:
-    """Resolve a list of binary forms and normalize via Hilbert-Burch."""
-    mat = min_graded_syzygies(gens, p)
+def normalized_resolution(gens: Sequence[BiPoly], degrees: Sequence[int],
+                          p: int) -> HBResolution:
+    """Resolve a list of binary forms of the given degrees and normalize
+    via Hilbert-Burch."""
+    mat = min_graded_syzygies(gens, degrees, p)
     minors = signed_minors(mat)
     lam = None
     for g, d in zip(gens, minors):
         if g.is_zero != d.is_zero:
             raise CertificateError("minor vanishes against a nonzero generator")
         if not g.is_zero:
-            g_lead = next(c for c in g.coeffs if c)
-            d_lead = next(c for c in d.coeffs if c)
-            lam = g_lead * pow(d_lead, -1, p) % p
+            # the largest key is the first monomial in coeff_grid order
+            lam = g.terms[max(g.terms)] * pow(d.terms[max(d.terms)], -1, p) % p
             break
     if lam is None:
         raise CertificateError("cannot normalize: all generators vanish")
@@ -251,41 +233,40 @@ def normalized_resolution(gens: Sequence[UniHomPoly], p: int) -> HBResolution:
     return HBResolution(tuple(gens), mat, lam, tuple(minors))
 
 
-def hilbert_burch_psi(g: Sequence[UniHomPoly], p: int) -> HBResolution:
+def hilbert_burch_psi(g: Sequence[BiPoly], p: int) -> HBResolution:
     """Normalized resolution of the g-vector (common degree, unit gcd)."""
     if not 2 <= len(g) <= 4:
         raise ValueError("expected between two and four entries")
-    degrees = {gk.degree for gk in g}
-    if len(degrees) != 1:
-        raise ValueError("entries of g must share one degree")
     if any(gk.is_zero for gk in g):
         raise CertificateError("an entry of g vanishes")
-    return normalized_resolution(g, p)
+    bidegrees = {gk.bidegree() for gk in g}
+    if len(bidegrees) != 1:
+        raise ValueError("entries of g must share one degree")
+    n = bidegrees.pop()[1]
+    return normalized_resolution(g, [n] * len(g), p)
 
 
 def column_resolutions(psi: HBResolution) -> list[HBResolution]:
     """Normalized resolutions of each column of psi's matrix."""
     out = []
     for j in range(len(psi.matrix.col_degrees)):
-        out.append(normalized_resolution(psi.matrix.column(j), psi.matrix.p))
+        out.append(normalized_resolution(*psi.matrix.column(j), psi.matrix.p))
     return out
 
 
-def transpose_product(column: Sequence[UniHomPoly], mat: GradedSyzMatrix
-                      ) -> list[UniHomPoly]:
-    """Row vector column^T * mat with formal degree bookkeeping.
+def transpose_product(column: Sequence[BiPoly], degrees: Sequence[int],
+                      mat: GradedSyzMatrix) -> tuple[list[BiPoly], list[int]]:
+    """Row vector column^T * mat and the degree of each entry.
 
     The column entries must share one degree and the matrix rows one shift.
     """
-    col_deg = {c.degree for c in column if not c.is_zero}
-    if len(col_deg) > 1:
+    if len(set(degrees)) != 1:
         raise ValueError("column entries must share one degree")
     if len(set(mat.row_degrees)) != 1:
         raise ValueError("matrix row shifts must be uniform")
-    mu = col_deg.pop() if col_deg else 0
-    shift = mat.row_degrees[0]
-    return [dot(column, col, UniHomPoly.zero(mat.p, max(mu + cd - shift, 0)))
-            for col, cd in zip(zip(*mat.entries), mat.col_degrees)]
+    shift, zero = degrees[0] - mat.row_degrees[0], BiPoly.zero(mat.p)
+    return ([dot(column, col, zero) for col in zip(*mat.entries)],
+            [max(cd + shift, 0) for cd in mat.col_degrees])
 
 
 def compose(left: GradedSyzMatrix, right: GradedSyzMatrix,
@@ -293,10 +274,9 @@ def compose(left: GradedSyzMatrix, right: GradedSyzMatrix,
     """Matrix product left * right as a graded matrix with given row shifts."""
     if len(left.col_degrees) != len(right.row_degrees):
         raise ValueError("inner dimensions differ")
-    entries = tuple(
-        tuple(dot(row, col, UniHomPoly.zero(left.p, max(cd - rd, 0)))
-              for col, cd in zip(zip(*right.entries), right.col_degrees))
-        for row, rd in zip(left.entries, row_degrees))
+    zero = BiPoly.zero(left.p)
+    entries = tuple(tuple(dot(row, col, zero) for col in zip(*right.entries))
+                    for row in left.entries)
     return GradedSyzMatrix(left.p, tuple(row_degrees), right.col_degrees,
                            entries)
 
@@ -306,7 +286,6 @@ def gamma_matrices(psi: HBResolution, phis: Sequence[HBResolution]
     """Resolutions of C_i^T phi_j for the pairs (0,1), (0,2), (1,2)."""
     out = {}
     for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-        h = transpose_product(psi.matrix.column(i), phis[j].matrix)
-        out[(i, j)] = normalized_resolution(h, psi.matrix.p)
+        h = transpose_product(*psi.matrix.column(i), phis[j].matrix)
+        out[(i, j)] = normalized_resolution(*h, psi.matrix.p)
     return out
-

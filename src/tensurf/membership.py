@@ -16,11 +16,14 @@ is one rank: two forms are coprime when their syzygies form a line.
 `resultant_uv` samples the (u, v)-resultants of pairs of forms at s = 0..D
 as d x d Bezout determinants, all in one batch, and interpolates them by
 two products with the cached operators of those nodes.
+
+Binary forms are :class:`~tensurf.bipoly.BiPoly` forms: h0 and h1 are the
+nonzero (0, m)- and (0, n)-forms in (u, v), and the resultants come back
+as (D, 0)-forms in (s, t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +34,6 @@ from .bipoly import (
     BiPoly,
     CertificateError,
     HypothesisError,
-    UniHomPoly,
     coeff_grid,
     dot,
     multiplication_matrix,
@@ -40,36 +42,33 @@ from .bipoly import (
 from .hburch import HBResolution
 
 
-def pair_system(h0: UniHomPoly, h1: UniHomPoly, d: int, p: int
+def pair_system(h0: BiPoly, h1: BiPoly, d: int, p: int
                 ) -> NDArray[np.int64]:
-    """Multiplication matrices of h0, then h1, by degree d - deg h: columns
-    u^(e-w) v^w h against the degree-d rows."""
-    return np.hstack([multiplication_matrix(np.array([h.coeffs]), 0,
-                                            d - h.degree) for h in (h0, h1)])
+    """Multiplication matrices of the nonzero (u, v)-forms h0, then h1, by
+    degree d - deg h: columns u^(e-w) v^w h against the degree-d rows."""
+    blocks = []
+    for h in (h0, h1):
+        e = h.bidegree()[1]
+        blocks.append(multiplication_matrix(coeff_grid(h, 0, e), 0, d - e))
+    return np.hstack(blocks)
 
 
-@dataclass(frozen=True)
-class TwoGenCertificate:
-    """target = x0 * h0 + x1 * h1."""
-
-    x0: BiPoly
-    x1: BiPoly
-
-
-def two_gen_solve(target: BiPoly, h0: UniHomPoly, h1: UniHomPoly,
+def two_gen_solve(target: BiPoly, h0: BiPoly, h1: BiPoly,
                   st_degree: Optional[int] = None,
-                  uv_degree: Optional[int] = None) -> TwoGenCertificate:
-    """Canonical membership certificate of target in (h0, h1).
+                  uv_degree: Optional[int] = None) -> tuple[BiPoly, BiPoly]:
+    """The canonical (x0, x1) with target = x0 * h0 + x1 * h1.
 
-    Requires unit gcd and target uv-degree d >= deg h0 + deg h1 - 1.  The
-    system is :func:`pair_system` (h0 and h1 times degree d - deg h), solved
-    slice by slice over s^i t^(c-i), every slice a column of one
-    right-hand side, with free variables zero; the result is verified
-    exactly before returning.
+    Requires nonzero (u, v)-forms h0, h1 with unit gcd and target
+    uv-degree d >= deg h0 + deg h1 - 1.  The system is :func:`pair_system`
+    (h0 and h1 times degree d - deg h), solved slice by slice over
+    s^i t^(c-i), every slice a column of one right-hand side, with free
+    variables zero; the result is verified exactly before returning.
     """
     p = h0.p
-    common = uni_gcd(h0, h1)
-    if common.is_zero or common.degree > 0:
+    for name, h in (("h0", h0), ("h1", h1)):
+        if h.is_zero:
+            raise HypothesisError(f"the form {name} is zero")
+    if uni_gcd(h0, h1).bidegree() != (0, 0):
         raise HypothesisError("the pair of forms shares a common factor")
     bd = target.bidegree()
     if bd is not None:
@@ -77,20 +76,20 @@ def two_gen_solve(target: BiPoly, h0: UniHomPoly, h1: UniHomPoly,
     if st_degree is None or uv_degree is None:
         raise ValueError("zero target needs explicit degrees")
     c, d = st_degree, uv_degree
-    if d < h0.degree + h1.degree - 1:
+    m0, m1 = h0.bidegree()[1], h1.bidegree()[1]
+    if d < m0 + m1 - 1:
         raise HypothesisError(
             f"target uv-degree {d} below the membership threshold "
-            f"{h0.degree + h1.degree - 1}")
+            f"{m0 + m1 - 1}")
     M = pair_system(h0, h1, d, p)
-    e0 = d - h0.degree
     x = linalg.solve_particular(M, coeff_grid(target, c, d).T, p)
     if x is None:
         raise CertificateError("membership system unexpectedly inconsistent")
-    x0, x1 = (BiPoly.from_grid(part.T, p) for part in np.split(x, [e0 + 1]))
-    if not (target - dot([x0, x1], [h0.to_bipoly(), h1.to_bipoly()],
-                         BiPoly.zero(p))).is_zero:
+    x0, x1 = (BiPoly.from_grid(part.T, p)
+              for part in np.split(x, [d - m0 + 1]))
+    if not (target - dot([x0, x1], [h0, h1], BiPoly.zero(p))).is_zero:
         raise CertificateError("membership certificate failed the exact check")
-    return TwoGenCertificate(x0, x1)
+    return x0, x1
 
 
 def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
@@ -106,9 +105,9 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
     mus = [cd - n for cd in mat.col_degrees]
     if any(b - mu < 0 for mu in mus):
         raise HypothesisError("a column degree of psi exceeds b")
-    M = np.hstack([np.vstack([multiplication_matrix(np.array([e.coeffs]), 0,
+    M = np.hstack([np.vstack([multiplication_matrix(coeff_grid(e, 0, mu), 0,
                                                     b - mu)
-                              for e in mat.column(j)])
+                              for e in mat.column(j)[0]])
                    for j, mu in enumerate(mus)])
     if linalg.kernel_basis(M, p):
         raise CertificateError("psi is not injective in the solve degree")
@@ -121,8 +120,7 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
     alphas = [BiPoly.from_grid(part.T, p) for part in np.split(x, ends[:-1])]
     # exact verification
     for row, f in zip(mat.entries, f_prime):
-        if not (dot([e.to_bipoly() for e in row], alphas, BiPoly.zero(p))
-                - f).is_zero:
+        if not (dot(row, alphas, BiPoly.zero(p)) - f).is_zero:
             raise CertificateError("psi solve failed the exact check")
     return alphas
 
@@ -132,10 +130,10 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
 
 
 def resultant_uv(pairs: Sequence[tuple[BiPoly, BiPoly]], c: int, d: int,
-                 p: int) -> list[UniHomPoly]:
+                 p: int) -> list[BiPoly]:
     """Homogeneous resultants in (u, v) of pairs of (c, d)-forms.
 
-    Each is a binary form in (s, t) of degree D = 2cd, sampled at t = 1 and
+    Each is a (D, 0)-form in (s, t), D = 2cd, sampled at t = 1 and
     s = 0..D (distinct since p > D).  There the resultant of two (u, v)-forms
     of formal degree d is (-1)^(d(d+1)/2) times the determinant of their
     symmetric d x d Bezout matrix B (Cox, Little & O'Shea, *Using Algebraic
@@ -167,7 +165,8 @@ def resultant_uv(pairs: Sequence[tuple[BiPoly, BiPoly]], c: int, d: int,
     dets = dets.reshape(D + 1, n) * (-1) ** (d * (d + 1) // 2) % p
     diff, newton = linalg.newton_operators(D, p)
     coeffs = linalg.matmul_mod(newton, linalg.matmul_mod(diff, dets, p), p)
-    return [UniHomPoly(p, D, tuple(col[::-1].tolist())) for col in coeffs.T]
+    # coeffs[m] is the coefficient of s^m t^(D-m), grid row D - m
+    return [BiPoly.from_grid(col[::-1, None], p) for col in coeffs.T]
 
 
 def bihomog_coprime(f: BiPoly, g: BiPoly) -> bool:

@@ -74,8 +74,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import linalg
-from .bipoly import (CertificateError, FieldConfig, HypothesisError,
-                     UniHomPoly, multiplication_matrix, uni_gcd)
+from .bipoly import (BiPoly, CertificateError, FieldConfig, HypothesisError,
+                     mirror_poly, multiplication_matrix, uni_gcd)
 from .cases import CaseResult, run_case
 from .membership import resultant_uv
 from .planes import peel, section
@@ -380,16 +380,16 @@ class BasepointReport:
     ``free`` proves there is no common zero on P^1 x P^1 even over the
     algebraic closure, and ``basepoint`` proves there is one; ``detail``
     names the test that settled it.  ``g_uv`` and ``g_st`` are the
-    resultant gcds of the two charts (in (s, t) and (u, v) respectively).
+    resultant gcds of the two charts, in (s, t) and (u, v) respectively.
     """
 
     status: str
-    g_uv: UniHomPoly
-    g_st: UniHomPoly
+    g_uv: BiPoly
+    g_st: BiPoly
     detail: str
 
 
-def _resultant_gcd(inp: SurfaceInput) -> UniHomPoly:
+def _resultant_gcd(inp: SurfaceInput) -> BiPoly:
     """gcd in (s, t) of the pairwise uv-resultants of the generators.
 
     A common zero makes every pairwise resultant vanish at its (s : t), so
@@ -399,11 +399,11 @@ def _resultant_gcd(inp: SurfaceInput) -> UniHomPoly:
     """
     p = inp.field.p
     g0, *rest = inp.gens
-    acc = UniHomPoly.zero(p, 0)
+    acc = BiPoly.zero(p)
     for pairs in ([(g0, g) for g in rest], list(combinations(rest, 2))):
         for res in resultant_uv(pairs, inp.a, inp.b, p):
             acc = uni_gcd(acc, res)
-            if acc.degree == 0 and not acc.is_zero:
+            if acc.bidegree() == (0, 0):
                 return acc
     return acc
 
@@ -451,8 +451,8 @@ def basepoint_check(inp: SurfaceInput) -> BasepointReport:
     :func:`_spans_bidegree` decides.
     """
     g_uv = _resultant_gcd(inp)
-    g_st = _resultant_gcd(inp.mirror())
-    if all(not g.is_zero and g.degree == 0 for g in (g_uv, g_st)):
+    g_st = mirror_poly(_resultant_gcd(inp.mirror()))
+    if g_uv.bidegree() == g_st.bidegree() == (0, 0):
         return BasepointReport(
             "free", g_uv, g_st,
             "pairwise resultants have constant gcd on both charts")

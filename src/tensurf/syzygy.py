@@ -25,7 +25,6 @@ from .bipoly import (
     CertificateError,
     FieldConfig,
     HypothesisError,
-    UniHomPoly,
     coeff_grid,
     dot,
     mirror_poly,
@@ -123,7 +122,7 @@ class VAnalysis:
     basis_idx: tuple[int, ...]
     B: NDArray[np.int64]
     f_prime: tuple[BiPoly, ...]
-    g: tuple[UniHomPoly, ...]
+    g: tuple[BiPoly, ...]
     new_gens: tuple[BiPoly, ...]
     transition: NDArray[np.int64]
     point_transform: NDArray[np.int64]
@@ -152,12 +151,13 @@ def analyze(inp: SurfaceInput) -> VAnalysis:
     basis_idx = res.pivots
     B = res.matrix[:dim_v, :]
     f_prime = tuple(fam[j] for j in basis_idx)
-    g = tuple(UniHomPoly(p, n, tuple(int(c) for c in B[k])) for k in range(dim_v))
+    # row k of B holds the coefficients of u^(n-j) v^j in g_k
+    g = tuple(BiPoly.from_grid(B[k:k + 1], p) for k in range(dim_v))
 
     common = g[0]
     for gk in g[1:]:
         common = uni_gcd(common, gk)
-    if common.is_zero or common.degree > 0:
+    if common.bidegree() != (0, 0):
         raise CertificateError(
             "entries of g share a common factor; the syzygy was not minimal")
 
@@ -170,8 +170,7 @@ def analyze(inp: SurfaceInput) -> VAnalysis:
     new_gens = list(f_prime) + [inp.gens[j - dim_v] for j in pivots[dim_v:]]
     point_transform = linalg.matrix_inverse(transition.T % p, p)
 
-    if not dot([gk.to_bipoly() for gk in g], f_prime,
-               BiPoly.zero(p)).is_zero:
+    if not dot(g, f_prime, BiPoly.zero(p)).is_zero:
         raise CertificateError("g does not annihilate the reduced family")
 
     return VAnalysis(

@@ -7,12 +7,22 @@ from pathlib import Path
 import numpy as np
 
 from tensurf import oracle
-from tensurf.bipoly import BiPoly, DEFAULT_PRIME, parse_poly
+from tensurf.bipoly import BiPoly, DEFAULT_PRIME, coeff_grid, parse_poly
 from tensurf.cases import CaseResult, SyzygyColumn
 from tensurf.syzygy import SurfaceInput
 
 P = DEFAULT_PRIME
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def uv_form(coeffs, p: int = P) -> BiPoly:
+    """The (0, d)-form sum_k coeffs[k] u^(d-k) v^k, d = len(coeffs) - 1."""
+    return BiPoly.from_grid(np.array([[c % p for c in coeffs]]), p)
+
+
+def form_coeffs(f: BiPoly) -> list[int]:
+    """The coefficients of a nonzero binary form in coeff_grid order."""
+    return coeff_grid(f, *f.bidegree()).ravel().tolist()
 
 
 def mutate_case(case: CaseResult, rng) -> CaseResult:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 import gauss_ref
-from tensurf.bipoly import BiPoly, UniHomPoly, mirror_poly, uni_gcd
+from tensurf.bipoly import BiPoly, mirror_poly, uni_gcd
 
 
 def sylvester_from_coeffs(fc: Sequence[int], gc: Sequence[int], p: int
@@ -36,13 +36,15 @@ def sylvester_from_coeffs(fc: Sequence[int], gc: Sequence[int], p: int
     return M
 
 
-def substitute_st(f: BiPoly, s0: int, t0: int, uv_degree: int) -> UniHomPoly:
-    """f with (s, t) specialized at scalars, as a (u, v)-form."""
+def substitute_st(f: BiPoly, s0: int, t0: int, uv_degree: int
+                  ) -> tuple[int, ...]:
+    """f with (s, t) specialized at scalars: the coefficients of
+    u^(d-l) v^l, d = uv_degree."""
     p = f.p
     out = [0] * (uv_degree + 1)
     for (i, j, k, l), c in f.terms.items():
         out[l] = (out[l] + c * pow(s0, i, p) * pow(t0, j, p)) % p
-    return UniHomPoly(p, uv_degree, tuple(out))
+    return tuple(out)
 
 
 def vandermonde_resultant(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
@@ -59,28 +61,29 @@ def vandermonde_resultant(f: BiPoly, g: BiPoly, deg_f: tuple[int, int],
     rows = []
     for s0 in range(D + 1):
         sample = gauss_ref.det(sylvester_from_coeffs(
-            substitute_st(f, s0, 1, df).coeffs,
-            substitute_st(g, s0, 1, dg).coeffs, p), p)
+            substitute_st(f, s0, 1, df), substitute_st(g, s0, 1, dg), p), p)
         rows.append([pow(s0, D - k, p) for k in range(D + 1)] + [sample])
     reduced, pivots = gauss_ref.rref(rows, p)
     assert pivots == list(range(D + 1))
     return tuple(row[-1] for row in reduced)
 
 
-def st_content(f: BiPoly, c: int, d: int) -> UniHomPoly:
-    """gcd of the (s, t)-coefficient forms of f, one per u^k v^l monomial."""
-    groups: dict[tuple[int, int], list[int]] = {}
+def st_content(f: BiPoly, c: int, d: int) -> BiPoly:
+    """gcd of the (s, t)-coefficient forms of f, one per u^k v^l monomial,
+    as a (c', 0)-form."""
+    groups: dict[tuple[int, int], dict] = {}
     for (i, j, k, l), coeff in f.terms.items():
-        groups.setdefault((k, l), [0] * (c + 1))[j] = coeff
-    acc = UniHomPoly.zero(f.p, 0)
-    for coeffs in groups.values():
-        acc = uni_gcd(acc, UniHomPoly(f.p, c, tuple(coeffs)))
+        groups.setdefault((k, l), {})[(i, j, 0, 0)] = coeff
+    acc = BiPoly.zero(f.p)
+    for terms in groups.values():
+        acc = uni_gcd(acc, BiPoly(f.p, terms))
     return acc
 
 
-def uv_content(f: BiPoly, c: int, d: int) -> UniHomPoly:
-    """gcd of the (u, v)-coefficient forms of f, one per s^i t^j monomial."""
-    return st_content(mirror_poly(f), d, c)
+def uv_content(f: BiPoly, c: int, d: int) -> BiPoly:
+    """gcd of the (u, v)-coefficient forms of f, one per s^i t^j monomial,
+    as a (0, d')-form."""
+    return mirror_poly(st_content(mirror_poly(f), d, c))
 
 
 def coprime_by_resultant(f: BiPoly, g: BiPoly) -> bool:
@@ -90,9 +93,11 @@ def coprime_by_resultant(f: BiPoly, g: BiPoly) -> bool:
     is caught by one of the three.  The resultant needs D + 1 <= p for its
     D + 1 sample nodes and raises ValueError otherwise."""
     (cf, df), (cg, dg) = f.bidegree(), g.bidegree()
-    if uni_gcd(st_content(f, cf, df), st_content(g, cg, dg)).degree > 0:
+    if uni_gcd(st_content(f, cf, df), st_content(g, cg, dg)).bidegree() \
+            != (0, 0):
         return False
-    if uni_gcd(uv_content(f, cf, df), uv_content(g, cg, dg)).degree > 0:
+    if uni_gcd(uv_content(f, cf, df), uv_content(g, cg, dg)).bidegree() \
+            != (0, 0):
         return False
     if df > 0 and dg > 0:
         return any(vandermonde_resultant(f, g, (cf, df), (cg, dg), f.p))

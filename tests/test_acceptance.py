@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import EXAMPLE_GENERATORS, SEGRE_GENERATORS
-from helpers import mutate_case
 from test_cases import (EXPECTED_ALPHAS, EXPECTED_S1, EXPECTED_S2,
                         EXPECTED_S3)
 from tensurf import hburch, membership
+from helpers import mutate_case, uv_form
 from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
-                            FieldConfig, UniHomPoly, poly_to_str, uni_gcd,
-                            uni_to_str)
+                            FieldConfig, poly_to_str, uni_gcd)
 from tensurf.cases import expected_column_counts, run_case
 from tensurf.oracle import implicit_by_elimination, verify_implicitization
 from tensurf.strand import build_strand, reconstruct_det
@@ -144,8 +143,8 @@ def test_05_exact_identities_across_corpus(corpus):
             for ph in case.aux["phis"]:
                 resolutions.append(ph.matrix)
         for key, gamma in case.aux.get("gammas", {}).items():
-            h = hburch.transpose_product(
-                case.aux["psi"].matrix.column(key[0]),
+            h, _ = hburch.transpose_product(
+                *case.aux["psi"].matrix.column(key[0]),
                 case.aux["phis"][key[1]].matrix)
             minors = hburch.signed_minors(gamma.matrix)
             if not all((x - y).is_zero for x, y in zip(minors, h)):
@@ -155,8 +154,7 @@ def test_05_exact_identities_across_corpus(corpus):
             if sum(mat.row_degrees) != sum(mat.col_degrees):
                 failures.append((idx, "degree sum"))
         if case.case_tag == "dim3":
-            theta = [[case.aux["theta_col"][i], va.g[i].to_bipoly()]
-                     for i in range(3)]
+            theta = [[case.aux["theta_col"][i], va.g[i]] for i in range(3)]
             for i in range(3):
                 rows = [theta[r] for r in range(3) if r != i]
                 minor = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
@@ -193,20 +191,16 @@ def test_06_coprime_pairs_generate_the_threshold_degree():
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 5)
         while True:
-            h0 = UniHomPoly(P, m, tuple(rng.randrange(P)
-                                        for _ in range(m + 1)))
-            h1 = UniHomPoly(P, n, tuple(rng.randrange(P)
-                                        for _ in range(n + 1)))
+            h0 = uv_form([rng.randrange(P) for _ in range(m + 1)])
+            h1 = uv_form([rng.randrange(P) for _ in range(n + 1)])
             if h0.is_zero or h1.is_zero:
                 continue
-            g = uni_gcd(h0, h1)
-            if not g.is_zero and g.degree == 0:
+            if uni_gcd(h0, h1).bidegree() == (0, 0):
                 break
         for k in range(m + n):
             target = BiPoly(P, {(0, 0, m + n - 1 - k, k): 1})
-            cert = membership.two_gen_solve(target, h0, h1)
-            recon = cert.x0 * h0.to_bipoly() + cert.x1 * h1.to_bipoly()
-            assert (recon - target).is_zero
+            x0, x1 = membership.two_gen_solve(target, h0, h1)
+            assert (x0 * h0 + x1 * h1 - target).is_zero
             solved += 1
     print(f"\nPASS gate 6: {solved} threshold monomials across 100 "
           f"coprime pairs")
@@ -234,7 +228,7 @@ def test_08_trivial_anchors(field):
     inp = SurfaceInput.from_strings(1, 1, SEGRE_GENERATORS, field)
     va = analyze(inp)
     assert va.n == 1
-    assert tuple(uni_to_str(g) for g in va.g) == ("u", "v")
+    assert tuple(poly_to_str(g) for g in va.g) == ("u", "v")
     case = run_case(va)
     strand = build_strand(case)
     oracle = implicit_by_elimination(inp)

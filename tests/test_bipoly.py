@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import parse_ref
-from helpers import multiplication_matrix_ref
+from helpers import form_coeffs, multiplication_matrix_ref, uv_form
 from resultant_ref import substitute_st
 from tensurf import linalg
 from tensurf.bipoly import (
@@ -17,7 +17,6 @@ from tensurf.bipoly import (
     DEFAULT_PRIME,
     FieldConfig,
     ParseError,
-    UniHomPoly,
     coeff_grid,
     dot,
     mirror_poly,
@@ -26,7 +25,6 @@ from tensurf.bipoly import (
     parse_poly,
     poly_to_str,
     uni_gcd,
-    uni_to_str,
     _is_prime,
 )
 from tensurf.xpoly import XPoly, parse_xpoly
@@ -45,10 +43,11 @@ def random_bipoly(rng, c, d, p=P):
 
 
 def random_form(rng, degree, p=P):
+    """A nonzero (0, degree)-form in (u, v)."""
     while True:
-        coeffs = tuple(rng.randrange(p) for _ in range(degree + 1))
+        coeffs = [rng.randrange(p) for _ in range(degree + 1)]
         if any(coeffs):
-            return UniHomPoly(p, degree, coeffs)
+            return uv_form(coeffs, p)
 
 
 def test_field_config_validates_prime():
@@ -266,9 +265,7 @@ def test_bidegree_and_homogeneity():
 
 def test_substitute_and_slices_frozen():
     f = parse_poly("s^2*u^2 + 3*s*t*u*v + 5*t^2*v^2")
-    at_s1_t2 = substitute_st(f, 1, 2, 2)
-    assert at_s1_t2.degree == 2
-    assert at_s1_t2.coeffs == (1, 6, 20)
+    assert substitute_st(f, 1, 2, 2) == (1, 6, 20)
     # grid row j is the (u, v)-slice of s^(2-j) t^j
     grid = coeff_grid(f, 2, 2)
     assert grid.tolist() == [[1, 0, 0], [0, 3, 0], [0, 0, 5]]
@@ -283,31 +280,115 @@ def test_mirror_poly_swaps_variable_pairs():
 
 
 def test_uni_gcd_frozen_and_random():
-    u2 = UniHomPoly(P, 2, (1, 0, 0))        # u^2
-    uv = UniHomPoly(P, 2, (0, 1, 0))        # u*v
+    u2 = uv_form((1, 0, 0))        # u^2
+    uv = uv_form((0, 1, 0))        # u*v
     g = uni_gcd(u2, uv)
-    assert g.degree == 1 and uni_to_str(g) == "u"
+    assert g.bidegree() == (0, 1) and poly_to_str(g) == "u"
+    # the same forms in (s, t) keep their pair
+    assert uni_gcd(mirror_poly(u2), mirror_poly(uv)) == parse_poly("s")
+    for f, g in [("s", "u"), ("s*u", "u"), ("s + u", "1")]:
+        with pytest.raises(ValueError):
+            uni_gcd(parse_poly(f), parse_poly(g))
     rng = random.Random(23)
     for _ in range(20):
         common = random_form(rng, rng.randrange(1, 3))
         f1 = common * random_form(rng, rng.randrange(1, 3))
         f2 = common * random_form(rng, rng.randrange(1, 3))
         d = uni_gcd(f1, f2)
-        assert d.degree >= common.degree
+        assert d.bidegree()[1] >= common.bidegree()[1]
         # exact divisibility of both arguments by the gcd
-        assert divide_by_form(f1.to_bipoly(), d) is not None
-        assert divide_by_form(f2.to_bipoly(), d) is not None
+        assert divide_by_form(f1, d) is not None
+        assert divide_by_form(f2, d) is not None
 
 
 def divide_by_form(f, g):
-    """f / g for a (c, d)-form f and a (u, v)-form g by one solve of the
-    multiplication system of g, one (s, t)-row of f per right-hand side
-    column; None when g does not divide f."""
+    """f / g for a (c, d)-form f and a nonzero (u, v)-form g by one solve
+    of the multiplication system of g, one (s, t)-row of f per right-hand
+    side column; None when g does not divide f."""
     c, d = f.bidegree()
+    e = g.bidegree()[1]
     x = linalg.solve_particular(
-        multiplication_matrix(np.array([g.coeffs]), 0, d - g.degree),
+        multiplication_matrix(coeff_grid(g, 0, e), 0, d - e),
         coeff_grid(f, c, d).T, f.p)
     return None if x is None else BiPoly.from_grid(x.T, f.p)
+
+
+def _euclid_ref(f, g, p):
+    """gcd of binary forms given by their coefficient lists, c_k that of
+    x^(d-k) y^k: Euclid on f(1, z) and g(1, z) with the coefficient of z^k
+    at index k, times x to the least x-valuation of the nonzero operands,
+    scaled to a first nonzero coefficient of 1; [] for two zero forms."""
+    def strip(a):
+        while a and a[-1] == 0:
+            a = a[:-1]
+        return a
+
+    def rem(a, b):
+        while len(a) >= len(b):
+            q = a[-1] * pow(b[-1], p - 2, p) % p
+            shift = [0] * (len(a) - len(b)) + b
+            a = strip([(x - q * y) % p for x, y in zip(a, shift)])
+        return a
+
+    nonzero = [c for c in (f, g) if any(c)]
+    if not nonzero:
+        return []
+    x_val = min(len(c) - len(strip(list(c))) for c in nonzero)
+    a, b = strip(list(nonzero[0])), strip(list(nonzero[-1]))
+    while b:
+        a, b = b, rem(a, b)
+    lead = next(x for x in a if x)
+    return [x * pow(lead, p - 2, p) % p for x in a] + [0] * x_val
+
+
+@st.composite
+def binary_pairs(draw):
+    """(p, pair, coefficient lists of two forms): each zero, a nonzero
+    constant, random, or a multiple of one shared random form."""
+    p = draw(st.sampled_from([7, 101, P]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    common = [rng.randrange(p) for _ in range(draw(st.integers(1, 3)))]
+    lists = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["zero", "constant", "random", "planted"]), min_size=2,
+            max_size=2)):
+        d = draw(st.integers(0, 3))
+        if kind == "zero":
+            coeffs = [0] * (d + 1)
+        elif kind == "constant":
+            coeffs = [rng.randrange(1, p)]
+        else:
+            coeffs = [rng.randrange(p) for _ in range(d + 1)]
+        if kind == "planted":
+            prod = [0] * (len(common) + d)
+            for i, x in enumerate(common):
+                for j, y in enumerate(coeffs):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            coeffs = prod
+        lists.append(coeffs)
+    return p, draw(st.sampled_from(["uv", "st"])), lists
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(binary_pairs())
+def test_uni_gcd_matches_euclid_in_both_pairs(case):
+    p, pair, (cf, cg) = case
+
+    def form(coeffs):
+        row = np.array([coeffs])
+        return BiPoly.from_grid(row if pair == "uv" else row.T, p)
+
+    want = _euclid_ref(cf, cg, p)
+    got = uni_gcd(form(cf), form(cg))
+    if not want:
+        assert got.is_zero
+        return
+    assert got == form(want)
+    d = len(want) - 1
+    # the operands' pair is kept, and a constant gcd is the constant 1
+    assert got.bidegree() == ((d, 0) if pair == "st" else (0, d))
+    assert next(x for x in form_coeffs(got) if x) == 1
+    assert uni_gcd(form(cg), form(cf)) == got
 
 
 def test_exact_division_by_one_solve_random():
@@ -315,12 +396,11 @@ def test_exact_division_by_one_solve_random():
     for _ in range(15):
         g = random_form(rng, rng.randrange(1, 4))
         q = random_bipoly(rng, 2, 2)
-        f = q * g.to_bipoly()
+        f = q * g
         assert divide_by_form(f, g) == q
-    assert divide_by_form(parse_poly("u^3"), UniHomPoly(P, 1, (1, 1))) is None
+    assert divide_by_form(parse_poly("u^3"), uv_form((1, 1))) is None
     # u^2 + v^2 is not a multiple of u
-    assert divide_by_form(parse_poly("u^2 + v^2"), UniHomPoly(P, 1, (1, 0))) \
-        is None
+    assert divide_by_form(parse_poly("u^2 + v^2"), uv_form((1, 0))) is None
 
 
 def test_monomial_basis_order_and_coeff_vectors():
@@ -414,33 +494,38 @@ def test_multiplication_matrix_returns_a_fresh_writable_array():
 
 
 def test_uni_eval_matches_bipoly_eval():
-    # both embeddings of a binary form take its value sum c_k x^(d-k) y^k
+    # a binary form's grid is one row in (u, v) and one column in (s, t);
+    # both forms take the value sum c_k x^(d-k) y^k
     rng = random.Random(53)
-    f = random_form(rng, 4)
+    coeffs = np.array([[rng.randrange(P) for _ in range(5)]])
+    f_uv, f_st = (BiPoly.from_grid(g, P) for g in (coeffs, coeffs.T))
+    assert f_uv.bidegree() == (0, 4) and f_st.bidegree() == (4, 0)
+    assert mirror_poly(f_uv) == f_st
     for _ in range(10):
         x0, y0 = rng.randrange(P), rng.randrange(P)
         want = sum(c * pow(x0, 4 - k, P) * pow(y0, k, P)
-                   for k, c in enumerate(f.coeffs)) % P
-        assert f.to_bipoly().eval((0, 0, x0, y0)) == want
-        assert f.to_bipoly_st().eval((x0, y0, 0, 0)) == want
+                   for k, c in enumerate(coeffs[0].tolist())) % P
+        assert f_uv.eval((0, 0, x0, y0)) == want
+        assert f_st.eval((x0, y0, 0, 0)) == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([101, P]), st.booleans(), st.integers(0, 2**31),
        st.lists(st.tuples(st.booleans(), st.booleans()), max_size=4))
 def test_dot_matches_the_naive_sum(p, uni, seed, zeros):
-    # rows of BiPoly or of UniHomPoly forms; zeros[i] marks x_i, y_i zero
+    # rows of (c, d)-forms or of (0, d) binary forms; zeros[i] marks x_i,
+    # y_i zero
     rng = random.Random(seed)
     (c, d), (e, f) = [(rng.randrange(3), rng.randrange(3)) for _ in range(2)]
 
     def entry(is_zero, c, d):
-        if uni:
-            return UniHomPoly.zero(p, d) if is_zero else random_form(rng, d, p)
-        return BiPoly.zero(p) if is_zero else random_bipoly(rng, c, d, p)
+        if is_zero:
+            return BiPoly.zero(p)
+        return random_form(rng, d, p) if uni else random_bipoly(rng, c, d, p)
 
     xs = [entry(zx, c, d) for zx, _ in zeros]
     ys = [entry(zy, e, f) for _, zy in zeros]
-    zero = UniHomPoly.zero(p, d + f) if uni else BiPoly.zero(p)
+    zero = BiPoly.zero(p)
     naive = zero
     for x, y in zip(xs, ys):
         naive = naive + x * y
@@ -448,6 +533,6 @@ def test_dot_matches_the_naive_sum(p, uni, seed, zeros):
     assert got == naive
     if all(x.is_zero or y.is_zero for x, y in zip(xs, ys)):
         assert got is zero
-    # an all-zero row returns the given zero, formal degree included
-    pad = UniHomPoly.zero(p, 7) if uni else BiPoly.zero(p)
+    # an all-zero row returns the given zero
+    pad = BiPoly.zero(p)
     assert dot([x.scale(0) for x in xs], ys, pad) is pad

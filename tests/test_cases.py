@@ -6,8 +6,7 @@ import pytest
 
 from tensurf import cases
 from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
-                            FieldConfig, HypothesisError, poly_to_str,
-                            uni_to_str)
+                            FieldConfig, HypothesisError, poly_to_str)
 from tensurf.cases import SyzygyColumn, expected_column_counts, run_case
 from tensurf.syzygy import SurfaceInput, analyze
 
@@ -73,7 +72,7 @@ def test_example_membership_pairs_frozen(example_case):
 
 def test_example_psi_is_the_power_basis_matrix(example_case):
     psi = example_case.aux["psi"]
-    rows = [[uni_to_str(e) for e in row] for row in psi.matrix.entries]
+    rows = [[poly_to_str(e) for e in row] for row in psi.matrix.entries]
     assert rows == [["-v", "0", "0"],
                     ["u", "-v", "0"],
                     ["0", "u", "-v"],
@@ -108,7 +107,7 @@ def dim2_case():
 def test_dim2_frozen(dim2_case):
     case = dim2_case
     assert case.case_tag == "dim2"
-    assert tuple(uni_to_str(g) for g in case.aux["g"]) == ("u^2", "v^2")
+    assert tuple(poly_to_str(g) for g in case.aux["g"]) == ("u^2", "v^2")
     assert poly_to_str(case.aux["alpha"]) == "s*u + t*v"
     cols = {c.label: tuple(poly_to_str(e) for e in c.entries)
             for c in case.syzygies}
@@ -143,14 +142,14 @@ def test_dim3_profile_and_displays(dim3_case):
     assert case.aux["mus"] == (1, 1)
     va = case.analysis
     assert va.n == 2 and va.kernel_dim == 1 and va.dim_v == 3
-    assert tuple(uni_to_str(g) for g in va.g) == ("u^2", "u*v", "v^2")
+    assert tuple(poly_to_str(g) for g in va.g) == ("u^2", "u*v", "v^2")
     psi = case.aux["psi"]
-    assert [[uni_to_str(e) for e in row] for row in psi.matrix.entries] == \
+    assert [[poly_to_str(e) for e in row] for row in psi.matrix.entries] == \
         [["-v", "0"], ["u", "-v"], ["0", "u"]]
     phi1, phi2 = case.aux["phis"]
-    assert [[uni_to_str(e) for e in row] for row in phi1.matrix.entries] == \
+    assert [[poly_to_str(e) for e in row] for row in phi1.matrix.entries] == \
         [["0", "u"], ["0", "v"], ["1", "0"]]
-    assert [[uni_to_str(e) for e in row] for row in phi2.matrix.entries] == \
+    assert [[poly_to_str(e) for e in row] for row in phi2.matrix.entries] == \
         [["1", "0"], ["0", "u"], ["0", "v"]]
 
 
@@ -158,10 +157,11 @@ def test_dim3_transpose_products_frozen(dim3_case):
     from tensurf import hburch
     psi = dim3_case.aux["psi"]
     phi1, phi2 = dim3_case.aux["phis"]
-    h_q = hburch.transpose_product(psi.matrix.column(1), phi1.matrix)
-    h_r = hburch.transpose_product(psi.matrix.column(0), phi2.matrix)
-    assert [uni_to_str(x) for x in h_q] == ["u", "-v^2"]
-    assert [uni_to_str(x) for x in h_r] == ["-v", "u^2"]
+    h_q, d_q = hburch.transpose_product(*psi.matrix.column(1), phi1.matrix)
+    h_r, d_r = hburch.transpose_product(*psi.matrix.column(0), phi2.matrix)
+    assert [poly_to_str(x) for x in h_q] == ["u", "-v^2"]
+    assert [poly_to_str(x) for x in h_r] == ["-v", "u^2"]
+    assert d_q == [1, 2] and d_r == [1, 2]
 
 
 def test_dim3_alphas_recover_planted_coefficients(dim3_case):

@@ -9,9 +9,9 @@ import pytest
 
 from conftest import EXAMPLE_GENERATORS, SEGRE_GENERATORS
 from helpers import bench_jobs, spy_peel, spy_vanishes_at
-from tensurf import oracle
+from tensurf import cli, oracle
 from tensurf.bipoly import (DEFAULT_PRIME, FieldConfig, parse_poly,
-                            poly_to_str, uni_to_str)
+                            poly_to_str)
 from tensurf.cli import main
 from tensurf.syzygy import SurfaceInput
 
@@ -217,8 +217,8 @@ def test_basepoint_screen_of_the_bench_jobs_is_golden(tmp_path):
                 FieldConfig(data["prime"])))
             got[f"{workload}/{job.name}"] = {
                 "status": report.status, "detail": report.detail,
-                "g_uv": uni_to_str(report.g_uv, "st"),
-                "g_st": uni_to_str(report.g_st, "uv")}
+                "g_uv": poly_to_str(report.g_uv),
+                "g_st": poly_to_str(report.g_st)}
     assert len(got) == 16
     assert got == want
 
@@ -377,6 +377,33 @@ def test_usage_errors_exit_1(capsys):
     assert main([]) == 1                   # missing subcommand
     assert main(["analyze"]) == 1          # missing job argument
     assert "error:" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_per_process(example_job, capsys,
+                                             monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "tensurf":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    assert main(["analyze", example_job]) == 0
+    assert main(["analyze", example_job, "--json"]) == 0
+    assert len(built) == 1 and cli._build_parser() is built[0]
+    capsys.readouterr()
+    # a usage error on the shared parser still exits 1 with its usage line
+    assert main(["analyze"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: tensurf analyze ")
+    assert "error: the following arguments are required: job" in captured.err
+    assert main(["frobnicate"]) == 1
+    assert capsys.readouterr().err.startswith("usage: tensurf ")
+    assert len(built) == 1
 
 
 def test_missing_job_file_returns_1(tmp_path, capsys):

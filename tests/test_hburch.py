@@ -4,44 +4,46 @@ import random
 
 import pytest
 
+from helpers import uv_form
 from tensurf import hburch
-from tensurf.bipoly import CertificateError, DEFAULT_PRIME, UniHomPoly, uni_to_str
+from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
+                            poly_to_str, uni_gcd)
 
 P = DEFAULT_PRIME
-
-
-def form(degree, coeffs):
-    return UniHomPoly(P, degree, tuple(c % P for c in coeffs))
+ZERO = BiPoly.zero(P)
 
 
 def random_form(rng, degree):
     while True:
-        coeffs = tuple(rng.randrange(P) for _ in range(degree + 1))
+        coeffs = [rng.randrange(P) for _ in range(degree + 1)]
         if any(coeffs):
-            return UniHomPoly(P, degree, coeffs)
+            return uv_form(coeffs)
+
+
+def strings(mat):
+    return [[poly_to_str(e) for e in row] for row in mat.entries]
 
 
 def test_power_basis_resolution_frozen():
     # g = (u^2, u*v, v^2) resolves by the 3 x 2 matrix [[-v,0],[u,-v],[0,u]]
-    g = [form(2, (1, 0, 0)), form(2, (0, 1, 0)), form(2, (0, 0, 1))]
+    g = [uv_form((1, 0, 0)), uv_form((0, 1, 0)), uv_form((0, 0, 1))]
     res = hburch.hilbert_burch_psi(g, P)
+    assert res.matrix.row_degrees == (2, 2, 2)
     assert res.matrix.col_degrees == (3, 3)
-    rows = [[uni_to_str(e) for e in row] for row in res.matrix.entries]
-    assert rows == [["-v", "0"], ["u", "-v"], ["0", "u"]]
+    assert strings(res.matrix) == [["-v", "0"], ["u", "-v"], ["0", "u"]]
     assert res.lam == 1
     assert all((x - y).is_zero for x, y in zip(res.minors, g))
 
 
 def test_quartic_power_basis_resolution_frozen():
-    g = [form(3, (1, 0, 0, 0)), form(3, (0, 1, 0, 0)),
-         form(3, (0, 0, 1, 0)), form(3, (0, 0, 0, 1))]
+    g = [uv_form((1, 0, 0, 0)), uv_form((0, 1, 0, 0)),
+         uv_form((0, 0, 1, 0)), uv_form((0, 0, 0, 1))]
     res = hburch.hilbert_burch_psi(g, P)
     assert res.matrix.col_degrees == (4, 4, 4)
-    rows = [[uni_to_str(e) for e in row] for row in res.matrix.entries]
-    assert rows == [["-v", "0", "0"],
-                    ["u", "-v", "0"],
-                    ["0", "u", "-v"],
-                    ["0", "0", "u"]]
+    assert strings(res.matrix) == [["-v", "0", "0"],
+                                   ["u", "-v", "0"],
+                                   ["0", "u", "-v"],
+                                   ["0", "0", "u"]]
 
 
 def test_random_resolutions_recover_generators():
@@ -52,49 +54,79 @@ def test_random_resolutions_recover_generators():
         gens = [random_form(rng, deg) for _ in range(k)]
         common = gens[0]
         for g in gens[1:]:
-            from tensurf.bipoly import uni_gcd
             common = uni_gcd(common, g)
-        if common.degree > 0:
+        if common.bidegree() != (0, 0):
             continue
-        res = hburch.normalized_resolution(gens, P)
+        res = hburch.normalized_resolution(gens, [deg] * k, P)
         assert sum(res.matrix.col_degrees) == sum(res.matrix.row_degrees)
         assert res.matrix.check_annihilates(gens)
         assert all((x - y).is_zero for x, y in zip(res.minors, gens))
 
 
+@pytest.mark.parametrize("gens, lam, cols, rows", [
+    ([(2, 0, 5), None, (0, 1, 7)], 5, (2, 4),
+     [["0", "-858993459*u*v + 429496728*v^2"], ["5", "0"],
+      ["0", "-429496729*u^2 + v^2"]]),
+    ([None, (1, 0, 1), (0, 3, 0), None], 1, (2, 2, 4),
+     [["1", "0", "0"], ["0", "0", "-3*u*v"], ["0", "0", "u^2 + v^2"],
+      ["0", "1", "0"]]),
+])
+def test_column_with_a_zero_entry_resolves_as_before(gens, lam, cols, rows):
+    # None marks a zero entry of the column's degree 2; the frozen matrices
+    # are those of the dense binary-form type this representation replaced
+    gens = [ZERO if g is None else uv_form(g) for g in gens]
+    res = hburch.normalized_resolution(gens, [2] * len(gens), P)
+    mat = res.matrix
+    assert (mat.row_degrees, mat.col_degrees, res.lam) == \
+        ((2,) * len(gens), cols, lam)
+    assert strings(mat) == rows
+    assert all(e.is_bihomogeneous(0, cd - rd)
+               for row, rd in zip(mat.entries, mat.row_degrees)
+               for e, cd in zip(row, mat.col_degrees))
+    assert list(res.minors) == gens
+
+
 def test_min_graded_syzygies_rejects_common_factor():
-    u = form(1, (1, 0))
+    u = uv_form((1, 0))
     with pytest.raises(ValueError):
-        hburch.min_graded_syzygies([u * u, u * form(1, (0, 1))], P)
+        hburch.min_graded_syzygies([u * u, u * uv_form((0, 1))], [2, 2], P)
+    # the degrees must be those of the forms
+    with pytest.raises(ValueError):
+        hburch.min_graded_syzygies([u, uv_form((0, 1))], [1, 2], P)
 
 
 def test_hilbert_burch_psi_rejects_zero_entry():
     with pytest.raises(CertificateError):
-        hburch.hilbert_burch_psi([form(1, (1, 0)), UniHomPoly.zero(P, 1)], P)
+        hburch.hilbert_burch_psi([uv_form((1, 0)), ZERO], P)
 
 
 def test_graded_matrix_degree_bookkeeping():
     with pytest.raises(ValueError):
-        hburch.GradedSyzMatrix(P, (1,), (2,), ((form(3, (1, 0, 0, 1)),),))
+        hburch.GradedSyzMatrix(P, (1,), (2,), ((uv_form((1, 0, 0, 1)),),))
     m = hburch.GradedSyzMatrix(P, (1, 2), (2, 3),
-                               ((form(1, (1, 0)), form(2, (0, 1, 0))),
-                                (form(0, (5,)), form(1, (1, 1)))))
+                               ((uv_form((1, 0)), uv_form((0, 1, 0))),
+                                (uv_form((5,)), uv_form((1, 1)))))
     assert m.shape == (2, 2)
-    assert uni_to_str(m.entries[0][1]) == "u*v"
-    col = m.column(0)
-    assert [e.degree for e in col] == [1, 0]
+    assert poly_to_str(m.entries[0][1]) == "u*v"
+    forms, degrees = m.column(0)
+    assert forms == [uv_form((1, 0)), uv_form((5,))]
+    assert degrees == [1, 0]
+    # an entry of negative formal degree is zero, its degree clamped at 0
+    m = hburch.GradedSyzMatrix(P, (1, 3), (2,), ((uv_form((1, 1)),), (ZERO,)))
+    assert m.column(0) == ([uv_form((1, 1)), ZERO], [1, 0])
 
 
 def test_transpose_product_frozen():
     # (0, -v, u) times the resolution [[0,u],[0,v],[1,0]] gives (u, -v^2)
     phi = hburch.GradedSyzMatrix(
         P, (1, 1, 1), (1, 2),
-        ((UniHomPoly.zero(P, 0), form(1, (1, 0))),
-         (UniHomPoly.zero(P, 0), form(1, (0, 1))),
-         (form(0, (1,)), UniHomPoly.zero(P, 1))))
-    col = [UniHomPoly.zero(P, 1), form(1, (0, -1)), form(1, (1, 0))]
-    out = hburch.transpose_product(col, phi)
-    assert [uni_to_str(x) for x in out] == ["u", "-v^2"]
+        ((ZERO, uv_form((1, 0))),
+         (ZERO, uv_form((0, 1))),
+         (uv_form((1,)), ZERO)))
+    col = [ZERO, uv_form((0, -1)), uv_form((1, 0))]
+    out, degrees = hburch.transpose_product(col, [1, 1, 1], phi)
+    assert [poly_to_str(x) for x in out] == ["u", "-v^2"]
+    assert degrees == [1, 2]
 
 
 def test_compose_matches_manual_product():

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package imports is used,
 every function, class and method is referenced from the package's own code,
-products of int64 arrays go through the exact modular product, every cache
-is bounded, the documented flags of ``implicitize``/``verify`` are the
-parser's, and every function the benchmark's tracer wraps still exists."""
+products of int64 arrays go through the exact modular product, one class
+defines polynomial arithmetic, every cache is bounded, the documented flags
+of ``implicitize``/``verify`` are the parser's, and every function the
+benchmark's tracer wraps still exists."""
 
 import argparse
 import ast
@@ -183,6 +184,55 @@ def test_products_are_reduced(path):
     bad = [f"{what} in {site}" for site, what in sites
            if not (what == "@" and site in MATMUL_ALLOWED)]
     assert not bad, "use linalg.matmul_mod"
+
+
+# the one polynomial arithmetic: a second class with these operators is a
+# second polynomial type
+ARITHMETIC = {"__add__", "__sub__", "__neg__", "__mul__", "__pow__"}
+ARITHMETIC_OWNER = "SparsePoly"
+
+
+def _arithmetic_classes(tree) -> list[str]:
+    """Every class other than ``SparsePoly`` that defines or assigns one of
+    the arithmetic operators, nested classes included."""
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or node.name == ARITHMETIC_OWNER:
+            continue
+        names = set()
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(item.name)
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = (item.targets if isinstance(item, ast.Assign)
+                           else [item.target])
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if names & ARITHMETIC:
+            bad.append(node.name)
+    return bad
+
+
+@pytest.mark.parametrize("source, bad", [
+    ("class SparsePoly:\n def __add__(self, o): pass\n"
+     " def __pow__(self, n): pass", []),
+    ("class UniHomPoly:\n def __mul__(self, o): pass", ["UniHomPoly"]),
+    ("class F:\n __neg__ = lambda self: self", ["F"]),
+    ("class F:\n __sub__: object = None", ["F"]),
+    ("class F:\n async def __add__(self, o): pass", ["F"]),
+    ("class Outer:\n class Inner:\n  def __pow__(self, n): pass",
+     ["Inner"]),
+    ("class F:\n def scale(self, c): pass\n def __eq__(self, o): pass", []),
+    ("def __add__(a, b): pass", []),
+])
+def test_arithmetic_check_finds_every_form(source, bad):
+    assert _arithmetic_classes(ast.parse(source)) == bad
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_one_polynomial_arithmetic(path):
+    classes = _arithmetic_classes(ast.parse(path.read_text(encoding="utf-8")))
+    assert not classes, f"only {ARITHMETIC_OWNER} defines +, -, * and **"
 
 
 CACHES = {"lru_cache", "cache"}

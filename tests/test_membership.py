@@ -8,30 +8,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import resultant_ref
+from helpers import form_coeffs, uv_form
 from resultant_ref import (substitute_st, sylvester_from_coeffs,
                            vandermonde_resultant)
 from tensurf import linalg, membership
 from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, HypothesisError,
-                            UniHomPoly, parse_poly, uni_gcd)
+                            coeff_grid, parse_poly, uni_gcd)
 
 P = DEFAULT_PRIME
 
 
-def form(degree, coeffs):
-    return UniHomPoly(P, degree, tuple(c % P for c in coeffs))
-
-
 def random_form(rng, degree):
     while True:
-        coeffs = tuple(rng.randrange(P) for _ in range(degree + 1))
+        coeffs = [rng.randrange(P) for _ in range(degree + 1)]
         if any(coeffs):
-            return UniHomPoly(P, degree, coeffs)
+            return uv_form(coeffs)
 
 
 def random_coprime_pair(rng, m, n):
     while True:
         h0, h1 = random_form(rng, m), random_form(rng, n)
-        if uni_gcd(h0, h1).degree == 0:
+        if uni_gcd(h0, h1).bidegree() == (0, 0):
             return h0, h1
 
 
@@ -46,7 +43,7 @@ def random_bipoly(rng, c, d):
 
 
 def resultant(f, g):
-    M = sylvester_from_coeffs(f.coeffs, g.coeffs, P)
+    M = sylvester_from_coeffs(form_coeffs(f), form_coeffs(g), P)
     return linalg.det_field(M, P)
 
 
@@ -54,25 +51,25 @@ def test_sylvester_frozen():
     # f = u + 2v (m=1), g = 3u + 4v (n=1)
     M = sylvester_from_coeffs((1, 2), (3, 4), P)
     assert M.tolist() == [[1, 2], [3, 4]]
-    assert resultant(form(1, (1, 2)), form(1, (3, 4))) == P - 2
+    assert resultant(uv_form((1, 2)), uv_form((3, 4))) == P - 2
 
 
 def test_resultant_vanishes_iff_common_root():
-    u_plus_v = form(1, (1, 1))
-    f = u_plus_v * form(1, (1, 5))
-    g = u_plus_v * form(1, (2, 3))
+    u_plus_v = uv_form((1, 1))
+    f = u_plus_v * uv_form((1, 5))
+    g = u_plus_v * uv_form((2, 3))
     assert resultant(f, g) == 0
-    h = form(2, (1, 0, 1))
+    h = uv_form((1, 0, 1))
     assert resultant(f, h) != 0
 
 
 def test_two_gen_solve_frozen():
     target = parse_poly("s*u^3")
-    h0 = form(2, (0, 0, 1))       # v^2
-    h1 = form(2, (P - 1, 0, 0))   # -u^2
-    cert = membership.two_gen_solve(target, h0, h1)
-    assert cert.x0.is_zero
-    assert cert.x1 == parse_poly("-s*u")
+    h0 = uv_form((0, 0, 1))       # v^2
+    h1 = uv_form((-1, 0, 0))      # -u^2
+    x0, x1 = membership.two_gen_solve(target, h0, h1)
+    assert x0.is_zero
+    assert x1 == parse_poly("-s*u")
 
 
 def test_two_gen_solve_random_identity():
@@ -82,25 +79,36 @@ def test_two_gen_solve_random_identity():
         h0, h1 = random_coprime_pair(rng, m, n)
         d = m + n - 1 + rng.randrange(0, 3)
         target = random_bipoly(rng, rng.randrange(0, 3), d)
-        cert = membership.two_gen_solve(target, h0, h1)
-        resid = target - cert.x0 * h0.to_bipoly() - cert.x1 * h1.to_bipoly()
-        assert resid.is_zero
+        x0, x1 = membership.two_gen_solve(target, h0, h1)
+        assert (target - x0 * h0 - x1 * h1).is_zero
 
 
 def test_two_gen_solve_rejects_bad_inputs():
-    u = form(1, (1, 0))
+    u = uv_form((1, 0))
     with pytest.raises(HypothesisError):
-        membership.two_gen_solve(parse_poly("u^3"), u * u, u * form(1, (0, 1)))
+        membership.two_gen_solve(parse_poly("u^3"), u * u, u * uv_form((0, 1)))
     with pytest.raises(HypothesisError):
         # degree below the membership threshold
         membership.two_gen_solve(parse_poly("u"),
-                                 form(2, (1, 0, 0)), form(2, (0, 0, 1)))
+                                 uv_form((1, 0, 0)), uv_form((0, 0, 1)))
+
+
+def test_two_gen_solve_rejects_a_zero_form():
+    # a zero form has no degree to solve at, even beside a unit
+    one, zero = parse_poly("1"), BiPoly.zero(P)
+    for h0, h1, name in [(zero, one, "h0"), (one, zero, "h1"),
+                         (zero, zero, "h0")]:
+        with pytest.raises(HypothesisError, match=f"the form {name} is zero"):
+            membership.two_gen_solve(parse_poly("s*u"), h0, h1)
+    # beside the unit, the nonzero side alone carries the target
+    assert membership.two_gen_solve(parse_poly("s*u"), one, uv_form((0, 1))) \
+        == (parse_poly("s*u"), BiPoly.zero(P))
 
 
 def test_psi_solve_recovers_planted_coefficients():
     from tensurf import hburch
     rng = random.Random(103)
-    g = [form(2, (1, 0, 0)), form(2, (0, 1, 0)), form(2, (0, 0, 1))]
+    g = [uv_form((1, 0, 0)), uv_form((0, 1, 0)), uv_form((0, 0, 1))]
     psi = hburch.hilbert_burch_psi(g, P)
     a, b = 2, 3
     w = [random_bipoly(rng, a, b - 1) for _ in range(2)]
@@ -108,9 +116,7 @@ def test_psi_solve_recovers_planted_coefficients():
     for i in range(3):
         acc = BiPoly.zero(P)
         for j in range(2):
-            e = psi.matrix.entries[i][j]
-            if not e.is_zero:
-                acc = acc + e.to_bipoly() * w[j]
+            acc = acc + psi.matrix.entries[i][j] * w[j]
         f_prime.append(acc)
     alphas = membership.psi_solve(f_prime, psi, a, b)
     assert all((x - y).is_zero for x, y in zip(alphas, w))
@@ -120,23 +126,27 @@ def resultants(pairs, c, d, p=P):
     return membership.resultant_uv(pairs, c, d, p)
 
 
+def st_coeffs(r, D):
+    """The coefficients of s^(D-k) t^k of a (D, 0)-form or zero."""
+    return tuple(coeff_grid(r, D, 0).ravel().tolist())
+
+
 def test_resultant_uv_frozen_and_multiplicative_scaling():
     f = parse_poly("s*u + t*v")
     g = parse_poly("t*u + s*v")
     [r] = resultants([(f, g)], 1, 1)
-    # det [[s, t], [t, s]] = s^2 - t^2
-    assert r.degree == 2
-    assert r.coeffs == (1, 0, P - 1)
+    # det [[s, t], [t, s]] = s^2 - t^2, a (2, 0)-form
+    assert r == parse_poly("s^2 - t^2")
     rng = random.Random(113)
     scales = [rng.randrange(1, P) for _ in range(5)]
     for c, rc in zip(scales, resultants([(f.scale(c), g) for c in scales],
                                         1, 1)):
         # scaling f by c scales the resultant by c^(deg_uv g)
-        assert rc.coeffs == tuple(x * c % P for x in r.coeffs)
+        assert rc == r.scale(c)
     # the normalization Res(u^d, v^d) = 1 fixes the sign (-1)^(d(d+1)/2)
     for d in range(7):
         pair = (parse_poly(f"u^{d}"), parse_poly(f"v^{d}"))
-        assert resultants([pair], 0, d) == [UniHomPoly(P, 0, (1,))]
+        assert resultants([pair], 0, d) == [BiPoly.const(P, 1)]
 
 
 def test_resultant_uv_matches_sylvester_determinants_of_specializations():
@@ -150,13 +160,13 @@ def test_resultant_uv_matches_sylvester_determinants_of_specializations():
 
     f, g = random_bipoly(3, 4), random_bipoly(3, 4)
     [r] = resultants([(f, g)], 3, 4)
-    assert r.degree == 3 * 4 + 3 * 4
+    D = 3 * 4 + 3 * 4
+    assert r.bidegree() == (D, 0)
     for _ in range(5):
-        s0 = rng.randrange(r.degree + 1, P)
+        s0 = rng.randrange(D + 1, P)
         want = linalg.det_field(sylvester_from_coeffs(
-            substitute_st(f, s0, 1, 4).coeffs,
-            substitute_st(g, s0, 1, 4).coeffs, P), P)
-        assert r.to_bipoly_st().eval((s0, 1, 0, 0)) == want
+            substitute_st(f, s0, 1, 4), substitute_st(g, s0, 1, 4), P), P)
+        assert r.eval((s0, 1, 0, 0)) == want
 
 
 def test_resultant_uv_detects_shared_uv_factor():
@@ -188,14 +198,13 @@ def test_resultant_uv_matches_a_vandermonde_solve(p):
         f = random_bipoly_mod(rng, p, c, d)
         g = random_bipoly_mod(rng, p, c, d)
         [r] = resultants([(f, g)], c, d, p)
-        assert r.degree == D
         if D:
             want = vandermonde_resultant(f, g, (c, d), (c, d), p)
         else:
             want = (linalg.det_field(sylvester_from_coeffs(
-                substitute_st(f, 1, 1, d).coeffs,
-                substitute_st(g, 1, 1, d).coeffs, p), p),)
-        assert r.coeffs == want, (c, d)
+                substitute_st(f, 1, 1, d), substitute_st(g, 1, 1, d), p),
+                p),)
+        assert st_coeffs(r, D) == want, (c, d)
         checked += 1
         constant += D == 0
 
@@ -207,7 +216,8 @@ def test_resultant_uv_at_a_prime_just_above_the_degree():
     pairs = [(random_bipoly_mod(rng, p, 2, 3), random_bipoly_mod(rng, p, 2, 3))
              for _ in range(10)]
     for (f, g), r in zip(pairs, resultants(pairs, 2, 3, p)):
-        assert r.coeffs == vandermonde_resultant(f, g, (2, 3), (2, 3), p)
+        assert st_coeffs(r, 12) == vandermonde_resultant(f, g, (2, 3),
+                                                         (2, 3), p)
     f, g = random_bipoly_mod(rng, p, 2, 4), random_bipoly_mod(rng, p, 2, 4)
     with pytest.raises(ValueError, match="prime too small"):
         resultants([(f, g)], 2, 4, p)
@@ -221,7 +231,7 @@ def test_resultant_uv_of_a_shared_uv_factor_is_zero():
     want = vandermonde_resultant(f, g, (3, 3), (3, 3), P)
     assert not any(want)
     [r] = resultants([(f, g)], 3, 3)
-    assert r.degree == 3 * 3 + 3 * 3 and r.is_zero
+    assert r.is_zero
 
 
 def test_resultant_uv_with_samples_vanishing_at_some_nodes():
@@ -231,10 +241,8 @@ def test_resultant_uv_with_samples_vanishing_at_some_nodes():
     f = roots * random_bipoly(rng, 1, 3)
     g = random_bipoly(rng, 4, 3)
     [r] = resultants([(f, g)], 4, 3)
-    r_st = r.to_bipoly_st()
-    assert [k for k in range(r.degree + 1)
-            if r_st.eval((k, 1, 0, 0)) == 0] == [0, 2, 5]
-    assert r.coeffs == vandermonde_resultant(f, g, (4, 3), (4, 3), P)
+    assert [k for k in range(25) if r.eval((k, 1, 0, 0)) == 0] == [0, 2, 5]
+    assert st_coeffs(r, 24) == vandermonde_resultant(f, g, (4, 3), (4, 3), P)
 
 
 def _primes_around(n):
@@ -291,8 +299,8 @@ def test_resultant_uv_matches_the_reference_on_random_batches(d, data):
     got = resultants(pairs, c, d, p)
     assert len(got) == len(pairs)
     for (f, g), kind, r in zip(pairs, kinds, got):
-        assert r.degree == 2 * c * d
-        assert r.coeffs == vandermonde_resultant(f, g, (c, d), (c, d), p)
+        assert st_coeffs(r, 2 * c * d) == vandermonde_resultant(
+            f, g, (c, d), (c, d), p)
         if kind == "shared" and d:
             assert r.is_zero
     below = _primes_around(2 * c * d)[0]
@@ -303,8 +311,8 @@ def test_resultant_uv_matches_the_reference_on_random_batches(d, data):
 
 def test_content_and_coprimality():
     f = parse_poly("s*u^2 + s*u*v")   # st-content s, uv-content u^2 + u*v
-    assert resultant_ref.st_content(f, 1, 2).degree == 1
-    assert resultant_ref.uv_content(f, 1, 2).degree == 2
+    assert resultant_ref.st_content(f, 1, 2) == parse_poly("s")
+    assert resultant_ref.uv_content(f, 1, 2) == parse_poly("u^2 + u*v")
     g = parse_poly("t*v^2")
     assert membership.bihomog_coprime(f, g)      # u*(u+v) against v^2
     h = parse_poly("t*u^2 + t*u*v")

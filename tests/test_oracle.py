@@ -20,7 +20,7 @@ from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
 from tensurf.oracle import (DetCertificate, basepoint_check,
                             implicit_by_elimination, implicitize,
                             verify_implicitization)
-from tensurf.bipoly import UniHomPoly, uni_gcd
+from tensurf.bipoly import uni_gcd
 from tensurf.cases import run_case
 from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
@@ -985,7 +985,7 @@ def undetermined_generators():
 def test_basepoints_free_on_example(example_input):
     rep = basepoint_check(example_input)
     assert rep.status == "free"
-    assert rep.g_uv.degree == 0 and rep.g_st.degree == 0
+    assert rep.g_uv.bidegree() == (0, 0) and rep.g_st.bidegree() == (0, 0)
 
 
 def test_basepoints_found_with_rational_witness(field):
@@ -1012,8 +1012,9 @@ def test_basepoints_undetermined(field):
     rep = basepoint_check(inp)
     assert rep.status == "basepoint"
     assert "do not span bidegree (5, 3)" in rep.detail
-    assert rep.g_uv.degree == 4
-    assert rep.g_st.degree == 4
+    # the uv-chart gcd is a form in (s, t), the st-chart gcd one in (u, v)
+    assert rep.g_uv.bidegree() == (4, 0)
+    assert rep.g_st.bidegree() == (0, 4)
 
 
 # Bidegree (1, 2): at (s : t) = (1 : 0) the generators are (u - v)(u - 2v),
@@ -1030,14 +1031,14 @@ PAIRWISE_ROOT_GENERATORS = [
 def test_pairwise_shared_roots_without_a_common_one_are_free(field):
     inp = SurfaceInput.from_strings(1, 2, PAIRWISE_ROOT_GENERATORS, field)
     rep = basepoint_check(inp)
-    assert rep.g_uv.degree == 1
+    assert rep.g_uv.bidegree() == (1, 0)
     assert rep.status == "free"
     assert rep.detail == "the generators' multiples span bidegree (2, 3)"
 
 
 def gcd_of_all_six_resultants(inp):
     # one pair per call, so the batch of the screen is checked as well
-    acc = UniHomPoly.zero(P, 0)
+    acc = BiPoly.zero(P)
     for pair in combinations(inp.gens, 2):
         [res] = oracle.resultant_uv([pair], inp.a, inp.b, P)
         acc = uni_gcd(acc, res)
@@ -1109,7 +1110,7 @@ def screen_cases(draw):
     if kind != "random":
         return inp, "basepoint"
     # constant resultant gcds on both charts prove the input free
-    assume(all(g.degree == 0 and not g.is_zero for g in
+    assume(all(g.bidegree() == (0, 0) for g in
                (oracle._resultant_gcd(inp), oracle._resultant_gcd(inp.mirror()))))
     return inp, "free"
 
@@ -1149,10 +1150,10 @@ def test_screen_takes_a_prefix_of_the_resultants_on_the_worked_surface(
 
     monkeypatch.setattr(oracle, "resultant_uv", counted)
     monkeypatch.setattr(oracle, "uni_gcd", counted_gcd)
-    assert oracle._resultant_gcd(example_input).coeffs == (1,)
+    assert oracle._resultant_gcd(example_input) == BiPoly.const(P, 1)
     assert (len(calls), len(gcds)) == (1, 3)
     assert len(calls[0][0]) == 3
-    assert oracle._resultant_gcd(example_input.mirror()).coeffs == (1,)
+    assert oracle._resultant_gcd(example_input.mirror()) == BiPoly.const(P, 1)
     assert (len(calls), len(gcds)) == (3, 3 + 5)
     assert [len(call[0]) for call in calls[1:]] == [3, 3]
     assert basepoint_check(example_input).status == "free"

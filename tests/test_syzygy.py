@@ -7,7 +7,7 @@ import pytest
 
 from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, FieldConfig,
                             HypothesisError, monomial_basis, parse_poly,
-                            uni_to_str)
+                            poly_to_str)
 from tensurf.gen import GenSpec, _build_planted_psi
 from tensurf.syzygy import (SurfaceInput, analyze, build_f_family,
                             find_minimal_syzygy, syzygy_system)
@@ -40,7 +40,7 @@ def test_segre_analysis_frozen(segre_input):
     assert va.n == 1
     assert va.kernel_dim == 2
     assert va.dim_v == 2
-    assert tuple(uni_to_str(g) for g in va.g) == ("u", "v")
+    assert tuple(poly_to_str(g) for g in va.g) == ("u", "v")
 
 
 def test_example_analysis_frozen(example_analysis):
@@ -48,7 +48,7 @@ def test_example_analysis_frozen(example_analysis):
     assert va.n == 3
     assert va.kernel_dim == 1
     assert va.dim_v == 4
-    assert tuple(uni_to_str(g) for g in va.g) == ("u^3", "u^2*v", "u*v^2",
+    assert tuple(poly_to_str(g) for g in va.g) == ("u^3", "u^2*v", "u*v^2",
                                                   "v^3")
     assert np.array_equal(va.transition % P, np.eye(4, dtype=np.int64))
     assert np.array_equal(va.point_transform % P, np.eye(4, dtype=np.int64))
@@ -107,6 +107,6 @@ def test_analysis_identity_on_corpus_sample(corpus):
         va = gi.analysis
         acc = parse_poly("0", P)
         for gk, fk in zip(va.g, va.f_prime):
-            acc = acc + gk.to_bipoly() * fk
+            acc = acc + gk * fk
         assert acc.is_zero
         assert len(va.g) == va.dim_v
