@@ -236,14 +236,14 @@ def mirror_poly(f: BiPoly) -> BiPoly:
     return BiPoly(f.p, {(k, l, i, j): c for (i, j, k, l), c in f.terms.items()})
 
 
-def dot(xs: Sequence, ys: Sequence, zero):
-    """Sum of x * y over the pairs whose factors are both nonzero, or
-    ``zero`` when there are none."""
+def dot(xs: Sequence[BiPoly], ys: Sequence[BiPoly]) -> BiPoly:
+    """Sum of x * y over the pairs whose factors are both nonzero, or the
+    zero form of the prime of ``xs``, which is not empty, when none are."""
     acc = None
     for x, y in zip(xs, ys):
         if not (x.is_zero or y.is_zero):
             acc = x * y if acc is None else acc + x * y
-    return zero if acc is None else acc
+    return BiPoly.zero(xs[0].p) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

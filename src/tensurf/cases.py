@@ -55,7 +55,7 @@ def expected_column_counts(syzygies: Sequence[SyzygyColumn], a: int, b: int
 
 def _mat_vec(mat: GradedSyzMatrix, coeffs: Sequence[BiPoly]) -> list[BiPoly]:
     """Product of a graded matrix with a vector of bigraded polynomials."""
-    return [dot(row, coeffs, BiPoly.zero(mat.p)) for row in mat.entries]
+    return [dot(row, coeffs) for row in mat.entries]
 
 
 def _check_annihilation(cols: Sequence[SyzygyColumn], gens: Sequence[BiPoly],

@@ -140,7 +140,7 @@ def _build_planted_psi(spec: GenSpec, rng: random.Random, field: FieldConfig
     psi = [[_random_uni(rng, p, mus[k]) for k in range(rows - 1)]
            for _ in range(rows)]
     ws = [_random_bipoly(rng, p, a, b - mus[k]) for k in range(rows - 1)]
-    f_prime = [dot(row, ws, BiPoly.zero(p)) for row in psi]
+    f_prime = [dot(row, ws) for row in psi]
     if rows == 3:
         gens = (*f_prime, _random_bipoly(rng, p, a, b))
     else:

@@ -70,8 +70,7 @@ class GradedSyzMatrix:
                                tuple(rows))
 
     def check_annihilates(self, gens: Sequence[BiPoly]) -> bool:
-        zero = BiPoly.zero(self.p)
-        return all(dot(col, gens, zero).is_zero for col in zip(*self.entries))
+        return all(dot(col, gens).is_zero for col in zip(*self.entries))
 
 
 def _kernel_at_degree(gens: Sequence[BiPoly], degrees: Sequence[int],
@@ -264,8 +263,8 @@ def transpose_product(column: Sequence[BiPoly], degrees: Sequence[int],
         raise ValueError("column entries must share one degree")
     if len(set(mat.row_degrees)) != 1:
         raise ValueError("matrix row shifts must be uniform")
-    shift, zero = degrees[0] - mat.row_degrees[0], BiPoly.zero(mat.p)
-    return ([dot(column, col, zero) for col in zip(*mat.entries)],
+    shift = degrees[0] - mat.row_degrees[0]
+    return ([dot(column, col) for col in zip(*mat.entries)],
             [max(cd + shift, 0) for cd in mat.col_degrees])
 
 
@@ -274,8 +273,7 @@ def compose(left: GradedSyzMatrix, right: GradedSyzMatrix,
     """Matrix product left * right as a graded matrix with given row shifts."""
     if len(left.col_degrees) != len(right.row_degrees):
         raise ValueError("inner dimensions differ")
-    zero = BiPoly.zero(left.p)
-    entries = tuple(tuple(dot(row, col, zero) for col in zip(*right.entries))
+    entries = tuple(tuple(dot(row, col) for col in zip(*right.entries))
                     for row in left.entries)
     return GradedSyzMatrix(left.p, tuple(row_degrees), right.col_degrees,
                            entries)

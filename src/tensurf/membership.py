@@ -87,7 +87,7 @@ def two_gen_solve(target: BiPoly, h0: BiPoly, h1: BiPoly,
         raise CertificateError("membership system unexpectedly inconsistent")
     x0, x1 = (BiPoly.from_grid(part.T, p)
               for part in np.split(x, [d - m0 + 1]))
-    if not (target - dot([x0, x1], [h0, h1], BiPoly.zero(p))).is_zero:
+    if not (target - dot([x0, x1], [h0, h1])).is_zero:
         raise CertificateError("membership certificate failed the exact check")
     return x0, x1
 
@@ -120,7 +120,7 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
     alphas = [BiPoly.from_grid(part.T, p) for part in np.split(x, ends[:-1])]
     # exact verification
     for row, f in zip(mat.entries, f_prime):
-        if not (dot(row, alphas, BiPoly.zero(p)) - f).is_zero:
+        if not (dot(row, alphas) - f).is_zero:
             raise CertificateError("psi solve failed the exact check")
     return alphas
 

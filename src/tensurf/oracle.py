@@ -4,11 +4,13 @@ The implicit equation F of the image surface is proved from the generators
 alone, without the syzygy pipeline.
 
 The degree of F is e = 2ab / d, where d is the degree of the map onto its
-image.  The oracle reads e off the section of the image X by a random plane
-H_0 = {m_0 = 0} (:func:`tensurf.planes.section`): e divides a known e_max,
-and the forms of degree e in x1, x2, x3 vanishing at the section's samples,
-points of X checked exactly to lie on H_0, must be one line, that of G_0.
-A candidate of degree e then comes from the first of these that gives one:
+image X.  With a strand, e = 2ab / r for one exact corank r (fact (b)
+below).  Otherwise, or when that read-off fails, the oracle reads e off
+the section of X by a random plane H_0 = {m_0 = 0}
+(:func:`tensurf.planes.section`): e divides a known e_max, and the forms of
+degree e in x1, x2, x3 vanishing at the section's samples, points of X
+checked exactly to lie on H_0, must be one line, that of G_0.  A candidate
+of degree e then comes from the first of these that gives one:
 
 1. the strand, when the pipeline passes it in F's coordinates: its
    determinant is c F^d, so a diagonal block B_0 of size e has
@@ -22,7 +24,7 @@ Each source, and the degree scan below, hands over the candidate's
 coefficient cube (``XPoly.coeff_cube``), which is normalized once, to a
 leading 1 at the first monomial of ``monomials_of_degree``.
 
-Two facts prove the candidate, whichever gave it:
+Fact (a) and one of (b), (b') prove the candidate:
 
 (a) F(g0..g3) = 0.  The strand's rows are the monomials m of bidegree
     (2a - 1, b - 1) and its columns syzygies of g = (g0..g3), so
@@ -31,21 +33,31 @@ Two facts prove the candidate, whichever gave it:
     det B_0(g) = 0 (:func:`_row_identity` checks it exactly).  The peel's
     F vanishes at the image of an (e*a + 1) x (e*b + 1) product grid of
     distinct affine nodes, so F(g0..g3), of bidegree (e*a, e*b), is zero;
+(b) d <= r for the corank r of M at one image point phi(P), when the row
+    identity holds on every column and 1 <= r, r + 1 <= min(2a, b)
+    (:func:`_rank_degree`).  phi is finite (:func:`implicitize` screens
+    out basepoints) and separable (d <= 2ab < p): a general point of X
+    has d preimages P_j, and m(P_j) . M(phi(P_j)) = 0.  Forms of bidegree
+    (2a - 1, b - 1) separate r + 1 points (r forms of bidegree (1, 0) or
+    (0, 1), each vanishing at another point, times one not vanishing at
+    P_j), so d > r would make the corank > r on all of X, rank being
+    lower semicontinuous.  A rank drop at phi(P) only weakens the bound;
 (b') the level-0 kernel at e is a line.  So no nonzero form q of degree
     e - 1 vanishes at the samples: x1 q, x2 q and x3 q would be three
     forms of degree e that do.
 
-Let G be the minimal equation of X.  By (a), G divides F.  Each sample is a
-root of m_0 composed with the map on a line where that composition is not
-zero, so m_0 does not vanish on X and G is not m_0.  So G on H_0 is a
-nonzero form of degree deg G vanishing at the samples, and by (b')
-deg G >= e.  So F = c G: the kernel at degree e is a line and every lower
-degree has a zero kernel.  Any other outcome (no strand or no block of size
-e, a zero det B_0, a failed identity or grid, a dead grid, too few points,
-a level-0 kernel that is not a line, an inconsistent level solve) passes to
-the next source and last to the degree scan, which computes the kernel of
-evaluation on the product grid of every degree 1, 2, ... up to the first
-nonzero one.  The result is the same either way.
+Let G be the minimal equation of X.  By (a), G divides F.  By (b),
+deg G = 2ab / d >= e.  By (b'): each sample is a root of m_0 composed with
+the map on a line where that composition is not zero, so m_0 does not
+vanish on X and G is not m_0, so G on H_0 is a nonzero form of degree
+deg G vanishing at the samples, and deg G >= e.  So F = c G: the kernel at
+degree e is a line and every lower degree has a zero kernel.  Any other
+outcome (no strand or no block of size e, a zero det B_0, a failed
+identity or grid, a dead grid, too few points, a level-0 kernel that is
+not a line, an inconsistent level solve) passes to the next source and
+last to the degree scan, which computes the kernel of evaluation on the
+product grid of every degree 1, 2, ... up to the first nonzero one.  The
+result is the same either way.
 
 The module also proves, with no random step, that the strand-matrix
 determinant is a scalar multiple of a power of the recovered equation.
@@ -68,7 +80,7 @@ import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -109,9 +121,9 @@ class OracleResult:
     that the image is not a hypersurface of that degree (the first canonical
     kernel vector is still returned, and downstream certification will
     reject it).  When F was read off a strand block or peeled off plane
-    sections, at the degree e of the level-0 section, the dimension 1 at e
-    and the zero dimensions below it are proved (facts (a) and (b') of the
-    module docstring), not computed.  ``grid_shape`` is the fallbacks' grid.
+    sections, the dimension 1 at e and the zero dimensions below it are
+    proved (facts (a) with (b) or (b') of the module docstring), not
+    computed.  ``grid_shape`` is the fallbacks' grid.
 
     ``block`` is the (e, e, 4) strand block F was read off and the
     coefficient cube of its determinant, or None; it records where F came
@@ -157,10 +169,11 @@ def implicit_by_elimination(inp: SurfaceInput,
 
     The candidate is det B_0 for a block B_0 of size e of ``strand``
     (linear forms whose determinant is claimed to be c F^d) that keeps the
-    row identity, else the plane peel's, which must vanish on the product
-    grid; the degrees below e then have kernel dimension 0, not computed.
-    Any failure scans the degrees 1..2ab in order on product grids up to
-    the first nonzero kernel.  Every path returns the same result.
+    row identity, e from one rank of ``strand`` or the plane section, else
+    the plane peel's, which must vanish on the product grid; the degrees
+    below e then have kernel dimension 0, not computed.  Any failure scans
+    the degrees 1..2ab in order on product grids up to the first nonzero
+    kernel.  Every path returns the same result.
     """
     p, a, b = inp.field.p, inp.a, inp.b
     check_prime_floor(a, b, p)
@@ -177,25 +190,28 @@ def implicit_by_elimination(inp: SurfaceInput,
             [linalg.matmul_mod(linalg.matmul_mod(tv, g, p), vv.T, p).reshape(-1)
              for g in gen_grids], axis=1)
 
-    def result(e: int, cube: NDArray[np.int64], dims: list[tuple[int, int]],
+    def result(e: int, cube: NDArray[np.int64], dims: Sequence = (),
                block: Optional[tuple] = None) -> OracleResult:
         f = XPoly.from_cube(p, e, cube)
         return OracleResult(
             f=f.scale(pow(f.terms[max(f.terms)], -1, p)), degree=e,
-            kernel_dims=tuple(dims), grid_shape=(e * a + 1, e * b + 1),
-            block=block)
+            kernel_dims=tuple(dims) or tuple(   # proved: 0 below e, 1 at e
+                (k, int(k == e)) for k in range(1, e + 1)),
+            grid_shape=(e * a + 1, e * b + 1), block=block)
 
+    if (strand is not None and (e := _rank_degree(inp, strand))
+            and (read := _read_off(inp, strand, e, checked=True))):
+        return result(e, read[1], block=read)
     sec = section(inp, gen_grids)
     if sec is not None:
         e = sec.e
-        proved = [(k, 0) for k in range(1, e)] + [(e, 1)]
         if strand is not None and (read := _read_off(inp, strand, e)):
-            return result(e, read[1], proved, read)
+            return result(e, read[1], block=read)
         points = grid_points(e)
         # A dead grid point is left to the scan, which reports it.
         cube = peel(sec) if points.any(axis=1).all() else None
         if cube is not None and _vanishes_at(e, points, cube, p):
-            return result(e, cube, proved)
+            return result(e, cube)
 
     dims: list[tuple[int, int]] = []
     for e in range(1, size + 1):
@@ -276,16 +292,30 @@ def _in_f_coordinates(strand: Strand, point_transform: NDArray[np.int64]
     ).reshape(strand.tensor.shape))
 
 
-def _read_off(inp: SurfaceInput, strand: Strand, e: int) -> Optional[
+def _rank_degree(inp: SurfaceInput, strand: Strand) -> Optional[int]:
+    """e = 2ab / r when the corank r of ``strand`` at one random image
+    point proves deg G >= e (fact (b)) and r divides 2ab, else None."""
+    p, size, rng = strand.p, strand.size, inp.field.rng("oracle-rank")
+    point = (1, rng.randrange(p), 1, rng.randrange(p))
+    r = size - linalg.rank(
+        strand.eval_matrix_at([g.eval(point) for g in inp.gens]), p)
+    if (1 <= r and r + 1 <= min(2 * inp.a, inp.b) and size % r == 0
+            and _row_identity(inp, strand, np.arange(size))):
+        return size // r
+    return None
+
+
+def _read_off(inp: SurfaceInput, strand: Strand, e: int,
+              checked: bool = False) -> Optional[
         tuple[NDArray[np.int64], NDArray[np.int64]]]:
     """The first diagonal block B of size e of ``strand`` and the
     coefficient cube of det B (``Strand.det_cube``), as
     ``OracleResult.block``.  None when no block has size e, B's columns
-    break the row identity (checked first: it costs no lattice) or det B
-    is zero."""
+    break the row identity (checked first, as it costs no lattice, unless
+    ``checked`` says it holds on every column) or det B is zero."""
     sized = [(r, c) for r, c in _blocks(strand.tensor)
              if len(r) == len(c) == e]
-    if not sized or not _row_identity(inp, strand, sized[0][1]):
+    if not sized or not (checked or _row_identity(inp, strand, sized[0][1])):
         return None
     block = strand.block(*sized[0])
     cube = block.det_cube()

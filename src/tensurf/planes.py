@@ -11,12 +11,12 @@ it.
 
 Level 0 comes first (:func:`section`): its points are drawn for the
 largest degree e_max the map allows, and its kernel reads off e.  The
-oracle (:mod:`tensurf.oracle`) reads F off a strand block of size e when
-it can.  Only its fallback, :func:`peel`, draws points for levels 1..e,
-after e is known.  The oracle proves the candidate either way.  Its proof
-takes one fact from here, which :func:`section` enforces: the level-0
-kernel at e, on points checked exactly to lie on X and on H_0, is the line
-of G_0.
+oracle (:mod:`tensurf.oracle`) takes a section only when one rank of the
+strand gives no e to read F off; then it reads F off a strand block of
+size e when it can, and else :func:`peel` draws points for levels 1..e.
+The oracle proves the candidate either way, on this path with one fact
+from here, which :func:`section` enforces: the level-0 kernel at e, on
+points checked exactly to lie on X and on H_0, is the line of G_0.
 """
 
 from __future__ import annotations

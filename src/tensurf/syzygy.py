@@ -170,7 +170,7 @@ def analyze(inp: SurfaceInput) -> VAnalysis:
     new_gens = list(f_prime) + [inp.gens[j - dim_v] for j in pivots[dim_v:]]
     point_transform = linalg.matrix_inverse(transition.T % p, p)
 
-    if not dot(g, f_prime, BiPoly.zero(p)).is_zero:
+    if not dot(g, f_prime).is_zero:
         raise CertificateError("g does not annihilate the reduced family")
 
     return VAnalysis(

@@ -64,6 +64,21 @@ def spy_peel(monkeypatch) -> list:
     return degrees
 
 
+def spy_section(monkeypatch) -> list:
+    """Record the degree e of every level-0 plane section that the oracle
+    takes (None when it gives none)."""
+    degrees = []
+    original = oracle.section
+
+    def spy(inp, gen_grids):
+        sec = original(inp, gen_grids)
+        degrees.append(None if sec is None else sec.e)
+        return sec
+
+    monkeypatch.setattr(oracle, "section", spy)
+    return degrees
+
+
 def bench_jobs(workload: str, directory: Path) -> list:
     """The seed-1 job files of a perfbench workload, written to
     ``directory``."""

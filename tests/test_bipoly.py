@@ -511,10 +511,11 @@ def test_uni_eval_matches_bipoly_eval():
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([101, P]), st.booleans(), st.integers(0, 2**31),
-       st.lists(st.tuples(st.booleans(), st.booleans()), max_size=4))
+       st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1,
+                max_size=4))
 def test_dot_matches_the_naive_sum(p, uni, seed, zeros):
-    # rows of (c, d)-forms or of (0, d) binary forms; zeros[i] marks x_i,
-    # y_i zero
+    # nonempty rows of (c, d)-forms or of (0, d) binary forms; zeros[i]
+    # marks x_i, y_i zero
     rng = random.Random(seed)
     (c, d), (e, f) = [(rng.randrange(3), rng.randrange(3)) for _ in range(2)]
 
@@ -529,10 +530,6 @@ def test_dot_matches_the_naive_sum(p, uni, seed, zeros):
     naive = zero
     for x, y in zip(xs, ys):
         naive = naive + x * y
-    got = dot(xs, ys, zero)
-    assert got == naive
-    if all(x.is_zero or y.is_zero for x, y in zip(xs, ys)):
-        assert got is zero
-    # an all-zero row returns the given zero
-    pad = BiPoly.zero(p)
-    assert dot([x.scale(0) for x in xs], ys, pad) is pad
+    assert dot(xs, ys) == naive
+    # an all-zero row gives the zero form of the operands' prime
+    assert dot([x.scale(0) for x in xs], ys) == zero

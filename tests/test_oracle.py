@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EXAMPLE_GENERATORS
 from helpers import (bench_jobs, compose_quadratic, mutate_case, spy_peel,
-                     spy_vanishes_at)
+                     spy_section, spy_vanishes_at)
 from tensurf import linalg, oracle, planes
 from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
                             FieldConfig, HypothesisError, parse_poly,
@@ -594,7 +594,9 @@ def test_row_identity_holds_in_f_coordinates_only(moved_dim3):
 def test_a_change_outside_the_read_off_block_keeps_the_read_off(
         moved_dim3, monkeypatch):
     # a changed entry of block 1 leaves B_0 and its row identity as they
-    # are: F is still read off B_0, and the certificate rejects block 1
+    # are: the rank step, which needs the identity on every column, gives
+    # way to the plane section, F is still read off B_0 at its degree, and
+    # the certificate rejects block 1
     inst, strand, _ = moved_dim3
     transform = inst.analysis.point_transform
     (_, cols0), (rows1, cols1) = oracle._blocks(strand.tensor)
@@ -606,10 +608,12 @@ def test_a_change_outside_the_read_off_block_keeps_the_read_off(
     moved = oracle._in_f_coordinates(changed, transform)
     assert oracle._row_identity(inst.input, moved, cols0)
     assert not oracle._row_identity(inst.input, moved, cols1)
+    assert oracle._rank_degree(inst.input, moved) is None
+    sections = spy_section(monkeypatch)
     peels = spy_peel(monkeypatch)
     grid_proofs = spy_vanishes_at(monkeypatch)
     got = implicit_by_elimination(inst.input, moved)
-    assert peels == [] and grid_proofs == []
+    assert sections == [6] and peels == [] and grid_proofs == []
     assert got.block is not None
     assert got == implicit_by_elimination(inst.input)
     with pytest.raises(CertificateError, match="block 1"):
@@ -666,6 +670,131 @@ def test_implicitize_matches_the_oracle_on_a_corpus_sample(corpus,
         assert peels == []
         assert got.oracle == implicit_by_elimination(inst.input)
         peels.clear()
+
+
+# ---------------------------------------------------------------------------
+# the implicit degree from one exact rank of the strand
+
+
+def _section_path(monkeypatch, inp):
+    """``implicitize`` with the rank step forced to fail: the plane
+    section finds e."""
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_rank_degree", lambda inp, strand: None)
+        return implicitize(inp)
+
+
+def _assert_same_result(got, want):
+    # F and kernel_dims (OracleResult equality) and the certificate's c
+    assert got.oracle == want.oracle
+    assert got.certificate.c == want.certificate.c
+
+
+def _corank(inp, strand, point):
+    """The corank of the strand at the image of one parameter point."""
+    x = [g.eval(point) for g in inp.gens]
+    return strand.size - linalg.rank(strand.eval_matrix_at(x), inp.field.p)
+
+
+# the generated shapes of the perfbench workloads
+BENCH_SPECS = [GenSpec("dim2", 3, 2, 1), GenSpec("dim2", 1, 5, 3),
+               GenSpec("dim3", 1, 5, 3, (1,)), GenSpec("dim2", 2, 3, 2),
+               GenSpec("dim3", 2, 5, 3, (1,)), GenSpec("dim4", 2, 5, 3, (1, 1))]
+
+
+@pytest.mark.parametrize("spec", BENCH_SPECS + [None],
+                         ids=[str(s) for s in BENCH_SPECS] + ["worked"])
+def test_implicitize_takes_no_plane_section_on_the_bench_shapes(
+        spec, example_input, monkeypatch):
+    inp = (example_input if spec is None
+           else generate(spec, index=0, seed=0).input)
+    want = _section_path(monkeypatch, inp)
+    sections = spy_section(monkeypatch)
+    got = implicitize(inp)
+    assert sections == []
+    assert got.oracle.block is not None
+    _assert_same_result(got, want)
+
+
+def test_the_rank_condition_holds_at_its_boundary(monkeypatch):
+    # (2, 3), d = 2: corank r = 2 at a random image point, and r + 1 =
+    # min(2a, b) = 3 is the largest r whose fibre points the forms of
+    # bidegree (3, 2) still separate; so e = 12 / 2 comes from the rank
+    inst = generate(GenSpec("dim2", 2, 3, 2), index=0, seed=0)
+    moved = oracle._in_f_coordinates(build_strand(inst.case),
+                                     inst.analysis.point_transform)
+    assert _corank(inst.input, moved, (1, 5, 1, 7)) == 2
+    assert oracle._rank_degree(inst.input, moved) == 6
+    sections = spy_section(monkeypatch)
+    assert implicit_by_elimination(inst.input, moved).degree == 6
+    assert sections == []
+
+
+@pytest.mark.parametrize("spec", [GenSpec("dim2", 2, 2, 1),
+                                  GenSpec("dim2", 2, 1, 1),
+                                  GenSpec("dim2", 1, 1, 1)], ids=str)
+def test_small_shapes_beyond_the_rank_condition_take_the_section(
+        spec, monkeypatch):
+    # r + 1 > min(2a, b): the forms of bidegree (2a - 1, b - 1) need not
+    # separate r + 1 fibre points, so the rank proves nothing
+    inst = generate(spec, index=0, seed=0)
+    moved = oracle._in_f_coordinates(build_strand(inst.case),
+                                     inst.analysis.point_transform)
+    r = _corank(inst.input, moved, (1, 5, 1, 7))
+    assert r + 1 > min(2 * spec.a, spec.b)
+    assert oracle._rank_degree(inst.input, moved) is None
+    want = _section_path(monkeypatch, inst.input)
+    sections = spy_section(monkeypatch)
+    got = implicitize(inst.input)
+    assert sections == [got.oracle.degree]
+    _assert_same_result(got, want)
+
+
+def _double_point_input(field):
+    """A (2, 3) dim-2 input built as ``gen`` builds one, but with odd
+    s-exponents, so d = 1, and in each form the coefficient of s^a u^b
+    equal to that of t^a v^b: phi(1, 0, 1, 0) = phi(0, 1, 0, 1), a double
+    point of the image."""
+    rng = random.Random(3)
+
+    def tied(c, d):
+        terms = {(c - j, j, d - l, l): rng.randrange(1, P)
+                 for j in range(c + 1) for l in range(d + 1)}
+        terms[(0, c, 0, d)] = terms[(c, 0, d, 0)]
+        return BiPoly(P, terms)
+
+    g0, g1, h = tied(0, 2), tied(0, 2), tied(2, 1)
+    return SurfaceInput(2, 3, (g1 * h, -(g0 * h), tied(2, 3), tied(2, 3)),
+                        field)
+
+
+class _Zeros(random.Random):
+    def randrange(self, *args):
+        return 0
+
+
+def test_a_rank_drop_point_takes_the_section(field, monkeypatch):
+    # at the double point the two preimages give corank 2 > d = 1: r
+    # overstates d, no block has size 12 / 2 and the section finds e = 12
+    inp = _double_point_input(field)
+    assert ([g.eval((1, 0, 1, 0)) for g in inp.gens]
+            == [g.eval((0, 1, 0, 1)) for g in inp.gens])
+    want = _section_path(monkeypatch, inp)
+    assert want.certificate.exponent == 1
+    assert want.certificate.blocks == (12,)
+    sections = spy_section(monkeypatch)
+    _assert_same_result(implicitize(inp), want)
+    assert sections == []
+    rng = FieldConfig.rng
+    monkeypatch.setattr(FieldConfig, "rng", lambda self, purpose: (
+        _Zeros() if purpose == "oracle-rank" else rng(self, purpose)))
+    moved = oracle._in_f_coordinates(want.strand,
+                                     want.analysis.point_transform)
+    assert _corank(inp, moved, (1, 0, 1, 0)) == 2
+    assert oracle._rank_degree(inp, moved) == 6
+    got = implicitize(inp)
+    assert sections == [12] and got.oracle.block is not None
+    _assert_same_result(got, want)
 
 
 # ---------------------------------------------------------------------------
