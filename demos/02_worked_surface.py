@@ -18,8 +18,8 @@ import time
 from tensurf.bipoly import FieldConfig, poly_to_str
 from tensurf.oracle import implicitize
 from tensurf.syzygy import SurfaceInput
-from tensurf.xpoly import divide_with_remainder, linear_substitute
 from tensurf.strand import reconstruct_det
+from tensurf.xpoly import divide_with_remainder
 
 GENERATORS = [
     "-t^2*u^4*v - s^2*v^5",
@@ -67,9 +67,8 @@ def main() -> None:
     # the same identity, by dividing the interpolated determinant by F
     print("\ninterpolating det(strand) as a degree-20 polynomial ...")
     det_poly = reconstruct_det(result.strand)
-    f_t = linear_substitute(oracle.f, va.point_transform)
-    quotient, rem1 = divide_with_remainder(det_poly, f_t)
-    quotient, rem2 = divide_with_remainder(quotient, f_t)
+    quotient, rem1 = divide_with_remainder(det_poly, oracle.f)
+    quotient, rem2 = divide_with_remainder(quotient, oracle.f)
     print("det / F has zero remainder:  ", rem1.is_zero)
     print("det / F^2 has zero remainder:", rem2.is_zero)
     print("final quotient is the constant c:",

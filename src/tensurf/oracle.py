@@ -12,7 +12,7 @@ degree e in x1, x2, x3 vanishing at the section's samples, points of X
 checked exactly to lie on H_0, must be one line, that of G_0.  A candidate
 of degree e then comes from the first of these that gives one:
 
-1. the strand, when the pipeline passes it in F's coordinates: its
+1. the strand, built in the input generators' coordinates, F's own: its
    determinant is c F^d, so a diagonal block B_0 of size e has
    det B_0 = c_0 F.  Its determinants on the principal lattice (below)
    interpolate to det B_0 exactly (:meth:`tensurf.strand.Strand.det_cube`,
@@ -28,10 +28,10 @@ Fact (a) and one of (b), (b') prove the candidate:
 
 (a) F(g0..g3) = 0.  The strand's rows are the monomials m of bidegree
     (2a - 1, b - 1) and its columns syzygies of g = (g0..g3), so
-    m . M(g) = 0; the component B_0 (``_blocks``) owns its rows R, so
-    m[R] . B_0(g) = 0 with m[R] nonzero over F_p(s, t, u, v), and
-    det B_0(g) = 0 (:func:`_row_identity` checks it exactly).  The peel's
-    F vanishes at the image of an (e*a + 1) x (e*b + 1) product grid of
+    m . M(g) = 0; the component B_0 (``Strand.blocks``) owns its rows R,
+    so m[R] . B_0(g) = 0 with m[R] nonzero over F_p(s, t, u, v), and
+    det B_0(g) = 0 (:func:`_row_identity` checks it exactly).  The peel's F
+    vanishes at the image of an (e*a + 1) x (e*b + 1) product grid of
     distinct affine nodes, so F(g0..g3), of bidegree (e*a, e*b), is zero;
 (b) d <= r for the corank r of M at one image point phi(P), when the row
     identity holds on every column and 1 <= r, r + 1 <= min(2a, b)
@@ -61,8 +61,8 @@ result is the same either way.
 
 The module also proves, with no random step, that the strand-matrix
 determinant is a scalar multiple of a power of the recovered equation.
-That proof, in F's own coordinates, goes block by block: the strand's zero
-pattern permutes it into diagonal blocks B_i of sizes n_i, and each
+That proof, in the coordinates both share, goes block by block: the zero
+pattern permutes M into diagonal blocks B_i of sizes n_i, and each
 det B_i = c_i F^(n_i / deg F) is proved by the same kind of argument: a form
 of degree n_i vanishing on {(1, i, j, k) : i + j + k <= n_i}, the principal
 lattice, nodes 0..n_i distinct mod p, is zero (Chung & Yao, SIAM J. Numer.
@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -181,7 +181,7 @@ def implicit_by_elimination(inp: SurfaceInput,
     rng = inp.field.rng("oracle")
     t_nodes = rng.sample(range(p), size * a + 1)
     v_nodes = rng.sample(range(p), size * b + 1)
-    gen_grids = list(inp.grids())
+    gen_grids = list(inp.grids)
 
     def grid_points(e: int) -> NDArray[np.int64]:
         tv = linalg.vandermonde(t_nodes[:e * a + 1], a + 1, p)
@@ -199,13 +199,14 @@ def implicit_by_elimination(inp: SurfaceInput,
                 (k, int(k == e)) for k in range(1, e + 1)),
             grid_shape=(e * a + 1, e * b + 1), block=block)
 
-    if (strand is not None and (e := _rank_degree(inp, strand))
-            and (read := _read_off(inp, strand, e, checked=True))):
+    holds = None if strand is None else _row_identity(inp, strand)
+    if (strand is not None and (e := _rank_degree(inp, strand, holds))
+            and (read := _read_off(strand, e, holds))):
         return result(e, read[1], block=read)
     sec = section(inp, gen_grids)
     if sec is not None:
         e = sec.e
-        if strand is not None and (read := _read_off(inp, strand, e)):
+        if strand is not None and (read := _read_off(strand, e, holds)):
             return result(e, read[1], block=read)
         points = grid_points(e)
         # A dead grid point is left to the scan, which reports it.
@@ -251,99 +252,57 @@ class DetCertificate:
     blocks: tuple[int, ...]
 
 
-def _blocks(tensor: NDArray[np.int64]
-            ) -> list[tuple[NDArray[np.int64], NDArray[np.int64]]]:
-    """Rows and columns of each connected component of the nonzero pattern
-    of a (size, size, 4) tensor, rows and columns taken as the two sides of
-    a bipartite graph (union-find).  Components come in order of their
-    first row; one without rows (a zero column) comes last."""
-    n = len(tensor)
-    root = list(range(2 * n))   # rows 0..n-1, columns n..2n-1
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
-    for r, c in np.argwhere(tensor.any(axis=2)).tolist():
-        root[find(r)] = find(n + c)
-    label = np.array([find(x) for x in range(2 * n)])
-    return [(np.flatnonzero(label[:n] == g), np.flatnonzero(label[n:] == g))
-            for g in dict.fromkeys(label.tolist())]
-
-
 def _sign(perm: NDArray[np.int64]) -> int:
     """The sign of a permutation, from the parity of its inversions."""
     return -1 if np.triu(perm[:, None] > perm).sum() % 2 else 1
 
 
-def _in_f_coordinates(strand: Strand, point_transform: NDArray[np.int64]
-                      ) -> Optional[Strand]:
-    """The strand with its linear forms moved by T^-1, T =
-    ``point_transform``: det M(T^-1 z) = c F(z)^d when det M(y) =
-    c F(T y)^d.  Moving keeps M's zero pattern.  None when T is singular
-    mod p."""
-    p = strand.p
-    if linalg.rank(point_transform, p) < 4:
-        return None
-    return replace(strand, tensor=linalg.matmul_mod(
-        strand.tensor.reshape(-1, 4),
-        linalg.matrix_inverse(point_transform, p), p
-    ).reshape(strand.tensor.shape))
-
-
-def _rank_degree(inp: SurfaceInput, strand: Strand) -> Optional[int]:
+def _rank_degree(inp: SurfaceInput, strand: Strand,
+                 holds: NDArray[np.bool_]) -> Optional[int]:
     """e = 2ab / r when the corank r of ``strand`` at one random image
-    point proves deg G >= e (fact (b)) and r divides 2ab, else None."""
+    point proves deg G >= e (fact (b), with the row identity ``holds`` on
+    every column) and r divides 2ab, else None."""
     p, size, rng = strand.p, strand.size, inp.field.rng("oracle-rank")
     point = (1, rng.randrange(p), 1, rng.randrange(p))
     r = size - linalg.rank(
         strand.eval_matrix_at([g.eval(point) for g in inp.gens]), p)
     if (1 <= r and r + 1 <= min(2 * inp.a, inp.b) and size % r == 0
-            and _row_identity(inp, strand, np.arange(size))):
+            and holds.all()):
         return size // r
     return None
 
 
-def _read_off(inp: SurfaceInput, strand: Strand, e: int,
-              checked: bool = False) -> Optional[
-        tuple[NDArray[np.int64], NDArray[np.int64]]]:
+def _read_off(strand: Strand, e: int, holds: NDArray[np.bool_]
+              ) -> Optional[tuple[NDArray[np.int64], NDArray[np.int64]]]:
     """The first diagonal block B of size e of ``strand`` and the
     coefficient cube of det B (``Strand.det_cube``), as
-    ``OracleResult.block``.  None when no block has size e, B's columns
-    break the row identity (checked first, as it costs no lattice, unless
-    ``checked`` says it holds on every column) or det B is zero."""
-    sized = [(r, c) for r, c in _blocks(strand.tensor)
-             if len(r) == len(c) == e]
-    if not sized or not (checked or _row_identity(inp, strand, sized[0][1])):
+    ``OracleResult.block``.  None when no block has size e, the row
+    identity fails on one of B's columns (``holds``) or det B is zero."""
+    sized = [(r, c) for r, c in strand.blocks if len(r) == len(c) == e]
+    if not sized or not holds[sized[0][1]].all():
         return None
     block = strand.block(*sized[0])
     cube = block.det_cube()
     return (block.tensor, cube) if cube.any() else None
 
 
-def _row_identity(inp: SurfaceInput, strand: Strand,
-                  cols: NDArray[np.int64]) -> bool:
-    """Whether m . M(g) = 0 on the columns ``cols`` (fact (a)): column c
-    maps to sum_k g_k h_ck, h_ck the form with coefficients M[:, c, k], so
-    :func:`_generator_multiples` times the stacked columns is zero."""
-    stacked = strand.tensor[:, cols].transpose(2, 0, 1).reshape(-1, len(cols))
-    return not linalg.matmul_mod(_generator_multiples(inp), stacked,
-                                 strand.p).any()
+def _row_identity(inp: SurfaceInput, strand: Strand) -> NDArray[np.bool_]:
+    """Per column c, whether m . M(g) = 0 there (fact (a)): column c maps
+    to sum_k g_k h_ck, h_ck the form with coefficients M[:, c, k], so
+    :func:`_generator_multiples` times the stacked columns is zero there."""
+    stacked = strand.tensor.transpose(2, 0, 1).reshape(-1, strand.size)
+    return ~linalg.matmul_mod(_generator_multiples(inp), stacked,
+                              strand.p).any(axis=0)
 
 
 def verify_implicitization(strand: Strand, oracle: OracleResult,
-                           point_transform: NDArray[np.int64],
                            field: FieldConfig) -> DetCertificate:
     """Prove det(strand) = c * F^d with d = size / deg F, block by block.
 
-    M acts on the changed generator basis and F on the original one:
-    det M(y) = c F(T y)^d, T = ``point_transform``.  For invertible T (else
-    CertificateError) that is det M(T^-1 z) = c F(z)^d, checked in F's
-    coordinates on M's linear forms moved once by T^-1, which keeps M's
-    zero pattern.  Its connected components (``_blocks``) permute M into
-    diagonal blocks B_i, so det M = sigma prod det B_i, sigma the sign of
-    the two permutations.  A block of size n_i is proved on its own:
+    M and F share the input generators' coordinates (:func:`build_strand`).
+    M's connected components (``Strand.blocks``) permute it into diagonal
+    blocks B_i, so det M = sigma prod det B_i, sigma the sign of the two
+    permutations.  A block of size n_i is proved on its own:
     det B_i = c_i F^(n_i / e), e = deg F, on the principal lattice
     {(1, i, j, k) : i + j + k <= n_i}, unisolvent for forms of degree n_i
     when p > n_i (p > size, else ValueError), or, for a block equal entry
@@ -358,10 +317,7 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
         raise ValueError(
             f"the exact certificate needs p > {strand.size} so that the "
             f"lattice nodes 0..{strand.size} are distinct mod p")
-    moved = _in_f_coordinates(strand, point_transform)
-    if moved is None:
-        raise CertificateError("the point transform is singular mod p")
-    blocks = _blocks(moved.tensor)
+    blocks = strand.blocks
     for rows, cols in blocks:
         if len(rows) != len(cols):
             raise CertificateError(
@@ -375,7 +331,7 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
     cube = oracle.f.coeff_cube(e)
     for index, (rows, cols) in enumerate(blocks):
         n, k = len(rows), len(rows) // e
-        block = moved.block(rows, cols)
+        block = strand.block(rows, cols)
         if (oracle.block is not None and n == e
                 and np.array_equal(block.tensor, oracle.block[0])):
             lhs, rhs = oracle.block[1].ravel(), cube.ravel()
@@ -441,7 +397,7 @@ def _resultant_gcd(inp: SurfaceInput) -> BiPoly:
 def _generator_multiples(inp: SurfaceInput) -> NDArray[np.int64]:
     """The generators' multiplication matrices by (2a - 1, b - 1), hstacked."""
     return np.hstack([multiplication_matrix(g, 2 * inp.a - 1, inp.b - 1)
-                      for g in inp.grids()])
+                      for g in inp.grids])
 
 
 def _spans_bidegree(inp: SurfaceInput) -> bool:
@@ -543,13 +499,11 @@ def implicitize(inp: SurfaceInput) -> ImplicitizationResult:
     timings["strand"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    oracle = implicit_by_elimination(
-        inp, _in_f_coordinates(strand, va.point_transform))
+    oracle = implicit_by_elimination(inp, strand)
     timings["oracle"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    certificate = verify_implicitization(
-        strand, oracle, va.point_transform, inp.field)
+    certificate = verify_implicitization(strand, oracle, inp.field)
     timings["certificate"] = time.perf_counter() - start
     return ImplicitizationResult(
         basepoints=report, analysis=va, case=case, strand=strand,

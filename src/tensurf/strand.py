@@ -3,15 +3,16 @@
 Each syzygy column of bidegree (c, d) is multiplied by every monomial of
 bidegree (2a-1-c, b-1-d) to land in the fixed working bidegree
 (2a-1, b-1).  The resulting columns assemble a square matrix of size
-2ab whose entries are linear forms in the image coordinates x0..x3; the
-determinant of that matrix is a scalar multiple of a power of the
-implicit equation of the parameterized surface, which
+2ab whose entries are linear forms in the coordinates x0..x3 of the
+input's own generators, F's coordinates: the determinant of that matrix
+is c F^d for the implicit equation F of the surface, which
 :meth:`Strand.det_cube` interpolates exactly, block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,27 @@ class Strand:
                        tensor=self.tensor[np.ix_(rows, cols)],
                        column_labels=tuple(self.column_labels[c]
                                            for c in cols))
+
+    @cached_property
+    def blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Rows and columns of each connected component of the nonzero
+        pattern, rows and columns taken as the two sides of a bipartite
+        graph (union-find, once per strand).  Components come in order of
+        their first row; one without rows (a zero column) comes last."""
+        n = self.size
+        root = list(range(2 * n))   # rows 0..n-1, columns n..2n-1
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
+
+        for r, c in np.argwhere(self.tensor.any(axis=2)).tolist():
+            root[find(r)] = find(n + c)
+        label = np.array([find(x) for x in range(2 * n)])
+        return [(np.flatnonzero(label[:n] == g),
+                 np.flatnonzero(label[n:] == g))
+                for g in dict.fromkeys(label.tolist())]
 
     def det_at(self, point) -> int:
         return linalg.det_field(self.eval_matrix_at(point), self.p)
@@ -94,21 +116,28 @@ class Strand:
 def build_strand(case: CaseResult) -> Strand:
     """Spread the syzygy family over monomial multipliers into a square matrix.
 
-    A syzygy of bidegree (c, d) contributes, for each coordinate x_k, the
-    multiplication matrix of its k-th entry by bidegree
-    (2a - 1 - c, b - 1 - d): one column per multiplier monomial.
+    A syzygy acts on the changed generators; its entry for input generator
+    i is sum_j transition[i, j] * e_j (``VAnalysis.transition``), one
+    ``matmul_mod`` over the family's grids.  A syzygy of bidegree (c, d)
+    contributes, for each coordinate x_i, the multiplication matrix of that
+    entry by bidegree (2a - 1 - c, b - 1 - d): one column per multiplier
+    monomial.
     """
     va = case.analysis
     a, b, p = va.input.a, va.input.b, va.input.field.p
     size = 2 * a * b
+    grids = [np.stack([coeff_grid(e, *sy.bidegree) for e in sy.entries])
+             for sy in case.syzygies]
+    moved = linalg.matmul_mod(
+        va.transition, np.hstack([g.reshape(4, -1) for g in grids]), p)
     blocks: list[np.ndarray] = []
     labels: list[tuple[str, tuple[int, int, int, int]]] = []
-    for sy in case.syzygies:
+    for sy, g in zip(case.syzygies, grids):
         c, d = sy.bidegree
         mc, md = 2 * a - 1 - c, b - 1 - d
-        blocks.append(np.stack(
-            [multiplication_matrix(coeff_grid(e, c, d), mc, md)
-             for e in sy.entries], axis=2))
+        entries, moved = moved[:, :g[0].size], moved[:, g[0].size:]
+        blocks.append(np.stack([multiplication_matrix(e, mc, md)
+                                for e in entries.reshape(g.shape)], axis=2))
         labels += [(sy.label, mult) for mult in monomial_basis(mc, md)]
     if len(labels) != size:
         raise CertificateError(

@@ -14,6 +14,7 @@ determines which downstream construction applies (dim V in {2, 3, 4}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +56,7 @@ class SurfaceInput:
                 raise HypothesisError(
                     f"generator {i} is not a nonzero form of bidegree "
                     f"({self.a}, {self.b})")
-        if linalg.rank(self.grids().reshape(4, -1), self.field.p) < 4:
+        if linalg.rank(self.grids.reshape(4, -1), self.field.p) < 4:
             raise HypothesisError("generators are linearly dependent")
 
     @classmethod
@@ -65,9 +66,12 @@ class SurfaceInput:
         gens = tuple(parse_poly(e, field.p) for e in exprs)
         return cls(a, b, gens, field)
 
+    @cached_property
     def grids(self) -> NDArray[np.int64]:
-        """The generators' coefficient grids, shape (4, a + 1, b + 1)."""
-        return np.stack([coeff_grid(g, self.a, self.b) for g in self.gens])
+        """The generators' coefficient grids, (4, a + 1, b + 1), read-only."""
+        grids = np.stack([coeff_grid(g, self.a, self.b) for g in self.gens])
+        grids.flags.writeable = False
+        return grids
 
     def mirror(self) -> "SurfaceInput":
         """Swap the roles of (s, t) and (u, v)."""
@@ -82,7 +86,7 @@ def syzygy_system(inp: SurfaceInput, n: int) -> NDArray[np.int64]:
     is its multiplication matrix by bidegree (0, n), whose rows are the
     coefficients of the bidegree (a, b+n) monomials in the global order.
     """
-    return np.hstack([multiplication_matrix(g, 0, n) for g in inp.grids()])
+    return np.hstack([multiplication_matrix(g, 0, n) for g in inp.grids])
 
 
 def find_minimal_syzygy(inp: SurfaceInput
@@ -105,13 +109,14 @@ def build_f_family(inp: SurfaceInput, vec: NDArray[np.int64], n: int
     if linalg.matmul_mod(syzygy_system(inp, n), A.reshape(-1, 1), p).any():
         raise CertificateError("syzygy vector does not annihilate the generators")
     # row r of the grid of f_j is sum_i A[i, j] times row r of the grid of g_i
-    rows = [linalg.matmul_mod(A.T, g, p) for g in inp.grids().transpose(1, 0, 2)]
+    rows = [linalg.matmul_mod(A.T, g, p) for g in inp.grids.transpose(1, 0, 2)]
     return A, [BiPoly.from_grid(f, p) for f in np.stack(rows, axis=1)]
 
 
 @dataclass(frozen=True)
 class VAnalysis:
-    """Everything derived from the minimal syzygy of a surface."""
+    """Everything derived from the minimal syzygy of a surface; new_gens[j]
+    is sum_i transition[i, j] * input.gens[i]."""
 
     input: SurfaceInput
     n: int
@@ -125,7 +130,6 @@ class VAnalysis:
     g: tuple[BiPoly, ...]
     new_gens: tuple[BiPoly, ...]
     transition: NDArray[np.int64]
-    point_transform: NDArray[np.int64]
 
 
 def analyze(inp: SurfaceInput) -> VAnalysis:
@@ -168,7 +172,6 @@ def analyze(inp: SurfaceInput) -> VAnalysis:
     pivots = linalg.rref(cand, p).pivots
     transition = cand[:, pivots]
     new_gens = list(f_prime) + [inp.gens[j - dim_v] for j in pivots[dim_v:]]
-    point_transform = linalg.matrix_inverse(transition.T % p, p)
 
     if not dot(g, f_prime).is_zero:
         raise CertificateError("g does not annihilate the reduced family")
@@ -176,5 +179,4 @@ def analyze(inp: SurfaceInput) -> VAnalysis:
     return VAnalysis(
         input=inp, n=n, kernel_dim=len(kern), A=A, f_family=tuple(fam),
         dim_v=dim_v, basis_idx=basis_idx, B=B, f_prime=f_prime, g=g,
-        new_gens=tuple(new_gens), transition=transition,
-        point_transform=point_transform)
+        new_gens=tuple(new_gens), transition=transition)

@@ -1,5 +1,7 @@
 """Utilities shared between test modules."""
 
+import dataclasses
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 from tensurf import oracle
 from tensurf.bipoly import BiPoly, DEFAULT_PRIME, coeff_grid, parse_poly
 from tensurf.cases import CaseResult, SyzygyColumn
+from tensurf.strand import Strand
 from tensurf.syzygy import SurfaceInput
 
 P = DEFAULT_PRIME
@@ -50,6 +53,14 @@ def mutate_case(case: CaseResult, rng) -> CaseResult:
                       case.checks)
 
 
+def with_transition(case: CaseResult, transition) -> CaseResult:
+    """Copy of ``case`` whose analysis claims ``transition`` as its change of
+    generator basis; the identity builds the strand in the changed basis."""
+    analysis = dataclasses.replace(
+        case.analysis, transition=np.asarray(transition, dtype=np.int64))
+    return dataclasses.replace(case, analysis=analysis)
+
+
 def spy_peel(monkeypatch) -> list:
     """Record the degree e of every plane peel (levels 1..e) that the oracle
     runs."""
@@ -89,6 +100,36 @@ def bench_jobs(workload: str, directory: Path) -> list:
     sys.modules.setdefault(spec.name, jobs)
     spec.loader.exec_module(jobs)
     return jobs.make_jobs(workload, 1, "full", directory)
+
+
+def spy_blocks(monkeypatch) -> list:
+    """Record the size of every strand whose block decomposition
+    (``Strand.blocks``, cached per strand) is computed."""
+    sizes = []
+    original = Strand.blocks.func
+
+    def spy(strand):
+        sizes.append(strand.size)
+        return original(strand)
+
+    cached = functools.cached_property(spy)
+    cached.__set_name__(Strand, "blocks")
+    monkeypatch.setattr(Strand, "blocks", cached)
+    return sizes
+
+
+def spy_row_identity(monkeypatch) -> list:
+    """Record the size of every strand whose row identity the oracle
+    evaluates."""
+    sizes = []
+    original = oracle._row_identity
+
+    def spy(inp, strand):
+        sizes.append(strand.size)
+        return original(inp, strand)
+
+    monkeypatch.setattr(oracle, "_row_identity", spy)
+    return sizes
 
 
 def spy_vanishes_at(monkeypatch) -> list:

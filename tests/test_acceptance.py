@@ -21,7 +21,7 @@ from tensurf.cases import expected_column_counts, run_case
 from tensurf.oracle import implicit_by_elimination, verify_implicitization
 from tensurf.strand import build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput, analyze
-from tensurf.xpoly import divide_with_remainder, linear_substitute, parse_xpoly
+from tensurf.xpoly import divide_with_remainder, parse_xpoly
 
 P = DEFAULT_PRIME
 
@@ -48,7 +48,7 @@ def test_01_worked_surface_reproduced_end_to_end():
     assert strand.tensor.shape == (20, 20, 4)
     oracle = implicit_by_elimination(inp)
     assert oracle.degree == 10
-    cert = verify_implicitization(strand, oracle, va.point_transform, field)
+    cert = verify_implicitization(strand, oracle, field)
     assert cert.exponent == 2
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -61,14 +61,12 @@ def test_02_determinant_equals_scaled_power_exactly():
     start = time.perf_counter()
     field = FieldConfig(seed=0)
     inp = SurfaceInput.from_strings(2, 5, EXAMPLE_GENERATORS, field)
-    va = analyze(inp)
-    strand = build_strand(run_case(va))
+    strand = build_strand(run_case(analyze(inp)))
     oracle = implicit_by_elimination(inp)
     det_poly = reconstruct_det(strand)
-    f_t = linear_substitute(oracle.f, va.point_transform)
-    quotient, rem = divide_with_remainder(det_poly, f_t)
+    quotient, rem = divide_with_remainder(det_poly, oracle.f)
     assert rem.is_zero
-    quotient, rem = divide_with_remainder(quotient, f_t)
+    quotient, rem = divide_with_remainder(quotient, oracle.f)
     assert rem.is_zero
     assert quotient.degree() == 0
     assert quotient.terms.get((0, 0, 0, 0)) == P - 1
@@ -108,9 +106,7 @@ def test_04_corpus_certificates_match_degree_formula(corpus):
         strand = build_strand(inst.case)
         try:
             oracle = implicit_by_elimination(inst.input)
-            cert = verify_implicitization(
-                strand, oracle, inst.analysis.point_transform,
-                inst.input.field)
+            cert = verify_implicitization(strand, oracle, inst.input.field)
         except CertificateError as exc:
             failures.append((idx, str(exc)))
             continue
@@ -207,7 +203,6 @@ def test_06_coprime_pairs_generate_the_threshold_degree():
 
 
 def test_07_single_coefficient_mutations_are_caught(example_case,
-                                                    example_analysis,
                                                     example_oracle, field):
     """50 corrupted syzygy families all fail the certificate."""
     rng = random.Random(707)
@@ -216,8 +211,7 @@ def test_07_single_coefficient_mutations_are_caught(example_case,
         bad = mutate_case(example_case, rng)
         strand = build_strand(bad)
         with pytest.raises(CertificateError):
-            verify_implicitization(strand, example_oracle,
-                                   example_analysis.point_transform, field)
+            verify_implicitization(strand, example_oracle, field)
         caught += 1
     assert caught == 50
     print(f"\nPASS gate 7: {caught}/50 corrupted families rejected")
@@ -233,6 +227,6 @@ def test_08_trivial_anchors(field):
     strand = build_strand(case)
     oracle = implicit_by_elimination(inp)
     assert oracle.f == parse_xpoly("x0*x3 - x1*x2", P)
-    cert = verify_implicitization(strand, oracle, va.point_transform, field)
+    cert = verify_implicitization(strand, oracle, field)
     assert cert.exponent == 1
     print("\nPASS gate 8: Segre quadric and linear pair anchored")

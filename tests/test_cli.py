@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import EXAMPLE_GENERATORS, SEGRE_GENERATORS
-from helpers import bench_jobs, spy_peel, spy_vanishes_at
+from helpers import bench_jobs, spy_peel, spy_vanishes_at, with_transition
 from tensurf import cli, oracle
 from tensurf.bipoly import (DEFAULT_PRIME, FieldConfig, parse_poly,
                             poly_to_str)
@@ -142,25 +142,22 @@ def test_implicitize_timings_go_to_stderr(example_job, capsys):
                                    "wrong transform"])
 def test_implicitize_exits_3_when_the_certificate_fails(
         fault, example_job, capsys, monkeypatch):
-    build, verify = oracle.build_strand, oracle.verify_implicitization
+    build = oracle.build_strand
 
     def broken_strand(case):
+        if fault == "wrong transform":  # built in the wrong coordinates
+            return build(with_transition(
+                case, np.triu(np.arange(1, 17).reshape(4, 4))))
         strand = build(case)
         tensor = strand.tensor % P
         if fault == "zero row":        # det = 0
             tensor[3] = 0
-        elif fault == "changed entry":  # one block no longer c_i F
+        else:                          # one block no longer c_i F
             r, c, k = np.argwhere((tensor != 0) & (tensor != P - 1))[-1]
             tensor[r, c, k] += 1
         return dataclasses.replace(strand, tensor=tensor)
 
-    def wrong_transform(strand, orc, transform, field):
-        if fault == "wrong transform":
-            transform = np.triu(np.arange(1, 17).reshape(4, 4))
-        return verify(strand, orc, transform, field)
-
     monkeypatch.setattr(oracle, "build_strand", broken_strand)
-    monkeypatch.setattr(oracle, "verify_implicitization", wrong_transform)
     assert main(["implicitize", example_job]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EXAMPLE_GENERATORS
-from helpers import (bench_jobs, compose_quadratic, mutate_case, spy_peel,
-                     spy_section, spy_vanishes_at)
+from helpers import (bench_jobs, compose_quadratic, mutate_case, spy_blocks,
+                     spy_peel, spy_row_identity, spy_section, spy_vanishes_at,
+                     with_transition)
 from tensurf import linalg, oracle, planes
 from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
                             FieldConfig, HypothesisError, parse_poly,
@@ -26,8 +27,8 @@ from tensurf.gen import GenSpec, generate
 from tensurf.strand import Strand, build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput, analyze
 from tensurf.xpoly import (XPoly, eval_matrix, lattice_form, lattice_values,
-                           linear_substitute, monomials_of_degree, parse_xpoly,
-                           principal_lattice, xpoly_to_str)
+                           monomials_of_degree, parse_xpoly, principal_lattice,
+                           xpoly_to_str)
 from xpoly_ref import (coeff_vector, eval_rows, from_coeff_vector,
                        vanishes_on_map)
 
@@ -105,7 +106,7 @@ def _count_kernels(monkeypatch) -> list:
 
 
 def _peeled_degree(inp):
-    return planes.section(inp, list(inp.grids())).e
+    return planes.section(inp, list(inp.grids)).e
 
 
 def test_fiber_degree_of_known_surfaces(example_input, segre_input):
@@ -272,9 +273,8 @@ def test_generic_odd_a_instances(spec, monkeypatch):
             assert got == _unhinted(monkeypatch, inst.input)
         assert got.degree == 2 * spec.a * spec.b
         assert got.kernel_dims[-1] == (got.degree, 1)
-        cert = verify_implicitization(
-            build_strand(inst.case), got, inst.analysis.point_transform,
-            inst.input.field)
+        cert = verify_implicitization(build_strand(inst.case), got,
+                                      inst.input.field)
         assert cert.exponent == 1
         # implicitize reads F off the strand: the same result and certificate
         result = implicitize(inst.input)
@@ -463,6 +463,21 @@ def test_lattice_form_round_trips_the_lattice_values(degree, p):
     assert not lattice_form(zeros, degree, p).any()
 
 
+def _holds(inp, strand, cols) -> bool:
+    """Whether the row identity holds on every column of ``cols``."""
+    return bool(oracle._row_identity(inp, strand)[cols].all())
+
+
+def _read_off(inp, strand, e):
+    """The oracle's read-off at e, with the row-identity mask it takes."""
+    return oracle._read_off(strand, e, oracle._row_identity(inp, strand))
+
+
+def _rank_degree(inp, strand):
+    """The oracle's rank step, with the row-identity mask it takes."""
+    return oracle._rank_degree(inp, strand, oracle._row_identity(inp, strand))
+
+
 @pytest.fixture(scope="module")
 def generic_d1():
     """A generated odd-a (3, 2) surface: d = 1, one strand block of 12."""
@@ -472,13 +487,12 @@ def generic_d1():
 def test_a_zero_block_determinant_takes_the_peel(generic_d1, monkeypatch):
     # two equal columns keep the strand one block of size e = 12 and make
     # its determinant zero: nothing to read off, so the full peel answers
-    strand = oracle._in_f_coordinates(build_strand(generic_d1.case),
-                                      generic_d1.analysis.point_transform)
+    strand = build_strand(generic_d1.case)
     tensor = strand.tensor.copy()
     tensor[:, 1] = tensor[:, 0]
     zero = dataclasses.replace(strand, tensor=tensor)
-    assert [len(r) for r, _ in oracle._blocks(tensor)] == [12]
-    assert oracle._read_off(generic_d1.input, zero, 12) is None
+    assert [len(r) for r, _ in zero.blocks] == [12]
+    assert _read_off(generic_d1.input, zero, 12) is None
     peels = spy_peel(monkeypatch)
     got = implicit_by_elimination(generic_d1.input, zero)
     assert peels == [12] and got.block is None
@@ -491,13 +505,11 @@ def test_a_block_failing_the_row_identity_takes_the_peel(generic_d1,
     # its determinants is taken, the peel finds the true F and the
     # certificate rejects the strand
     inst = generic_d1
-    transform = inst.analysis.point_transform
     tensor = build_strand(inst.case).tensor % P
     r, c, k = np.argwhere(tensor)[0]
     tensor[r, c, k] = (tensor[r, c, k] + 1) % P
     changed = dataclasses.replace(build_strand(inst.case), tensor=tensor)
-    moved = oracle._in_f_coordinates(changed, transform)
-    assert oracle._read_off(inst.input, moved, 12) is None
+    assert _read_off(inst.input, changed, 12) is None
     peels = spy_peel(monkeypatch)
     original = Strand.det_at_many
     dets = []
@@ -507,11 +519,11 @@ def test_a_block_failing_the_row_identity_takes_the_peel(generic_d1,
         return original(self, points)
 
     monkeypatch.setattr(Strand, "det_at_many", counted)
-    got = implicit_by_elimination(inst.input, moved)
+    got = implicit_by_elimination(inst.input, changed)
     assert peels == [12] and got.block is None and dets == []
     assert got == implicit_by_elimination(inst.input)
     with pytest.raises(CertificateError, match="block 0"):
-        verify_implicitization(changed, got, transform, inst.input.field)
+        verify_implicitization(changed, got, inst.input.field)
 
 
 # The strand's row identity: the monomials of bidegree (2a - 1, b - 1)
@@ -521,20 +533,17 @@ def test_a_block_failing_the_row_identity_takes_the_peel(generic_d1,
 
 @pytest.fixture(scope="module")
 def moved_dim3():
-    """A generated (2, 3) dim-3 surface whose point transform is not the
-    identity (blocks 6 + 6), with its strand unmoved and moved into F's
-    coordinates."""
+    """A generated (2, 3) dim-3 surface whose change of generator basis is
+    not the identity (blocks 6 + 6), with its strand built in the changed
+    basis and in the input's."""
     inst = generate(GenSpec("dim3", 2, 3, 2, (1,)), index=0, seed=0)
-    strand = build_strand(inst.case)
-    return (inst, strand,
-            oracle._in_f_coordinates(strand, inst.analysis.point_transform))
+    return (inst, build_strand(with_transition(inst.case, np.eye(4))),
+            build_strand(inst.case))
 
 
 def _identity_per_block(inp, case):
-    moved = oracle._in_f_coordinates(build_strand(case),
-                                     case.analysis.point_transform)
-    return [oracle._row_identity(inp, moved, cols)
-            for _, cols in oracle._blocks(moved.tensor)]
+    strand = build_strand(case)
+    return [_holds(inp, strand, cols) for _, cols in strand.blocks]
 
 
 @pytest.mark.parametrize("workload", ["generic-d1", "exact-d2"])
@@ -563,8 +572,8 @@ def test_row_identity_fails_on_every_single_entry_change(moved_dim3):
     # multiple of one generator times one monomial
     inst, _, moved = moved_dim3
     inp = inst.input
-    (rows, cols), (other_rows, _) = oracle._blocks(moved.tensor)
-    assert oracle._row_identity(inp, moved, cols)
+    (rows, cols), (other_rows, _) = moved.blocks
+    assert _holds(inp, moved, cols)
     block = moved.tensor[np.ix_(rows, cols)]
     nonzero = [(rows[r], cols[c], k) for r, c, k in np.argwhere(block)[:3]]
     zero = [(rows[r], cols[c], k) for r, c, k in np.argwhere(block == 0)[:2]]
@@ -574,21 +583,21 @@ def test_row_identity_fails_on_every_single_entry_change(moved_dim3):
         tensor = moved.tensor.copy()
         tensor[r, c, k] = (tensor[r, c, k] + 1) % P
         changed = dataclasses.replace(moved, tensor=tensor)
-        assert not oracle._row_identity(inp, changed, cols), (r, c, k)
+        assert not _holds(inp, changed, cols), (r, c, k)
 
 
 def test_row_identity_holds_in_f_coordinates_only(moved_dim3):
-    # det M(y) = c F(T y)^d: M's columns are syzygies of the changed
-    # generators, so only the strand moved by T^-1 keeps the identity with
-    # the original ones
-    inst, strand, moved = moved_dim3
-    transform = inst.analysis.point_transform % P
-    assert not np.array_equal(transform, np.eye(4, dtype=np.int64))
-    blocks = oracle._blocks(moved.tensor)
-    assert [len(rows) for rows, _ in blocks] == [6, 6]
-    for _, cols in blocks:
-        assert oracle._row_identity(inst.input, moved, cols)
-        assert not oracle._row_identity(inst.input, strand, cols)
+    # F's coordinates are the input generators': the cases' syzygies act on
+    # the changed generators, so the strand built from them without the
+    # transition breaks the identity with the input's generators, block by
+    # block, and the strand built by build_strand keeps it
+    inst, unmoved, strand = moved_dim3
+    transition = inst.analysis.transition % P
+    assert not np.array_equal(transition, np.eye(4, dtype=np.int64))
+    assert [len(rows) for rows, _ in strand.blocks] == [6, 6]
+    for _, cols in strand.blocks:
+        assert _holds(inst.input, strand, cols)
+        assert not _holds(inst.input, unmoved, cols)
 
 
 def test_a_change_outside_the_read_off_block_keeps_the_read_off(
@@ -597,27 +606,25 @@ def test_a_change_outside_the_read_off_block_keeps_the_read_off(
     # are: the rank step, which needs the identity on every column, gives
     # way to the plane section, F is still read off B_0 at its degree, and
     # the certificate rejects block 1
-    inst, strand, _ = moved_dim3
-    transform = inst.analysis.point_transform
-    (_, cols0), (rows1, cols1) = oracle._blocks(strand.tensor)
+    inst, _, strand = moved_dim3
+    (_, cols0), (rows1, cols1) = strand.blocks
     tensor = strand.tensor % P
     block = tensor[np.ix_(rows1, cols1)]
     r, c, k = np.argwhere(block)[0]
     tensor[rows1[r], cols1[c], k] = (tensor[rows1[r], cols1[c], k] + 1) % P
     changed = dataclasses.replace(strand, tensor=tensor)
-    moved = oracle._in_f_coordinates(changed, transform)
-    assert oracle._row_identity(inst.input, moved, cols0)
-    assert not oracle._row_identity(inst.input, moved, cols1)
-    assert oracle._rank_degree(inst.input, moved) is None
+    assert _holds(inst.input, changed, cols0)
+    assert not _holds(inst.input, changed, cols1)
+    assert _rank_degree(inst.input, changed) is None
     sections = spy_section(monkeypatch)
     peels = spy_peel(monkeypatch)
     grid_proofs = spy_vanishes_at(monkeypatch)
-    got = implicit_by_elimination(inst.input, moved)
+    got = implicit_by_elimination(inst.input, changed)
     assert sections == [6] and peels == [] and grid_proofs == []
     assert got.block is not None
     assert got == implicit_by_elimination(inst.input)
     with pytest.raises(CertificateError, match="block 1"):
-        verify_implicitization(changed, got, transform, inst.input.field)
+        verify_implicitization(changed, got, inst.input.field)
 
 
 def test_certificate_checks_the_read_off_block_on_coefficients(
@@ -625,7 +632,7 @@ def test_certificate_checks_the_read_off_block_on_coefficients(
     # the block F was read off is not evaluated again: its interpolated
     # determinant must be c F coefficient by coefficient
     result = implicitize(generic_d1.input)
-    args = (generic_d1.analysis.point_transform, generic_d1.input.field)
+    args = (generic_d1.input.field,)
     original = Strand.det_at_many
     sizes = []
 
@@ -648,7 +655,7 @@ def test_certificate_checks_the_read_off_block_on_coefficients(
 def test_implicitize_reads_f_off_the_strand_without_peeling(
         generic_d1, example_input, monkeypatch):
     # d = 1 (one block of 12), the worked surface (d = 2, blocks 10 + 10)
-    # and a d = 2 surface whose point transform is not the identity: no
+    # and a d = 2 surface whose transition is not the identity: no
     # level beyond 0 is peeled, and the result is the one the peel gives
     inputs = [generic_d1.input, example_input,
               generate(GenSpec("dim3", 2, 3, 2, (1,)), index=0, seed=0).input]
@@ -680,7 +687,7 @@ def _section_path(monkeypatch, inp):
     """``implicitize`` with the rank step forced to fail: the plane
     section finds e."""
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_rank_degree", lambda inp, strand: None)
+        m.setattr(oracle, "_rank_degree", lambda inp, strand, holds: None)
         return implicitize(inp)
 
 
@@ -708,12 +715,18 @@ def test_implicitize_takes_no_plane_section_on_the_bench_shapes(
         spec, example_input, monkeypatch):
     inp = (example_input if spec is None
            else generate(spec, index=0, seed=0).input)
+    blocks = spy_blocks(monkeypatch)
+    identities = spy_row_identity(monkeypatch)
     want = _section_path(monkeypatch, inp)
     sections = spy_section(monkeypatch)
     got = implicitize(inp)
     assert sections == []
     assert got.oracle.block is not None
     _assert_same_result(got, want)
+    # the read-off and the certificate share one block decomposition, and
+    # the rank step and the read-off one row-identity product, per run on
+    # the section path and on the rank path alike
+    assert blocks == identities == [got.strand.size] * 2
 
 
 def test_the_rank_condition_holds_at_its_boundary(monkeypatch):
@@ -721,33 +734,37 @@ def test_the_rank_condition_holds_at_its_boundary(monkeypatch):
     # min(2a, b) = 3 is the largest r whose fibre points the forms of
     # bidegree (3, 2) still separate; so e = 12 / 2 comes from the rank
     inst = generate(GenSpec("dim2", 2, 3, 2), index=0, seed=0)
-    moved = oracle._in_f_coordinates(build_strand(inst.case),
-                                     inst.analysis.point_transform)
-    assert _corank(inst.input, moved, (1, 5, 1, 7)) == 2
-    assert oracle._rank_degree(inst.input, moved) == 6
+    strand = build_strand(inst.case)
+    assert _corank(inst.input, strand, (1, 5, 1, 7)) == 2
+    assert _rank_degree(inst.input, strand) == 6
     sections = spy_section(monkeypatch)
-    assert implicit_by_elimination(inst.input, moved).degree == 6
+    assert implicit_by_elimination(inst.input, strand).degree == 6
     assert sections == []
 
 
-@pytest.mark.parametrize("spec", [GenSpec("dim2", 2, 2, 1),
-                                  GenSpec("dim2", 2, 1, 1),
-                                  GenSpec("dim2", 1, 1, 1)], ids=str)
+# shapes whose rank condition fails, so the section finds e
+SECTION_SPECS = [GenSpec("dim2", 2, 2, 1), GenSpec("dim2", 2, 1, 1),
+                 GenSpec("dim2", 1, 1, 1)]
+
+
+@pytest.mark.parametrize("spec", SECTION_SPECS, ids=str)
 def test_small_shapes_beyond_the_rank_condition_take_the_section(
         spec, monkeypatch):
     # r + 1 > min(2a, b): the forms of bidegree (2a - 1, b - 1) need not
     # separate r + 1 fibre points, so the rank proves nothing
     inst = generate(spec, index=0, seed=0)
-    moved = oracle._in_f_coordinates(build_strand(inst.case),
-                                     inst.analysis.point_transform)
-    r = _corank(inst.input, moved, (1, 5, 1, 7))
+    strand = build_strand(inst.case)
+    r = _corank(inst.input, strand, (1, 5, 1, 7))
     assert r + 1 > min(2 * spec.a, spec.b)
-    assert oracle._rank_degree(inst.input, moved) is None
+    assert _rank_degree(inst.input, strand) is None
+    blocks = spy_blocks(monkeypatch)
+    identities = spy_row_identity(monkeypatch)
     want = _section_path(monkeypatch, inst.input)
     sections = spy_section(monkeypatch)
     got = implicitize(inst.input)
     assert sections == [got.oracle.degree]
     _assert_same_result(got, want)
+    assert blocks == identities == [got.strand.size] * 2
 
 
 def _double_point_input(field):
@@ -788,10 +805,8 @@ def test_a_rank_drop_point_takes_the_section(field, monkeypatch):
     rng = FieldConfig.rng
     monkeypatch.setattr(FieldConfig, "rng", lambda self, purpose: (
         _Zeros() if purpose == "oracle-rank" else rng(self, purpose)))
-    moved = oracle._in_f_coordinates(want.strand,
-                                     want.analysis.point_transform)
-    assert _corank(inp, moved, (1, 0, 1, 0)) == 2
-    assert oracle._rank_degree(inp, moved) == 6
+    assert _corank(inp, want.strand, (1, 0, 1, 0)) == 2
+    assert _rank_degree(inp, want.strand) == 6
     got = implicitize(inp)
     assert sections == [12] and got.oracle.block is not None
     _assert_same_result(got, want)
@@ -801,10 +816,8 @@ def test_a_rank_drop_point_takes_the_section(field, monkeypatch):
 # the determinant certificate
 
 
-def test_certificate_frozen(example_analysis, example_strand,
-                            example_oracle, field):
-    cert = verify_implicitization(example_strand, example_oracle,
-                                  example_analysis.point_transform, field)
+def test_certificate_frozen(example_strand, example_oracle, field):
+    cert = verify_implicitization(example_strand, example_oracle, field)
     assert cert == DetCertificate(c=P - 1, exponent=2, blocks=(10, 10))
 
 
@@ -812,48 +825,46 @@ def test_a_generic_d1_strand_is_one_block():
     inst = generate(GenSpec("dim2", 3, 2, 1), index=0, seed=0)
     cert = verify_implicitization(
         build_strand(inst.case), implicit_by_elimination(inst.input),
-        inst.analysis.point_transform, inst.input.field)
+        inst.input.field)
     assert cert.exponent == 1 and cert.blocks == (12,)
 
 
-def test_swapping_rows_of_two_blocks_negates_c(example_analysis,
-                                               example_strand,
+def test_swapping_rows_of_two_blocks_negates_c(example_strand,
                                                example_oracle, field):
-    (rows0, _), (rows1, _) = oracle._blocks(example_strand.tensor % P)
+    (rows0, _), (rows1, _) = example_strand.blocks
     tensor = example_strand.tensor.copy()
     tensor[[rows0[0], rows1[0]]] = tensor[[rows1[0], rows0[0]]]
     cert = verify_implicitization(
         dataclasses.replace(example_strand, tensor=tensor), example_oracle,
-        example_analysis.point_transform, field)
+        field)
     assert cert.blocks == (10, 10)
     assert cert.c == P - (P - 1)
 
 
-def test_certificate_rejects_a_zero_row(example_analysis, example_strand,
-                                        example_oracle, field):
+def test_certificate_rejects_a_zero_row(example_strand, example_oracle,
+                                        field):
     tensor = example_strand.tensor.copy()
     tensor[3] = 0
     with pytest.raises(CertificateError,
                        match="component .* determinant is zero"):
         verify_implicitization(
             dataclasses.replace(example_strand, tensor=tensor),
-            example_oracle, example_analysis.point_transform, field)
+            example_oracle, field)
 
 
 def test_certificate_rejects_a_block_the_degree_does_not_divide(
-        example_analysis, example_strand, example_oracle, field):
+        example_strand, example_oracle, field):
     # 4 divides the strand size 20 but not the block size 10
     quartic = dataclasses.replace(
         example_oracle, degree=4, f=XPoly(P, {(4, 0, 0, 0): 1}))
     with pytest.raises(CertificateError,
                        match="does not divide the block size 10"):
-        verify_implicitization(example_strand, quartic,
-                               example_analysis.point_transform, field)
+        verify_implicitization(example_strand, quartic, field)
 
 
 def test_certificate_rejects_a_changed_coefficient_in_the_second_block(
-        example_analysis, example_strand, example_oracle, field):
-    _, (rows, cols) = oracle._blocks(example_strand.tensor % P)
+        example_strand, example_oracle, field):
+    _, (rows, cols) = example_strand.blocks
     tensor = example_strand.tensor % P
     block = tensor[np.ix_(rows, cols)]
     r, c, k = np.argwhere((block != 0) & (block != P - 1))[0]
@@ -861,27 +872,24 @@ def test_certificate_rejects_a_changed_coefficient_in_the_second_block(
     with pytest.raises(CertificateError, match="block 1"):
         verify_implicitization(
             dataclasses.replace(example_strand, tensor=tensor),
-            example_oracle, example_analysis.point_transform, field)
+            example_oracle, field)
 
 
 def test_certificate_rejects_a_zero_determinant_outside_the_read_off_block(
-        example_input, example_analysis, example_strand, field):
+        example_input, example_strand, field):
     # F is read off block 0; two equal columns inside block 1 keep the
     # blocks 10 + 10 and make det B_1 identically zero, which no nonzero
     # multiple of F matches on block 1's lattice
-    transform = example_analysis.point_transform
-    orc = implicit_by_elimination(
-        example_input, oracle._in_f_coordinates(example_strand, transform))
+    orc = implicit_by_elimination(example_input, example_strand)
     assert orc.block is not None
-    _, (_, cols1) = oracle._blocks(example_strand.tensor % P)
+    _, (_, cols1) = example_strand.blocks
     tensor = example_strand.tensor.copy()
     tensor[:, cols1[1]] = tensor[:, cols1[0]]
-    assert [len(r) for r, _ in oracle._blocks(tensor % P)] == [10, 10]
+    changed = dataclasses.replace(example_strand, tensor=tensor)
+    assert [len(r) for r, _ in changed.blocks] == [10, 10]
     with pytest.raises(CertificateError,
                        match=r"^block 1: det and F\^1 are never both nonzero"):
-        verify_implicitization(
-            dataclasses.replace(example_strand, tensor=tensor), orc,
-            transform, field)
+        verify_implicitization(changed, orc, field)
 
 
 def test_certificate_draws_no_random_point(tmp_path, monkeypatch):
@@ -913,17 +921,14 @@ def test_certificate_draws_no_random_point(tmp_path, monkeypatch):
     assert "oracle" in purposes and "certificate" not in purposes
 
 
-def test_certificate_interpolate_mode(example_analysis, example_strand,
-                                      example_oracle, field):
-    cert = verify_implicitization(example_strand, example_oracle,
-                                  example_analysis.point_transform, field)
+def test_certificate_interpolate_mode(example_strand, example_oracle,
+                                      field):
+    cert = verify_implicitization(example_strand, example_oracle, field)
     assert cert.exponent == 2
     assert cert.c == P - 1
-    # det = c * F^2 as polynomials (transition is the identity here)
-    f_t = linear_substitute(example_oracle.f,
-                            example_analysis.point_transform)
-    assert f_t == example_oracle.f
-    assert reconstruct_det(example_strand) == (f_t * f_t).scale(cert.c)
+    # det = c * F^2 as polynomials
+    f = example_oracle.f
+    assert reconstruct_det(example_strand) == (f * f).scale(cert.c)
 
 
 @pytest.mark.parametrize("degree", [2, 4, 12])
@@ -955,57 +960,44 @@ def test_lattice_values_are_the_form_at_the_lattice_points(degree, size, p):
 
 @pytest.fixture(scope="module")
 def moved_instance():
-    """A generated (2,3) surface whose point transform is not the identity,
-    with its strand and oracle equation."""
+    """A generated (2,3) surface whose change of generator basis is not the
+    identity, with its strand and oracle equation."""
     inst = generate(GenSpec("dim3", 2, 3, 2, (1,)), index=0, seed=0)
-    transform = inst.analysis.point_transform
-    assert (transform % P != np.eye(4, dtype=np.int64)).sum() > 4
+    assert (inst.analysis.transition % P != np.eye(4, dtype=np.int64)).sum() > 4
     return (build_strand(inst.case), implicit_by_elimination(inst.input),
-            transform, inst.input.field)
+            inst.input.field)
 
 
 def test_certificate_in_moved_coordinates_is_the_original_identity(
         moved_instance):
-    strand, orc, transform, field = moved_instance
-    cert = verify_implicitization(strand, orc, transform, field)
+    strand, orc, field = moved_instance
+    cert = verify_implicitization(strand, orc, field)
     assert cert.exponent * orc.degree == strand.size
-    # det M(y) = c F(T y)^d at random points y of the original coordinates
+    # det M(x) = c F(x)^d at random points x: the strand is built in the
+    # coordinates of the input's generators, with no change of coordinates
     rng = random.Random(8)
     for _ in range(5):
-        y = np.array([rng.randrange(P) for _ in range(4)], dtype=np.int64)
-        f_ty = orc.f.eval(linalg.matmul_mod(transform, y[:, None], P)[:, 0])
-        assert strand.det_at(y) == cert.c * pow(f_ty, cert.exponent, P) % P
+        x = [rng.randrange(P) for _ in range(4)]
+        assert strand.det_at(x) == cert.c * pow(orc.f.eval(x), cert.exponent,
+                                                P) % P
 
 
 def test_certificate_in_moved_coordinates_rejects_a_changed_strand(
         moved_instance):
-    strand, orc, transform, field = moved_instance
+    strand, orc, field = moved_instance
     # one nonzero coefficient of one entry changed
     tensor = strand.tensor.copy()
     r, c, k = np.argwhere(tensor % P)[len(np.argwhere(tensor % P)) // 2]
     tensor[r, c, k] = (tensor[r, c, k] + 1) % P
     with pytest.raises(CertificateError):
         verify_implicitization(dataclasses.replace(strand, tensor=tensor),
-                               orc, transform, field)
+                               orc, field)
     # two equal columns: the determinant is identically zero
     tensor = strand.tensor.copy()
     tensor[:, 1] = tensor[:, 0]
     with pytest.raises(CertificateError):
         verify_implicitization(dataclasses.replace(strand, tensor=tensor),
-                               orc, transform, field)
-
-
-def test_certificate_rejects_a_singular_transform(moved_instance):
-    strand, orc, transform, field = moved_instance
-    singular = transform.copy()
-    singular[3] = (singular[1] + 5 * singular[2]) % P
-    with pytest.raises(CertificateError, match="singular"):
-        verify_implicitization(strand, orc, singular, field)
-    # singular mod p only: the rows are independent over the integers
-    singular = np.eye(4, dtype=np.int64)
-    singular[3, 3] = P
-    with pytest.raises(CertificateError, match="singular"):
-        verify_implicitization(strand, orc, singular, field)
+                               orc, field)
 
 
 def _newton(node: tuple[int, int, int], degree: int, y) -> int:
@@ -1025,7 +1017,7 @@ def _newton(node: tuple[int, int, int], degree: int, y) -> int:
 @pytest.mark.parametrize("node", [(10, 0, 0), (0, 0, 10), (3, 4, 3),
                                   (2, 3, 4)])
 def test_interpolate_catches_a_perturbation_at_lattice_points(
-        node, example_analysis, example_strand, example_oracle, field,
+        node, example_strand, example_oracle, field,
         monkeypatch):
     # the worked strand is two blocks of size 10; only the first block's
     # determinant is perturbed, on its own degree-10 lattice
@@ -1050,38 +1042,36 @@ def test_interpolate_catches_a_perturbation_at_lattice_points(
     with pytest.raises(CertificateError,
                        match=f"block 0: .* fails at {n_bad} of 286 principal "
                              "lattice"):
-        verify_implicitization(example_strand, example_oracle,
-                               example_analysis.point_transform, field)
+        verify_implicitization(example_strand, example_oracle, field)
     assert sizes == [10]
 
 
 @pytest.mark.parametrize("p", [3, 19])
 def test_interpolate_refuses_primes_not_above_the_strand_size(
-        p, example_analysis, example_strand, example_oracle):
+        p, example_strand, example_oracle):
     with pytest.raises(ValueError, match="needs p > 20"):
         verify_implicitization(example_strand, example_oracle,
-                               example_analysis.point_transform,
                                FieldConfig(p))
 
 
 def test_certificate_rejects_corrupted_syzygies(example_case,
-                                                example_analysis,
                                                 example_oracle, field):
     rng = random.Random(1234)
     bad = mutate_case(example_case, rng)
     strand = build_strand(bad)
     with pytest.raises(CertificateError):
-        verify_implicitization(strand, example_oracle,
-                               example_analysis.point_transform, field)
+        verify_implicitization(strand, example_oracle, field)
 
 
-def test_certificate_rejects_wrong_transform(example_strand, example_oracle,
+def test_certificate_rejects_wrong_transform(example_case, example_oracle,
                                              field):
-    # a random wrong coordinate change must not certify
+    # a strand built with a random wrong change of generator basis must not
+    # certify
     wrong = np.array([[1, 2, 3, 4], [0, 1, 5, 6], [0, 0, 1, 7], [0, 0, 0, 1]],
                      dtype=np.int64)
+    strand = build_strand(with_transition(example_case, wrong))
     with pytest.raises(CertificateError):
-        verify_implicitization(example_strand, example_oracle, wrong, field)
+        verify_implicitization(strand, example_oracle, field)
 
 
 # ---------------------------------------------------------------------------
@@ -1314,8 +1304,7 @@ def test_implicitize_rejects_basepoints(field):
     va = analyze(inp)
     strand = build_strand(run_case(va))
     with pytest.raises(CertificateError):
-        verify_implicitization(strand, implicit_by_elimination(inp),
-                               va.point_transform, field)
+        verify_implicitization(strand, implicit_by_elimination(inp), field)
 
 
 def test_implicitize_screens_before_analysis(field, monkeypatch):

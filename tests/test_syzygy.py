@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, FieldConfig,
-                            HypothesisError, monomial_basis, parse_poly,
-                            poly_to_str)
+                            HypothesisError, coeff_grid, monomial_basis,
+                            parse_poly, poly_to_str)
 from tensurf.gen import GenSpec, _build_planted_psi
 from tensurf.syzygy import (SurfaceInput, analyze, build_f_family,
                             find_minimal_syzygy, syzygy_system)
@@ -35,6 +35,21 @@ def test_mirror_round_trip(example_input):
     assert back.gens == example_input.gens
 
 
+def test_grids_are_built_once_and_read_only(example_input):
+    grids = example_input.grids
+    assert grids is example_input.grids
+    assert not grids.flags.writeable
+    with pytest.raises(ValueError):
+        grids[0, 0, 0] = 1
+    want = np.stack([coeff_grid(g, 2, 5) for g in example_input.gens])
+    assert np.array_equal(grids, want)
+    # the mirror builds its own, of shape (4, b + 1, a + 1)
+    m = example_input.mirror()
+    assert m.grids.shape == (4, 6, 3) and not m.grids.flags.writeable
+    assert np.array_equal(m.grids,
+                          np.stack([coeff_grid(g, 5, 2) for g in m.gens]))
+
+
 def test_segre_analysis_frozen(segre_input):
     va = analyze(segre_input)
     assert va.n == 1
@@ -51,7 +66,6 @@ def test_example_analysis_frozen(example_analysis):
     assert tuple(poly_to_str(g) for g in va.g) == ("u^3", "u^2*v", "u*v^2",
                                                   "v^3")
     assert np.array_equal(va.transition % P, np.eye(4, dtype=np.int64))
-    assert np.array_equal(va.point_transform % P, np.eye(4, dtype=np.int64))
     assert va.new_gens == va.input.gens
 
 

@@ -151,7 +151,7 @@ def test_arithmetic_and_powers():
 def test_grid_and_composition(example_input, example_oracle):
     a, b = example_input.a, example_input.b
     # entry [j, l] of a generator's grid is its coefficient of t^j v^l
-    g0 = example_input.grids()[0]  # -t^2*u^4*v - s^2*v^5
+    g0 = example_input.grids[0]  # -t^2*u^4*v - s^2*v^5
     assert g0.shape == (a + 1, b + 1)
     assert {(j, l) for j, l in zip(*np.nonzero(g0))} == {(2, 1), (0, 5)}
     assert g0[2, 1] == g0[0, 5] == P - 1
