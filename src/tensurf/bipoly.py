@@ -379,8 +379,10 @@ class _Parser:
     sum; a term multiplies its sums in order, then its single terms.
     """
 
-    def __init__(self, cls: type, text: str, p: int):
+    def __init__(self, cls: type, text: str, p: int,
+                 max_degree: Optional[int] = None):
         self.cls, self.text, self.p, self.i = cls, text, p, 0
+        self.max_degree = max_degree
         index = {name: i for i, name in enumerate(cls.VARS)}
         self.toks = toks = []
         for m in _token_regex(cls.VARS).finditer(text):
@@ -459,6 +461,10 @@ class _Parser:
             if n_kind != "n":
                 raise ParseError("expected an integer", n_pos)
             self.i += 2
+            top = max(map(sum, value), default=0) * n if kind == "(" else 0
+            if self.max_degree is not None and top > self.max_degree:
+                raise ParseError(f"a power of total degree {top} exceeds "
+                                 f"{self.max_degree}", n_pos)
         if kind == "m" or kind == "v":
             exp[value[0]] += value[1] * n
             return 1
@@ -467,9 +473,12 @@ class _Parser:
         return value if n == 1 else (self.cls(p, value) ** n).terms
 
 
-def parse_poly(text: str, p: int = DEFAULT_PRIME) -> BiPoly:
-    """Parse an expression in s, t, u, v with integer coefficients."""
-    return _Parser(BiPoly, text, p).parse()
+def parse_poly(text: str, p: int = DEFAULT_PRIME,
+               max_degree: Optional[int] = None) -> BiPoly:
+    """Parse an expression in s, t, u, v with integer coefficients.  A
+    parenthesized sum raised to a power above ``max_degree`` in total
+    degree is refused before it is expanded."""
+    return _Parser(BiPoly, text, p, max_degree).parse()
 
 
 def _format_poly(f: SparsePoly) -> str:

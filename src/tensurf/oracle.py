@@ -14,9 +14,9 @@ of degree e then comes from the first of these that gives one:
 
 1. the strand, built in the input generators' coordinates, F's own: its
    determinant is c F^d, so a diagonal block B_0 of size e has
-   det B_0 = c_0 F.  Its determinants on the principal lattice (below)
-   interpolate to det B_0 exactly (:meth:`tensurf.strand.Strand.det_cube`,
-   :func:`_read_off`);
+   det B_0 = c_0 F.  Its determinants on the principal lattice cut to
+   det B_0's degree box (below) interpolate to det B_0 exactly
+   (:meth:`tensurf.strand.Strand.det_cube`, :func:`_read_off`);
 2. the plane peel: F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)) on e + 1
    planes, each G_k found by a small exact solve (:func:`tensurf.planes.peel`).
 
@@ -64,10 +64,15 @@ determinant is a scalar multiple of a power of the recovered equation.
 That proof, in the coordinates both share, goes block by block: the zero
 pattern permutes M into diagonal blocks B_i of sizes n_i, and each
 det B_i = c_i F^(n_i / deg F) is proved by the same kind of argument: a form
-of degree n_i vanishing on {(1, i, j, k) : i + j + k <= n_i}, the principal
-lattice, nodes 0..n_i distinct mod p, is zero (Chung & Yao, SIAM J. Numer.
-Anal. 14, 1977).  A block equal to the one F was read off has its determinant
-interpolated there already, so its identity is checked on coefficients.
+of degree n_i vanishing on {(1, i, j, k) : i + j + k <= n_i}, the
+principal lattice, nodes 0..n_i distinct mod p, is zero (Chung & Yao, SIAM
+J. Numer. Anal. 14, 1977), cut to the box both sides fit in: det B_i has
+degree at most b_j in x_j, the smaller of the numbers of rows and of columns
+of B_i with an x_j term (:attr:`tensurf.strand.Strand.det_box`), and F's
+power n_i / deg F times F's.  The cut lattice, a lower set, is unisolvent
+for the forms of degree n_i in the box (:func:`tensurf.xpoly.lattice_form`).
+A block equal to the one F was read off has its determinant interpolated
+already, so its identity is checked on coefficients.
 
 Last, it screens the input for basepoints exactly: pairwise resultants,
 three pairs at a time, with constant gcd prove the usual input free, and a
@@ -304,8 +309,9 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
     blocks B_i, so det M = sigma prod det B_i, sigma the sign of the two
     permutations.  A block of size n_i is proved on its own:
     det B_i = c_i F^(n_i / e), e = deg F, on the principal lattice
-    {(1, i, j, k) : i + j + k <= n_i}, unisolvent for forms of degree n_i
-    when p > n_i (p > size, else ValueError), or, for a block equal entry
+    {(1, i, j, k) : i + j + k <= n_i} cut to the larger of ``det_box`` and
+    n_i / e times F's degrees, unisolvent for forms of degree n_i in that
+    box when p > n_i (p > size, else ValueError), or, for a block equal entry
     for entry to the one F was read off (``oracle.block``), on the
     coefficients of its known determinant.  c_i is fitted at the first
     value where both sides are nonzero, so det M = c F^d with
@@ -329,6 +335,7 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
                 f"{len(rows)}")
     c = math.prod(_sign(np.concatenate(side)) for side in zip(*blocks)) % p
     cube = oracle.f.coeff_cube(e)
+    f_degs = np.argwhere(cube).max(axis=0).tolist()   # in x1, x2, x3
     for index, (rows, cols) in enumerate(blocks):
         n, k = len(rows), len(rows) // e
         block = strand.block(rows, cols)
@@ -337,8 +344,10 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
             lhs, rhs = oracle.block[1].ravel(), cube.ravel()
             power, unit = "", "coefficients"
         else:
-            lhs = block.det_at_many(principal_lattice(n))
-            rhs = linalg.pow_mod_array(lattice_values(cube, n, p), k, p)
+            box = tuple(min(n, max(b, k * d))
+                        for b, d in zip(block.det_box, f_degs))
+            lhs = block.det_at_many(principal_lattice(n, box))
+            rhs = linalg.pow_mod_array(lattice_values(cube, n, p, box), k, p)
             power, unit = f"^{k}", "principal lattice points"
         fit = np.flatnonzero(lhs * rhs % p)
         if not fit.size:

@@ -104,13 +104,24 @@ class Strand:
             out[lo:lo + step] = linalg.det_block(block.reshape(n, n, -1), p)
         return out
 
+    @property
+    def det_box(self) -> tuple[int, int, int]:
+        """(b1, b2, b3), b_k >= the determinant's degree in x_k: each term
+        of det = sum_sigma +- prod_r M[r, sigma(r)] is a product of linear
+        forms, one per row and per column, so b_k is the smaller of the
+        numbers of rows and of columns with an x_k term."""
+        hit = self.tensor[:, :, 1:] != 0
+        return tuple(int(min(r, c)) for r, c in zip(
+            hit.any(axis=1).sum(axis=0), hit.any(axis=0).sum(axis=0)))
+
     def det_cube(self) -> np.ndarray:
         """The coefficient cube (as ``XPoly.coeff_cube``) of the
         determinant, a form of degree ``size``: ``xpoly.lattice_form`` of
-        its values on the principal lattice of that degree.  Exact when
-        p > size."""
-        return lattice_form(self.det_at_many(principal_lattice(self.size)),
-                            self.size, self.p)
+        its values on the principal lattice of that degree cut to
+        ``det_box``.  Exact when p > size."""
+        box = self.det_box
+        values = self.det_at_many(principal_lattice(self.size, box))
+        return lattice_form(values, self.size, self.p, box)
 
 
 def build_strand(case: CaseResult) -> Strand:

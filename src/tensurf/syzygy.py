@@ -63,7 +63,7 @@ class SurfaceInput:
     def from_strings(cls, a: int, b: int, exprs: Sequence[str],
                      field: Optional[FieldConfig] = None) -> "SurfaceInput":
         field = field or FieldConfig()
-        gens = tuple(parse_poly(e, field.p) for e in exprs)
+        gens = tuple(parse_poly(e, field.p, a + b) for e in exprs)
         return cls(a, b, gens, field)
 
     @cached_property

@@ -109,58 +109,67 @@ def eval_form(cube: np.ndarray, degree: int, points: np.ndarray, p: int
 # the principal lattice
 
 
-def _contract(cube: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
-    """``mat`` applied along each axis of ``cube``: three ``matmul_mod``
+def _contract(cube: np.ndarray, mats, p: int) -> np.ndarray:
+    """``mats[a]`` applied along axis a of ``cube``: three ``matmul_mod``
     products, each contracting the first axis and putting the new one
     last."""
-    for _ in range(3):
+    for mat in mats:
         cube = np.moveaxis(linalg.matmul_mod(mat, cube.reshape(
             len(cube), -1), p).reshape(-1, *cube.shape[1:]), 0, -1)
     return cube
 
 
-def _simplex(size: int) -> np.ndarray:
-    """The mask i + j + k <= size on {0..size}^3."""
-    nodes = np.arange(size + 1)
-    return nodes[:, None, None] + nodes[:, None] + nodes <= size
+def _support(degree: int, box: tuple) -> np.ndarray:
+    """The mask i + j + k <= degree on {0..b1} x {0..b2} x {0..b3}."""
+    i, j, k = (np.arange(b + 1) for b in box)
+    return i[:, None, None] + j[:, None] + k <= degree
 
 
-def principal_lattice(degree: int) -> np.ndarray:
-    """The C(degree + 3, 3) points (1, i, j, k) with i + j + k <= degree,
-    in lexicographic order of (i, j, k).  A form of degree ``degree`` that
-    vanishes there is zero when the nodes 0..degree are distinct mod p
-    (Chung & Yao, SIAM J. Numer. Anal. 14, 1977)."""
-    i, j, k = np.indices((degree + 1,) * 3, dtype=np.int64).reshape(3, -1)
-    keep = i + j + k <= degree
-    i, j, k = i[keep], j[keep], k[keep]
-    return np.stack([np.ones_like(i), i, j, k], axis=1)
+def principal_lattice(degree: int, box: tuple) -> np.ndarray:
+    """The points (1, i, j, k) with i + j + k <= degree and (i, j, k) at
+    most ``box`` = (b1, b2, b3) coordinatewise, in lexicographic order of
+    (i, j, k); with every b = degree, the C(degree + 3, 3) points of the
+    principal lattice.  A form of degree ``degree`` and of degree at most
+    b1, b2, b3 in x1, x2, x3 that vanishes there is zero when the nodes
+    0..degree are distinct mod p (Chung & Yao, SIAM J. Numer. Anal. 14,
+    1977; :func:`lattice_form` for the box)."""
+    i, j, k = np.nonzero(_support(degree, box))
+    return np.stack([np.ones_like(i), i, j, k], axis=1, dtype=np.int64)
 
 
-def lattice_values(cube: np.ndarray, size: int, p: int) -> np.ndarray:
+def lattice_values(cube: np.ndarray, size: int, p: int, box: tuple
+                   ) -> np.ndarray:
     """The form with coefficient cube ``cube`` (as ``XPoly.coeff_cube``) on
-    the points of ``principal_lattice(size)``: on {0..size}^3, ``cube``
-    contracted on each axis with the Vandermonde matrix of the nodes, then
-    masked to i + j + k <= size."""
-    vander = linalg.vandermonde(np.arange(size + 1), len(cube), p)
-    return _contract(cube, vander, p)[_simplex(size)]
+    the points of ``principal_lattice(size, box)``: on the box, ``cube``
+    contracted on each axis with the Vandermonde matrix of that axis'
+    nodes, then masked to i + j + k <= size."""
+    vander = linalg.vandermonde(np.arange(max(box) + 1), len(cube), p)
+    return _contract(cube, [vander[:b + 1] for b in box], p)[
+        _support(size, box)]
 
 
-def lattice_form(values: np.ndarray, degree: int, p: int) -> np.ndarray:
+def lattice_form(values: np.ndarray, degree: int, p: int, box: tuple
+                 ) -> np.ndarray:
     """The coefficient cube (as ``XPoly.coeff_cube``) of the form of degree
-    ``degree`` that takes ``values`` on ``principal_lattice(degree)``;
-    needs p > degree.
+    ``degree``, of degree at most b1, b2, b3 in x1, x2, x3 (``box``), that
+    takes ``values`` on ``principal_lattice(degree, box)``; needs
+    p > degree.
 
     At x0 = 1 the form is sum D[i, j, k] C(x1, i) C(x2, j) C(x3, k) over
-    i + j + k <= degree, D its forward differences at 0 (Gregory-Newton).
-    The pair of ``linalg.newton_operators`` (degree, p), built once, gives
-    D by three contractions with diff (each entry of D on the simplex only
-    takes values on it) and then the cube by three with newton.
+    the lattice's exponents S, D its forward differences at 0
+    (Gregory-Newton).  S is a lower set, so D on S only takes values on S
+    and the monomials on S span the same forms.  Of the pair
+    ``linalg.newton_operators`` (degree, p), built once, diff is lower and
+    newton upper triangular: three contractions with diff's leading
+    (b + 1) x (b + 1) blocks give D, three with newton's first b + 1
+    columns the cube.
     """
-    inside = _simplex(degree)
+    inside = _support(degree, box)
     cube = np.zeros(inside.shape, dtype=np.int64)
     cube[inside] = values % p
     diff, newton = linalg.newton_operators(degree, p)
-    return _contract(_contract(cube, diff, p) * inside, newton, p)
+    cube = _contract(cube, [diff[:b + 1, :b + 1] for b in box], p) * inside
+    return _contract(cube, [newton[:, :b + 1] for b in box], p)
 
 
 class XPoly(SparsePoly):

@@ -118,6 +118,19 @@ def spy_blocks(monkeypatch) -> list:
     return sizes
 
 
+def spy_det_points(monkeypatch) -> list:
+    """Record the number of points of every ``Strand.det_at_many`` call."""
+    counts = []
+    original = Strand.det_at_many
+
+    def spy(self, points):
+        counts.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(Strand, "det_at_many", spy)
+    return counts
+
+
 def spy_row_identity(monkeypatch) -> list:
     """Record the size of every strand whose row identity the oracle
     evaluates."""

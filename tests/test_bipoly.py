@@ -139,6 +139,22 @@ def test_integers_are_decimal_digits():
     assert parse_poly("٣*s^٣ + ١٠") == parse_poly("3*s^3 + 10")
 
 
+def test_a_power_above_the_degree_bound_is_refused_before_it_expands():
+    # (s+t+u+v)^40 would be 12,341 terms; the bound refuses it at the
+    # exponent, while powers within it parse as without a bound
+    for text, pos, top in [("(s+t+u+v)^40", 10, 40),
+                           ("s*(t + u^2)^3", 12, 6),
+                           ("-(s*u + t*v)**3 + s^3*u^3", 14, 6)]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, max_degree=5)
+        assert err.value.pos == pos
+        assert str(err.value) == (f"a power of total degree {top} exceeds 5 "
+                                  f"at position {pos}")
+    for text in ["(s + t)^2*u^3", "(s*u + t*v)^2 - s^2*u^2", "(2 + 3)^40*s",
+                 "(s - s)^9", "s^9"]:
+        assert parse_poly(text, max_degree=5) == parse_poly(text)
+
+
 # -- the token pass against the reference parser of tests/parse_ref.py
 
 MALFORMED = ["s +", "st", "s^", "s**", "s^2^3", "(s+t)^", "s * * 2", "2 3",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,24 @@ def test_malformed_expression_exits_1_with_its_position(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: expected an integer at position 2\n"
+
+def test_a_power_above_the_bidegree_exits_1_before_it_expands(tmp_path,
+                                                               capsys):
+    # expanded, (s+t+u+v)^80 would take minutes; the job's total degree
+    # a + b = 3 bounds every power before it is expanded
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(
+        {"a": 1, "b": 2, "prime": 65521,
+         "generators": ["(s+t+u+v)^80", "s*v^2", "t*u^2", "t*v^2"]}))
+    for command in ("analyze", "implicitize", "verify"):
+        start = time.perf_counter()
+        assert main([command, str(path)]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a power of total degree 80 exceeds 3 "
+                                "at position 10\n")
+
 
 _FLOOR_37 = ("error: prime {p} is below the floor 37 = 2ab*max(a, b) + 1 "
              "for bidegree (2, 3)\n")

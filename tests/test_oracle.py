@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EXAMPLE_GENERATORS
 from helpers import (bench_jobs, compose_quadratic, mutate_case, spy_blocks,
-                     spy_peel, spy_row_identity, spy_section, spy_vanishes_at,
-                     with_transition)
+                     spy_det_points, spy_peel, spy_row_identity, spy_section,
+                     spy_vanishes_at, with_transition)
 from tensurf import linalg, oracle, planes
 from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
                             FieldConfig, HypothesisError, parse_poly,
@@ -453,14 +453,41 @@ def _prime_above(n: int) -> int:
 def test_lattice_form_round_trips_the_lattice_values(degree, p):
     rng = random.Random(degree * 1000 + p % 1000)
     mons = monomials_of_degree(degree)
+    full = (degree,) * 3
     for n_terms in sorted({1, len(mons) // 3 + 1, len(mons)}):
         f = XPoly(p, {m: rng.randrange(1, p)
                       for m in rng.sample(mons, n_terms)})
-        values = eval_rows(f, principal_lattice(degree))
-        got = lattice_form(values, degree, p)
+        values = eval_rows(f, principal_lattice(degree, full))
+        got = lattice_form(values, degree, p, full)
         assert got.tolist() == f.coeff_cube(degree).tolist()
     zeros = np.zeros(math.comb(degree + 3, 3), dtype=np.int64)
-    assert not lattice_form(zeros, degree, p).any()
+    assert not lattice_form(zeros, degree, p, full).any()
+
+
+@st.composite
+def boxed_forms(draw):
+    """A degree n <= 12, a box (b1, b2, b3) in {0..n}^3 and the exponents
+    (i, j, k) of a random support inside it, i + j + k <= n."""
+    n = draw(st.integers(0, 12))
+    box = tuple(draw(st.integers(0, n)) for _ in range(3))
+    inside = [(i, j, k) for i in range(box[0] + 1) for j in range(box[1] + 1)
+              for k in range(box[2] + 1) if i + j + k <= n]
+    support = draw(st.lists(st.sampled_from(inside), max_size=len(inside),
+                            unique=True))
+    return n, box, support, draw(st.randoms(use_true_random=False))
+
+
+@pytest.mark.parametrize("p", [P, _prime_above(37)])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=boxed_forms())
+def test_sized_lattice_round_trips_forms_inside_the_box(p, case):
+    n, box, support, rng = case
+    f = XPoly(p, {(n - sum(m), *m): rng.randrange(1, p) for m in support})
+    lattice = principal_lattice(n, box)
+    values = eval_rows(f, lattice)
+    cube = f.coeff_cube(n)
+    assert lattice_values(cube, n, p, box).tolist() == values.tolist()
+    assert lattice_form(values, n, p, box).tolist() == cube.tolist()
 
 
 def _holds(inp, strand, cols) -> bool:
@@ -892,6 +919,79 @@ def test_certificate_rejects_a_zero_determinant_outside_the_read_off_block(
         verify_implicitization(changed, orc, field)
 
 
+def _force_full_lattice(monkeypatch) -> None:
+    """Every strand's det_box the whole simplex: the unsized lattices."""
+    monkeypatch.setattr(Strand, "det_box", property(lambda s: (s.size,) * 3))
+
+
+# The read-off's lattice points per bench shape: cut to the block's
+# det_box, and on the full lattice, C(n + 3, 3).  dim4 blocks have every
+# coordinate in every row and column, so they get no cut.  The (5, 7) job's
+# full lattice takes about 3x as long as the sized one and is left out.
+_READ_OFF_LATTICES = [
+    (GenSpec("dim2", 3, 2, 1), 160, 455),
+    (GenSpec("dim2", 1, 5, 3), 128, 286),
+    (GenSpec("dim3", 1, 5, 3, (1,)), 202, 286),
+    (GenSpec("dim2", 2, 3, 2), 45, 84),
+    (GenSpec("dim3", 2, 5, 3, (1,)), 202, 286),
+    (None, 284, 286),   # the worked (2, 5) surface
+    (GenSpec("dim4", 2, 5, 3, (1, 1)), 286, 286),
+    (GenSpec("dim3", 3, 5, 3, (1,)), 3685, 5456),
+    (GenSpec("dim4", 4, 7, 4, (1, 1)), 4495, 4495),
+    (GenSpec("dim3", 4, 9, 5, (2,)), 5863, 9139),
+    (GenSpec("dim2", 5, 7, 4), 22491, None),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, sized, full", _READ_OFF_LATTICES,
+    ids=[f"{s.kind}-{s.a}x{s.b}" if s else "worked-2x5"
+         for s, _, _ in _READ_OFF_LATTICES])
+def test_read_off_lattice_is_cut_to_the_determinant_box(spec, sized, full,
+                                                        monkeypatch):
+    inp = (SurfaceInput.from_strings(2, 5, EXAMPLE_GENERATORS,
+                                     FieldConfig(seed=0)) if spec is None
+           else generate(spec, index=0, seed=0).input)
+    counts = spy_det_points(monkeypatch)
+    res = implicitize(inp)
+    # F is read off the first block; every block equals it, so the
+    # certificate evaluates no further point
+    assert res.oracle.block is not None and counts == [sized]
+    if full is None:
+        return
+    _force_full_lattice(monkeypatch)
+    counts.clear()
+    unsized = implicitize(inp)
+    assert counts == [full]
+    # the same det B_0 cube, so the same F, kernel_dims, c and blocks
+    assert np.array_equal(unsized.oracle.block[1], res.oracle.block[1])
+    assert unsized.oracle == res.oracle
+    assert unsized.certificate == res.certificate
+
+
+# Compositions (helpers.compose_quadratic) have one block of size
+# 2 deg F, so F comes from the plane section and the block is proved on
+# its sized lattice: the box is F^2's (or F^4's) degrees where the
+# block's own count is larger.
+@pytest.mark.parametrize("spec, sized, full", [
+    (GenSpec("dim2", 2, 7, 2), 3969, 32509),
+    (GenSpec("dim3", 2, 5, 3, (1,)), 8281, 12341),
+    (GenSpec("dim2", 1, 3, 1), 99, 455),
+], ids=["dim2-2x7", "dim3-2x5", "dim2-1x3"])
+def test_certificate_lattice_is_cut_to_both_sides_boxes(spec, sized, full,
+                                                        monkeypatch):
+    inp = compose_quadratic(generate(spec, index=0, seed=0).input)
+    counts = spy_det_points(monkeypatch)
+    res = implicitize(inp)
+    assert res.oracle.block is None and counts == [sized]
+    assert len(res.certificate.blocks) == 1
+    _force_full_lattice(monkeypatch)
+    counts.clear()
+    unsized = verify_implicitization(res.strand, res.oracle, inp.field)
+    assert counts == [full]
+    assert unsized == res.certificate
+
+
 def test_certificate_draws_no_random_point(tmp_path, monkeypatch):
     # each block is proved on its own lattice or, the read-off block, on
     # coefficients: the "certificate" stream is never drawn, neither on the
@@ -933,16 +1033,22 @@ def test_certificate_interpolate_mode(example_strand, example_oracle,
 
 @pytest.mark.parametrize("degree", [2, 4, 12])
 def test_principal_lattice_is_unisolvent(degree):
-    pts = principal_lattice(degree)
-    n = math.comb(degree + 3, 3)
-    assert pts.shape == (n, 4)
-    assert (pts[:, 0] == 1).all() and (pts[:, 1:].sum(axis=1) <= degree).all()
-    exps = [(i, j, k) for i in range(degree + 1)
-            for j in range(degree + 1 - i) for k in range(degree + 1 - i - j)]
-    vander = np.array([[pow(int(y1), i, P) * pow(int(y2), j, P)
-                        * pow(int(y3), k, P) % P for i, j, k in exps]
-                       for _, y1, y2, y3 in pts], dtype=np.int64)
-    assert linalg.rank(vander, P) == n
+    # the full lattice, and cut to boxes: unisolvent for the forms whose
+    # monomials lie in the box, in the same lexicographic order
+    full = principal_lattice(degree, (degree,) * 3)
+    assert full.shape == (math.comb(degree + 3, 3), 4)
+    for box in [(degree,) * 3, (degree // 2, degree, 1),
+                (0, degree, degree // 3), (1, 1, 1)]:
+        pts = principal_lattice(degree, box)
+        exps = [(i, j, k) for i in range(box[0] + 1)
+                for j in range(min(box[1], degree - i) + 1)
+                for k in range(min(box[2], degree - i - j) + 1)]
+        assert pts[:, 1:].tolist() == [list(e) for e in exps]
+        assert (pts[:, 0] == 1).all()
+        vander = np.array([[pow(int(y1), i, P) * pow(int(y2), j, P)
+                            * pow(int(y3), k, P) % P for i, j, k in exps]
+                           for _, y1, y2, y3 in pts], dtype=np.int64)
+        assert linalg.rank(vander, P) == len(exps)
 
 
 @pytest.mark.parametrize("p", [P, 65521])
@@ -953,8 +1059,8 @@ def test_lattice_values_are_the_form_at_the_lattice_points(degree, size, p):
     for n_terms in sorted({1, len(mons) // 3 + 1, len(mons)}):
         f = XPoly(p, {m: rng.randrange(1, p)
                       for m in rng.sample(mons, n_terms)})
-        lattice = principal_lattice(size)
-        got = lattice_values(f.coeff_cube(degree), size, p)
+        lattice = principal_lattice(size, (size,) * 3)
+        got = lattice_values(f.coeff_cube(degree), size, p, (size,) * 3)
         assert got.tolist() == eval_rows(f, lattice).tolist()
 
 
@@ -1014,13 +1120,24 @@ def _newton(node: tuple[int, int, int], degree: int, y) -> int:
     return acc
 
 
-@pytest.mark.parametrize("node", [(10, 0, 0), (0, 0, 10), (3, 4, 3),
+# Nodes inside the worked block's det_box (9, 10, 9): the perturbation by
+# the node's Newton polynomial is a form the sized lattice determines.
+@pytest.mark.parametrize("node", [(9, 0, 0), (0, 0, 9), (3, 4, 3),
                                   (2, 3, 4)])
 def test_interpolate_catches_a_perturbation_at_lattice_points(
         node, example_strand, example_oracle, field,
         monkeypatch):
     # the worked strand is two blocks of size 10; only the first block's
-    # determinant is perturbed, on its own degree-10 lattice
+    # determinant is perturbed, on its own degree-10 lattice cut to the box
+    block = example_strand.block(*example_strand.blocks[0])
+    assert block.det_box == (9, 10, 9)
+    lattice = principal_lattice(10, block.det_box)
+    assert len(lattice) == 284
+    # the lattice points at or above the node, where the perturbation is
+    # nonzero
+    n_bad = int((lattice[:, 1:] >= node).all(axis=1).sum())
+    assert n_bad == {(9, 0, 0): 3, (0, 0, 9): 3, (3, 4, 3): 1,
+                     (2, 3, 4): 4}[node]
     original = Strand.det_at_many
     sizes = []
 
@@ -1036,11 +1153,10 @@ def test_interpolate_catches_a_perturbation_at_lattice_points(
         return out
 
     monkeypatch.setattr(Strand, "det_at_many", perturbed)
-    n_bad = math.comb(10 - sum(node) + 3, 3)
     # c_0 is fitted at a lattice point the perturbation leaves alone, so
     # exactly the perturbed lattice points fail
     with pytest.raises(CertificateError,
-                       match=f"block 0: .* fails at {n_bad} of 286 principal "
+                       match=f"block 0: .* fails at {n_bad} of 284 principal "
                              "lattice"):
         verify_implicitization(example_strand, example_oracle, field)
     assert sizes == [10]

@@ -3,8 +3,8 @@ pointwise evaluation.
 
 Dense coefficient grids, multiplied by plain loops: the tests check the
 oracle's equation against it as an exact identity f(g0, .., g3) = 0.
-``eval_rows`` evaluates a sparse polynomial one point at a time, and
-``coeff_vector`` lists a form's coefficients in ``monomials_of_degree``
+``eval_rows`` evaluates a sparse polynomial term by term over all points,
+and ``coeff_vector`` lists a form's coefficients in ``monomials_of_degree``
 order, which ``from_coeff_vector`` reads back.
 """
 
@@ -18,9 +18,30 @@ from tensurf.xpoly import XPoly, monomials_of_degree
 
 
 def eval_rows(f: SparsePoly, points) -> np.ndarray:
-    """f at each row of an (N, 4) array, by ``SparsePoly.eval`` per point."""
-    return np.array([f.eval(pt) for pt in np.asarray(points).tolist()],
-                    dtype=np.int64)
+    """f at each row of an (N, 4) array of residues below 2**31: per
+    coordinate a table of its powers up to the largest exponent f needs,
+    then per term one product of its coefficient and four table rows,
+    each factor reduced mod p."""
+    p = f.p
+    pts = np.asarray(points, dtype=np.int64) % p
+    out = np.zeros(len(pts), dtype=np.int64)
+    if not f.terms:
+        return out
+    top = np.array(list(f.terms)).max(axis=0)
+    tables = []
+    for k in range(4):
+        table = np.ones((top[k] + 1, len(pts)), dtype=np.int64)
+        for e in range(1, top[k] + 1):
+            table[e] = table[e - 1] * pts[:, k] % p
+        tables.append(table)
+    for exp, c in f.terms.items():
+        term = np.full(len(pts), c % p, dtype=np.int64)
+        for table, e in zip(tables, exp):
+            if e:
+                term = term * table[e] % p
+        out += term
+        out %= p
+    return out
 
 
 def coeff_vector(f: XPoly, degree: int) -> np.ndarray:
