@@ -14,7 +14,6 @@ from tensurf.bipoly import FieldConfig, poly_to_str
 from tensurf.oracle import implicitize
 from tensurf.strand import reconstruct_det
 from tensurf.syzygy import SurfaceInput
-from tensurf.xpoly import xpoly_to_str
 
 GENERATORS = ["s*u", "s*v", "t*u", "t*v"]
 
@@ -34,7 +33,7 @@ def main() -> None:
         print(f"syzygy {col.label} of bidegree {col.bidegree}: ({entries})")
 
     print(f"strand matrix: {strand.size} x {strand.size}")
-    print(f"oracle: deg F = {oracle.degree}, F = {xpoly_to_str(oracle.f)}")
+    print(f"oracle: deg F = {oracle.degree}, F = {poly_to_str(oracle.f)}")
 
     cert = result.certificate
     print(f"certificate: det(strand) = c * F^{cert.exponent} with "
@@ -44,8 +43,8 @@ def main() -> None:
     # ones F is written in, so its determinant is c * F itself
     det_poly = reconstruct_det(strand)
     f_c = oracle.f.scale(cert.c)
-    print(f"det(strand) = {xpoly_to_str(det_poly)}")
-    print(f"c * F = {xpoly_to_str(f_c)}")
+    print(f"det(strand) = {poly_to_str(det_poly)}")
+    print(f"c * F = {poly_to_str(f_c)}")
     print("polynomial identity holds:", det_poly == f_c)
 
 

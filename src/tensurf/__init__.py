@@ -30,7 +30,7 @@ from .oracle import (
 )
 from .strand import Strand, build_strand, reconstruct_det
 from .syzygy import SurfaceInput, VAnalysis, analyze
-from .xpoly import XPoly, parse_xpoly, xpoly_to_str
+from .xpoly import XPoly, parse_xpoly
 
 __all__ = [
     "BasepointReport",
@@ -60,7 +60,6 @@ __all__ = [
     "reconstruct_det",
     "run_case",
     "verify_implicitization",
-    "xpoly_to_str",
 ]
 
 __version__ = "0.1.0"

@@ -34,7 +34,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -200,7 +201,7 @@ class SparsePoly:
         return acc
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}({_format_poly(self)})"
+        return f"{type(self).__name__}({poly_to_str(self)})"
 
 
 class BiPoly(SparsePoly):
@@ -376,7 +377,9 @@ class _Parser:
     "?" any other character; "" the end; an operator is its own kind.
     A factor adds its variables' powers into its term's exponent list and
     returns a residue, or a dict {exponent: residue} for a parenthesized
-    sum; a term multiplies its sums in order, then its single terms.
+    sum; a term multiplies its sums in order, then its single terms.  A
+    power or a term with a sum in it above ``max_degree`` is refused
+    before it is expanded.
     """
 
     def __init__(self, cls: type, text: str, p: int,
@@ -419,12 +422,11 @@ class _Parser:
 
     def _term(self):
         toks, cls, p = self.toks, self.cls, self.p
-        exp, c, sums = [0, 0, 0, 0], 1, None
+        exp, c, sums, pos = [0, 0, 0, 0], 1, [], toks[self.i][2]
         while True:
             factor = self._factor(exp)
             if type(factor) is dict:
-                sums = factor if sums is None else (
-                    cls(p, sums) * cls(p, factor)).terms
+                sums.append(factor)
             else:
                 c = c * factor % p
             if toks[self.i][0] != "*":
@@ -432,8 +434,15 @@ class _Parser:
             self.i += 1
         if toks[self.i][0] == "**":  # a '*' with no factor after it
             raise ParseError("expected a term", toks[self.i][2] + 1)
-        mono = {tuple(exp): c}
-        return mono if sums is None else (cls(p, sums) * cls(p, mono)).terms
+        if not sums:
+            return {tuple(exp): c}
+        # the monomials' degree plus each sum's top degree
+        top = sum(exp) + sum(max(map(sum, f), default=0) for f in sums)
+        if self.max_degree is not None and top > self.max_degree:
+            raise ParseError(f"a product of total degree {top} exceeds "
+                             f"{self.max_degree}", pos)
+        return reduce(lambda f, g: (cls(p, f) * cls(p, g)).terms,
+                      sums + [{tuple(exp): c}])
 
     def _factor(self, exp: list):
         toks, p = self.toks, self.p
@@ -476,37 +485,38 @@ class _Parser:
 def parse_poly(text: str, p: int = DEFAULT_PRIME,
                max_degree: Optional[int] = None) -> BiPoly:
     """Parse an expression in s, t, u, v with integer coefficients.  A
-    parenthesized sum raised to a power above ``max_degree`` in total
-    degree is refused before it is expanded."""
+    parenthesized sum raised to a power, or a term with a sum in it, above
+    ``max_degree`` in total degree is refused before it is expanded."""
     return _Parser(BiPoly, text, p, max_degree).parse()
 
 
-def _format_poly(f: SparsePoly) -> str:
-    """Render in the class's print order with balanced coefficient lifts."""
-    if f.is_zero:
+def print_terms(f: SparsePoly) -> list[tuple[Exponent, int]]:
+    """f's terms, exponents descending at the positions ``f.ORDER`` lists."""
+    terms = f.terms
+    return [(e, terms[e])
+            for e in sorted(terms, key=itemgetter(*f.ORDER), reverse=True)]
+
+
+def format_terms(f: SparsePoly, terms: list[tuple[Exponent, int]]) -> str:
+    """Render ``terms`` of f (see :func:`print_terms`) with balanced
+    coefficient lifts."""
+    if not terms:
         return "0"
-    order = f.ORDER
-    items = sorted(f.terms.items(),
-                   key=lambda kv: tuple(-kv[0][k] for k in order))
+    top = max(map(max, f.terms))
+    powers = [["", name, *(f"{name}^{e}" for e in range(2, top + 1))]
+              for name in f.VARS]
     out = []
-    for idx, (exp, c) in enumerate(items):
-        cb = c if c <= f.p // 2 else c - f.p
-        mag, neg = abs(cb), cb < 0
-        mono = "*".join(name if e == 1 else f"{name}^{e}"
-                        for name, e in zip(f.VARS, exp) if e)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
-        else:
-            body = str(mag)
-        if idx == 0:
-            out.append(f"-{body}" if neg else body)
-        else:
-            out.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(out)
+    for exp, c in terms:
+        mono = "*".join(filter(None, map(list.__getitem__, powers, exp)))
+        sign, mag = ("-", f.p - c) if 2 * c > f.p else ("+", c)
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else mag
+        out.append(f"{sign} {body}")
+    text = " ".join(out)  # the leading sign is bare: "x0", "-x0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def poly_to_str(f: BiPoly) -> str:
-    """Render in the global monomial order with balanced coefficient lifts."""
-    return _format_poly(f)
+def poly_to_str(f: SparsePoly) -> str:
+    """Render in f's print order with balanced coefficient lifts: the
+    global monomial order of K[s, t, u, v], highest x0 power first in
+    K[x0..x3]."""
+    return format_terms(f, print_terms(f))

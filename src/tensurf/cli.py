@@ -22,7 +22,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .bipoly import (DEFAULT_PRIME, CertificateError, FieldConfig,
-                     HypothesisError, ParseError, poly_to_str)
+                     HypothesisError, ParseError, format_terms, poly_to_str,
+                     print_terms)
 from .cases import run_case
 from .gen import GenSpec, generate
 from .oracle import check_prime_floor, implicitize
@@ -30,7 +31,7 @@ from .oracle import check_prime_floor, implicitize
 # namespace; it goes when the benchmark reads the program's own spans
 from .oracle import basepoint_check  # noqa: F401
 from .syzygy import SurfaceInput, analyze
-from .xpoly import XPoly, parse_xpoly, xpoly_to_str
+from .xpoly import parse_xpoly
 
 __all__ = ["main"]
 
@@ -139,15 +140,25 @@ def _side(args, options: dict) -> str:
     return side
 
 
-def _print_json(payload) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+# one f_coefficients row as json.dumps(..., indent=2) lays it out
+_ROW = ('    {\n      "coeff": %d,\n      "exponents": [\n        %d,\n'
+        '        %d,\n        %d,\n        %d\n      ]\n    }')
 
 
-def _coefficient_table(f: XPoly) -> list[dict]:
-    items = sorted(f.terms.items(),
-                   key=lambda t: (-sum(t[0]), -t[0][0], -t[0][1], -t[0][2]))
-    return [{"exponents": list(e), "coeff": int(c)} for e, c in items]
+def _print_json(payload: dict) -> None:
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a
+    newline in one write, the ``f_coefficients`` rows (an int and four
+    ints each) laid out by one template where json.dumps puts that key."""
+    rows = payload.get("f_coefficients")
+    text = json.dumps({**payload, "f_coefficients": []} if rows else payload,
+                      sort_keys=True, indent=2)
+    if rows:
+        table = ",\n".join([_ROW] * len(rows)) % tuple(
+            x for row in rows for x in (row["coeff"], *row["exponents"]))
+        # only a top-level key starts a line with 2 spaces and a quote
+        text = text.replace('\n  "f_coefficients": []',
+                            '\n  "f_coefficients": [\n' + table + "\n  ]", 1)
+    sys.stdout.write(text + "\n")
 
 
 def _monomial_str(exp) -> str:
@@ -211,6 +222,10 @@ def _result_payload(inp, side, result) -> dict:
     case = result.case
     counts = case.aux["column_counts"]
     bp = result.basepoints
+    f = result.oracle.f
+    # F is a form, so descending exponent tuples are its terms by degree,
+    # then x0, x1 and x2 powers, descending
+    terms = print_terms(f)
     return {
         "a": inp.a, "b": inp.b, "prime": inp.field.p,
         "side": side,
@@ -223,8 +238,9 @@ def _result_payload(inp, side, result) -> dict:
         "deg_f": result.oracle.degree,
         "deg_phi": result.certificate.exponent,
         "c": result.certificate.c,
-        "f": xpoly_to_str(result.oracle.f),
-        "f_coefficients": _coefficient_table(result.oracle.f),
+        "f": format_terms(f, terms),
+        "f_coefficients": [{"exponents": list(e), "coeff": c}
+                           for e, c in terms],
         "oracle": {"scan": "full",
                    "kernel_dims": [list(kd)
                                    for kd in result.oracle.kernel_dims]},
@@ -254,8 +270,8 @@ def _cmd_implicitize(args) -> int:
     print(f"deg F = {result.oracle.degree}, "
           f"deg phi = {result.certificate.exponent}, "
           f"c = {result.certificate.c}")
-    print(f"F = {xpoly_to_str(result.oracle.f)}")
-    table = _coefficient_table(result.oracle.f)
+    print(f"F = {payload['f']}")
+    table = payload["f_coefficients"]
     print(f"coefficients ({len(table)} terms):")
     for row in table:
         print(f"  {_monomial_str(row['exponents'])}  {row['coeff']}")

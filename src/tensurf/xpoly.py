@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .bipoly import Exponent, SparsePoly, _format_poly, _Parser
+from .bipoly import Exponent, SparsePoly, _Parser
 
 
 def monomials_of_degree(degree: int) -> list[Exponent]:
@@ -286,13 +286,8 @@ def linear_substitute(f: XPoly, mat: np.ndarray) -> XPoly:
 
 
 # ---------------------------------------------------------------------------
-# parsing and printing
+# parsing (bipoly.poly_to_str prints)
 
 def parse_xpoly(text: str, p: int) -> XPoly:
     """Parse a polynomial in x0..x3 with integer coefficients mod p."""
     return _Parser(XPoly, text, p).parse()
-
-
-def xpoly_to_str(f: XPoly) -> str:
-    """Render with balanced coefficient lifts, highest x0-power first."""
-    return _format_poly(f)

@@ -1,10 +1,13 @@
-"""Reference recursive-descent parser of the expression grammar.
+"""Reference recursive-descent parser and printer of the expression
+grammar.
 
 The character-at-a-time parser that ``tensurf.bipoly`` used before its
 token pass: every number and variable is a polynomial object, a power is
 square-and-multiply of those objects and every ``+`` builds a new sum.
 The tests compare ``parse_poly`` and ``parse_xpoly`` against it, terms,
-key order and error positions included.
+key order and error positions included.  :func:`to_str` is the printer
+that sorted by a per-term Python key and formatted each monomial from its
+exponents; the tests compare ``poly_to_str`` with it on both rings.
 """
 
 from tensurf.bipoly import ParseError
@@ -110,3 +113,29 @@ class _Parser:
 def parse(cls: type, text: str, p: int):
     """``text`` as a polynomial of ``cls`` (``BiPoly`` or ``XPoly``)."""
     return _Parser(cls, text, p).parse()
+
+
+def to_str(f) -> str:
+    """f in its class's print order with balanced coefficient lifts."""
+    if f.is_zero:
+        return "0"
+    order = f.ORDER
+    items = sorted(f.terms.items(),
+                   key=lambda kv: tuple(-kv[0][k] for k in order))
+    out = []
+    for idx, (exp, c) in enumerate(items):
+        cb = c if c <= f.p // 2 else c - f.p
+        mag, neg = abs(cb), cb < 0
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(f.VARS, exp) if e)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if idx == 0:
+            out.append(f"-{body}" if neg else body)
+        else:
+            out.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(out)

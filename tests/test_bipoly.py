@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from itertools import takewhile
 
 import numpy as np
@@ -155,6 +156,31 @@ def test_a_power_above_the_degree_bound_is_refused_before_it_expands():
         assert parse_poly(text, max_degree=5) == parse_poly(text)
 
 
+def test_a_product_above_the_degree_bound_is_refused_before_it_expands():
+    # multiplied out, the three factors are 9,139 terms; the bound refuses
+    # the term at its start before it multiplies any two of them
+    text = "(s+t+u+v)^12*(s+t+u+v)^12*(s+t+u+v)^12"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, max_degree=12)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.pos == 0
+    assert str(err.value) == ("a product of total degree 36 exceeds 12 at "
+                              "position 0")
+    # a term's monomials count too, on either side of its sums
+    for text, pos, top in [("s^5 + s^9*(s + t)", 6, 10),
+                           ("u*v - (s + t)*s^9", 6, 10),
+                           ("s*u + u*(s + t)^2*-(u + v)^2*v", 6, 6)]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, max_degree=5)
+        assert err.value.pos == pos
+        assert str(err.value) == (f"a product of total degree {top} exceeds "
+                                  f"5 at position {pos}")
+    for text, bound in [("(s+t)*(u+v)", 2), ("s*(t + u)*v", 3),
+                        ("(s + t)^2*u^3 + s^9", 5), ("(s - s)^9*s", 5)]:
+        assert parse_poly(text, max_degree=bound) == parse_poly(text)
+
+
 # -- the token pass against the reference parser of tests/parse_ref.py
 
 MALFORMED = ["s +", "st", "s^", "s**", "s^2^3", "(s+t)^", "s * * 2", "2 3",
@@ -247,6 +273,20 @@ def test_parser_matches_the_reference(cls, parse, data):
             parse(text, p)
         return
     assert _outcome(parse, text, p) == want
+
+
+@pytest.mark.parametrize("cls", [BiPoly, XPoly], ids=["BiPoly", "XPoly"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_printer_matches_the_reference(cls, data):
+    # any exponents up to two digits, coefficients at the lift's edges
+    p = data.draw(st.sampled_from([101, P]))
+    coeffs = st.one_of(st.sampled_from([1, 2, p // 2, p // 2 + 1, p - 1]),
+                       st.integers(1, p - 1))
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 12)] * 4), coeffs, max_size=40))
+    f = cls(p, terms)
+    assert poly_to_str(f) == parse_ref.to_str(f)
 
 
 def test_print_round_trip_random():

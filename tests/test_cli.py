@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, reports, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import EXAMPLE_GENERATORS, SEGRE_GENERATORS
 from helpers import bench_jobs, spy_peel, spy_vanishes_at, with_transition
@@ -267,6 +271,83 @@ def test_implicitize_generic_d1_json_is_golden(capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["implicitize", "--json"], "implicitize_worked.json"),
+    (["verify", "--json"], "verify_worked.json"),
+    (["analyze", "--json"], "analyze_worked.json"),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_json_reports_of_the_worked_job_are_golden(argv, name, example_job,
+                                                   capsys):
+    # the golden files were made with json.dump streaming the report
+    assert main([argv[0], example_job, *argv[1:]]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_selftest_json_is_golden(capsys):
+    assert main(["selftest", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "selftest.json").read_text()
+
+
+_JSON_SCALARS = (st.none() | st.booleans()
+                 | st.integers(-2**70, 2**70) | st.sampled_from([2**63, -1])
+                 | st.text(st.characters(codec="utf-8"), max_size=8)
+                 | st.sampled_from(['"', "\\", '\\"\n', "\x00\x1f", "é€😀",
+                                    '\n  "f_coefficients": []']))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12)
+_ROWS = st.lists(st.fixed_dictionaries({
+    "exponents": st.lists(st.integers(-2**64, 2**64), min_size=4,
+                          max_size=4),
+    "coeff": st.integers(-2**70, 2**70)}), max_size=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(payload=st.dictionaries(st.text(max_size=20), _JSON_VALUES,
+                               max_size=6),
+       rows=st.one_of(st.none(), _ROWS, st.sampled_from([[], "absent"])))
+@example(payload={"a": {"f_coefficients": []},
+                  "z": ['\n  "f_coefficients": []']},
+         rows=[{"exponents": [0, 0, 0, 0], "coeff": -(2**64) - 1}])
+@example(payload={}, rows="absent")
+def test_print_json_writes_json_dumps(payload, rows):
+    # 0, 1 and many f_coefficients rows beside any other JSON data, keys
+    # that sort before and after it and nested keys of the same name
+    if rows != "absent":
+        payload["f_coefficients"] = rows
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_json(payload)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True,
+                                        indent=2) + "\n"
+
+
+class _WriteSpy(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_a_json_report_is_one_write(example_job, monkeypatch):
+    # a streaming json.dump writes every token on its own
+    for argv in (["implicitize", example_job, "--json"],
+                 ["implicitize", GENERIC_JOB, "--json"],
+                 ["verify", example_job, "--json"],
+                 ["analyze", example_job, "--json"],
+                 ["selftest", "--json"]):
+        spy = _WriteSpy()
+        monkeypatch.setattr(sys, "stdout", spy)
+        assert main(argv) == 0
+        assert spy.writes == 1
+        json.loads(spy.getvalue())
+
+
 def test_implicitize_default_text_is_golden(example_job, capsys):
     # the exact certificate is the default, so --det-mode changes nothing
     assert main(["implicitize", example_job]) == 0
@@ -462,6 +543,25 @@ def test_a_power_above_the_bidegree_exits_1_before_it_expands(tmp_path,
         assert captured.out == ""
         assert captured.err == ("error: a power of total degree 80 exceeds 3 "
                                 "at position 10\n")
+
+
+def test_a_product_above_the_bidegree_exits_1_before_it_expands(tmp_path,
+                                                                 capsys):
+    # multiplied out, the product would be 9,139 terms of degree 36; the
+    # job's a + b = 12 refuses it before it multiplies
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(
+        {"a": 6, "b": 6, "prime": 65521,
+         "generators": ["(s+t+u+v)^12*(s+t+u+v)^12*(s+t+u+v)^12",
+                        "s^6*v^6", "t^6*u^6", "t^6*v^6"]}))
+    for command in ("analyze", "implicitize", "verify"):
+        start = time.perf_counter()
+        assert main([command, str(path)]) == 1
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a product of total degree 36 exceeds "
+                                "12 at position 0\n")
 
 
 _FLOOR_37 = ("error: prime {p} is below the floor 37 = 2ab*max(a, b) + 1 "
