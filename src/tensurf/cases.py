@@ -10,7 +10,7 @@ column counts of the four syzygies.
 All three pipelines require b >= 2n - 1 (membership threshold for the
 two-generator solves).  The dim-2 quotient alpha = f'_0 / g_1 is one solve
 of the multiplication system of g_1; the coprimality of alpha_1 and alpha_2
-(dim 3 and 4) is one rank, in :func:`tensurf.membership.bihomog_coprime`.
+(dim 3 and 4) is :func:`tensurf.membership.bihomog_coprime`.
 """
 
 from __future__ import annotations

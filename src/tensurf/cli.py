@@ -218,7 +218,8 @@ def _run_pipeline(args) -> tuple:
     return inp, side, result
 
 
-def _result_payload(inp, side, result) -> dict:
+def _result_payload(inp, side, result) -> tuple[dict, list]:
+    """The --json fields of both commands and F's terms in print order."""
     case = result.case
     counts = case.aux["column_counts"]
     bp = result.basepoints
@@ -239,8 +240,6 @@ def _result_payload(inp, side, result) -> dict:
         "deg_phi": result.certificate.exponent,
         "c": result.certificate.c,
         "f": format_terms(f, terms),
-        "f_coefficients": [{"exponents": list(e), "coeff": c}
-                           for e, c in terms],
         "oracle": {"scan": "full",
                    "kernel_dims": [list(kd)
                                    for kd in result.oracle.kernel_dims]},
@@ -250,13 +249,15 @@ def _result_payload(inp, side, result) -> dict:
         "basepoints": {"status": bp.status, "detail": bp.detail,
                        "g_uv": poly_to_str(bp.g_uv),
                        "g_st": poly_to_str(bp.g_st)},
-    }
+    }, terms
 
 
 def _cmd_implicitize(args) -> int:
     inp, side, result = _run_pipeline(args)
-    payload = _result_payload(inp, side, result)
+    payload, terms = _result_payload(inp, side, result)
     if args.json:
+        payload["f_coefficients"] = [{"exponents": list(e), "coeff": c}
+                                     for e, c in terms]
         _print_json(payload)
         return 0
     print(f"a = {inp.a}, b = {inp.b}, prime = {inp.field.p}")
@@ -271,10 +272,9 @@ def _cmd_implicitize(args) -> int:
           f"deg phi = {result.certificate.exponent}, "
           f"c = {result.certificate.c}")
     print(f"F = {payload['f']}")
-    table = payload["f_coefficients"]
-    print(f"coefficients ({len(table)} terms):")
-    for row in table:
-        print(f"  {_monomial_str(row['exponents'])}  {row['coeff']}")
+    print(f"coefficients ({len(terms)} terms):")
+    for e, c in terms:
+        print(f"  {_monomial_str(e)}  {c}")
     print(f"certificate: det = c * F^{result.certificate.exponent} "
           "verified at 40 random points (mode interpolate)")
     bp = result.basepoints
@@ -285,9 +285,7 @@ def _cmd_implicitize(args) -> int:
 def _cmd_verify(args) -> int:
     inp, side, result = _run_pipeline(args)
     if args.json:
-        payload = _result_payload(inp, side, result)
-        del payload["f_coefficients"]
-        _print_json(payload)
+        _print_json(_result_payload(inp, side, result)[0])
         return 0
     print(f"deg F = {result.oracle.degree}, "
           f"deg phi = {result.certificate.exponent}, "

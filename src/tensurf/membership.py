@@ -12,7 +12,7 @@ slice by slice over the s,t-monomials of the target, all slices as the
 columns of one right-hand side of a single elimination, with free variables
 set to zero, so the answer is canonical.  `psi_solve` plays the same game
 against a graded syzygy matrix with a unique solution.  `bihomog_coprime`
-is one rank: two forms are coprime when their syzygies form a line.
+is binary-form gcds at a few points, else one rank (syzygies on a line).
 `resultant_uv` samples the (u, v)-resultants of pairs of forms at s = 0..D
 as d x d Bezout determinants, all in one batch, and interpolates them by
 two products with the cached operators of those nodes.
@@ -109,13 +109,14 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
                                                     b - mu)
                               for e in mat.column(j)[0]])
                    for j, mu in enumerate(mus)])
-    if linalg.kernel_basis(M, p):
-        raise CertificateError("psi is not injective in the solve degree")
     # column pos stacks the pos-th (s, t)-slice of every f_prime entry
     rhs = np.concatenate([coeff_grid(f, a, b).T for f in f_prime])
-    x = linalg.solve_particular(M, rhs, p)
-    if x is None:
+    k, res = M.shape[1], linalg.rref(np.hstack([M, rhs]), p)
+    if res.pivots[:k] != tuple(range(k)):
+        raise CertificateError("psi is not injective in the solve degree")
+    if res.pivots[-1] >= k:
         raise CertificateError("f_prime is not in the image of psi")
+    x = res.matrix[:k, k:]
     ends = np.cumsum([b - mu + 1 for mu in mus])
     alphas = [BiPoly.from_grid(part.T, p) for part in np.split(x, ends[:-1])]
     # exact verification
@@ -169,22 +170,35 @@ def resultant_uv(pairs: Sequence[tuple[BiPoly, BiPoly]], c: int, d: int,
     return [BiPoly.from_grid(col[::-1, None], p) for col in coeffs.T]
 
 
-def bihomog_coprime(f: BiPoly, g: BiPoly) -> bool:
-    """Exact coprimality of two nonzero bihomogeneous polynomials: the
-    kernel of [M(f) by bideg g | M(g) by bideg f], the pairs (x, y) with
-    x f + y g = 0, is the line through (g, -f), i.e. the rank is the column
-    count - 1, exactly when gcd(f, g) = 1.
+_POINTS = (1, 2, 3)  # the x of (s : t) = (1 : x) and (u : v) = (1 : x)
 
-    K[s, t, u, v] is a UFD, so with gcd(f, g) = 1, x f = -y g forces g | x,
-    and x, of the bidegree of g, is lambda g.  A common factor k of bidegree
-    (k1, k2) != (0, 0), f = k f1 and g = k g1, gives the syzygies
-    (m g1, -m f1) for the (k1 + 1)(k2 + 1) >= 2 monomials m of bidegree
-    (k1, k2).  A rank over F_p is the rank over its closure, so the test is
-    exact at every prime.
+
+def bihomog_coprime(f: BiPoly, g: BiPoly) -> bool:
+    """Exact coprimality of two nonzero bihomogeneous polynomials, over the
+    closure of F_p too, where gcds and ranks are the same.
+
+    Let h = gcd(f, g) have bidegree (k1, k2).  If k2 > 0, h(1, x, u, v)
+    divides f(1, x, u, v) and g(1, x, u, v) and is a (u, v)-form of degree
+    k2 or zero, and then so are they: their gcd is no nonzero constant.  So
+    one at some x proves k2 = 0, and one at (u : v) = (1 : x) k1 = 0.  Else
+    one rank decides: the (x, y) with x f + y g = 0, the kernel of [M(f) by
+    bideg g | M(g) by bideg f], are the line through (g, -f) exactly when
+    gcd(f, g) = 1, as x f = -y g forces g | x, so x = lambda g; a common k
+    of bidegree (k1, k2) != (0, 0) gives (m g / k, -m f / k) for the
+    (k1 + 1)(k2 + 1) >= 2 monomials m of k's bidegree.
     """
     bf, bg = f.bidegree(), g.bidegree()
     if bf is None or bg is None:
         raise ValueError("inputs must be nonzero and bihomogeneous")
-    M = np.hstack([multiplication_matrix(coeff_grid(f, *bf), *bg),
-                   multiplication_matrix(coeff_grid(g, *bg), *bf)])
-    return linalg.rank(M, f.p) == M.shape[1] - 1
+    p, grids = f.p, (coeff_grid(f, *bf), coeff_grid(g, *bg))
+    # rows of Vandermonde times f's and g's grids: the forms at (s : t) =
+    # (1 : x); times the transposes: at (u : v) = (1 : x), renamed (u, v)
+    sides = ([[BiPoly.from_grid(row[None], p) for row in linalg.matmul_mod(
+        linalg.vandermonde(_POINTS, len(G), p), G, p)] for G in pair]
+        for pair in (grids, [G.T for G in grids]))
+    if all(any(uni_gcd(x, y).bidegree() == (0, 0) for x, y in zip(*side))
+           for side in sides):
+        return True
+    M = np.hstack([multiplication_matrix(grids[0], *bg),
+                   multiplication_matrix(grids[1], *bf)])
+    return linalg.rank(M, p) == M.shape[1] - 1

@@ -425,10 +425,53 @@ def binary_pairs(draw):
     return p, draw(st.sampled_from(["uv", "st"])), lists
 
 
+@st.composite
+def screen_pairs(draw):
+    """(p, pair, coefficient lists) at the sizes of the basepoint screen,
+    whose resultants have degree 2ab <= 72: each operand a multiple of
+    one shared random form of degree 0 to 52 (of total degree up to 72),
+    random of degree up to 72, zero, or a nonzero constant.  491 is the
+    prime floor 2ab max(a, b) + 1 at (5,7).  The sizes come from the
+    seeded stream, so they spread evenly over their ranges."""
+    p = draw(st.sampled_from([P, 491]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    common = [rng.randrange(p) for _ in range(rng.randrange(53) + 1)]
+    lists = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["planted", "random", "zero", "constant"]), min_size=2,
+            max_size=2)):
+        top = 73 - len(common) if kind == "planted" else 72
+        coeffs = [rng.randrange(p) for _ in range(rng.randrange(top + 1) + 1)]
+        if kind == "zero":
+            coeffs = [0] * len(coeffs)
+        elif kind == "constant":
+            coeffs = [rng.randrange(1, p)]
+        elif kind == "planted":
+            prod = [0] * (len(common) + len(coeffs) - 1)
+            for i, x in enumerate(common):
+                for j, y in enumerate(coeffs):
+                    prod[i + j] += x * y
+            coeffs = [x % p for x in prod]
+        lists.append(coeffs)
+    return p, draw(st.sampled_from(["uv", "st"])), lists
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(binary_pairs())
 def test_uni_gcd_matches_euclid_in_both_pairs(case):
-    p, pair, (cf, cg) = case
+    check_uni_gcd(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(screen_pairs())
+def test_uni_gcd_matches_euclid_at_screen_sizes(case):
+    # long cores run Euclid on int64 arrays until the divisor has at most
+    # _SHORT coefficients, then on lists, so both sides are crossed
+    check_uni_gcd(*case)
+
+
+def check_uni_gcd(p, pair, lists):
+    cf, cg = lists
 
     def form(coeffs):
         row = np.array([coeffs])

@@ -2,18 +2,24 @@
 
 import itertools
 import math
+import operator
 import random
+from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import resultant_ref
-from helpers import form_coeffs, uv_form
+from helpers import bench_jobs, form_coeffs, uv_form
 from resultant_ref import (substitute_st, sylvester_from_coeffs,
                            vandermonde_resultant)
 from tensurf import linalg, membership
-from tensurf.bipoly import (BiPoly, DEFAULT_PRIME, HypothesisError,
-                            coeff_grid, parse_poly, uni_gcd)
+from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
+                            FieldConfig, HypothesisError, coeff_grid,
+                            parse_poly, uni_gcd)
+from tensurf.cases import run_case
+from tensurf.syzygy import SurfaceInput, analyze
 
 P = DEFAULT_PRIME
 
@@ -120,6 +126,26 @@ def test_psi_solve_recovers_planted_coefficients():
         f_prime.append(acc)
     alphas = membership.psi_solve(f_prime, psi, a, b)
     assert all((x - y).is_zero for x, y in zip(alphas, w))
+
+
+def test_psi_solve_refuses_a_kernel_first_then_a_target_off_the_image():
+    from tensurf import hburch
+    g = [uv_form((1, 0, 0)), uv_form((0, 1, 0)), uv_form((0, 0, 1))]
+    psi = hburch.hilbert_burch_psi(g, P)
+    # u^2 times s^2 u^3 is not cancelled by the other entries: psi's
+    # columns are syzygies of g, so g . (psi alpha) = 0 for every alpha
+    off = [parse_poly("s^2*u^3"), BiPoly.zero(P), BiPoly.zero(P)]
+    with pytest.raises(CertificateError, match="not in the image"):
+        membership.psi_solve(off, psi, 2, 3)
+    # both columns psi's first: the system has a kernel, which is
+    # reported before the target is looked at
+    first, mat = psi.matrix.column(0)[0], psi.matrix
+    twin = hburch.HBResolution(psi.gens, hburch.GradedSyzMatrix(
+        P, mat.row_degrees, (mat.col_degrees[0],) * 2,
+        tuple((e, e) for e in first)), psi.lam, psi.minors)
+    for f_prime in (off, [BiPoly.zero(P)] * 3):
+        with pytest.raises(CertificateError, match="not injective"):
+            membership.psi_solve(f_prime, twin, 2, 3)
 
 
 def resultants(pairs, c, d, p=P):
@@ -322,6 +348,67 @@ def test_content_and_coprimality():
     assert membership.bihomog_coprime(f2, g2)
     # constants are units
     assert membership.bihomog_coprime(parse_poly("3"), f)
+
+
+def spy_rank(monkeypatch) -> list:
+    """Record the shape of every matrix ``linalg.rank`` is asked about."""
+    shapes, original = [], linalg.rank
+
+    def spy(mat, p):
+        shapes.append(np.shape(mat))
+        return original(mat, p)
+
+    monkeypatch.setattr(linalg, "rank", spy)
+    return shapes
+
+
+def test_bihomog_coprime_takes_the_rank_where_no_point_certifies(
+        monkeypatch):
+    # R vanishes at every listed (u : v) = (1 : x), so there f and g share
+    # the root t = 0; f and g are coprime all the same, as t does not
+    # divide s * R
+    R = reduce(operator.mul, [parse_poly(f"v - {x}*u")
+                              for x in membership._POINTS])
+    f, g = parse_poly("s") * R + parse_poly("t*u^3"), parse_poly("t")
+    ranks = spy_rank(monkeypatch)
+    assert membership.bihomog_coprime(f, g)
+    assert membership.bihomog_coprime(g, f)
+    assert len(ranks) == 2
+
+
+@pytest.mark.parametrize("content", ["s + 2*t", "u + 3*v", "s", "v",
+                                     "(t - s)*(v - u)"])
+def test_bihomog_coprime_refuses_a_common_factor(content, monkeypatch):
+    # a common (s, t)-form leaves every (s : t)-specialization coprime, and
+    # a common (u, v)-form every (u : v)-specialization: the other side,
+    # then the rank, must refuse.  (t - s)(v - u) makes both forms vanish
+    # at (s : t) = (1 : 1) and at (u : v) = (1 : 1), whose gcd is zero
+    rng = random.Random(content)
+    k = parse_poly(content)
+    ranks = spy_rank(monkeypatch)
+    for _ in range(5):
+        f1, g1 = random_form_mod(rng, P, 1, 2), random_form_mod(rng, P, 2, 1)
+        assert membership.bihomog_coprime(f1, g1)
+        assert not membership.bihomog_coprime(k * f1, k * g1)
+    assert len(ranks) == 5
+
+
+def test_bench_and_corpus_alphas_are_coprime_without_a_rank(
+        corpus, tmp_path, monkeypatch):
+    analyses = [gi.analysis for gi in corpus if gi.spec.kind != "dim2"]
+    for workload in ("generic-d1", "exact-d2", "screen"):
+        for job in bench_jobs(workload, tmp_path / workload):
+            data = job.load()
+            va = analyze(SurfaceInput.from_strings(
+                data["a"], data["b"], data["generators"],
+                FieldConfig(data["prime"])))
+            if va.dim_v > 2:
+                analyses.append(va)
+    assert len(analyses) == 60 + 10
+    ranks = spy_rank(monkeypatch)
+    for va in analyses:
+        assert all(run_case(va).checks.values())
+    assert ranks == []
 
 
 def random_form_mod(rng, p, c, d):
