@@ -124,7 +124,7 @@ def _load_job(args) -> tuple[SurfaceInput, dict]:
     if not (isinstance(gens, list) and len(gens) == 4
             and all(isinstance(g, str) for g in gens)):
         raise ValueError("'generators' must be a list of four strings")
-    options = data.get("options") or {}
+    options = {} if data.get("options") is None else data["options"]
     if not isinstance(options, dict):
         raise ValueError("'options' must be an object")
     field = FieldConfig(data["prime"], seed=args.seed)

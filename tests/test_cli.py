@@ -514,6 +514,23 @@ def test_non_integer_job_parameters_exit_1(key, value, tmp_path, capsys):
                                 f"not {value!r}\n")
 
 
+@pytest.mark.parametrize("options", [[], 0, False, "", [1], None],
+                         ids=repr)
+def test_non_object_options_exit_1(options, tmp_path, capsys):
+    # a falsy non-object is not "no options"; only null means absent
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(
+        {"a": 1, "b": 1, "prime": 65521,
+         "generators": ["s*u", "s*v", "t*u", "t*v"], "options": options}))
+    for command in ("analyze", "implicitize", "verify"):
+        captured = main([command, str(path)]), capsys.readouterr()
+        if options is None:
+            assert captured[0] == 0
+        else:
+            assert captured[0] == 1
+            assert captured[1].out == ""
+            assert captured[1].err == "error: 'options' must be an object\n"
+
 
 def test_malformed_expression_exits_1_with_its_position(tmp_path, capsys):
     # '²' is a digit to str.isdigit but no decimal digit, so no integer

@@ -1,6 +1,7 @@
-"""The demo scripts run to completion."""
+"""The demo scripts and the README's library example run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +13,24 @@ DEMOS = [ROOT / "demos" / name for name in
          ("01_segre.py", "02_worked_surface.py", "03_random_surfaces.py")]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_exits_zero(demo):
+def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_exits_zero(demo):
+    assert _run([str(demo)])
+
+
+def test_readme_library_example():
+    # the documented import path is the only one: the package namespace
+    # re-exports nothing
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert _run(["-c", code]).split() == ["10", "2"]

@@ -2,13 +2,17 @@
 every function, class and method is referenced from the package's own code,
 products of int64 arrays go through the exact modular product, one class
 defines polynomial arithmetic, every cache is bounded, the documented flags
-of ``implicitize``/``verify`` are the parser's, and every function the
-benchmark's tracer wraps still exists."""
+of ``implicitize``/``verify`` are the parser's, every function the
+benchmark's tracer wraps still exists, and each module imports first on its
+own, bringing in only what it needs."""
 
 import argparse
 import ast
 import importlib.util
+import json
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -328,3 +332,54 @@ def test_perfbench_span_targets_resolve(target):
     for part in path:
         owner = getattr(owner, part)
     assert leaf in owner.__dict__, f"{module}.{attr} is gone"
+
+
+# Imports each name given after the source directory into an interpreter
+# with no tensurf module loaded, and prints the tensurf submodules each
+# brought in, or the error it raised.
+IMPORT_PROBE = """\
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+loaded = {}
+for name in sys.argv[2:]:
+    for key in [k for k in sys.modules if k.split(".")[0] == "tensurf"]:
+        del sys.modules[key]
+    try:
+        importlib.import_module(name)
+    except Exception as exc:
+        loaded[name] = repr(exc)
+    else:
+        loaded[name] = sorted(k for k in sys.modules
+                              if k.startswith("tensurf."))
+print(json.dumps(loaded))
+"""
+MODULES = [f"tensurf.{path.stem}" for path in sorted(SRC.glob("*.py"))
+           if path.stem != "__init__"]
+# what the set-up of a job (parse the generators, build the input) must not
+# load: the stages after it
+SETUP_EXCLUDES = ["cases", "hburch", "membership", "strand", "xpoly",
+                  "planes", "oracle", "gen", "cli"]
+
+
+@pytest.fixture(scope="module")
+def import_sets():
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, str(SRC.parent), "tensurf",
+         *MODULES], capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(out.stdout)
+
+
+def test_every_module_imports_first(import_sets):
+    assert MODULES and set(import_sets) == {"tensurf", *MODULES}
+    failed = {name: got for name, got in import_sets.items()
+              if isinstance(got, str)}
+    assert failed == {}
+
+
+def test_the_package_imports_no_module(import_sets):
+    assert import_sets["tensurf"] == []
+
+
+def test_setup_path_imports_no_later_stage(import_sets):
+    later = {f"tensurf.{name}" for name in SETUP_EXCLUDES}
+    assert sorted(later & set(import_sets["tensurf.syzygy"])) == []
