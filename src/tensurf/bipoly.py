@@ -515,17 +515,24 @@ def print_terms(f: SparsePoly) -> list[tuple[Exponent, int]]:
             for e in sorted(terms, key=itemgetter(*f.ORDER), reverse=True)]
 
 
+def format_monomials(f: SparsePoly, exps: list[Exponent]) -> list[str]:
+    """The monomials ``exps`` in f's variables, as ``x0^2*x1``; the
+    constant monomial is the empty string.  Every power comes from one
+    table per variable."""
+    top = max(map(max, exps), default=0)
+    powers = [["", name, *(f"{name}^{e}" for e in range(2, top + 1))]
+              for name in f.VARS]
+    return ["*".join(filter(None, map(list.__getitem__, powers, exp)))
+            for exp in exps]
+
+
 def format_terms(f: SparsePoly, terms: list[tuple[Exponent, int]]) -> str:
     """Render ``terms`` of f (see :func:`print_terms`) with balanced
     coefficient lifts."""
     if not terms:
         return "0"
-    top = max(map(max, f.terms))
-    powers = [["", name, *(f"{name}^{e}" for e in range(2, top + 1))]
-              for name in f.VARS]
     out = []
-    for exp, c in terms:
-        mono = "*".join(filter(None, map(list.__getitem__, powers, exp)))
+    for (_, c), mono in zip(terms, format_monomials(f, [e for e, _ in terms])):
         sign, mag = ("-", f.p - c) if 2 * c > f.p else ("+", c)
         body = (mono if mag == 1 else f"{mag}*{mono}") if mono else mag
         out.append(f"{sign} {body}")

@@ -22,8 +22,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .bipoly import (DEFAULT_PRIME, CertificateError, FieldConfig,
-                     HypothesisError, ParseError, format_terms, poly_to_str,
-                     print_terms)
+                     HypothesisError, ParseError, format_monomials,
+                     format_terms, poly_to_str, print_terms)
 from .cases import run_case
 from .gen import GenSpec, generate
 from .oracle import check_prime_floor, implicitize
@@ -161,16 +161,6 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _monomial_str(exp) -> str:
-    parts = []
-    for name, e in zip(("x0", "x1", "x2", "x3"), exp):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -273,8 +263,9 @@ def _cmd_implicitize(args) -> int:
           f"c = {result.certificate.c}")
     print(f"F = {payload['f']}")
     print(f"coefficients ({len(terms)} terms):")
-    for e, c in terms:
-        print(f"  {_monomial_str(e)}  {c}")
+    monos = format_monomials(result.oracle.f, [e for e, _ in terms])
+    for mono, (_, c) in zip(monos, terms):
+        print(f"  {mono or '1'}  {c}")
     print(f"certificate: det = c * F^{result.certificate.exponent} "
           "verified at 40 random points (mode interpolate)")
     bp = result.basepoints

@@ -21,23 +21,24 @@ on two primitives:
   half by a unit lower triangular solve and the rows below by one
   ``_mul_sub`` (A22 -= L21 @ U12).  Multipliers are stored in place below
   the pivots, so full-row swaps carry them along.  ``rank``, ``rref``,
-  ``kernel_basis``, ``solve_particular``, ``det_field`` and
-  ``matrix_inverse`` all start from it and back-substitute, by blocks,
-  through the same triangular solve.
+  ``kernel_basis`` and ``solve_particular`` all start from it and
+  back-substitute, by blocks, through the same triangular solve.
 
-``det_block`` takes many small determinants at once.  It eliminates, in
-place, a block of m matrices laid out (n, n, m), batch axis last, so that
-every update streams along contiguous memory, and it reduces mod p lazily:
-pivot rows and multipliers are lifted to balanced residues in [-h, h],
-h = (p - 1) // 2, so each rank-one term is at most h**2 in magnitude, and
-an entry takes up to K updates between reductions, where
-K * h**2 + p < 2**63 <= (K + 1) * h**2 + p (K = 8 at p = 2**31 - 1).
-``Strand.det_at_many`` (the lattice certificate) builds its blocks in that
-layout and hands them over directly; ``batch_det`` copies an (N, n, n)
-stack into blocks for every other caller (``membership.resultant_uv``: the
-Bezout matrices of every pair at every sample node in one stack).
-``newton_operators``, built once per (degree, p), interpolates at the nodes
-0..degree for ``xpoly.lattice_form`` and ``membership.resultant_uv``.
+Every determinant comes from ``det_block``, which takes many small ones at
+once.  It eliminates, in place, a block of m matrices laid out (n, n, m),
+batch axis last, so that every update streams along contiguous memory, and
+it reduces mod p lazily: pivot rows and multipliers are lifted to balanced
+residues in [-h, h], h = (p - 1) // 2 (``balanced``), so each rank-one term
+is at most h**2 in magnitude, and an entry takes up to K updates between
+reductions, where K * h**2 + p < 2**63 <= (K + 1) * h**2 + p (K = 8 at
+p = 2**31 - 1).  ``Strand.det_at_many`` (the lattice certificate) builds its
+blocks in that layout and hands them over directly; ``batch_det`` copies
+an (N, n, n) stack into blocks for every other caller
+(``membership.resultant_uv``: the Bezout matrices of every pair at every
+sample node in one stack), and ``det_field`` is ``batch_det`` of one
+matrix.  ``newton_operators``, built once per (degree, p), interpolates at
+the nodes 0..degree for ``xpoly.lattice_form`` and
+``membership.resultant_uv``.
 
 Conventions fixed here and relied on throughout:
 
@@ -152,39 +153,40 @@ def _solve_unit_lower(L: Matrix, X: Matrix, p: int) -> None:
             _mul_sub(X[i1:], L[i1:, i0:i1], X[i0:i1], p)
 
 
-def _ple(M: Matrix, p: int) -> tuple[list[int], int]:
+def _ple(M: Matrix, p: int) -> list[int]:
     """Reduce M in place to row echelon form, multipliers stored below pivots.
 
-    Returns the pivot columns and the number of row swaps made; row i of
-    the result carries the (unnormalized) pivot of column pivots[i].  Rows
-    at and past the rank are zero outside the pivot columns.
+    Returns the pivot columns; row i of the result carries the
+    (unnormalized) pivot of column pivots[i].  Rows at and past the rank
+    are zero outside the pivot columns.
     """
     pivots: list[int] = []
-    swaps = _eliminate(M, 0, M.shape[1], pivots, p)
-    return pivots, swaps
+    _eliminate(M, 0, M.shape[1], pivots, p)
+    return pivots
 
 
-def _eliminate(M: Matrix, c0: int, c1: int, pivots: list[int], p: int) -> int:
+def _eliminate(M: Matrix, c0: int, c1: int, pivots: list[int], p: int
+               ) -> None:
     """Eliminate columns c0:c1 in the rows below the pivots found so far.
 
     Only columns c0:c1 are updated.  Wide ranges are halved: the left half
     is eliminated, its pivot rows are finished on the right half by a
     triangular solve (U12 = L11^-1 A12) and the rows below by A22 -= L21 @
     U12, then the right half is eliminated.  Appends the new pivot columns
-    to ``pivots`` and returns the number of row swaps.
+    to ``pivots``.
     """
     r0 = len(pivots)
     if c1 - c0 > _PANEL:
         mid = (c0 + c1) // 2
-        swaps = _eliminate(M, c0, mid, pivots, p)
+        _eliminate(M, c0, mid, pivots, p)
         r = len(pivots)
         if r > r0:
             left = pivots[r0:]
             _solve_unit_lower(M[r0:r, left], M[r0:r, mid:c1], p)
             _mul_sub(M[r:, mid:c1], M[r:, left], M[r0:r, mid:c1], p)
-        return swaps + _eliminate(M, mid, c1, pivots, p)
+        _eliminate(M, mid, c1, pivots, p)
+        return
     n_rows = M.shape[0]
-    swaps = 0
     r = r0
     for c in range(c0, c1):
         if r == n_rows:
@@ -196,7 +198,6 @@ def _eliminate(M: Matrix, c0: int, c1: int, pivots: list[int], p: int) -> int:
                 continue
             pr = r + 1 + int(nz[0])
             M[[r, pr]] = M[[pr, r]]
-            swaps += 1
             piv = int(M[r, c])
         # with no nonzero entry below the pivot this is a no-op
         lower = M[r + 1:, c] * pow(piv, -1, p) % p
@@ -205,7 +206,6 @@ def _eliminate(M: Matrix, c0: int, c1: int, pivots: list[int], p: int) -> int:
                                - lower[:, None] * M[r, c + 1:c1]) % p
         pivots.append(c)
         r += 1
-    return swaps
 
 
 def _back_substitute(M: Matrix, pivots: list[int], cols, p: int) -> Matrix:
@@ -229,7 +229,7 @@ class RrefResult:
 def rref(mat, p: int) -> RrefResult:
     """Full reduced row echelon form."""
     M = as_matrix(mat, p)
-    pivots, _ = _ple(M, p)
+    pivots = _ple(M, p)
     rank = len(pivots)
     R = np.zeros_like(M)
     R[:rank] = _back_substitute(M, pivots, slice(None), p)
@@ -238,14 +238,14 @@ def rref(mat, p: int) -> RrefResult:
 
 
 def rank(mat, p: int) -> int:
-    return len(_ple(as_matrix(mat, p), p)[0])
+    return len(_ple(as_matrix(mat, p), p))
 
 
 def kernel_basis(mat, p: int) -> list[Vector]:
     """Canonical basis of the right kernel (free column ascending)."""
     M = as_matrix(mat, p)
     n_cols = M.shape[1]
-    pivots, _ = _ple(M, p)
+    pivots = _ple(M, p)
     pivot_set = set(pivots)
     free = [c for c in range(n_cols) if c not in pivot_set]
     if not free:
@@ -272,7 +272,7 @@ def solve_particular(mat, rhs, p: int) -> Matrix | None:
     b = as_matrix(rhs, p)
     M = np.hstack([A, b.reshape(A.shape[0], -1)])
     n_cols = A.shape[1]
-    pivots, _ = _ple(M, p)
+    pivots = _ple(M, p)
     if pivots and pivots[-1] >= n_cols:
         return None
     x = np.zeros((n_cols, M.shape[1] - n_cols), dtype=np.int64)
@@ -281,30 +281,8 @@ def solve_particular(mat, rhs, p: int) -> Matrix | None:
 
 
 def det_field(mat, p: int) -> int:
-    """Determinant of a square matrix over F_p."""
-    M = as_matrix(mat, p)
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("determinant of a non-square matrix")
-    pivots, swaps = _ple(M, p)
-    if len(pivots) < n:
-        return 0
-    det = p - 1 if swaps % 2 else 1
-    for v in M.diagonal().tolist():
-        det = det * v % p
-    return det
-
-
-def matrix_inverse(mat, p: int) -> Matrix:
-    M = as_matrix(mat, p)
-    n = M.shape[0]
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("inverse of a non-square matrix")
-    aug = np.hstack([M, np.eye(n, dtype=np.int64)])
-    pivots, _ = _ple(aug, p)
-    if pivots[n - 1] != n - 1:
-        raise ValueError("matrix is singular")
-    return _back_substitute(aug, pivots, slice(n, None), p)
+    """Determinant of a square matrix over F_p: ``batch_det`` of one."""
+    return int(batch_det([mat], p)[0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -313,17 +291,25 @@ def newton_operators(degree: int, p: int) -> tuple[Matrix, Matrix]:
 
     Values at the nodes are B D with B[i, k] = C(i, k) and D the forward
     differences at 0 (Gregory-Newton), so diff = B^-1: (-1)^(i-k) C(i, k).
-    Column k of newton = V^-1 B, V the nodes' Vandermonde matrix, holds the
-    coefficients of C(x, k), ascending, so newton @ diff @ values are those
-    of the polynomial of degree <= degree through the values.
+    Column k of newton = V^-1 B, V the nodes' Vandermonde matrix, one
+    ``solve_particular``, holds the coefficients of C(x, k), ascending, so
+    newton @ diff @ values are those of the polynomial of degree <= degree
+    through the values.
     """
     k = np.arange(degree + 1)
     binom = np.array([[math.comb(i, j) % p for j in k] for i in k])
     diff = np.where((k[:, None] - k) % 2, p - binom, binom) % p
-    newton = matmul_mod(matrix_inverse(vandermonde(k, degree + 1, p), p),
-                        binom, p)
+    newton = solve_particular(vandermonde(k, degree + 1, p), binom, p)
     diff.flags.writeable = newton.flags.writeable = False
     return diff, newton
+
+
+def balanced(x: Matrix, p: int) -> Matrix:
+    """Residues in [0, p) lifted to [-h, h], h = (p - 1) // 2, in place, so
+    a product of two is at most h**2 < 2**60 in magnitude: the range every
+    lazy reduction here and in ``strand`` and ``planes`` rests on."""
+    x -= p * (x > (p - 1) // 2)
+    return x
 
 
 def _reduction_period(p: int) -> int:
@@ -367,7 +353,6 @@ def det_block(M: NDArray[np.int64], p: int) -> Vector:
     ignored.  The elimination steps are listed under ``batch_det``.
     """
     n, m = M.shape[0], M.shape[2]
-    h = (p - 1) // 2
     period = _reduction_period(p)
     det = np.ones(m, dtype=np.int64)
     pending = np.zeros((n, n), dtype=np.int64)
@@ -408,10 +393,8 @@ def det_block(M: NDArray[np.int64], p: int) -> Vector:
         cols = c + 1 + np.flatnonzero(M[c, c + 1:].any(axis=1))
         if not cols.size:
             continue
-        mult = M[rows, c] * inverse_many(piv, p) % p
-        mult -= p * (mult > h)
-        row = M[c, cols]
-        row -= p * (row > h)
+        mult = balanced(M[rows, c] * inverse_many(piv, p) % p, p)
+        row = balanced(M[c, cols], p)
         dense = rows.size == cols.size == n - c - 1
         idx = np.s_[c + 1:, c + 1:] if dense else np.ix_(rows, cols)
         trail, count = M[idx], pending[idx]
@@ -438,14 +421,11 @@ def batch_det(mats, p: int) -> Vector:
     * the pivot column is reduced exactly before the pivot search, and the
       pivot row before it is used;
     * all pivot inverses come from one modular inverse (Montgomery's trick);
-    * pivot row and multipliers are lifted to balanced residues in [-h, h],
-      h = (p - 1) // 2, so each rank-one term is at most h**2 < 2**60 in
-      magnitude.  An entry that starts in [0, p) and takes K updates has
-      magnitude at most p - 1 + K * h**2, so the trailing entries are
-      reduced only before an update that would be their (K + 1)-th
-      unreduced one, with
-      K = (2**63 - 1 - p) // h**2: K * h**2 + p < 2**63 <= (K + 1) * h**2 + p,
-      and K = 8 at p = 2**31 - 1;
+    * pivot row and multipliers are lifted by ``balanced``, so each
+      rank-one term is at most h**2 < 2**60 in magnitude, and the trailing
+      entries are reduced only before an update that would be their
+      (K + 1)-th unreduced one, K from ``_reduction_period`` (K = 8 at
+      p = 2**31 - 1);
     * rows whose multiplier is zero in every matrix of the block, and
       columns whose pivot-row entry is, are skipped.  Strand matrices are
       sparse, so this skips most of the n**3 / 3 work.

@@ -4,10 +4,12 @@ For random linear forms m_0..m_e with m_k[0] != 0, a form F of degree e
 in x0..x3 is G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)), each G_k a form of
 degree e - k in x1, x2, x3: the chart of the plane H_k = {m_k = 0}.  The
 image X meets H_k in a plane curve, whose F_p-points come from one batched
-Cantor-Zassenhaus split per random draw (:func:`_split_roots`).  On those
-points one kernel (level 0) and e small solves (levels 1..e) give the G_k,
-and Horner's rule on F's coefficient cube (``XPoly.coeff_cube``) assembles
-it.
+Cantor-Zassenhaus split per random draw (:func:`_split_roots`), its
+arithmetic lazily reduced on balanced residues (``linalg.balanced``).  On
+those points one kernel (level 0) and e small solves (levels 1..e), each on
+the monomials in x1, x2, x3 of :func:`tensurf.xpoly.eval_matrix`, give the
+G_k, and Horner's rule on F's coefficient cube (``XPoly.coeff_cube``)
+assembles it.
 
 Level 0 comes first (:func:`section`): its points are drawn for the
 largest degree e_max the map allows, and its kernel reads off e.  The
@@ -30,18 +32,12 @@ from numpy.typing import NDArray
 
 from . import linalg
 from .syzygy import SurfaceInput
-from .xpoly import eval_form
+from .xpoly import eval_form, eval_matrix, monomials_of_degree
 
 # Random image points beyond the unknowns of each plane solve.
 _SAMPLE_MARGIN = 8
 # Draw rounds before the plane sections give up and leave F to the scan.
 _ROUNDS = 4
-
-
-def _balanced(x: NDArray[np.int64], p: int) -> NDArray[np.int64]:
-    """Residues in [0, p) lifted to [-h, h], h = (p - 1) // 2, in place."""
-    x -= p * (x > (p - 1) // 2)
-    return x
 
 
 def _split_roots(f: NDArray[np.int64], delta: NDArray[np.int64], p: int
@@ -67,24 +63,26 @@ def _split_roots(f: NDArray[np.int64], delta: NDArray[np.int64], p: int
         return cols, -f[0, cols] * linalg.inverse_many(f[1, cols], p) % p
     monic = f[:, cols] * linalg.inverse_many(f[K, cols], p) % p
     # red[j] = x^(K + j) mod f_j, balanced
-    red = [_balanced(-monic[:K] % p, p)]
+    red = [linalg.balanced(-monic[:K] % p, p)]
     for _ in range(K - 2):
         prev = red[-1]
-        red.append(_balanced((np.vstack([np.zeros_like(prev[:1]), prev[:-1]])
-                              + prev[-1] * red[0]) % p, p))
+        red.append(linalg.balanced(
+            (np.vstack([np.zeros_like(prev[:1]), prev[:-1]])
+             + prev[-1] * red[0]) % p, p))
     red = np.array(red)
-    delta = _balanced(delta[cols] % p, p)
+    delta = linalg.balanced(delta[cols] % p, p)
     w = np.zeros((K, cols.size), dtype=np.int64)
     w[0] = 1
     for bit in bin((p - 1) // 2)[2:]:
         sq = np.zeros((2 * K - 1, cols.size), dtype=np.int64)
         for i in range(K):
             sq[i:i + K] += w[i] * w
-        sq = _balanced(sq % p, p)
-        w = _balanced((sq[:K] + (sq[K:, None] * red).sum(axis=0)) % p, p)
+        sq = linalg.balanced(sq % p, p)
+        w = linalg.balanced(
+            (sq[:K] + (sq[K:, None] * red).sum(axis=0)) % p, p)
         if bit == "1":   # w (x + delta): a shift and one scaled add
-            w = _balanced((np.vstack([np.zeros_like(w[:1]), w[:-1]])
-                           + delta * w + w[-1] * red[0]) % p, p)
+            w = linalg.balanced((np.vstack([np.zeros_like(w[:1]), w[:-1]])
+                                 + delta * w + w[-1] * red[0]) % p, p)
     w %= p
     g = np.vstack([np.hstack([w, w]), np.zeros((1, 2 * cols.size), np.int64)])
     g[0] = (g[0] - np.repeat([1, p - 1], cols.size)) % p
@@ -187,20 +185,13 @@ def _section_points(grids: list[NDArray[np.int64]], planes: NDArray[np.int64],
             for f, n in zip(found, need.tolist())]
 
 
-def _plane_exponents(D: int) -> tuple[NDArray[np.int64], ...]:
-    """(e1, e2, e3) of the degree-D forms in x1, x2, x3, in the order of the
-    x0-free tail of ``monomials_of_degree``."""
-    r1, e3 = np.tril_indices(D + 1)
-    return D - r1, r1 - e3, e3
-
-
 def _assemble(gs: list[NDArray[np.int64]], planes: NDArray[np.int64],
               p: int) -> NDArray[np.int64]:
     """Coefficient cube (as ``XPoly.coeff_cube``) of
     G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)).
 
     G_k is a form of degree e - k in x1, x2, x3, its coefficients in
-    ``_plane_exponents`` order, and m_k = planes[k].  Horner's rule runs on
+    ``monomials_of_degree`` order, and m_k = planes[k].  Horner's rule runs on
     the cube at x0 = 1: multiplying by m_k is m_k[0] times the cube plus
     m_k[i] times the cube shifted one step along axis i.  ``np.roll`` wraps
     the last slice round, but below degree e that slice is zero.
@@ -212,7 +203,7 @@ def _assemble(gs: list[NDArray[np.int64]], planes: NDArray[np.int64],
         m = planes[k]
         cube = (cube * m[0] % p + sum(np.roll(cube, 1, axis=i) * m[i + 1] % p
                                       for i in range(3))) % p
-        cube[_plane_exponents(e - k)] += gs[k]
+        cube[tuple(zip(*monomials_of_degree(e - k, 3)))] += gs[k]
         cube %= p
     return cube
 
@@ -221,14 +212,6 @@ def _need(e: int) -> NDArray[np.int64]:
     """Points per level of a degree-e peel: the unknowns of G_k + margin."""
     return np.array([math.comb(e - k + 2, 2) + _SAMPLE_MARGIN
                      for k in range(e + 1)])
-
-
-def _plane_monomials(Y: NDArray[np.int64], D: int, p: int
-                     ) -> NDArray[np.int64]:
-    """The degree-D monomials in x1, x2, x3 at the rows of Y."""
-    e1, e2, e3 = _plane_exponents(D)
-    pw = [linalg.vandermonde(Y[:, i], D + 1, p) for i in (1, 2, 3)]
-    return pw[0][:, e1] * pw[1][:, e2] % p * pw[2][:, e3] % p
 
 
 @dataclass(frozen=True)
@@ -282,7 +265,7 @@ def section(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
 
     def level0_kernel(D: int) -> list[NDArray[np.int64]]:
         return linalg.kernel_basis(
-            _plane_monomials(pts[:_need(D)[0]], D, p), p)
+            eval_matrix(D, pts[:_need(D)[0], 1:], p), p)
 
     e, kern = e_max, level0_kernel(e_max)
     if len(kern) > 1:   # d > step: G_0 times every form of degree e_max - e
@@ -331,12 +314,12 @@ def peel(sec: Section) -> Optional[NDArray[np.int64]]:
         if k == 0:
             g = sec.g0
         else:   # G_k(y) = F_k(y) = -num(y) / prod[y, k]
-            g = linalg.solve_particular(_plane_monomials(Y[lo:hi], D, p),
+            g = linalg.solve_particular(eval_matrix(D, Y[lo:hi, 1:], p),
                                         -num[lo:hi] * scale[lo:hi] % p, p)
             if g is None:
                 return None
         gs.append(g)
-        _, e2, e3 = _plane_exponents(D)
+        _, e2, e3 = zip(*monomials_of_degree(D, 3))
         square = np.zeros((D + 1, D + 1), dtype=np.int64)
         square[e2, e3] = g
         num[hi:] = (num[hi:] + eval_form(square, D, Y[hi:, 1:], p)

@@ -80,21 +80,19 @@ class Strand:
 
         Only the nonzero rows of the (size**2, 4) coefficient table are
         evaluated.  Coefficients and coordinates are lifted once to
-        balanced residues in [-h, h], h = (p - 1) // 2, so an entry's value
-        sum_k coef_k * x_k is at most 4 * h**2 < 2**62 in magnitude and
-        takes a single reduction.  Each chunk of points scatters its values
-        into a zeroed (size, size, m) block, batch axis last, of at most
+        balanced residues in [-h, h], h = (p - 1) // 2
+        (``linalg.balanced``), so an entry's value sum_k coef_k * x_k is at
+        most 4 * h**2 < 2**62 in magnitude and takes a single reduction.
+        Each chunk of points scatters its values into a zeroed
+        (size, size, m) block, batch axis last, of at most
         ``linalg.DET_BLOCK`` elements, and ``linalg.det_block`` eliminates
         that block in place.
         """
         p, n = self.p, self.size
-        h = (p - 1) // 2
         table = self.tensor.reshape(n * n, 4) % p
         rows = np.flatnonzero(table.any(axis=1))
-        coef = table[rows]
-        coef -= p * (coef > h)
-        xs = np.asarray(points, dtype=np.int64) % p
-        xs -= p * (xs > h)
+        coef = linalg.balanced(table[rows], p)
+        xs = linalg.balanced(np.asarray(points, dtype=np.int64) % p, p)
         step = max(1, linalg.DET_BLOCK // (n * n))
         out = np.empty(len(xs), dtype=np.int64)
         for lo in range(0, len(xs), step):

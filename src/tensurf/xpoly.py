@@ -5,11 +5,13 @@
 and printer; it adds the total-degree grading.  A dense form of degree e
 is its coefficient cube at x0 = 1 (``XPoly.coeff_cube`` and
 ``XPoly.from_cube``), the one array format of forms here.  The module
-also provides degree-graded monomial enumeration, the one vectorized
-evaluator of cubes (:func:`eval_form`) and the one interpolator into a
-cube (:func:`lattice_form`, from values on the principal lattice).  Used
-by the strand, the elimination oracle, the determinant certificate and
-the reference checks.
+also provides the one monomial table (:func:`monomials_of_degree`, and
+:func:`eval_matrix` at many points), in x0..x3 or, for the plane sections
+of :mod:`tensurf.planes`, in x1, x2, x3; the one vectorized evaluator of
+cubes (:func:`eval_form`) and the one interpolator into a cube
+(:func:`lattice_form`, from values on the principal lattice).  Used by the
+strand, the elimination oracle, the plane sections, the determinant
+certificate and the reference checks.
 """
 
 from __future__ import annotations
@@ -23,40 +25,38 @@ from . import linalg
 from .bipoly import Exponent, SparsePoly, _Parser
 
 
-def monomials_of_degree(degree: int) -> list[Exponent]:
-    """Exponent tuples of total degree ``degree``.
+def monomials_of_degree(degree: int, n_vars: int = 4
+                        ) -> list[tuple[int, ...]]:
+    """Exponent tuples of total degree ``degree`` in ``n_vars`` variables.
 
-    Ordered by the first three exponents lexicographically descending, so
-    x0^degree comes first and x3^degree last.
+    Ordered lexicographically descending: the first variable's power
+    ``degree`` comes first and the last one's last.  In x1, x2, x3 this is
+    the order of the x0-free tail of the list in x0..x3.
     """
-    out: list[Exponent] = []
-    for e0 in range(degree, -1, -1):
-        for e1 in range(degree - e0, -1, -1):
-            for e2 in range(degree - e0 - e1, -1, -1):
-                out.append((e0, e1, e2, degree - e0 - e1 - e2))
-    return out
+    heads = [((), degree)]   # leading exponents and the degree left
+    for _ in range(n_vars - 1):
+        heads = [(head + (e,), left - e) for head, left in heads
+                 for e in range(left, -1, -1)]
+    return [head + (left,) for head, left in heads]
 
 
 def eval_matrix(degree: int, points: np.ndarray, p: int) -> np.ndarray:
     """Evaluate every degree-``degree`` monomial at every point.
 
-    ``points`` is an (N, 4) int64 array of coordinates reduced mod p.  The
-    result has shape (N, num_monomials(degree)) with columns ordered as in
-    :func:`monomials_of_degree`.  Each column is one product of a value
-    x0^e0 * x1^e1 and a value x2^e2 * x3^e3, both taken from tables of all
-    (degree + 1)^2 exponent pairs.
+    ``points`` is an (N, n) int64 array of coordinates, one column per
+    variable.  The result has shape (N, number of monomials) with columns
+    ordered as in :func:`monomials_of_degree` in n variables: the product,
+    variable by variable, of columns of each variable's power table.
     """
     pts = np.asarray(points, dtype=np.int64) % p
-    if pts.ndim != 2 or pts.shape[1] != 4:
-        raise ValueError("points must have shape (N, 4)")
-    n, width = pts.shape[0], degree + 1
-    powers = [linalg.vandermonde(pts[:, k], width, p) for k in range(4)]
-    low = (powers[0][:, :, None] * powers[1][:, None, :] % p).reshape(n, -1)
-    high = (powers[2][:, :, None] * powers[3][:, None, :] % p).reshape(n, -1)
-    mons = np.array(monomials_of_degree(degree), dtype=np.int64)
-    vals = low[:, mons[:, 0] * width + mons[:, 1]]
-    vals *= high[:, mons[:, 2] * width + mons[:, 3]]
-    vals %= p
+    if pts.ndim != 2 or not pts.shape[1]:
+        raise ValueError("points must have shape (N, n) with n >= 1")
+    mons = np.array(monomials_of_degree(degree, pts.shape[1]), dtype=np.int64)
+    tables = [linalg.vandermonde(x, degree + 1, p) for x in pts.T]
+    vals = tables[0][:, mons[:, 0]]
+    for table, exps in zip(tables[1:], mons.T[1:]):
+        vals *= table[:, exps]
+        vals %= p
     return vals
 
 

@@ -20,6 +20,7 @@ from tensurf.bipoly import (
     ParseError,
     coeff_grid,
     dot,
+    format_monomials,
     mirror_poly,
     monomial_basis,
     multiplication_matrix,
@@ -105,6 +106,15 @@ def test_parse_and_print_round_trip_frozen():
         g = parse_poly(text)
         assert poly_to_str(g) == want
         assert parse_poly(want) == g
+
+
+def test_format_monomials_renders_each_power_once():
+    f = XPoly.zero(P)
+    assert format_monomials(f, [(2, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 11),
+                                (1, 1, 1, 1)]) == [
+        "x0^2*x1", "", "x3^11", "x0*x1*x2*x3"]
+    assert format_monomials(f, []) == []
+    assert format_monomials(BiPoly.zero(P), [(0, 3, 1, 0)]) == ["t^3*u"]
 
 
 def test_parse_supports_parentheses_powers_and_constants():

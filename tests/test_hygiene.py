@@ -3,12 +3,14 @@ every function, class and method is referenced from the package's own code,
 products of int64 arrays go through the exact modular product, one class
 defines polynomial arithmetic, every cache is bounded, the documented flags
 of ``implicitize``/``verify`` are the parser's, every function the
-benchmark's tracer wraps still exists, and each module imports first on its
-own, bringing in only what it needs."""
+benchmark's tracer wraps still exists, each module imports first on its
+own, bringing in only what it needs, and every cross-reference in a
+docstring names something that exists."""
 
 import argparse
 import ast
 import importlib.util
+import inspect
 import json
 import re
 import subprocess
@@ -383,3 +385,64 @@ def test_the_package_imports_no_module(import_sets):
 def test_setup_path_imports_no_later_stage(import_sets):
     later = {f"tensurf.{name}" for name in SETUP_EXCLUDES}
     assert sorted(later & set(import_sets["tensurf.syzygy"])) == []
+
+
+# Sphinx cross-reference roles, with the kind of object each must name
+ROLES = {"func": callable, "meth": callable, "class": inspect.isclass,
+         "attr": lambda obj: True, "mod": inspect.ismodule}
+ROLE_REF = re.compile(r":(%s):`~?([\w.]+)`" % "|".join(ROLES))
+
+
+def _resolves(module, target: str, kind) -> bool:
+    """Whether ``target`` names an object of the role's kind, looked up in
+    ``module``'s namespace, or from the package down when it starts with
+    the package's name."""
+    parts = target.split(".")
+    owner = module
+    if parts[0] == "tensurf":
+        owner, parts = importlib.import_module("tensurf"), parts[1:]
+    try:
+        for part in parts:
+            if inspect.ismodule(owner) and not hasattr(owner, part):
+                importlib.import_module(f"{owner.__name__}.{part}")
+            owner = getattr(owner, part)
+    except (AttributeError, ImportError):
+        return False
+    return kind(owner)
+
+
+def _stale_references(module, tree) -> list[str]:
+    """Every role reference in a docstring of ``tree`` that does not
+    resolve against ``module``."""
+    docs = [ast.get_docstring(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+    return [f":{role}:`{target}`" for doc in docs if doc
+            for role, target in ROLE_REF.findall(doc)
+            if not _resolves(module, target, ROLES[role])]
+
+
+@pytest.mark.parametrize("source, stale", [
+    ('"""See :func:`batch_det` and :func:`~tensurf.linalg.rank`."""', []),
+    ('"""See :func:`matrix_inverse`."""', [":func:`matrix_inverse`"]),
+    ('def f():\n    """Uses :mod:`tensurf.xpoly` and :mod:`tensurf.nope`."""',
+     [":mod:`tensurf.nope`"]),
+    ('class C:\n    """A :class:`batch_det` is no class."""',
+     [":class:`batch_det`"]),
+    ('"""Reads :attr:`tensurf.strand.Strand.det_box` and '
+     ':meth:`tensurf.strand.Strand.gone`."""',
+     [":meth:`tensurf.strand.Strand.gone`"]),
+])
+def test_stale_reference_check_finds_every_form(source, stale):
+    linalg = importlib.import_module("tensurf.linalg")
+    assert _stale_references(linalg, ast.parse(source)) == stale
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_docstring_references_resolve(path):
+    module = importlib.import_module(
+        "tensurf" if path.stem == "__init__" else f"tensurf.{path.stem}")
+    stale = _stale_references(
+        module, ast.parse(path.read_text(encoding="utf-8")))
+    assert not stale, f"{path.name} docstrings name what is gone: {stale}"

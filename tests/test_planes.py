@@ -8,7 +8,7 @@ import pytest
 
 from tensurf import planes
 from tensurf.bipoly import DEFAULT_PRIME
-from tensurf.xpoly import XPoly, monomials_of_degree
+from tensurf.xpoly import XPoly, eval_matrix, monomials_of_degree
 
 P = DEFAULT_PRIME
 
@@ -127,12 +127,16 @@ def test_assemble_is_horner_over_the_planes(e):
     gs = [np.array([rng.randrange(p) for _ in range(math.comb(e - k + 2, 2))],
                    dtype=np.int64) for k in range(e + 1)]
 
+    points = np.array([[rng.randrange(p) for _ in range(4)]
+                       for _ in range(12)], dtype=np.int64)
+
     def plane_form(k):
-        # the x0-free tail of monomials_of_degree, in _plane_exponents order
-        mons = [m for m in monomials_of_degree(e - k) if m[0] == 0]
-        assert [m[1:] for m in mons] == list(
-            zip(*(x.tolist() for x in planes._plane_exponents(e - k))))
-        return XPoly(p, {m: int(c) for m, c in zip(mons, gs[k])})
+        # the monomials in x1, x2, x3 are the x0-free tail of those in x0..x3
+        mons = monomials_of_degree(e - k)
+        tail = [i for i, m in enumerate(mons) if m[0] == 0]
+        assert np.array_equal(eval_matrix(e - k, points[:, 1:], p),
+                              eval_matrix(e - k, points, p)[:, tail])
+        return XPoly(p, {mons[i]: int(c) for i, c in zip(tail, gs[k])})
 
     acc = plane_form(e)
     for k in range(e - 1, -1, -1):

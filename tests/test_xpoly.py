@@ -32,6 +32,28 @@ def test_monomial_count_and_order():
     assert monos[-1] == (0, 0, 0, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", [0, 1, 4])
+def test_monomials_and_eval_matrix_in_n_variables(n, degree):
+    mons = monomials_of_degree(degree, n)
+    assert len(set(mons)) == len(mons) == math.comb(degree + n - 1, n - 1)
+    assert {sum(m) for m in mons} == {degree}
+    assert mons == sorted(mons, reverse=True)
+    rng = random.Random(n * 10 + degree)
+    pts = np.array([[rng.randrange(P) for _ in range(n)] for _ in range(5)]
+                   + [[0] * n], dtype=np.int64)
+    want = [[math.prod(pow(int(x), e, P) for x, e in zip(pt, m)) % P
+             for m in mons] for pt in pts]
+    assert eval_matrix(degree, pts, P).tolist() == want
+
+
+def test_eval_matrix_rejects_points_without_coordinates():
+    with pytest.raises(ValueError):
+        eval_matrix(2, np.zeros((3, 0), dtype=np.int64), P)
+    with pytest.raises(ValueError):
+        eval_matrix(2, np.zeros(4, dtype=np.int64), P)
+
+
 def test_parse_and_print_round_trip():
     f = parse_xpoly("x0*x3 - x1*x2", P)
     assert f.terms == {(1, 0, 0, 1): 1, (0, 1, 1, 0): P - 1}
