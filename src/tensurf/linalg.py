@@ -3,20 +3,24 @@
 All entries live in [0, p) with p < 2**31.  The single-matrix routines run
 on two primitives:
 
-* ``_mul_sub`` computes C <- (C - A @ B) mod p in place.  Each operand is
-  split into 16-bit limbs (low < 2**16, high < 2**15) and the four limb
-  products run as float64 BLAS products.  A limb product term is at most
-  (2**16 - 1)**2, so for an inner dimension of at most ``MAX_INNER`` every
-  partial sum, in any summation order, is an integer of at most 2**53 and
-  thus exact.  Each limb product is reduced mod p before it is scaled by
-  2**16 mod p (Horner order: high, then middle, then low), so every int64
-  intermediate stays below 2**63 for any p < 2**31.  A larger inner
-  dimension raises ``ValueError``.  C is updated in row chunks of about
-  ``_CHUNK`` elements so that the float64 temporaries stay small whatever
-  the matrix size.
+* ``_mul_sub`` computes C <- (C - A @ B) mod p in place, and
+  ``matmul_mod`` (A @ B) mod p, from the float64 BLAS products of
+  ``_limb_products``.  B is split into 16-bit limbs (low < 2**16, high <
+  2**15).  A stays whole when inner * (p - 1) * (2**16 - 1) <= 2**53,
+  that is for an inner dimension of at most 64 at every p < 2**31: two
+  products, each partial sum an integer of at most 2**53 and thus exact.
+  A wider product splits A too: four products of limbs, whose terms are
+  at most (2**16 - 1)**2, exact up to an inner dimension of ``MAX_INNER``;
+  a larger one raises ``ValueError``.  The limb products are summed in
+  int64 into base-2**16 digits, and the digits are combined in Horner
+  order, each partial result reduced mod p before it is scaled by 2**16
+  mod p, so every int64 intermediate stays below 2**63 for any p < 2**31.
+  Rows go in chunks of about ``_CHUNK`` elements so that the float64
+  temporaries stay small whatever the matrix size.
 * ``_ple`` reduces a matrix in place to row echelon form.  It halves the
   column range until a panel has at most ``_PANEL`` columns; inside a panel,
-  rows are eliminated with dense slice updates on the panel's columns only.
+  rows are eliminated with dense slice updates on the panel's columns only,
+  and a column with nothing below its pivot takes none.
   After the left half of a range, its pivot rows are finished on the right
   half by a unit lower triangular solve and the rows below by one
   ``_mul_sub`` (A22 -= L21 @ U12).  Multipliers are stored in place below
@@ -29,9 +33,10 @@ once.  It eliminates, in place, a block of m matrices laid out (n, n, m),
 batch axis last, so that every update streams along contiguous memory, and
 it reduces mod p lazily: pivot rows and multipliers are lifted to balanced
 residues in [-h, h], h = (p - 1) // 2 (``balanced``), so each rank-one term
-is at most h**2 in magnitude, and an entry takes up to K updates between
+is at most h**2 in magnitude, and a row takes up to K updates between
 reductions, where K * h**2 + p < 2**63 <= (K + 1) * h**2 + p (K = 8 at
-p = 2**31 - 1).  ``Strand.det_at_many`` (the lattice certificate) builds its
+p = 2**31 - 1): one count per row bounds the unreduced updates of each of
+its entries.  ``Strand.det_at_many`` (the lattice certificate) builds its
 blocks in that layout and hands them over directly; ``batch_det`` copies
 an (N, n, n) stack into blocks for every other caller
 (``membership.resultant_uv``: the Bezout matrices of every pair at every
@@ -109,33 +114,51 @@ def _limbs(X: Matrix) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
             (X >> _LIMB_BITS).astype(np.float64))
 
 
-def _mul_sub(C: Matrix, A: Matrix, B: Matrix, p: int) -> None:
-    """C <- (C - A @ B) mod p in place; entries of A and B in [0, p)."""
+def _limb_products(A: Matrix, B: Matrix, p: int):
+    """Yield (rows, P) by row chunks, P congruent to A[rows] @ B mod p with
+    entries in [0, 2**63), from float64 products of limbs (the module
+    docstring gives the bounds); entries of A and B in [0, p)."""
     inner = A.shape[1]
     if inner > MAX_INNER:
         raise ValueError(f"inner dimension {inner} exceeds {MAX_INNER}, "
                          "the limit of exact limb-split products")
-    b_lo, b_hi = _limbs(B)
+    whole = inner * (p - 1) * _LIMB_MASK <= 2 ** 53
+    b_limbs = _limbs(B)
     shift = (1 << _LIMB_BITS) % p
     step = max(1, _CHUNK // max(1, inner, B.shape[1]))
-    for i in range(0, C.shape[0], step):
-        a_lo, a_hi = _limbs(A[i:i + step])
-        acc = (a_hi @ b_hi).astype(np.int64) % p * shift
-        acc += (a_hi @ b_lo).astype(np.int64)
-        acc += (a_lo @ b_hi).astype(np.int64)
-        acc %= p
-        acc *= shift
-        acc += (a_lo @ b_lo).astype(np.int64)
-        C[i:i + step] = (C[i:i + step] - acc) % p
+    for i in range(0, A.shape[0], step):
+        rows = slice(i, i + step)
+        a_limbs = (A[rows].astype(np.float64),) if whole else _limbs(A[rows])
+        digits = [None] * (len(a_limbs) + 1)
+        for j, a in enumerate(a_limbs):
+            for k, b in enumerate(b_limbs):
+                term, prev = (a @ b).astype(np.int64), digits[j + k]
+                digits[j + k] = term if prev is None else prev + term
+        acc = digits.pop()
+        for digit in reversed(digits):
+            acc %= p
+            acc *= shift
+            acc += digit
+        yield rows, acc
+
+
+def _mul_sub(C: Matrix, A: Matrix, B: Matrix, p: int) -> None:
+    """C <- (C - A @ B) mod p in place; entries of A and B in [0, p).  Two
+    limb products when inner * (p - 1) * (2**16 - 1) <= 2**53, else four."""
+    for rows, acc in _limb_products(A, B, p):
+        chunk = C[rows]
+        chunk -= acc
+        chunk %= p
 
 
 def matmul_mod(A, B, p: int) -> Matrix:
     """(A @ B) mod p, exact for an inner dimension up to ``MAX_INNER``."""
     A = as_matrix(A, p)
     B = as_matrix(B, p)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    _mul_sub(out, A, B, p)
-    return -out % p
+    out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
+    for rows, acc in _limb_products(A, B, p):
+        np.remainder(acc, p, out=out[rows])
+    return out
 
 
 def _solve_unit_lower(L: Matrix, X: Matrix, p: int) -> None:
@@ -191,19 +214,19 @@ def _eliminate(M: Matrix, c0: int, c1: int, pivots: list[int], p: int
     for c in range(c0, c1):
         if r == n_rows:
             break
-        piv = int(M[r, c])
-        if not piv:
-            nz = M[r + 1:, c].nonzero()[0]
-            if not nz.size:
-                continue
-            pr = r + 1 + int(nz[0])
+        nz = M[r:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        if nz[0]:
+            pr = r + int(nz[0])
             M[[r, pr]] = M[[pr, r]]
-            piv = int(M[r, c])
-        # with no nonzero entry below the pivot this is a no-op
-        lower = M[r + 1:, c] * pow(piv, -1, p) % p
-        M[r + 1:, c] = lower
-        M[r + 1:, c + 1:c1] = (M[r + 1:, c + 1:c1]
-                               - lower[:, None] * M[r, c + 1:c1]) % p
+        # nz holds the pivot too: a second entry lies below it
+        if nz.size > 1:
+            lower, trail = M[r + 1:, c], M[r + 1:, c + 1:c1]
+            lower *= pow(int(M[r, c]), -1, p)
+            lower %= p
+            trail -= lower[:, None] * M[r, c + 1:c1]
+            trail %= p
         pivots.append(c)
         r += 1
 
@@ -344,67 +367,66 @@ def inverse_many(x: Vector, p: int) -> Vector:
 def det_block(M: NDArray[np.int64], p: int) -> Vector:
     """Determinants of the m matrices of an (n, n, m) block, in place.
 
-    Entries start in [0, p); the block is overwritten.  ``pending[i, j]``
-    counts the unreduced updates entry (i, j) has taken; the whole block
-    shares it, because rows and columns are chosen for the block, not per
-    matrix.  An entry is reduced before its (K + 1)-th unreduced update, K
-    from ``_reduction_period``.  A matrix with no pivot in a column has
-    determinant 0; its elimination goes on with pivot 1 and its result is
-    ignored.  The elimination steps are listed under ``batch_det``.
+    Entries start in [0, p); the block is overwritten.  ``pending[i]``
+    bounds the unreduced updates any entry of row i has taken; the whole
+    block shares it, because rows and columns are chosen for the block, not
+    per matrix, and a row swap gives both rows the larger count.  A row is
+    reduced, on its trailing columns, before an update that could be its
+    (K + 1)-th unreduced one, K from ``_reduction_period``.  A matrix with
+    no pivot in a column has determinant 0; its elimination goes on with
+    pivot 1 and its result is ignored.  The elimination steps are listed
+    under ``batch_det``.
     """
     n, m = M.shape[0], M.shape[2]
     period = _reduction_period(p)
     det = np.ones(m, dtype=np.int64)
-    pending = np.zeros((n, n), dtype=np.int64)
+    pending = np.zeros(n, dtype=np.int64)
     for c in range(n):
-        # pivot column, exactly: only entries with pending updates can lie
-        # outside [0, p)
-        dirty = c + np.flatnonzero(pending[c:, c])
+        # pivot column, exactly: only rows with pending updates can hold
+        # entries outside [0, p)
+        dirty = pending[c:].nonzero()[0]
         if dirty.size:
-            span = M[dirty[0]:dirty[-1] + 1, c]
+            span = M[c + dirty[0]:c + dirty[-1] + 1, c]
             np.remainder(span, p, out=span)
-        nonzero = M[c:, c] != 0
-        first = nonzero.argmax(axis=0)
-        dead = ~nonzero.any(axis=0)
-        det[dead] = 0
-        if not det.any():
-            return det
-        for off in (np.flatnonzero(np.bincount(first)[1:]) + 1).tolist():
-            hit = first == off
-            top, low = M[c, c:], M[c + off, c:]
-            saved = top.copy()
-            np.copyto(top, low, where=hit)
-            np.copyto(low, saved, where=hit)
-            np.subtract(p, det, out=det, where=hit)
-            pending[c, c:] = pending[c + off, c:] = np.maximum(
-                pending[c, c:], pending[c + off, c:])
-        piv = M[c, c].copy()
-        piv[dead] = 1
+        piv = M[c, c]
+        if not piv.all():
+            nonzero = M[c:, c] != 0
+            first = nonzero.argmax(axis=0)
+            dead = ~nonzero.any(axis=0)
+            det[dead] = 0
+            if not det.any():
+                return det
+            for off in (np.flatnonzero(np.bincount(first)[1:]) + 1).tolist():
+                hit = first == off
+                top, low = M[c, c:], M[c + off, c:]
+                saved = top.copy()
+                np.copyto(top, low, where=hit)
+                np.copyto(low, saved, where=hit)
+                np.subtract(p, det, out=det, where=hit)
+                pending[[c, c + off]] = pending[[c, c + off]].max()
+            piv = M[c, c].copy()
+            piv[dead] = 1
         det = det * piv % p
         # Rows whose multiplier, and columns whose pivot-row entry, is zero
         # in every matrix of the block take no update.
-        rows = c + 1 + np.flatnonzero(M[c + 1:, c].any(axis=1))
+        rows = c + 1 + M[c + 1:, c].any(axis=1).nonzero()[0]
         if not rows.size:
             continue
-        dirty = c + 1 + np.flatnonzero(pending[c, c + 1:])
-        if dirty.size:
-            span = M[c, dirty[0]:dirty[-1] + 1]
-            np.remainder(span, p, out=span)
-        cols = c + 1 + np.flatnonzero(M[c, c + 1:].any(axis=1))
+        if pending[c]:
+            np.remainder(M[c, c + 1:], p, out=M[c, c + 1:])
+        cols = c + 1 + M[c, c + 1:].any(axis=1).nonzero()[0]
         if not cols.size:
             continue
         mult = balanced(M[rows, c] * inverse_many(piv, p) % p, p)
         row = balanced(M[c, cols], p)
+        full = pending[rows] >= period
+        if full.any():
+            M[rows[full], c + 1:] %= p
+            pending[rows[full]] = 0
+        pending[rows] += 1
         dense = rows.size == cols.size == n - c - 1
-        idx = np.s_[c + 1:, c + 1:] if dense else np.ix_(rows, cols)
-        trail, count = M[idx], pending[idx]
-        if count.max() >= period:
-            trail %= p
-            count[...] = 0
-        trail -= mult[:, None, :] * row[None, :, :]
-        pending[idx] = count + 1
-        if not dense:
-            M[idx] = trail
+        M[np.s_[c + 1:, c + 1:] if dense else np.ix_(rows, cols)] -= (
+            mult[:, None, :] * row[None, :, :])
     return det
 
 
@@ -418,14 +440,15 @@ def batch_det(mats, p: int) -> Vector:
     choice (first nonzero entry at or below the diagonal), swap signs and
     singular drop-out.  Per column:
 
-    * the pivot column is reduced exactly before the pivot search, and the
-      pivot row before it is used;
+    * the pivot column is reduced exactly, and the pivot search, with its
+      row swaps, runs only when some pivot is zero; the pivot row is
+      reduced before it is used;
     * all pivot inverses come from one modular inverse (Montgomery's trick);
     * pivot row and multipliers are lifted by ``balanced``, so each
-      rank-one term is at most h**2 < 2**60 in magnitude, and the trailing
-      entries are reduced only before an update that would be their
-      (K + 1)-th unreduced one, K from ``_reduction_period`` (K = 8 at
-      p = 2**31 - 1);
+      rank-one term is at most h**2 < 2**60 in magnitude, and a trailing
+      row is reduced only before an update that could be its (K + 1)-th
+      unreduced one by its row count, K from ``_reduction_period`` (K = 8
+      at p = 2**31 - 1);
     * rows whose multiplier is zero in every matrix of the block, and
       columns whose pivot-row entry is, are skipped.  Strand matrices are
       sparse, so this skips most of the n**3 / 3 work.

@@ -81,6 +81,7 @@ rank test in bidegree (3a - 1, 2b - 1) settles every other one.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -183,12 +184,16 @@ def implicit_by_elimination(inp: SurfaceInput,
     p, a, b = inp.field.p, inp.a, inp.b
     check_prime_floor(a, b, p)
     size = 2 * a * b
-    rng = inp.field.rng("oracle")
-    t_nodes = rng.sample(range(p), size * a + 1)
-    v_nodes = rng.sample(range(p), size * b + 1)
     gen_grids = list(inp.grids)
 
+    @functools.lru_cache(maxsize=1)
+    def nodes() -> tuple[list[int], ...]:
+        """The product-grid nodes in t and then v, drawn on first use."""
+        rng = inp.field.rng("oracle")
+        return tuple(rng.sample(range(p), size * n + 1) for n in (a, b))
+
     def grid_points(e: int) -> NDArray[np.int64]:
+        t_nodes, v_nodes = nodes()
         tv = linalg.vandermonde(t_nodes[:e * a + 1], a + 1, p)
         vv = linalg.vandermonde(v_nodes[:e * b + 1], b + 1, p)
         return np.stack(
@@ -227,7 +232,7 @@ def implicit_by_elimination(inp: SurfaceInput,
             r, nv = int(dead[0]), e * b + 1
             raise HypothesisError(
                 "all four generators vanish at parameter point "
-                f"(1, {t_nodes[r // nv]}, 1, {v_nodes[r % nv]}); "
+                f"(1, {nodes()[0][r // nv]}, 1, {nodes()[1][r % nv]}); "
                 "the input has a basepoint")
         kern = linalg.kernel_basis(eval_matrix(e, points, p), p)
         dims.append((e, len(kern)))

@@ -154,8 +154,8 @@ def test_every_definition_is_referenced_from_the_package():
 UNREDUCED_PRODUCTS = {"tensordot", "dot", "einsum", "matmul"}
 # the functions that may use ``@``, each with the bound that keeps it exact
 MATMUL_ALLOWED = {
-    "linalg._mul_sub": "float64 products of 16-bit limbs, exact up to "
-                       "MAX_INNER terms",
+    "linalg._limb_products": "float64 products of 16-bit limbs, exact up "
+                             "to MAX_INNER terms",
     "strand.Strand.det_at_many": "four terms of balanced residues, each at "
                                  "most h**2, sum below 2**62",
 }

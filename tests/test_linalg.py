@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gauss_ref
 from tensurf import linalg
-from tensurf.bipoly import DEFAULT_PRIME, _is_prime
+from tensurf.bipoly import DEFAULT_PRIME, _is_prime, multiplication_matrix
 
 P = DEFAULT_PRIME
 PRIMES = [DEFAULT_PRIME, 65521, 3]
@@ -222,6 +222,64 @@ def test_det_block_matches_batch_det_and_det_field(p, n):
     assert got.tolist() == want
 
 
+def _mixed_block(p, n, swap_col, seed):
+    """An (n, n, m) block of three kinds of matrix L @ W, L unit lower
+    triangular with multipliers h = (p - 1) // 2 and W with entries h above
+    a nonzero diagonal, so that every rank-one term is h**2 in magnitude:
+
+    * W upper triangular: every pivot is nonzero;
+    * W upper triangular in its first ``swap_col`` columns, random below,
+      with the first k = 1, 2, 3 entries of its column ``swap_col`` zero
+      from the diagonal down: a row swap at that column, k rows down;
+    * one matrix with a repeated row: singular.
+    """
+    rng = np.random.default_rng(seed)
+    h = (p - 1) // 2
+    L = np.eye(n, dtype=np.int64) + np.tril(np.full((n, n), h), -1)
+
+    def upper():
+        return (np.triu(np.full((n, n), h), 1)
+                + np.diag(rng.integers(1, p, size=n)))
+
+    mats = [linalg.matmul_mod(L, upper(), p) for _ in range(3)]
+    for k in (1, 2, 3):
+        W = upper()
+        W[swap_col:, swap_col:] = rng.integers(0, p, size=(n - swap_col,) * 2)
+        W[swap_col:swap_col + k, swap_col] = 0
+        W[swap_col + k, swap_col] = rng.integers(1, p)
+        mats.append(linalg.matmul_mod(L, W, p))
+    singular = linalg.matmul_mod(L, upper(), p)
+    singular[n - 2] = singular[3]
+    mats.append(singular)
+    return np.ascontiguousarray(np.moveaxis(np.stack(mats), 0, -1))
+
+
+@pytest.mark.parametrize("p", [P, min(PRIMES)])
+def test_det_block_on_a_mixed_block_with_lazy_reductions(p):
+    # n = 2K + 3 at P: the last rows are reduced twice before their last
+    # update, K from _reduction_period(P)
+    n = 2 * linalg._reduction_period(P) + 3
+    block = _mixed_block(p, n, swap_col=n // 2, seed=p % 1000)
+    want = [gauss_ref.det(block[:, :, k].tolist(), p)
+            for k in range(block.shape[2])]
+    assert linalg.det_block(block.copy(), p).tolist() == want
+    assert want[-1] == 0
+    if p == P:
+        assert all(want[:-1])
+    # a sparse block, block upper triangular with diagonal blocks 10, 5
+    # and 4: nothing lies below the pivots of columns 9 and 14 in any
+    # matrix, the columns left of them update only the rows above, and row
+    # 5 is zero off the diagonal, so no column right of its pivot takes an
+    # update
+    rng = np.random.default_rng(p % 1000 + 1)
+    mats = rng.integers(0, p, size=(6, n, n)) * (rng.random((6, n, n)) < 0.3)
+    mats[:, 10:, :10] = mats[:, 15:, :15] = mats[:, 5] = 0
+    mats = (mats + np.diag(rng.integers(1, p, size=n))) % p
+    sparse = np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+    assert linalg.det_block(sparse, p).tolist() == [
+        gauss_ref.det(M.tolist(), p) for M in mats]
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_reduction_period_is_the_largest_safe_one(p):
     K = linalg._reduction_period(p)
@@ -346,15 +404,19 @@ def test_blocked_solve_matches_reference(p, small_chunks):
     assert inconsistent
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_matmul_mod_worst_case_entries(p):
-    # Entries p - 1, and (for large p) the largest entry whose low 16-bit
-    # limb is all ones, which maximizes every limb product.
+def _worst_entries(p):
+    """p - 1 and, when p > 2**16, the largest residue whose low 16-bit limb
+    is all ones: the entries that maximize the limb products."""
     values = [p - 1]
     if p - 1 >= 0xFFFF:
         values.append(p - 1 - (p - 1 - 0xFFFF) % 0x10000)
+    return values
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_matmul_mod_worst_case_entries(p):
     inner = 5000
-    for v in values:
+    for v in _worst_entries(p):
         A = np.full((30, inner), v, dtype=np.int64)
         B = np.full((inner, 3), v, dtype=np.int64)
         B[0, 1] = 0
@@ -374,6 +436,32 @@ def test_matmul_mod_worst_case_entries(p):
     B = rng.integers(0, p, size=(inner, 4), dtype=np.int64)
     assert linalg.matmul_mod(A, B, p).tolist() == gauss_ref.matmul(
         A.tolist(), B.tolist(), p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_matmul_mod_is_exact_at_the_limb_split_boundaries(p):
+    # 64 is the widest inner dimension whose products keep the left operand
+    # whole for every p < 2**31, 65 the narrowest that splits both, and
+    # MAX_INNER the widest that matmul_mod accepts
+    rng = np.random.default_rng(p % 1009)
+    for inner in (64, 65):
+        for v in _worst_entries(p):
+            A = np.full((3, inner), v, dtype=np.int64)
+            B = np.full((inner, 4), v, dtype=np.int64)
+            A[1] = rng.integers(0, p, size=inner)
+            B[:, 2] = rng.integers(0, p, size=inner)
+            B[inner // 2, 3] = 0
+            assert linalg.matmul_mod(A, B, p).tolist() == gauss_ref.matmul(
+                A.tolist(), B.tolist(), p)
+    # at MAX_INNER the reference's Python sum takes seconds per entry, so
+    # the constant operands are checked against its closed form
+    k = linalg.MAX_INNER
+    for v in _worst_entries(p):
+        A = np.full((2, k), v, dtype=np.int64)
+        B = np.full((k, 2), v, dtype=np.int64)
+        B[k // 2, 1] = 0
+        want = [k * v * v % p, (k - 1) * v * v % p]
+        assert linalg.matmul_mod(A, B, p).tolist() == [want, want]
 
 
 def test_matmul_mod_rejects_inexact_inner_dimension():
@@ -411,3 +499,57 @@ def test_newton_operators_are_cached_and_read_only():
             mat += 1
     again = linalg.newton_operators(12, 65521)
     assert again[0] is diff and again[1] is newton
+
+
+# Properties on generated systems.  Multiplication matrices of sparse forms
+# are banded, and many of their columns have nothing below the pivot; the
+# determinant blocks share one random zero pattern, so whole rows and
+# columns of a block drop out of the elimination.
+
+
+def _coefficients(p):
+    """Coefficients that are mostly zero, else 1, p - 1 or any residue."""
+    return st.one_of(st.just(0), st.just(0), st.sampled_from([1, p - 1]),
+                     st.integers(0, p - 1))
+
+
+@st.composite
+def _banded_systems(draw):
+    p = draw(st.sampled_from(PRIMES))
+    d = draw(st.integers(0, 8))
+    forms = draw(st.lists(st.lists(_coefficients(p), min_size=1, max_size=5),
+                          min_size=1, max_size=3))
+    width = max(len(f) for f in forms) + d
+    blocks = [multiplication_matrix(np.array([f]), 0, width - len(f))
+              for f in forms]
+    return p, np.hstack(blocks) % p, draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_banded_systems())
+def test_banded_systems_match_the_reference(system):
+    p, M, rnd = system
+    rows = M.tolist()
+    _, pivots = gauss_ref.rref(rows, p)
+    assert linalg.rank(M, p) == len(pivots)
+    assert [v.tolist() for v in linalg.kernel_basis(M, p)] == \
+        gauss_ref.kernel(rows, p)
+    x = [rnd.randrange(p) for _ in range(M.shape[1])]
+    b = gauss_ref.matmul(rows, [[v] for v in x], p)
+    for rhs in ([v for v, in b], [rnd.randrange(p) for _ in b]):
+        got = linalg.solve_particular(M, rhs, p)
+        assert (got if got is None else got.tolist()) == \
+            gauss_ref.solve(rows, rhs, p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PRIMES), st.integers(1, 12), st.integers(1, 5),
+       st.floats(0.1, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_det_block_on_random_zero_patterns(p, n, m, density, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    mats = rng.integers(0, p, size=(m, n, n)) * mask
+    mats[:, mask & (rng.random((n, n)) < 0.3)] = p - 1
+    want = [gauss_ref.det(M.tolist(), p) for M in mats]
+    block = np.moveaxis(mats, 0, -1).copy()
+    assert linalg.det_block(block, p).tolist() == want

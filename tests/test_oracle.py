@@ -705,6 +705,52 @@ def test_implicitize_matches_the_oracle_on_a_corpus_sample(corpus,
         peels.clear()
 
 
+def _spy_streams(monkeypatch):
+    """(purpose, draws) for every random stream opened, in order; draws
+    lists (population size, k) of each ``sample`` taken from it."""
+    streams = []
+    rng = FieldConfig.rng
+
+    def spy(self, purpose):
+        stream, draws = rng(self, purpose), []
+        sample = stream.sample
+        stream.sample = lambda population, k: (
+            draws.append((len(population), k)) or sample(population, k))
+        streams.append((purpose, draws))
+        return stream
+
+    monkeypatch.setattr(FieldConfig, "rng", spy)
+    return streams
+
+
+def test_the_read_off_draws_no_grid_node(generic_d1, example_input,
+                                         monkeypatch):
+    streams = _spy_streams(monkeypatch)
+    for inp in (generic_d1.input, example_input):
+        assert implicitize(inp).oracle.block is not None
+    purposes = [purpose for purpose, _ in streams]
+    assert "oracle-rank" in purposes and "oracle" not in purposes
+
+
+def test_grid_nodes_are_drawn_on_first_use_as_before(corpus, monkeypatch):
+    # the oracle without a strand (plane section, peel and grid proof) on
+    # every fifth corpus instance: one "oracle" stream, sampled for the t
+    # nodes and then the v nodes, as when both were drawn up front, and
+    # the same F and kernel_dims: the sha256 prefix below was recorded
+    # with the nodes drawn up front
+    streams = _spy_streams(monkeypatch)
+    digest = hashlib.sha256()
+    for inst in corpus[::5]:
+        inp, size = inst.input, 2 * inst.input.a * inst.input.b
+        streams.clear()
+        orc = implicit_by_elimination(inp)
+        p = inp.field.p
+        assert [draws for purpose, draws in streams if purpose == "oracle"] \
+            == [[(p, size * inp.a + 1), (p, size * inp.b + 1)]]
+        digest.update(f"{poly_to_str(orc.f)}|{orc.kernel_dims}\n".encode())
+    assert digest.hexdigest()[:12] == "b6ef14960c6c"
+
+
 # ---------------------------------------------------------------------------
 # the implicit degree from one exact rank of the strand
 
