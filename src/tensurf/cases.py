@@ -3,9 +3,11 @@
 Each pipeline receives the singly graded analysis (minimal n, f', g, the
 completed generator list) and produces four syzygies S, S1, S2, S3 on the
 completed generators whose strand described in :mod:`tensurf.strand` is a
-square matrix of size 2ab.  The verification battery re-checks every
-construction identity exactly, then the annihilation, homogeneity and
-column counts of the four syzygies.
+square matrix of size 2ab.  Each identity is checked once: the signed
+minors of psi, the phi_j and the gammas in
+:func:`tensurf.hburch.normalized_resolution`, each solve's product in the
+solve, and the construction's own identities exactly here, then the
+annihilation, homogeneity and column counts of the four syzygies.
 
 All three pipelines require b >= 2n - 1 (membership threshold for the
 two-generator solves).  The dim-2 quotient alpha = f'_0 / g_1 is one solve
@@ -23,7 +25,7 @@ import numpy as np
 from . import hburch, linalg, membership
 from .bipoly import (BiPoly, CertificateError, HypothesisError, coeff_grid,
                      dot, multiplication_matrix)
-from .hburch import GradedSyzMatrix, HBResolution
+from .hburch import GradedSyzMatrix
 from .syzygy import VAnalysis
 
 
@@ -108,6 +110,9 @@ def _combination_vanishes(cols: Sequence[SyzygyColumn],
 
 
 def run_case(va: VAnalysis, check_level: str = "full") -> CaseResult:
+    """The four syzygies of ``va``'s surface by the construction for its
+    dim V.  An identity fails, raising CertificateError, only on a surface
+    with a basepoint."""
     # every check always runs; check_level accepts only "full" and stays
     # because perfbench/run.py passes it, until the benchmark drops it
     if check_level != "full":
@@ -151,7 +156,7 @@ def _run_dim2(va: VAnalysis) -> CaseResult:
         SyzygyColumn("S1", (a, b - n), (q1, q0, -alpha, zero)),
         SyzygyColumn("S2", (a, b - n), (r1, r0, zero, -alpha)),
     ]
-    aux = {"alpha": alpha, "q": (q0, q1), "r": (r0, r1), "g": va.g}
+    aux = {"alpha": alpha, "g": va.g}
     return _finish(va, "dim2", cols, aux, checks)
 
 
@@ -159,19 +164,17 @@ def _run_dim2(va: VAnalysis) -> CaseResult:
 # dim V = 3 and 4: the Hilbert-Burch matrix psi of g
 
 
-def _psi_prologue(va: VAnalysis, checks: dict[str, bool]
-                  ) -> tuple[HBResolution, list[int], list[HBResolution],
-                             list[BiPoly]]:
+def _psi_prologue(va: VAnalysis) -> tuple[GradedSyzMatrix, list[int],
+                                          list[GradedSyzMatrix], list[BiPoly]]:
     """psi with signed minors g, its column degrees mu_j (summing to n), the
     resolutions phi_j of its columns, and the alphas with psi alpha = f'."""
-    n = va.n
-    psi = hburch.hilbert_burch_psi(va.g, va.input.field.p)
-    mus = [cd - n for cd in psi.matrix.col_degrees]
+    n, p = va.n, va.input.field.p
+    psi = hburch.hilbert_burch_psi(va.g, p)
+    mus = [cd - n for cd in psi.col_degrees]
     if sum(mus) != n:
         raise CertificateError("column degrees of psi do not sum to n")
-    checks["psi_minors"] = all((x - y).is_zero
-                               for x, y in zip(psi.minors, va.g))
-    phis = hburch.column_resolutions(psi)
+    phis = [hburch.normalized_resolution(*psi.column(j), p)
+            for j in range(len(mus))]
     alphas = membership.psi_solve(list(va.f_prime), psi, va.input.a,
                                   va.input.b)
     return psi, mus, phis, alphas
@@ -180,13 +183,12 @@ def _psi_prologue(va: VAnalysis, checks: dict[str, bool]
 def _run_dim3(va: VAnalysis) -> CaseResult:
     p = va.input.field.p
     a, b, n = va.input.a, va.input.b, va.n
-    checks: dict[str, bool] = {}
-    psi, mus, phis, alphas = _psi_prologue(va, checks)
+    psi, mus, phis, alphas = _psi_prologue(va)
     phi1, phi2 = phis
     alpha1, alpha2 = alphas
 
-    h_q, _ = hburch.transpose_product(*psi.matrix.column(1), phi1.matrix)
-    h_r, _ = hburch.transpose_product(*psi.matrix.column(0), phi2.matrix)
+    h_q, _ = hburch.transpose_product(*psi.column(1), phi1)
+    h_r, _ = hburch.transpose_product(*psi.column(0), phi2)
     p3 = va.new_gens[3]
     q = membership.two_gen_solve(alpha1, *h_q, st_degree=a,
                                  uv_degree=b - mus[0])
@@ -195,10 +197,10 @@ def _run_dim3(va: VAnalysis) -> CaseResult:
     mm = membership.two_gen_solve(p3, *h_q)
     nn = membership.two_gen_solve(p3, *h_r)
 
-    phi1q = _mat_vec(phi1.matrix, q)
-    phi2r = _mat_vec(phi2.matrix, r)
-    phi1m = _mat_vec(phi1.matrix, mm)
-    phi2n = _mat_vec(phi2.matrix, nn)
+    phi1q = _mat_vec(phi1, q)
+    phi2r = _mat_vec(phi2, r)
+    phi1m = _mat_vec(phi1, mm)
+    phi2n = _mat_vec(phi2, nn)
     theta_col = [x - y for x, y in zip(phi1q, phi2r)]
 
     zero = BiPoly.zero(p)
@@ -214,34 +216,33 @@ def _run_dim3(va: VAnalysis) -> CaseResult:
     # signed 2x2 minors of Theta = [phi1 q - phi2 r | g] recover f': minor
     # i is the determinant of rows i + 1 and i + 2, cyclically
     theta = list(zip(theta_col, va.g))
-    checks["theta_minors"] = all(
-        (x0 * y1 - y0 * x1 - f).is_zero
-        for ((x0, y0), (x1, y1)), f in zip(
-            [(theta[1], theta[2]), (theta[2], theta[0]),
-             (theta[0], theta[1])], va.f_prime))
-    checks["kernel_vector"] = _combination_vanishes(cols, nvec, va)
-    checks["alpha_coprime"] = membership.bihomog_coprime(alpha1, alpha2)
-    aux = {"mu": mus[0], "mus": tuple(mus), "psi": psi, "phis": phis,
-           "alphas": tuple(alphas), "q": q, "r": r, "m": mm, "n_pair": nn,
-           "theta_col": tuple(theta_col), "N": nvec}
+    checks = {
+        "theta_minors": all(
+            (x0 * y1 - y0 * x1 - f).is_zero
+            for ((x0, y0), (x1, y1)), f in zip(
+                [(theta[1], theta[2]), (theta[2], theta[0]),
+                 (theta[0], theta[1])], va.f_prime)),
+        "kernel_vector": _combination_vanishes(cols, nvec, va),
+        "alpha_coprime": membership.bihomog_coprime(alpha1, alpha2)}
+    aux = {"mus": tuple(mus), "psi": psi, "phis": phis,
+           "alphas": tuple(alphas), "theta_col": tuple(theta_col), "N": nvec}
     return _finish(va, "dim3", cols, aux, checks)
 
 
 def _run_dim4(va: VAnalysis) -> CaseResult:
     a, b, n = va.input.a, va.input.b, va.n
-    checks: dict[str, bool] = {}
-    psi, mus, phis, alphas = _psi_prologue(va, checks)
+    psi, mus, phis, alphas = _psi_prologue(va)
     alpha1, alpha2, alpha3 = alphas
-    gammas = hburch.gamma_matrices(psi, phis)
+    column = psi.column
+    # the resolutions of C_i^T phi_j
+    gammas = {(i, j): hburch.normalized_resolution(
+        *hburch.transpose_product(*column(i), phis[j]), psi.p)
+        for (i, j) in [(0, 1), (0, 2), (1, 2)]}
 
-    comp12 = hburch.compose(phis[1].matrix, gammas[(0, 1)].matrix,
-                            [mus[0]] * 4)
-    comp13 = hburch.compose(phis[2].matrix, gammas[(0, 2)].matrix,
-                            [mus[0]] * 4)
-    comp23 = hburch.compose(phis[2].matrix, gammas[(1, 2)].matrix,
-                            [mus[1]] * 4)
+    comp12 = hburch.compose(phis[1], gammas[(0, 1)], [mus[0]] * 4)
+    comp13 = hburch.compose(phis[2], gammas[(0, 2)], [mus[0]] * 4)
+    comp23 = hburch.compose(phis[2], gammas[(1, 2)], [mus[1]] * 4)
 
-    column = psi.matrix.column
     # h_a targets alpha1, alpha3; h_b alpha1, alpha2; h_c alpha2, alpha3
     h_a, _ = hburch.transpose_product(*column(1), comp13)
     h_b, _ = hburch.transpose_product(*column(2), comp12)
@@ -270,15 +271,10 @@ def _run_dim4(va: VAnalysis) -> CaseResult:
           - (b1[0] * c1p[1] - b1[1] * c1p[0])
           - (a3[0] * b3[1] - a3[1] * b3[0]))
     nvec = (hh, alpha1, alpha2, alpha3)
-    checks["alpha_combination"] = _combination_vanishes(cols, nvec, va)
-    checks["gamma_minors"] = all(
-        (x - y).is_zero for (i, j), gamma in gammas.items()
-        for x, y in zip(gamma.minors, hburch.transpose_product(
-            *column(i), phis[j].matrix)[0]))
-    checks["alpha12_coprime"] = membership.bihomog_coprime(alpha1, alpha2)
+    checks = {
+        "alpha_combination": _combination_vanishes(cols, nvec, va),
+        "alpha12_coprime": membership.bihomog_coprime(alpha1, alpha2)}
     aux = {"mus": tuple(mus), "psi": psi, "phis": phis, "gammas": gammas,
            "alphas": tuple(alphas), "a2": a2, "a3": a3, "b3": b3, "b1": b1,
-           "c2": c2p, "c1": c1p, "H": hh,
-           "composites": {"12": comp12, "13": comp13, "23": comp23},
-           "N": nvec}
+           "c2": c2p, "c1": c1p, "H": hh, "N": nvec}
     return _finish(va, "dim4", cols, aux, checks)

@@ -26,10 +26,7 @@ from .bipoly import (DEFAULT_PRIME, CertificateError, FieldConfig,
                      format_terms, poly_to_str, print_terms)
 from .cases import run_case
 from .gen import GenSpec, generate
-from .oracle import check_prime_floor, implicitize
-# unused here, but perfbench/spans.py wraps basepoint_check in this
-# namespace; it goes when the benchmark reads the program's own spans
-from .oracle import basepoint_check  # noqa: F401
+from .oracle import basepoint_check, check_prime_floor, implicitize
 from .syzygy import SurfaceInput, analyze
 from .xpoly import parse_xpoly
 
@@ -167,8 +164,15 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     inp, _ = _load_job(args)
-    va = analyze(inp)
-    case = run_case(va)
+    try:
+        va = analyze(inp)
+        case = run_case(va)
+    except CertificateError:
+        # the construction's identities hold only on basepoint-free inputs
+        report = basepoint_check(inp)
+        if report.status == "basepoint":
+            raise HypothesisError(f"basepoint: {report.detail}")
+        raise
     counts = case.aux["column_counts"]
     mus = case.aux.get("mus", ())
     payload = {

@@ -13,6 +13,10 @@ Minimal generators of the syzygy module are found degree by degree: at each
 total degree d, the full kernel K_d of the coefficient system is computed,
 and the canonical kernel vectors that extend the span of u*K_(d-1) + v*K_(d-1)
 plus the already-selected generators are kept, in canonical kernel order.
+
+Each identity is checked once, where the matrix is made: annihilation in
+:func:`min_graded_syzygies`, the signed minors in
+:func:`normalized_resolution`.
 """
 
 from __future__ import annotations
@@ -192,25 +196,12 @@ def signed_minors(mat: GradedSyzMatrix) -> list[BiPoly]:
     return out
 
 
-@dataclass(frozen=True)
-class HBResolution:
-    """A list of binary forms with its normalized graded syzygy matrix.
-
-    After normalization the signed maximal minors of ``matrix`` equal the
-    generators exactly, whose degrees are ``matrix.row_degrees``; ``lam``
-    is the unit the raw first column was scaled by.
-    """
-
-    gens: tuple[BiPoly, ...]
-    matrix: GradedSyzMatrix
-    lam: int
-    minors: tuple[BiPoly, ...]
-
-
 def normalized_resolution(gens: Sequence[BiPoly], degrees: Sequence[int],
-                          p: int) -> HBResolution:
-    """Resolve a list of binary forms of the given degrees and normalize
-    via Hilbert-Burch."""
+                          p: int) -> GradedSyzMatrix:
+    """The syzygy matrix of a list of binary forms of the given degrees,
+    its first column scaled so that its signed maximal minors are the forms
+    exactly (Hilbert-Burch).  This is the one place that identity is
+    checked: a mismatch raises CertificateError."""
     mat = min_graded_syzygies(gens, degrees, p)
     minors = signed_minors(mat)
     lam = None
@@ -223,16 +214,14 @@ def normalized_resolution(gens: Sequence[BiPoly], degrees: Sequence[int],
             break
     if lam is None:
         raise CertificateError("cannot normalize: all generators vanish")
-    mat = mat.scale_column(0, lam)
-    minors = [d.scale(lam) for d in minors]
     for g, d in zip(gens, minors):
-        if not (g - d).is_zero:
+        if not (g - d.scale(lam)).is_zero:
             raise CertificateError(
                 "signed minors do not reproduce the generators after scaling")
-    return HBResolution(tuple(gens), mat, lam, tuple(minors))
+    return mat.scale_column(0, lam)
 
 
-def hilbert_burch_psi(g: Sequence[BiPoly], p: int) -> HBResolution:
+def hilbert_burch_psi(g: Sequence[BiPoly], p: int) -> GradedSyzMatrix:
     """Normalized resolution of the g-vector (common degree, unit gcd)."""
     if not 2 <= len(g) <= 4:
         raise ValueError("expected between two and four entries")
@@ -243,14 +232,6 @@ def hilbert_burch_psi(g: Sequence[BiPoly], p: int) -> HBResolution:
         raise ValueError("entries of g must share one degree")
     n = bidegrees.pop()[1]
     return normalized_resolution(g, [n] * len(g), p)
-
-
-def column_resolutions(psi: HBResolution) -> list[HBResolution]:
-    """Normalized resolutions of each column of psi's matrix."""
-    out = []
-    for j in range(len(psi.matrix.col_degrees)):
-        out.append(normalized_resolution(*psi.matrix.column(j), psi.matrix.p))
-    return out
 
 
 def transpose_product(column: Sequence[BiPoly], degrees: Sequence[int],
@@ -277,13 +258,3 @@ def compose(left: GradedSyzMatrix, right: GradedSyzMatrix,
                     for row in left.entries)
     return GradedSyzMatrix(left.p, tuple(row_degrees), right.col_degrees,
                            entries)
-
-
-def gamma_matrices(psi: HBResolution, phis: Sequence[HBResolution]
-                   ) -> dict[tuple[int, int], HBResolution]:
-    """Resolutions of C_i^T phi_j for the pairs (0,1), (0,2), (1,2)."""
-    out = {}
-    for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-        h = transpose_product(*psi.matrix.column(i), phis[j].matrix)
-        out[(i, j)] = normalized_resolution(*h, psi.matrix.p)
-    return out

@@ -39,7 +39,7 @@ from .bipoly import (
     multiplication_matrix,
     uni_gcd,
 )
-from .hburch import HBResolution
+from .hburch import GradedSyzMatrix
 
 
 def pair_system(h0: BiPoly, h1: BiPoly, d: int, p: int
@@ -92,22 +92,21 @@ def two_gen_solve(target: BiPoly, h0: BiPoly, h1: BiPoly,
     return x0, x1
 
 
-def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
-              ) -> list[BiPoly]:
+def psi_solve(f_prime: Sequence[BiPoly], psi: GradedSyzMatrix, a: int,
+              b: int) -> list[BiPoly]:
     """The unique alpha with psi * alpha = f_prime, alpha_j of bidegree
     (a, b - mu_j): block (i, j) of the system is the multiplication matrix
     of entry (i, j) of psi, of degree mu_j, by degree b - mu_j."""
-    mat = psi.matrix
-    p = mat.p
-    if len(f_prime) != len(mat.row_degrees):
+    p = psi.p
+    if len(f_prime) != len(psi.row_degrees):
         raise ValueError("length of f_prime must match the rows of psi")
-    n = mat.row_degrees[0]
-    mus = [cd - n for cd in mat.col_degrees]
+    n = psi.row_degrees[0]
+    mus = [cd - n for cd in psi.col_degrees]
     if any(b - mu < 0 for mu in mus):
         raise HypothesisError("a column degree of psi exceeds b")
     M = np.hstack([np.vstack([multiplication_matrix(coeff_grid(e, 0, mu), 0,
                                                     b - mu)
-                              for e in mat.column(j)[0]])
+                              for e in psi.column(j)[0]])
                    for j, mu in enumerate(mus)])
     # column pos stacks the pos-th (s, t)-slice of every f_prime entry
     rhs = np.concatenate([coeff_grid(f, a, b).T for f in f_prime])
@@ -120,7 +119,7 @@ def psi_solve(f_prime: Sequence[BiPoly], psi: HBResolution, a: int, b: int
     ends = np.cumsum([b - mu + 1 for mu in mus])
     alphas = [BiPoly.from_grid(part.T, p) for part in np.split(x, ends[:-1])]
     # exact verification
-    for row, f in zip(mat.entries, f_prime):
+    for row, f in zip(psi.entries, f_prime):
         if not (dot(row, alphas) - f).is_zero:
             raise CertificateError("psi solve failed the exact check")
     return alphas

@@ -121,11 +121,7 @@ class VAnalysis:
     input: SurfaceInput
     n: int
     kernel_dim: int
-    A: NDArray[np.int64]
-    f_family: tuple[BiPoly, ...]
     dim_v: int
-    basis_idx: tuple[int, ...]
-    B: NDArray[np.int64]
     f_prime: tuple[BiPoly, ...]
     g: tuple[BiPoly, ...]
     new_gens: tuple[BiPoly, ...]
@@ -177,6 +173,5 @@ def analyze(inp: SurfaceInput) -> VAnalysis:
         raise CertificateError("g does not annihilate the reduced family")
 
     return VAnalysis(
-        input=inp, n=n, kernel_dim=len(kern), A=A, f_family=tuple(fam),
-        dim_v=dim_v, basis_idx=basis_idx, B=B, f_prime=f_prime, g=g,
-        new_gens=tuple(new_gens), transition=transition)
+        input=inp, n=n, kernel_dim=len(kern), dim_v=dim_v, f_prime=f_prime,
+        g=g, new_gens=tuple(new_gens), transition=transition)

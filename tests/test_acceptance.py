@@ -132,20 +132,18 @@ def test_05_exact_identities_across_corpus(corpus):
         resolutions = []
         if "psi" in case.aux:
             psi = case.aux["psi"]
-            minors = hburch.signed_minors(psi.matrix)
+            minors = hburch.signed_minors(psi)
             if not all((x - y).is_zero for x, y in zip(minors, va.g)):
                 failures.append((idx, "psi", "minor reconstruction"))
-            resolutions.append(psi.matrix)
-            for ph in case.aux["phis"]:
-                resolutions.append(ph.matrix)
+            resolutions.append(psi)
+            resolutions.extend(case.aux["phis"])
         for key, gamma in case.aux.get("gammas", {}).items():
             h, _ = hburch.transpose_product(
-                *case.aux["psi"].matrix.column(key[0]),
-                case.aux["phis"][key[1]].matrix)
-            minors = hburch.signed_minors(gamma.matrix)
+                *case.aux["psi"].column(key[0]), case.aux["phis"][key[1]])
+            minors = hburch.signed_minors(gamma)
             if not all((x - y).is_zero for x, y in zip(minors, h)):
                 failures.append((idx, key, "gamma minor reconstruction"))
-            resolutions.append(gamma.matrix)
+            resolutions.append(gamma)
         for mat in resolutions:
             if sum(mat.row_degrees) != sum(mat.col_degrees):
                 failures.append((idx, "degree sum"))

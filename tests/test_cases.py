@@ -72,7 +72,7 @@ def test_example_membership_pairs_frozen(example_case):
 
 def test_example_psi_is_the_power_basis_matrix(example_case):
     psi = example_case.aux["psi"]
-    rows = [[poly_to_str(e) for e in row] for row in psi.matrix.entries]
+    rows = [[poly_to_str(e) for e in row] for row in psi.entries]
     assert rows == [["-v", "0", "0"],
                     ["u", "-v", "0"],
                     ["0", "u", "-v"],
@@ -144,12 +144,12 @@ def test_dim3_profile_and_displays(dim3_case):
     assert va.n == 2 and va.kernel_dim == 1 and va.dim_v == 3
     assert tuple(poly_to_str(g) for g in va.g) == ("u^2", "u*v", "v^2")
     psi = case.aux["psi"]
-    assert [[poly_to_str(e) for e in row] for row in psi.matrix.entries] == \
+    assert [[poly_to_str(e) for e in row] for row in psi.entries] == \
         [["-v", "0"], ["u", "-v"], ["0", "u"]]
     phi1, phi2 = case.aux["phis"]
-    assert [[poly_to_str(e) for e in row] for row in phi1.matrix.entries] == \
+    assert [[poly_to_str(e) for e in row] for row in phi1.entries] == \
         [["0", "u"], ["0", "v"], ["1", "0"]]
-    assert [[poly_to_str(e) for e in row] for row in phi2.matrix.entries] == \
+    assert [[poly_to_str(e) for e in row] for row in phi2.entries] == \
         [["1", "0"], ["0", "u"], ["0", "v"]]
 
 
@@ -157,8 +157,8 @@ def test_dim3_transpose_products_frozen(dim3_case):
     from tensurf import hburch
     psi = dim3_case.aux["psi"]
     phi1, phi2 = dim3_case.aux["phis"]
-    h_q, d_q = hburch.transpose_product(*psi.matrix.column(1), phi1.matrix)
-    h_r, d_r = hburch.transpose_product(*psi.matrix.column(0), phi2.matrix)
+    h_q, d_q = hburch.transpose_product(*psi.column(1), phi1)
+    h_r, d_r = hburch.transpose_product(*psi.column(0), phi2)
     assert [poly_to_str(x) for x in h_q] == ["u", "-v^2"]
     assert [poly_to_str(x) for x in h_r] == ["-v", "u^2"]
     assert d_q == [1, 2] and d_r == [1, 2]
@@ -233,9 +233,9 @@ def test_every_construction_check_runs(dim2_case, dim3_case, example_case):
     final = {"annihilation", "homogeneity", "column_count"}
     assert set(dim2_case.checks) == final | {"alpha_consistent"}
     assert set(dim3_case.checks) == final | {
-        "psi_minors", "theta_minors", "kernel_vector", "alpha_coprime"}
+        "theta_minors", "kernel_vector", "alpha_coprime"}
     assert set(example_case.checks) == final | {
-        "psi_minors", "alpha_combination", "gamma_minors", "alpha12_coprime"}
+        "alpha_combination", "alpha12_coprime"}
     with pytest.raises(ValueError, match="'full'"):
         run_case(example_case.analysis, check_level="final")
 
@@ -310,6 +310,26 @@ def test_a_changed_column_entry_fails_its_check(fixture, call, check,
                              rf"(.*, )?{check}(,|$)"):
         run_case(case.analysis)
     assert len(calls) > call
+
+
+@pytest.mark.parametrize("fixture, call", [
+    ("dim3_case", 0),       # aux["psi"]
+    ("dim3_case", 2),       # aux["phis"][1]
+    ("example_case", 0),    # aux["psi"]
+    ("example_case", 3),    # aux["phis"][2]
+    ("example_case", 6),    # aux["gammas"][(1, 2)]
+])
+def test_a_changed_minor_fails_the_hilbert_burch_check(fixture, call,
+                                                       request, monkeypatch):
+    # normalized_resolution is the one place the signed minors of psi, the
+    # phis and the gammas are compared with the forms they resolve
+    case = request.getfixturevalue(fixture)
+    calls = _spoil(monkeypatch, cases.hburch, "signed_minors", call,
+                   _bump_first)
+    with pytest.raises(CertificateError, match="^signed minors do not "
+                       "reproduce the generators after scaling$"):
+        run_case(case.analysis)
+    assert len(calls) == call + 1
 
 
 def test_a_changed_alpha_fails_alpha_consistent(dim2_case, monkeypatch):

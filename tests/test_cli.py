@@ -94,6 +94,22 @@ def test_analyze_exits_3_when_a_construction_identity_fails(
                             "alpha12_coprime\n")
 
 
+def test_analyze_exits_2_on_a_basepoint_that_fails_a_case_check(
+        tmp_path, capsys):
+    # a common zero at ((0:1), (1:0)): the dim-3 construction's alphas
+    # share a factor, which only a basepoint allows
+    path = tmp_path / "bp.json"
+    path.write_text(json.dumps(
+        {"a": 2, "b": 3,
+         "generators": ["s^2*u^3+t^2*v^3", "s*t*u^2*v", "s^2*u*v^2",
+                        "t^2*v^3+s*t*u^3"]}))
+    assert main(["implicitize", str(path), "--json"]) == 2
+    reason = capsys.readouterr().err
+    assert reason.startswith("hypothesis violation: basepoint: ")
+    assert main(["analyze", str(path), "--json"]) == 2
+    assert capsys.readouterr() == ("", reason)
+
+
 # ---------------------------------------------------------------------------
 # implicitize
 

@@ -27,23 +27,24 @@ def strings(mat):
 def test_power_basis_resolution_frozen():
     # g = (u^2, u*v, v^2) resolves by the 3 x 2 matrix [[-v,0],[u,-v],[0,u]]
     g = [uv_form((1, 0, 0)), uv_form((0, 1, 0)), uv_form((0, 0, 1))]
-    res = hburch.hilbert_burch_psi(g, P)
-    assert res.matrix.row_degrees == (2, 2, 2)
-    assert res.matrix.col_degrees == (3, 3)
-    assert strings(res.matrix) == [["-v", "0"], ["u", "-v"], ["0", "u"]]
-    assert res.lam == 1
-    assert all((x - y).is_zero for x, y in zip(res.minors, g))
+    mat = hburch.hilbert_burch_psi(g, P)
+    assert mat.row_degrees == (2, 2, 2)
+    assert mat.col_degrees == (3, 3)
+    assert strings(mat) == [["-v", "0"], ["u", "-v"], ["0", "u"]]
+    # the raw matrix needed no scaling
+    assert mat == hburch.min_graded_syzygies(g, [2, 2, 2], P)
+    assert hburch.signed_minors(mat) == g
 
 
 def test_quartic_power_basis_resolution_frozen():
     g = [uv_form((1, 0, 0, 0)), uv_form((0, 1, 0, 0)),
          uv_form((0, 0, 1, 0)), uv_form((0, 0, 0, 1))]
-    res = hburch.hilbert_burch_psi(g, P)
-    assert res.matrix.col_degrees == (4, 4, 4)
-    assert strings(res.matrix) == [["-v", "0", "0"],
-                                   ["u", "-v", "0"],
-                                   ["0", "u", "-v"],
-                                   ["0", "0", "u"]]
+    mat = hburch.hilbert_burch_psi(g, P)
+    assert mat.col_degrees == (4, 4, 4)
+    assert strings(mat) == [["-v", "0", "0"],
+                            ["u", "-v", "0"],
+                            ["0", "u", "-v"],
+                            ["0", "0", "u"]]
 
 
 def test_random_resolutions_recover_generators():
@@ -57,10 +58,10 @@ def test_random_resolutions_recover_generators():
             common = uni_gcd(common, g)
         if common.bidegree() != (0, 0):
             continue
-        res = hburch.normalized_resolution(gens, [deg] * k, P)
-        assert sum(res.matrix.col_degrees) == sum(res.matrix.row_degrees)
-        assert res.matrix.check_annihilates(gens)
-        assert all((x - y).is_zero for x, y in zip(res.minors, gens))
+        mat = hburch.normalized_resolution(gens, [deg] * k, P)
+        assert sum(mat.col_degrees) == sum(mat.row_degrees)
+        assert mat.check_annihilates(gens)
+        assert hburch.signed_minors(mat) == gens
 
 
 @pytest.mark.parametrize("gens, lam, cols, rows", [
@@ -75,15 +76,32 @@ def test_column_with_a_zero_entry_resolves_as_before(gens, lam, cols, rows):
     # None marks a zero entry of the column's degree 2; the frozen matrices
     # are those of the dense binary-form type this representation replaced
     gens = [ZERO if g is None else uv_form(g) for g in gens]
-    res = hburch.normalized_resolution(gens, [2] * len(gens), P)
-    mat = res.matrix
-    assert (mat.row_degrees, mat.col_degrees, res.lam) == \
-        ((2,) * len(gens), cols, lam)
+    mat = hburch.normalized_resolution(gens, [2] * len(gens), P)
+    assert (mat.row_degrees, mat.col_degrees) == ((2,) * len(gens), cols)
+    # the raw first column was scaled by lam
+    raw = hburch.min_graded_syzygies(gens, [2] * len(gens), P)
+    assert mat == raw.scale_column(0, lam)
     assert strings(mat) == rows
     assert all(e.is_bihomogeneous(0, cd - rd)
                for row, rd in zip(mat.entries, mat.row_degrees)
                for e, cd in zip(row, mat.col_degrees))
-    assert list(res.minors) == gens
+    assert hburch.signed_minors(mat) == gens
+
+
+def test_a_changed_minor_fails_the_hilbert_burch_check(monkeypatch):
+    original = hburch.signed_minors
+
+    def spoiled(mat):
+        minors = original(mat)
+        exp, c = min(minors[-1].terms.items())
+        minors[-1] = BiPoly(P, {**minors[-1].terms, exp: (c + 1) % P or 1})
+        return minors
+
+    monkeypatch.setattr(hburch, "signed_minors", spoiled)
+    g = [uv_form((1, 0, 0)), uv_form((0, 1, 0)), uv_form((0, 0, 1))]
+    with pytest.raises(CertificateError, match="^signed minors do not "
+                       "reproduce the generators after scaling$"):
+        hburch.hilbert_burch_psi(g, P)
 
 
 def test_min_graded_syzygies_rejects_common_factor():

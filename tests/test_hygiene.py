@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of the package imports is used,
 every function, class and method is referenced from the package's own code,
+every dataclass field is read by the package, the benchmark or the demos,
 products of int64 arrays go through the exact modular product, one class
 defines polynomial arithmetic, every cache is bounded, the documented flags
 of ``implicitize``/``verify`` are the parser's, every function the
@@ -147,6 +148,69 @@ def test_every_definition_is_referenced_from_the_package():
         "only tests reach these"
     assert sorted(set(UNREFERENCED_ALLOWED) - set(unreferenced)) == [], \
         "allowlisted names that are now referenced or gone"
+
+
+# Dataclass fields that no code in src/, perfbench/ or demos/ reads, each
+# with the reason it stays.
+UNREAD_FIELDS_ALLOWED = {
+    "cases.CaseResult.checks":
+        "the names of the construction checks that ran, all passed; the "
+        "tests assert which checks each case runs",
+    "gen.GeneratedInstance.spec":
+        "the spec an instance was drawn for; the corpus tests read its "
+        "bidegree from it",
+}
+READERS = [SRC, ROOT / "perfbench", ROOT / "demos"]
+
+
+def _dataclass_fields(tree, module):
+    """Qualified name of every annotated field of a ``@dataclass`` class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            yield from (f"{module}.{node.name}.{item.target.id}"
+                        for item in node.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name))
+
+
+def _attribute_loads(tree) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _unread(fields, loads) -> list[str]:
+    return [field for field in fields if field.rsplit(".", 1)[1] not in loads]
+
+
+@pytest.mark.parametrize("source, fields, unread", [
+    ("@dataclass(frozen=True)\nclass C:\n x: int\n y: int = 0\n"
+     "def f(c):\n return c.x", ["m.C.x", "m.C.y"], ["m.C.y"]),
+    ("@dataclasses.dataclass\nclass C:\n x: int\n K = 1\n"
+     "def f(c):\n c.x = 2", ["m.C.x"], ["m.C.x"]),
+    ("class C:\n x: int", [], []),
+])
+def test_unread_field_check_finds_every_form(source, fields, unread):
+    tree = ast.parse(source)
+    assert list(_dataclass_fields(tree, "m")) == fields
+    assert _unread(fields, _attribute_loads(tree)) == unread
+
+
+def test_every_dataclass_field_is_read():
+    # a field is read when some attribute load in the package, the
+    # benchmark or the demos names it; a field only tests read is payload
+    fields = [field for path in sorted(SRC.glob("*.py"))
+              for field in _dataclass_fields(
+                  ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    loads = set().union(*(
+        _attribute_loads(ast.parse(path.read_text(encoding="utf-8")))
+        for directory in READERS for path in sorted(directory.glob("*.py"))))
+    unread = set(_unread(fields, loads))
+    assert sorted(unread - set(UNREAD_FIELDS_ALLOWED)) == [], \
+        "only tests read these fields"
+    assert sorted(set(UNREAD_FIELDS_ALLOWED) - unread) == [], \
+        "allowlisted fields that are now read or gone"
 
 
 # numpy products that sum int64 terms with no reduction: a sum of four

@@ -122,7 +122,7 @@ def test_psi_solve_recovers_planted_coefficients():
     for i in range(3):
         acc = BiPoly.zero(P)
         for j in range(2):
-            acc = acc + psi.matrix.entries[i][j] * w[j]
+            acc = acc + psi.entries[i][j] * w[j]
         f_prime.append(acc)
     alphas = membership.psi_solve(f_prime, psi, a, b)
     assert all((x - y).is_zero for x, y in zip(alphas, w))
@@ -139,10 +139,9 @@ def test_psi_solve_refuses_a_kernel_first_then_a_target_off_the_image():
         membership.psi_solve(off, psi, 2, 3)
     # both columns psi's first: the system has a kernel, which is
     # reported before the target is looked at
-    first, mat = psi.matrix.column(0)[0], psi.matrix
-    twin = hburch.HBResolution(psi.gens, hburch.GradedSyzMatrix(
-        P, mat.row_degrees, (mat.col_degrees[0],) * 2,
-        tuple((e, e) for e in first)), psi.lam, psi.minors)
+    twin = hburch.GradedSyzMatrix(
+        P, psi.row_degrees, (psi.col_degrees[0],) * 2,
+        tuple((e, e) for e in psi.column(0)[0]))
     for f_prime in (off, [BiPoly.zero(P)] * 3):
         with pytest.raises(CertificateError, match="not injective"):
             membership.psi_solve(f_prime, twin, 2, 3)
