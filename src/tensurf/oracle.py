@@ -1,38 +1,35 @@
 """Independent implicitization by exact point elimination.
 
-The implicit equation F of the image surface is proved from the generators
-alone, without the syzygy pipeline.
+The implicit equation F of the image surface is read off the strand's own
+block determinants and proved from the generators.
 
 The degree of F is e = 2ab / d, where d is the degree of the map onto its
 image X.  With a strand, e = 2ab / r for one exact corank r (fact (b)
-below).  Otherwise, or when that read-off fails, the oracle reads e off
-the section of X by a random plane H_0 = {m_0 = 0}
+below).  Otherwise, or when that e gives no block to read F off, the
+oracle reads e off the section of X by a random plane H_0 = {m_0 = 0}
 (:func:`tensurf.planes.section`): e divides a known e_max, and the forms of
 degree e in x1, x2, x3 vanishing at the section's samples, points of X
-checked exactly to lie on H_0, must be one line, that of G_0.  A candidate
-of degree e then comes from the first of these that gives one:
+checked exactly to lie on H_0, must be one line, that of G_0.
 
-1. the strand, built in the input generators' coordinates, F's own: its
-   determinant is c F^d, so a diagonal block B_0 of size e has
-   det B_0 = c_0 F.  Its determinants on the principal lattice cut to
-   det B_0's degree box (below) interpolate to det B_0 exactly
-   (:meth:`tensurf.strand.Strand.det_cube`, :func:`_read_off`);
-2. the plane peel: F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)) on e + 1
-   planes, each G_k found by a small exact solve (:func:`tensurf.planes.peel`).
+The strand, built in the input generators' coordinates, F's own, has
+determinant c F^d, so a diagonal block B (``Strand.blocks``) of size n = k e
+has det B = c_B F^k, which its determinants on the principal lattice cut
+to its degree box (below) interpolate exactly
+(:meth:`tensurf.strand.Strand.det_cube`).  F is read off the first block,
+smallest k first, that keeps the row identity and has det B != 0
+(:func:`_read_off`): det B for k = 1, else its k-th root (:func:`_root`),
+proved by det B = c_B F^k on the block's lattice.  The candidate's
+coefficient cube (``XPoly.coeff_cube``) is normalized once, to a leading 1
+at the first monomial of ``monomials_of_degree``.
 
-Each source, and the degree scan below, hands over the candidate's
-coefficient cube (``XPoly.coeff_cube``), which is normalized once, to a
-leading 1 at the first monomial of ``monomials_of_degree``.
+Fact (a) and one of (b), (b') prove it:
 
-Fact (a) and one of (b), (b') prove the candidate:
-
-(a) F(g0..g3) = 0.  The strand's rows are the monomials m of bidegree
-    (2a - 1, b - 1) and its columns syzygies of g = (g0..g3), so
-    m . M(g) = 0; the component B_0 (``Strand.blocks``) owns its rows R,
-    so m[R] . B_0(g) = 0 with m[R] nonzero over F_p(s, t, u, v), and
-    det B_0(g) = 0 (:func:`_row_identity` checks it exactly).  The peel's F
-    vanishes at the image of an (e*a + 1) x (e*b + 1) product grid of
-    distinct affine nodes, so F(g0..g3), of bidegree (e*a, e*b), is zero;
+(a) G divides F, for the minimal equation G of X.  The strand's rows are
+    the monomials m of bidegree (2a - 1, b - 1) and its columns syzygies of
+    g = (g0..g3), so m . M(g) = 0; the block B owns its rows R, so
+    m[R] . B(g) = 0 with m[R] nonzero over F_p(s, t, u, v), and
+    det B(g) = 0 (:func:`_row_identity` checks it exactly).  So G divides
+    det B = c_B F^k and, being irreducible, F;
 (b) d <= r for the corank r of M at one image point phi(P), when the row
     identity holds on every column and 1 <= r, r + 1 <= min(2a, b)
     (:func:`_rank_degree`).  phi is finite (:func:`implicitize` screens
@@ -46,18 +43,19 @@ Fact (a) and one of (b), (b') prove the candidate:
     e - 1 vanishes at the samples: x1 q, x2 q and x3 q would be three
     forms of degree e that do.
 
-Let G be the minimal equation of X.  By (a), G divides F.  By (b),
-deg G = 2ab / d >= e.  By (b'): each sample is a root of m_0 composed with
-the map on a line where that composition is not zero, so m_0 does not
-vanish on X and G is not m_0, so G on H_0 is a nonzero form of degree
-deg G vanishing at the samples, and deg G >= e.  So F = c G: the kernel at
-degree e is a line and every lower degree has a zero kernel.  Any other
-outcome (no strand or no block of size e, a zero det B_0, a failed
-identity or grid, a dead grid, too few points, a level-0 kernel that is
-not a line, an inconsistent level solve) passes to the next source and
-last to the degree scan, which computes the kernel of evaluation on the
-product grid of every degree 1, 2, ... up to the first nonzero one.  The
-result is the same either way.
+By (b), deg G = 2ab / d >= e.  By (b'): each sample is a root of m_0
+composed with the map on a line where that composition is not zero, so
+m_0 does not vanish on X and G is not m_0, so G on H_0 is a nonzero form
+of degree deg G vanishing at the samples, and deg G >= e.  With (a),
+F = c G: the kernel at degree e is a line and every lower degree has a
+zero kernel.  A valid strand always has such a block: det M =
++-prod det B_i = c F^d with F irreducible makes each det B_i =
+c_i F^(n_i / e) nonzero, and (a) holds on every column.  So a section's e
+with none fails the strand (CertificateError); the rank's e, which a rank
+drop can understate, gives way to the section first.  Where the section
+gives no e, the degree scan computes the kernel of evaluation on the
+product grid of every degree 1, 2, ... up to the first nonzero one
+(:func:`_scan`).  The result is the same either way.
 
 The module also proves, with no random step, that the strand-matrix
 determinant is a scalar multiple of a power of the recovered equation.
@@ -72,7 +70,9 @@ of B_i with an x_j term (:attr:`tensurf.strand.Strand.det_box`), and F's
 power n_i / deg F times F's.  The cut lattice, a lower set, is unisolvent
 for the forms of degree n_i in the box (:func:`tensurf.xpoly.lattice_form`).
 A block equal to the one F was read off has its determinant interpolated
-already, so its identity is checked on coefficients.
+already and takes no second determinant: its identity is checked on
+coefficients for k = 1, and on the lattice values of that interpolated
+determinant for k > 1.
 
 Last, it screens the input for basepoints exactly: pairwise resultants,
 three pairs at a time, with constant gcd prove the usual input free, and a
@@ -81,7 +81,6 @@ rank test in bidegree (3a - 1, 2b - 1) settles every other one.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -96,14 +95,14 @@ from .bipoly import (BiPoly, CertificateError, FieldConfig, HypothesisError,
                      mirror_poly, multiplication_matrix, uni_gcd)
 from .cases import CaseResult, run_case
 from .membership import resultant_uv
-from .planes import peel, section
+from .planes import section
 # reconstruct_det, divide_with_remainder and linear_substitute are unused
 # here; perfbench/spans.py wraps them in this module's namespace.
 from .strand import Strand, build_strand, reconstruct_det  # noqa: F401
 from .syzygy import SurfaceInput, VAnalysis, analyze
-from .xpoly import (XPoly, divide_with_remainder, eval_form,  # noqa: F401
-                    eval_matrix, lattice_values, linear_substitute,
-                    monomials_of_degree, principal_lattice)
+from .xpoly import (XPoly, eval_matrix, lattice_form, lattice_values,
+                    monomials_of_degree, principal_lattice, shift_form)
+from .xpoly import divide_with_remainder, linear_substitute  # noqa: F401
 
 __all__ = [
     "check_prime_floor", "OracleResult", "implicit_by_elimination",
@@ -126,14 +125,14 @@ class OracleResult:
     of one identifies the unique minimal equation; a larger value signals
     that the image is not a hypersurface of that degree (the first canonical
     kernel vector is still returned, and downstream certification will
-    reject it).  When F was read off a strand block or peeled off plane
-    sections, the dimension 1 at e and the zero dimensions below it are
-    proved (facts (a) with (b) or (b') of the module docstring), not
-    computed.  ``grid_shape`` is the fallbacks' grid.
+    reject it).  When F was read off a strand block, the dimension 1 at e
+    and the zero dimensions below it are proved (facts (a) with (b) or
+    (b') of the module docstring), not computed.  ``grid_shape`` is the
+    degree scan's grid.
 
-    ``block`` is the (e, e, 4) strand block F was read off and the
-    coefficient cube of its determinant, or None; it records where F came
-    from, so it takes no part in comparisons.
+    ``block`` is the (n, n, 4) strand block F was read off, n = k e, and
+    the coefficient cube of its determinant c F^k, or None; it records
+    where F came from, so it takes no part in comparisons.
     """
 
     f: XPoly
@@ -148,19 +147,14 @@ class OracleResult:
         return self.kernel_dims[-1][1]
 
 
-def _vanishes_at(degree: int, points: NDArray[np.int64],
-                 cube: NDArray[np.int64], p: int) -> bool:
-    """Whether the form with coefficient cube ``cube`` is zero at every
-    point."""
-    return not eval_form(cube, degree, points, p).any()
-
-
 def check_prime_floor(a: int, b: int, p: int) -> None:
     """Raise ValueError when p is below the pipeline's floor 2ab*max(a, b) + 1.
 
-    The oracle draws 2ab*a + 1 and 2ab*b + 1 distinct product-grid nodes
-    from F_p.  The floor also covers the 2ab + 1 lattice nodes of the exact
-    certificate and the 2ab + 1 resultant samples of the basepoint screen.
+    The degree scan draws 2ab*a + 1 and 2ab*b + 1 distinct product-grid
+    nodes from F_p.  The floor also covers the 2ab + 1 lattice nodes of the
+    exact certificate, the 2ab + 1 resultant samples of the basepoint
+    screen and the inverses of k and of 1..e that the k-th root of a block
+    determinant takes (k e <= 2ab).
     """
     floor = 2 * a * b * max(a, b) + 1
     if p < floor:
@@ -169,80 +163,79 @@ def check_prime_floor(a: int, b: int, p: int) -> None:
             f"for bidegree ({a}, {b})")
 
 
-def implicit_by_elimination(inp: SurfaceInput,
-                            strand: Optional[Strand] = None) -> OracleResult:
-    """The minimal implicit equation of the image, normalized to a leading 1.
+def _result(inp: SurfaceInput, e: int, cube: NDArray[np.int64],
+            dims: Sequence = (), block: Optional[tuple] = None
+            ) -> OracleResult:
+    """The candidate with coefficient cube ``cube``, normalized to a leading
+    1; without ``dims``, the kernel dimensions are the proved 0 below e and
+    1 at e."""
+    p = inp.field.p
+    f = XPoly.from_cube(p, e, cube)
+    return OracleResult(
+        f=f.scale(pow(f.terms[max(f.terms)], -1, p)), degree=e,
+        kernel_dims=tuple(dims) or tuple(
+            (k, int(k == e)) for k in range(1, e + 1)),
+        grid_shape=(e * inp.a + 1, e * inp.b + 1), block=block)
 
-    The candidate is det B_0 for a block B_0 of size e of ``strand``
-    (linear forms whose determinant is claimed to be c F^d) that keeps the
-    row identity, e from one rank of ``strand`` or the plane section, else
-    the plane peel's, which must vanish on the product grid; the degrees
-    below e then have kernel dimension 0, not computed.  Any failure scans
-    the degrees 1..2ab in order on product grids up to the first nonzero
-    kernel.  Every path returns the same result.
-    """
-    p, a, b = inp.field.p, inp.a, inp.b
-    check_prime_floor(a, b, p)
-    size = 2 * a * b
-    gen_grids = list(inp.grids)
 
-    @functools.lru_cache(maxsize=1)
-    def nodes() -> tuple[list[int], ...]:
-        """The product-grid nodes in t and then v, drawn on first use."""
-        rng = inp.field.rng("oracle")
-        return tuple(rng.sample(range(p), size * n + 1) for n in (a, b))
-
-    def grid_points(e: int) -> NDArray[np.int64]:
-        t_nodes, v_nodes = nodes()
-        tv = linalg.vandermonde(t_nodes[:e * a + 1], a + 1, p)
-        vv = linalg.vandermonde(v_nodes[:e * b + 1], b + 1, p)
-        return np.stack(
-            [linalg.matmul_mod(linalg.matmul_mod(tv, g, p), vv.T, p).reshape(-1)
-             for g in gen_grids], axis=1)
-
-    def result(e: int, cube: NDArray[np.int64], dims: Sequence = (),
-               block: Optional[tuple] = None) -> OracleResult:
-        f = XPoly.from_cube(p, e, cube)
-        return OracleResult(
-            f=f.scale(pow(f.terms[max(f.terms)], -1, p)), degree=e,
-            kernel_dims=tuple(dims) or tuple(   # proved: 0 below e, 1 at e
-                (k, int(k == e)) for k in range(1, e + 1)),
-            grid_shape=(e * a + 1, e * b + 1), block=block)
-
-    holds = None if strand is None else _row_identity(inp, strand)
-    if (strand is not None and (e := _rank_degree(inp, strand, holds))
-            and (read := _read_off(strand, e, holds))):
-        return result(e, read[1], block=read)
-    sec = section(inp, gen_grids)
-    if sec is not None:
-        e = sec.e
-        if strand is not None and (read := _read_off(strand, e, holds)):
-            return result(e, read[1], block=read)
-        points = grid_points(e)
-        # A dead grid point is left to the scan, which reports it.
-        cube = peel(sec) if points.any(axis=1).all() else None
-        if cube is not None and _vanishes_at(e, points, cube, p):
-            return result(e, cube)
-
+def _scan(inp: SurfaceInput) -> OracleResult:
+    """The kernel of evaluation at every degree e = 1, 2, ... up to the
+    first nonzero one, whose first vector is F, on the image of the
+    (e*a + 1) x (e*b + 1) product grid of the first of 2ab*a + 1 and
+    2ab*b + 1 random nodes in t and in v.  A grid point where every
+    generator vanishes raises HypothesisError."""
+    p, a, b, size = inp.field.p, inp.a, inp.b, 2 * inp.a * inp.b
+    rng = inp.field.rng("oracle")
+    t_nodes, v_nodes = (rng.sample(range(p), size * n + 1) for n in (a, b))
     dims: list[tuple[int, int]] = []
     for e in range(1, size + 1):
-        points = grid_points(e)
+        tv = linalg.vandermonde(t_nodes[:e * a + 1], a + 1, p)
+        vv = linalg.vandermonde(v_nodes[:e * b + 1], b + 1, p)
+        points = np.stack([linalg.matmul_mod(linalg.matmul_mod(tv, g, p),
+                                             vv.T, p).reshape(-1)
+                           for g in inp.grids], axis=1)
         dead = np.flatnonzero(~points.any(axis=1))
         if dead.size:
             r, nv = int(dead[0]), e * b + 1
             raise HypothesisError(
                 "all four generators vanish at parameter point "
-                f"(1, {nodes()[0][r // nv]}, 1, {nodes()[1][r % nv]}); "
+                f"(1, {t_nodes[r // nv]}, 1, {v_nodes[r % nv]}); "
                 "the input has a basepoint")
         kern = linalg.kernel_basis(eval_matrix(e, points, p), p)
         dims.append((e, len(kern)))
         if kern:
             cube = np.zeros((e + 1,) * 3, dtype=np.int64)
             cube[tuple(np.array(monomials_of_degree(e))[:, 1:].T)] = kern[0]
-            return result(e, cube, dims)
+            return _result(inp, e, cube, dims)
     raise HypothesisError(
         f"no implicit equation of degree <= {size} vanishes on the image; "
         "the input is degenerate")
+
+
+def implicit_by_elimination(inp: SurfaceInput,
+                            strand: Strand) -> OracleResult:
+    """The minimal implicit equation of the image, normalized to a leading 1.
+
+    F is read off a block of ``strand`` (:func:`_read_off`) at the e of one
+    rank of ``strand``, else at the plane section's, else the degree scan
+    (:func:`_scan`) gives it.  A section's e with no block to read F off
+    raises CertificateError.
+    """
+    check_prime_floor(inp.a, inp.b, inp.field.p)
+    holds = _row_identity(inp, strand)
+    e = _rank_degree(inp, strand, holds)
+    read = e and _read_off(strand, e, holds)
+    if not read:
+        e = section(inp, list(inp.grids))
+        if e is None:
+            return _scan(inp)
+        read = _read_off(strand, e, holds)
+    if not read:
+        raise CertificateError(
+            f"no strand block of size a multiple of e = {e} keeps the row "
+            "identity and has a determinant c F^k, F of degree e (block "
+            f"sizes {[len(r) for r, _ in strand.blocks]})")
+    return _result(inp, e, read[1], block=read[0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +247,8 @@ class DetCertificate:
     """Proved relation det(strand) = c * F^exponent.
 
     ``blocks`` lists the sizes of the strand's diagonal blocks, each proved
-    on its own lattice, or on coefficients for the block F was read off.
+    on its own lattice, or on the interpolated determinant of the block F
+    was read off.
     """
 
     c: int
@@ -283,17 +277,84 @@ def _rank_degree(inp: SurfaceInput, strand: Strand,
 
 
 def _read_off(strand: Strand, e: int, holds: NDArray[np.bool_]
-              ) -> Optional[tuple[NDArray[np.int64], NDArray[np.int64]]]:
-    """The first diagonal block B of size e of ``strand`` and the
-    coefficient cube of det B (``Strand.det_cube``), as
-    ``OracleResult.block``.  None when no block has size e, the row
-    identity fails on one of B's columns (``holds``) or det B is zero."""
-    sized = [(r, c) for r, c in strand.blocks if len(r) == len(c) == e]
-    if not sized or not holds[sized[0][1]].all():
-        return None
-    block = strand.block(*sized[0])
-    cube = block.det_cube()
-    return (block.tensor, cube) if cube.any() else None
+              ) -> Optional[tuple[tuple, NDArray[np.int64]]]:
+    """The first diagonal block B of ``strand``, smallest k = n / e first,
+    whose size n is a multiple of e, that keeps the row identity on its
+    columns (``holds``) and has det B = c F^k != 0 for a form F of degree
+    e: B with the coefficient cube of det B (``Strand.det_cube``), as
+    ``OracleResult.block``, and F's coefficient cube; None when no block
+    does.  For k = 1, F is det B; for k > 1, its k-th root (:func:`_root`).
+    """
+    sized = sorted((len(r) // e, i) for i, (r, c) in enumerate(strand.blocks)
+                   if len(r) == len(c) and len(r) % e == 0)
+    for k, i in sized:
+        rows, cols = strand.blocks[i]
+        if not holds[cols].all():
+            continue
+        block = strand.block(rows, cols)
+        cube = block.det_cube()
+        if not cube.any():
+            continue
+        f = cube if k == 1 else _root(block, cube, e)
+        if f is not None:
+            return (block.tensor, cube), f
+    return None
+
+
+def _root(block: Strand, cube: NDArray[np.int64], e: int
+          ) -> Optional[NDArray[np.int64]]:
+    """F's coefficient cube from the cube of det B = c F^k, k = n / e > 1
+    for the block's size n, or None when det B is no such power.
+
+    The cube H of det B is first Taylor-shifted (``xpoly.shift_form``) to
+    the first point z of ``det_values`` where det B != 0, z = 0 unless
+    det B vanishes at (1, 0, 0, 0).  On the line lambda -> (1, z + lambda y),
+    det B is h(lambda) = sum_d H_d(y) lambda^d, H_d the part of H of degree
+    d in x1, x2, x3, and h = c f^k for f(lambda) = F(1, z + lambda y).
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) gives the one power
+    series g = (h / h_0)^(1/k) with g_0 = 1: g_m = m^-1 sum_(i=1..m)
+    ((1/k + 1) i - m) (h_i / h_0) g_(m-i).  So g_0 + .. + g_e is
+    F(1, z + y) / F(1, z), from H_d with d <= e only, one ``lattice_values``
+    each, at the points y of F's lattice cut to min(e, det_box // k), a
+    bound on F's degrees; ``lattice_form`` and a shift by -z give F.
+    det B = c F^k on ``det_values`` proves it, both sides being forms of
+    degree n inside ``det_box``.
+    """
+    p, n, box = block.p, block.size, block.det_box
+    k = n // e
+    values = block.det_values
+    z = principal_lattice(n, box)[np.flatnonzero(values)[0], 1:]
+    if z.any():
+        cube = shift_form(cube, z, p)
+    low = cube[:e + 1, :e + 1, :e + 1]
+    degree = np.indices(low.shape).sum(axis=0)
+    f_box = tuple(min(e, b // k) for b in box)
+    h = np.array([lattice_values(np.where(degree == d, low, 0), e, p, f_box)
+                  for d in range(e + 1)])
+    h = h * pow(int(h[0, 0]), -1, p) % p   # h_0 = det B(1, z) everywhere
+    alpha = (pow(k, -1, p) + 1) % p
+    g = [np.ones(h.shape[1], dtype=np.int64)]
+    for m in range(1, e + 1):
+        i = np.arange(1, m + 1)
+        terms = (alpha * i - m)[:, None] % p * h[1:m + 1] % p * g[::-1] % p
+        g.append(terms.sum(axis=0) % p * pow(m, -1, p) % p)
+    f = lattice_form(np.sum(g, axis=0) % p, e, p, f_box)
+    if z.any():
+        f = shift_form(f, -z, p)
+    c, bad = _fit(values, linalg.pow_mod_array(
+        lattice_values(f, n, p, box), k, p), p)
+    return f if c is not None and not bad else None
+
+
+def _fit(lhs: NDArray[np.int64], rhs: NDArray[np.int64], p: int
+         ) -> tuple[Optional[int], int]:
+    """c with lhs = c rhs at the first entry where both are nonzero, None
+    when there is none, and the number of entries where lhs != c rhs."""
+    fit = np.flatnonzero(lhs * rhs % p)
+    if not fit.size:
+        return None, lhs.size
+    c = int(lhs[fit[0]]) * pow(int(rhs[fit[0]]), -1, p) % p
+    return c, int(np.count_nonzero(lhs != c * rhs % p))
 
 
 def _row_identity(inp: SurfaceInput, strand: Strand) -> NDArray[np.bool_]:
@@ -316,9 +377,10 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
     det B_i = c_i F^(n_i / e), e = deg F, on the principal lattice
     {(1, i, j, k) : i + j + k <= n_i} cut to the larger of ``det_box`` and
     n_i / e times F's degrees, unisolvent for forms of degree n_i in that
-    box when p > n_i (p > size, else ValueError), or, for a block equal entry
-    for entry to the one F was read off (``oracle.block``), on the
-    coefficients of its known determinant.  c_i is fitted at the first
+    box when p > n_i (p > size, else ValueError).  A block equal entry for
+    entry to the one F was read off (``oracle.block``) takes no second
+    determinant: its known determinant is compared on coefficients when
+    n_i = e, else by its values on that lattice.  c_i is fitted at the first
     value where both sides are nonzero, so det M = c F^d with
     c = sigma prod c_i.  A component that is not square (det M = 0), or
     whose size e does not divide, fails.
@@ -344,22 +406,22 @@ def verify_implicitization(strand: Strand, oracle: OracleResult,
     for index, (rows, cols) in enumerate(blocks):
         n, k = len(rows), len(rows) // e
         block = strand.block(rows, cols)
-        if (oracle.block is not None and n == e
-                and np.array_equal(block.tensor, oracle.block[0])):
+        read = (oracle.block is not None
+                and np.array_equal(block.tensor, oracle.block[0]))
+        if read and k == 1:
             lhs, rhs = oracle.block[1].ravel(), cube.ravel()
             power, unit = "", "coefficients"
         else:
             box = tuple(min(n, max(b, k * d))
                         for b, d in zip(block.det_box, f_degs))
-            lhs = block.det_at_many(principal_lattice(n, box))
+            lhs = (lattice_values(oracle.block[1], n, p, box) if read
+                   else block.det_at_many(principal_lattice(n, box)))
             rhs = linalg.pow_mod_array(lattice_values(cube, n, p, box), k, p)
             power, unit = f"^{k}", "principal lattice points"
-        fit = np.flatnonzero(lhs * rhs % p)
-        if not fit.size:
+        c_i, bad = _fit(lhs, rhs, p)
+        if c_i is None:
             raise CertificateError(
                 f"block {index}: det and F{power} are never both nonzero")
-        c_i = int(lhs[fit[0]]) * pow(int(rhs[fit[0]]), -1, p) % p
-        bad = np.count_nonzero(lhs != c_i * rhs % p)
         if bad:
             raise CertificateError(
                 f"block {index}: det = c * F{power} fails at {bad} of "
@@ -487,11 +549,12 @@ class ImplicitizationResult:
 def implicitize(inp: SurfaceInput) -> ImplicitizationResult:
     """Run the whole chain: prime floor, basepoint screen, analysis, case
     construction, strand, oracle and certificate.  The oracle reads F off
-    the strand in F's coordinates when it can, and the certificate then
-    proves only the blocks other than the one F was read off.
+    a block of the strand, in F's coordinates, and the certificate takes no
+    second determinant of that block.
 
-    A prime below :func:`check_prime_floor` raises ValueError and an input
-    with a basepoint (:func:`basepoint_check`) raises HypothesisError.  The
+    A prime below :func:`check_prime_floor` raises ValueError, an input
+    with a basepoint (:func:`basepoint_check`) raises HypothesisError and a
+    strand with no block to read F off raises CertificateError.  The
     certificate proves det(strand) = c * F^d exactly (see
     :func:`verify_implicitization`).
     """

@@ -1,30 +1,27 @@
-"""The implicit equation peeled off random plane sections of the image.
+"""The degree of the implicit equation, read off a random plane section.
 
 For random linear forms m_0..m_e with m_k[0] != 0, a form F of degree e
 in x0..x3 is G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)), each G_k a form of
 degree e - k in x1, x2, x3: the chart of the plane H_k = {m_k = 0}.  The
-image X meets H_k in a plane curve, whose F_p-points come from one batched
+image X meets H_0 in a plane curve, whose F_p-points come from one batched
 Cantor-Zassenhaus split per random draw (:func:`_split_roots`), its
 arithmetic lazily reduced on balanced residues (``linalg.balanced``).  On
-those points one kernel (level 0) and e small solves (levels 1..e), each on
-the monomials in x1, x2, x3 of :func:`tensurf.xpoly.eval_matrix`, give the
-G_k, and Horner's rule on F's coefficient cube (``XPoly.coeff_cube``)
-assembles it.
+those points one kernel, on the monomials in x1, x2, x3 of
+:func:`tensurf.xpoly.eval_matrix`, is the line of G_0 at e, which it reads
+off (:func:`section`).
 
-Level 0 comes first (:func:`section`): its points are drawn for the
-largest degree e_max the map allows, and its kernel reads off e.  The
-oracle (:mod:`tensurf.oracle`) takes a section only when one rank of the
-strand gives no e to read F off; then it reads F off a strand block of
-size e when it can, and else :func:`peel` draws points for levels 1..e.
-The oracle proves the candidate either way, on this path with one fact
-from here, which :func:`section` enforces: the level-0 kernel at e, on
-points checked exactly to lie on X and on H_0, is the line of G_0.
+The oracle (:mod:`tensurf.oracle`) takes a section only when one rank of
+the strand gives no e to read F off, and then reads F off a strand block
+whose size is a multiple of e.  Its proof takes one fact from here, which
+:func:`section` enforces: the level-0 kernel at e, on points checked
+exactly to lie on X and on H_0, is the line of G_0.  The peel of levels
+1..e, which assembles F from all e + 1 planes, is the test-side reference
+``tests/planes_ref.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,11 +29,11 @@ from numpy.typing import NDArray
 
 from . import linalg
 from .syzygy import SurfaceInput
-from .xpoly import eval_form, eval_matrix, monomials_of_degree
+from .xpoly import eval_matrix
 
-# Random image points beyond the unknowns of each plane solve.
+# Random image points beyond the unknowns of the level-0 kernel.
 _SAMPLE_MARGIN = 8
-# Draw rounds before the plane sections give up and leave F to the scan.
+# Draw rounds before a plane section gives up and leaves F to the scan.
 _ROUNDS = 4
 
 
@@ -185,54 +182,10 @@ def _section_points(grids: list[NDArray[np.int64]], planes: NDArray[np.int64],
             for f, n in zip(found, need.tolist())]
 
 
-def _assemble(gs: list[NDArray[np.int64]], planes: NDArray[np.int64],
-              p: int) -> NDArray[np.int64]:
-    """Coefficient cube (as ``XPoly.coeff_cube``) of
-    G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)).
-
-    G_k is a form of degree e - k in x1, x2, x3, its coefficients in
-    ``monomials_of_degree`` order, and m_k = planes[k].  Horner's rule runs on
-    the cube at x0 = 1: multiplying by m_k is m_k[0] times the cube plus
-    m_k[i] times the cube shifted one step along axis i.  ``np.roll`` wraps
-    the last slice round, but below degree e that slice is zero.
-    """
-    e = len(gs) - 1
-    cube = np.zeros((e + 1,) * 3, dtype=np.int64)
-    cube[0, 0, 0] = gs[e][0] % p
-    for k in range(e - 1, -1, -1):
-        m = planes[k]
-        cube = (cube * m[0] % p + sum(np.roll(cube, 1, axis=i) * m[i + 1] % p
-                                      for i in range(3))) % p
-        cube[tuple(zip(*monomials_of_degree(e - k, 3)))] += gs[k]
-        cube %= p
-    return cube
-
-
-def _need(e: int) -> NDArray[np.int64]:
-    """Points per level of a degree-e peel: the unknowns of G_k + margin."""
-    return np.array([math.comb(e - k + 2, 2) + _SAMPLE_MARGIN
-                     for k in range(e + 1)])
-
-
-@dataclass(frozen=True)
-class Section:
-    """The level-0 plane section: the degree e, G_0 (the line of the level-0
-    kernel at e) and what :func:`peel` draws the other levels from.  The
-    generator grids are oriented and reduced as in :func:`section`."""
-
-    e: int
-    g0: NDArray[np.int64]
-    points: NDArray[np.int64]
-    grids: list[NDArray[np.int64]]
-    planes: NDArray[np.int64]
-    per_point: float
-    rng: np.random.Generator
-    p: int
-
-
 def section(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
-            ) -> Optional[Section]:
-    """The level-0 section of the image X by a random plane H_0, or None.
+            ) -> Optional[int]:
+    """The degree e read off the section of the image X by a random plane
+    H_0, or None.
 
     e = 2ab / d divides e_max = 2ab / step, as phi factors through
     x -> x^step in the solved variable x (below), so step divides d.  On
@@ -241,8 +194,9 @@ def section(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
     of degree e_max - e.  So e is e_max when that kernel is a line, else the
     least divisor of e_max with a nonzero kernel on a prefix of the points,
     and that kernel must be a line.  None when points run short or it is
-    not.  Only the level-0 plane gets points here; the planes of levels
-    1..e are drawn with it, for :func:`peel`.
+    not.  Planes are drawn for all e_max + 1 levels of the expansion above,
+    so that the stream, and with it the level-0 points, is that of a full
+    peel (``tests/planes_ref.py``); only the level-0 plane gets points.
     """
     p, a, b = inp.field.p, inp.a, inp.b
     grids = gen_grids if a > b else [g.T for g in gen_grids]
@@ -257,15 +211,14 @@ def section(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
     rng = np.random.default_rng(inp.field.rng("oracle-sample").getrandbits(64))
     planes = rng.integers(0, p, (e_max + 1, 4))
     planes[:, 0] = rng.integers(1, p, e_max + 1)
-    per_point = 1 if K == 1 else 2
-    need = _need(e_max)[:1]
-    pts = _section_points(grids, planes[:1], need, per_point, rng, p)[0]
-    if len(pts) < need[0]:
+    need = [math.comb(D + 2, 2) + _SAMPLE_MARGIN for D in range(e_max + 1)]
+    pts = _section_points(grids, planes[:1], np.array([need[e_max]]),
+                          1 if K == 1 else 2, rng, p)[0]
+    if len(pts) < need[e_max]:
         return None
 
     def level0_kernel(D: int) -> list[NDArray[np.int64]]:
-        return linalg.kernel_basis(
-            eval_matrix(D, pts[:_need(D)[0], 1:], p), p)
+        return linalg.kernel_basis(eval_matrix(D, pts[:need[D], 1:], p), p)
 
     e, kern = e_max, level0_kernel(e_max)
     if len(kern) > 1:   # d > step: G_0 times every form of degree e_max - e
@@ -273,55 +226,4 @@ def section(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
             kern = level0_kernel(e)
             if kern:
                 break
-    if len(kern) != 1:
-        return None
-    return Section(e, kern[0], pts[:_need(e)[0]], grids, planes[:e + 1],
-                   per_point, rng, p)
-
-
-def peel(sec: Section) -> Optional[NDArray[np.int64]]:
-    """A candidate coefficient cube of degree e peeled off the planes of a
-    level-0 section, or None.
-
-    F = G_0 + m_0 (G_1 + m_1 (... + m_(e-1) G_e)) for the section's planes
-    m_k, each G_k a form of degree e - k in x1, x2, x3 (the chart of H_k =
-    {m_k = 0}).  At a point y of X on H_k and off the earlier planes,
-    G_k(y) = F_k(y), where F_0 = F = 0 on X and F_(j+1) = (F_j - G_j) / m_j.
-    G_0 is the section's; points for levels 1..e are drawn now, and each
-    G_k solves its sampled system.  None when points run short or a system
-    is inconsistent.  ``eval_form`` gives G_k at the later levels' points.
-    """
-    e, p, planes = sec.e, sec.p, sec.planes
-    need = _need(e)
-    pts = _section_points(sec.grids, planes, np.concatenate([[0], need[1:]]),
-                          sec.per_point, sec.rng, p)
-    pts[0] = sec.points
-    if any(len(y) < n for y, n in zip(pts, need.tolist())):
-        return None
-    Y = np.concatenate(pts)
-    start = np.cumsum([0] + need.tolist())
-    mv = linalg.matmul_mod(Y, planes.T, p)
-    # prod[:, k] = m_0(y) ... m_(k-1)(y), nonzero up to each point's level
-    prod = np.ones((len(Y), e + 1), dtype=np.int64)
-    for k in range(e):
-        prod[:, k + 1] = prod[:, k] * mv[:, k] % p
-    level = np.repeat(np.arange(e + 1), need)
-    scale = linalg.inverse_many(prod[np.arange(len(Y)), level], p)
-    num = np.zeros(len(Y), dtype=np.int64)   # sum_(j<k) G_j(y) prod[y, j]
-    gs = []
-    for k in range(e + 1):
-        lo, hi, D = start[k], start[k + 1], e - k
-        if k == 0:
-            g = sec.g0
-        else:   # G_k(y) = F_k(y) = -num(y) / prod[y, k]
-            g = linalg.solve_particular(eval_matrix(D, Y[lo:hi, 1:], p),
-                                        -num[lo:hi] * scale[lo:hi] % p, p)
-            if g is None:
-                return None
-        gs.append(g)
-        _, e2, e3 = zip(*monomials_of_degree(D, 3))
-        square = np.zeros((D + 1, D + 1), dtype=np.int64)
-        square[e2, e3] = g
-        num[hi:] = (num[hi:] + eval_form(square, D, Y[hi:, 1:], p)
-                    * prod[hi:, k]) % p
-    return _assemble(gs, planes, p)
+    return e if len(kern) == 1 else None

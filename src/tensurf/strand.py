@@ -112,14 +112,17 @@ class Strand:
         return tuple(int(min(r, c)) for r, c in zip(
             hit.any(axis=1).sum(axis=0), hit.any(axis=0).sum(axis=0)))
 
+    @cached_property
+    def det_values(self) -> np.ndarray:
+        """The determinant on ``principal_lattice(size, det_box)``, taken
+        once per strand."""
+        return self.det_at_many(principal_lattice(self.size, self.det_box))
+
     def det_cube(self) -> np.ndarray:
         """The coefficient cube (as ``XPoly.coeff_cube``) of the
         determinant, a form of degree ``size``: ``xpoly.lattice_form`` of
-        its values on the principal lattice of that degree cut to
-        ``det_box``.  Exact when p > size."""
-        box = self.det_box
-        values = self.det_at_many(principal_lattice(self.size, box))
-        return lattice_form(values, self.size, self.p, box)
+        ``det_values``.  Exact when p > size."""
+        return lattice_form(self.det_values, self.size, self.p, self.det_box)
 
 
 def build_strand(case: CaseResult) -> Strand:

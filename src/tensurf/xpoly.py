@@ -7,16 +7,17 @@ is its coefficient cube at x0 = 1 (``XPoly.coeff_cube`` and
 ``XPoly.from_cube``), the one array format of forms here.  The module
 also provides the one monomial table (:func:`monomials_of_degree`, and
 :func:`eval_matrix` at many points), in x0..x3 or, for the plane sections
-of :mod:`tensurf.planes`, in x1, x2, x3; the one vectorized evaluator of
-cubes (:func:`eval_form`) and the one interpolator into a cube
-(:func:`lattice_form`, from values on the principal lattice).  Used by the
-strand, the elimination oracle, the plane sections, the determinant
-certificate and the reference checks.
+of :mod:`tensurf.planes`, in x1, x2, x3; a cube's values on the principal
+lattice (:func:`lattice_values`), the one interpolator from them into a
+cube (:func:`lattice_form`) and the Taylor shift of a cube
+(:func:`shift_form`).  Used by the strand, the elimination oracle, the
+plane sections, the determinant certificate and the reference checks.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Optional
 
 import numpy as np
@@ -58,51 +59,6 @@ def eval_matrix(degree: int, points: np.ndarray, p: int) -> np.ndarray:
         vals *= table[:, exps]
         vals %= p
     return vals
-
-
-# Elements of ``eval_form``'s monomial table per row chunk (256 KB of int64).
-FORM_CHUNK = 1 << 15
-
-
-def eval_form(cube: np.ndarray, degree: int, points: np.ndarray, p: int
-              ) -> np.ndarray:
-    """Values of a form of degree ``degree`` at (N, n + 1) points x0..xn.
-
-    ``cube`` (n axes of size degree + 1) holds its coefficients at x0 = 1:
-    entry [e1, .., en] belongs to x0^(degree - e1 - .. - en) x1^e1 .. xn^en.
-    Rows with x0 != 0 are scaled to x0 = 1 by one ``inverse_many``; one
-    ``matmul_mod`` of ``cube`` by the monomials of degree <= ``degree`` in
-    z1..z(n-1) gives the coefficients in zn, which a power table of zn
-    sums, times x0^degree.  Rows with x0 = 0 take the terms free of x0, an
-    array with one axis fewer, the same way.  Monomial tables hold about
-    ``FORM_CHUNK`` elements."""
-    pts = np.asarray(points, dtype=np.int64) % p
-    n, lead, width = cube.ndim, pts[:, 0], degree + 1
-    if not n:
-        return int(cube) * linalg.pow_mod_array(lead, degree, p) % p
-    out = np.zeros(len(pts), dtype=np.int64)
-    off = np.flatnonzero(lead == 0)
-    if off.size:   # the terms free of x0: exponents summing to the degree
-        top = np.where(np.indices(cube.shape).sum(axis=0) == degree, cube, 0)
-        out[off] = eval_form(top.sum(axis=0), degree, pts[off, 1:], p)
-    on = np.flatnonzero(lead)
-    z = pts[on, 1:] * linalg.inverse_many(lead[on], p)[:, None] % p
-    scale = linalg.pow_mod_array(lead[on], degree, p)
-    exps = np.indices(cube.shape[:-1]).reshape(n - 1, cube.size // width)
-    keep = exps.sum(axis=0) <= degree
-    exps, table = exps[:, keep], cube.reshape(-1, width)[keep].T
-    step = max(width, FORM_CHUNK // table.shape[1])
-    for lo in range(0, len(on), step):
-        zc = z[lo:lo + step]   # power tables pw[power, variable, row]
-        pw = linalg.vandermonde(zc.T.reshape(-1), width, p).T.reshape(
-            width, n, -1)
-        mons = np.ones((1, len(zc)), dtype=np.int64)
-        for k, ex in enumerate(exps):
-            mons = mons * pw[ex, k] % p
-        coef = linalg.matmul_mod(table, mons, p)   # rows ascending in zn
-        out[on[lo:lo + step]] = ((coef * pw[:, -1] % p).sum(axis=0) % p
-                                 * scale[lo:lo + step] % p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +128,21 @@ def lattice_form(values: np.ndarray, degree: int, p: int, box: tuple
     return _contract(cube, [newton[:, :b + 1] for b in box], p)
 
 
+def shift_form(cube: np.ndarray, z, p: int) -> np.ndarray:
+    """The coefficient cube of y -> f(y + z) at x0 = 1, f the form with
+    coefficient cube ``cube`` and z = (z1, z2, z3): along each axis one
+    contraction with the Pascal matrix C(j, i) z^(j - i), i <= j, so each
+    axis keeps its degree in its coordinate."""
+    n = len(cube)
+    k = np.arange(n)
+    binom = np.array([[math.comb(j, i) % p for j in k] for i in k])
+    mats = []
+    for zj in z:
+        powers = linalg.vandermonde([zj], n, p)[0]
+        mats.append(binom * powers[np.maximum(k - k[:, None], 0)] % p)
+    return _contract(cube, mats, p)
+
+
 class XPoly(SparsePoly):
     """Sparse polynomial in x0..x3, keyed by exponent tuples."""
 
@@ -190,7 +161,7 @@ class XPoly(SparsePoly):
                          for i, j, k in at.tolist()})
 
     def coeff_cube(self, degree: int) -> np.ndarray:
-        """Coefficients at x0 = 1, the cube ``eval_form`` takes."""
+        """Coefficients at x0 = 1, the cube ``from_cube`` takes back."""
         if not self.is_homogeneous(degree):
             raise ValueError("not homogeneous of the requested degree")
         out = np.zeros((degree + 1,) * 3, dtype=np.int64)

@@ -2,10 +2,10 @@
 
 import pytest
 
+from planes_ref import implicit_by_elimination
 from tensurf.bipoly import FieldConfig
 from tensurf.cases import run_case
 from tensurf.gen import GenSpec, generate
-from tensurf.oracle import implicit_by_elimination
 from tensurf.strand import build_strand
 from tensurf.syzygy import SurfaceInput, analyze
 
@@ -58,6 +58,7 @@ def example_strand(example_case):
 
 @pytest.fixture(scope="session")
 def example_oracle(example_input):
+    """The worked surface's F from the strandless reference oracle."""
     return implicit_by_elimination(example_input)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+import planes_ref
 from tensurf import oracle
 from tensurf.bipoly import BiPoly, DEFAULT_PRIME, coeff_grid, parse_poly
 from tensurf.cases import CaseResult, SyzygyColumn
@@ -62,16 +63,16 @@ def with_transition(case: CaseResult, transition) -> CaseResult:
 
 
 def spy_peel(monkeypatch) -> list:
-    """Record the degree e of every plane peel (levels 1..e) that the oracle
-    runs."""
+    """Record the degree e of every plane peel (levels 1..e) that the
+    reference oracle of ``planes_ref`` runs."""
     degrees = []
-    original = oracle.peel
+    original = planes_ref.peel
 
     def spy(sec):
         degrees.append(sec.e)
         return original(sec)
 
-    monkeypatch.setattr(oracle, "peel", spy)
+    monkeypatch.setattr(planes_ref, "peel", spy)
     return degrees
 
 
@@ -82,9 +83,8 @@ def spy_section(monkeypatch) -> list:
     original = oracle.section
 
     def spy(inp, gen_grids):
-        sec = original(inp, gen_grids)
-        degrees.append(None if sec is None else sec.e)
-        return sec
+        degrees.append(original(inp, gen_grids))
+        return degrees[-1]
 
     monkeypatch.setattr(oracle, "section", spy)
     return degrees
@@ -146,16 +146,16 @@ def spy_row_identity(monkeypatch) -> list:
 
 
 def spy_vanishes_at(monkeypatch) -> list:
-    """Record the degree of every product-grid proof that the oracle
-    runs."""
+    """Record the degree of every product-grid proof that the reference
+    oracle of ``planes_ref`` runs."""
     degrees = []
-    original = oracle._vanishes_at
+    original = planes_ref._vanishes_at
 
     def spy(degree, points, cube, p):
         degrees.append(degree)
         return original(degree, points, cube, p)
 
-    monkeypatch.setattr(oracle, "_vanishes_at", spy)
+    monkeypatch.setattr(planes_ref, "_vanishes_at", spy)
     return degrees
 
 

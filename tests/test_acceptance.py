@@ -15,10 +15,11 @@ from test_cases import (EXPECTED_ALPHAS, EXPECTED_S1, EXPECTED_S2,
                         EXPECTED_S3)
 from tensurf import hburch, membership
 from helpers import mutate_case, uv_form
+from planes_ref import implicit_by_elimination
 from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
                             FieldConfig, poly_to_str, uni_gcd)
 from tensurf.cases import expected_column_counts, run_case
-from tensurf.oracle import implicit_by_elimination, verify_implicitization
+from tensurf.oracle import verify_implicitization
 from tensurf.strand import build_strand, reconstruct_det
 from tensurf.syzygy import SurfaceInput, analyze
 from tensurf.xpoly import divide_with_remainder, parse_xpoly

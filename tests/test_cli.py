@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import EXAMPLE_GENERATORS, SEGRE_GENERATORS
-from helpers import bench_jobs, spy_peel, spy_vanishes_at, with_transition
+from helpers import (bench_jobs, spy_peel, spy_section, spy_vanishes_at,
+                     with_transition)
 from tensurf import cli, oracle
 from tensurf.bipoly import (DEFAULT_PRIME, FieldConfig, parse_poly,
                             poly_to_str)
@@ -188,8 +189,9 @@ def test_implicitize_exits_3_when_the_certificate_fails(
 def test_implicitize_exits_3_when_a_single_block_strand_changes(
         capsys, monkeypatch):
     # d = 1: F is read off the strand's one block, so a changed entry
-    # reaches the oracle.  The row identity rejects the block, the peel
-    # finds the true F and the certificate fails
+    # reaches the oracle.  The row identity rejects the block and with it
+    # the rank step, the plane section finds e = 12, and with no block to
+    # read F off the oracle fails the strand
     build = oracle.build_strand
 
     def changed_entry(case):
@@ -200,19 +202,22 @@ def test_implicitize_exits_3_when_a_single_block_strand_changes(
         return dataclasses.replace(strand, tensor=tensor)
 
     monkeypatch.setattr(oracle, "build_strand", changed_entry)
-    peels = spy_peel(monkeypatch)
+    sections = spy_section(monkeypatch)
     assert main(["implicitize", GENERIC_JOB]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "certificate failure: block 0" in captured.err
-    assert peels == [12]
+    assert ("certificate failure: no strand block of size a multiple of "
+            "e = 12" in captured.err)
+    assert "(block sizes [12])" in captured.err
+    assert sections == [12]
 
 
 @pytest.mark.parametrize("workload", ["generic-d1", "exact-d2"])
 def test_bench_jobs_peel_no_level_beyond_0(workload, tmp_path, capsys,
                                            monkeypatch):
-    # F is read off a strand block and proved by the strand's row identity:
-    # no product grid is evaluated
+    # F is read off a strand block at the rank's degree and proved by the
+    # strand's row identity: no plane section, peel or product grid
+    sections = spy_section(monkeypatch)
     peels = spy_peel(monkeypatch)
     grid_proofs = spy_vanishes_at(monkeypatch)
     jobs = bench_jobs(workload, tmp_path)
@@ -220,7 +225,7 @@ def test_bench_jobs_peel_no_level_beyond_0(workload, tmp_path, capsys,
         assert main(["implicitize", str(job.path), "--json",
                      "--seed", "1"]) == 0
     assert len(jobs) == 4
-    assert peels == [] and grid_proofs == []
+    assert sections == peels == grid_proofs == []
 
 
 def test_basepoint_screen_of_the_bench_jobs_is_golden(tmp_path):

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import EXAMPLE_GENERATORS
+import planes_ref
 from helpers import (bench_jobs, compose_quadratic, mutate_case, spy_blocks,
                      spy_det_points, spy_peel, spy_row_identity, spy_section,
                      spy_vanishes_at, with_transition)
+from planes_ref import implicit_by_elimination as reference
 from tensurf import linalg, oracle, planes
 from tensurf.bipoly import (BiPoly, CertificateError, DEFAULT_PRIME,
                             FieldConfig, HypothesisError, parse_poly,
@@ -61,7 +63,7 @@ def test_oracle_equation_vanishes_on_the_surface(example_input,
 
 
 def test_segre_oracle_frozen(segre_input):
-    orc = implicit_by_elimination(segre_input)
+    orc = reference(segre_input)
     assert orc.degree == 2
     assert orc.kernel_dim == 1
     assert orc.f == parse_xpoly("x0*x3 - x1*x2", P)
@@ -78,18 +80,20 @@ def test_oracle_detects_dead_grid_point(field):
             for cof in ["s^2*u", "s^2*v", "s*t*u", "t^2*v"]]
     inp = SurfaceInput.from_strings(a, b, gens, field)
     with pytest.raises(HypothesisError, match="basepoint"):
-        implicit_by_elimination(inp)
+        reference(inp)
 
 
 # ---------------------------------------------------------------------------
-# the plane sections, the degree they read off and the exact check there
+# the plane sections, the degree they read off and the exact check there:
+# the strandless reference oracle of planes_ref
 
 
 def _unhinted(monkeypatch, inp):
-    """The oracle with the plane sections switched off: the plain scan."""
+    """The reference oracle with its plane section switched off: the plain
+    scan."""
     with monkeypatch.context() as m:
-        m.setattr(oracle, "section", lambda inp, gen_grids: None)
-        return implicit_by_elimination(inp)
+        m.setattr(planes_ref, "section", lambda inp, gen_grids: None)
+        return reference(inp)
 
 
 def _count_kernels(monkeypatch) -> list:
@@ -105,7 +109,9 @@ def _count_kernels(monkeypatch) -> list:
 
 
 def _peeled_degree(inp):
-    return planes.section(inp, list(inp.grids)).e
+    e = planes.section(inp, list(inp.grids))
+    assert planes_ref.section(inp, list(inp.grids)).e == e
+    return e
 
 
 def test_fiber_degree_of_known_surfaces(example_input, segre_input):
@@ -120,7 +126,7 @@ def test_hinted_oracle_matches_the_scan_on_the_worked_surface(
         example_input, monkeypatch):
     want = _unhinted(monkeypatch, example_input)
     calls = _count_kernels(monkeypatch)
-    got = implicit_by_elimination(example_input)
+    got = reference(example_input)
     assert got == want
     assert got.grid_shape == (21, 51)
     # one kernel, on the C(12, 2) plane monomials of degree 10 at level 0,
@@ -130,14 +136,14 @@ def test_hinted_oracle_matches_the_scan_on_the_worked_surface(
 
 def test_hinted_oracle_matches_the_scan_on_segre(segre_input, monkeypatch):
     want = _unhinted(monkeypatch, segre_input)
-    assert implicit_by_elimination(segre_input) == want
+    assert reference(segre_input) == want
     assert want.kernel_dims == ((1, 0), (2, 1))
 
 
 def test_failed_grid_check_falls_back_to_the_scan(example_input,
                                                   monkeypatch):
     want = _unhinted(monkeypatch, example_input)
-    original = oracle._vanishes_at
+    original = planes_ref._vanishes_at
     seen = []
 
     def perturbed(degree, points, cube, p):
@@ -146,16 +152,16 @@ def test_failed_grid_check_falls_back_to_the_scan(example_input,
         seen.append(degree)
         return original(degree, points, bumped, p)
 
-    monkeypatch.setattr(oracle, "_vanishes_at", perturbed)
+    monkeypatch.setattr(planes_ref, "_vanishes_at", perturbed)
     calls = _count_kernels(monkeypatch)
-    assert implicit_by_elimination(example_input) == want
+    assert reference(example_input) == want
     assert seen == [10]
     assert len(calls) == 1 + 10
 
 
-# The exact grid check evaluates the candidate with xpoly.eval_form on its
-# coefficient cube; the reference multiplies the dense monomial evaluation
-# matrix by the coefficient vector.
+# The reference's exact grid check evaluates the candidate with
+# planes_ref.eval_form on its coefficient cube; the check here multiplies the
+# dense monomial evaluation matrix by the coefficient vector.
 
 
 def _grid_reference(degree, points, vec, p):
@@ -190,11 +196,11 @@ def test_vanishes_at_agrees_with_the_evaluation_matrix(p):
     for f in forms:
         cube = f.coeff_cube(4)
         want = _grid_reference(4, pts, coeff_vector(f, 4), p) == 0
-        got = [oracle._vanishes_at(4, pts[i:i + 1], cube, p)
+        got = [planes_ref._vanishes_at(4, pts[i:i + 1], cube, p)
                for i in range(len(pts))]
         assert got == want.tolist()
-        assert oracle._vanishes_at(4, pts[want], cube, p)
-        assert not oracle._vanishes_at(4, pts, cube, p)
+        assert planes_ref._vanishes_at(4, pts[want], cube, p)
+        assert not planes_ref._vanishes_at(4, pts, cube, p)
         zeros.append(int(want.sum()))
     assert zeros[0] >= 8 and zeros[1] >= 8
 
@@ -206,18 +212,18 @@ def test_grid_check_accepts_the_equation_and_rejects_a_change(
     if name == "worked":
         inp, orc = example_input, example_oracle
     else:
-        inp, orc = segre_input, implicit_by_elimination(segre_input)
+        inp, orc = segre_input, reference(segre_input)
     e = orc.degree
     pts = _oracle_grid(inp, e)
     vec = coeff_vector(orc.f, e)
-    assert oracle._vanishes_at(e, pts, orc.f.coeff_cube(e), P)
+    assert planes_ref._vanishes_at(e, pts, orc.f.coeff_cube(e), P)
     assert not _grid_reference(e, pts, vec, P).any()
     # change a nonzero coefficient, then add a term
     for pos in (int(np.flatnonzero(vec)[-1]), int(np.flatnonzero(vec == 0)[0])):
         bumped = vec.copy()
         bumped[pos] = (bumped[pos] + 1) % P
         cube = from_coeff_vector(P, e, bumped).coeff_cube(e)
-        assert not oracle._vanishes_at(e, pts, cube, P)
+        assert not planes_ref._vanishes_at(e, pts, cube, P)
         assert _grid_reference(e, pts, bumped, P).any()
 
 
@@ -240,7 +246,7 @@ def test_hint_leaves_a_dead_grid_point_to_the_scan(field, monkeypatch):
         _unhinted(monkeypatch, inp)
     calls = _count_kernels(monkeypatch)
     with pytest.raises(HypothesisError) as got:
-        implicit_by_elimination(inp)
+        reference(inp)
     assert str(got.value) == str(want.value)
     assert calls == [(math.comb(6, 2) + 8, math.comb(6, 2)),
                      (math.comb(3, 2) + 8, math.comb(3, 2)),
@@ -253,7 +259,7 @@ def test_oracle_refuses_primes_below_the_floor():
     gens = ["s^2*u^3", "s*t*u^2*v", "t^2*u*v^2", "s^2*v^3 + t^2*u^3"]
     inp = SurfaceInput.from_strings(2, 3, gens, FieldConfig(11))
     with pytest.raises(ValueError, match="prime 11 is below the floor 37"):
-        implicit_by_elimination(inp)
+        reference(inp)
 
 
 ODD_A_SPECS = [GenSpec("dim2", 3, 2, 1), GenSpec("dim3", 1, 5, 3, (1,)),
@@ -267,7 +273,7 @@ def test_generic_odd_a_instances(spec, monkeypatch):
     # alone checks the equation
     for index in range(5):
         inst = generate(spec, index=index, seed=0)
-        got = implicit_by_elimination(inst.input)
+        got = reference(inst.input)
         if spec.a * spec.b < 9:
             assert got == _unhinted(monkeypatch, inst.input)
         assert got.degree == 2 * spec.a * spec.b
@@ -320,7 +326,7 @@ def test_peel_drops_repeated_points_on_a_swap_symmetric_surface(
 
     monkeypatch.setattr(planes, "_section_points", spy_points)
     calls = _count_kernels(monkeypatch)
-    assert implicit_by_elimination(inp) == want
+    assert reference(inp) == want
     # draws gave two roots, t and 1/t, to be kept as one point
     cols = np.concatenate(draws)
     assert len(set(cols.tolist())) < len(cols)
@@ -351,7 +357,7 @@ def test_points_off_their_plane_are_dropped(example_input, example_oracle,
 
     monkeypatch.setattr(planes, "_split_roots", with_wrong_roots)
     calls = _count_kernels(monkeypatch)
-    assert implicit_by_elimination(example_input) == example_oracle
+    assert reference(example_input) == example_oracle
     assert calls == [(74, 66)]
 
 
@@ -369,7 +375,7 @@ def test_peel_drops_a_level_on_an_earlier_plane_to_the_scan(
 
     monkeypatch.setattr(planes, "_section_points", same_plane)
     calls = _count_kernels(monkeypatch)
-    assert implicit_by_elimination(example_input) == want
+    assert reference(example_input) == want
     assert len(calls) == 1 + 10
 
 
@@ -389,7 +395,7 @@ def test_a_wrong_level_solve_leaves_the_result_to_the_scan(
             x[0] = (x[0] + 1) % p
         return x
 
-    vanishes_at = oracle._vanishes_at
+    vanishes_at = planes_ref._vanishes_at
     proofs = []
 
     def proof(*args):
@@ -397,9 +403,9 @@ def test_a_wrong_level_solve_leaves_the_result_to_the_scan(
         return proofs[-1]
 
     monkeypatch.setattr(linalg, "solve_particular", wrong_g)
-    monkeypatch.setattr(oracle, "_vanishes_at", proof)
+    monkeypatch.setattr(planes_ref, "_vanishes_at", proof)
     calls = _count_kernels(monkeypatch)
-    assert implicit_by_elimination(example_input) == want
+    assert reference(example_input) == want
     unknowns = [math.comb(12 - k, 2) for k in range(1, 11)]
     if level == 3:
         assert solves == unknowns[:3] + [None] and proofs == []
@@ -423,7 +429,7 @@ def test_worked_surface_over_small_primes(p, digest, example_oracle,
                                           monkeypatch):
     inp = SurfaceInput.from_strings(2, 5, EXAMPLE_GENERATORS, FieldConfig(p))
     calls = _count_kernels(monkeypatch)
-    got = implicit_by_elimination(inp)
+    got = reference(inp)
     assert hashlib.sha256(poly_to_str(got.f).encode()).hexdigest()[:12] == \
         digest
     assert got.kernel_dims == example_oracle.kernel_dims
@@ -510,46 +516,39 @@ def generic_d1():
     return generate(GenSpec("dim2", 3, 2, 1), index=0, seed=0)
 
 
-def test_a_zero_block_determinant_takes_the_peel(generic_d1, monkeypatch):
+def test_a_zero_block_determinant_raises_a_certificate_error(generic_d1,
+                                                            monkeypatch):
     # two equal columns keep the strand one block of size e = 12 and make
-    # its determinant zero: nothing to read off, so the full peel answers
+    # its determinant zero: no block to read F off, so the oracle rejects
+    # the strand, naming e and the block sizes
     strand = build_strand(generic_d1.case)
     tensor = strand.tensor.copy()
     tensor[:, 1] = tensor[:, 0]
     zero = dataclasses.replace(strand, tensor=tensor)
     assert [len(r) for r, _ in zero.blocks] == [12]
     assert _read_off(generic_d1.input, zero, 12) is None
-    peels = spy_peel(monkeypatch)
-    got = implicit_by_elimination(generic_d1.input, zero)
-    assert peels == [12] and got.block is None
-    assert got == implicit_by_elimination(generic_d1.input)
+    with pytest.raises(CertificateError,
+                       match=r"e = 12 .*\(block sizes \[12\]\)"):
+        implicit_by_elimination(generic_d1.input, zero)
 
 
-def test_a_block_failing_the_row_identity_takes_the_peel(generic_d1,
-                                                         monkeypatch):
+def test_a_block_failing_the_row_identity_raises_a_certificate_error(
+        generic_d1, monkeypatch):
     # one changed entry: the row identity rejects the block before any of
-    # its determinants is taken, the peel finds the true F and the
-    # certificate rejects the strand
+    # its determinants is taken, and with it the rank step; the section
+    # finds e = 12 and no block keeps the identity
     inst = generic_d1
     tensor = build_strand(inst.case).tensor % P
     r, c, k = np.argwhere(tensor)[0]
     tensor[r, c, k] = (tensor[r, c, k] + 1) % P
     changed = dataclasses.replace(build_strand(inst.case), tensor=tensor)
     assert _read_off(inst.input, changed, 12) is None
-    peels = spy_peel(monkeypatch)
-    original = Strand.det_at_many
-    dets = []
-
-    def counted(self, points):
-        dets.append(len(points))
-        return original(self, points)
-
-    monkeypatch.setattr(Strand, "det_at_many", counted)
-    got = implicit_by_elimination(inst.input, changed)
-    assert peels == [12] and got.block is None and dets == []
-    assert got == implicit_by_elimination(inst.input)
-    with pytest.raises(CertificateError, match="block 0"):
-        verify_implicitization(changed, got, inst.input.field)
+    assert _rank_degree(inst.input, changed) is None
+    sections = spy_section(monkeypatch)
+    dets = spy_det_points(monkeypatch)
+    with pytest.raises(CertificateError, match=r"e = 12 "):
+        implicit_by_elimination(inst.input, changed)
+    assert sections == [12] and dets == []
 
 
 # The strand's row identity: the monomials of bidegree (2a - 1, b - 1)
@@ -648,7 +647,7 @@ def test_a_change_outside_the_read_off_block_keeps_the_read_off(
     got = implicit_by_elimination(inst.input, changed)
     assert sections == [6] and peels == [] and grid_proofs == []
     assert got.block is not None
-    assert got == implicit_by_elimination(inst.input)
+    assert got == reference(inst.input)
     with pytest.raises(CertificateError, match="block 1"):
         verify_implicitization(changed, got, inst.input.field)
 
@@ -691,7 +690,7 @@ def test_implicitize_reads_f_off_the_strand_without_peeling(
     assert [r.certificate.exponent for r in results] == [1, 2, 2]
     for inp, result in zip(inputs, results):
         assert result.oracle.block is not None
-        assert result.oracle == implicit_by_elimination(inp)
+        assert result.oracle == reference(inp)
     assert peels == [12, 10, 6]
 
 
@@ -701,7 +700,7 @@ def test_implicitize_matches_the_oracle_on_a_corpus_sample(corpus,
     for inst in corpus[::10]:
         got = implicitize(inst.input)
         assert peels == []
-        assert got.oracle == implicit_by_elimination(inst.input)
+        assert got.oracle == reference(inst.input)
         peels.clear()
 
 
@@ -733,7 +732,7 @@ def test_the_read_off_draws_no_grid_node(generic_d1, example_input,
 
 
 def test_grid_nodes_are_drawn_on_first_use_as_before(corpus, monkeypatch):
-    # the oracle without a strand (plane section, peel and grid proof) on
+    # the reference oracle (plane section, peel and grid proof) on
     # every fifth corpus instance: one "oracle" stream, sampled for the t
     # nodes and then the v nodes, as when both were drawn up front, and
     # the same F and kernel_dims: the sha256 prefix below was recorded
@@ -743,7 +742,7 @@ def test_grid_nodes_are_drawn_on_first_use_as_before(corpus, monkeypatch):
     for inst in corpus[::5]:
         inp, size = inst.input, 2 * inst.input.a * inst.input.b
         streams.clear()
-        orc = implicit_by_elimination(inp)
+        orc = reference(inp)
         p = inp.field.p
         assert [draws for purpose, draws in streams if purpose == "oracle"] \
             == [[(p, size * inp.a + 1), (p, size * inp.b + 1)]]
@@ -879,6 +878,9 @@ def test_a_rank_drop_point_takes_the_section(field, monkeypatch):
         _Zeros() if purpose == "oracle-rank" else rng(self, purpose)))
     assert _corank(inp, want.strand, (1, 0, 1, 0)) == 2
     assert _rank_degree(inp, want.strand) == 6
+    # the one block has size 12 = 2 * 6, but det B = c F is no square:
+    # its square root fails det B = c F^2 on the block's lattice
+    assert _read_off(inp, want.strand, 6) is None
     got = implicitize(inp)
     assert sections == [12] and got.oracle.block is not None
     _assert_same_result(got, want)
@@ -896,7 +898,7 @@ def test_certificate_frozen(example_strand, example_oracle, field):
 def test_a_generic_d1_strand_is_one_block():
     inst = generate(GenSpec("dim2", 3, 2, 1), index=0, seed=0)
     cert = verify_implicitization(
-        build_strand(inst.case), implicit_by_elimination(inst.input),
+        build_strand(inst.case), reference(inst.input),
         inst.input.field)
     assert cert.exponent == 1 and cert.blocks == (12,)
 
@@ -964,6 +966,24 @@ def test_certificate_rejects_a_zero_determinant_outside_the_read_off_block(
         verify_implicitization(changed, orc, field)
 
 
+def test_a_zero_first_block_reads_f_off_the_next(example_input,
+                                                 example_strand, field):
+    # two equal columns inside block 0 make det B_0 identically zero: F is
+    # read off block 1, the next block of a size e divides, and the
+    # certificate then rejects block 0
+    (_, cols0), (rows1, cols1) = example_strand.blocks
+    tensor = example_strand.tensor.copy()
+    tensor[:, cols0[1]] = tensor[:, cols0[0]]
+    changed = dataclasses.replace(example_strand, tensor=tensor)
+    assert [len(r) for r, _ in changed.blocks] == [10, 10]
+    orc = implicit_by_elimination(example_input, changed)
+    assert np.array_equal(orc.block[0], changed.block(rows1, cols1).tensor)
+    assert orc == reference(example_input)
+    with pytest.raises(CertificateError,
+                       match=r"^block 0: det and F\^1 are never both nonzero"):
+        verify_implicitization(changed, orc, field)
+
+
 def _force_full_lattice(monkeypatch) -> None:
     """Every strand's det_box the whole simplex: the unsized lattices."""
     monkeypatch.setattr(Strand, "det_box", property(lambda s: (s.size,) * 3))
@@ -1014,10 +1034,11 @@ def test_read_off_lattice_is_cut_to_the_determinant_box(spec, sized, full,
     assert unsized.certificate == res.certificate
 
 
-# Compositions (helpers.compose_quadratic) have one block of size
-# 2 deg F, so F comes from the plane section and the block is proved on
-# its sized lattice: the box is F^2's (or F^4's) degrees where the
-# block's own count is larger.
+# Compositions (helpers.compose_quadratic) have one block of size k deg F,
+# k = 2 or 4, so F is the k-th root of its determinant, taken on the
+# block's lattice cut to its det_box, which bounds F^k's degrees as well:
+# the one determinant lattice of the run.  The certificate takes no
+# second determinant of that block.
 @pytest.mark.parametrize("spec, sized, full", [
     (GenSpec("dim2", 2, 7, 2), 3969, 32509),
     (GenSpec("dim3", 2, 5, 3, (1,)), 8281, 12341),
@@ -1027,21 +1048,61 @@ def test_certificate_lattice_is_cut_to_both_sides_boxes(spec, sized, full,
                                                         monkeypatch):
     inp = compose_quadratic(generate(spec, index=0, seed=0).input)
     counts = spy_det_points(monkeypatch)
+    sections = spy_section(monkeypatch)
     res = implicitize(inp)
-    assert res.oracle.block is None and counts == [sized]
+    assert res.oracle.block is not None and counts == [sized]
+    assert sections == []
     assert len(res.certificate.blocks) == 1
-    _force_full_lattice(monkeypatch)
     counts.clear()
-    unsized = verify_implicitization(res.strand, res.oracle, inp.field)
+    assert verify_implicitization(res.strand, res.oracle,
+                                  inp.field) == res.certificate
+    assert counts == []
+    _force_full_lattice(monkeypatch)
+    unsized = implicitize(inp)
     assert counts == [full]
-    assert unsized == res.certificate
+    assert unsized.oracle == res.oracle
+    assert unsized.certificate == res.certificate
+
+
+def test_the_root_shifts_to_a_lattice_point_where_det_b_is_nonzero(
+        monkeypatch):
+    # the generators moved projectively, g_i' = g0(P) g_i - g_i(P) g0, put
+    # phi(P) = (g0(P), 0, 0, 0) on the image: F and det B vanish at
+    # (1, 0, 0, 0), so h_0 = 0 there and the root is taken after a Taylor
+    # shift to a lattice point where det B is not zero, and shifted back
+    base = generate(GenSpec("dim2", 1, 3, 1), index=0, seed=0).input
+    point = (1, 2, 1, 3)
+    g0, *rest = base.gens
+    assert g0.eval(point)
+    moved = SurfaceInput(base.a, base.b, (g0, *(
+        g.scale(g0.eval(point)) - g0.scale(g.eval(point)) for g in rest)),
+        base.field)
+    inp = compose_quadratic(moved)
+    shifts = []
+    shift_form = oracle.shift_form
+
+    def spy(cube, z, p):
+        shifts.append(tuple(int(x) for x in z))
+        return shift_form(cube, z, p)
+
+    monkeypatch.setattr(oracle, "shift_form", spy)
+    res = implicitize(inp)
+    assert res.oracle.f.eval((1, 0, 0, 0)) == 0
+    assert res.oracle.block is not None and res.certificate.blocks == (12,)
+    assert len(shifts) == 2 and any(shifts[0])
+    assert shifts[1] == tuple(-x for x in shifts[0])
+    want = reference(inp)
+    assert res.oracle == want
+    assert verify_implicitization(res.strand, want, inp.field) \
+        == res.certificate
 
 
 def test_certificate_draws_no_random_point(tmp_path, monkeypatch):
     # each block is proved on its own lattice or, the read-off block, on
-    # coefficients: the "certificate" stream is never drawn, neither on the
-    # bench jobs (every block is the read-off block) nor on a composed job
-    # (one block of size 2 deg F, proved on its lattice)
+    # its interpolated determinant: the "certificate" stream is never
+    # drawn, neither on the bench jobs (every block is the read-off block)
+    # nor on a composed job (one block of size 2 deg F, F its square root),
+    # and with F read off a block no product-grid node is drawn either
     purposes = []
     original = FieldConfig.rng
 
@@ -1062,8 +1123,9 @@ def test_certificate_draws_no_random_point(tmp_path, monkeypatch):
     results = [implicitize(inp) for inp in inputs]
     assert len(results) == 9
     assert results[-1].certificate.blocks == (12,)
-    assert results[-1].oracle.block is None
-    assert "oracle" in purposes and "certificate" not in purposes
+    assert all(r.oracle.block is not None for r in results)
+    assert "oracle-rank" in purposes
+    assert "oracle" not in purposes and "certificate" not in purposes
 
 
 def test_certificate_interpolate_mode(example_strand, example_oracle,
@@ -1115,7 +1177,7 @@ def moved_instance():
     identity, with its strand and oracle equation."""
     inst = generate(GenSpec("dim3", 2, 3, 2, (1,)), index=0, seed=0)
     assert (inst.analysis.transition % P != np.eye(4, dtype=np.int64)).sum() > 4
-    return (build_strand(inst.case), implicit_by_elimination(inst.input),
+    return (build_strand(inst.case), reference(inst.input),
             inst.input.field)
 
 
@@ -1465,7 +1527,7 @@ def test_implicitize_rejects_basepoints(field):
     va = analyze(inp)
     strand = build_strand(run_case(va))
     with pytest.raises(CertificateError):
-        verify_implicitization(strand, implicit_by_elimination(inp), field)
+        verify_implicitization(strand, reference(inp), field)
 
 
 def test_implicitize_screens_before_analysis(field, monkeypatch):

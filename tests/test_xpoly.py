@@ -6,11 +6,12 @@ import random
 import numpy as np
 import pytest
 
+import planes_ref
 from tensurf import xpoly
 from tensurf.bipoly import DEFAULT_PRIME, BiPoly, poly_to_str
-from tensurf.xpoly import (XPoly, divide_with_remainder, eval_form,
-                           eval_matrix, linear_substitute,
-                           monomials_of_degree, parse_xpoly)
+from tensurf.xpoly import (XPoly, divide_with_remainder, eval_matrix,
+                           linear_substitute, monomials_of_degree,
+                           parse_xpoly)
 from xpoly_ref import (coeff_vector, compose_with_map, eval_rows,
                        vanishes_on_map)
 
@@ -103,13 +104,14 @@ def test_eval_matrix_matches_pointwise_eval():
         for i in range(8):
             assert int(vals[i]) == f.eval(pts[i])
         assert np.array_equal(
-            eval_form(f.coeff_cube(degree), degree, pts, P), vals)
+            planes_ref.eval_form(f.coeff_cube(degree), degree, pts, P), vals)
 
 
-@pytest.mark.parametrize("chunk", [xpoly.FORM_CHUNK, 100])
+@pytest.mark.parametrize("chunk", [planes_ref.FORM_CHUNK, 100])
 def test_eval_form_matches_pointwise_eval(chunk, monkeypatch):
-    # a chunk of 100 elements splits the points into many row chunks
-    monkeypatch.setattr(xpoly, "FORM_CHUNK", chunk)
+    # the reference peel's evaluator of cubes; a chunk of 100 elements
+    # splits the points into many row chunks
+    monkeypatch.setattr(planes_ref, "FORM_CHUNK", chunk)
     for p in (P, 65521):
         rng = random.Random(17)
         pts = np.array([[rng.randrange(p) for _ in range(4)]
@@ -123,20 +125,39 @@ def test_eval_form_matches_pointwise_eval(chunk, monkeypatch):
             for n_terms in sorted({1, min(4, len(mons)), len(mons)}):
                 f = XPoly(p, {m: rng.randrange(1, p)
                               for m in rng.sample(mons, n_terms)})
-                got = eval_form(f.coeff_cube(degree), degree, pts, p)
+                got = planes_ref.eval_form(f.coeff_cube(degree), degree, pts, p)
                 assert got.dtype == np.int64
                 assert got.tolist() == eval_rows(f, pts).tolist()
-                assert eval_form(f.coeff_cube(degree), degree, pts[:0],
+                assert planes_ref.eval_form(f.coeff_cube(degree), degree, pts[:0],
                                  p).shape == (0,)
                 # its x0-free part, a ternary form: one axis fewer
                 g = XPoly(p, {m: c for m, c in f.terms.items() if not m[0]})
                 square = np.zeros((degree + 1,) * 2, dtype=np.int64)
                 for m, c in g.terms.items():
                     square[m[2], m[3]] = c
-                got = eval_form(square, degree, pts[:, 1:], p)
+                got = planes_ref.eval_form(square, degree, pts[:, 1:], p)
                 assert got.tolist() == eval_rows(g, pts).tolist()
         zero = XPoly.zero(p).coeff_cube(3)
-        assert not eval_form(zero, 3, pts, p).any()
+        assert not planes_ref.eval_form(zero, 3, pts, p).any()
+
+
+@pytest.mark.parametrize("p", [P, 65521])
+def test_shift_form_is_the_taylor_shift(p):
+    # f(y + z) at points y, and the shift by -z undoes the shift by z
+    rng = random.Random(p % 97)
+    pts = np.array([[1] + [rng.randrange(p) for _ in range(3)]
+                    for _ in range(10)], dtype=np.int64)
+    for degree in (0, 1, 4, 9):
+        mons = monomials_of_degree(degree)
+        f = XPoly(p, {m: rng.randrange(1, p)
+                      for m in rng.sample(mons, min(8, len(mons)))})
+        z = [rng.randrange(p), 0, p - rng.randrange(1, p)]
+        got = xpoly.shift_form(f.coeff_cube(degree), z, p)
+        moved = pts + np.array([0, *z])
+        assert eval_rows(XPoly.from_cube(p, degree, got), pts).tolist() \
+            == eval_rows(f, moved).tolist()
+        back = xpoly.shift_form(got, [-x for x in z], p)
+        assert back.tolist() == f.coeff_cube(degree).tolist()
 
 
 @pytest.mark.parametrize("p", [P, 65521])
