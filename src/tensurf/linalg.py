@@ -24,9 +24,10 @@ on two primitives:
   After the left half of a range, its pivot rows are finished on the right
   half by a unit lower triangular solve and the rows below by one
   ``_mul_sub`` (A22 -= L21 @ U12).  Multipliers are stored in place below
-  the pivots, so full-row swaps carry them along.  ``rank``, ``rref``,
-  ``kernel_basis`` and ``solve_particular`` all start from it and
-  back-substitute, by blocks, through the same triangular solve.
+  the pivots, so full-row swaps carry them along.  ``rref``,
+  ``kernel_basis`` and ``solve_particular`` read reduced echelon rows from
+  ``_reduce``: one Gauss-Jordan pass for one panel (nearly every system
+  here), blocked back-substitution through the same solve past it.
 
 Every determinant comes from ``det_block``, which takes many small ones at
 once.  It eliminates, in place, a block of m matrices laid out (n, n, m),
@@ -242,6 +243,38 @@ def _back_substitute(M: Matrix, pivots: list[int], cols, p: int) -> Matrix:
     return X
 
 
+def _reduce(M: Matrix, p: int) -> list[int]:
+    """Pivots of M, eliminated in place for ``_reduced_rows``: by ``_ple``
+    past one panel, else in one Gauss-Jordan pass with ``_eliminate``'s
+    pivots, each pivot row normalized and its column cleared, on whole
+    rows, in every other row with an entry there, above and below."""
+    if M.shape[1] > _PANEL:
+        return _ple(M, p)
+    pivots: list[int] = []
+    for c in range(M.shape[1]):
+        r = len(pivots)
+        if r == M.shape[0]:
+            break
+        if not M[r, c]:
+            nz = M[r:, c].nonzero()[0]
+            if not nz.size:
+                continue
+            M[[r, r + nz[0]]] = M[[r + nz[0], r]]
+        top = M[r] * pow(int(M[r, c]), -1, p) % p
+        if np.count_nonzero(M[:, c]) > 1:
+            M -= M[:, c, None] * top   # row r too, restored below
+            M %= p
+        M[r] = top
+        pivots.append(c)
+    return pivots
+
+
+def _reduced_rows(M: Matrix, pivots: list[int], cols, p: int) -> Matrix:
+    """Columns ``cols`` of the reduced echelon rows of M after ``_reduce``."""
+    return (M[:len(pivots), cols] if M.shape[1] <= _PANEL
+            else _back_substitute(M, pivots, cols, p))
+
+
 @dataclass(frozen=True)
 class RrefResult:
     rank: int
@@ -252,10 +285,10 @@ class RrefResult:
 def rref(mat, p: int) -> RrefResult:
     """Full reduced row echelon form."""
     M = as_matrix(mat, p)
-    pivots = _ple(M, p)
+    pivots = _reduce(M, p)
     rank = len(pivots)
     R = np.zeros_like(M)
-    R[:rank] = _back_substitute(M, pivots, slice(None), p)
+    R[:rank] = _reduced_rows(M, pivots, slice(None), p)
     R[:rank, pivots] = np.eye(rank, dtype=np.int64)
     return RrefResult(rank, tuple(pivots), R)
 
@@ -268,20 +301,16 @@ def kernel_basis(mat, p: int) -> list[Vector]:
     """Canonical basis of the right kernel (free column ascending)."""
     M = as_matrix(mat, p)
     n_cols = M.shape[1]
-    pivots = _ple(M, p)
+    pivots = _reduce(M, p)
     pivot_set = set(pivots)
     free = [c for c in range(n_cols) if c not in pivot_set]
     if not free:
         return []
-    # Back-substitute only the free columns: cheap when the kernel is small.
-    F = _back_substitute(M, pivots, free, p)
-    out = []
-    for j, fc in enumerate(free):
-        v = np.zeros(n_cols, dtype=np.int64)
-        v[fc] = 1
-        v[pivots] = (-F[:, j]) % p
-        out.append(v)
-    return out
+    # Only the free columns are read: cheap when the kernel is small.
+    K = np.zeros((len(free), n_cols), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = -_reduced_rows(M, pivots, free, p).T % p
+    return list(K)
 
 
 def solve_particular(mat, rhs, p: int) -> Matrix | None:
@@ -295,11 +324,11 @@ def solve_particular(mat, rhs, p: int) -> Matrix | None:
     b = as_matrix(rhs, p)
     M = np.hstack([A, b.reshape(A.shape[0], -1)])
     n_cols = A.shape[1]
-    pivots = _ple(M, p)
+    pivots = _reduce(M, p)
     if pivots and pivots[-1] >= n_cols:
         return None
     x = np.zeros((n_cols, M.shape[1] - n_cols), dtype=np.int64)
-    x[pivots] = _back_substitute(M, pivots, slice(n_cols, None), p)
+    x[pivots] = _reduced_rows(M, pivots, slice(n_cols, None), p)
     return x.reshape((n_cols,) + b.shape[1:])
 
 
@@ -338,7 +367,7 @@ def balanced(x: Matrix, p: int) -> Matrix:
 def _reduction_period(p: int) -> int:
     """Largest K with K * h**2 + p < 2**63, h = (p - 1) // 2.
 
-    An entry that starts in [0, p) and takes K updates of at most h**2 in
+    An entry that starts in (-p, p) and takes K updates of at most h**2 in
     magnitude stays strictly inside int64.  p is an odd prime.
     """
     h = (p - 1) // 2
@@ -372,8 +401,10 @@ def det_block(M: NDArray[np.int64], p: int) -> Vector:
     block shares it, because rows and columns are chosen for the block, not
     per matrix, and a row swap gives both rows the larger count.  A row is
     reduced, on its trailing columns, before an update that could be its
-    (K + 1)-th unreduced one, K from ``_reduction_period``.  A matrix with
-    no pivot in a column has determinant 0; its elimination goes on with
+    (K + 1)-th unreduced one, K from ``_reduction_period``, by ``np.fmod``
+    into (-p, p), 3x faster than ``%`` on mixed signs; its next update counts
+    again, so pivot columns and rows still get ``np.remainder``.  A matrix
+    with no pivot in a column has determinant 0; its elimination goes on with
     pivot 1 and its result is ignored.  The elimination steps are listed
     under ``batch_det``.
     """
@@ -421,7 +452,7 @@ def det_block(M: NDArray[np.int64], p: int) -> Vector:
         row = balanced(M[c, cols], p)
         full = pending[rows] >= period
         if full.any():
-            M[rows[full], c + 1:] %= p
+            M[rows[full], c + 1:] = np.fmod(M[rows[full], c + 1:], p)
             pending[rows[full]] = 0
         pending[rows] += 1
         dense = rows.size == cols.size == n - c - 1

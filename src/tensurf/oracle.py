@@ -223,13 +223,14 @@ def implicit_by_elimination(inp: SurfaceInput,
     """
     check_prime_floor(inp.a, inp.b, inp.field.p)
     holds = _row_identity(inp, strand)
+    built: dict[int, Strand] = {}   # blocks, each with its det_values
     e = _rank_degree(inp, strand, holds)
-    read = e and _read_off(strand, e, holds)
+    read = e and _read_off(strand, e, holds, built)
     if not read:
         e = section(inp, list(inp.grids))
         if e is None:
             return _scan(inp)
-        read = _read_off(strand, e, holds)
+        read = _read_off(strand, e, holds, built)
     if not read:
         raise CertificateError(
             f"no strand block of size a multiple of e = {e} keeps the row "
@@ -276,7 +277,8 @@ def _rank_degree(inp: SurfaceInput, strand: Strand,
     return None
 
 
-def _read_off(strand: Strand, e: int, holds: NDArray[np.bool_]
+def _read_off(strand: Strand, e: int, holds: NDArray[np.bool_],
+              built: dict[int, Strand]
               ) -> Optional[tuple[tuple, NDArray[np.int64]]]:
     """The first diagonal block B of ``strand``, smallest k = n / e first,
     whose size n is a multiple of e, that keeps the row identity on its
@@ -284,6 +286,7 @@ def _read_off(strand: Strand, e: int, holds: NDArray[np.bool_]
     e: B with the coefficient cube of det B (``Strand.det_cube``), as
     ``OracleResult.block``, and F's coefficient cube; None when no block
     does.  For k = 1, F is det B; for k > 1, its k-th root (:func:`_root`).
+    Block i is built once, into ``built[i]``, with its determinant lattice.
     """
     sized = sorted((len(r) // e, i) for i, (r, c) in enumerate(strand.blocks)
                    if len(r) == len(c) and len(r) % e == 0)
@@ -291,7 +294,7 @@ def _read_off(strand: Strand, e: int, holds: NDArray[np.bool_]
         rows, cols = strand.blocks[i]
         if not holds[cols].all():
             continue
-        block = strand.block(rows, cols)
+        block = built[i] = built.get(i) or strand.block(rows, cols)
         cube = block.det_cube()
         if not cube.any():
             continue

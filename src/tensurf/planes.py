@@ -127,59 +127,50 @@ def _linear_gcd_roots(A: NDArray[np.int64], B: NDArray[np.int64], p: int
     return sel, -A[0, sel] * linalg.inverse_many(A[1, sel], p) % p
 
 
-def _section_points(grids: list[NDArray[np.int64]], planes: NDArray[np.int64],
-                    need: NDArray[np.int64], per_point: float, rng, p: int
-                    ) -> list[NDArray[np.int64]]:
-    """Distinct points of X on each plane H_k = {planes[k] . y = 0}.
+def _section_points(grids: list[NDArray[np.int64]], plane: NDArray[np.int64],
+                    need: int, per_point: float, rng, p: int
+                    ) -> NDArray[np.int64]:
+    """Up to ``need`` distinct points of X on the plane H = {plane . y = 0}.
 
     ``grids`` are the generators' coefficient grids, rows indexed by the
     variable fixed at random and columns by the one solved for (degree K).
-    A draw for level k fixes that coordinate and takes the roots of the
-    degree-K form planes[k] . phi (``_split_roots``).  Image points are
-    scaled to a leading 1, checked exactly to lie on H_k, and dropped when
-    they repeat or lie on an earlier plane H_j, j < k.  Each round draws
-    for the levels still short of ``need``, sized by the yield seen so far
+    A draw fixes that coordinate and takes the roots of the degree-K form
+    plane . phi (``_split_roots``).  Image points are scaled to a leading
+    1, checked exactly to lie on H, and dropped when they repeat.  Each
+    round draws for the points still short, sized by the yield seen so far
     (``per_point`` draws per point before any, at most four times that
-    after); after ``_ROUNDS`` rounds the levels are returned as far as
-    they got, each at most ``need[k]``.
+    after); after ``_ROUNDS`` rounds the points are returned as far as they
+    got.
     """
-    levels = np.arange(len(need))
     K = grids[0].shape[1] - 1
-    found: list[dict] = [{} for _ in need]   # insertion-ordered sets
+    found: dict = {}   # an insertion-ordered set
     drawn = fresh = 0
     cap = 4 * per_point
     for _ in range(_ROUNDS):
-        short = np.maximum(need - [len(f) for f in found], 0)
-        if not short.any():
+        short = need - len(found)
+        if short <= 0:
             break
         if drawn:
             per_point = min(drawn / max(fresh, 1), cap)
-        size = np.ceil((short + 3 * np.sqrt(short) + 2) * per_point)
-        lev = np.repeat(levels, np.where(short > 0, size, 0).astype(np.int64))
-        drawn += lev.size
-        zpow = linalg.vandermonde(rng.integers(0, p, lev.size),
+        size = int(np.ceil((short + 3 * np.sqrt(short) + 2) * per_point))
+        drawn += size
+        zpow = linalg.vandermonde(rng.integers(0, p, size),
                                   grids[0].shape[0], p)
         coef = np.stack([linalg.matmul_mod(zpow, g, p) for g in grids])
-        form = (planes[lev].T[:, :, None] * coef % p).sum(axis=0) % p
-        idx, roots = _split_roots(form.T, rng.integers(0, p, lev.size), p)
+        form = (plane[:, None, None] * coef % p).sum(axis=0) % p
+        idx, roots = _split_roots(form.T, rng.integers(0, p, size), p)
         y = coef[:, idx, K]
         for j in range(K - 1, -1, -1):
             y = (y * roots + coef[:, idx, j]) % p
-        y, lev = y.T, lev[idx]
-        nz = y != 0
-        live = nz.any(axis=1)
-        y, lev = y[live], lev[live]
-        lead = y[np.arange(len(y)), nz[live].argmax(axis=1)]
+        y = y.T[y.any(axis=0)]
+        lead = y[np.arange(len(y)), (y != 0).argmax(axis=1)]
         y = y * linalg.inverse_many(lead, p)[:, None] % p
-        mv = linalg.matmul_mod(y, planes.T, p)
-        ok = ((mv != 0) | (levels >= lev[:, None])).all(axis=1) & (
-            mv[np.arange(len(y)), lev] == 0)
-        for row, k in zip(map(tuple, y[ok].tolist()), lev[ok].tolist()):
-            if row not in found[k]:
-                found[k][row] = None
+        on = linalg.matmul_mod(y, plane[:, None], p)[:, 0] == 0
+        for row in map(tuple, y[on].tolist()):
+            if row not in found:
+                found[row] = None
                 fresh += 1
-    return [np.array(list(f)[:n], dtype=np.int64).reshape(-1, 4)
-            for f, n in zip(found, need.tolist())]
+    return np.array(list(found)[:need], dtype=np.int64).reshape(-1, 4)
 
 
 def section(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
@@ -196,7 +187,7 @@ def section(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
     and that kernel must be a line.  None when points run short or it is
     not.  Planes are drawn for all e_max + 1 levels of the expansion above,
     so that the stream, and with it the level-0 points, is that of a full
-    peel (``tests/planes_ref.py``); only the level-0 plane gets points.
+    peel (``tests/planes_ref.py``); only the level-0 plane is kept.
     """
     p, a, b = inp.field.p, inp.a, inp.b
     grids = gen_grids if a > b else [g.T for g in gen_grids]
@@ -209,11 +200,11 @@ def section(inp: SurfaceInput, gen_grids: list[NDArray[np.int64]]
         return None
     e_max = 2 * a * b // step
     rng = np.random.default_rng(inp.field.rng("oracle-sample").getrandbits(64))
-    planes = rng.integers(0, p, (e_max + 1, 4))
-    planes[:, 0] = rng.integers(1, p, e_max + 1)
+    plane = rng.integers(0, p, (e_max + 1, 4))[0]
+    plane[0] = rng.integers(1, p, e_max + 1)[0]
     need = [math.comb(D + 2, 2) + _SAMPLE_MARGIN for D in range(e_max + 1)]
-    pts = _section_points(grids, planes[:1], np.array([need[e_max]]),
-                          1 if K == 1 else 2, rng, p)[0]
+    pts = _section_points(grids, plane, need[e_max], 1 if K == 1 else 2, rng,
+                          p)
     if len(pts) < need[e_max]:
         return None
 

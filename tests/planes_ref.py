@@ -7,6 +7,8 @@ acceptance gates and the oracle tests compare with:
 * :func:`section`, the level-0 plane section of ``tensurf.planes.section``
   with the same draws, keeping G_0, its points, the planes of every level
   and the random stream the peel draws from;
+* :func:`_section_points`, the drawer of points on the planes of several
+  levels at once, of which ``tensurf.planes`` keeps the one-plane case;
 * :func:`peel`, the levels 1..e: F = G_0 + m_0 (G_1 + m_1 (... +
   m_(e-1) G_e)), each G_k one small exact solve on points of the image on
   the plane m_k = 0, assembled by Horner's rule (:func:`_assemble`);
@@ -73,6 +75,60 @@ def eval_form(cube: np.ndarray, degree: int, points: np.ndarray, p: int
     return out
 
 
+def _section_points(grids: list, plane_rows: np.ndarray, need: np.ndarray,
+                    per_point: float, rng, p: int) -> list:
+    """Distinct points of X on each plane H_k = {plane_rows[k] . y = 0}.
+
+    ``tensurf.planes._section_points`` for several levels at once: a draw
+    for level k fixes the random coordinate and takes the roots of the
+    degree-K form plane_rows[k] . phi (``planes._split_roots``).  Image
+    points are scaled to a leading 1, checked exactly to lie on H_k, and
+    dropped when they repeat or lie on an earlier plane H_j, j < k.  Each
+    round draws for the levels still short of ``need``, sized by the yield
+    seen so far; after ``planes._ROUNDS`` rounds the levels are returned as
+    far as they got, each at most ``need[k]``.  With one level it draws
+    what ``tensurf.planes._section_points`` draws.
+    """
+    levels = np.arange(len(need))
+    K = grids[0].shape[1] - 1
+    found = [{} for _ in need]   # insertion-ordered sets
+    drawn = fresh = 0
+    cap = 4 * per_point
+    for _ in range(planes._ROUNDS):
+        short = np.maximum(need - [len(f) for f in found], 0)
+        if not short.any():
+            break
+        if drawn:
+            per_point = min(drawn / max(fresh, 1), cap)
+        size = np.ceil((short + 3 * np.sqrt(short) + 2) * per_point)
+        lev = np.repeat(levels, np.where(short > 0, size, 0).astype(np.int64))
+        drawn += lev.size
+        zpow = linalg.vandermonde(rng.integers(0, p, lev.size),
+                                  grids[0].shape[0], p)
+        coef = np.stack([linalg.matmul_mod(zpow, g, p) for g in grids])
+        form = (plane_rows[lev].T[:, :, None] * coef % p).sum(axis=0) % p
+        idx, roots = planes._split_roots(form.T, rng.integers(0, p, lev.size),
+                                         p)
+        y = coef[:, idx, K]
+        for j in range(K - 1, -1, -1):
+            y = (y * roots + coef[:, idx, j]) % p
+        y, lev = y.T, lev[idx]
+        nz = y != 0
+        live = nz.any(axis=1)
+        y, lev = y[live], lev[live]
+        lead = y[np.arange(len(y)), nz[live].argmax(axis=1)]
+        y = y * linalg.inverse_many(lead, p)[:, None] % p
+        mv = linalg.matmul_mod(y, plane_rows.T, p)
+        ok = ((mv != 0) | (levels >= lev[:, None])).all(axis=1) & (
+            mv[np.arange(len(y)), lev] == 0)
+        for row, k in zip(map(tuple, y[ok].tolist()), lev[ok].tolist()):
+            if row not in found[k]:
+                found[k][row] = None
+                fresh += 1
+    return [np.array(list(f)[:n], dtype=np.int64).reshape(-1, 4)
+            for f, n in zip(found, need.tolist())]
+
+
 def _need(e: int) -> np.ndarray:
     """Points per level of a degree-e peel: the unknowns of G_k + margin."""
     return np.array([math.comb(e - k + 2, 2) + planes._SAMPLE_MARGIN
@@ -110,10 +166,9 @@ def section(inp: SurfaceInput, gen_grids: list) -> Optional[Section]:
     plane_rows = rng.integers(0, p, (e_max + 1, 4))
     plane_rows[:, 0] = rng.integers(1, p, e_max + 1)
     per_point = 1 if K == 1 else 2
-    need = _need(e_max)[:1]
-    pts = planes._section_points(grids, plane_rows[:1], need, per_point, rng,
-                                 p)[0]
-    if len(pts) < need[0]:
+    need = int(_need(e_max)[0])
+    pts = planes._section_points(grids, plane_rows[0], need, per_point, rng, p)
+    if len(pts) < need:
         return None
 
     def level0_kernel(D: int) -> list:
@@ -166,9 +221,9 @@ def peel(sec: Section) -> Optional[np.ndarray]:
     """
     e, p, plane_rows = sec.e, sec.p, sec.planes
     need = _need(e)
-    pts = planes._section_points(sec.grids, plane_rows,
-                                 np.concatenate([[0], need[1:]]),
-                                 sec.per_point, sec.rng, p)
+    pts = _section_points(sec.grids, plane_rows,
+                          np.concatenate([[0], need[1:]]), sec.per_point,
+                          sec.rng, p)
     pts[0] = sec.points
     if any(len(y) < n for y, n in zip(pts, need.tolist())):
         return None

@@ -553,3 +553,95 @@ def test_det_block_on_random_zero_patterns(p, n, m, density, seed):
     want = [gauss_ref.det(M.tolist(), p) for M in mats]
     block = np.moveaxis(mats, 0, -1).copy()
     assert linalg.det_block(block, p).tolist() == want
+
+
+# Both elimination paths.  A matrix of at most ``linalg._PANEL`` columns is
+# reduced in Gauss-Jordan form by the panel loop and read directly; a wider
+# one takes PLE and back-substitution.  Padding with zero columns past the
+# panel forces the second path on the same system: its reduced rows and
+# solutions are the first's, padded with zeros.
+
+
+@st.composite
+def _narrow_and_wide_systems(draw):
+    """(p, M, B): M of 1-40 columns, rank-deficient, wide and short,
+    banded, or random, some columns zero; B of 1-3 right-hand sides, the
+    first consistent, the others random (inconsistent when M's column space
+    misses them)."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.one_of(st.sampled_from([31, 32, 33]), st.integers(1, 40)))
+    kind = draw(st.sampled_from(["deficient", "wide", "banded", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "banded":   # multiplication matrices of sparse forms
+        forms = [rng.integers(0, p, rng.integers(1, 6)) * (rng.random() < .7)
+                 for _ in range(rng.integers(1, 4))]
+        width = max(len(f) for f in forms) + int(rng.integers(0, 16))
+        M = np.hstack([multiplication_matrix(f[None], 0, width - len(f))
+                       for f in forms]) % p
+        M = M[:, :n]
+    else:
+        m = int(rng.integers(1, max(2, n // 2))) if kind == "wide" \
+            else int(rng.integers(1, 41))
+        M = rng.integers(0, p, (m, n))
+        if kind == "deficient":
+            thin = int(rng.integers(0, min(m, n)))
+            M = linalg.matmul_mod(M[:, :thin], rng.integers(0, p, (thin, n)),
+                                  p)
+    M[:, rng.random(M.shape[1]) < draw(st.sampled_from([0, .1, .5]))] = 0
+    x = rng.integers(0, p, (M.shape[1], 1))
+    B = np.hstack([linalg.matmul_mod(M, x, p),
+                   rng.integers(0, p, (len(M), draw(st.integers(0, 2))))])
+    return p, M, B
+
+
+def _reference_solve(M, B, p):
+    cols = [gauss_ref.solve(M.tolist(), b, p) for b in B.T.tolist()]
+    return None if None in cols else np.array(cols).T.tolist()
+
+
+def _results(M, B, p):
+    """rref, kernel basis and solution of M x = B as lists, and the width
+    of every matrix that ``_back_substitute`` took for them."""
+    widths = []
+    back_substitute = linalg._back_substitute
+
+    def spy(M, *args):
+        widths.append(M.shape[1])
+        return back_substitute(M, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "_back_substitute", spy)
+        res = linalg.rref(M, p)
+        kern = [v.tolist() for v in linalg.kernel_basis(M, p)]
+        x = linalg.solve_particular(M, B, p)
+    return ((res.rank, res.pivots, res.matrix.tolist()), kern,
+            None if x is None else x.tolist()), widths
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_narrow_and_wide_systems())
+@example((P, np.zeros((3, 32), dtype=np.int64),
+          np.array([[0], [0], [1]])))
+@example((3, np.ones((2, 33), dtype=np.int64), np.ones((2, 2), np.int64)))
+def test_both_elimination_paths_match_the_reference(system):
+    p, M, B = system
+    n = M.shape[1]
+    (got_rref, got_kern, got_x), widths = _results(M, B, p)
+    R, pivots = gauss_ref.rref(M.tolist(), p)
+    assert got_rref == (len(pivots), tuple(pivots), R)
+    assert got_kern == gauss_ref.kernel(M.tolist(), p)
+    assert got_x == _reference_solve(M, B, p)
+    # a matrix that fits one panel is read directly, never back-substituted
+    assert all(w > linalg._PANEL for w in widths)
+    assert len(widths) == (n > linalg._PANEL) * 2 + (
+        n + B.shape[1] > linalg._PANEL and got_x is not None)
+    # zero columns past the panel force PLE on the same system
+    pad = np.zeros((len(M), linalg._PANEL + 1 - min(n, linalg._PANEL)),
+                   dtype=np.int64)
+    (wide_rref, wide_kern, wide_x), widths = _results(np.hstack([M, pad]),
+                                                      B, p)
+    assert len(widths) == 2 + (wide_x is not None)
+    assert wide_rref[:2] == got_rref[:2]
+    assert [row[:n] for row in wide_rref[2]] == got_rref[2]
+    assert [v[:n] for v in wide_kern[:len(got_kern)]] == got_kern
+    assert got_x is None if wide_x is None else wide_x[:n] == got_x

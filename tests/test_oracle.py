@@ -317,14 +317,20 @@ def test_peel_drops_repeated_points_on_a_swap_symmetric_surface(
         return cols, roots
 
     monkeypatch.setattr(planes, "_split_roots", spy)
-    section_points = planes._section_points
     levels = []
 
-    def spy_points(grids, plane_rows, need, *args):
-        levels.append((len(plane_rows), need.tolist()))
-        return section_points(grids, plane_rows, need, *args)
+    def spy_points(module, planes_and_needs):
+        original = module._section_points
 
-    monkeypatch.setattr(planes, "_section_points", spy_points)
+        def spy(grids, plane_rows, need, *args):
+            levels.append(planes_and_needs(plane_rows, need))
+            return original(grids, plane_rows, need, *args)
+
+        monkeypatch.setattr(module, "_section_points", spy)
+
+    # the section draws on one plane, the peel on the planes of levels 1..e
+    spy_points(planes, lambda plane, need: (1, [need]))
+    spy_points(planes_ref, lambda rows, need: (len(rows), need.tolist()))
     calls = _count_kernels(monkeypatch)
     assert reference(inp) == want
     # draws gave two roots, t and 1/t, to be kept as one point
@@ -366,14 +372,13 @@ def test_peel_drops_a_level_on_an_earlier_plane_to_the_scan(
     # H_2 = H_0: every level-2 point lies on an earlier plane, so the peel
     # gives up after the level-0 kernel and the scan answers
     want = _unhinted(monkeypatch, example_input)
-    section_points = planes._section_points
+    section_points = planes_ref._section_points
 
-    def same_plane(grids, planes, *args):
-        if len(planes) > 2:   # the draw for levels 1..e
-            planes[2] = planes[0] * 3 % P
-        return section_points(grids, planes, *args)
+    def same_plane(grids, plane_rows, *args):   # the draw for levels 1..e
+        plane_rows[2] = plane_rows[0] * 3 % P
+        return section_points(grids, plane_rows, *args)
 
-    monkeypatch.setattr(planes, "_section_points", same_plane)
+    monkeypatch.setattr(planes_ref, "_section_points", same_plane)
     calls = _count_kernels(monkeypatch)
     assert reference(example_input) == want
     assert len(calls) == 1 + 10
@@ -502,7 +507,7 @@ def _holds(inp, strand, cols) -> bool:
 
 def _read_off(inp, strand, e):
     """The oracle's read-off at e, with the row-identity mask it takes."""
-    return oracle._read_off(strand, e, oracle._row_identity(inp, strand))
+    return oracle._read_off(strand, e, oracle._row_identity(inp, strand), {})
 
 
 def _rank_degree(inp, strand):
@@ -881,9 +886,14 @@ def test_a_rank_drop_point_takes_the_section(field, monkeypatch):
     # the one block has size 12 = 2 * 6, but det B = c F is no square:
     # its square root fails det B = c F^2 on the block's lattice
     assert _read_off(inp, want.strand, 6) is None
+    dets = spy_det_points(monkeypatch)
     got = implicitize(inp)
     assert sections == [12] and got.oracle.block is not None
     _assert_same_result(got, want)
+    # the section's read-off takes the block the rank's built, with its
+    # lattice determinants, and the certificate checks it on coefficients:
+    # one det_at_many per block
+    assert len(dets) == len(got.strand.blocks) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Plane sections: batched root finding, section points, and the Horner
-assembly of the reference peel."""
+"""Plane sections: batched root finding, section points on one plane and,
+in the reference peel, on several, and the peel's Horner assembly."""
 
 import math
 import random
@@ -10,6 +10,7 @@ import pytest
 import planes_ref
 from tensurf import planes
 from tensurf.bipoly import DEFAULT_PRIME
+from tensurf.gen import GenSpec, generate
 from tensurf.xpoly import XPoly, eval_matrix, monomials_of_degree
 
 P = DEFAULT_PRIME
@@ -69,9 +70,10 @@ def test_split_roots_finds_every_isolated_root(K, p):
 
 
 def test_section_points_drop_points_on_an_earlier_plane():
-    # Segre, (1 : t : 1 : z) -> (1, z, t, t z), over F_7: m1 agrees with m0
-    # on the draws with z = 3, whose point y* lies on both planes; level 1
-    # drops it there and fills up from the other draws
+    # the reference peel's drawer, on the planes of two levels.  Segre,
+    # (1 : t : 1 : z) -> (1, z, t, t z), over F_7: m1 agrees with m0 on the
+    # draws with z = 3, whose point y* lies on both planes; level 1 drops it
+    # there and fills up from the other draws
     p = 7
     grids = SEGRE_GRIDS
     m0 = np.array([1, 2, 3, 4])
@@ -88,7 +90,7 @@ def test_section_points_drop_points_on_an_earlier_plane():
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(planes, "_split_roots", spy)
-        level0, level1 = planes._section_points(
+        level0, level1 = planes_ref._section_points(
             grids, np.array([m0, m1]) % p, np.array([0, 5]), 1,
             np.random.default_rng(3), p)
     assert len(level0) == 0 and len(level1) == 5
@@ -111,12 +113,29 @@ def test_section_points_are_distinct_across_draw_rounds(monkeypatch):
         return split_roots(f, delta, p)
 
     monkeypatch.setattr(planes, "_split_roots", spy)
-    plane = np.array([[1, 2, 3, 4]])
-    (points,) = planes._section_points(grids, plane, np.array([5]), 0.2,
-                                       np.random.default_rng(5), p)
+    plane = np.array([1, 2, 3, 4])
+    points = planes._section_points(grids, plane, 5, 0.2,
+                                    np.random.default_rng(5), p)
     assert len(sizes) >= 2 and sum(sizes) > 7
     assert len(points) == len(set(map(tuple, points.tolist()))) == 5
-    assert not (points @ plane[0] % p).any()
+    assert not (points @ plane % p).any()
+
+
+@pytest.mark.parametrize("spec", [GenSpec("dim2", 2, 3, 2),
+                                  GenSpec("dim2", 3, 2, 1)], ids=str)
+@pytest.mark.parametrize("need", [1, 12, 60])
+def test_section_points_are_the_references_level_zero(spec, need):
+    # the one-plane drawer takes the draws of the reference's drawer for
+    # one level, so a section's points are those the reference peel starts
+    # from
+    inp = generate(spec, index=0, seed=0).input
+    grids = [g if spec.a > spec.b else g.T for g in inp.grids]
+    plane = np.array([5, 1, P - 2, 7])
+    got = planes._section_points(grids, plane, need, 2,
+                                 np.random.default_rng(need), P)
+    (want,) = planes_ref._section_points(grids, plane[None], np.array([need]),
+                                         2, np.random.default_rng(need), P)
+    assert len(got) == need and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("e", [0, 1, 2, 5])
